@@ -48,10 +48,10 @@ type report = {
   lc_cpi_hi : float;
 }
 
-let m_runs = lazy (Metrics.counter "locality.runs")
-let m_regions = lazy (Metrics.counter "locality.regions")
-let m_dram = lazy (Metrics.counter "locality.dram_bound")
-let m_chase = lazy (Metrics.counter "locality.chase")
+let m_runs = Metrics.counter "locality.runs"
+let m_regions = Metrics.counter "locality.regions"
+let m_dram = Metrics.counter "locality.dram_bound"
+let m_chase = Metrics.counter "locality.chase"
 
 (* --- symbolic access accounting over the lowered IR -------------------- *)
 
@@ -428,16 +428,16 @@ let analyze ?(config = Hierarchy.paper_table1) (binary : Binary.t) ~scale =
         end)
       regions_raw
   in
-  Metrics.incr (Lazy.force m_runs);
-  Metrics.incr ~by:(List.length regions) (Lazy.force m_regions);
+  Metrics.incr m_runs;
+  Metrics.incr ~by:(List.length regions) m_regions;
   Metrics.incr
     ~by:
       (List.length (List.filter (fun r -> r.rg_hit_level = "DRAM") regions))
-    (Lazy.force m_dram);
+    m_dram;
   Metrics.incr
     ~by:
       (List.length (List.filter (fun r -> r.rg_klass = Pointer_chase) regions))
-    (Lazy.force m_chase);
+    m_chase;
   { lc_workload = binary.Binary.program.Ast.prog_name;
     lc_scale = scale;
     lc_config = config;

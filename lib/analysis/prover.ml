@@ -24,11 +24,11 @@ type report = {
   pr_summaries : (Binary.t * Absint.binary_summary) list;
 }
 
-let m_runs = lazy (Metrics.counter "analysis.runs")
-let m_candidates = lazy (Metrics.counter "analysis.candidates")
-let m_proved = lazy (Metrics.counter "analysis.proved_mappable")
-let m_unmappable = lazy (Metrics.counter "analysis.proved_unmappable")
-let m_undecided = lazy (Metrics.counter "analysis.needs_dynamic")
+let m_runs = Metrics.counter "analysis.runs"
+let m_candidates = Metrics.counter "analysis.candidates"
+let m_proved = Metrics.counter "analysis.proved_mappable"
+let m_unmappable = Metrics.counter "analysis.proved_unmappable"
+let m_undecided = Metrics.counter "analysis.needs_dynamic"
 
 (* Source lines whose loop the binary's optimizer split: the original
    line survives only as [li_src_line] of mangled fragments. *)
@@ -137,11 +137,11 @@ let prove ~binaries ~scale =
       pr_candidates = !candidates; pr_summaries = summaries }
   in
   let n_proved, n_unmappable, n_undecided = tally report in
-  Metrics.incr (Lazy.force m_runs);
-  Metrics.incr ~by:!candidates (Lazy.force m_candidates);
-  Metrics.incr ~by:n_proved (Lazy.force m_proved);
-  Metrics.incr ~by:n_unmappable (Lazy.force m_unmappable);
-  Metrics.incr ~by:n_undecided (Lazy.force m_undecided);
+  Metrics.incr m_runs;
+  Metrics.incr ~by:!candidates m_candidates;
+  Metrics.incr ~by:n_proved m_proved;
+  Metrics.incr ~by:n_unmappable m_unmappable;
+  Metrics.incr ~by:n_undecided m_undecided;
   report
 
 let residue report =

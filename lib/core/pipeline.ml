@@ -103,6 +103,36 @@ type estimate_record = {
   er_est_cycles : float;
 }
 
+type clustering = {
+  cl_phase_of : int array;               (* interval index -> phase *)
+  cl_reps : int array;                   (* phase -> interval index *)
+  cl_n_phases : int;
+}
+
+(* How a collection pass cuts its intervals.  [Fixed]: every [target]
+   instructions (FLI and the samplers).  [Recorded]: a VLI primary,
+   cutting at the first cut-key marker past [target]; the keys are the
+   primary's local names, sorted.  [Replayed]: a VLI follower or a
+   points replay, cutting exactly at the given local boundaries. *)
+type plan =
+  | Fixed of int
+  | Recorded of int * Marker.key list
+  | Replayed of Interval.boundary array
+
+(* What consumers read of one pass, and nothing more: no BBV and no
+   collector scratch outlives the pass. *)
+type pass = {
+  ps_truth : truth;
+  ps_counter_names : string list;
+  ps_stats : Streamprof.stats;
+  ps_clustering : clustering option;        (* None for [Replayed] *)
+  ps_boundaries : Interval.boundary array;  (* [Recorded]: the cuts made *)
+  ps_mix : float array;       (* [Fixed]: per-interval access mix *)
+  ps_locality : int array;    (* [Fixed]: per-interval locality class *)
+}
+
+let n_intervals pass = Streamprof.(Array.length pass.ps_stats.st_insts)
+
 (* ------------------------------------------------------------------ *)
 (* The engine: scheduler width + artifact stores + timing sink.        *)
 
@@ -116,6 +146,7 @@ type engine = {
   eng_jobs : int;
   eng_binaries : Binary.t Store.t;
   eng_profiles : Structprof.t Store.t;
+  eng_passes : pass Store.t;
   eng_results : result_caches option;
   eng_timing : Timing.sink;
 }
@@ -143,15 +174,20 @@ let create_engine ?(jobs = 1) ?cache_dir ?(cache_budget = 256 * 1024 * 1024)
   { eng_jobs = max 1 jobs;
     eng_binaries = store "binaries";
     eng_profiles = store "profiles";
+    (* In memory only: a pass is cheap next to the whole results the
+       disk layer keeps, and its key holds a full boundary list. *)
+    eng_passes = Store.create ~name:"passes" ();
     eng_results = results;
     eng_timing = Timing.create () }
 
 (* A per-request view of [eng]: same artifact stores (and their disk
-   layers), fresh timing sink — so concurrent server requests share
-   every cached artifact yet each gets its own stage report and
-   manifest. *)
+   layers), fresh timing sink and pass store — so concurrent server
+   requests share every cached artifact and whole result, yet each gets
+   its own stage report and manifest, and a long-running daemon does
+   not accumulate passes. *)
 let fork_engine eng =
-  { eng with eng_timing = Timing.create () }
+  { eng with eng_timing = Timing.create ();
+    eng_passes = Store.fresh eng.eng_passes }
 
 let timings eng = Timing.records eng.eng_timing
 
@@ -201,12 +237,6 @@ let struct_profile eng (program : Cbsp_source.Ast.program) (binary : Binary.t)
    (trailing) intervals by inheriting the previous label so every interval
    index has a phase and representative indices refer to the original
    interval numbering. *)
-type clustering = {
-  cl_phase_of : int array;               (* interval index -> phase *)
-  cl_reps : int array;                   (* phase -> interval index *)
-  cl_n_phases : int;
-}
-
 (* Spread a Simpoint result over the full interval numbering: live
    intervals get their cluster's phase, empty (trailing) intervals
    inherit the previous live interval's phase, and representative
@@ -251,15 +281,10 @@ let cluster_streamed ~sp_config (col : Streamprof.t) =
     Simpoint.pick_projected ~config:sp_config ~weights:ci_weights
       ~points:ci_points ()
   in
-  extend_clustering ~n:(Array.length stats) ~live_idx:ci_live_idx
-    ~is_live:(fun i -> stats.(i).Streamprof.st_insts > 0)
+  extend_clustering ~n:(Array.length stats.Streamprof.st_insts)
+    ~live_idx:ci_live_idx
+    ~is_live:(fun i -> stats.Streamprof.st_insts.(i) > 0)
     sp
-
-let timed_cluster eng ~label ~sp_config ~n_intervals cluster_fn =
-  Timing.time eng.eng_timing ~stage:Stage.Clustering ~label
-    ~in_size:n_intervals
-    ~out_size:(fun c -> c.cl_n_phases)
-    (fun () -> cluster_fn ~sp_config)
 
 (* Per-binary phase statistics and the SimPoint CPI estimate, from this
    binary's own per-interval measurements and the (shared or per-binary)
@@ -269,24 +294,27 @@ let timed_cluster eng ~label ~sp_config ~n_intervals cluster_fn =
    [extras]) — never BBVs — so it consumes the collector's lightweight
    stats and serves the streaming and materialized paths identically. *)
 let summarize ~config ~truth ~counter_names ~clustering
-    (stats : Streamprof.stat array) =
+    (stats : Streamprof.stats) =
+  let { Streamprof.st_insts = insts; st_cycles = cycles; st_n_extras = n_extras;
+        st_extras = extras } =
+    stats
+  in
   let k = clustering.cl_n_phases in
   let insts_per_phase = Array.make k 0.0 in
   let cycles_per_phase = Array.make k 0.0 in
   Array.iteri
-    (fun i (st : Streamprof.stat) ->
+    (fun i n ->
       let p = clustering.cl_phase_of.(i) in
-      insts_per_phase.(p) <-
-        insts_per_phase.(p) +. float_of_int st.Streamprof.st_insts;
-      cycles_per_phase.(p) <- cycles_per_phase.(p) +. st.Streamprof.st_cycles)
-    stats;
+      insts_per_phase.(p) <- insts_per_phase.(p) +. float_of_int n;
+      cycles_per_phase.(p) <- cycles_per_phase.(p) +. cycles.(i))
+    insts;
   let total_insts = Stats.sum insts_per_phase in
   let phases =
     Array.init k (fun p ->
-        let rep = stats.(clustering.cl_reps.(p)) in
+        let rep = clustering.cl_reps.(p) in
         let sp_cpi =
-          if rep.Streamprof.st_insts = 0 then 0.0
-          else rep.Streamprof.st_cycles /. float_of_int rep.Streamprof.st_insts
+          if insts.(rep) = 0 then 0.0
+          else cycles.(rep) /. float_of_int insts.(rep)
         in
         let true_cpi =
           if insts_per_phase.(p) = 0.0 then 0.0
@@ -301,21 +329,14 @@ let summarize ~config ~truth ~counter_names ~clustering
   in
   (* Extra metrics (per 1000 instructions): truth from interval totals,
      estimate from the representatives, exactly like CPI. *)
-  let n_extras =
-    Array.fold_left
-      (fun acc (st : Streamprof.stat) ->
-        max acc (Array.length st.Streamprof.st_extras))
-      0 stats
-  in
   let metrics =
     List.mapi
       (fun e name ->
         let total = ref 0.0 in
-        Array.iter
-          (fun (st : Streamprof.stat) ->
-            if e < Array.length st.Streamprof.st_extras then
-              total := !total +. st.Streamprof.st_extras.(e))
-          stats;
+        if e < n_extras then
+          Array.iteri
+            (fun i _ -> total := !total +. extras.((i * n_extras) + e))
+            insts;
         let true_pki =
           if truth.t_insts = 0 then 0.0
           else !total /. float_of_int truth.t_insts *. 1000.0
@@ -323,45 +344,40 @@ let summarize ~config ~truth ~counter_names ~clustering
         let est_pki =
           Array.fold_left
             (fun acc ph ->
-              let rep = stats.(clustering.cl_reps.(ph.ph_id)) in
-              if
-                rep.Streamprof.st_insts = 0
-                || e >= Array.length rep.Streamprof.st_extras
-              then acc
+              let rep = clustering.cl_reps.(ph.ph_id) in
+              if insts.(rep) = 0 || e >= n_extras then acc
               else
                 acc
                 +. ph.ph_weight
-                   *. (rep.Streamprof.st_extras.(e)
-                       /. float_of_int rep.Streamprof.st_insts *. 1000.0))
+                   *. (extras.((rep * n_extras) + e)
+                       /. float_of_int insts.(rep) *. 1000.0))
             0.0 phases
         in
         { m_name = name; m_true_pki = true_pki; m_est_pki = est_pki })
       (if n_extras = 0 then [] else counter_names)
     |> Array.of_list
   in
-  let live =
-    Array.to_list stats
-    |> List.filter (fun (st : Streamprof.stat) -> st.Streamprof.st_insts > 0)
+  let n_live, live_insts =
+    Array.fold_left
+      (fun (n, sum) i -> if i > 0 then (n + 1, sum + i) else (n, sum))
+      (0, 0) insts
   in
   let avg_interval =
-    match live with
-    | [] -> 0.0
-    | _ ->
-      float_of_int
-        (List.fold_left (fun a st -> a + st.Streamprof.st_insts) 0 live)
-      /. float_of_int (List.length live)
+    if n_live = 0 then 0.0 else float_of_int live_insts /. float_of_int n_live
   in
   { br_config = config; br_truth = truth; br_est_cpi = est_cpi;
     br_est_cycles = est_cpi *. float_of_int truth.t_insts;
     br_cpi_error = Stats.relative_error ~truth:truth.t_cpi ~estimate:est_cpi;
-    br_n_points = k; br_n_intervals = Array.length stats;
+    br_n_points = k; br_n_intervals = Array.length insts;
     br_avg_interval = avg_interval; br_phases = phases; br_metrics = metrics }
 
-let timed_summarize eng ~label ~config ~truth ~counter_names ~clustering stats =
+let summarize_pass eng ~label ~config ~clustering pass =
   Timing.time eng.eng_timing ~stage:Stage.Summarize ~label
-    ~in_size:(Array.length stats)
+    ~in_size:(n_intervals pass)
     ~out_size:(fun r -> Array.length r.br_phases)
-    (fun () -> summarize ~config ~truth ~counter_names ~clustering stats)
+    (fun () ->
+      summarize ~config ~truth:pass.ps_truth
+        ~counter_names:pass.ps_counter_names ~clustering pass.ps_stats)
 
 let measure_truth totals cpu =
   let insts = totals.Executor.insts in
@@ -370,6 +386,143 @@ let measure_truth totals cpu =
 
 let job_label (program : Cbsp_source.Ast.program) config ~kind =
   program.Cbsp_source.Ast.prog_name ^ "/" ^ Config.label config ^ "/" ^ kind
+
+let llc_bytes cache_config =
+  let cfg =
+    match cache_config with Some c -> c | None -> Hierarchy.paper_table1
+  in
+  match List.rev cfg.Hierarchy.levels with
+  | (last : Hierarchy.level_config) :: _ -> last.Hierarchy.lv_capacity
+  | [] -> 0
+
+(* One streaming collection pass: a full execution through the cache
+   model with [plan]'s interval builder feeding a [Streamprof]
+   collector.  The builder must observe each block BEFORE the CPU
+   charges it, so a cut's cycle sample excludes the block that starts
+   the next interval.  A [Fixed] pass also reduces each interval's BBV
+   to the samplers' phase-1 features at emission time, so no consumer
+   ever needs the BBVs back. *)
+let run_pass ~timing ~label ~sp_config ~cache_config (binary : Binary.t)
+    ~input plan =
+  let n_blocks = binary.Binary.n_blocks in
+  let cpu = Cpu.create ?config:cache_config () in
+  let cycles () = Cpu.cycles cpu and extras () = Cpu.extra_counters cpu in
+  let col =
+    match plan with
+    | Replayed _ -> Streamprof.create_stats_only ()
+    | Fixed _ | Recorded _ -> Streamprof.create ~sp_config ~n_blocks ()
+  in
+  let mix_rev = ref [] and locality_rev = ref [] in
+  let obs, finish =
+    match plan with
+    | Fixed target ->
+      let mix_of = Strata.access_mix_of binary in
+      let locality_of =
+        Strata.static_locality_of binary ~llc_bytes:(llc_bytes cache_config)
+      in
+      let emit (iv : Interval.interval) =
+        mix_rev := mix_of iv.Interval.bbv :: !mix_rev;
+        locality_rev := locality_of iv.Interval.bbv :: !locality_rev;
+        Streamprof.emit col iv
+      in
+      let obs, finish =
+        Interval.fli_stream ~n_blocks ~target ~cycles ~extras ~emit ()
+      in
+      (obs, fun () -> ignore (finish () : int); [||])
+    | Recorded (target, keys) ->
+      let cut = Marker.Set.of_list keys in
+      let obs, finish =
+        Interval.vli_recorder_stream ~n_blocks ~target
+          ~mappable:(fun key -> Marker.Set.mem key cut)
+          ~cycles ~extras ~emit:(Streamprof.emit col) ()
+      in
+      (obs, fun () -> snd (finish ()))
+    | Replayed boundaries ->
+      let obs, finish =
+        Interval.vli_follower_stream ~boundaries ~cycles ~extras
+          ~emit:(Streamprof.emit col) ()
+      in
+      (obs, fun () -> ignore (finish () : int); [||])
+  in
+  let totals, boundaries =
+    Timing.time timing ~stage:Stage.Interval_collection ~label ~in_size:n_blocks
+      ~out_size:(fun (t, _) -> t.Executor.insts)
+      (fun () ->
+        let totals =
+          Executor.run binary input (Executor.compose [ obs; Cpu.observer cpu ])
+        in
+        (totals, finish ()))
+  in
+  let stats = Streamprof.stats col in
+  let clustering =
+    match plan with
+    | Replayed _ -> None
+    | Fixed _ | Recorded _ ->
+      Some
+        (Timing.time timing ~stage:Stage.Clustering ~label
+           ~in_size:(Array.length stats.Streamprof.st_insts)
+           ~out_size:(fun c -> c.cl_n_phases)
+           (fun () -> cluster_streamed ~sp_config col))
+  in
+  { ps_truth = measure_truth totals cpu;
+    ps_counter_names = Cpu.extra_counter_names cpu; ps_stats = stats;
+    ps_clustering = clustering; ps_boundaries = boundaries;
+    ps_mix = Array.of_list (List.rev !mix_rev);
+    ps_locality = Array.of_list (List.rev !locality_rev) }
+
+(* Every engine-owned streaming pass goes through here.  The key is
+   everything that determines a pass, so FLI and the samplers share one
+   [Fixed] pass per binary, and VLI methods whose cut plans agree share
+   their primary and follower passes. *)
+let collect eng program (binary : Binary.t) ~label ~sp_config ?cache_config
+    ~input plan =
+  let key =
+    Store.digest
+      ( binary_key program binary.Binary.config, input, cache_config,
+        sp_config, plan )
+  in
+  Store.find_or_compute eng.eng_passes ~key (fun () ->
+      run_pass ~timing:eng.eng_timing ~label ~sp_config ~cache_config binary
+        ~input plan)
+
+(* The pre-streaming reference for [?materialize:true]: every interval
+   materialized with its BBV, then clustered.  [observe] builds the
+   interval observer from the CPU's counters.  Never reads or fills the
+   pass store, so the differential tests compare two real passes. *)
+let materialized_pass eng ~label ~sp_config ~cache_config (binary : Binary.t)
+    ~input ~observe =
+  let cpu = Cpu.create ?config:cache_config () in
+  let obs, read =
+    observe
+      ~cycles:(fun () -> Cpu.cycles cpu)
+      ~extras:(fun () -> Cpu.extra_counters cpu)
+  in
+  let totals, (intervals, boundaries) =
+    Timing.time eng.eng_timing ~stage:Stage.Interval_collection ~label
+      ~in_size:binary.Binary.n_blocks
+      ~out_size:(fun (t, _) -> t.Executor.insts)
+      (fun () ->
+        let totals =
+          Executor.run binary input (Executor.compose [ obs; Cpu.observer cpu ])
+        in
+        (totals, read ()))
+  in
+  let clustering =
+    Timing.time eng.eng_timing ~stage:Stage.Clustering ~label
+      ~in_size:(Array.length intervals)
+      ~out_size:(fun c -> c.cl_n_phases)
+      (fun () -> cluster ~sp_config intervals)
+  in
+  { ps_truth = measure_truth totals cpu;
+    ps_counter_names = Cpu.extra_counter_names cpu;
+    ps_stats = Streamprof.stats_of_intervals intervals;
+    ps_clustering = Some clustering; ps_boundaries = boundaries;
+    ps_mix = [||]; ps_locality = [||] }
+
+let clustering_of pass =
+  match pass.ps_clustering with
+  | Some c -> c
+  | None -> invalid_arg "Pipeline: a replayed pass has no clustering"
 
 let run_fli_uncached ~sp_config ~cache_config ~materialize ~eng program
     ~configs ~input ~target =
@@ -385,66 +538,21 @@ let run_fli_uncached ~sp_config ~cache_config ~materialize ~eng program
       (fun (config : Config.t) ->
         let binary = compile eng program config in
         let label = job_label program config ~kind:"fli" in
-        let cpu = Cpu.create ?config:cache_config () in
-        (* The interval builder must observe each block BEFORE the CPU
-           charges it, so a cut's cycle sample excludes the block that
-           starts the next interval. *)
-        let totals, stats, cluster_fn =
-          if materialize then begin
-            let iobs, read =
-              Interval.fli_observer ~n_blocks:binary.Binary.n_blocks ~target
-                ~cycles:(fun () -> Cpu.cycles cpu)
-                ~extras:(fun () -> Cpu.extra_counters cpu)
-                ()
-            in
-            let totals, intervals =
-              Timing.time eng.eng_timing ~stage:Stage.Interval_collection
-                ~label ~in_size:binary.Binary.n_blocks
-                ~out_size:(fun (t, _) -> t.Executor.insts)
-                (fun () ->
-                  let totals =
-                    Executor.run binary input
-                      (Executor.compose [ iobs; Cpu.observer cpu ])
-                  in
-                  (totals, read ()))
-            in
-            ( totals,
-              Streamprof.stats_of_intervals intervals,
-              fun ~sp_config -> cluster ~sp_config intervals )
-          end
-          else begin
-            let col =
-              Streamprof.create ~sp_config ~n_blocks:binary.Binary.n_blocks ()
-            in
-            let iobs, finish =
-              Interval.fli_stream ~n_blocks:binary.Binary.n_blocks ~target
-                ~cycles:(fun () -> Cpu.cycles cpu)
-                ~extras:(fun () -> Cpu.extra_counters cpu)
-                ~emit:(Streamprof.emit col) ()
-            in
-            let totals =
-              Timing.time eng.eng_timing ~stage:Stage.Interval_collection
-                ~label ~in_size:binary.Binary.n_blocks
-                ~out_size:(fun t -> t.Executor.insts)
-                (fun () ->
-                  let totals =
-                    Executor.run binary input
-                      (Executor.compose [ iobs; Cpu.observer cpu ])
-                  in
-                  let (_ : int) = finish () in
-                  totals)
-            in
-            ( totals,
-              Streamprof.stats col,
-              fun ~sp_config -> cluster_streamed ~sp_config col )
-          end
+        let pass =
+          if materialize then
+            materialized_pass eng ~label ~sp_config ~cache_config binary
+              ~input ~observe:(fun ~cycles ~extras ->
+                let obs, read =
+                  Interval.fli_observer ~n_blocks:binary.Binary.n_blocks
+                    ~target ~cycles ~extras ()
+                in
+                (obs, fun () -> (read (), [||])))
+          else
+            collect eng program binary ~label ~sp_config ?cache_config ~input
+              (Fixed target)
         in
-        let clustering =
-          timed_cluster eng ~label ~sp_config
-            ~n_intervals:(Array.length stats) cluster_fn
-        in
-        timed_summarize eng ~label ~config ~truth:(measure_truth totals cpu)
-          ~counter_names:(Cpu.extra_counter_names cpu) ~clustering stats)
+        summarize_pass eng ~label ~config ~clustering:(clustering_of pass)
+          pass)
       configs
   in
   { fli_binaries = binaries; fli_target = target }
@@ -472,9 +580,9 @@ let run_fli ?(sp_config = Simpoint.default_config) ?cache_config
     in
     Store.find_or_compute rc.rc_fli ~key go
 
-let m_profile_skips = lazy (Cbsp_obs.Metrics.counter "analysis.profile_skips")
+let m_profile_skips = Cbsp_obs.Metrics.counter "analysis.profile_skips"
 
-let m_dynamic_fallbacks = lazy (Cbsp_obs.Metrics.counter "analysis.dynamic_fallbacks")
+let m_dynamic_fallbacks = Cbsp_obs.Metrics.counter "analysis.dynamic_fallbacks"
 
 (* Steps 1-2 of the VLI method, statically: prove mappability from the
    symbolic marker counts and profile only when an undecided residue
@@ -506,12 +614,11 @@ let static_matching_of_report eng program ~match_options ~binaries ~input
   if Marker.Set.is_empty residue then begin
     (* Every candidate is decided: the profiling stage is not needed at
        all for this workload. *)
-    Cbsp_obs.Metrics.incr ~by:(List.length binaries)
-      (Lazy.force m_profile_skips);
+    Cbsp_obs.Metrics.incr ~by:(List.length binaries) m_profile_skips;
     Matching.of_counts ~counts:proved ~candidates
   end
   else begin
-    Cbsp_obs.Metrics.incr (Lazy.force m_dynamic_fallbacks);
+    Cbsp_obs.Metrics.incr m_dynamic_fallbacks;
     let profiles =
       Scheduler.parallel_map ~jobs:eng.eng_jobs
         (fun b -> struct_profile eng program b input)
@@ -536,15 +643,13 @@ let static_matching eng program ~match_options ~binaries ~input =
   static_matching_of_report eng program ~match_options ~binaries ~input
     (static_report eng program ~binaries ~input)
 
-let m_semantic_lost = lazy (Cbsp_obs.Metrics.counter "match.semantic_lost")
+let m_semantic_lost = Cbsp_obs.Metrics.counter "match.semantic_lost"
 
-let m_semantic_identified =
-  lazy (Cbsp_obs.Metrics.counter "match.semantic_identified")
+let m_semantic_identified = Cbsp_obs.Metrics.counter "match.semantic_identified"
 
-let m_semantic_recovered =
-  lazy (Cbsp_obs.Metrics.counter "match.semantic_recovered")
+let m_semantic_recovered = Cbsp_obs.Metrics.counter "match.semantic_recovered"
 
-let m_semantic_demoted = lazy (Cbsp_obs.Metrics.counter "match.semantic_demoted")
+let m_semantic_demoted = Cbsp_obs.Metrics.counter "match.semantic_demoted"
 
 (* The semantic mode: static matching, then fingerprint recovery over
    the markers the prover lost to loop splitting.  Only order-safe
@@ -565,15 +670,14 @@ let semantic_matching eng program ~match_options ~binaries ~input =
       ~out_size:Fingerprint.n_cuttable
       (fun () -> Fingerprint.recover report)
   in
-  Cbsp_obs.Metrics.incr ~by:(Fingerprint.n_lost recovery)
-    (Lazy.force m_semantic_lost);
+  Cbsp_obs.Metrics.incr ~by:(Fingerprint.n_lost recovery) m_semantic_lost;
   Cbsp_obs.Metrics.incr ~by:(Fingerprint.n_identified recovery)
-    (Lazy.force m_semantic_identified);
+    m_semantic_identified;
   Cbsp_obs.Metrics.incr ~by:(Fingerprint.n_cuttable recovery)
-    (Lazy.force m_semantic_recovered);
+    m_semantic_recovered;
   Cbsp_obs.Metrics.incr
     ~by:(Marker.Set.cardinal recovery.Fingerprint.rc_demoted)
-    (Lazy.force m_semantic_demoted);
+    m_semantic_demoted;
   let demoted = recovery.Fingerprint.rc_demoted in
   let counts =
     Marker.Map.union
@@ -649,128 +753,65 @@ let run_vli_uncached ~sp_config ~cache_config ~match_options ~primary ~static
       | Some canonical -> canonical
       | None -> key)
   in
-  (* Steps 3-4: VLIs and simulation points on the primary binary. *)
+  (* Steps 3-4: VLIs and simulation points on the primary binary.  The
+     cut plan is the set of primary-local keys [is_cut] accepts, taken
+     over every marker the binary can emit: two runs with the same set
+     cut the same intervals, whatever matching produced it. *)
   let primary_binary = List.nth binaries primary in
   let primary_label =
     job_label program primary_binary.Binary.config ~kind:"vli"
   in
-  let primary_cpu = Cpu.create ?config:cache_config () in
-  let primary_totals, primary_stats, primary_cluster_fn, boundaries =
-    if materialize then begin
-      let robs, read =
-        Interval.vli_recorder ~n_blocks:primary_binary.Binary.n_blocks ~target
-          ~mappable:is_cut
-          ~cycles:(fun () -> Cpu.cycles primary_cpu)
-          ~extras:(fun () -> Cpu.extra_counters primary_cpu)
-          ()
-      in
-      let totals, (intervals, boundaries) =
-        Timing.time eng.eng_timing ~stage:Stage.Interval_collection
-          ~label:primary_label ~in_size:primary_binary.Binary.n_blocks
-          ~out_size:(fun (t, _) -> t.Executor.insts)
-          (fun () ->
-            let totals =
-              Executor.run primary_binary input
-                (Executor.compose [ robs; Cpu.observer primary_cpu ])
-            in
-            (totals, read ()))
-      in
-      ( totals,
-        Streamprof.stats_of_intervals intervals,
-        (fun ~sp_config -> cluster ~sp_config intervals),
-        boundaries )
-    end
-    else begin
-      let col =
-        Streamprof.create ~sp_config
-          ~n_blocks:primary_binary.Binary.n_blocks ()
-      in
-      let robs, finish =
-        Interval.vli_recorder_stream
-          ~n_blocks:primary_binary.Binary.n_blocks ~target
-          ~mappable:is_cut
-          ~cycles:(fun () -> Cpu.cycles primary_cpu)
-          ~extras:(fun () -> Cpu.extra_counters primary_cpu)
-          ~emit:(Streamprof.emit col) ()
-      in
-      let totals, boundaries =
-        Timing.time eng.eng_timing ~stage:Stage.Interval_collection
-          ~label:primary_label ~in_size:primary_binary.Binary.n_blocks
-          ~out_size:(fun (t, _) -> t.Executor.insts)
-          (fun () ->
-            let totals =
-              Executor.run primary_binary input
-                (Executor.compose [ robs; Cpu.observer primary_cpu ])
-            in
-            let (_ : int), boundaries = finish () in
-            (totals, boundaries))
-      in
-      ( totals,
-        Streamprof.stats col,
-        (fun ~sp_config -> cluster_streamed ~sp_config col),
-        boundaries )
-    end
+  let primary_pass =
+    if materialize then
+      materialized_pass eng ~label:primary_label ~sp_config ~cache_config
+        primary_binary ~input ~observe:(fun ~cycles ~extras ->
+          Interval.vli_recorder ~n_blocks:primary_binary.Binary.n_blocks
+            ~target ~mappable:is_cut ~cycles ~extras ())
+    else
+      collect eng program primary_binary ~label:primary_label ~sp_config
+        ?cache_config ~input
+        (Recorded
+           (target, List.filter is_cut (Binary.static_marker_keys primary_binary)))
   in
   (* Store the boundary list under canonical key names; each follower
      replays it under its own local names. *)
-  let boundaries = translate_boundaries primary_to_canon boundaries in
-  let clustering =
-    timed_cluster eng ~label:primary_label ~sp_config
-      ~n_intervals:(Array.length primary_stats) primary_cluster_fn
+  let boundaries =
+    translate_boundaries primary_to_canon primary_pass.ps_boundaries
   in
+  let clustering = clustering_of primary_pass in
   let primary_result =
-    timed_summarize eng ~label:primary_label
-      ~config:primary_binary.Binary.config
-      ~truth:(measure_truth primary_totals primary_cpu)
-      ~counter_names:(Cpu.extra_counter_names primary_cpu) ~clustering
-      primary_stats
+    summarize_pass eng ~label:primary_label
+      ~config:primary_binary.Binary.config ~clustering primary_pass
   in
   (* Steps 5-6: map boundaries into every binary (free: they are
      (marker, count) pairs) and recompute weights per binary.  Follower
      runs are independent of each other, so they are scheduler jobs
-     too. *)
+     too.  Followers collect no BBVs, so they always stream; only the
+     materialized reference bypasses the pass store. *)
   let results =
     Scheduler.parallel_map ~jobs:eng.eng_jobs
       (fun (i, (binary : Binary.t)) ->
         if i = primary then primary_result
         else begin
           let label = job_label program binary.Binary.config ~kind:"vli" in
-          let cpu = Cpu.create ?config:cache_config () in
-          (* Followers collect no BBVs, so streaming them is pure stats
-             collection; the materialized variant is retained only for
-             the differential test's sake. *)
-          let col = Streamprof.create_stats_only () in
-          let fobs, finish =
-            Interval.vli_follower_stream
-              ~boundaries:(translate_boundaries (to_local i) boundaries)
-              ~cycles:(fun () -> Cpu.cycles cpu)
-              ~extras:(fun () -> Cpu.extra_counters cpu)
-              ~emit:(Streamprof.emit col) ()
+          let plan = Replayed (translate_boundaries (to_local i) boundaries) in
+          let pass =
+            if materialize then
+              run_pass ~timing:eng.eng_timing ~label ~sp_config ~cache_config
+                binary ~input plan
+            else
+              collect eng program binary ~label ~sp_config ?cache_config
+                ~input plan
           in
-          let totals =
-            Timing.time eng.eng_timing ~stage:Stage.Interval_collection ~label
-              ~in_size:binary.Binary.n_blocks
-              ~out_size:(fun t -> t.Executor.insts)
-              (fun () ->
-                let totals =
-                  Executor.run binary input
-                    (Executor.compose [ fobs; Cpu.observer cpu ])
-                in
-                let (_ : int) = finish () in
-                totals)
-          in
-          let stats = Streamprof.stats col in
-          if Array.length stats <> Array.length primary_stats then
+          if n_intervals pass <> n_intervals primary_pass then
             invalid_arg
               (Printf.sprintf
                  "Pipeline.run_vli: interval count diverged across binaries \
                   (%s: %d intervals vs primary's %d)"
                  (Config.label binary.Binary.config)
-                 (Array.length stats)
-                 (Array.length primary_stats));
-          timed_summarize eng ~label ~config:binary.Binary.config
-            ~truth:(measure_truth totals cpu)
-            ~counter_names:(Cpu.extra_counter_names cpu) ~clustering stats
+                 (n_intervals pass) (n_intervals primary_pass));
+          summarize_pass eng ~label ~config:binary.Binary.config ~clustering
+            pass
         end)
       (List.mapi (fun i b -> (i, b)) binaries)
   in
@@ -818,88 +859,34 @@ let run_sampling_uncached ~sp_config ~cache_config ~eng ~level ~seeds program
       (fun (ci, (config : Config.t)) ->
         let binary = compile eng program config in
         let label = job_label program config ~kind:"sample" in
-        let cpu = Cpu.create ?config:cache_config () in
-        let iobs, read =
-          Interval.fli_observer ~n_blocks:binary.Binary.n_blocks ~target
-            ~cycles:(fun () -> Cpu.cycles cpu)
-            ~extras:(fun () -> Cpu.extra_counters cpu)
-            ()
+        (* The same fixed-length pass FLI collects (shared through the
+           pass store): it yields the per-interval population the
+           samplers draw from, the true CPI the confidence intervals
+           are judged against, and the k-means phases, which double as
+           the SimPoint baseline and as one of the stratifications. *)
+        let pass =
+          collect eng program binary ~label ~sp_config ?cache_config ~input
+            (Fixed target)
         in
-        (* One full pass per binary, exactly like FLI: it yields the
-           per-interval population the samplers draw from AND the true
-           CPI the confidence intervals are judged against. *)
-        let totals, intervals =
-          Timing.time eng.eng_timing ~stage:Stage.Interval_collection ~label
-            ~in_size:binary.Binary.n_blocks
-            ~out_size:(fun (t, _) -> t.Executor.insts)
-            (fun () ->
-              let totals =
-                Executor.run binary input
-                  (Executor.compose [ iobs; Cpu.observer cpu ])
-              in
-              (totals, read ()))
-        in
-        let truth = measure_truth totals cpu in
-        (* The k-means phases double as the SimPoint baseline (via the
-           usual summarize) and as one of the stratifications.  Sampling
-           keeps the materialized pass: the strata builders below need
-           every interval's BBV for the access-mix proxy. *)
-        let clustering =
-          timed_cluster eng ~label ~sp_config
-            ~n_intervals:(Array.length intervals)
-            (fun ~sp_config -> cluster ~sp_config intervals)
-        in
-        let sp =
-          timed_summarize eng ~label ~config ~truth
-            ~counter_names:(Cpu.extra_counter_names cpu) ~clustering
-            (Streamprof.stats_of_intervals intervals)
-        in
-        let insts =
-          Array.map
-            (fun (iv : Interval.interval) -> float_of_int iv.Interval.insts)
-            intervals
-        in
-        let cycles =
-          Array.map (fun (iv : Interval.interval) -> iv.Interval.cycles)
-            intervals
-        in
+        let truth = pass.ps_truth in
+        let clustering = clustering_of pass in
+        let sp = summarize_pass eng ~label ~config ~clustering pass in
+        let insts = Array.map float_of_int pass.ps_stats.Streamprof.st_insts in
+        let cycles = pass.ps_stats.Streamprof.st_cycles in
         let n_live =
-          Array.fold_left
-            (fun a (iv : Interval.interval) ->
-              if iv.Interval.insts > 0 then a + 1 else a)
-            0 intervals
+          Array.fold_left (fun a i -> if i > 0 then a + 1 else a) 0
+            pass.ps_stats.Streamprof.st_insts
         in
         (* Phase-1 instruction-mix proxy: drives Neyman allocation and
-           provides the second (quantile) stratification. *)
-        let mix =
-          Strata.access_mix binary
-            ~bbvs:
-              (Array.map (fun (iv : Interval.interval) -> iv.Interval.bbv)
-                 intervals)
-        in
+           provides the second (quantile) stratification.  The third,
+           static locality, is a per-interval class from the binary's
+           block-level access patterns and the LLC capacity — no
+           clustering pass and no quantile computation. *)
+        let mix = pass.ps_mix in
         let mix_strata =
           Strata.quantile_bins ~bins:(max 2 (min 8 (n / 2))) mix
         in
-        (* Static-locality stratification: per-interval dominant locality
-           class from the binary's block-level access patterns and the
-           hierarchy's LLC capacity — the one stratification that needs
-           no clustering pass and no quantile computation. *)
-        let static_strata =
-          let llc_bytes =
-            let cfg =
-              match cache_config with
-              | Some c -> c
-              | None -> Hierarchy.paper_table1
-            in
-            match List.rev cfg.Hierarchy.levels with
-            | (last : Hierarchy.level_config) :: _ -> last.Hierarchy.lv_capacity
-            | [] -> 0
-          in
-          Strata.static_locality binary ~llc_bytes
-            ~bbvs:
-              (Array.map (fun (iv : Interval.interval) -> iv.Interval.bbv)
-                 intervals)
-        in
+        let static_strata = pass.ps_locality in
         let run_method mi m seed =
           (* One independent stream per (binary, method, seed): sampling
              decisions never interact across methods or configurations. *)
@@ -931,7 +918,7 @@ let run_sampling_uncached ~sp_config ~cache_config ~eng ~level ~seeds program
               let runs =
                 Timing.time eng.eng_timing ~stage:Stage.Sampling
                   ~label:(label ^ "/" ^ m)
-                  ~in_size:(Array.length intervals)
+                  ~in_size:(n_intervals pass)
                   ~out_size:(fun rs -> List.length rs)
                   (fun () -> List.map (run_method mi m) seeds)
               in
@@ -945,7 +932,7 @@ let run_sampling_uncached ~sp_config ~cache_config ~eng ~level ~seeds program
         in
         { sb_config = config; sb_truth = truth; sb_sp_cpi = sp.br_est_cpi;
           sb_sp_error = sp.br_cpi_error; sb_sp_cost_insts = sp_cost;
-          sb_n_intervals = Array.length intervals; sb_n_live = n_live;
+          sb_n_intervals = n_intervals pass; sb_n_live = n_live;
           sb_methods = methods })
       (List.mapi (fun i c -> (i, c)) configs)
   in
@@ -1016,35 +1003,27 @@ let run_locality ?cache_config ?engine program ~configs ~input =
     configs
 
 let replay ?cache_config (binary : Binary.t) ~input points =
-  let cpu = Cpu.create ?config:cache_config () in
   (* A replay is a follower pass: boundaries come from the points file,
-     phases are fixed, and only scalar stats are consumed — so it streams
-     with zero BBV buffers. *)
-  let col = Streamprof.create_stats_only () in
-  let fobs, finish =
-    Interval.vli_follower_stream ~boundaries:points.pt_boundaries
-      ~cycles:(fun () -> Cpu.cycles cpu)
-      ~extras:(fun () -> Cpu.extra_counters cpu)
-      ~emit:(Streamprof.emit col) ()
+     phases are fixed, and only scalar stats are consumed.  It has no
+     engine, so nothing memoizes it, and its timing goes to a throwaway
+     sink. *)
+  let pass =
+    run_pass ~timing:(Timing.create ()) ~label:"replay" ~sp_config:Simpoint.default_config ~cache_config
+      binary ~input (Replayed points.pt_boundaries)
   in
-  let totals =
-    Executor.run binary input (Executor.compose [ fobs; Cpu.observer cpu ])
-  in
-  let (_ : int) = finish () in
-  let stats = Streamprof.stats col in
-  if Array.length stats <> Array.length points.pt_phase_of then
+  if n_intervals pass <> Array.length points.pt_phase_of then
     invalid_arg
       (Printf.sprintf
          "Pipeline.replay: points do not match this (program, input): replay \
           produced %d intervals, the points file has %d phase labels"
-         (Array.length stats)
+         (n_intervals pass)
          (Array.length points.pt_phase_of));
   let clustering =
     { cl_phase_of = points.pt_phase_of; cl_reps = points.pt_reps;
       cl_n_phases = Array.length points.pt_reps }
   in
-  summarize ~config:binary.Binary.config ~truth:(measure_truth totals cpu)
-    ~counter_names:(Cpu.extra_counter_names cpu) ~clustering stats
+  summarize ~config:binary.Binary.config ~truth:pass.ps_truth
+    ~counter_names:pass.ps_counter_names ~clustering pass.ps_stats
 
 let find_binary results ~label =
   List.find (fun r -> Config.label r.br_config = label) results

@@ -140,6 +140,12 @@ type sampling_result = {
       {!Cbsp_report.Experiment.run_suite} does for a workload's FLI and
       VLI runs) deduplicates that work: each binary compiles exactly
       once;
+    - an in-memory pass store memoizing interval-collection passes by
+      (binary, input, cache and SimPoint configuration, cut plan): FLI
+      and the samplers cut the same fixed-length plan, and VLI runs
+      whose cut plans agree (plain, static and recovered, outside
+      loop-split programs) replay the same primary and followers, so
+      each distinct pass runs once per engine;
     - a timing sink recording every job's wall-clock and input/output
       sizes, for the per-stage timing report.
 
@@ -159,10 +165,50 @@ type result_caches = {
     never use this layer — in particular the differential tests' fresh
     engines. *)
 
+type clustering = {
+  cl_phase_of : int array;  (** Interval index -> phase. *)
+  cl_reps : int array;      (** Phase -> representative interval index. *)
+  cl_n_phases : int;
+}
+(** SimPoint phases spread over a pass's full interval numbering: empty
+    (trailing) intervals inherit the previous live interval's phase. *)
+
+(** How a collection pass cuts its intervals. *)
+type plan =
+  | Fixed of int  (** Every [target] instructions: FLI and the samplers. *)
+  | Recorded of int * Cbsp_compiler.Marker.key list
+      (** A VLI primary: cut at the first marker past [target] whose key
+          is in the list (the primary's local names, sorted), recording
+          each cut as a boundary. *)
+  | Replayed of Cbsp_profile.Interval.boundary array
+      (** A VLI follower or a points replay: cut exactly at these
+          (local) boundaries. *)
+
+type pass = {
+  ps_truth : truth;
+  ps_counter_names : string list;  (** Names of [st_extras]' counters. *)
+  ps_stats : Streamprof.stats;
+  ps_clustering : clustering option;  (** [None] for [Replayed]. *)
+  ps_boundaries : Cbsp_profile.Interval.boundary array;
+      (** [Recorded]: the boundaries cut; otherwise empty. *)
+  ps_mix : float array;
+      (** [Fixed]: per-interval {!Cbsp_sampling.Strata.access_mix_of};
+          otherwise empty. *)
+  ps_locality : int array;
+      (** [Fixed]: per-interval
+          {!Cbsp_sampling.Strata.static_locality_of} under the cache
+          configuration's LLC; otherwise empty. *)
+}
+(** One streaming collection pass as its consumers read it — never BBVs
+    or collector scratch, which do not outlive the pass. *)
+
 type engine = {
   eng_jobs : int;  (** Scheduler width; 1 = sequential. *)
   eng_binaries : Cbsp_compiler.Binary.t Cbsp_engine.Store.t;
   eng_profiles : Cbsp_profile.Structprof.t Cbsp_engine.Store.t;
+  eng_passes : pass Cbsp_engine.Store.t;
+      (** Collection passes of this engine (memory only, no disk
+          layer). *)
   eng_results : result_caches option;
   eng_timing : Cbsp_engine.Timing.sink;
 }
@@ -179,10 +225,31 @@ val create_engine :
     the same directory warm-starts from disk, and concurrent processes
     coalesce identical computes via the cache's lock files. *)
 
+val collect :
+  engine ->
+  Cbsp_source.Ast.program ->
+  Cbsp_compiler.Binary.t ->
+  label:string ->
+  sp_config:Cbsp_simpoint.Simpoint.config ->
+  ?cache_config:Cbsp_cache.Hierarchy.config ->
+  input:Cbsp_source.Input.t ->
+  plan ->
+  pass
+(** One streaming collection pass of [binary] (compiled from [program])
+    on [input], memoized in the engine's pass store under everything
+    that determines it: the binary's (program, config) key, [input],
+    [cache_config], [sp_config] and [plan].  The first caller runs the
+    pass — timed under [Stage.Interval_collection] and, unless
+    [Replayed], [Stage.Clustering], with [label] — and every later
+    caller with an equal key gets the same value.  {!run_fli},
+    {!run_vli} and {!run_sampling} collect through here. *)
+
 val fork_engine : engine -> engine
 (** A per-request view: shares the artifact stores (and their disk
-    layers) but gets a fresh timing sink, so concurrent server requests
-    share caches while keeping per-request stage reports. *)
+    layers) but gets a fresh timing sink and a fresh pass store, so
+    concurrent server requests share caches and whole results while
+    keeping per-request stage reports, and passes are shared only within
+    one request. *)
 
 val timings : engine -> Cbsp_engine.Timing.record list
 (** Every job record accumulated so far, in canonical (stage, label)
@@ -289,8 +356,9 @@ val run_sampling :
   target:int ->
   n:int ->
   sampling_result
-(** One full profiling pass per binary (compile memoized via the engine,
-    interval collection timed as usual), then every sampler in
+(** One streaming [Fixed target] pass per binary — through {!collect},
+    so an engine that already ran {!run_fli} at the same target reuses
+    its passes — then every sampler in
     {!sampling_methods} runs once per seed on the resulting interval
     population, each timed under [Stage.Sampling].  The same pass also
     yields the SimPoint baseline ([sb_sp_cpi]) and the true CPI the CIs

@@ -3,14 +3,6 @@ module Simpoint = Cbsp_simpoint.Simpoint
 module Projection = Cbsp_simpoint.Projection
 module Stats = Cbsp_util.Stats
 
-type stat = { st_insts : int; st_cycles : float; st_extras : float array }
-
-let stat_of_interval (iv : Interval.interval) =
-  { st_insts = iv.Interval.insts; st_cycles = iv.Interval.cycles;
-    st_extras = Array.copy iv.Interval.extras }
-
-let stats_of_intervals = Array.map stat_of_interval
-
 (* Minimal growable vector — amortized-O(1) push, exact-length extract.
    The stdlib has no resizable array and the profile layers cannot know
    interval counts up front. *)
@@ -28,6 +20,46 @@ let vec_push v x =
   v.len <- v.len + 1
 
 let vec_to_array v = Array.sub v.data 0 v.len
+
+(* Per-interval scalars in columns: a pass store keeps every pass's
+   stats alive for the engine's lifetime, and one record plus one
+   extras array per interval would cost five words of headers and
+   pointers on top of the data. *)
+type stats = {
+  st_insts : int array;
+  st_cycles : float array;
+  st_n_extras : int;
+  st_extras : float array;  (* interval i's counter e at i * n_extras + e *)
+}
+
+type columns = {
+  k_insts : int vec;
+  k_cycles : float vec;
+  mutable k_n_extras : int;
+  k_extras : float vec;
+}
+
+let columns_create () =
+  { k_insts = vec_create (); k_cycles = vec_create (); k_n_extras = 0;
+    k_extras = vec_create () }
+
+let columns_push k (iv : Interval.interval) =
+  let extras = iv.Interval.extras in
+  if k.k_insts.len = 0 then k.k_n_extras <- Array.length extras
+  else if Array.length extras <> k.k_n_extras then
+    invalid_arg "Streamprof: extra-counter count changed between intervals";
+  vec_push k.k_insts iv.Interval.insts;
+  vec_push k.k_cycles iv.Interval.cycles;
+  Array.iter (vec_push k.k_extras) extras
+
+let columns_stats k =
+  { st_insts = vec_to_array k.k_insts; st_cycles = vec_to_array k.k_cycles;
+    st_n_extras = k.k_n_extras; st_extras = vec_to_array k.k_extras }
+
+let stats_of_intervals intervals =
+  let k = columns_create () in
+  Array.iter (columns_push k) intervals;
+  columns_stats k
 
 (* Projection is batched over small chunks of normalized BBVs rather
    than run per interval: projecting interleaved with the executor
@@ -49,7 +81,7 @@ type t = {
   projection : Projection.t option;
   chunk_rows : float array array;  (* chunk_size full-width rows *)
   mutable chunk_fill : int;        (* rows normalized, not yet projected *)
-  c_stats : stat vec;
+  c_stats : columns;
   c_live_idx : int vec;
   c_weights : float vec;
   c_points : float array vec;
@@ -62,12 +94,12 @@ let create ~sp_config ~n_blocks () =
   { projection = Some (Simpoint.projection_for ~config:sp_config ~in_dim:n_blocks ());
     chunk_rows = Array.init chunk_size (fun _ -> Array.make n_blocks 0.0);
     chunk_fill = 0;
-    c_stats = vec_create (); c_live_idx = vec_create ();
+    c_stats = columns_create (); c_live_idx = vec_create ();
     c_weights = vec_create (); c_points = vec_create () }
 
 let create_stats_only () =
   { projection = None; chunk_rows = [||]; chunk_fill = 0;
-    c_stats = vec_create (); c_live_idx = vec_create ();
+    c_stats = columns_create (); c_live_idx = vec_create ();
     c_weights = vec_create (); c_points = vec_create () }
 
 (* Project the buffered rows in emission order.  Identical operations to
@@ -92,8 +124,8 @@ let flush t =
    + [Projection.apply_all], so the collected points are bit-identical
    to what clustering over materialized BBVs would see. *)
 let emit t (iv : Interval.interval) =
-  let idx = t.c_stats.len in
-  vec_push t.c_stats (stat_of_interval iv);
+  let idx = t.c_stats.k_insts.len in
+  columns_push t.c_stats iv;
   match t.projection with
   | Some _ when iv.Interval.insts > 0 ->
     Stats.normalize_into iv.Interval.bbv t.chunk_rows.(t.chunk_fill);
@@ -103,9 +135,9 @@ let emit t (iv : Interval.interval) =
     if t.chunk_fill = chunk_size then flush t
   | _ -> ()
 
-let stats t = vec_to_array t.c_stats
+let stats t = columns_stats t.c_stats
 
-let n_intervals t = t.c_stats.len
+let n_intervals t = t.c_stats.k_insts.len
 
 type cluster_inputs = {
   ci_live_idx : int array;

@@ -18,13 +18,18 @@
     equivalence {!Pipeline}'s differential test checks on the whole
     registry. *)
 
-type stat = { st_insts : int; st_cycles : float; st_extras : float array }
-(** The per-interval scalars summaries consume. *)
+type stats = {
+  st_insts : int array;
+  st_cycles : float array;
+  st_n_extras : int;  (** Extra counters per interval (all alike). *)
+  st_extras : float array;
+      (** Interval [i]'s extra counter [e] at [i * st_n_extras + e]. *)
+}
+(** The per-interval scalars summaries consume, in columns. *)
 
-val stat_of_interval : Cbsp_profile.Interval.interval -> stat
-(** Copies [extras] (the emitted interval's arrays are scratch). *)
-
-val stats_of_intervals : Cbsp_profile.Interval.interval array -> stat array
+val stats_of_intervals : Cbsp_profile.Interval.interval array -> stats
+(** @raise Invalid_argument if the intervals' extra-counter counts
+    differ. *)
 
 type t
 
@@ -42,9 +47,11 @@ val create_stats_only : unit -> t
 (** For passes without BBVs (VLI followers): stats only. *)
 
 val emit : t -> Cbsp_profile.Interval.interval -> unit
-(** Feed one emitted interval.  Pass [emit t] as the builder's [~emit]. *)
+(** Feed one emitted interval.  Pass [emit t] as the builder's [~emit].
+    @raise Invalid_argument if its extra-counter count differs from the
+    first interval's. *)
 
-val stats : t -> stat array
+val stats : t -> stats
 
 val n_intervals : t -> int
 

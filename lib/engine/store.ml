@@ -54,9 +54,16 @@ let create ?(name = "store") ?disk () =
     s_hits = Metrics.counter ~labels "store.hits";
     s_wait = Metrics.histogram ~labels "store.wait_seconds" }
 
+let fresh t = { t with s_mutex = Mutex.create (); s_table = Hashtbl.create 64 }
+
 let disk t = t.s_disk
 
-let digest v = Digest.string (Marshal.to_string v [])
+(* [No_sharing] makes the encoding a function of the value's structure
+   alone: with sharing, two equal values whose strings are aliased
+   differently (a marker name read from one binary's table vs built by
+   the prover) marshal to different bytes and miss each other's
+   entries. *)
+let digest v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ])
 
 (* Decode a persisted payload; unmarshalable bytes are payload-level
    corruption the framing checksums cannot see, so quarantine and treat

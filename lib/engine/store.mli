@@ -24,12 +24,20 @@ val create : ?name:string -> ?disk:Diskcache.t -> unit -> 'v t
     payload that fails to unmarshal is quarantined and recomputed, and
     exceptions are never persisted. *)
 
+val fresh : 'v t -> 'v t
+(** An empty store with [t]'s name, disk layer and metric series: a
+    per-request scope whose counters still add up in the owner's
+    series, so forking one per request never grows the metrics
+    registry. *)
+
 val disk : 'v t -> Diskcache.t option
 
 val digest : 'a -> string
-(** A content key: the MD5 digest of the value's [Marshal] encoding.
-    The value must be marshal-able (pure data, no closures) — true of
-    programs, configurations, inputs and binaries here. *)
+(** A content key: the MD5 digest of the value's [Marshal] encoding
+    without sharing, so structurally equal values get equal keys however
+    their substructures are aliased.  The value must be acyclic pure
+    data (no closures) — true of programs, configurations, inputs and
+    cut plans here. *)
 
 val find_or_compute : 'v t -> key:string -> (unit -> 'v) -> 'v
 (** Return the cached value for [key], or run the computation and cache

@@ -344,18 +344,18 @@ and f_exec_loop st (l : Binary.floop) =
 (* Executor totals feed the obs registry once per run (never per event:
    the hot loops stay untouched, so the counters are free at the block
    granularity the interpreter actually works at). *)
-let m_runs = lazy (Cbsp_obs.Metrics.counter "executor.runs")
-let m_insts = lazy (Cbsp_obs.Metrics.counter "executor.insts")
-let m_blocks = lazy (Cbsp_obs.Metrics.counter "executor.blocks")
-let m_accesses = lazy (Cbsp_obs.Metrics.counter "executor.accesses")
-let m_markers = lazy (Cbsp_obs.Metrics.counter "executor.markers")
+let m_runs = Cbsp_obs.Metrics.counter "executor.runs"
+let m_insts = Cbsp_obs.Metrics.counter "executor.insts"
+let m_blocks = Cbsp_obs.Metrics.counter "executor.blocks"
+let m_accesses = Cbsp_obs.Metrics.counter "executor.accesses"
+let m_markers = Cbsp_obs.Metrics.counter "executor.markers"
 
 let observe_totals (t : totals) =
-  Cbsp_obs.Metrics.incr (Lazy.force m_runs);
-  Cbsp_obs.Metrics.incr ~by:t.insts (Lazy.force m_insts);
-  Cbsp_obs.Metrics.incr ~by:t.blocks (Lazy.force m_blocks);
-  Cbsp_obs.Metrics.incr ~by:t.accesses (Lazy.force m_accesses);
-  Cbsp_obs.Metrics.incr ~by:t.markers (Lazy.force m_markers)
+  Cbsp_obs.Metrics.incr m_runs;
+  Cbsp_obs.Metrics.incr ~by:t.insts m_insts;
+  Cbsp_obs.Metrics.incr ~by:t.blocks m_blocks;
+  Cbsp_obs.Metrics.incr ~by:t.accesses m_accesses;
+  Cbsp_obs.Metrics.incr ~by:t.markers m_markers
 
 let run binary input obs =
   let flat = binary.Binary.flat in

@@ -4,13 +4,13 @@ module Metrics = Cbsp_obs.Metrics
 
 exception Parse_error of string
 
-let m_events = lazy (Metrics.counter "trace.replay.events")
-let m_parse_errors = lazy (Metrics.counter "trace.replay.parse_errors")
+let m_events = Metrics.counter "trace.replay.events"
+let m_parse_errors = Metrics.counter "trace.replay.parse_errors"
 
 let fail fmt =
   Printf.ksprintf
     (fun s ->
-      Metrics.incr (Lazy.force m_parse_errors);
+      Metrics.incr m_parse_errors;
       raise (Parse_error s))
     fmt
 
@@ -63,7 +63,7 @@ let replay_channel ic (obs : Executor.observer) =
        end
      done
    with End_of_file -> ());
-  Metrics.incr ~by:!events (Lazy.force m_events);
+  Metrics.incr ~by:!events m_events;
   { Executor.insts = !insts; blocks = !blocks; accesses = !accesses;
     markers = !markers }
 

@@ -24,11 +24,10 @@ let cpi interval =
    suite-smoke CI budget catches.  The max update is racy across domains
    (two passes may interleave reads), which can only ever under-report by
    one concurrent pass's peak — fine for a budget gate. *)
-let m_scratch = lazy (Metrics.gauge "profile.scratch_intervals")
+let m_scratch = Metrics.gauge "profile.scratch_intervals"
 
 let note_scratch_peak n =
-  let g = Lazy.force m_scratch in
-  if n > Metrics.gauge_value g then Metrics.set g n
+  if n > Metrics.gauge_value m_scratch then Metrics.set m_scratch n
 
 (* Shared accumulator: current-interval instruction count, optional BBV,
    and the cycle baseline for delta sampling.  Completed intervals leave

@@ -5,9 +5,9 @@ let magic = "cbsp-ivl/1\n"
 let record_tag = '\x01'
 let trailer_tag = '\x00'
 
-let m_bytes_written = lazy (Metrics.counter "ivl.bytes_written")
-let m_bytes_read = lazy (Metrics.counter "ivl.bytes_read")
-let m_ratio = lazy (Metrics.histogram "ivl.compression_ratio")
+let m_bytes_written = Metrics.counter "ivl.bytes_written"
+let m_bytes_read = Metrics.counter "ivl.bytes_read"
+let m_ratio = Metrics.histogram "ivl.compression_ratio"
 
 let fail fmt = Printf.ksprintf invalid_arg ("Ivl_file: " ^^ fmt)
 
@@ -212,9 +212,9 @@ let close w =
         put_u32 buf (adler_value w.w_adler);
         output_string w.oc (Buffer.contents buf);
         w.w_bytes <- w.w_bytes + Buffer.length buf);
-    Metrics.incr ~by:w.w_bytes (Lazy.force m_bytes_written);
+    Metrics.incr ~by:w.w_bytes m_bytes_written;
     if w.w_bytes > 0 && w.w_records > 0 then
-      Metrics.observe (Lazy.force m_ratio)
+      Metrics.observe m_ratio
         (float_of_int
            (w.w_records * dense_bytes ~n_blocks:w.w_n_blocks ~n_extras:w.w_n_extras)
         /. float_of_int w.w_bytes)
@@ -240,9 +240,9 @@ let encode ~n_blocks intervals =
   put_varint buf (Array.length intervals);
   put_u32 buf (adler_value (adler_feed adler_init p 0 (String.length p)));
   let s = Buffer.contents buf in
-  Metrics.incr ~by:(String.length s) (Lazy.force m_bytes_written);
+  Metrics.incr ~by:(String.length s) m_bytes_written;
   if Array.length intervals > 0 then
-    Metrics.observe (Lazy.force m_ratio)
+    Metrics.observe m_ratio
       (float_of_int (Array.length intervals * dense_bytes ~n_blocks ~n_extras)
       /. float_of_int (String.length s));
   s
@@ -322,7 +322,7 @@ let decode_fold data ~init ~f =
       continue := false
     | c -> fail "unknown record tag %#x" (Char.code c)
   done;
-  Metrics.incr ~by:(String.length data) (Lazy.force m_bytes_read);
+  Metrics.incr ~by:(String.length data) m_bytes_read;
   !acc
 
 let decode data =

@@ -15,7 +15,7 @@ let quantile_bins ~bins feature =
       Array.fold_left (fun acc t -> if x > t then acc + 1 else acc) 0 thresholds)
     feature
 
-let access_mix (binary : Binary.t) ~bbvs =
+let access_mix_of (binary : Binary.t) =
   let n = binary.Binary.n_blocks in
   (* Static accesses-per-instruction rate of every block: BBVs count
      instructions per block, so interval accesses = sum_b bbv_b * rate_b. *)
@@ -32,26 +32,26 @@ let access_mix (binary : Binary.t) ~bbvs =
           float_of_int accesses /. float_of_int b.Binary.mb_insts
       end)
     binary;
-  Array.map
-    (fun bbv ->
-      if Array.length bbv <> n then
-        invalid_arg "Strata.access_mix: BBV dimension mismatch";
-      let insts = Stats.sum bbv in
-      if insts = 0.0 then 0.0
-      else begin
-        let acc = ref 0.0 in
-        for b = 0 to n - 1 do
-          acc := !acc +. (bbv.(b) *. rate.(b))
-        done;
-        !acc /. insts
-      end)
-    bbvs
+  fun bbv ->
+    if Array.length bbv <> n then
+      invalid_arg "Strata.access_mix: BBV dimension mismatch";
+    let insts = Stats.sum bbv in
+    if insts = 0.0 then 0.0
+    else begin
+      let acc = ref 0.0 in
+      for b = 0 to n - 1 do
+        acc := !acc +. (bbv.(b) *. rate.(b))
+      done;
+      !acc /. insts
+    end
+
+let access_mix binary ~bbvs = Array.map (access_mix_of binary) bbvs
 
 (* The fixed label space of [static_locality]: class 0 is the fallback
    for intervals with no (weighted) memory traffic at all. *)
 let n_locality_classes = 6
 
-let static_locality (binary : Binary.t) ~llc_bytes ~bbvs =
+let static_locality_of (binary : Binary.t) ~llc_bytes =
   if llc_bytes < 0 then
     invalid_arg "Strata.static_locality: negative LLC capacity";
   let n = binary.Binary.n_blocks in
@@ -91,23 +91,24 @@ let static_locality (binary : Binary.t) ~llc_bytes ~bbvs =
           b.Binary.mb_accesses
       end)
     binary;
-  Array.map
-    (fun bbv ->
-      if Array.length bbv <> n then
-        invalid_arg "Strata.static_locality: BBV dimension mismatch";
-      let best = ref 0 and best_mass = ref 0.0 in
-      for c = 0 to n_locality_classes - 1 do
-        let mass = ref 0.0 in
-        for b = 0 to n - 1 do
-          mass := !mass +. (bbv.(b) *. rate.(c).(b))
-        done;
-        if !mass > !best_mass then begin
-          best := c;
-          best_mass := !mass
-        end
+  fun bbv ->
+    if Array.length bbv <> n then
+      invalid_arg "Strata.static_locality: BBV dimension mismatch";
+    let best = ref 0 and best_mass = ref 0.0 in
+    for c = 0 to n_locality_classes - 1 do
+      let mass = ref 0.0 in
+      for b = 0 to n - 1 do
+        mass := !mass +. (bbv.(b) *. rate.(c).(b))
       done;
-      !best)
-    bbvs
+      if !mass > !best_mass then begin
+        best := c;
+        best_mass := !mass
+      end
+    done;
+    !best
+
+let static_locality binary ~llc_bytes ~bbvs =
+  Array.map (static_locality_of binary ~llc_bytes) bbvs
 
 let allocate ~scores ~sizes ~total =
   let h = Array.length sizes in

@@ -21,25 +21,27 @@ val quantile_bins : bins:int -> float array -> int array
     (fewer distinct labels), which stratified sampling handles by
     dropping empty strata.  @raise Invalid_argument if [bins < 1]. *)
 
+val access_mix_of : Cbsp_compiler.Binary.t -> float array -> float
+(** [access_mix_of binary bbv] is one interval's memory-access mix:
+    accesses (spills included) per instruction, reconstructed from the
+    interval's BBV and the binary's static per-block access rates.  A
+    phase-1 proxy for memory-boundness — intervals with high mix tend to
+    have high and variable CPI — that costs one array product per
+    interval, no simulation.  An all-zero BBV gets mix 0.  The rate
+    table is built once, at partial application, so a streaming pass
+    applies [access_mix_of binary] to each BBV as it is emitted.
+    @raise Invalid_argument if a BBV's dimension is not [n_blocks]. *)
+
 val access_mix :
   Cbsp_compiler.Binary.t -> bbvs:float array array -> float array
-(** Per-interval memory-access mix: accesses (spills included) per
-    instruction, reconstructed from the interval's BBV and the binary's
-    static per-block access rates.  A phase-1 proxy for memory-boundness
-    — intervals with high mix tend to have high and variable CPI — that
-    costs one array product per interval, no simulation.  Intervals with
-    an all-zero BBV get mix 0.
-    @raise Invalid_argument if a BBV's dimension is not [n_blocks]. *)
+(** [Array.map (access_mix_of binary) bbvs]. *)
 
 val n_locality_classes : int
 (** Size of {!static_locality}'s label space (6). *)
 
-val static_locality :
-  Cbsp_compiler.Binary.t ->
-  llc_bytes:int ->
-  bbvs:float array array ->
-  int array
-(** Per-interval dominant-locality-class labels in
+val static_locality_of :
+  Cbsp_compiler.Binary.t -> llc_bytes:int -> float array -> int
+(** The dominant-locality-class label of one interval's BBV in
     [0, n_locality_classes): 0 = no weighted traffic (compute), 1 =
     LLC-resident regular (unit/fixed-stride [Seq] arrays fitting in
     [llc_bytes], plus stack spills), 2 = DRAM-bound regular, 3 =
@@ -49,9 +51,17 @@ val static_locality :
     {!quantile_bins} over {!access_mix}, the label space is fixed by the
     binary and the hierarchy geometry — no per-population quantile or
     clustering pass — so it is the "profile-free" stratification of the
-    static locality analyzer.
+    static locality analyzer.  Like {!access_mix_of}, the per-class
+    rate tables are built once, at partial application.
     @raise Invalid_argument if a BBV's dimension is not [n_blocks] or
-    [llc_bytes < 0]. *)
+    [llc_bytes < 0] (the latter at partial application). *)
+
+val static_locality :
+  Cbsp_compiler.Binary.t ->
+  llc_bytes:int ->
+  bbvs:float array array ->
+  int array
+(** [Array.map (static_locality_of binary ~llc_bytes) bbvs]. *)
 
 val allocate :
   scores:float array -> sizes:int array -> total:int -> int array

@@ -7,9 +7,9 @@ module Metrics = Cbsp_obs.Metrics
    exact distance evaluations the pruned assignment actually paid for
    (the whole point of the Hamerly bounds is to keep the last one far
    below n*k per iteration). *)
-let m_runs = lazy (Metrics.counter "kmeans.runs")
-let m_iterations = lazy (Metrics.counter "kmeans.iterations")
-let m_distance_evals = lazy (Metrics.counter "kmeans.distance_evals")
+let m_runs = Metrics.counter "kmeans.runs"
+let m_iterations = Metrics.counter "kmeans.iterations"
+let m_distance_evals = Metrics.counter "kmeans.distance_evals"
 
 type result = {
   k : int;
@@ -285,7 +285,7 @@ let run_once_pruned ~jobs rng ~max_iters ~k ~weights ~points =
         chunks
     in
     let evals = List.fold_left (fun acc (_, e) -> acc + e) 0 flags in
-    Metrics.incr ~by:evals (Lazy.force m_distance_evals);
+    Metrics.incr ~by:evals m_distance_evals;
     List.exists (fun (changed, _) -> changed) flags
   in
   let old = Array.init k (fun _ -> [||]) in
@@ -333,8 +333,8 @@ let run_once_pruned ~jobs rng ~max_iters ~k ~weights ~points =
     if !first then assign assign_chunk_full else assign assign_chunk_pruned
   in
   let distortion = total_distortion ~jobs ~weights ~points ~assignments ~centroids in
-  Metrics.incr (Lazy.force m_runs);
-  Metrics.incr ~by:!iterations (Lazy.force m_iterations);
+  Metrics.incr m_runs;
+  Metrics.incr ~by:!iterations m_iterations;
   { k; assignments; centroids; distortion; iterations = !iterations }
 
 (* --- mini-batch (Sculley) ----------------------------------------------- *)
@@ -378,14 +378,14 @@ let run_once_minibatch rng ~batch_size ~max_iters ~k ~weights ~points =
       done
     done
   done;
-  Metrics.incr ~by:!evals (Lazy.force m_distance_evals);
+  Metrics.incr ~by:!evals m_distance_evals;
   let assignments = Array.make n (-1) in
   let (_ : bool) = assign_all ~centroids ~points ~assignments in
   let distortion =
     total_distortion ~jobs:1 ~weights ~points ~assignments ~centroids
   in
-  Metrics.incr (Lazy.force m_runs);
-  Metrics.incr ~by:max_iters (Lazy.force m_iterations);
+  Metrics.incr m_runs;
+  Metrics.incr ~by:max_iters m_iterations;
   { k; assignments; centroids; distortion; iterations = max_iters }
 
 (* --- drivers ------------------------------------------------------------ *)

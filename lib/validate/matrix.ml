@@ -54,16 +54,30 @@ let input_of options =
 let sp_config_of options =
   { Simpoint.default_config with Simpoint.max_k = options.mo_max_k }
 
-(* Run one method group, converting a raised exception into failure
-   entries for every method the group covers: a matrix cell may be
-   skipped, a method may fail, but the matrix itself always completes
-   and reports exactly what it could not evaluate. *)
-let group ~failed ~names f =
-  try f () with
-  | exn ->
-    let reason = Printexc.to_string exn in
-    failed := !failed @ List.map (fun m -> (m, reason)) names;
-    []
+let method_groups ~options program ~configs =
+  let input = input_of options in
+  let sp_config = sp_config_of options in
+  let target = options.mo_target in
+  let vli ~method_ ~static ~semantic engine =
+    Pipeline.estimate_records_vli ~method_
+      (Pipeline.run_vli ~sp_config ~static ~semantic ~engine program ~configs
+         ~input ~target)
+  in
+  [ ( [ "fli" ],
+      fun engine ->
+        Pipeline.estimate_records_fli
+          (Pipeline.run_fli ~sp_config ~engine program ~configs ~input ~target)
+    );
+    ([ "vli" ], vli ~method_:"vli" ~static:false ~semantic:false);
+    ([ "vli-static" ], vli ~method_:"vli-static" ~static:true ~semantic:false);
+    ( [ "vli-recovered" ],
+      vli ~method_:"vli-recovered" ~static:true ~semantic:true );
+    ( Pipeline.sampling_methods,
+      fun engine ->
+        Pipeline.estimate_records_sampling
+          (Pipeline.run_sampling ~sp_config ~engine ~level:options.mo_level
+             ~seeds:options.mo_sample_seeds program ~configs ~input ~target
+             ~n:options.mo_sample_n) ) ]
 
 let run_workload ~engine ~options name =
   Tracer.with_span ~name:"validate.workload" ~cat:"validate"
@@ -74,40 +88,21 @@ let run_workload ~engine ~options name =
   let configs =
     Config.paper_four ~loop_splitting:entry.Registry.loop_splitting ()
   in
-  let input = input_of options in
-  let sp_config = sp_config_of options in
-  let target = options.mo_target in
+  (* Run each method group, converting a raised exception into failure
+     entries for every method the group covers: a matrix cell may be
+     skipped, a method may fail, but the matrix itself always completes
+     and reports exactly what it could not evaluate. *)
   let failed = ref [] in
-  let fli =
-    group ~failed ~names:[ "fli" ] (fun () ->
-        Pipeline.estimate_records_fli
-          (Pipeline.run_fli ~sp_config ~engine program ~configs ~input ~target))
+  let records =
+    List.concat_map
+      (fun (names, run) ->
+        try run engine with
+        | exn ->
+          let reason = Printexc.to_string exn in
+          failed := !failed @ List.map (fun m -> (m, reason)) names;
+          [])
+      (method_groups ~options program ~configs)
   in
-  let vli =
-    group ~failed ~names:[ "vli" ] (fun () ->
-        Pipeline.estimate_records_vli
-          (Pipeline.run_vli ~sp_config ~engine program ~configs ~input ~target))
-  in
-  let vli_static =
-    group ~failed ~names:[ "vli-static" ] (fun () ->
-        Pipeline.estimate_records_vli ~method_:"vli-static"
-          (Pipeline.run_vli ~sp_config ~static:true ~engine program ~configs
-             ~input ~target))
-  in
-  let vli_recovered =
-    group ~failed ~names:[ "vli-recovered" ] (fun () ->
-        Pipeline.estimate_records_vli ~method_:"vli-recovered"
-          (Pipeline.run_vli ~sp_config ~static:true ~semantic:true ~engine
-             program ~configs ~input ~target))
-  in
-  let sampling =
-    group ~failed ~names:Pipeline.sampling_methods (fun () ->
-        Pipeline.estimate_records_sampling
-          (Pipeline.run_sampling ~sp_config ~engine ~level:options.mo_level
-             ~seeds:options.mo_sample_seeds program ~configs ~input ~target
-             ~n:options.mo_sample_n))
-  in
-  let records = fli @ vli @ vli_static @ vli_recovered @ sampling in
   (* Only the error arithmetic runs under Stage.Validate — the pipeline
      work above already timed itself under its own stages, and a
      validate job that re-covered them would double-count the run. *)

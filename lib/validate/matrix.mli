@@ -58,6 +58,16 @@ type t = {
   m_jobs : int;
 }
 
+val method_groups :
+  options:options ->
+  Cbsp_source.Ast.program ->
+  configs:Cbsp_compiler.Config.t list ->
+  (string list * (Cbsp.Pipeline.engine -> Cbsp.Pipeline.estimate_record list))
+  list
+(** The five method groups one matrix row runs, in order: FLI, VLI,
+    static VLI, recovered VLI, then the samplers.  Each is paired with
+    the {!methods} it scores; a group that raises fails all of them. *)
+
 val run_workload :
   engine:Cbsp.Pipeline.engine -> options:options -> string -> workload_result
 (** One matrix row through a caller-supplied engine (the serve op path).

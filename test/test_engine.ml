@@ -55,8 +55,8 @@ let test_recommended_jobs () =
 
 let test_parallel_map_exception_counters () =
   (* Even when a task raises, every task still runs (the raiser is
-     captured, not rethrown inside the worker), every worker joins, and
-     the obs counters account for all of it. *)
+     captured, not rethrown inside the worker), every drain finishes,
+     and the obs counters account for all of it. *)
   let tasks = Cbsp_obs.Metrics.counter "scheduler.tasks" in
   let workers = Cbsp_obs.Metrics.counter "scheduler.workers" in
   let tasks0 = Cbsp_obs.Metrics.value tasks in
@@ -75,11 +75,47 @@ let test_parallel_map_exception_counters () =
   Tutil.check_int "every task still ran" 9 (Atomic.get ran);
   Tutil.check_int "scheduler.tasks counted them all" 9
     (Cbsp_obs.Metrics.value tasks - tasks0);
-  Tutil.check_int "scheduler.workers counted the spawns" 4
-    (Cbsp_obs.Metrics.value workers - workers0);
+  (* The caller drains too, so a four-wide map needs three pooled
+     domains at most. *)
+  Tutil.check_bool "scheduler.workers: at most jobs - 1 spawned" true
+    (Cbsp_obs.Metrics.value workers - workers0 <= 3);
   (* No lost domains: the scheduler is immediately usable again. *)
   Tutil.check_bool "scheduler still works" true
     (Scheduler.parallel_map ~jobs:4 (fun x -> x + 1) [ 1; 2; 3 ] = [ 2; 3; 4 ])
+
+let test_parallel_map_reuses_workers () =
+  (* Worker domains persist across back-to-back calls: fifty two-wide
+     maps spawn at most one domain between them. *)
+  let workers = Cbsp_obs.Metrics.counter "scheduler.workers" in
+  let workers0 = Cbsp_obs.Metrics.value workers in
+  for i = 1 to 50 do
+    Tutil.check_bool "results" true
+      (Scheduler.parallel_map ~jobs:2 (fun x -> x + i) [ 0; 1; 2; 3 ]
+      = [ i; i + 1; i + 2; i + 3 ])
+  done;
+  Tutil.check_bool "at most one domain spawned over 50 calls" true
+    (Cbsp_obs.Metrics.value workers - workers0 <= 1);
+  (* Only one is kept: after an eight-wide map, a three-wide map finds
+     one idle domain and spawns its second. *)
+  ignore (Scheduler.parallel_map ~jobs:8 Fun.id (List.init 8 Fun.id));
+  let spawned_by f =
+    let before = Cbsp_obs.Metrics.value workers in
+    f ();
+    Cbsp_obs.Metrics.value workers - before
+  in
+  let three_wide () =
+    ignore (Scheduler.parallel_map ~jobs:3 Fun.id [ 0; 1; 2 ])
+  in
+  Tutil.check_int "wide maps leave one idle domain" 1 (spawned_by three_wide);
+  (* ... and not for long: idle past the linger time, it exits, so a
+     three-wide map spawns both of its workers.  Retried, since a loaded
+     host may be slow to run the exit. *)
+  let rec after_idle attempts =
+    Unix.sleepf 1.5;
+    let spawned = spawned_by three_wide in
+    if spawned = 2 || attempts = 1 then spawned else after_idle (attempts - 1)
+  in
+  Tutil.check_int "idle worker exits" 2 (after_idle 5)
 
 let test_parallel_map_exception_backtrace () =
   (* The first raiser's backtrace travels across the domain join. *)
@@ -193,6 +229,24 @@ let test_store_digest_content_keyed () =
     (Store.digest (1, "a", [ 2; 3 ]) = Store.digest (1, "a", [ 2; 3 ]));
   Tutil.check_bool "different content, different key" true
     (Store.digest (1, "a") <> Store.digest (1, "b"))
+
+let test_store_digest_ignores_sharing () =
+  (* The same marker keys, once aliasing one name string and once built
+     from separate copies: structurally equal, so the same key. *)
+  let name = String.concat "" [ "ma"; "in" ] in
+  let shared =
+    [ Cbsp_compiler.Marker.Proc_entry name; Cbsp_compiler.Marker.Proc_entry name ]
+  in
+  let copied =
+    [ Cbsp_compiler.Marker.Proc_entry (String.concat "" [ "ma"; "in" ]);
+      Cbsp_compiler.Marker.Proc_entry (String.concat "" [ "m"; "ain" ]) ]
+  in
+  Tutil.check_bool "structurally equal" true (shared = copied);
+  Tutil.check_bool "equal digests whatever the sharing" true
+    (Store.digest shared = Store.digest copied);
+  let pair = (name, name) and apart = (name, String.concat "" [ "ma"; "in" ]) in
+  Tutil.check_bool "shared vs unshared pair" true
+    (Store.digest pair = Store.digest apart)
 
 (* ------------------------------------------------------------------ *)
 (* Timing                                                              *)
@@ -429,13 +483,15 @@ let () =
           Tutil.quick "exception propagation" test_parallel_map_exception;
           Tutil.quick "exception counters" test_parallel_map_exception_counters;
           Tutil.quick "exception backtrace" test_parallel_map_exception_backtrace;
+          Tutil.quick "reuses workers" test_parallel_map_reuses_workers;
           Tutil.quick "recommended jobs" test_recommended_jobs ] );
       ( "store",
         [ Tutil.quick "memoizes" test_store_memoizes;
           Tutil.quick "exactly once in parallel" test_store_exactly_once_parallel;
           Tutil.quick "caches exceptions" test_store_caches_exceptions;
           Tutil.quick "mem during in-flight compute" test_store_mem_during_inflight_compute;
-          Tutil.quick "content keyed" test_store_digest_content_keyed ] );
+          Tutil.quick "content keyed" test_store_digest_content_keyed;
+          Tutil.quick "digest ignores sharing" test_store_digest_ignores_sharing ] );
       ( "timing",
         [ Tutil.quick "records jobs" test_timing_records;
           Tutil.quick "failure status" test_timing_failure_status;

@@ -288,6 +288,105 @@ let test_streaming_equals_materialized_fli () =
   Tutil.check_bool "fli streaming = materialized" true
     (streamed = materialized)
 
+(* The shared [Fixed] pass against the computation it replaced in
+   [run_sampling]: materialize every interval with [fli_observer], derive
+   the phase-1 features with the array functions of [Strata], and
+   cluster the live intervals.  This oracle is that computation. *)
+let materialized_fixed binary ~target ~sp_config =
+  let module Cpu = Cbsp_cache.Cpu in
+  let module Interval = Cbsp_profile.Interval in
+  let module Simpoint = Cbsp_simpoint.Simpoint in
+  let module Strata = Cbsp_sampling.Strata in
+  let cpu = Cpu.create () in
+  let iobs, read =
+    Interval.fli_observer ~n_blocks:binary.Cbsp_compiler.Binary.n_blocks
+      ~target
+      ~cycles:(fun () -> Cpu.cycles cpu)
+      ~extras:(fun () -> Cpu.extra_counters cpu)
+      ()
+  in
+  let totals =
+    Cbsp_exec.Executor.run binary input
+      (Cbsp_exec.Executor.compose [ iobs; Cpu.observer cpu ])
+  in
+  let intervals = read () in
+  let bbvs = Array.map (fun (iv : Interval.interval) -> iv.Interval.bbv) intervals in
+  let llc_bytes =
+    match List.rev Cbsp_cache.Hierarchy.paper_table1.Cbsp_cache.Hierarchy.levels with
+    | last :: _ -> last.Cbsp_cache.Hierarchy.lv_capacity
+    | [] -> 0
+  in
+  let live =
+    List.filter
+      (fun i -> intervals.(i).Interval.insts > 0)
+      (List.init (Array.length intervals) Fun.id)
+  in
+  let sp =
+    Simpoint.pick ~config:sp_config
+      ~weights:
+        (Array.of_list
+           (List.map (fun i -> float_of_int intervals.(i).Interval.insts) live))
+      ~bbvs:(Array.of_list (List.map (fun i -> bbvs.(i)) live))
+      ()
+  in
+  (* Live intervals take their cluster's phase; empty ones inherit the
+     previous live interval's. *)
+  let phase_of = Array.make (Array.length intervals) 0 in
+  List.iteri (fun j i -> phase_of.(i) <- sp.Simpoint.phase_of.(j)) live;
+  Array.iteri
+    (fun i (iv : Interval.interval) ->
+      if i > 0 && iv.Interval.insts = 0 then phase_of.(i) <- phase_of.(i - 1))
+    intervals;
+  ( totals.Cbsp_exec.Executor.insts,
+    Cpu.cycles cpu,
+    Array.map (fun (iv : Interval.interval) -> iv.Interval.insts) intervals,
+    Array.map (fun (iv : Interval.interval) -> iv.Interval.cycles) intervals,
+    Strata.access_mix binary ~bbvs,
+    Strata.static_locality binary ~llc_bytes ~bbvs,
+    phase_of,
+    Array.map
+      (fun (p : Simpoint.sim_point) -> List.nth live p.Simpoint.rep)
+      sp.Simpoint.points )
+
+let test_fixed_pass_equals_materialized () =
+  let bits v = Marshal.to_string v [ Marshal.No_sharing ] in
+  let sp_config = Cbsp_simpoint.Simpoint.default_config in
+  List.iter
+    (fun name ->
+      let entry = Cbsp_workloads.Registry.find name in
+      let program = entry.Cbsp_workloads.Registry.build () in
+      let engine = Pipeline.create_engine () in
+      List.iter
+        (fun config ->
+          let binary = Lower.compile program config in
+          let where = name ^ "/" ^ Config.label config in
+          let pass =
+            Pipeline.collect engine program binary ~label:where ~sp_config
+              ~input (Pipeline.Fixed 10_000)
+          in
+          let insts, cycles, iv_insts, iv_cycles, mix, locality, phase_of, reps
+              =
+            materialized_fixed binary ~target:10_000 ~sp_config
+          in
+          let stats = pass.Pipeline.ps_stats in
+          let check what a b =
+            Tutil.check_bool (where ^ ": " ^ what) true (bits a = bits b)
+          in
+          check "truth insts" insts pass.Pipeline.ps_truth.Pipeline.t_insts;
+          check "truth cycles" cycles pass.Pipeline.ps_truth.Pipeline.t_cycles;
+          check "interval insts" iv_insts stats.Cbsp.Streamprof.st_insts;
+          check "interval cycles" iv_cycles stats.Cbsp.Streamprof.st_cycles;
+          check "access mix" mix pass.Pipeline.ps_mix;
+          check "static strata" locality pass.Pipeline.ps_locality;
+          match pass.Pipeline.ps_clustering with
+          | None -> Alcotest.fail (where ^ ": fixed pass without clustering")
+          | Some cl ->
+            check "phase labels" phase_of cl.Pipeline.cl_phase_of;
+            check "representatives" reps cl.Pipeline.cl_reps)
+        (Config.paper_four
+           ~loop_splitting:entry.Cbsp_workloads.Registry.loop_splitting ()))
+    [ "gcc"; "mcf"; "applu"; "swim" ]
+
 (* O(1 interval) memory: a streaming pass's full-width BBV buffers are
    the builder's accumulator plus the collector's chunked projection
    rows — a fixed count whatever the run length — tracked by the
@@ -324,6 +423,8 @@ let () =
         [ Tutil.quick "vli registry differential"
             test_streaming_equals_materialized_registry;
           Tutil.quick "fli differential" test_streaming_equals_materialized_fli;
+          Tutil.quick "fixed pass = materialized"
+            test_fixed_pass_equals_materialized;
           Tutil.quick "scratch gauge" test_streaming_scratch_gauge ] );
       ( "validation",
         [ Tutil.quick "invalid primary" test_invalid_primary;

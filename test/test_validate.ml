@@ -249,6 +249,44 @@ let prop_identical_pair_exact =
              && c.Errors.cl_error = 0.0)
            cells)
 
+(* --- pass sharing ----------------------------------------------------- *)
+
+(* Passes shared through one engine's pass store change no bit of any
+   estimate: the five groups on one engine give the records each group
+   gives on a fresh engine of its own.  The shared engine collects FLI's
+   four fixed-length passes (the samplers reuse them) and one VLI
+   primary + three followers per distinct cut plan: gcc's three VLI
+   methods agree, applu's recovered markers give it a second plan. *)
+let test_shared_passes_bit_identical () =
+  (* Without sharing: the shared engine hands FLI and the samplers one
+     physical truth record, which is no difference in value. *)
+  let bits v = Marshal.to_string v [ Marshal.No_sharing ] in
+  List.iter
+    (fun (name, passes) ->
+      let entry = Cbsp_workloads.Registry.find name in
+      let program = entry.Cbsp_workloads.Registry.build () in
+      let configs =
+        Cbsp_compiler.Config.paper_four
+          ~loop_splitting:entry.Cbsp_workloads.Registry.loop_splitting ()
+      in
+      let groups =
+        List.map snd (Matrix.method_groups ~options:small_options program ~configs)
+      in
+      let shared = Pipeline.create_engine () in
+      let together = List.map (fun g -> g shared) groups in
+      let alone = List.map (fun g -> g (Pipeline.create_engine ())) groups in
+      Tutil.check_bool (name ^ ": records bit-identical") true
+        (bits together = bits alone);
+      let collections =
+        List.filter
+          (fun (r : Cbsp_engine.Timing.record) ->
+            r.Cbsp_engine.Timing.tr_stage = Cbsp_engine.Stage.Interval_collection)
+          (Pipeline.timings shared)
+      in
+      Tutil.check_int (name ^ ": interval-collection jobs") passes
+        (List.length collections))
+    [ ("gcc", 8); ("applu", 12) ]
+
 (* --- estimate records ----------------------------------------------- *)
 
 let test_estimate_records () =
@@ -304,6 +342,8 @@ let () =
             test_matrix_deterministic_across_jobs;
           Tutil.quick "json roundtrip" test_json_roundtrip;
           Tutil.quick "unknown workload" test_matrix_unknown_workload;
-          Tutil.quick "estimate records" test_estimate_records ] );
+          Tutil.quick "estimate records" test_estimate_records;
+          Tutil.quick "shared passes bit-identical"
+            test_shared_passes_bit_identical ] );
       ( "properties",
         [ Tutil.qcheck_case prop_identical_pair_exact ] ) ]
