@@ -589,11 +589,13 @@ let validate_cmd =
          & info [ "json" ] ~docv:"PATH" ~doc)
   in
   let budget_arg =
-    Arg.(value & opt string "validate-budgets.json"
+    Arg.(value & opt (some file) None
          & info [ "budget-file" ] ~docv:"PATH"
              ~doc:"cbsp-validate-budgets/1 file with the per-method error \
-                   limits; a breach makes the command exit 1.  Skipped \
-                   with a warning when the file does not exist.")
+                   limits; a breach makes the command exit 1.  Must \
+                   exist when given; without the flag, \
+                   validate-budgets.json is used if it exists and the \
+                   check is skipped with a warning if it does not.")
   in
   let cache_dir_arg =
     Arg.(value & opt (some string) None
@@ -672,12 +674,15 @@ let validate_cmd =
     (match json with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Cbsp_json.Jsonx.to_string (Leaderboard.to_json ~mode matrix board));
-      output_char oc '\n';
-      close_out oc;
+      Cbsp_util.Io.with_out_file path (fun oc ->
+          output_string oc
+            (Cbsp_json.Jsonx.to_string
+               (Leaderboard.to_json ~mode matrix board));
+          output_char oc '\n');
       Fmt.epr "wrote %s@." path);
+    let budget_file =
+      Option.value budget_file ~default:"validate-budgets.json"
+    in
     if Sys.file_exists budget_file then begin
       let budgets = Budgets.load ~path:budget_file ~mode in
       match Budgets.check budgets board with
@@ -1177,245 +1182,6 @@ let trace_cmd =
     Term.(const run $ name_arg $ config_arg $ out_arg $ scale_arg $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
-(* serve / request: the simulation-point daemon and its client         *)
-
-module Server = Cbsp_serve.Server
-module Sclient = Cbsp_serve.Client
-module Sproto = Cbsp_serve.Protocol
-module Jsonx = Cbsp_serve.Jsonx
-
-let socket_arg =
-  Arg.(value & opt string "/tmp/cbsp-serve.sock"
-       & info [ "socket" ] ~docv:"PATH"
-           ~doc:"Unix-domain socket path (ignored when --port is given).")
-
-let port_arg =
-  Arg.(value & opt (some int) None
-       & info [ "port" ] ~docv:"PORT" ~doc:"Listen/connect on loopback TCP.")
-
-let address_of socket port =
-  match port with
-  | Some p -> Server.Tcp p
-  | None -> Server.Unix_socket socket
-
-let tenant_arg =
-  Arg.(value & opt string Sproto.default_tenant
-       & info [ "tenant" ] ~doc:"Tenant name for quota accounting.")
-
-let serve_cmd =
-  let workers_arg =
-    Arg.(value & opt int 2
-         & info [ "workers" ] ~doc:"Worker domains serving requests.")
-  in
-  let queue_arg =
-    Arg.(value & opt int 64
-         & info [ "queue-cap" ]
-             ~doc:"Accepted-but-unserved connection bound; beyond it \
-                   requests are shed with a retriable error.")
-  in
-  let cache_dir_arg =
-    Arg.(value & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"Persistent sharded artifact cache root (warm-starts on \
-                   restart; shared across processes).")
-  in
-  let cache_budget_arg =
-    Arg.(value & opt int 256
-         & info [ "cache-budget" ] ~docv:"MB"
-             ~doc:"Per-store disk cache budget in MiB (LRU beyond it).")
-  in
-  let quota_rate_arg =
-    Arg.(value & opt float 50.0
-         & info [ "quota-rate" ] ~doc:"Per-tenant tokens per second.")
-  in
-  let quota_burst_arg =
-    Arg.(value & opt float 100.0
-         & info [ "quota-burst" ] ~doc:"Per-tenant token-bucket burst.")
-  in
-  let manifest_dir_arg =
-    Arg.(value & opt (some string) None
-         & info [ "manifest-dir" ] ~docv:"DIR"
-             ~doc:"Write per-request manifests (req-NNNNNN.json) and a \
-                   final serve-manifest.json here.")
-  in
-  let smoke_arg =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:"Tiny CI preset: a small queue (so shedding is \
-                   exercised) and clamped request sizes.")
-  in
-  let run socket port workers queue_cap cache_dir cache_budget quota_rate
-      quota_burst jobs manifest_dir smoke =
-    let address = address_of socket port in
-    let base = Server.default_config address in
-    let config =
-      { base with
-        Server.sv_workers = workers; sv_queue_cap = queue_cap;
-        sv_cache_dir = cache_dir;
-        sv_cache_budget = cache_budget * 1024 * 1024;
-        sv_quota_rate = quota_rate; sv_quota_burst = quota_burst;
-        sv_jobs = resolve_jobs jobs; sv_manifest_dir = manifest_dir }
-    in
-    let config =
-      if smoke then
-        { config with
-          Server.sv_queue_cap = min queue_cap 4; sv_max_target = 20_000;
-          sv_max_scale = 4 }
-      else config
-    in
-    (match address with
-    | Server.Unix_socket path -> Fmt.epr "cbsp-serve: listening on %s@." path
-    | Server.Tcp p -> Fmt.epr "cbsp-serve: listening on 127.0.0.1:%d@." p);
-    Fmt.epr
-      "cbsp-serve: %d workers, queue %d, quota %g/s (burst %g), cache %s@."
-      config.Server.sv_workers config.Server.sv_queue_cap
-      config.Server.sv_quota_rate config.Server.sv_quota_burst
-      (match cache_dir with None -> "off" | Some d -> d);
-    Server.run config;
-    Fmt.epr "cbsp-serve: drained, bye@."
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Run the multi-tenant simulation-point daemon (cbsp-serve/1 \
-             over a Unix or loopback TCP socket; SIGTERM drains)")
-    Term.(const run $ socket_arg $ port_arg $ workers_arg $ queue_arg
-          $ cache_dir_arg $ cache_budget_arg $ quota_rate_arg
-          $ quota_burst_arg $ jobs_arg $ manifest_dir_arg $ smoke_arg)
-
-let request_cmd =
-  let op_arg =
-    Arg.(value & opt string "points"
-         & info [ "op" ]
-             ~doc:"Operation: points, sample, validate, metrics or ping.")
-  in
-  let workload_arg =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
-  in
-  let method_arg =
-    Arg.(value & opt string "vli"
-         & info [ "method" ] ~doc:"Point selection method: vli or fli.")
-  in
-  let static_arg =
-    Arg.(value & flag
-         & info [ "static" ] ~doc:"Use the static mappability prover (vli).")
-  in
-  let n_arg =
-    Arg.(value & opt int 20
-         & info [ "n" ] ~doc:"Sampled intervals per run (op=sample).")
-  in
-  let level_arg =
-    Arg.(value & opt float 0.95
-         & info [ "level" ] ~doc:"Confidence level (op=sample).")
-  in
-  let json_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "json-out" ] ~docv:"PATH"
-             ~doc:"Also write the response JSON to $(docv).")
-  in
-  let stress_arg =
-    Arg.(value & opt int 0
-         & info [ "stress" ] ~docv:"N"
-             ~doc:"Issue $(docv) copies of the request concurrently and \
-                   print a summary instead of a response.")
-  in
-  let domains_arg =
-    Arg.(value & opt int 8
-         & info [ "domains" ] ~doc:"Client domains for --stress.")
-  in
-  let tenants_arg =
-    Arg.(value & opt (some (list string)) None
-         & info [ "tenants" ]
-             ~doc:"Tenant names to cycle through under --stress (default: \
-                   the single --tenant).")
-  in
-  let vary_seeds_arg =
-    Arg.(value & opt int 1
-         & info [ "vary-seeds" ] ~docv:"K"
-             ~doc:"Cycle request seeds over seed..seed+K-1 under --stress \
-                   (K=1: every request is a duplicate key).")
-  in
-  let run socket port op workload mthd static target scale seed max_k n level
-      tenant json_out stress domains tenants vary_seeds =
-    let address = address_of socket port in
-    let need_workload () =
-      match workload with
-      | Some w -> w
-      | None ->
-        Fmt.epr "op %S needs a WORKLOAD argument@." op;
-        exit 2
-    in
-    let request_with ~seed =
-      match op with
-      | "ping" -> Sproto.Ping
-      | "metrics" -> Sproto.Metrics_req
-      | "points" ->
-        let m =
-          match mthd with
-          | "vli" -> `Vli
-          | "fli" -> `Fli
-          | other ->
-            Fmt.epr "bad --method %S (vli/fli)@." other;
-            exit 2
-        in
-        Sproto.Points
-          { Sproto.p_workload = need_workload (); p_method = m;
-            p_target = target; p_scale = scale; p_seed = seed;
-            p_max_k = max_k; p_static = static }
-      | "sample" ->
-        Sproto.Sample
-          { Sproto.s_workload = need_workload (); s_target = target;
-            s_scale = scale; s_seed = seed; s_n = n; s_level = level }
-      | "validate" ->
-        Sproto.Validate
-          { Sproto.v_workload = need_workload (); v_target = target;
-            v_scale = scale; v_seed = seed; v_max_k = max_k; v_n = n }
-      | other ->
-        Fmt.epr "unknown op %S (points/sample/validate/metrics/ping)@." other;
-        exit 2
-    in
-    if stress > 0 then begin
-      let tenants =
-        match tenants with None | Some [] -> [ tenant ] | Some ts -> ts
-      in
-      let tenants = Array.of_list tenants in
-      let vary = max 1 vary_seeds in
-      let jobs =
-        List.init stress (fun i ->
-            ( tenants.(i mod Array.length tenants),
-              request_with ~seed:(seed + (i mod vary)) ))
-      in
-      let report = Sclient.stress ~domains ~address jobs in
-      Fmt.pr "stress: %d requests, %d ok, %d failed, %.2fs@."
-        report.Sclient.sr_total report.Sclient.sr_ok report.Sclient.sr_failed
-        report.Sclient.sr_elapsed_s;
-      if report.Sclient.sr_failed > 0 then exit 1
-    end
-    else
-      match Sclient.request ~tenant ~address (request_with ~seed) with
-      | Error e ->
-        Fmt.epr "error: %s@." e;
-        exit 1
-      | Ok json ->
-        let text = Jsonx.to_string json in
-        Fmt.pr "%s@." text;
-        (match json_out with
-        | None -> ()
-        | Some path ->
-          Cbsp_util.Io.with_out_file path (fun oc ->
-              output_string oc (text ^ "\n"));
-          Fmt.epr "wrote %s@." path)
-  in
-  Cmd.v
-    (Cmd.info "request"
-       ~doc:"Send one cbsp-serve/1 request to a running daemon (or a \
-             concurrent stress batch with --stress)")
-    Term.(
-      const run $ socket_arg $ port_arg $ op_arg $ workload_arg $ method_arg
-      $ static_arg $ target_arg $ scale_arg $ seed_arg $ max_k_arg $ n_arg
-      $ level_arg $ tenant_arg $ json_out_arg $ stress_arg $ domains_arg
-      $ tenants_arg $ vary_seeds_arg)
-
-(* ------------------------------------------------------------------ *)
 
 let main_cmd =
   let doc = "Cross Binary Simulation Points (ISPASS 2007) reproduction" in
@@ -1423,6 +1189,6 @@ let main_cmd =
     (Cmd.info "cbsp" ~version:"1.0.0" ~doc)
     [ list_cmd; show_cmd; profile_cmd; run_cmd; experiment_cmd; sample_cmd;
       validate_cmd; ablation_cmd; phases_cmd; points_cmd; lint_cmd;
-      locality_cmd; dump_bbv_cmd; trace_cmd; serve_cmd; request_cmd ]
+      locality_cmd; dump_bbv_cmd; trace_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -151,8 +151,10 @@ type engine = {
   eng_timing : Timing.sink;
 }
 
-let create_engine ?(jobs = 1) ?cache_dir ?(cache_budget = 256 * 1024 * 1024)
-    () =
+(* Per-store LRU bound of the disk layer, in bytes. *)
+let disk_budget = 256 * 1024 * 1024
+
+let create_engine ?(jobs = 1) ?cache_dir () =
   let disk sub =
     match cache_dir with
     | None -> None
@@ -160,7 +162,7 @@ let create_engine ?(jobs = 1) ?cache_dir ?(cache_budget = 256 * 1024 * 1024)
       Some
         (Diskcache.create
            ~dir:(Filename.concat dir sub)
-           ~byte_budget:cache_budget ~name:sub ())
+           ~byte_budget:disk_budget ~name:sub ())
   in
   let store name = Store.create ~name ?disk:(disk name) () in
   let results =
@@ -179,15 +181,6 @@ let create_engine ?(jobs = 1) ?cache_dir ?(cache_budget = 256 * 1024 * 1024)
     eng_passes = Store.create ~name:"passes" ();
     eng_results = results;
     eng_timing = Timing.create () }
-
-(* A per-request view of [eng]: same artifact stores (and their disk
-   layers), fresh timing sink and pass store — so concurrent server
-   requests share every cached artifact and whole result, yet each gets
-   its own stage report and manifest, and a long-running daemon does
-   not accumulate passes. *)
-let fork_engine eng =
-  { eng with eng_timing = Timing.create ();
-    eng_passes = Store.fresh eng.eng_passes }
 
 let timings eng = Timing.records eng.eng_timing
 

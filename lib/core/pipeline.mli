@@ -214,16 +214,16 @@ type engine = {
 }
 
 val create_engine :
-  ?jobs:int -> ?cache_dir:string -> ?cache_budget:int -> unit -> engine
+  ?jobs:int -> ?cache_dir:string -> unit -> engine
 (** [jobs] defaults to 1 (sequential); values below 1 are clamped to 1.
 
     With [cache_dir], every store (binaries, profiles, and the
     whole-result caches) gets a sharded persistent
     {!Cbsp_engine.Diskcache} under that directory ([binaries/],
     [profiles/], [results-fli/], [results-vli/]), each LRU-bounded by
-    [cache_budget] bytes (default 256 MiB): a second process pointed at
-    the same directory warm-starts from disk, and concurrent processes
-    coalesce identical computes via the cache's lock files. *)
+    256 MiB: a second process pointed at the same directory warm-starts
+    from disk, and concurrent processes coalesce identical computes via
+    the cache's lock files. *)
 
 val collect :
   engine ->
@@ -243,13 +243,6 @@ val collect :
     [Replayed], [Stage.Clustering], with [label] — and every later
     caller with an equal key gets the same value.  {!run_fli},
     {!run_vli} and {!run_sampling} collect through here. *)
-
-val fork_engine : engine -> engine
-(** A per-request view: shares the artifact stores (and their disk
-    layers) but gets a fresh timing sink and a fresh pass store, so
-    concurrent server requests share caches and whole results while
-    keeping per-request stage reports, and passes are shared only within
-    one request. *)
 
 val timings : engine -> Cbsp_engine.Timing.record list
 (** Every job record accumulated so far, in canonical (stage, label)

@@ -54,8 +54,6 @@ let create ?(name = "store") ?disk () =
     s_hits = Metrics.counter ~labels "store.hits";
     s_wait = Metrics.histogram ~labels "store.wait_seconds" }
 
-let fresh t = { t with s_mutex = Mutex.create (); s_table = Hashtbl.create 64 }
-
 let disk t = t.s_disk
 
 (* [No_sharing] makes the encoding a function of the value's structure

@@ -24,12 +24,6 @@ val create : ?name:string -> ?disk:Diskcache.t -> unit -> 'v t
     payload that fails to unmarshal is quarantined and recomputed, and
     exceptions are never persisted. *)
 
-val fresh : 'v t -> 'v t
-(** An empty store with [t]'s name, disk layer and metric series: a
-    per-request scope whose counters still add up in the owner's
-    series, so forking one per request never grows the metrics
-    registry. *)
-
 val disk : 'v t -> Diskcache.t option
 
 val digest : 'a -> string

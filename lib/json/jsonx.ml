@@ -1,11 +1,11 @@
-(* Minimal JSON shared by the cbsp-serve/1 line protocol and the
-   validate harness (budget files in, cbsp-validate/1 leaderboards out).
-   The repo's other JSON is write-only (hand-printed manifests and
-   reports); these consumers must also PARSE, and the container has no
-   JSON library — so this is the smallest complete reader/writer: full
-   escape handling, numbers via [float_of_string]/[%.17g] (round-trips
-   every double), no streaming.  Protocol messages are one line, so
-   [to_string] never emits newlines. *)
+(* Minimal JSON for the validate harness (budget files in,
+   cbsp-validate/1 leaderboards out) and the benchmark's one-line
+   metric records.  The repo's other JSON is write-only (hand-printed
+   manifests and reports); budget files must also be PARSED, and the
+   toolchain ships no JSON library — so this is the smallest complete
+   reader/writer: full escape handling, numbers via
+   [float_of_string]/[%.17g] (round-trips every double), no streaming.
+   [to_string] emits no newlines, so a document is one line. *)
 
 type t =
   | Null
@@ -244,18 +244,7 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let to_str = function Str s -> Some s | _ -> None
-
 let to_num = function Num f -> Some f | _ -> None
-
-let to_int = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
-  | _ -> None
 
 let str_member key v ~default =
   match member key v with Some (Str s) -> s | _ -> default
-
-let int_member key v ~default =
-  match member key v with
-  | Some (Num f) when Float.is_integer f -> int_of_float f
-  | _ -> default

@@ -56,11 +56,7 @@ let of_json ~mode json =
   { b_mode = mode; b_limits = limits }
 
 let load ~path ~mode =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let data = really_input_string ic len in
-  close_in ic;
-  of_json ~mode (Jsonx.of_string data)
+  of_json ~mode (Jsonx.of_string (Cbsp_util.Io.read_file path))
 
 let check t board =
   List.concat_map

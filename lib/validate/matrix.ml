@@ -121,7 +121,7 @@ let run_workload ~engine ~options name =
   Metrics.incr (Metrics.counter "validate.workloads");
   { w_name = name; w_cells = cells; w_truth = Truth.table records;
     w_mismatches = Truth.mismatches records; w_failed = !failed;
-    w_timings = [] }
+    w_timings = Pipeline.timings engine }
 
 let run ?(options = default_options) ?names ?(jobs = 1) ?cache_dir
     ?(progress = fun _ -> ()) () =
@@ -143,8 +143,7 @@ let run ?(options = default_options) ?names ?(jobs = 1) ?cache_dir
            ?cache_dir persists whole results across processes (the
            Diskcache shards are safe under concurrent writers). *)
         let engine = Pipeline.create_engine ~jobs ?cache_dir () in
-        let r = run_workload ~engine ~options name in
-        { r with w_timings = Pipeline.timings engine })
+        run_workload ~engine ~options name)
       names
   in
   { m_workloads = workloads; m_options = options; m_jobs = jobs }

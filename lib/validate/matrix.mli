@@ -68,12 +68,6 @@ val method_groups :
     static VLI, recovered VLI, then the samplers.  Each is paired with
     the {!methods} it scores; a group that raises fails all of them. *)
 
-val run_workload :
-  engine:Cbsp.Pipeline.engine -> options:options -> string -> workload_result
-(** One matrix row through a caller-supplied engine (the serve op path).
-    [w_timings] is left empty — the engine's sink belongs to the caller.
-    @raise Not_found for an unknown workload name. *)
-
 val run :
   ?options:options ->
   ?names:string list ->

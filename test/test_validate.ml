@@ -1,5 +1,6 @@
 (* The validation harness: cell arithmetic, skip-and-count aggregation,
-   budget checking, and the matrix's determinism/coverage guarantees. *)
+   budget files and checking, the JSON reader/writer behind them, and
+   the matrix's determinism/coverage guarantees. *)
 
 module Pipeline = Cbsp.Pipeline
 module Errors = Cbsp_validate.Errors
@@ -178,6 +179,77 @@ let test_budget_nan_actual_breaches () =
   Tutil.check_int "nan actual breaches" 1
     (List.length (Budgets.check budget board))
 
+let test_budgets_load () =
+  let path = Filename.temp_file "cbsp-budgets" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let text = budget_json ~vli_mean:0.25 in
+  Cbsp_util.Io.with_out_file path (fun oc -> output_string oc text);
+  List.iter
+    (fun mode ->
+      let b = Budgets.load ~path ~mode in
+      Alcotest.(check string) "mode" mode b.Budgets.b_mode;
+      Tutil.check_int (mode ^ ": one method") 1
+        (List.length b.Budgets.b_limits))
+    [ "smoke"; "full" ];
+  Cbsp_util.Io.with_out_file path (fun oc ->
+      output_string oc (String.sub text 0 (String.length text / 2)));
+  match Budgets.load ~path ~mode:"full" with
+  | _ -> Alcotest.fail "truncated budget file must not load"
+  | exception Jsonx.Parse_error _ -> ()
+
+(* --- Jsonx ---------------------------------------------------------- *)
+
+let test_jsonx_roundtrip_cases () =
+  let cases =
+    [ Jsonx.Null;
+      Jsonx.Bool true;
+      Jsonx.Bool false;
+      Jsonx.Num 0.0;
+      Jsonx.Num 42.0;
+      Jsonx.Num (-17.25);
+      Jsonx.Num 1e-9;
+      Jsonx.Num 1.0000000000000002;
+      Jsonx.Str "";
+      Jsonx.Str "plain";
+      Jsonx.Str "quote \" backslash \\ newline \n tab \t";
+      Jsonx.Str "control \001\031 bytes";
+      Jsonx.List [];
+      Jsonx.List [ Jsonx.Num 1.0; Jsonx.Str "two"; Jsonx.Null ];
+      Jsonx.Obj [];
+      Jsonx.Obj
+        [ ("a", Jsonx.Num 1.0);
+          ("nested", Jsonx.Obj [ ("l", Jsonx.List [ Jsonx.Bool false ]) ]) ]
+    ]
+  in
+  List.iter
+    (fun v ->
+      let s = Jsonx.to_string v in
+      Tutil.check_bool
+        (Printf.sprintf "round-trip %s" s)
+        true
+        (Jsonx.of_string s = v);
+      Tutil.check_bool
+        (Printf.sprintf "one line: %s" s)
+        false
+        (String.contains s '\n'))
+    cases
+
+let prop_jsonx_string_roundtrip =
+  QCheck.Test.make ~name:"jsonx escapes any string" ~count:200
+    QCheck.(string_of_size Gen.(0 -- 60))
+    (fun s ->
+      let v = Jsonx.Str s in
+      Jsonx.of_string (Jsonx.to_string v) = v)
+
+let test_jsonx_rejects_malformed () =
+  List.iter
+    (fun s ->
+      Tutil.check_bool ("rejects " ^ s) true
+        (match Jsonx.of_string s with
+        | (_ : Jsonx.t) -> false
+        | exception Jsonx.Parse_error _ -> true))
+    [ ""; "{"; "[1,"; "tru"; "\"unterminated"; "{\"a\":}"; "1 2"; "{} trailing" ]
+
 (* --- the matrix ----------------------------------------------------- *)
 
 let test_matrix_coverage_complete () =
@@ -335,7 +407,12 @@ let () =
           Tutil.quick "degenerate aggregates" test_aggregate_degenerate ] );
       ( "budgets",
         [ Tutil.quick "parse and check" test_budgets_parse_and_check;
-          Tutil.quick "nan actual breaches" test_budget_nan_actual_breaches ] );
+          Tutil.quick "nan actual breaches" test_budget_nan_actual_breaches;
+          Tutil.quick "load from file" test_budgets_load ] );
+      ( "jsonx",
+        [ Tutil.quick "value round-trips" test_jsonx_roundtrip_cases;
+          Tutil.qcheck_case prop_jsonx_string_roundtrip;
+          Tutil.quick "rejects malformed" test_jsonx_rejects_malformed ] );
       ( "matrix",
         [ Tutil.quick "coverage complete" test_matrix_coverage_complete;
           Tutil.quick "deterministic across jobs"
