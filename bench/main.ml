@@ -1,14 +1,15 @@
-(* Benchmark harness, two halves:
+(* The hot-kernel ledger: one bechamel measurement per kernel under the
+   pipeline's stages (executor, cache model, structure profiling,
+   projection, k-means, interval codec, artifact store, samplers, static
+   locality, validation scoring), each set against its recorded seed
+   baseline and, where one exists, its reference implementation.  The
+   rows are written to BENCH_kernels.json, the machine-readable perf
+   trajectory.  End-to-end speed is perfbench's question; the paper's
+   tables and figures are regenerated by `cbsp experiment all`.
 
-   1. bechamel micro/macro benchmarks — one [Test.make] per paper artifact
-      (Table 1, Figures 1-5, Tables 2-3, each timed on a reduced instance
-      so regression in any reproduction path is visible) plus
-      micro-benchmarks of the hot kernels (executor, cache, k-means,
-      projection, interval collection);
-
-   2. the full-scale reproduction — runs the whole 21-workload suite at
-      the reference input and prints every table and figure of the paper
-      (this is the output EXPERIMENTS.md records). *)
+   Usage: bench [--json[=PATH]] [--smoke]
+     --json=PATH  write the ledger to PATH (default BENCH_kernels.json)
+     --smoke      a tiny quota per kernel: checks that every kernel runs *)
 
 open Bechamel
 open Toolkit
@@ -29,8 +30,6 @@ module Sampler = Cbsp_sampling.Sampler
 module Cache = Cbsp_cache.Cache
 module Hierarchy = Cbsp_cache.Hierarchy
 module Pipeline = Cbsp.Pipeline
-module Experiment = Cbsp_report.Experiment
-module Figures = Cbsp_report.Figures
 module Rng = Cbsp_util.Rng
 module Diskcache = Cbsp_engine.Diskcache
 module Locality = Cbsp_analysis.Locality
@@ -38,8 +37,6 @@ module Verrors = Cbsp_validate.Errors
 module Vtruth = Cbsp_validate.Truth
 module Vmatrix = Cbsp_validate.Matrix
 module Leaderboard = Cbsp_validate.Leaderboard
-
-let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Shared fixtures (built once, outside the timed regions).            *)
@@ -57,16 +54,6 @@ let tiny_binary =
 
 let bench_input = Input.make ~name:"bench" ~seed:3 ~scale:2 ()
 
-let small_names = [ "gcc"; "apsi"; "applu" ]
-
-(* All figure benchmarks share one reduced-suite sweep, mirroring how the
-   real harness derives every figure from a single suite run. *)
-let small_suite =
-  lazy (Experiment.run_suite ~names:small_names ~target:50_000 ~input:bench_input ())
-
-let gcc_program =
-  (Cbsp_workloads.Registry.find "gcc").Cbsp_workloads.Registry.build ()
-
 let kmeans_points =
   let rng = Rng.create ~seed:8 in
   Array.init 150 (fun _ -> Array.init 15 (fun _ -> Rng.float rng))
@@ -79,10 +66,6 @@ let projection_fixture =
   (p, Array.init 400 (fun _ -> Rng.float rng))
 
 let projection_out = Array.make 15 0.0
-
-(* ------------------------------------------------------------------ *)
-(* Hot-kernel benchmarks: optimized vs reference implementations, and  *)
-(* the machine-readable perf trajectory (BENCH_kernels.json).          *)
 
 let kmeans_big_points =
   let rng = Rng.create ~seed:12 in
@@ -162,8 +145,8 @@ let sampling_population =
    matrix shape (21 workloads x 7 methods x 4 binaries).  The kernel
    scores lib/validate itself — per-cell errors, truth table,
    skip-and-count aggregation, ranking, cbsp-validate/1 serialization —
-   without the pipeline runs underneath (those are covered by the
-   paper-artifact benchmarks). *)
+   without the pipeline runs underneath (those are timed end to end by
+   perfbench's validate-matrix workload). *)
 let validate_fixture =
   let labels = List.map Config.label (Config.paper_four ~loop_splitting:false ()) in
   let rng = Rng.create ~seed:47 in
@@ -249,6 +232,22 @@ let kernel_specs =
       ~reference:"exec/fli_pass_tiny_tree"
       (fli_pass Executor.run);
     kernel "exec/fli_pass_tiny_tree" (fli_pass Executor.run_tree);
+    kernel "profile/structprof_tiny"
+      (fun () -> Structprof.profile tiny_binary bench_input);
+    (* substrate: the RNG and one access through the cache model, alone
+       and through the paper's Table 1 hierarchy *)
+    (let rng = Rng.create ~seed:1 in
+     kernel "rng/next_int64" (fun () -> Rng.next_int64 rng));
+    (let cache =
+       Cache.create ~capacity_bytes:32_768 ~associativity:2 ~line_bytes:64 ()
+     and addr = ref 0 in
+     kernel "cache/l1_access" (fun () ->
+         addr := (!addr + 4_160) land 0xFFFFF;
+         Cache.access cache ~addr:!addr ~is_write:false));
+    (let hier = Hierarchy.create Hierarchy.paper_table1 and addr = ref 0 in
+     kernel "cache/hierarchy_access" (fun () ->
+         addr := (!addr + 4_160) land 0x3FFFFF;
+         Hierarchy.access hier ~addr:!addr ~is_write:false));
     (* k-means: Hamerly-pruned vs plain Lloyd *)
     kernel "kmeans/k8_150pts"
       ~baseline:(List.assoc "kmeans/k8_150pts" seed_baseline_ns)
@@ -371,277 +370,6 @@ let kernel_specs =
         let board = Leaderboard.build matrix in
         Cbsp_json.Jsonx.to_string (Leaderboard.to_json matrix board)) ]
 
-(* ------------------------------------------------------------------ *)
-(* Micro benchmarks                                                    *)
-
-let micro_tests =
-  let cache = Cache.create ~capacity_bytes:32_768 ~associativity:2 ~line_bytes:64 () in
-  let hier = Hierarchy.create Hierarchy.paper_table1 in
-  let addr = ref 0 in
-  let rng = Rng.create ~seed:1 in
-  [ Test.make ~name:"rng/next_int64" (Staged.stage (fun () -> Rng.next_int64 rng));
-    Test.make ~name:"cache/l1_access"
-      (Staged.stage (fun () ->
-           addr := (!addr + 4_160) land 0xFFFFF;
-           Cache.access cache ~addr:!addr ~is_write:false));
-    Test.make ~name:"cache/hierarchy_access"
-      (Staged.stage (fun () ->
-           addr := (!addr + 4_160) land 0x3FFFFF;
-           Hierarchy.access hier ~addr:!addr ~is_write:false));
-    Test.make ~name:"exec/tiny_run"
-      (Staged.stage (fun () ->
-           Executor.run tiny_binary bench_input Executor.null_observer));
-    Test.make ~name:"profile/structprof_tiny"
-      (Staged.stage (fun () -> Structprof.profile tiny_binary bench_input));
-    Test.make ~name:"profile/fli_pass_tiny"
-      (Staged.stage (fun () ->
-           let obs, read =
-             Interval.fli_observer ~n_blocks:tiny_binary.Binary.n_blocks
-               ~target:10_000 ()
-           in
-           let (_ : Executor.totals) = Executor.run tiny_binary bench_input obs in
-           read ()));
-    Test.make ~name:"ml/kmeans_k8_150pts"
-      (Staged.stage (fun () ->
-           Kmeans.run ~k:8 ~weights:kmeans_weights ~points:kmeans_points
-             ~restarts:1 ()));
-    Test.make ~name:"ml/projection_400to15"
-      (Staged.stage (fun () ->
-           let p, v = projection_fixture in
-           Projection.apply p v)) ]
-
-(* ------------------------------------------------------------------ *)
-(* One benchmark per paper artifact                                    *)
-
-let artifact_tests =
-  [ Test.make ~name:"table1/render"
-      (Staged.stage (fun () -> Figures.table1 null_ppf));
-    Test.make ~name:"fig1/simpoint_counts"
-      (Staged.stage (fun () -> Figures.figure1 (Lazy.force small_suite) null_ppf));
-    Test.make ~name:"fig2/interval_sizes"
-      (Staged.stage (fun () -> Figures.figure2 (Lazy.force small_suite) null_ppf));
-    Test.make ~name:"fig3/cpi_error"
-      (Staged.stage (fun () -> Figures.figure3 (Lazy.force small_suite) null_ppf));
-    Test.make ~name:"fig4/speedup_same_platform"
-      (Staged.stage (fun () -> Figures.figure4 (Lazy.force small_suite) null_ppf));
-    Test.make ~name:"fig5/speedup_cross_platform"
-      (Staged.stage (fun () -> Figures.figure5 (Lazy.force small_suite) null_ppf));
-    Test.make ~name:"table2/gcc_phases"
-      (Staged.stage (fun () -> Figures.table2 (Lazy.force small_suite) null_ppf));
-    Test.make ~name:"table3/apsi_phases"
-      (Staged.stage (fun () -> Figures.table3 (Lazy.force small_suite) null_ppf));
-    (* the pipelines behind the artifacts, timed end to end on gcc *)
-    Test.make ~name:"pipeline/fli_gcc_small"
-      (Staged.stage (fun () ->
-           Pipeline.run_fli gcc_program ~configs:(Config.paper_four ())
-             ~input:bench_input ~target:50_000));
-    Test.make ~name:"pipeline/vli_gcc_small"
-      (Staged.stage (fun () ->
-           Pipeline.run_vli gcc_program ~configs:(Config.paper_four ())
-             ~input:bench_input ~target:50_000)) ]
-
-(* ------------------------------------------------------------------ *)
-(* Engine benchmarks: suite scheduling strategies compared.            *)
-
-(* The seed's suite path, reconstructed exactly: per workload, FLI and
-   VLI each with a fresh sequential engine — no compile sharing, no
-   parallelism.  The baseline the job-graph engine is measured against. *)
-let sequential_unshared_suite names ~target ~input =
-  List.iter
-    (fun name ->
-      let entry = Cbsp_workloads.Registry.find name in
-      let program = entry.Cbsp_workloads.Registry.build () in
-      let configs =
-        Config.paper_four
-          ~loop_splitting:entry.Cbsp_workloads.Registry.loop_splitting ()
-      in
-      ignore (Pipeline.run_fli program ~configs ~input ~target);
-      ignore (Pipeline.run_vli program ~configs ~input ~target))
-    names
-
-let engine_comparison () =
-  let target = 50_000 and input = bench_input in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let jobs = Cbsp_engine.Scheduler.recommended_jobs () in
-  let seq = timed (fun () -> sequential_unshared_suite small_names ~target ~input) in
-  let memo =
-    timed (fun () ->
-        ignore (Experiment.run_suite ~names:small_names ~target ~input ~jobs:1 ()))
-  in
-  let par =
-    timed (fun () ->
-        ignore
-          (Experiment.run_suite ~names:small_names ~target ~input ~jobs ()))
-  in
-  Fmt.pr "  %-44s %8.3f s@." "seed path (sequential, unshared compiles)" seq;
-  Fmt.pr "  %-44s %8.3f s  (%.2fx)@." "engine suite, jobs=1 (memoized compiles)"
-    memo (seq /. memo);
-  Fmt.pr "  %-44s %8.3f s  (%.2fx)@."
-    (Fmt.str "engine suite, jobs=%d (parallel + memoized)" jobs)
-    par (seq /. par);
-  if jobs = 1 then
-    Fmt.pr "  (single-core machine: parallel speedup needs more cores)@."
-
-(* ------------------------------------------------------------------ *)
-(* bench --suite: the end-to-end benchmark of the streaming profile    *)
-(* data path — a registry-wide VLI run per memory regime.  Wall time   *)
-(* for identical code swings by ±10% between runs on shared            *)
-(* single-core boxes, which is larger than the real gap between the    *)
-(* two regimes, so the modes are run in alternation and the per-mode   *)
-(* minimum is reported — the standard noise-robust estimator for a     *)
-(* deterministic workload.  Each pass resets the metrics registry      *)
-(* first and the streaming mode always runs last, so the manifest's    *)
-(* snapshot (and the CI gate reading it) describes exactly a           *)
-(* streaming run.                                                      *)
-
-type suite_numbers = {
-  sn_workloads : int;
-  sn_target : int;
-  sn_passes : int;       (* alternating passes per mode; minima reported *)
-  sn_stream_s : float;
-  sn_stream_peak : int;  (* profile.scratch_intervals after streaming *)
-  sn_mat_s : float;
-  sn_mat_peak : int;     (* same gauge after the materialized reference *)
-  sn_failed : int;       (* failed stage jobs in the streaming run *)
-  sn_cold_s : float;     (* streaming suite into an empty artifact cache *)
-  sn_warm_s : float;     (* same suite again, fresh engine, same cache *)
-  sn_warm_hits : int;    (* whole-result cache hits during the warm run *)
-  sn_bit_identical : bool;  (* warm results structurally = cold results *)
-}
-
-let suite_vli ~materialize ~names ~target ~input eng =
-  List.map
-    (fun name ->
-      let entry = Cbsp_workloads.Registry.find name in
-      let program = entry.Cbsp_workloads.Registry.build () in
-      let configs =
-        Config.paper_four
-          ~loop_splitting:entry.Cbsp_workloads.Registry.loop_splitting ()
-      in
-      Pipeline.run_vli ~materialize ~engine:eng program ~configs ~input
-        ~target)
-    names
-
-let suite_mode ~smoke =
-  let names =
-    if smoke then small_names else Cbsp_workloads.Registry.names
-  in
-  let target = if smoke then 10_000 else 50_000 in
-  let input = bench_input in
-  Fmt.pr "=== End-to-end suite benchmark (%d workloads, VLI, target %d) ===@."
-    (List.length names) target;
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let scratch = Cbsp_obs.Metrics.gauge "profile.scratch_intervals" in
-  (* Smoke passes are short (~0.5 s), so their minima need more samples
-     to concentrate; full passes are long enough that three suffice. *)
-  let passes = if smoke then 5 else 3 in
-  (* One cheap untimed pass per mode first: the process's very first run
-     pays page faults and lazy initialization, and whichever mode goes
-     first would absorb them into its minimum. *)
-  let warmup = [ List.hd names ] in
-  ignore
-    (suite_vli ~materialize:true ~names:warmup ~target:1_000 ~input
-       (Pipeline.create_engine ()));
-  ignore
-    (suite_vli ~materialize:false ~names:warmup ~target:1_000 ~input
-       (Pipeline.create_engine ()));
-  let mat_s = ref infinity and stream_s = ref infinity in
-  let mat_peak = ref 0 and stream_peak = ref 0 in
-  let last_stream_records = ref [] in
-  for _ = 1 to passes do
-    Cbsp_obs.Metrics.reset ();
-    let t =
-      timed (fun () ->
-          ignore
-            (suite_vli ~materialize:true ~names ~target ~input
-               (Pipeline.create_engine ())))
-    in
-    mat_s := Float.min !mat_s t;
-    mat_peak := Cbsp_obs.Metrics.gauge_value scratch;
-    Cbsp_obs.Metrics.reset ();
-    let eng = Pipeline.create_engine () in
-    let t =
-      timed (fun () ->
-          ignore (suite_vli ~materialize:false ~names ~target ~input eng))
-    in
-    stream_s := Float.min !stream_s t;
-    stream_peak := Cbsp_obs.Metrics.gauge_value scratch;
-    last_stream_records := Pipeline.timings eng
-  done;
-  let mat_s = !mat_s and stream_s = !stream_s in
-  let mat_peak = !mat_peak and stream_peak = !stream_peak in
-  let records = !last_stream_records in
-  let failed = List.length (Cbsp_engine.Timing.failures records) in
-  (* Cold vs warm: the same streaming suite into a fresh persistent
-     artifact cache, then once more from a fresh engine over the same
-     directory — the restart scenario.  The warm pass must be served
-     from the whole-result cache (hits > 0) and reproduce the cold
-     results bit for bit. *)
-  let cache_dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "cbsp-bench-cache-%d" (Unix.getpid ()))
-  in
-  let cold_results = ref [] in
-  let cold_s =
-    timed (fun () ->
-        cold_results :=
-          suite_vli ~materialize:false ~names ~target ~input
-            (Pipeline.create_engine ~cache_dir ()))
-  in
-  let warm_results = ref [] in
-  let warm_eng = Pipeline.create_engine ~cache_dir () in
-  let warm_s =
-    timed (fun () ->
-        warm_results :=
-          suite_vli ~materialize:false ~names ~target ~input warm_eng)
-  in
-  let warm_hits =
-    match Pipeline.result_stats warm_eng with
-    | Some (_, hits) -> hits
-    | None -> 0
-  in
-  let bit_identical = !warm_results = !cold_results in
-  Fmt.pr "  (min of %d alternating passes per mode)@." passes;
-  Fmt.pr "  %-44s %8.3f s  (scratch peak %d intervals)@."
-    "materialized (pre-refactor array path)" mat_s mat_peak;
-  Fmt.pr "  %-44s %8.3f s  (scratch peak %d intervals)@." "streaming"
-    stream_s stream_peak;
-  Fmt.pr "  %-44s %8.2fx@." "streaming speedup vs materialized"
-    (mat_s /. stream_s);
-  Fmt.pr "  %-44s %8d@." "failed stage jobs (streaming)" failed;
-  Fmt.pr "  %-44s %8.3f s@." "cold (streaming into empty artifact cache)"
-    cold_s;
-  Fmt.pr "  %-44s %8.3f s  (%.2fx vs cold, %d result hits, %s)@."
-    "warm (fresh engine, same cache)" warm_s (cold_s /. warm_s) warm_hits
-    (if bit_identical then "bit-identical" else "RESULTS DIFFER");
-  Cbsp_obs.Manifest.write ~argv:(Array.to_list Sys.argv) ~tool:"bench-suite"
-    ~config:
-      [ ("workloads", string_of_int (List.length names));
-        ("target", string_of_int target);
-        ("mode", if smoke then "smoke" else "full") ]
-    ~stages:(Cbsp_engine.Timing.manifest_stages records)
-    ~failures:(Cbsp_engine.Timing.manifest_failures records)
-    ~path:"bench-suite-manifest.json" ();
-  Fmt.pr "@.wrote bench-suite-manifest.json@.@.";
-  { sn_workloads = List.length names; sn_target = target;
-    sn_passes = passes;
-    sn_stream_s = stream_s; sn_stream_peak = stream_peak; sn_mat_s = mat_s;
-    sn_mat_peak = mat_peak; sn_failed = failed; sn_cold_s = cold_s;
-    sn_warm_s = warm_s; sn_warm_hits = warm_hits;
-    sn_bit_identical = bit_identical }
-
-(* ------------------------------------------------------------------ *)
-(* Runner                                                              *)
-
 (* Measure [tests]; return (name, ns/run, r2) rows sorted by name. *)
 let measure tests ~quota_s ~limit =
   let cfg =
@@ -689,21 +417,17 @@ let print_rows rows =
     (fun (name, ns, r2) -> Fmt.pr "  %-32s %14s %8.3f@." name (pretty ns) r2)
     rows
 
-let run_benchmarks tests ~quota_s =
-  print_rows (measure tests ~quota_s ~limit:2000)
-
 (* ------------------------------------------------------------------ *)
 (* BENCH_kernels.json: the machine-readable perf trajectory.           *)
 
-(* Hand-rolled JSON (the tree is tiny and the repo carries no JSON
-   dependency).  Non-finite floats become null so the file always
-   parses. *)
+(* Hand-rolled JSON (the tree is tiny).  Non-finite floats become null
+   so the file always parses. *)
 let json_float f =
   if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
 
 let json_opt_float = function None -> "null" | Some f -> json_float f
 
-let write_kernels_json ~path ~mode ?suite rows =
+let write_kernels_json ~path ~mode rows =
   let ns_of name =
     match List.find_opt (fun (n, _, _) -> n = name) rows with
     | Some (_, ns, _) when Float.is_finite ns && ns > 0.0 -> Some ns
@@ -712,34 +436,6 @@ let write_kernels_json ~path ~mode ?suite rows =
   Cbsp_util.Io.with_out_file path @@ fun oc ->
   Printf.fprintf oc "{\n  \"schema\": \"cbsp-bench-kernels/1\",\n";
   Printf.fprintf oc "  \"mode\": %S,\n" mode;
-  (match suite with
-  | None -> Printf.fprintf oc "  \"suite\": null,\n"
-  | Some sn ->
-    (* The end-to-end trajectory: the materialized pass is the recorded
-       pre-refactor baseline, so speedup_vs_materialized is the suite's
-       speedup_vs_seed. *)
-    Printf.fprintf oc "  \"suite\": {\n";
-    Printf.fprintf oc "    \"workloads\": %d,\n    \"target\": %d,\n"
-      sn.sn_workloads sn.sn_target;
-    Printf.fprintf oc "    \"passes_per_mode\": %d,\n" sn.sn_passes;
-    Printf.fprintf oc
-      "    \"streaming\": { \"seconds\": %s, \"scratch_peak_intervals\": %d },\n"
-      (json_float sn.sn_stream_s) sn.sn_stream_peak;
-    Printf.fprintf oc
-      "    \"materialized\": { \"seconds\": %s, \"scratch_peak_intervals\": \
-       %d },\n"
-      (json_float sn.sn_mat_s) sn.sn_mat_peak;
-    Printf.fprintf oc "    \"speedup_vs_materialized\": %s,\n"
-      (json_float (sn.sn_mat_s /. sn.sn_stream_s));
-    Printf.fprintf oc "    \"failed_stages\": %d,\n" sn.sn_failed;
-    Printf.fprintf oc "    \"cold\": { \"seconds\": %s },\n"
-      (json_float sn.sn_cold_s);
-    Printf.fprintf oc
-      "    \"warm\": { \"seconds\": %s, \"speedup_vs_cold\": %s, \
-       \"result_hits\": %d, \"bit_identical\": %b } },\n"
-      (json_float sn.sn_warm_s)
-      (json_float (sn.sn_cold_s /. sn.sn_warm_s))
-      sn.sn_warm_hits sn.sn_bit_identical);
   Printf.fprintf oc "  \"kernels\": [";
   List.iteri
     (fun i spec ->
@@ -780,93 +476,36 @@ let write_kernels_json ~path ~mode ?suite rows =
     kernel_specs;
   Printf.fprintf oc "\n  ]\n}\n"
 
-let kernel_mode ~path ~smoke ?suite () =
-  (* Shard directory creation and the warm entry's publication are
-     one-time fixture setup, not part of the measured kernels. *)
-  ignore (Lazy.force store_cache : Diskcache.t);
-  Lazy.force store_warm_ready;
-  let quota_s, limit = if smoke then (0.01, 5) else (0.5, 2000) in
-  Fmt.pr "=== Hot-kernel benchmarks (%s mode) ===@."
-    (if smoke then "smoke" else "full");
-  let rows =
-    measure (List.map (fun s -> s.ks_test) kernel_specs) ~quota_s ~limit
-  in
-  print_rows rows;
-  write_kernels_json ~path ~mode:(if smoke then "smoke" else "full") ?suite
-    rows;
-  Fmt.pr "@.wrote %s@." path
-
-let full_mode () =
-  Fmt.pr "=== Micro benchmarks (kernels) ===@.";
-  run_benchmarks micro_tests ~quota_s:0.25;
-  Fmt.pr "@.=== Hot-kernel pairs (optimized vs reference) ===@.";
-  run_benchmarks (List.map (fun s -> s.ks_test) kernel_specs) ~quota_s:0.25;
-  Fmt.pr "@.=== Paper-artifact benchmarks (reduced instances: %s) ===@."
-    (String.concat ", " small_names);
-  run_benchmarks artifact_tests ~quota_s:0.25;
-  Fmt.pr "@.=== Engine: suite scheduling (reduced suite: %s) ===@."
-    (String.concat ", " small_names);
-  engine_comparison ();
-  Fmt.pr "@.=== Full-scale reproduction (21 workloads, reference input) ===@.";
-  let t0 = Unix.gettimeofday () in
-  let jobs = Cbsp_engine.Scheduler.recommended_jobs () in
-  let suite =
-    Experiment.run_suite ~jobs
-      ~progress:(fun n -> Fmt.epr "running %s...@." n)
-      ()
-  in
-  Figures.all suite Format.std_formatter;
-  Fmt.pr "@.Per-stage timing (jobs=%d):@." jobs;
-  Experiment.timing_report suite Format.std_formatter;
-  Fmt.pr "@.(full suite regenerated in %.1f s)@." (Unix.gettimeofday () -. t0)
-
 let () =
-  let json = ref None and smoke = ref false and suite = ref false in
+  let path = ref "BENCH_kernels.json" and smoke = ref false in
   let bad = ref [] in
   Array.iteri
     (fun i arg ->
       if i > 0 then
-        if arg = "--json" then json := Some "BENCH_kernels.json"
+        if arg = "--json" then ()
         else if String.length arg > 7 && String.sub arg 0 7 = "--json=" then
-          json := Some (String.sub arg 7 (String.length arg - 7))
+          path := String.sub arg 7 (String.length arg - 7)
         else if arg = "--smoke" then smoke := true
-        else if arg = "--suite" then suite := true
         else bad := arg :: !bad)
     Sys.argv;
   if !bad <> [] then begin
     Fmt.epr "unknown arguments: %s@." (String.concat " " (List.rev !bad));
-    Fmt.epr "usage: bench [--json[=PATH]] [--suite] [--smoke]@.";
+    Fmt.epr "usage: bench [--json[=PATH]] [--smoke]@.";
     exit 2
   end;
-  (if !suite then begin
-     (* --suite: end-to-end registry benchmark, then the kernels, both
-        recorded in one BENCH_kernels.json. *)
-     let path = Option.value !json ~default:"BENCH_kernels.json" in
-     let numbers = suite_mode ~smoke:!smoke in
-     kernel_mode ~path ~smoke:!smoke ~suite:numbers ();
-     (* Regression gates (CI runs --suite --smoke): streaming must not
-        fall behind the materialized reference, and a warm cache must
-        reproduce the cold results exactly. *)
-     if not numbers.sn_bit_identical then begin
-       Fmt.epr "GATE: warm-cache results differ from cold results@.";
-       exit 1
-     end;
-     if !smoke && numbers.sn_mat_s /. numbers.sn_stream_s < 0.95 then begin
-       Fmt.epr
-         "GATE: streaming suite regressed to %.3fx of materialized (< 0.95)@."
-         (numbers.sn_mat_s /. numbers.sn_stream_s);
-       exit 1
-     end
-   end
-   else
-     match !json with
-     | Some path -> kernel_mode ~path ~smoke:!smoke ()
-     | None ->
-       if !smoke then begin
-         Fmt.epr "--smoke requires --json or --suite@.";
-         exit 2
-       end;
-       full_mode ());
+  let mode = if !smoke then "smoke" else "full" in
+  (* Shard directory creation and the warm entry's publication are
+     one-time fixture setup, not part of the measured kernels. *)
+  ignore (Lazy.force store_cache : Diskcache.t);
+  Lazy.force store_warm_ready;
+  let quota_s, limit = if !smoke then (0.01, 5) else (0.5, 2000) in
+  Fmt.pr "=== Hot-kernel benchmarks (%s mode) ===@." mode;
+  let rows =
+    measure (List.map (fun s -> s.ks_test) kernel_specs) ~quota_s ~limit
+  in
+  print_rows rows;
+  write_kernels_json ~path:!path ~mode rows;
+  Fmt.pr "@.wrote %s@." !path;
   (* Like `cbsp run`, every bench invocation leaves a manifest behind:
      bench has no timing sink, so its stage table is empty, but the
      metrics snapshot records what the measured code actually did. *)

@@ -154,23 +154,39 @@ let sp_config_of ?(rep = "centroid") ?(search = "all") ~max_k () =
     Simpoint.max_k; rep_policy = rep_policy_of rep;
     k_search = k_search_of search }
 
-let workload_names =
-  (* Explicit names may also pick the locality microkernels; the default
-     (everything) stays the paper's 21-program suite. *)
+(* Explicit names may also pick the locality microkernels; the default
+   (everything) stays the paper's 21-program suite.  An unknown name is a
+   usage error (exit 2), checked before any work starts. *)
+let require_known =
   let known =
     Registry.names @ List.map (fun e -> e.Registry.name) Registry.micro
   in
-  function
+  fun n ->
+    if not (List.mem n known) then begin
+      Fmt.epr "unknown workload %S; try `cbsp list`@." n;
+      exit 2
+    end
+
+let workload_names = function
   | None -> Registry.names
   | Some names ->
-    List.iter
-      (fun n ->
-        if not (List.mem n known) then begin
-          Fmt.epr "unknown workload %S; try `cbsp list`@." n;
-          exit 2
-        end)
-      names;
+    List.iter require_known names;
     names
+
+let find_workload name =
+  require_known name;
+  Registry.find name
+
+(* A points file that does not parse (or cannot be read) is the user's
+   input error, not an internal one. *)
+let load_points path =
+  try Cbsp.Points_file.load ~path with
+  | Cbsp.Points_file.Parse_error msg ->
+    Fmt.epr "%s: malformed points file: %s@." path msg;
+    exit 1
+  | Sys_error msg ->
+    Fmt.epr "%s@." msg;
+    exit 1
 
 (* ------------------------------------------------------------------ *)
 (* list                                                                *)
@@ -191,7 +207,7 @@ let list_cmd =
 
 let show_cmd =
   let run name =
-    let entry = Registry.find name in
+    let entry = find_workload name in
     let program = entry.Registry.build () in
     Cbsp_source.Ast.pp_program ppf program;
     Fmt.pr "@.Binaries:@.";
@@ -212,7 +228,7 @@ let show_cmd =
 
 let profile_cmd =
   let run name scale seed =
-    let entry = Registry.find name in
+    let entry = find_workload name in
     let program = entry.Registry.build () in
     let input = input_of ~scale ~seed in
     let configs =
@@ -289,7 +305,7 @@ let run_cmd =
     let target, scale =
       if smoke then (min target 20_000, min scale 4) else (target, scale)
     in
-    let entry = Registry.find name in
+    let entry = find_workload name in
     let program = entry.Registry.build () in
     let input = input_of ~scale ~seed in
     let sp_config = sp_config_of ~rep ~search ~max_k () in
@@ -752,7 +768,7 @@ let ablation_cmd =
 
 let phases_cmd =
   let run name target scale seed max_k =
-    let entry = Registry.find name in
+    let entry = find_workload name in
     let program = entry.Registry.build () in
     let input = input_of ~scale ~seed in
     let configs =
@@ -785,7 +801,7 @@ let phases_cmd =
 
 let points_save_cmd =
   let run name out target scale seed max_k =
-    let entry = Registry.find name in
+    let entry = find_workload name in
     let program = entry.Registry.build () in
     let input = input_of ~scale ~seed in
     let configs =
@@ -816,8 +832,8 @@ let points_save_cmd =
 
 let points_replay_cmd =
   let run file label =
-    let header, points = Cbsp.Points_file.load ~path:file in
-    let entry = Registry.find header.Cbsp.Points_file.h_program in
+    let header, points = load_points file in
+    let entry = find_workload header.Cbsp.Points_file.h_program in
     let program = entry.Registry.build () in
     let input =
       Cbsp_source.Input.make ~name:header.Cbsp.Points_file.h_input_name
@@ -902,7 +918,7 @@ let lint_cmd =
     (match points_path with
     | None -> ()
     | Some path ->
-      let header, points = Cbsp.Points_file.load ~path in
+      let header, points = load_points path in
       let markers =
         Array.to_list
           (Array.map
@@ -1102,7 +1118,7 @@ let config_arg =
 
 let dump_bbv_cmd =
   let run name label out format target scale seed =
-    let entry = Registry.find name in
+    let entry = find_workload name in
     let binary = binary_of_label entry label in
     let input = input_of ~scale ~seed in
     let n_blocks = binary.Cbsp_compiler.Binary.n_blocks in
@@ -1161,7 +1177,7 @@ let dump_bbv_cmd =
 
 let trace_cmd =
   let run name label out scale seed =
-    let entry = Registry.find name in
+    let entry = find_workload name in
     let binary = binary_of_label entry label in
     let input = input_of ~scale ~seed in
     let totals = Cbsp_exec.Trace.record ~path:out binary input in

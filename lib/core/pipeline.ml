@@ -188,16 +188,6 @@ let compile_stats eng = (Store.computes eng.eng_binaries, Store.hits eng.eng_bin
 
 let profile_stats eng = (Store.computes eng.eng_profiles, Store.hits eng.eng_profiles)
 
-let result_stats eng =
-  match eng.eng_results with
-  | None -> None
-  | Some rc ->
-    Some
-      ( Store.computes rc.rc_fli + Store.computes rc.rc_vli
-        + Store.computes rc.rc_sampling,
-        Store.hits rc.rc_fli + Store.hits rc.rc_vli
-        + Store.hits rc.rc_sampling )
-
 (* Artifacts are keyed by the content of everything that determines them:
    a compiled binary by (program, config), a structure profile by
    (program, config, input) — the binary itself is a pure function of the
@@ -226,10 +216,6 @@ let struct_profile eng (program : Cbsp_source.Ast.program) (binary : Binary.t)
         ~out_size:(fun p -> Marker.Map.cardinal p)
         (fun () -> Structprof.profile binary input))
 
-(* Cluster the non-empty intervals; extend phase labels over empty
-   (trailing) intervals by inheriting the previous label so every interval
-   index has a phase and representative indices refer to the original
-   interval numbering. *)
 (* Spread a Simpoint result over the full interval numbering: live
    intervals get their cluster's phase, empty (trailing) intervals
    inherit the previous live interval's phase, and representative
@@ -246,6 +232,10 @@ let extend_clustering ~n ~live_idx ~is_live sp =
   in
   { cl_phase_of = phase_of; cl_reps = reps; cl_n_phases = sp.Simpoint.k }
 
+(* Cluster the non-empty intervals; extend phase labels over empty
+   (trailing) intervals by inheriting the previous label so every interval
+   index has a phase and representative indices refer to the original
+   interval numbering. *)
 let cluster ~sp_config (intervals : Interval.interval array) =
   let live =
     Array.to_list (Array.mapi (fun i iv -> (i, iv)) intervals)
@@ -282,10 +272,10 @@ let cluster_streamed ~sp_config (col : Streamprof.t) =
 (* Per-binary phase statistics and the SimPoint CPI estimate, from this
    binary's own per-interval measurements and the (shared or per-binary)
    clustering.  This is exactly the paper's step 6: weights are the
-   fraction of *this binary's* dynamic instructions per phase. *)
-(* [summarize] reads only the per-interval scalars ([insts], [cycles],
-   [extras]) — never BBVs — so it consumes the collector's lightweight
-   stats and serves the streaming and materialized paths identically. *)
+   fraction of *this binary's* dynamic instructions per phase.  Only the
+   per-interval scalars ([insts], [cycles], [extras]) are read — never
+   BBVs — so the collector's lightweight stats serve the streaming and
+   materialized paths identically. *)
 let summarize ~config ~truth ~counter_names ~clustering
     (stats : Streamprof.stats) =
   let { Streamprof.st_insts = insts; st_cycles = cycles; st_n_extras = n_extras;

@@ -257,11 +257,6 @@ val profile_stats : engine -> int * int
     [run_vli ~static:true], [computes] stays at zero whenever the static
     prover decided every candidate marker. *)
 
-val result_stats : engine -> (int * int) option
-(** [(computes, hits)] summed over the whole-result caches, or [None]
-    when the engine has none.  [hits > 0] is the coalescing/warm-start
-    signal: a request was answered without running the pipeline. *)
-
 val run_fli :
   ?sp_config:Cbsp_simpoint.Simpoint.config ->
   ?cache_config:Cbsp_cache.Hierarchy.config ->

@@ -21,7 +21,7 @@ let cpi interval =
    buffers held by any single profiling pass — scratch plus retained
    copies.  Streaming passes stay at a small constant; materializing
    passes report interval-count + 1, which is exactly the regression the
-   suite-smoke CI budget catches.  The max update is racy across domains
+   validate-smoke CI budget catches.  The max update is racy across domains
    (two passes may interleave reads), which can only ever under-report by
    one concurrent pass's peak — fine for a budget gate. *)
 let m_scratch = Metrics.gauge "profile.scratch_intervals"

@@ -42,7 +42,7 @@
     gauge: the largest number of full-width (n_blocks-long) BBV buffers
     any single pass held at once.  Streaming passes report 1; a
     materializing pass over n intervals reports n + 1 — which is how the
-    suite-smoke CI budget catches accidental materialization. *)
+    validate-smoke CI budget catches accidental materialization. *)
 
 type interval = {
   insts : int;        (** Instructions in this interval. *)

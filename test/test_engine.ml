@@ -418,6 +418,33 @@ let test_pipeline_parallel_deterministic () =
   Tutil.check_bool "vli points bit-identical under jobs=4" true
     (vseq.Pipeline.vli_points = vpar.Pipeline.vli_points)
 
+let test_warm_cache_restart () =
+  (* The restart scenario: a second engine over a populated artifact
+     cache answers every method from disk — no compile, no interval
+     collection — with results structurally equal to the cold run's. *)
+  Tutil.with_temp_dir "warm" @@ fun cache_dir ->
+  let program = Tutil.two_phase_program () in
+  let run () =
+    let engine = Pipeline.create_engine ~cache_dir () in
+    let fli = Pipeline.run_fli ~engine program ~configs ~input ~target in
+    let vli = Pipeline.run_vli ~engine program ~configs ~input ~target in
+    let sampling =
+      Pipeline.run_sampling ~engine program ~configs ~input ~target ~n:8
+    in
+    ((fli, vli, sampling), Pipeline.timings engine)
+  in
+  let cold, cold_timings = run () in
+  let warm, warm_timings = run () in
+  let count timings stage =
+    List.length (List.filter (fun r -> r.Timing.tr_stage = stage) timings)
+  in
+  Tutil.check_bool "cold run collected intervals" true
+    (count cold_timings Stage.Interval_collection > 0);
+  Tutil.check_bool "warm results equal cold results" true (warm = cold);
+  Tutil.check_int "warm: no compile" 0 (count warm_timings Stage.Compile);
+  Tutil.check_int "warm: no interval collection" 0
+    (count warm_timings Stage.Interval_collection)
+
 (* ------------------------------------------------------------------ *)
 (* Suite-level determinism: the acceptance criterion.                  *)
 
@@ -499,7 +526,8 @@ let () =
       ( "pipeline",
         [ Tutil.quick "shared engine compiles once" test_shared_engine_compiles_once;
           Tutil.quick "timing covers stages" test_engine_timing_covers_stages;
-          Tutil.quick "parallel deterministic" test_pipeline_parallel_deterministic ] );
+          Tutil.quick "parallel deterministic" test_pipeline_parallel_deterministic;
+          Tutil.quick "warm cache restart" test_warm_cache_restart ] );
       ( "suite",
         [ Alcotest.test_case "parallel suite bit-identical" `Slow
             test_suite_parallel_bit_identical;

@@ -390,7 +390,7 @@ let test_fixed_pass_equals_materialized () =
 (* O(1 interval) memory: a streaming pass's full-width BBV buffers are
    the builder's accumulator plus the collector's chunked projection
    rows — a fixed count whatever the run length — tracked by the
-   [profile.scratch_intervals] gauge the CI suite-smoke job budgets. *)
+   [profile.scratch_intervals] gauge the CI validate-smoke job budgets. *)
 let test_streaming_scratch_gauge () =
   Cbsp_obs.Metrics.reset ();
   let streaming_peak = Cbsp.Streamprof.chunk_size + 1 in

@@ -8,28 +8,7 @@ module Diskcache = Cbsp_engine.Diskcache
 module Store = Cbsp_engine.Store
 module Scheduler = Cbsp_engine.Scheduler
 
-let fresh_dir =
-  let n = ref 0 in
-  fun tag ->
-    incr n;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "cbsp-test-store-%d-%d-%s" (Unix.getpid ()) !n tag)
-    in
-    dir
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error _ -> ()
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-    (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-
-let with_dir tag f =
-  let dir = fresh_dir tag in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+let with_dir = Tutil.with_temp_dir
 
 (* ------------------------------------------------------------------ *)
 (* Framing round-trip                                                  *)

@@ -75,3 +75,24 @@ let paper_configs ?(loop_splitting = false) () =
 
 let compile_all ?loop_splitting program =
   List.map (Lower.compile program) (paper_configs ?loop_splitting ())
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error _ -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> ( try Sys.remove path with Sys_error _ -> ())
+
+let temp_dirs = ref 0
+
+(* A fresh directory under the system temp dir, removed (recursively)
+   when [f] returns or raises. *)
+let with_temp_dir tag f =
+  incr temp_dirs;
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "cbsp-test-%d-%d-%s" (Unix.getpid ()) !temp_dirs tag)
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
