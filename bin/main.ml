@@ -458,122 +458,6 @@ let experiment_cmd =
       $ max_k_arg $ primary_arg $ csv_arg $ jobs_arg $ timing_arg)
 
 (* ------------------------------------------------------------------ *)
-(* sample: SimPoint vs statistical sampling                            *)
-
-let sample_cmd =
-  let module Sampling_report = Cbsp_report.Sampling_report in
-  let n_arg =
-    Arg.(value & opt int 48
-         & info [ "n" ]
-             ~doc:"Intervals each sampler simulates in detail per run.")
-  in
-  let seeds_arg =
-    Arg.(value & opt int 20
-         & info [ "seeds" ]
-             ~doc:"Number of sampling seeds per (binary, method) — the \
-                   coverage table averages over them.")
-  in
-  let level_arg =
-    Arg.(value & opt float 0.95
-         & info [ "level" ] ~doc:"Confidence level for every interval.")
-  in
-  let json_arg =
-    let doc =
-      "Write the machine-readable cbsp-sampling/1 document to $(docv) \
-       (default SAMPLING.json when the flag is given without a value)."
-    in
-    Arg.(value & opt ~vopt:(Some "SAMPLING.json") (some string) None
-         & info [ "json" ] ~docv:"PATH" ~doc)
-  in
-  let smoke_arg =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:"Tiny CI preset: two workloads at a reduced scale and \
-                   target; implies --json=SAMPLING_smoke.json unless --json \
-                   is given.")
-  in
-  let run workloads target scale seed max_k n seeds level json smoke jobs
-      timing trace manifest =
-    if n < 2 then begin
-      Fmt.epr "bad --n %d (need >= 2)@." n;
-      exit 2
-    end;
-    if seeds < 1 then begin
-      Fmt.epr "bad --seeds %d@." seeds;
-      exit 2
-    end;
-    if level <= 0.0 || level >= 1.0 then begin
-      Fmt.epr "bad --level %g (need 0 < level < 1)@." level;
-      exit 2
-    end;
-    (* Default workload set: a representative cross-section of the suite
-       (the acceptance set); --smoke shrinks everything for CI. *)
-    let names, target, scale, n =
-      if smoke then
-        ((match workloads with
-          | None -> [ "gcc"; "apsi" ]
-          | Some ws -> workload_names (Some ws)),
-         min target 20_000, min scale 4, min n 24)
-      else
-        ((match workloads with
-          | None -> [ "gcc"; "apsi"; "applu"; "mcf"; "art"; "bzip2" ]
-          | Some ws -> workload_names (Some ws)),
-         target, scale, n)
-    in
-    let json =
-      match json with
-      | Some _ -> json
-      | None when smoke -> Some "SAMPLING_smoke.json"
-      | None -> None
-    in
-    let seed_list = List.init seeds (fun i -> 2007 + i) in
-    (* The suite builds one engine per workload internally, so the
-       manifest's stage table is collected from the result; a run that
-       dies mid-suite still gets a manifest (with whatever the tracer
-       saw) via [observed]'s failure path. *)
-    let timings = ref [] in
-    observed ~tool:"sample"
-      ~config:
-        [ ("workloads", String.concat "," names);
-          ("target", string_of_int target); ("scale", string_of_int scale);
-          ("seed", string_of_int seed); ("n", string_of_int n);
-          ("jobs", string_of_int (resolve_jobs jobs)) ]
-      ~trace ~manifest
-      ~timings:(fun () -> !timings)
-    @@ fun () ->
-    let t =
-      Sampling_report.run_suite ~names ~target ~input:(input_of ~scale ~seed)
-        ~sp_config:(sp_config_of ~max_k ()) ~jobs:(resolve_jobs jobs) ~level
-        ~seeds:seed_list
-        ~progress:(fun n -> Fmt.epr "sampling %s...@." n)
-        ~n ()
-    in
-    timings :=
-      List.concat_map
-        (fun ws -> ws.Sampling_report.ws_timings)
-        t.Sampling_report.sr_workloads;
-    Sampling_report.render t ppf;
-    if timing then begin
-      Fmt.pr "Per-stage timing:@.";
-      Cbsp_engine.Timing.pp_report ppf !timings;
-      Fmt.pr "@."
-    end;
-    match json with
-    | None -> ()
-    | Some path ->
-      Sampling_report.write_json t ~path ~mode:(if smoke then "smoke" else "full");
-      Fmt.epr "wrote %s@." path
-  in
-  Cmd.v
-    (Cmd.info "sample"
-       ~doc:"Estimate whole-program CPI by statistical sampling (with \
-             confidence intervals) and compare against SimPoint")
-    Term.(
-      const run $ workloads_arg $ target_arg $ scale_arg $ seed_arg $ max_k_arg
-      $ n_arg $ seeds_arg $ level_arg $ json_arg $ smoke_arg $ jobs_arg
-      $ timing_arg $ trace_arg $ manifest_arg)
-
-(* ------------------------------------------------------------------ *)
 (* validate                                                            *)
 
 let validate_cmd =
@@ -1203,7 +1087,7 @@ let main_cmd =
   let doc = "Cross Binary Simulation Points (ISPASS 2007) reproduction" in
   Cmd.group
     (Cmd.info "cbsp" ~version:"1.0.0" ~doc)
-    [ list_cmd; show_cmd; profile_cmd; run_cmd; experiment_cmd; sample_cmd;
+    [ list_cmd; show_cmd; profile_cmd; run_cmd; experiment_cmd;
       validate_cmd; ablation_cmd; phases_cmd; points_cmd; lint_cmd;
       locality_cmd; dump_bbv_cmd; trace_cmd ]
 

@@ -73,10 +73,6 @@ type method_runs = { mr_method : string; mr_runs : sampler_run list }
 type sampling_binary = {
   sb_config : Config.t;
   sb_truth : truth;
-  sb_sp_cpi : float;
-  sb_sp_error : float;
-  sb_sp_cost_insts : float;
-  sb_n_intervals : int;
   sb_n_live : int;
   sb_methods : method_runs list;
 }
@@ -845,15 +841,14 @@ let run_sampling_uncached ~sp_config ~cache_config ~eng ~level ~seeds program
         (* The same fixed-length pass FLI collects (shared through the
            pass store): it yields the per-interval population the
            samplers draw from, the true CPI the confidence intervals
-           are judged against, and the k-means phases, which double as
-           the SimPoint baseline and as one of the stratifications. *)
+           are judged against, and the k-means phases, which serve as
+           one of the stratifications. *)
         let pass =
           collect eng program binary ~label ~sp_config ?cache_config ~input
             (Fixed target)
         in
         let truth = pass.ps_truth in
         let clustering = clustering_of pass in
-        let sp = summarize_pass eng ~label ~config ~clustering pass in
         let insts = Array.map float_of_int pass.ps_stats.Streamprof.st_insts in
         let cycles = pass.ps_stats.Streamprof.st_cycles in
         let n_live =
@@ -908,14 +903,7 @@ let run_sampling_uncached ~sp_config ~cache_config ~eng ~level ~seeds program
               { mr_method = m; mr_runs = runs })
             sampling_methods
         in
-        let sp_cost =
-          Array.fold_left
-            (fun acc rep -> acc +. insts.(rep))
-            0.0 clustering.cl_reps
-        in
-        { sb_config = config; sb_truth = truth; sb_sp_cpi = sp.br_est_cpi;
-          sb_sp_error = sp.br_cpi_error; sb_sp_cost_insts = sp_cost;
-          sb_n_intervals = n_intervals pass; sb_n_live = n_live;
+        { sb_config = config; sb_truth = truth; sb_n_live = n_live;
           sb_methods = methods })
       (List.mapi (fun i c -> (i, c)) configs)
   in
@@ -940,7 +928,7 @@ let run_sampling ?(sp_config = Simpoint.default_config) ?cache_config ?engine
        matrix (which is mostly sampling passes) is served from disk. *)
     let key =
       Store.digest
-        ( "sampling/2", program, configs, input, target, sp_config,
+        ( "sampling/3", program, configs, input, target, sp_config,
           cache_config, level, seeds, n )
     in
     Store.find_or_compute rc.rc_sampling ~key go

@@ -102,13 +102,6 @@ type method_runs = {
 type sampling_binary = {
   sb_config : Cbsp_compiler.Config.t;
   sb_truth : truth;
-  sb_sp_cpi : float;    (** SimPoint CPI estimate on the same intervals. *)
-  sb_sp_error : float;  (** SimPoint's relative CPI error. *)
-  sb_sp_cost_insts : float;
-      (** Instructions inside SimPoint's representative intervals — its
-          detailed-simulation cost, comparable to
-          {!Cbsp_sampling.Sampler.estimate.e_cost_insts}. *)
-  sb_n_intervals : int;
   sb_n_live : int;      (** Intervals with at least one instruction. *)
   sb_methods : method_runs list;  (** In {!sampling_methods} order. *)
 }
@@ -349,8 +342,8 @@ val run_sampling :
     its passes — then every sampler in
     {!sampling_methods} runs once per seed on the resulting interval
     population, each timed under [Stage.Sampling].  The same pass also
-    yields the SimPoint baseline ([sb_sp_cpi]) and the true CPI the CIs
-    are judged against.  [level] defaults to 0.95, [seeds] to [[2007]].
+    yields the true CPI the CIs are judged against; SimPoint on these
+    intervals is {!run_fli}.  [level] defaults to 0.95, [seeds] to [[2007]].
     @raise Invalid_argument if [configs] or [seeds] is empty or [n < 2]. *)
 
 val find_sampling_binary : sampling_result -> label:string -> sampling_binary

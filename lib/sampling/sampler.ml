@@ -229,9 +229,10 @@ type ratio_ci = { r_point : float; r_half : float; r_level : float }
 
 let speedup ~a ~insts_a ~b ~insts_b =
   if a.e_level <> b.e_level then invalid_arg "Sampler.speedup: level mismatch";
-  if a.e_point <= 0.0 || b.e_point <= 0.0 then
-    invalid_arg "Sampler.speedup: non-positive estimate";
-  let point = a.e_point *. insts_a /. (b.e_point *. insts_b) in
-  let rel e = e.e_half /. e.e_point in
-  let rel_half = sqrt ((rel a *. rel a) +. (rel b *. rel b)) in
-  { r_point = point; r_half = point *. rel_half; r_level = a.e_level }
+  if not (a.e_point > 0.0 && b.e_point > 0.0) then
+    { r_point = Float.nan; r_half = Float.nan; r_level = a.e_level }
+  else
+    let point = a.e_point *. insts_a /. (b.e_point *. insts_b) in
+    let rel e = e.e_half /. e.e_point in
+    let rel_half = sqrt ((rel a *. rel a) +. (rel b *. rel b)) in
+    { r_point = point; r_half = point *. rel_half; r_level = a.e_level }

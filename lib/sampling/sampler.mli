@@ -124,5 +124,6 @@ val speedup :
     propagated by the delta method: the relative half-widths of the two
     independent CPI estimates add in quadrature.  This is what lets the
     harness report "A is 1.31x +/- 0.04 faster than B at 95%".
-    @raise Invalid_argument if the levels differ or an estimate is not
-    positive. *)
+    Total on degenerate input: an estimate that is not positive (or is
+    [nan]) gives [nan] for both the point and the half-width.
+    @raise Invalid_argument if the levels differ (a caller bug). *)

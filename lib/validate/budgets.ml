@@ -2,10 +2,7 @@ module Jsonx = Cbsp_json.Jsonx
 
 type limit = {
   bl_method : string;
-  bl_mean_cpi : float option;
-  bl_max_cpi : float option;
-  bl_mean_speedup : float option;
-  bl_max_speedup : float option;
+  bl_bounds : (string * float) list;
 }
 
 type t = {
@@ -16,26 +13,41 @@ type t = {
 type breach = {
   br_method : string;
   br_metric : string;
+  br_floor : bool;
   br_limit : float;
   br_actual : float;
 }
 
 let fail fmt = Printf.ksprintf failwith fmt
 
-let opt_num key obj =
-  match Jsonx.member key obj with
-  | None -> None
-  | Some v -> (
-    match Jsonx.to_num v with
-    | Some f -> Some f
-    | None -> fail "budgets: %s is not a number" key)
+(* Every per-method key: whether its limit is a floor (the row must
+   reach it) or a ceiling, and the row's actual value. *)
+let metrics =
+  let open Leaderboard in
+  [ ("mean_cpi_error", (false, fun r -> r.r_cpi.a_mean));
+    ("max_cpi_error", (false, fun r -> r.r_cpi.a_max));
+    ("mean_speedup_error", (false, fun r -> r.r_speedup.a_mean));
+    ("max_speedup_error", (false, fun r -> r.r_speedup.a_max));
+    ( "min_coverage",
+      ( true,
+        fun r ->
+          match r.r_calibration with
+          | Some c -> c.c_coverage
+          | None -> Float.nan ) ) ]
 
-let limit_of_json method_ obj =
-  { bl_method = method_;
-    bl_mean_cpi = opt_num "mean_cpi_error" obj;
-    bl_max_cpi = opt_num "max_cpi_error" obj;
-    bl_mean_speedup = opt_num "mean_speedup_error" obj;
-    bl_max_speedup = opt_num "max_speedup_error" obj }
+let limit_of_json method_ = function
+  | Jsonx.Obj fields ->
+    let bound (key, v) =
+      (* A mistyped key would otherwise be an unconstrained budget that
+         silently passes. *)
+      if not (List.mem_assoc key metrics) then
+        fail "budgets: unknown key %S for method %S" key method_;
+      match Jsonx.to_num v with
+      | Some f -> (key, f)
+      | None -> fail "budgets: %s is not a number" key
+    in
+    { bl_method = method_; bl_bounds = List.map bound fields }
+  | _ -> fail "budgets: method %S is not an object" method_
 
 let of_json ~mode json =
   (match Jsonx.member "schema" json with
@@ -66,25 +78,20 @@ let check t board =
         (* A budget for a method the matrix does not score is a config
            error — surface it as a breach rather than silently passing. *)
         [ { br_method = l.bl_method; br_metric = "missing_method";
-            br_limit = Float.nan; br_actual = Float.nan } ]
+            br_floor = false; br_limit = Float.nan; br_actual = Float.nan } ]
       | row ->
-        let open Leaderboard in
-        let judge metric limit actual =
-          match limit with
-          | None -> None
-          | Some limit ->
-            (* A nan actual means the method produced no finite cells at
-               all — that is a breach of any budget, not a pass. *)
-            if Float.is_finite actual && actual <= limit then None
+        List.filter_map
+          (fun (metric, limit) ->
+            let floor, actual_of = List.assoc metric metrics in
+            let actual = actual_of row in
+            (* A nan actual means the method produced no finite cells (or
+               no calibration) at all — a breach of any budget, not a
+               pass. *)
+            let within = if floor then actual >= limit else actual <= limit in
+            if Float.is_finite actual && within then None
             else
               Some
                 { br_method = l.bl_method; br_metric = metric;
-                  br_limit = limit; br_actual = actual }
-        in
-        List.filter_map
-          (fun x -> x)
-          [ judge "mean_cpi_error" l.bl_mean_cpi row.r_cpi.a_mean;
-            judge "max_cpi_error" l.bl_max_cpi row.r_cpi.a_max;
-            judge "mean_speedup_error" l.bl_mean_speedup row.r_speedup.a_mean;
-            judge "max_speedup_error" l.bl_max_speedup row.r_speedup.a_max ])
+                  br_floor = floor; br_limit = limit; br_actual = actual })
+          l.bl_bounds)
     t.b_limits

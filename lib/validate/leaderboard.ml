@@ -1,6 +1,8 @@
 module Stats = Cbsp_util.Stats
 module Jsonx = Cbsp_json.Jsonx
 module Config = Cbsp_compiler.Config
+module Pipeline = Cbsp.Pipeline
+module Sampler = Cbsp_sampling.Sampler
 
 type agg = {
   a_mean : float;
@@ -13,10 +15,19 @@ type agg = {
   a_skipped : int;
 }
 
+type calibration = {
+  c_runs : int;
+  c_coverage : float;
+  c_mean_rel_half : float;
+  c_mean_cost_fraction : float;
+  c_speedup_coverage : float;
+}
+
 type method_row = {
   r_method : string;
   r_cpi : agg;
   r_speedup : agg;
+  r_calibration : calibration option;
 }
 
 type coverage = {
@@ -56,12 +67,70 @@ let aggregate errors =
       a_ci_lo = ci_lo; a_ci_hi = ci_hi; a_n = Array.length arr;
       a_skipped = skipped }
 
+(* --- CI calibration of the samplers ------------------------------- *)
+
+(* Share of [true]s; nan for no trials. *)
+let share hits =
+  if hits = [] then Float.nan
+  else
+    float_of_int (List.length (List.filter Fun.id hits))
+    /. float_of_int (List.length hits)
+
+(* Mean of the finite values; nan when there are none. *)
+let mean_finite xs =
+  match List.filter Float.is_finite xs with
+  | [] -> Float.nan
+  | finite -> Stats.mean (Array.of_list finite)
+
+let calibrate results ~method_ =
+  let open Pipeline in
+  (* Every (workload, binary, seed) run of [method_], with its truth. *)
+  let runs_of sb =
+    match List.find_opt (fun mr -> mr.mr_method = method_) sb.sb_methods with
+    | Some mr -> List.map (fun r -> (sb.sb_truth, r.sr_estimate)) mr.mr_runs
+    | None -> []
+  in
+  let runs =
+    List.concat_map (fun res -> List.concat_map runs_of res.smp_binaries) results
+  in
+  let over f = List.map (fun (t, e) -> f t e) runs in
+  (* The paper's pairs, the same seed on both binaries; a pair whose
+     labels are absent has no trial, and a nan CI contains nothing. *)
+  let speedup_hits res (a, b) seed =
+    match sampling_speedup res ~a ~b ~method_ ~seed with
+    | exception Not_found -> []
+    | r ->
+      let cycles label = (find_sampling_binary res ~label).sb_truth.t_cycles in
+      let truth = cycles a /. cycles b in
+      [ truth >= r.Sampler.r_point -. r.Sampler.r_half
+        && truth <= r.Sampler.r_point +. r.Sampler.r_half ]
+  in
+  { c_runs = List.length runs;
+    c_coverage = share (over (fun t e -> Sampler.covers e ~truth:t.t_cpi));
+    c_mean_rel_half =
+      mean_finite (over (fun t e -> e.Sampler.e_half /. t.t_cpi));
+    c_mean_cost_fraction =
+      mean_finite
+        (over (fun t e -> e.Sampler.e_cost_insts /. float_of_int t.t_insts));
+    c_speedup_coverage =
+      share
+        (List.concat_map
+           (fun res ->
+             List.concat_map
+               (fun pair ->
+                 List.concat_map (speedup_hits res pair) res.smp_seeds)
+               Matrix.pairs)
+           results) }
+
 let n_labels = List.length (Config.paper_four ~loop_splitting:false ())
 
 let quantities_per_method = n_labels + List.length Matrix.pairs
 
 let build matrix =
   let cells = Matrix.cells matrix in
+  let sampling =
+    List.filter_map (fun w -> w.Matrix.w_sampling) matrix.Matrix.m_workloads
+  in
   let row m =
     let mine =
       List.filter (fun c -> c.Errors.cl_method = m) cells
@@ -74,7 +143,11 @@ let build matrix =
     { r_method = m;
       r_cpi = aggregate (errs_of (function Errors.Cpi _ -> true | _ -> false));
       r_speedup =
-        aggregate (errs_of (function Errors.Speedup _ -> true | _ -> false)) }
+        aggregate (errs_of (function Errors.Speedup _ -> true | _ -> false));
+      r_calibration =
+        (if List.mem m Pipeline.sampling_methods then
+           Some (calibrate sampling ~method_:m)
+         else None) }
   in
   let rows = List.map row Matrix.methods in
   (* Rank by mean CPI error, best first; a method with no finite cells
@@ -120,6 +193,14 @@ let json_of_agg a =
       ("ci_lo", Jsonx.Num a.a_ci_lo); ("ci_hi", Jsonx.Num a.a_ci_hi);
       ("n", Jsonx.Num (float_of_int a.a_n));
       ("skipped", Jsonx.Num (float_of_int a.a_skipped)) ]
+
+let json_of_calibration c =
+  Jsonx.Obj
+    [ ("runs", Jsonx.Num (float_of_int c.c_runs));
+      ("coverage", Jsonx.Num c.c_coverage);
+      ("mean_rel_half", Jsonx.Num c.c_mean_rel_half);
+      ("mean_cost_fraction", Jsonx.Num c.c_mean_cost_fraction);
+      ("speedup_coverage", Jsonx.Num c.c_speedup_coverage) ]
 
 let json_of_cell (c : Errors.cell) =
   Jsonx.Obj
@@ -172,10 +253,13 @@ let to_json ?(mode = "full") matrix t =
           (List.mapi
              (fun i r ->
                Jsonx.Obj
-                 [ ("rank", Jsonx.Num (float_of_int (i + 1)));
-                   ("method", Jsonx.Str r.r_method);
-                   ("cpi_error", json_of_agg r.r_cpi);
-                   ("speedup_error", json_of_agg r.r_speedup) ])
+                 ([ ("rank", Jsonx.Num (float_of_int (i + 1)));
+                    ("method", Jsonx.Str r.r_method);
+                    ("cpi_error", json_of_agg r.r_cpi);
+                    ("speedup_error", json_of_agg r.r_speedup) ]
+                 @ Option.fold ~none:[]
+                     ~some:(fun c -> [ ("calibration", json_of_calibration c) ])
+                     r.r_calibration))
              t.lb_rows) );
       ("cells", Jsonx.List (List.map json_of_cell (Matrix.cells matrix)));
       ( "failures",

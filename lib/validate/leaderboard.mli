@@ -19,10 +19,24 @@ type agg = {
   a_skipped : int;  (** Non-finite cells excluded. *)
 }
 
+(** A sampler's confidence intervals judged against the truth, pooled
+    over every (workload, binary, seed) run; [nan] with no trials. *)
+type calibration = {
+  c_runs : int;
+  c_coverage : float;  (** Share of CIs containing the true CPI. *)
+  c_mean_rel_half : float;  (** Finite CI half-widths / true CPI. *)
+  c_mean_cost_fraction : float;  (** [e_cost_insts / t_insts]. *)
+  c_speedup_coverage : float;
+      (** Share of {!Matrix.pairs} speedup CIs (same seed on both
+          binaries) containing the true speedup; a [nan] CI misses. *)
+}
+
 type method_row = {
   r_method : string;
   r_cpi : agg;      (** Over the method's CPI cells, all workloads. *)
   r_speedup : agg;  (** Over the method's speedup cells. *)
+  r_calibration : calibration option;
+      (** [Some] exactly for the {!Cbsp.Pipeline.sampling_methods}. *)
 }
 
 type coverage = {
@@ -47,6 +61,10 @@ val n_labels : int
 val aggregate : float list -> agg
 (** Skip-and-count aggregation of raw errors (exposed for tests). *)
 
+val calibrate :
+  Cbsp.Pipeline.sampling_result list -> method_:string -> calibration
+(** Pool [method_]'s runs over one result per workload.  Never raises. *)
+
 val build : Matrix.t -> t
 
 val find : t -> method_:string -> method_row
@@ -55,7 +73,8 @@ val find : t -> method_:string -> method_row
 val to_json : ?mode:string -> Matrix.t -> t -> Cbsp_json.Jsonx.t
 (** The [cbsp-validate/1] document: schema tag, [mode] (default
     ["full"]), the run options, workloads/methods/pairs, coverage, the
-    ranked leaderboard, every cell, and any failures or truth
+    ranked leaderboard (sampler rows carry a [calibration] object, [nan]
+    written as [null]), every cell, and any failures or truth
     mismatches.  Deliberately excludes wall-clock and the scheduler
     width, so the document is byte-identical across [-j] values and
     cache states. *)

@@ -37,6 +37,7 @@ type workload_result = {
   w_truth : Truth.entry list;
   w_mismatches : (string * string) list;
   w_failed : (string * string) list;
+  w_sampling : Pipeline.sampling_result option;
   w_timings : Timing.record list;
 }
 
@@ -59,25 +60,29 @@ let method_groups ~options program ~configs =
   let sp_config = sp_config_of options in
   let target = options.mo_target in
   let vli ~method_ ~static ~semantic engine =
-    Pipeline.estimate_records_vli ~method_
-      (Pipeline.run_vli ~sp_config ~static ~semantic ~engine program ~configs
-         ~input ~target)
+    ( Pipeline.estimate_records_vli ~method_
+        (Pipeline.run_vli ~sp_config ~static ~semantic ~engine program ~configs
+           ~input ~target),
+      None )
   in
   [ ( [ "fli" ],
       fun engine ->
-        Pipeline.estimate_records_fli
-          (Pipeline.run_fli ~sp_config ~engine program ~configs ~input ~target)
-    );
+        ( Pipeline.estimate_records_fli
+            (Pipeline.run_fli ~sp_config ~engine program ~configs ~input
+               ~target),
+          None ) );
     ([ "vli" ], vli ~method_:"vli" ~static:false ~semantic:false);
     ([ "vli-static" ], vli ~method_:"vli-static" ~static:true ~semantic:false);
     ( [ "vli-recovered" ],
       vli ~method_:"vli-recovered" ~static:true ~semantic:true );
     ( Pipeline.sampling_methods,
       fun engine ->
-        Pipeline.estimate_records_sampling
-          (Pipeline.run_sampling ~sp_config ~engine ~level:options.mo_level
-             ~seeds:options.mo_sample_seeds program ~configs ~input ~target
-             ~n:options.mo_sample_n) ) ]
+        let result =
+          Pipeline.run_sampling ~sp_config ~engine ~level:options.mo_level
+            ~seeds:options.mo_sample_seeds program ~configs ~input ~target
+            ~n:options.mo_sample_n
+        in
+        (Pipeline.estimate_records_sampling result, Some result) ) ]
 
 let run_workload ~engine ~options name =
   Tracer.with_span ~name:"validate.workload" ~cat:"validate"
@@ -93,16 +98,17 @@ let run_workload ~engine ~options name =
      skipped, a method may fail, but the matrix itself always completes
      and reports exactly what it could not evaluate. *)
   let failed = ref [] in
-  let records =
-    List.concat_map
+  let outputs =
+    List.map
       (fun (names, run) ->
         try run engine with
         | exn ->
           let reason = Printexc.to_string exn in
           failed := !failed @ List.map (fun m -> (m, reason)) names;
-          [])
+          ([], None))
       (method_groups ~options program ~configs)
   in
+  let records = List.concat_map fst outputs in
   (* Only the error arithmetic runs under Stage.Validate — the pipeline
      work above already timed itself under its own stages, and a
      validate job that re-covered them would double-count the run. *)
@@ -121,6 +127,7 @@ let run_workload ~engine ~options name =
   Metrics.incr (Metrics.counter "validate.workloads");
   { w_name = name; w_cells = cells; w_truth = Truth.table records;
     w_mismatches = Truth.mismatches records; w_failed = !failed;
+    w_sampling = List.find_map snd outputs;
     w_timings = Pipeline.timings engine }
 
 let run ?(options = default_options) ?names ?(jobs = 1) ?cache_dir

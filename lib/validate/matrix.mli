@@ -47,6 +47,9 @@ type workload_result = {
       (** [(method, reason)] for method groups that raised; their cells
           are absent and counted as failed coverage, never silently
           dropped. *)
+  w_sampling : Cbsp.Pipeline.sampling_result option;
+      (** The samplers' per-seed estimates, which the leaderboard's
+          CI calibration pools; [None] when their group raised. *)
   w_timings : Cbsp_engine.Timing.record list;
       (** Every job this workload's engine ran (including the
           [validate] error-computation stage). *)
@@ -62,11 +65,15 @@ val method_groups :
   options:options ->
   Cbsp_source.Ast.program ->
   configs:Cbsp_compiler.Config.t list ->
-  (string list * (Cbsp.Pipeline.engine -> Cbsp.Pipeline.estimate_record list))
+  (string list
+  * (Cbsp.Pipeline.engine ->
+    Cbsp.Pipeline.estimate_record list * Cbsp.Pipeline.sampling_result option))
   list
 (** The five method groups one matrix row runs, in order: FLI, VLI,
     static VLI, recovered VLI, then the samplers.  Each is paired with
-    the {!methods} it scores; a group that raises fails all of them. *)
+    the {!methods} it scores; a group that raises fails all of them.
+    Only the samplers' group returns its full result, for
+    [w_sampling]. *)
 
 val run :
   ?options:options ->

@@ -51,6 +51,31 @@ let render matrix board ppf =
     c.cov_expected c.cov_evaluated c.cov_skipped c.cov_failed
     (if c.cov_evaluated + c.cov_skipped + c.cov_failed = c.cov_expected then ""
      else "  (INCOMPLETE)");
+  (* The samplers' CI calibration: do they know their own error? *)
+  Fmt.pf ppf "@.Sampler CI calibration (%g%% CIs):@.@."
+    (100.0 *. o.Matrix.mo_level);
+  let columns =
+    { Table.header = "method"; align = Table.Left }
+    :: List.map
+         (fun header -> { Table.header; align = Table.Right })
+         [ "runs"; "CPI coverage"; "CI half"; "sim cost"; "speedup coverage" ]
+  in
+  let rows =
+    List.filter_map
+      (fun r ->
+        Option.map
+          (fun c ->
+            r.r_method :: string_of_int c.c_runs
+            :: List.map pct_or_dash
+                 [ c.c_coverage; c.c_mean_rel_half; c.c_mean_cost_fraction;
+                   c.c_speedup_coverage ])
+          r.r_calibration)
+      board.lb_rows
+  in
+  Table.render ~columns ~rows ppf;
+  Fmt.pf ppf
+    "@.(CI half = mean half-width / true CPI; sim cost = instructions \
+     simulated in detail / total)@.";
   (match Matrix.failures matrix with
   | [] -> ()
   | failures ->
@@ -69,8 +94,9 @@ let render matrix board ppf =
 let render_breaches breaches ppf =
   List.iter
     (fun (b : Budgets.breach) ->
-      Fmt.pf ppf "budget breach: %s %s = %s exceeds limit %s@."
-        b.Budgets.br_method b.Budgets.br_metric
+      Fmt.pf ppf "budget breach: %s %s = %s %s %s@." b.Budgets.br_method
+        b.Budgets.br_metric
         (pct_or_dash b.Budgets.br_actual)
+        (if b.Budgets.br_floor then "is below floor" else "exceeds limit")
         (pct_or_dash b.Budgets.br_limit))
     breaches

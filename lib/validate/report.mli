@@ -1,7 +1,7 @@
 (** Human-readable rendering of a validation run: the ranked
     leaderboard table, the coverage identity (expected = evaluated +
-    skipped + failed), and any failures, truth mismatches or budget
-    breaches. *)
+    skipped + failed), the samplers' CI calibration table, and any
+    failures, truth mismatches or budget breaches. *)
 
 val render : Matrix.t -> Leaderboard.t -> Format.formatter -> unit
 

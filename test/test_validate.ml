@@ -9,6 +9,8 @@ module Matrix = Cbsp_validate.Matrix
 module Leaderboard = Cbsp_validate.Leaderboard
 module Budgets = Cbsp_validate.Budgets
 module Jsonx = Cbsp_json.Jsonx
+module Sampler = Cbsp_sampling.Sampler
+module Config = Cbsp_compiler.Config
 
 (* --- synthetic estimate records ----------------------------------- *)
 
@@ -171,13 +173,62 @@ let test_budget_nan_actual_breaches () =
     { Leaderboard.lb_rows =
         [ { Leaderboard.r_method = "ghost";
             r_cpi = Leaderboard.aggregate [ Float.nan ];
-            r_speedup = Leaderboard.aggregate [] } ];
+            r_speedup = Leaderboard.aggregate [];
+            r_calibration = None } ];
       lb_coverage =
         { Leaderboard.cov_expected = 8; cov_evaluated = 0; cov_skipped = 8;
           cov_failed = 0 } }
   in
   Tutil.check_int "nan actual breaches" 1
     (List.length (Budgets.check budget board))
+
+(* A one-mode ("smoke") budget file for method "s". *)
+let smoke_budget limits =
+  Budgets.of_json ~mode:"smoke"
+    (Jsonx.of_string
+       (Printf.sprintf
+          {|{"schema":"cbsp-validate-budgets/1","modes":{"smoke":{"s":{%s}}}}|}
+          limits))
+
+let test_budgets_unknown_key () =
+  (* A typo must not become an unconstrained budget that passes. *)
+  List.iter
+    (fun key ->
+      Alcotest.check_raises key
+        (Failure
+           (Printf.sprintf "budgets: unknown key %S for method \"s\"" key))
+        (fun () -> ignore (smoke_budget (Printf.sprintf "%S: 0.9" key))))
+    [ "min_coverge"; "max_cpi_eror" ]
+
+let test_budget_min_coverage () =
+  let breaches floor coverage =
+    let calibration c =
+      { Leaderboard.c_runs = 16; c_coverage = c; c_mean_rel_half = 0.1;
+        c_mean_cost_fraction = 0.1; c_speedup_coverage = 0.9 }
+    in
+    let row =
+      { Leaderboard.r_method = "s"; r_cpi = Leaderboard.aggregate [ 0.01 ];
+        r_speedup = Leaderboard.aggregate [ 0.01 ];
+        r_calibration = Option.map calibration coverage }
+    in
+    let coverage =
+      { Leaderboard.cov_expected = 2; cov_evaluated = 2; cov_skipped = 0;
+        cov_failed = 0 }
+    in
+    Budgets.check
+      (smoke_budget (Printf.sprintf {|"min_coverage": %g|} floor))
+      { Leaderboard.lb_rows = [ row ]; lb_coverage = coverage }
+    |> List.map (fun b -> (b.Budgets.br_metric, b.Budgets.br_actual))
+  in
+  Tutil.check_bool "0.9375 >= 0.9 passes" true
+    (breaches 0.9 (Some 0.9375) = []);
+  Tutil.check_bool "0.9375 < 0.95 breaches" true
+    (breaches 0.95 (Some 0.9375) = [ ("min_coverage", 0.9375) ]);
+  (* nan, and a row with no calibration at all, breach the floor. *)
+  List.iter
+    (fun c ->
+      Tutil.check_int "unmeasured breaches" 1 (List.length (breaches 0.9 c)))
+    [ Some Float.nan; None ]
 
 let test_budgets_load () =
   let path = Filename.temp_file "cbsp-budgets" ".json" in
@@ -391,6 +442,107 @@ let test_estimate_records () =
     (List.length configs * List.length Pipeline.sampling_methods)
     (List.length srecords)
 
+(* --- CI calibration ----------------------------------------------- *)
+
+(* One result over 32u (true CPI 2.0) and 32o (true CPI 1.0): the one
+   paper pair present, 32u->32o, has true speedup 2.0.  Runs are
+   [(seed, point, half, cost)] of "strat-phase". *)
+let sampling_result runs_32u runs_32o =
+  let binary label cycles runs =
+    let estimate (point, half, cost) =
+      { Sampler.e_method = "strat-phase"; e_point = point; e_half = half;
+        e_level = 0.95; e_df = 10; e_n = 8; e_population = 100;
+        e_indices = [||]; e_weights = [||]; e_cost_insts = cost }
+    in
+    { Pipeline.sb_config =
+        List.find (fun c -> Config.label c = label) (Tutil.paper_configs ());
+      sb_truth = truth_of ~insts:1000 ~cycles; sb_n_live = 100;
+      sb_methods =
+        [ { Pipeline.mr_method = "strat-phase";
+            mr_runs =
+              List.map
+                (fun (seed, p, h, c) ->
+                  { Pipeline.sr_seed = seed; sr_estimate = estimate (p, h, c) })
+                runs } ] }
+  in
+  { Pipeline.smp_binaries =
+      [ binary "32u" 2000.0 runs_32u; binary "32o" 1000.0 runs_32o ];
+    smp_target = 1000; smp_n = 8; smp_level = 0.95; smp_seeds = [ 1; 2 ] }
+
+let test_calibrate_arithmetic () =
+  let calibrate u o =
+    Leaderboard.calibrate ~method_:"strat-phase" [ sampling_result u o ]
+  in
+  let c =
+    calibrate
+      [ (1, 2.1, 0.2, 100.0); (2, 2.5, 0.1, 200.0) (* misses *) ]
+      [ (1, 1.0, Float.infinity, 300.0); (2, 1.05, 0.1, 400.0) ]
+  in
+  Tutil.check_int "runs" 4 c.Leaderboard.c_runs;
+  Tutil.check_close ~eps:1e-12 "coverage 3/4" 0.75 c.Leaderboard.c_coverage;
+  (* The infinite half-width is filtered: (0.2/2 + 0.1/2 + 0.1/1) / 3. *)
+  Tutil.check_close ~eps:1e-12 "finite halves only" (0.25 /. 3.0)
+    c.Leaderboard.c_mean_rel_half;
+  Tutil.check_close ~eps:1e-12 "cost fraction" 0.25
+    c.Leaderboard.c_mean_cost_fraction;
+  (* Seed 1's speedup CI is infinite and covers 2.0; seed 2's,
+     2.381 +/- 0.246, misses. *)
+  Tutil.check_close ~eps:1e-12 "speedup coverage 1/2" 0.5
+    c.Leaderboard.c_speedup_coverage;
+  (* A zero estimate gives a nan speedup CI: a miss, not a throw. *)
+  let d =
+    calibrate
+      [ (1, 2.0, 0.1, 1.0); (2, 2.0, 0.1, 1.0) ]
+      [ (1, 0.0, 0.1, 1.0); (2, 1.0, 0.5, 1.0) ]
+  in
+  Tutil.check_close ~eps:1e-12 "nan speedup CI is a miss" 0.5
+    d.Leaderboard.c_speedup_coverage
+
+let test_calibrate_zero_runs () =
+  let c = Leaderboard.calibrate [] ~method_:"strat-phase" in
+  Tutil.check_int "no runs" 0 c.Leaderboard.c_runs;
+  Tutil.check_bool "all nan" true
+    (List.for_all Float.is_nan
+       Leaderboard.
+         [ c.c_coverage; c.c_mean_rel_half; c.c_mean_cost_fraction;
+           c.c_speedup_coverage ]);
+  (* Written as null: an empty matrix's sampler rows, and only those. *)
+  let empty =
+    { Matrix.m_workloads = []; m_options = Matrix.default_options; m_jobs = 1 }
+  in
+  let doc = Leaderboard.to_json empty (Leaderboard.build empty) in
+  match Jsonx.member "leaderboard" (Jsonx.of_string (Jsonx.to_string doc)) with
+  | Some (Jsonx.List rows) ->
+    List.iter
+      (fun row ->
+        let m = Jsonx.str_member "method" row ~default:"" in
+        Tutil.check_bool (m ^ ": coverage null iff sampler") true
+          (Option.bind
+             (Jsonx.member "calibration" row)
+             (Jsonx.member "coverage")
+          = if List.mem m Pipeline.sampling_methods then Some Jsonx.Null
+            else None))
+      rows
+  | _ -> Alcotest.fail "no leaderboard"
+
+(* Strat-phase CI coverage over 160 Bernoulli trials (gcc + apsi at the
+   smoke shape, 20 seeds), enough to see miscalibration: a 95% CI that
+   covers under 90% of them is a regression. *)
+let test_strat_phase_coverage_160 () =
+  let options =
+    { Matrix.default_options with
+      Matrix.mo_target = 20_000; mo_scale = 4; mo_sample_n = 24;
+      mo_sample_seeds = List.init 20 (fun i -> 2007 + i) }
+  in
+  let m = Matrix.run ~options ~names:[ "gcc"; "apsi" ] () in
+  let row = Leaderboard.find (Leaderboard.build m) ~method_:"strat-phase" in
+  let c = Option.get row.Leaderboard.r_calibration in
+  Tutil.check_int "trials" 160 c.Leaderboard.c_runs;
+  Tutil.check_bool
+    (Printf.sprintf "coverage %.4f >= 0.9" c.Leaderboard.c_coverage)
+    true
+    (c.Leaderboard.c_coverage >= 0.9)
+
 let () =
   Alcotest.run "validate"
     [ ( "cells",
@@ -408,7 +560,14 @@ let () =
       ( "budgets",
         [ Tutil.quick "parse and check" test_budgets_parse_and_check;
           Tutil.quick "nan actual breaches" test_budget_nan_actual_breaches;
+          Tutil.quick "unknown key rejected" test_budgets_unknown_key;
+          Tutil.quick "min_coverage floor" test_budget_min_coverage;
           Tutil.quick "load from file" test_budgets_load ] );
+      ( "calibration",
+        [ Tutil.quick "pooled arithmetic" test_calibrate_arithmetic;
+          Tutil.quick "zero runs are nan" test_calibrate_zero_runs;
+          Tutil.quick "strat-phase coverage over 160 trials"
+            test_strat_phase_coverage_160 ] );
       ( "jsonx",
         [ Tutil.quick "value round-trips" test_jsonx_roundtrip_cases;
           Tutil.qcheck_case prop_jsonx_string_roundtrip;
