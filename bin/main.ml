@@ -293,7 +293,9 @@ let print_metrics label (r : Pipeline.binary_result) =
 let run_cmd =
   let run name target scale seed max_k primary rep search metrics jobs timing
       smoke static semantic trace manifest =
-    let static = static || semantic in
+    let matching : Pipeline.matching =
+      if semantic then Recovered else if static then Static else Dynamic
+    in
     let name =
       match (name, smoke) with
       | Some n, _ -> n
@@ -329,15 +331,16 @@ let run_cmd =
       Pipeline.run_fli ~sp_config ~engine program ~configs ~input ~target
     in
     let vli =
-      Pipeline.run_vli ~sp_config ~primary ~static ~semantic ~engine program
-        ~configs ~input ~target
+      Pipeline.run ~sp_config ~engine
+        (Vli { matching; primary; match_options = None })
+        program ~configs ~input ~target
     in
     Fmt.pr "== %s (target=%d, scale=%d)@." name target scale;
     Fmt.pr "mappable keys: %d of %d candidates; %d VLI boundaries@."
       (Cbsp.Matching.cardinal vli.Pipeline.vli_mappable)
       vli.Pipeline.vli_mappable.Cbsp.Matching.candidates
       vli.Pipeline.vli_n_boundaries;
-    if static then begin
+    if matching <> Dynamic then begin
       let profiled, _ = Pipeline.profile_stats engine in
       Fmt.pr "static analysis: %d structure profile%s run for the undecided \
               residue@."

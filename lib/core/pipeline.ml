@@ -85,8 +85,15 @@ type sampling_result = {
   smp_seeds : int list;
 }
 
-let sampling_methods =
-  [ "srs"; "systematic"; "strat-phase"; "strat-mix"; "strat-static" ]
+type sampler = Srs | Systematic | Strat_phase | Strat_mix | Strat_static
+
+(* In scoring order, which is part of every result: a sampler's index
+   feeds its RNG stream's tag. *)
+let samplers =
+  [ (Srs, "srs"); (Systematic, "systematic"); (Strat_phase, "strat-phase");
+    (Strat_mix, "strat-mix"); (Strat_static, "strat-static") ]
+
+let sampling_methods = List.map snd samplers
 
 (* One (method, binary) estimate in a shape shared by every pipeline
    flavor, so the validation harness can fold FLI, VLI and sampling
@@ -98,6 +105,23 @@ type estimate_record = {
   er_est_cpi : float;
   er_est_cycles : float;
 }
+
+type matching = Dynamic | Static | Recovered
+
+type vli_spec = {
+  matching : matching;
+  primary : int;
+  match_options : Matching.options option;
+}
+
+type sampling_spec = { level : float; seeds : int list; n : int }
+
+type _ estimator =
+  | Fli : fli_result estimator
+  | Vli : vli_spec -> vli_result estimator
+  | Sampling : sampling_spec -> sampling_result estimator
+
+type any = Any : _ estimator -> any
 
 type clustering = {
   cl_phase_of : int array;               (* interval index -> phase *)
@@ -212,66 +236,38 @@ let struct_profile eng (program : Cbsp_source.Ast.program) (binary : Binary.t)
         ~out_size:(fun p -> Marker.Map.cardinal p)
         (fun () -> Structprof.profile binary input))
 
-(* Spread a Simpoint result over the full interval numbering: live
-   intervals get their cluster's phase, empty (trailing) intervals
-   inherit the previous live interval's phase, and representative
-   indices are translated back to original interval indices. *)
-let extend_clustering ~n ~live_idx ~is_live sp =
-  let phase_of = Array.make n 0 in
-  Array.iteri (fun j phase -> phase_of.(live_idx.(j)) <- phase) sp.Simpoint.phase_of;
-  let last = ref 0 in
-  for i = 0 to n - 1 do
-    if is_live i then last := phase_of.(i) else phase_of.(i) <- !last
-  done;
-  let reps =
-    Array.map (fun p -> live_idx.(p.Simpoint.rep)) sp.Simpoint.points
-  in
-  { cl_phase_of = phase_of; cl_reps = reps; cl_n_phases = sp.Simpoint.k }
-
-(* Cluster the non-empty intervals; extend phase labels over empty
-   (trailing) intervals by inheriting the previous label so every interval
-   index has a phase and representative indices refer to the original
-   interval numbering. *)
-let cluster ~sp_config (intervals : Interval.interval array) =
-  let live =
-    Array.to_list (Array.mapi (fun i iv -> (i, iv)) intervals)
-    |> List.filter (fun (_, iv) -> iv.Interval.insts > 0)
-  in
-  let live_idx = Array.of_list (List.map fst live) in
-  let weights =
-    Array.of_list (List.map (fun (_, iv) -> float_of_int iv.Interval.insts) live)
-  in
-  let bbvs = Array.of_list (List.map (fun (_, iv) -> iv.Interval.bbv) live) in
-  let sp = Simpoint.pick ~config:sp_config ~weights ~bbvs () in
-  extend_clustering ~n:(Array.length intervals) ~live_idx
-    ~is_live:(fun i -> intervals.(i).Interval.insts > 0)
-    sp
-
-(* The streaming counterpart: the collector already normalized and
-   projected each live interval at emission time, so clustering starts
-   from [pick_projected] — same floats, same result as [cluster] over
-   the materialized intervals. *)
-let cluster_streamed ~sp_config (col : Streamprof.t) =
-  let stats = Streamprof.stats col in
-  let { Streamprof.ci_live_idx; ci_weights; ci_points } =
+(* Cluster a pass's live intervals from the points its collector
+   already normalized and projected at emission time — the floats
+   [Simpoint.pick] would compute from the BBVs — then spread the result
+   over the full interval numbering: empty (trailing) intervals inherit
+   the previous live interval's phase, and representatives are
+   translated back to interval indices. *)
+let cluster ~sp_config (col : Streamprof.t) =
+  let insts = (Streamprof.stats col).Streamprof.st_insts in
+  let { Streamprof.ci_live_idx = live_idx; ci_weights; ci_points } =
     Streamprof.cluster_inputs col
   in
   let sp =
     Simpoint.pick_projected ~config:sp_config ~weights:ci_weights
       ~points:ci_points ()
   in
-  extend_clustering ~n:(Array.length stats.Streamprof.st_insts)
-    ~live_idx:ci_live_idx
-    ~is_live:(fun i -> stats.Streamprof.st_insts.(i) > 0)
-    sp
+  let phase_of = Array.make (Array.length insts) 0 in
+  Array.iteri (fun j phase -> phase_of.(live_idx.(j)) <- phase) sp.Simpoint.phase_of;
+  let last = ref 0 in
+  Array.iteri
+    (fun i n -> if n > 0 then last := phase_of.(i) else phase_of.(i) <- !last)
+    insts;
+  { cl_phase_of = phase_of;
+    cl_reps = Array.map (fun p -> live_idx.(p.Simpoint.rep)) sp.Simpoint.points;
+    cl_n_phases = sp.Simpoint.k }
 
 (* Per-binary phase statistics and the SimPoint CPI estimate, from this
    binary's own per-interval measurements and the (shared or per-binary)
    clustering.  This is exactly the paper's step 6: weights are the
    fraction of *this binary's* dynamic instructions per phase.  Only the
    per-interval scalars ([insts], [cycles], [extras]) are read — never
-   BBVs — so the collector's lightweight stats serve the streaming and
-   materialized paths identically. *)
+   BBVs — so the collector's lightweight stats are all a summary needs,
+   whatever plan cut the pass. *)
 let summarize ~config ~truth ~counter_names ~clustering
     (stats : Streamprof.stats) =
   let { Streamprof.st_insts = insts; st_cycles = cycles; st_n_extras = n_extras;
@@ -441,7 +437,7 @@ let run_pass ~timing ~label ~sp_config ~cache_config (binary : Binary.t)
         (Timing.time timing ~stage:Stage.Clustering ~label
            ~in_size:(Array.length stats.Streamprof.st_insts)
            ~out_size:(fun c -> c.cl_n_phases)
-           (fun () -> cluster_streamed ~sp_config col))
+           (fun () -> cluster ~sp_config col))
   in
   { ps_truth = measure_truth totals cpu;
     ps_counter_names = Cpu.extra_counter_names cpu; ps_stats = stats;
@@ -464,100 +460,36 @@ let collect eng program (binary : Binary.t) ~label ~sp_config ?cache_config
       run_pass ~timing:eng.eng_timing ~label ~sp_config ~cache_config binary
         ~input plan)
 
-(* The pre-streaming reference for [?materialize:true]: every interval
-   materialized with its BBV, then clustered.  [observe] builds the
-   interval observer from the CPU's counters.  Never reads or fills the
-   pass store, so the differential tests compare two real passes. *)
-let materialized_pass eng ~label ~sp_config ~cache_config (binary : Binary.t)
-    ~input ~observe =
-  let cpu = Cpu.create ?config:cache_config () in
-  let obs, read =
-    observe
-      ~cycles:(fun () -> Cpu.cycles cpu)
-      ~extras:(fun () -> Cpu.extra_counters cpu)
-  in
-  let totals, (intervals, boundaries) =
-    Timing.time eng.eng_timing ~stage:Stage.Interval_collection ~label
-      ~in_size:binary.Binary.n_blocks
-      ~out_size:(fun (t, _) -> t.Executor.insts)
-      (fun () ->
-        let totals =
-          Executor.run binary input (Executor.compose [ obs; Cpu.observer cpu ])
-        in
-        (totals, read ()))
-  in
-  let clustering =
-    Timing.time eng.eng_timing ~stage:Stage.Clustering ~label
-      ~in_size:(Array.length intervals)
-      ~out_size:(fun c -> c.cl_n_phases)
-      (fun () -> cluster ~sp_config intervals)
-  in
-  { ps_truth = measure_truth totals cpu;
-    ps_counter_names = Cpu.extra_counter_names cpu;
-    ps_stats = Streamprof.stats_of_intervals intervals;
-    ps_clustering = Some clustering; ps_boundaries = boundaries;
-    ps_mix = [||]; ps_locality = [||] }
-
 let clustering_of pass =
   match pass.ps_clustering with
   | Some c -> c
   | None -> invalid_arg "Pipeline: a replayed pass has no clustering"
 
-let run_fli_uncached ~sp_config ~cache_config ~materialize ~eng program
-    ~configs ~input ~target =
-  Tracer.with_span ~name:"run_fli" ~cat:"pipeline"
-    ~attrs:[ ("program", program.Cbsp_source.Ast.prog_name) ]
-  @@ fun () ->
-  (* One job per configuration: compile (memoized), one full execution
-     collecting fixed-length intervals, per-binary clustering, summary.
-     Jobs are independent, so the scheduler may run them concurrently;
-     results keep the configs' order either way. *)
+(* One job per configuration over its [Fixed target] pass: compile
+   (memoized), one full execution collecting fixed-length intervals,
+   per-binary clustering — shared by FLI and the samplers through the
+   pass store.  Jobs are independent, so the scheduler may run them
+   concurrently; results keep the configs' order either way. *)
+let fixed_jobs eng program ~kind ~sp_config ~cache_config ~configs ~input
+    ~target f =
+  Scheduler.parallel_map ~jobs:eng.eng_jobs
+    (fun (ci, (config : Config.t)) ->
+      let binary = compile eng program config in
+      let label = job_label program config ~kind in
+      f ci config ~label
+        (collect eng program binary ~label ~sp_config ?cache_config ~input
+           (Fixed target)))
+    (List.mapi (fun i c -> (i, c)) configs)
+
+let run_fli_uncached ~sp_config ~cache_config ~eng program ~configs ~input
+    ~target =
   let binaries =
-    Scheduler.parallel_map ~jobs:eng.eng_jobs
-      (fun (config : Config.t) ->
-        let binary = compile eng program config in
-        let label = job_label program config ~kind:"fli" in
-        let pass =
-          if materialize then
-            materialized_pass eng ~label ~sp_config ~cache_config binary
-              ~input ~observe:(fun ~cycles ~extras ->
-                let obs, read =
-                  Interval.fli_observer ~n_blocks:binary.Binary.n_blocks
-                    ~target ~cycles ~extras ()
-                in
-                (obs, fun () -> (read (), [||])))
-          else
-            collect eng program binary ~label ~sp_config ?cache_config ~input
-              (Fixed target)
-        in
+    fixed_jobs eng program ~kind:"fli" ~sp_config ~cache_config ~configs
+      ~input ~target (fun _ config ~label pass ->
         summarize_pass eng ~label ~config ~clustering:(clustering_of pass)
           pass)
-      configs
   in
   { fli_binaries = binaries; fli_target = target }
-
-let run_fli ?(sp_config = Simpoint.default_config) ?cache_config
-    ?(materialize = false) ?engine program ~configs ~input ~target =
-  if configs = [] then invalid_arg "Pipeline.run_fli: no configs";
-  let eng = match engine with Some e -> e | None -> create_engine () in
-  let go () =
-    run_fli_uncached ~sp_config ~cache_config ~materialize ~eng program
-      ~configs ~input ~target
-  in
-  match eng.eng_results with
-  | None -> go ()
-  | Some rc ->
-    (* Whole-result memoization, keyed by everything that determines the
-       result.  [materialize] is deliberately absent: both regimes are
-       bit-identical by the streaming invariant, so they share one
-       entry.  Engines without a persistent cache skip this layer
-       entirely — the differential tests compare regimes through such
-       engines. *)
-    let key =
-      Store.digest
-        ("fli/1", program, configs, input, target, sp_config, cache_config)
-    in
-    Store.find_or_compute rc.rc_fli ~key go
 
 let m_profile_skips = Cbsp_obs.Metrics.counter "analysis.profile_skips"
 
@@ -681,21 +613,18 @@ let translate_boundaries map boundaries =
         | None -> b)
       boundaries
 
-let run_vli_uncached ~sp_config ~cache_config ~match_options ~primary ~static
-    ~semantic ~materialize ~eng program ~configs ~input ~target =
+let run_vli_uncached ~sp_config ~cache_config
+    { matching; primary; match_options } ~eng program ~configs ~input ~target =
   let prog_name = program.Cbsp_source.Ast.prog_name in
-  Tracer.with_span ~name:"run_vli" ~cat:"pipeline"
-    ~attrs:[ ("program", prog_name) ]
-  @@ fun () ->
   let binaries =
     Scheduler.parallel_map ~jobs:eng.eng_jobs (compile eng program) configs
   in
   let mappable, translations =
-    if semantic then
-      semantic_matching eng program ~match_options ~binaries ~input
-    else if static then
+    match matching with
+    | Recovered -> semantic_matching eng program ~match_options ~binaries ~input
+    | Static ->
       (static_matching eng program ~match_options ~binaries ~input, [||])
-    else begin
+    | Dynamic ->
       (* Step 1: call & branch profile of every binary (memoized; one job
          per binary). *)
       let profiles =
@@ -711,7 +640,6 @@ let run_vli_uncached ~sp_config ~cache_config ~match_options ~primary ~static
           ~out_size:(fun m -> Matching.cardinal m)
           (fun () -> Matching.find ?options:match_options ~binaries ~profiles ()),
         [||] )
-    end
   in
   (* Per binary: canonical <-> local key maps for recovered markers
      (empty outside semantic mode).  The recorder tests primary-local
@@ -741,16 +669,10 @@ let run_vli_uncached ~sp_config ~cache_config ~match_options ~primary ~static
     job_label program primary_binary.Binary.config ~kind:"vli"
   in
   let primary_pass =
-    if materialize then
-      materialized_pass eng ~label:primary_label ~sp_config ~cache_config
-        primary_binary ~input ~observe:(fun ~cycles ~extras ->
-          Interval.vli_recorder ~n_blocks:primary_binary.Binary.n_blocks
-            ~target ~mappable:is_cut ~cycles ~extras ())
-    else
-      collect eng program primary_binary ~label:primary_label ~sp_config
-        ?cache_config ~input
-        (Recorded
-           (target, List.filter is_cut (Binary.static_marker_keys primary_binary)))
+    collect eng program primary_binary ~label:primary_label ~sp_config
+      ?cache_config ~input
+      (Recorded
+         (target, List.filter is_cut (Binary.static_marker_keys primary_binary)))
   in
   (* Store the boundary list under canonical key names; each follower
      replays it under its own local names. *)
@@ -765,8 +687,7 @@ let run_vli_uncached ~sp_config ~cache_config ~match_options ~primary ~static
   (* Steps 5-6: map boundaries into every binary (free: they are
      (marker, count) pairs) and recompute weights per binary.  Follower
      runs are independent of each other, so they are scheduler jobs
-     too.  Followers collect no BBVs, so they always stream; only the
-     materialized reference bypasses the pass store. *)
+     too. *)
   let results =
     Scheduler.parallel_map ~jobs:eng.eng_jobs
       (fun (i, (binary : Binary.t)) ->
@@ -775,12 +696,8 @@ let run_vli_uncached ~sp_config ~cache_config ~match_options ~primary ~static
           let label = job_label program binary.Binary.config ~kind:"vli" in
           let plan = Replayed (translate_boundaries (to_local i) boundaries) in
           let pass =
-            if materialize then
-              run_pass ~timing:eng.eng_timing ~label ~sp_config ~cache_config
-                binary ~input plan
-            else
-              collect eng program binary ~label ~sp_config ?cache_config
-                ~input plan
+            collect eng program binary ~label ~sp_config ?cache_config ~input
+              plan
           in
           if n_intervals pass <> n_intervals primary_pass then
             invalid_arg
@@ -800,53 +717,19 @@ let run_vli_uncached ~sp_config ~cache_config ~match_options ~primary ~static
       { pt_target = target; pt_boundaries = boundaries;
         pt_phase_of = clustering.cl_phase_of; pt_reps = clustering.cl_reps } }
 
-let run_vli ?(sp_config = Simpoint.default_config) ?cache_config ?match_options
-    ?(primary = 0) ?(static = false) ?(semantic = false) ?(materialize = false)
-    ?engine program ~configs ~input ~target =
-  let n = List.length configs in
-  if n = 0 then invalid_arg "Pipeline.run_vli: no configs";
-  if primary < 0 || primary >= n then invalid_arg "Pipeline.run_vli: bad primary";
-  let eng = match engine with Some e -> e | None -> create_engine () in
-  let go () =
-    run_vli_uncached ~sp_config ~cache_config ~match_options ~primary ~static
-      ~semantic ~materialize ~eng program ~configs ~input ~target
-  in
-  match eng.eng_results with
-  | None -> go ()
-  | Some rc ->
-    (* [materialize] is deliberately absent from the key (bit-identical
-       regimes); [static] and [semantic] are included because they change
-       which markers the matching decides, not just how fast. *)
-    let key =
-      Store.digest
-        ( "vli/2", program, configs, input, target, sp_config, cache_config,
-          match_options, primary, static, semantic )
-    in
-    Store.find_or_compute rc.rc_vli ~key go
-
 (* ------------------------------------------------------------------ *)
 (* Statistical sampling estimators: the third estimation method next   *)
 (* to FLI and VLI SimPoint, sharing the engine's memoized artifacts.   *)
 
-let run_sampling_uncached ~sp_config ~cache_config ~eng ~level ~seeds program
-    ~configs ~input ~target ~n =
-  Tracer.with_span ~name:"run_sampling" ~cat:"pipeline"
-    ~attrs:[ ("program", program.Cbsp_source.Ast.prog_name) ]
-  @@ fun () ->
+let run_sampling_uncached ~sp_config ~cache_config { level; seeds; n } ~eng
+    program ~configs ~input ~target =
   let binaries =
-    Scheduler.parallel_map ~jobs:eng.eng_jobs
-      (fun (ci, (config : Config.t)) ->
-        let binary = compile eng program config in
-        let label = job_label program config ~kind:"sample" in
-        (* The same fixed-length pass FLI collects (shared through the
-           pass store): it yields the per-interval population the
-           samplers draw from, the true CPI the confidence intervals
-           are judged against, and the k-means phases, which serve as
-           one of the stratifications. *)
-        let pass =
-          collect eng program binary ~label ~sp_config ?cache_config ~input
-            (Fixed target)
-        in
+    fixed_jobs eng program ~kind:"sample" ~sp_config ~cache_config ~configs
+      ~input ~target (fun ci config ~label pass ->
+        (* FLI's pass yields the per-interval population the samplers
+           draw from, the true CPI the confidence intervals are judged
+           against, and the k-means phases, which serve as one of the
+           stratifications. *)
         let truth = pass.ps_truth in
         let clustering = clustering_of pass in
         let insts = Array.map float_of_int pass.ps_stats.Streamprof.st_insts in
@@ -865,73 +748,44 @@ let run_sampling_uncached ~sp_config ~cache_config ~eng ~level ~seeds program
           Strata.quantile_bins ~bins:(max 2 (min 8 (n / 2))) mix
         in
         let static_strata = pass.ps_locality in
-        let run_method mi m seed =
+        let run_method mi (sampler, name) seed =
           (* One independent stream per (binary, method, seed): sampling
              decisions never interact across methods or configurations. *)
           let rng =
             Rng.split (Rng.create ~seed) ~tag:((ci * 61) + mi)
           in
+          let stratified strata =
+            Sampler.stratified ~level ~name ~proxy:mix ~rng ~n ~strata ~insts
+              ~cycles ()
+          in
           let estimate =
-            match m with
-            | "srs" -> Sampler.srs ~level ~rng ~n ~insts ~cycles ()
-            | "systematic" ->
-              Sampler.systematic ~level ~rng ~n ~insts ~cycles ()
-            | "strat-phase" ->
-              Sampler.stratified ~level ~name:"strat-phase" ~proxy:mix ~rng ~n
-                ~strata:clustering.cl_phase_of ~insts ~cycles ()
-            | "strat-mix" ->
-              Sampler.stratified ~level ~name:"strat-mix" ~proxy:mix ~rng ~n
-                ~strata:mix_strata ~insts ~cycles ()
-            | "strat-static" ->
-              Sampler.stratified ~level ~name:"strat-static" ~proxy:mix ~rng
-                ~n ~strata:static_strata ~insts ~cycles ()
-            | other ->
-              invalid_arg ("Pipeline.run_sampling: unknown method " ^ other)
+            match sampler with
+            | Srs -> Sampler.srs ~level ~rng ~n ~insts ~cycles ()
+            | Systematic -> Sampler.systematic ~level ~rng ~n ~insts ~cycles ()
+            | Strat_phase -> stratified clustering.cl_phase_of
+            | Strat_mix -> stratified mix_strata
+            | Strat_static -> stratified static_strata
           in
           { sr_seed = seed; sr_estimate = estimate }
         in
         let methods =
           List.mapi
-            (fun mi m ->
+            (fun mi ((_, m) as sampler) ->
               let runs =
                 Timing.time eng.eng_timing ~stage:Stage.Sampling
                   ~label:(label ^ "/" ^ m)
                   ~in_size:(n_intervals pass)
                   ~out_size:(fun rs -> List.length rs)
-                  (fun () -> List.map (run_method mi m) seeds)
+                  (fun () -> List.map (run_method mi sampler) seeds)
               in
               { mr_method = m; mr_runs = runs })
-            sampling_methods
+            samplers
         in
         { sb_config = config; sb_truth = truth; sb_n_live = n_live;
           sb_methods = methods })
-      (List.mapi (fun i c -> (i, c)) configs)
   in
   { smp_binaries = binaries; smp_target = target; smp_n = n;
     smp_level = level; smp_seeds = seeds }
-
-let run_sampling ?(sp_config = Simpoint.default_config) ?cache_config ?engine
-    ?(level = 0.95) ?(seeds = [ 2007 ]) program ~configs ~input ~target ~n =
-  if configs = [] then invalid_arg "Pipeline.run_sampling: no configs";
-  if n < 2 then invalid_arg "Pipeline.run_sampling: sample size must be >= 2";
-  if seeds = [] then invalid_arg "Pipeline.run_sampling: no seeds";
-  let eng = match engine with Some e -> e | None -> create_engine () in
-  let go () =
-    run_sampling_uncached ~sp_config ~cache_config ~eng ~level ~seeds program
-      ~configs ~input ~target ~n
-  in
-  match eng.eng_results with
-  | None -> go ()
-  | Some rc ->
-    (* Whole-result memoization like run_fli/run_vli: the sampling pass
-       is a pure function of everything below, so a warm validation
-       matrix (which is mostly sampling passes) is served from disk. *)
-    let key =
-      Store.digest
-        ( "sampling/3", program, configs, input, target, sp_config,
-          cache_config, level, seeds, n )
-    in
-    Store.find_or_compute rc.rc_sampling ~key go
 
 let find_sampling_binary result ~label =
   List.find
@@ -999,34 +853,126 @@ let replay ?cache_config (binary : Binary.t) ~input points =
 let find_binary results ~label =
   List.find (fun r -> Config.label r.br_config = label) results
 
-(* --- uniform estimate records ------------------------------------- *)
+(* ------------------------------------------------------------------ *)
+(* One entry point for every estimator.                                *)
+
+let run (type r) ?(sp_config = Simpoint.default_config) ?cache_config ?engine
+    (est : r estimator) program ~configs ~input ~target : r =
+  let name =
+    match est with
+    | Fli -> "run_fli"
+    | Vli _ -> "run_vli"
+    | Sampling _ -> "run_sampling"
+  in
+  (* Every check runs before any work, so a bad call compiles nothing. *)
+  let reject what = invalid_arg ("Pipeline." ^ name ^ ": " ^ what) in
+  if configs = [] then reject "no configs";
+  if target <= 0 then reject "target must be positive";
+  (match est with
+  | Vli { primary; _ } when primary < 0 || primary >= List.length configs ->
+    reject "bad primary"
+  | Sampling { n; _ } when n < 2 -> reject "sample size must be >= 2"
+  | Sampling { seeds = []; _ } -> reject "no seeds"
+  | _ -> ());
+  let eng = match engine with Some e -> e | None -> create_engine () in
+  let go () =
+    Tracer.with_span ~name ~cat:"pipeline"
+      ~attrs:[ ("program", program.Cbsp_source.Ast.prog_name) ]
+    @@ fun () : r ->
+    match est with
+    | Fli ->
+      run_fli_uncached ~sp_config ~cache_config ~eng program ~configs ~input
+        ~target
+    | Vli spec ->
+      run_vli_uncached ~sp_config ~cache_config spec ~eng program ~configs
+        ~input ~target
+    | Sampling spec ->
+      run_sampling_uncached ~sp_config ~cache_config spec ~eng program
+        ~configs ~input ~target
+  in
+  match eng.eng_results with
+  | None -> go ()
+  | Some rc ->
+    (* Whole-result memoization, keyed by everything that determines the
+       result; engines without a persistent cache skip this layer. *)
+    let store : r Store.t =
+      match est with
+      | Fli -> rc.rc_fli
+      | Vli _ -> rc.rc_vli
+      | Sampling _ -> rc.rc_sampling
+    in
+    let key =
+      Store.digest
+        ( "result/4", est, program, configs, input, target, sp_config,
+          cache_config )
+    in
+    Store.find_or_compute store ~key go
+
+let vli_name = function
+  | Dynamic -> "vli"
+  | Static -> "vli-static"
+  | Recovered -> "vli-recovered"
+
+let names (Any est) =
+  match est with
+  | Fli -> [ "fli" ]
+  | Vli { matching; _ } -> [ vli_name matching ]
+  | Sampling _ -> sampling_methods
 
 let record_of_binary ~method_ (br : binary_result) =
   { er_method = method_; er_label = Config.label br.br_config;
     er_truth = br.br_truth; er_est_cpi = br.br_est_cpi;
     er_est_cycles = br.br_est_cycles }
 
-let estimate_records_fli result =
-  List.map (record_of_binary ~method_:"fli") result.fli_binaries
+let records (type r) (est : r estimator) (result : r) =
+  match est with
+  | Fli -> List.map (record_of_binary ~method_:"fli") result.fli_binaries
+  | Vli { matching; _ } ->
+    List.map (record_of_binary ~method_:(vli_name matching)) result.vli_binaries
+  | Sampling _ ->
+    List.concat_map
+      (fun sb ->
+        let insts = float_of_int sb.sb_truth.t_insts in
+        List.map
+          (fun mr ->
+            (* Collapse the per-seed runs to their mean point estimate:
+               the harness scores a method, not one RNG stream. *)
+            let est =
+              Stats.mean
+                (Array.of_list
+                   (List.map (fun r -> r.sr_estimate.Sampler.e_point) mr.mr_runs))
+            in
+            { er_method = mr.mr_method; er_label = Config.label sb.sb_config;
+              er_truth = sb.sb_truth; er_est_cpi = est;
+              er_est_cycles = est *. insts })
+          sb.sb_methods)
+      result.smp_binaries
 
-let estimate_records_vli ?(method_ = "vli") result =
-  List.map (record_of_binary ~method_) result.vli_binaries
+let run_fli ?sp_config ?cache_config ?engine program ~configs ~input ~target =
+  run ?sp_config ?cache_config ?engine Fli program ~configs ~input ~target
 
-let estimate_records_sampling result =
-  List.concat_map
-    (fun sb ->
-      let insts = float_of_int sb.sb_truth.t_insts in
-      List.map
-        (fun mr ->
-          (* Collapse the per-seed runs to their mean point estimate:
-             the harness scores a method, not one RNG stream. *)
-          let est =
-            Stats.mean
-              (Array.of_list
-                 (List.map (fun r -> r.sr_estimate.Sampler.e_point) mr.mr_runs))
-          in
-          { er_method = mr.mr_method; er_label = Config.label sb.sb_config;
-            er_truth = sb.sb_truth; er_est_cpi = est;
-            er_est_cycles = est *. insts })
-        sb.sb_methods)
-    result.smp_binaries
+let run_vli ?sp_config ?cache_config ?match_options ?(primary = 0)
+    ?(static = false) ?(semantic = false) ?engine program ~configs ~input
+    ~target =
+  let matching =
+    if semantic then Recovered else if static then Static else Dynamic
+  in
+  run ?sp_config ?cache_config ?engine
+    (Vli { matching; primary; match_options })
+    program ~configs ~input ~target
+
+let run_sampling ?sp_config ?cache_config ?engine ?(level = 0.95)
+    ?(seeds = [ 2007 ]) program ~configs ~input ~target ~n =
+  run ?sp_config ?cache_config ?engine
+    (Sampling { level; seeds; n })
+    program ~configs ~input ~target
+
+let estimate_records_fli = records Fli
+
+let estimate_records_vli r =
+  records
+    (Vli { matching = Dynamic; primary = r.vli_primary; match_options = None })
+    r
+
+let estimate_records_sampling r =
+  records (Sampling { level = r.smp_level; seeds = r.smp_seeds; n = r.smp_n }) r

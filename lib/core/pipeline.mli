@@ -1,4 +1,5 @@
-(** End-to-end simulation-point pipelines: the paper's two methods.
+(** End-to-end simulation-point pipelines: the paper's two methods and
+    the statistical samplers, each an {!estimator} run through {!run}.
 
     {b Per-binary SimPoint (FLI)} — Section 2: each binary independently
     gets fixed-length intervals, its own clustering and its own simulation
@@ -11,7 +12,7 @@
     (marker, count) boundary pairs.  Weights are then recomputed per
     binary from its own per-phase instruction totals.
 
-    Both pipelines "simulate" each chosen region through the CMP$im-style
+    Both SimPoint methods "simulate" each chosen region through the CMP$im-style
     CPI model in a single full pass that records per-interval
     (instructions, cycles) — methodologically the region's detailed
     simulation with perfectly warm state, which also yields the true CPI
@@ -117,7 +118,7 @@ type sampling_result = {
 
 (** {1 The job-graph engine}
 
-    Both pipelines decompose into jobs — (stage, binary) pairs: compile,
+    Every estimator decomposes into jobs — (stage, binary) pairs: compile,
     structure profile, interval collection, clustering, summarize.  An
     {!engine} carries the three pieces of machinery shared by those jobs:
 
@@ -151,12 +152,10 @@ type result_caches = {
   rc_sampling : sampling_result Cbsp_engine.Store.t;
 }
 (** Whole-result stores, present only on engines created with
-    [?cache_dir]: {!run_fli}/{!run_vli}/{!run_sampling} through such an
-    engine memoize (and persist) the entire result keyed by everything
-    that determines it, so a warm process answers repeat requests
-    without touching the executor.  Engines without a persistent cache
-    never use this layer — in particular the differential tests' fresh
-    engines. *)
+    [?cache_dir]: {!run} through such an engine memoizes (and persists)
+    the entire result keyed by everything that determines it, so a warm
+    process answers repeat requests without touching the executor.
+    Engines without a persistent cache never use this layer. *)
 
 type clustering = {
   cl_phase_of : int array;  (** Interval index -> phase. *)
@@ -213,7 +212,8 @@ val create_engine :
     With [cache_dir], every store (binaries, profiles, and the
     whole-result caches) gets a sharded persistent
     {!Cbsp_engine.Diskcache} under that directory ([binaries/],
-    [profiles/], [results-fli/], [results-vli/]), each LRU-bounded by
+    [profiles/], [results-fli/], [results-vli/], [results-sampling/]),
+    each LRU-bounded by
     256 MiB: a second process pointed at the same directory warm-starts
     from disk, and concurrent processes coalesce identical computes via
     the cache's lock files. *)
@@ -234,8 +234,8 @@ val collect :
     [cache_config], [sp_config] and [plan].  The first caller runs the
     pass — timed under [Stage.Interval_collection] and, unless
     [Replayed], [Stage.Clustering], with [label] — and every later
-    caller with an equal key gets the same value.  {!run_fli},
-    {!run_vli} and {!run_sampling} collect through here. *)
+    caller with an equal key gets the same value.  Every {!run}
+    collects through here. *)
 
 val timings : engine -> Cbsp_engine.Timing.record list
 (** Every job record accumulated so far, in canonical (stage, label)
@@ -250,29 +250,81 @@ val profile_stats : engine -> int * int
     [run_vli ~static:true], [computes] stays at zero whenever the static
     prover decided every candidate marker. *)
 
+(** {1 Estimators}
+
+    Every scored method is one {!estimator} value, and {!run} is the one
+    entry point; {!run_fli}, {!run_vli} and {!run_sampling} apply it. *)
+
+(** How VLI decides which markers are mappable (steps 1-2). *)
+type matching =
+  | Dynamic  (** Profile every binary and intersect the markers seen. *)
+  | Static
+      (** The sound static prover ({!Cbsp_analysis.Prover}); only its
+          [Needs_dynamic] residue is profiled and matched dynamically,
+          so profiling is skipped when it decides every candidate.  The
+          [analysis.*] metrics count proved / undecided / skipped. *)
+  | Recovered
+      (** [Static], plus {!Cbsp_analysis.Fingerprint} recovery of the
+          markers loop splitting lost: order-safe recoveries join the
+          cut set.  Boundaries are stored under canonical key names and
+          translated into each follower's local names, so [vli_points]
+          stays binary-independent.  Timed under [fingerprint]; counted
+          by the [match.semantic_*] metrics. *)
+
+type vli_spec = {
+  matching : matching;
+  primary : int;  (** Index of the configuration cut into VLIs. *)
+  match_options : Matching.options option;
+}
+
+type sampling_spec = {
+  level : float;     (** Confidence level of every run. *)
+  seeds : int list;  (** One run per seed. *)
+  n : int;           (** Per-run sample size. *)
+}
+
+type _ estimator =
+  | Fli : fli_result estimator
+  | Vli : vli_spec -> vli_result estimator
+  | Sampling : sampling_spec -> sampling_result estimator
+      (** Every sampler in {!sampling_methods}. *)
+
+type any = Any : _ estimator -> any
+
+val run :
+  ?sp_config:Cbsp_simpoint.Simpoint.config ->
+  ?cache_config:Cbsp_cache.Hierarchy.config ->
+  ?engine:engine ->
+  'r estimator ->
+  Cbsp_source.Ast.program ->
+  configs:Cbsp_compiler.Config.t list ->
+  input:Cbsp_source.Input.t ->
+  target:int ->
+  'r
+(** Run one estimator.  Every pass streams through {!collect}: O(1
+    interval) of profile memory (the [profile.scratch_intervals] gauge
+    reads 9 rows), shared with other estimators on the same engine.
+    Traced as a [run_fli], [run_vli] or [run_sampling] span; with a
+    [?cache_dir] engine the whole result is memoized.
+    @raise Invalid_argument ["Pipeline.<span>: ..."] before any work if
+    [configs] is empty, [target <= 0], a VLI [primary] is out of range,
+    or a sampling spec has [n < 2] or no seeds. *)
+
+val names : any -> string list
+(** The method names an estimator's {!records} carry: ["fli"]; ["vli"],
+    ["vli-static"] or ["vli-recovered"] by matching; or
+    {!sampling_methods}. *)
+
 val run_fli :
   ?sp_config:Cbsp_simpoint.Simpoint.config ->
   ?cache_config:Cbsp_cache.Hierarchy.config ->
-  ?materialize:bool ->
   ?engine:engine ->
   Cbsp_source.Ast.program ->
   configs:Cbsp_compiler.Config.t list ->
   input:Cbsp_source.Input.t ->
   target:int ->
   fli_result
-(** [materialize] (default false) selects the profile-memory regime and
-    nothing else — results are bit-identical either way:
-
-    - [false] (streaming): each interval is consumed by a
-      {!Streamprof} collector the moment the builder emits it — its
-      scalars kept, its BBV normalized into a small chunk buffer and
-      projected chunk-at-a-time — so a pass holds O(1 interval) of
-      profile memory (the [profile.scratch_intervals] gauge reads the
-      builder's accumulator plus the collector's projection chunk, 9
-      rows today), independent of run length;
-    - [true] (the pre-streaming behaviour): all intervals are
-      materialized as an array first, then clustered.  The gauge grows
-      with run length.  Retained as the differential-test reference. *)
+(** [run Fli]. *)
 
 val run_vli :
   ?sp_config:Cbsp_simpoint.Simpoint.config ->
@@ -281,40 +333,15 @@ val run_vli :
   ?primary:int ->
   ?static:bool ->
   ?semantic:bool ->
-  ?materialize:bool ->
   ?engine:engine ->
   Cbsp_source.Ast.program ->
   configs:Cbsp_compiler.Config.t list ->
   input:Cbsp_source.Input.t ->
   target:int ->
   vli_result
-(** [primary] defaults to 0 (the first configuration).
-
-    [materialize] (default false) is {!run_fli}'s switch applied to the
-    primary recorder pass; follower passes carry no BBVs and always
-    stream.  Streaming and materialized runs are bit-identical.
-
-    [static] (default false) replaces steps 1-2 with the static
-    mappability prover ({!Cbsp_analysis.Prover}): profiles are computed
-    and dynamically matched only for the [Needs_dynamic] residue, and
-    skipped entirely when the prover decides every candidate marker.
-    The resulting {!Matching.t} agrees with the dynamic one on every
-    decided marker (the prover is sound), and the [analysis.*] metrics
-    record proved / undecided / profile-skip counts.
-
-    [semantic] (default false, implies the static path) additionally
-    runs {!Cbsp_analysis.Fingerprint} over the markers the prover lost
-    to loop splitting: lost loops are re-paired with the optimizer's
-    mangled fragments by structural fingerprint similarity, verified
-    against the symbolic count domain, and the order-safe recoveries
-    join the cut set.  Recorded boundaries are stored under canonical
-    (unmangled) key names and translated into each binary's local
-    (possibly mangled) names before a follower replays them, so
-    [vli_points] stays binary-independent.  A [fingerprint] timing
-    stage and the [match.semantic_*] metrics (lost / identified /
-    recovered / demoted) record the pass.
-    @raise Invalid_argument if [primary] is out of range or [configs] is
-    empty. *)
+(** [run (Vli spec)]: [primary] defaults to 0; the matching is
+    [Recovered] if [semantic], else [Static] if [static], else
+    [Dynamic] (both flags default to false). *)
 
 val sampling_methods : string list
 (** [["srs"; "systematic"; "strat-phase"; "strat-mix"; "strat-static"]] —
@@ -337,14 +364,11 @@ val run_sampling :
   target:int ->
   n:int ->
   sampling_result
-(** One streaming [Fixed target] pass per binary — through {!collect},
-    so an engine that already ran {!run_fli} at the same target reuses
-    its passes — then every sampler in
-    {!sampling_methods} runs once per seed on the resulting interval
-    population, each timed under [Stage.Sampling].  The same pass also
-    yields the true CPI the CIs are judged against; SimPoint on these
-    intervals is {!run_fli}.  [level] defaults to 0.95, [seeds] to [[2007]].
-    @raise Invalid_argument if [configs] or [seeds] is empty or [n < 2]. *)
+(** [run (Sampling {level; seeds; n})], [level] defaulting to 0.95 and
+    [seeds] to [[2007]]: on {!run_fli}'s [Fixed target] pass per binary
+    (shared through {!collect}), every sampler in {!sampling_methods}
+    runs once per seed, each timed under [Stage.Sampling].  The pass
+    also yields the true CPI the CIs are judged against. *)
 
 val find_sampling_binary : sampling_result -> label:string -> sampling_binary
 (** Look up by config label.  @raise Not_found if absent. *)
@@ -406,16 +430,16 @@ type estimate_record = {
   er_est_cycles : float;   (** [er_est_cpi *. er_truth.t_insts]. *)
 }
 
-val estimate_records_fli : fli_result -> estimate_record list
-(** One record per binary, method ["fli"], in input-config order. *)
+val records : 'r estimator -> 'r -> estimate_record list
+(** Records in input-config order, named by {!names}: one per binary,
+    or for [Sampling] one per (binary, sampler) whose estimate is the
+    mean over seeds — the record scores the method, not an RNG stream. *)
 
-val estimate_records_vli : ?method_:string -> vli_result -> estimate_record list
-(** One record per binary, in input-config order.  [method_] (default
-    ["vli"]) names the record — pass e.g. ["vli-static"] when the result
-    came from a prover-assisted run. *)
+val estimate_records_fli : fli_result -> estimate_record list
+(** [records Fli]. *)
+
+val estimate_records_vli : vli_result -> estimate_record list
+(** [records] of a [Dynamic] VLI: method ["vli"]. *)
 
 val estimate_records_sampling : sampling_result -> estimate_record list
-(** One record per (binary, sampling method): the point estimate is the
-    mean of the per-seed estimates, so the record scores the method
-    rather than a single RNG stream.  Order: binaries in input-config
-    order, methods in {!sampling_methods} order within each binary. *)
+(** [records] of the result's own sampling spec. *)

@@ -56,16 +56,11 @@ let columns_stats k =
   { st_insts = vec_to_array k.k_insts; st_cycles = vec_to_array k.k_cycles;
     st_n_extras = k.k_n_extras; st_extras = vec_to_array k.k_extras }
 
-let stats_of_intervals intervals =
-  let k = columns_create () in
-  Array.iter (columns_push k) intervals;
-  columns_stats k
-
 (* Projection is batched over small chunks of normalized BBVs rather
    than run per interval: projecting interleaved with the executor
    evicts the projection matrix (out_dim * in_dim floats) from cache
    between interval cuts, which is exactly the overhead that made the
-   streaming suite trail the materialized one.  Buffering [chunk_size]
+   streaming suite trail the array-of-intervals one.  Buffering [chunk_size]
    normalized rows and projecting them back-to-back keeps the matrix
    hot across the chunk while leaving every per-interval float
    operation — and therefore every result bit — unchanged: each row is
@@ -120,9 +115,9 @@ let flush t =
 (* Valid as an [Interval.emit]: everything retained is copied or derived
    before the call returns.  Normalizing at emission time and projecting
    chunk-batched performs exactly the operations (in exactly the order,
-   per interval) of the materialized path's [Array.map Stats.normalize]
-   + [Projection.apply_all], so the collected points are bit-identical
-   to what clustering over materialized BBVs would see. *)
+   per interval) as [Array.map Stats.normalize] + [Projection.apply_all]
+   over the copied-out BBVs, so the collected points are bit-identical
+   to what clustering over every retained BBV would see. *)
 let emit t (iv : Interval.interval) =
   let idx = t.c_stats.k_insts.len in
   columns_push t.c_stats iv;

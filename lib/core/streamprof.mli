@@ -15,7 +15,7 @@
     applied in emission order, so the collected weights and points are
     bit-identical to materializing all BBVs and running
     [Array.map Stats.normalize] + {!Projection.apply_all} — the
-    equivalence {!Pipeline}'s differential test checks on the whole
+    equivalence the pipeline tests check pass by pass on the whole
     registry. *)
 
 type stats = {
@@ -26,10 +26,6 @@ type stats = {
       (** Interval [i]'s extra counter [e] at [i * st_n_extras + e]. *)
 }
 (** The per-interval scalars summaries consume, in columns. *)
-
-val stats_of_intervals : Cbsp_profile.Interval.interval array -> stats
-(** @raise Invalid_argument if the intervals' extra-counter counts
-    differ. *)
 
 type t
 

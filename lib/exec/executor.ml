@@ -203,7 +203,7 @@ let run_tree binary input obs =
 
    When the caller passes [null_observer] (physically), the interpreter
    takes a counting-only fast path: totals are exact, but the address
-   streams — observable only through the observer — are not materialized,
+   streams — observable only through the observer — are never generated,
    so no cursor/RNG work is done at all. *)
 
 type fstate = {

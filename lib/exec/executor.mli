@@ -51,7 +51,7 @@ val run : Cbsp_compiler.Binary.t -> Cbsp_source.Input.t -> observer -> totals
     Passing {!null_observer} itself (physical identity) selects a
     counting-only fast path: the returned totals are identical, but the
     address streams — observable only through the observer — are never
-    materialized. *)
+    generated. *)
 
 val run_tree : Cbsp_compiler.Binary.t -> Cbsp_source.Input.t -> observer -> totals
 (** The tree-walking reference interpreter (the executor as originally

@@ -186,7 +186,7 @@ let vli_follower_stream ?n_blocks ~boundaries ?cycles ?extras ~emit () =
 (* Copy each emitted interval out of the scratch buffers and collect; the
    values are bit-identical to what the pre-streaming accumulator built
    (same fills, same increments, same delta order).  [copies] counts
-   retained full-width BBVs so the materialized path shows up honestly in
+   retained full-width BBVs so a copying reader shows up honestly in
    the scratch gauge. *)
 let collector () =
   let done_rev = ref [] in

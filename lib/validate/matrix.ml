@@ -25,8 +25,17 @@ let default_options =
     mo_max_k = 10; mo_level = 0.95; mo_sample_n = 64;
     mo_sample_seeds = [ 2007; 2008; 2009 ] }
 
-let methods =
-  [ "fli"; "vli"; "vli-static"; "vli-recovered" ] @ Pipeline.sampling_methods
+let estimators options =
+  let vli matching =
+    Pipeline.Any (Vli { matching; primary = 0; match_options = None })
+  in
+  [ Pipeline.Any Fli; vli Dynamic; vli Static; vli Recovered;
+    Any
+      (Sampling
+         { level = options.mo_level; seeds = options.mo_sample_seeds;
+           n = options.mo_sample_n }) ]
+
+let methods = List.concat_map Pipeline.names (estimators default_options)
 
 let pairs =
   Experiment.paper_pairs_same_platform @ Experiment.paper_pairs_cross_platform
@@ -55,34 +64,16 @@ let input_of options =
 let sp_config_of options =
   { Simpoint.default_config with Simpoint.max_k = options.mo_max_k }
 
-let method_groups ~options program ~configs =
-  let input = input_of options in
-  let sp_config = sp_config_of options in
-  let target = options.mo_target in
-  let vli ~method_ ~static ~semantic engine =
-    ( Pipeline.estimate_records_vli ~method_
-        (Pipeline.run_vli ~sp_config ~static ~semantic ~engine program ~configs
-           ~input ~target),
-      None )
+let run_estimator ~options ~engine program ~configs (Pipeline.Any est) =
+  let result =
+    Pipeline.run ~sp_config:(sp_config_of options) ~engine est program
+      ~configs ~input:(input_of options) ~target:options.mo_target
   in
-  [ ( [ "fli" ],
-      fun engine ->
-        ( Pipeline.estimate_records_fli
-            (Pipeline.run_fli ~sp_config ~engine program ~configs ~input
-               ~target),
-          None ) );
-    ([ "vli" ], vli ~method_:"vli" ~static:false ~semantic:false);
-    ([ "vli-static" ], vli ~method_:"vli-static" ~static:true ~semantic:false);
-    ( [ "vli-recovered" ],
-      vli ~method_:"vli-recovered" ~static:true ~semantic:true );
-    ( Pipeline.sampling_methods,
-      fun engine ->
-        let result =
-          Pipeline.run_sampling ~sp_config ~engine ~level:options.mo_level
-            ~seeds:options.mo_sample_seeds program ~configs ~input ~target
-            ~n:options.mo_sample_n
-        in
-        (Pipeline.estimate_records_sampling result, Some result) ) ]
+  (* The samplers' full result is kept for the leaderboard's CI
+     calibration; the other estimators contribute records only. *)
+  ( Pipeline.records est result,
+    (match est with Sampling _ -> Some result | Fli | Vli _ -> None
+      : Pipeline.sampling_result option) )
 
 let run_workload ~engine ~options name =
   Tracer.with_span ~name:"validate.workload" ~cat:"validate"
@@ -93,20 +84,21 @@ let run_workload ~engine ~options name =
   let configs =
     Config.paper_four ~loop_splitting:entry.Registry.loop_splitting ()
   in
-  (* Run each method group, converting a raised exception into failure
-     entries for every method the group covers: a matrix cell may be
-     skipped, a method may fail, but the matrix itself always completes
-     and reports exactly what it could not evaluate. *)
+  (* Run each estimator, converting a raised exception into failure
+     entries for every method it scores: a matrix cell may be skipped, a
+     method may fail, but the matrix itself always completes and reports
+     exactly what it could not evaluate. *)
   let failed = ref [] in
   let outputs =
     List.map
-      (fun (names, run) ->
-        try run engine with
+      (fun est ->
+        try run_estimator ~options ~engine program ~configs est with
         | exn ->
           let reason = Printexc.to_string exn in
-          failed := !failed @ List.map (fun m -> (m, reason)) names;
+          failed :=
+            !failed @ List.map (fun m -> (m, reason)) (Pipeline.names est);
           ([], None))
-      (method_groups ~options program ~configs)
+      (estimators options)
   in
   let records = List.concat_map fst outputs in
   (* Only the error arithmetic runs under Stage.Validate — the pipeline
@@ -145,8 +137,8 @@ let run ?(options = default_options) ?names ?(jobs = 1) ?cache_dir
     Scheduler.parallel_map ~jobs
       (fun name ->
         progress name;
-        (* One engine per workload, like Experiment.run_suite: all four
-           method groups share its binary/profile stores, and a shared
+        (* One engine per workload, like Experiment.run_suite: all five
+           estimators share its binary/profile stores, and a shared
            ?cache_dir persists whole results across processes (the
            Diskcache shards are safe under concurrent writers). *)
         let engine = Pipeline.create_engine ~jobs ?cache_dir () in

@@ -3,8 +3,8 @@
     truth.
 
     The matrix rides the engine like {!Cbsp_report.Experiment}: one
-    {!Cbsp.Pipeline.engine} per workload (so FLI, VLI, prover-assisted
-    VLI and the sampling pass share compiled binaries and profiles),
+    {!Cbsp.Pipeline.engine} per workload (so the {!estimators} share
+    compiled binaries, profiles and collection passes),
     workloads fanned out over scheduler domains, results in input order
     — bit-identical for every [jobs] value.  A [cache_dir] additionally
     memoizes whole pipeline results on disk, so re-validating an
@@ -24,14 +24,19 @@ val default_options : options
 (** Paper-faithful defaults: target 100k, scale 10, seed 42, max_k 10,
     level 0.95, n 64, seeds [2007; 2008; 2009]. *)
 
+val estimators : options -> Cbsp.Pipeline.any list
+(** The estimator table one matrix row runs, in order: FLI, VLI under
+    [Dynamic], [Static] and [Recovered] matching (primary 0), then the
+    samplers at [options]' level, seeds and sample size. *)
+
 val methods : string list
-(** The nine scored methods:
+(** The nine scored methods, {!Cbsp.Pipeline.names} over {!estimators}:
     [["fli"; "vli"; "vli-static"; "vli-recovered"]] followed by
     {!Cbsp.Pipeline.sampling_methods}.  ["vli-recovered"] is the static
     VLI with {!Cbsp_analysis.Fingerprint} semantic recovery of
-    split-lost markers ([Pipeline.run_vli ~static:true ~semantic:true]);
-    ["strat-static"] is stratified sampling over the locality analyzer's
-    profile-free strata ({!Cbsp_sampling.Strata.static_locality}). *)
+    split-lost markers; ["strat-static"] is stratified sampling over the
+    locality analyzer's profile-free strata
+    ({!Cbsp_sampling.Strata.static_locality}). *)
 
 val pairs : (string * string) list
 (** The paper's four speedup pairs: same-platform (32u->32o, 64u->64o)
@@ -44,12 +49,12 @@ type workload_result = {
   w_mismatches : (string * string) list;
       (** {!Truth.mismatches} — empty on a healthy run. *)
   w_failed : (string * string) list;
-      (** [(method, reason)] for method groups that raised; their cells
-          are absent and counted as failed coverage, never silently
-          dropped. *)
+      (** [(method, reason)] for every method of an estimator that
+          raised; their cells are absent and counted as failed coverage,
+          never silently dropped. *)
   w_sampling : Cbsp.Pipeline.sampling_result option;
       (** The samplers' per-seed estimates, which the leaderboard's
-          CI calibration pools; [None] when their group raised. *)
+          CI calibration pools; [None] when they raised. *)
   w_timings : Cbsp_engine.Timing.record list;
       (** Every job this workload's engine ran (including the
           [validate] error-computation stage). *)
@@ -61,19 +66,16 @@ type t = {
   m_jobs : int;
 }
 
-val method_groups :
+val run_estimator :
   options:options ->
+  engine:Cbsp.Pipeline.engine ->
   Cbsp_source.Ast.program ->
   configs:Cbsp_compiler.Config.t list ->
-  (string list
-  * (Cbsp.Pipeline.engine ->
-    Cbsp.Pipeline.estimate_record list * Cbsp.Pipeline.sampling_result option))
-  list
-(** The five method groups one matrix row runs, in order: FLI, VLI,
-    static VLI, recovered VLI, then the samplers.  Each is paired with
-    the {!methods} it scores; a group that raises fails all of them.
-    Only the samplers' group returns its full result, for
-    [w_sampling]. *)
+  Cbsp.Pipeline.any ->
+  Cbsp.Pipeline.estimate_record list * Cbsp.Pipeline.sampling_result option
+(** One table entry on [engine] at [options]' input, target and
+    SimPoint cap: its records and, for the samplers only, the full
+    result (for [w_sampling]). *)
 
 val run :
   ?options:options ->

@@ -445,6 +445,25 @@ let test_warm_cache_restart () =
   Tutil.check_int "warm: no interval collection" 0
     (count warm_timings Stage.Interval_collection)
 
+(* [~semantic:true] implies the static path, so with or without
+   [~static:true] it is one estimator — and one whole-result entry. *)
+let test_result_key_is_matching () =
+  Tutil.with_temp_dir "matching" @@ fun cache_dir ->
+  let program = Tutil.two_phase_program () in
+  let engine = Pipeline.create_engine ~cache_dir () in
+  let run static =
+    Pipeline.run_vli ~static ~semantic:true ~engine program ~configs ~input
+      ~target
+  in
+  let a = run false in
+  let b = run true in
+  Tutil.check_bool "same result" true (a = b);
+  match engine.Pipeline.eng_results with
+  | None -> Alcotest.fail "a cache_dir engine keeps result stores"
+  | Some rc ->
+    Tutil.check_int "vli results computed" 1 (Store.computes rc.Pipeline.rc_vli);
+    Tutil.check_int "vli results hit" 1 (Store.hits rc.Pipeline.rc_vli)
+
 (* ------------------------------------------------------------------ *)
 (* Suite-level determinism: the acceptance criterion.                  *)
 
@@ -527,7 +546,8 @@ let () =
         [ Tutil.quick "shared engine compiles once" test_shared_engine_compiles_once;
           Tutil.quick "timing covers stages" test_engine_timing_covers_stages;
           Tutil.quick "parallel deterministic" test_pipeline_parallel_deterministic;
-          Tutil.quick "warm cache restart" test_warm_cache_restart ] );
+          Tutil.quick "warm cache restart" test_warm_cache_restart;
+          Tutil.quick "one result per matching" test_result_key_is_matching ] );
       ( "suite",
         [ Alcotest.test_case "parallel suite bit-identical" `Slow
             test_suite_parallel_bit_identical;

@@ -3,7 +3,11 @@ module Metrics = Cbsp.Metrics
 module Config = Cbsp_compiler.Config
 module Stats = Cbsp_util.Stats
 module Lower = Cbsp_compiler.Lower
+module Binary = Cbsp_compiler.Binary
+module Marker = Cbsp_compiler.Marker
 module Input = Cbsp_source.Input
+module Interval = Cbsp_profile.Interval
+module Registry = Cbsp_workloads.Registry
 
 let input = Tutil.test_input
 let target = 20_000
@@ -113,7 +117,28 @@ let test_empty_configs () =
       ignore (Pipeline.run_fli program ~configs:[] ~input ~target));
   Alcotest.check_raises "no configs vli"
     (Invalid_argument "Pipeline.run_vli: no configs") (fun () ->
-      ignore (Pipeline.run_vli program ~configs:[] ~input ~target))
+      ignore (Pipeline.run_vli program ~configs:[] ~input ~target));
+  (* A non-positive target is the caller's error, named after the call,
+     and found before a single binary compiles. *)
+  let engine = Pipeline.create_engine () in
+  List.iter
+    (fun (name, run) ->
+      Alcotest.check_raises (name ^ " at target 0")
+        (Invalid_argument ("Pipeline." ^ name ^ ": target must be positive"))
+        run)
+    [ ( "run_fli",
+        fun () ->
+          ignore (Pipeline.run_fli ~engine program ~configs ~input ~target:0) );
+      ( "run_vli",
+        fun () ->
+          ignore (Pipeline.run_vli ~engine program ~configs ~input ~target:0) );
+      ( "run_sampling",
+        fun () ->
+          ignore
+            (Pipeline.run_sampling ~engine program ~configs ~input ~target:0
+               ~n:8) ) ];
+  Tutil.check_bool "nothing compiled" true
+    (Pipeline.compile_stats engine = (0, 0))
 
 let test_split_program_large_intervals () =
   (* mapping failure inflates VLI intervals far beyond the target *)
@@ -254,68 +279,25 @@ let test_deterministic_pipelines () =
         a.Pipeline.br_est_cpi b.Pipeline.br_est_cpi)
     fli1.Pipeline.fli_binaries fli2.Pipeline.fli_binaries
 
-(* The streaming refactor's contract: [?materialize] flips only the
-   memory regime.  Differential over the WHOLE workload registry —
-   every field of every workload's VLI result (boundaries, phase
-   labels, representatives, weights, CPIs, extrapolated metrics) must
-   be structurally identical between the streaming default and the
-   materialized reference, which compares every float bit for bit. *)
-let test_streaming_equals_materialized_registry () =
-  List.iter
-    (fun (entry : Cbsp_workloads.Registry.entry) ->
-      let program = entry.Cbsp_workloads.Registry.build () in
-      let configs =
-        Config.paper_four
-          ~loop_splitting:entry.Cbsp_workloads.Registry.loop_splitting ()
-      in
-      let streamed = Pipeline.run_vli program ~configs ~input ~target:10_000 in
-      let materialized =
-        Pipeline.run_vli ~materialize:true program ~configs ~input
-          ~target:10_000
-      in
-      Tutil.check_bool
-        (entry.Cbsp_workloads.Registry.name ^ ": vli streaming = materialized")
-        true
-        (streamed = materialized))
-    Cbsp_workloads.Registry.all
-
-let test_streaming_equals_materialized_fli () =
-  let program = Tutil.two_phase_program () in
-  let streamed = Pipeline.run_fli program ~configs ~input ~target in
-  let materialized =
-    Pipeline.run_fli ~materialize:true program ~configs ~input ~target
-  in
-  Tutil.check_bool "fli streaming = materialized" true
-    (streamed = materialized)
-
-(* The shared [Fixed] pass against the computation it replaced in
-   [run_sampling]: materialize every interval with [fli_observer], derive
-   the phase-1 features with the array functions of [Strata], and
-   cluster the live intervals.  This oracle is that computation. *)
-let materialized_fixed binary ~target ~sp_config =
+(* The reference the streaming passes replaced: [observe]'s copying
+   reader keeps every interval, BBV included, and the live intervals are
+   clustered from those BBVs with [Simpoint.pick].  Returns the truth,
+   the intervals, the boundaries cut, and the phase labels and
+   representatives over the full interval numbering. *)
+let materialized binary ~sp_config ~observe =
   let module Cpu = Cbsp_cache.Cpu in
-  let module Interval = Cbsp_profile.Interval in
   let module Simpoint = Cbsp_simpoint.Simpoint in
-  let module Strata = Cbsp_sampling.Strata in
   let cpu = Cpu.create () in
   let iobs, read =
-    Interval.fli_observer ~n_blocks:binary.Cbsp_compiler.Binary.n_blocks
-      ~target
+    observe
       ~cycles:(fun () -> Cpu.cycles cpu)
       ~extras:(fun () -> Cpu.extra_counters cpu)
-      ()
   in
   let totals =
     Cbsp_exec.Executor.run binary input
       (Cbsp_exec.Executor.compose [ iobs; Cpu.observer cpu ])
   in
-  let intervals = read () in
-  let bbvs = Array.map (fun (iv : Interval.interval) -> iv.Interval.bbv) intervals in
-  let llc_bytes =
-    match List.rev Cbsp_cache.Hierarchy.paper_table1.Cbsp_cache.Hierarchy.levels with
-    | last :: _ -> last.Cbsp_cache.Hierarchy.lv_capacity
-    | [] -> 0
-  in
+  let (intervals : Interval.interval array), boundaries = read () in
   let live =
     List.filter
       (fun i -> intervals.(i).Interval.insts > 0)
@@ -326,7 +308,7 @@ let materialized_fixed binary ~target ~sp_config =
       ~weights:
         (Array.of_list
            (List.map (fun i -> float_of_int intervals.(i).Interval.insts) live))
-      ~bbvs:(Array.of_list (List.map (fun i -> bbvs.(i)) live))
+      ~bbvs:(Array.of_list (List.map (fun i -> intervals.(i).Interval.bbv) live))
       ()
   in
   (* Live intervals take their cluster's phase; empty ones inherit the
@@ -337,24 +319,66 @@ let materialized_fixed binary ~target ~sp_config =
     (fun i (iv : Interval.interval) ->
       if i > 0 && iv.Interval.insts = 0 then phase_of.(i) <- phase_of.(i - 1))
     intervals;
-  ( totals.Cbsp_exec.Executor.insts,
-    Cpu.cycles cpu,
-    Array.map (fun (iv : Interval.interval) -> iv.Interval.insts) intervals,
-    Array.map (fun (iv : Interval.interval) -> iv.Interval.cycles) intervals,
-    Strata.access_mix binary ~bbvs,
-    Strata.static_locality binary ~llc_bytes ~bbvs,
+  ( (totals.Cbsp_exec.Executor.insts, Cpu.cycles cpu),
+    intervals,
+    boundaries,
     phase_of,
     Array.map
       (fun (p : Simpoint.sim_point) -> List.nth live p.Simpoint.rep)
       sp.Simpoint.points )
 
+let fixed_observer binary ~target ~cycles ~extras =
+  let obs, read =
+    Interval.fli_observer ~n_blocks:binary.Binary.n_blocks ~target ~cycles
+      ~extras ()
+  in
+  (obs, fun () -> (read (), [||]))
+
+let bits v = Marshal.to_string v [ Marshal.No_sharing ]
+
+(* Every field a pass's consumers read, bit for bit, against the
+   reference; the [Fixed]-only sampler features are checked by the
+   caller. *)
+let check_pass ~where (pass : Pipeline.pass)
+    ((insts, cycles), intervals, boundaries, phase_of, reps) =
+  let check what a b =
+    Tutil.check_bool (where ^ ": " ^ what) true (bits a = bits b)
+  in
+  let stats = pass.Pipeline.ps_stats in
+  let column f = Array.map f intervals in
+  check "truth insts" insts pass.Pipeline.ps_truth.Pipeline.t_insts;
+  check "truth cycles" cycles pass.Pipeline.ps_truth.Pipeline.t_cycles;
+  check "interval insts" (column (fun iv -> iv.Interval.insts))
+    stats.Cbsp.Streamprof.st_insts;
+  check "interval cycles" (column (fun iv -> iv.Interval.cycles))
+    stats.Cbsp.Streamprof.st_cycles;
+  check "interval extras"
+    (Array.concat (Array.to_list (column (fun iv -> iv.Interval.extras))))
+    stats.Cbsp.Streamprof.st_extras;
+  check "boundaries" boundaries pass.Pipeline.ps_boundaries;
+  match pass.Pipeline.ps_clustering with
+  | None -> Alcotest.fail (where ^ ": pass without clustering")
+  | Some cl ->
+    check "phase labels" phase_of cl.Pipeline.cl_phase_of;
+    check "representatives" reps cl.Pipeline.cl_reps
+
+(* The shared [Fixed] pass against the computation it replaced in FLI
+   and [run_sampling]: the copied-out intervals, the phase-1 features
+   derived with the array functions of [Strata], and the clustering. *)
 let test_fixed_pass_equals_materialized () =
-  let bits v = Marshal.to_string v [ Marshal.No_sharing ] in
   let sp_config = Cbsp_simpoint.Simpoint.default_config in
+  let llc_bytes =
+    match List.rev Cbsp_cache.Hierarchy.paper_table1.Cbsp_cache.Hierarchy.levels with
+    | last :: _ -> last.Cbsp_cache.Hierarchy.lv_capacity
+    | [] -> 0
+  in
+  let registry name =
+    let entry = Registry.find name in
+    ( name, entry.Registry.build (),
+      Config.paper_four ~loop_splitting:entry.Registry.loop_splitting () )
+  in
   List.iter
-    (fun name ->
-      let entry = Cbsp_workloads.Registry.find name in
-      let program = entry.Cbsp_workloads.Registry.build () in
+    (fun (name, program, configs) ->
       let engine = Pipeline.create_engine () in
       List.iter
         (fun config ->
@@ -364,33 +388,69 @@ let test_fixed_pass_equals_materialized () =
             Pipeline.collect engine program binary ~label:where ~sp_config
               ~input (Pipeline.Fixed 10_000)
           in
-          let insts, cycles, iv_insts, iv_cycles, mix, locality, phase_of, reps
-              =
-            materialized_fixed binary ~target:10_000 ~sp_config
+          let ((_, intervals, _, _, _) as reference) =
+            materialized binary ~sp_config
+              ~observe:(fixed_observer binary ~target:10_000)
           in
-          let stats = pass.Pipeline.ps_stats in
-          let check what a b =
-            Tutil.check_bool (where ^ ": " ^ what) true (bits a = bits b)
-          in
-          check "truth insts" insts pass.Pipeline.ps_truth.Pipeline.t_insts;
-          check "truth cycles" cycles pass.Pipeline.ps_truth.Pipeline.t_cycles;
-          check "interval insts" iv_insts stats.Cbsp.Streamprof.st_insts;
-          check "interval cycles" iv_cycles stats.Cbsp.Streamprof.st_cycles;
-          check "access mix" mix pass.Pipeline.ps_mix;
-          check "static strata" locality pass.Pipeline.ps_locality;
-          match pass.Pipeline.ps_clustering with
-          | None -> Alcotest.fail (where ^ ": fixed pass without clustering")
-          | Some cl ->
-            check "phase labels" phase_of cl.Pipeline.cl_phase_of;
-            check "representatives" reps cl.Pipeline.cl_reps)
-        (Config.paper_four
-           ~loop_splitting:entry.Cbsp_workloads.Registry.loop_splitting ()))
-    [ "gcc"; "mcf"; "applu"; "swim" ]
+          check_pass ~where pass reference;
+          let bbvs = Array.map (fun iv -> iv.Interval.bbv) intervals in
+          let module Strata = Cbsp_sampling.Strata in
+          Tutil.check_bool (where ^ ": access mix") true
+            (bits (Strata.access_mix binary ~bbvs) = bits pass.Pipeline.ps_mix);
+          Tutil.check_bool (where ^ ": static strata") true
+            (bits (Strata.static_locality binary ~llc_bytes ~bbvs)
+            = bits pass.Pipeline.ps_locality))
+        configs)
+    (("two-phase", Tutil.two_phase_program (), configs)
+    :: List.map registry [ "gcc"; "mcf"; "applu"; "swim" ])
+
+(* The VLI primary's [Recorded] pass against the reference recorder over
+   the whole workload registry: the pass [run_vli] used (a pass-store
+   hit) is bit-identical to copying out every interval and clustering
+   the BBVs.  Followers run the same [Replayed] pass either way and
+   [summarize] is shared, so equal primaries mean equal results. *)
+let test_recorded_pass_equals_materialized_registry () =
+  let sp_config = Cbsp_simpoint.Simpoint.default_config in
+  let target = 10_000 in
+  List.iter
+    (fun (entry : Registry.entry) ->
+      let name = entry.Registry.name in
+      let program = entry.Registry.build () in
+      let configs =
+        Config.paper_four ~loop_splitting:entry.Registry.loop_splitting ()
+      in
+      let engine = Pipeline.create_engine () in
+      let vli = Pipeline.run_vli ~engine program ~configs ~input ~target in
+      let primary = Lower.compile program (List.hd configs) in
+      let keys =
+        List.filter
+          (Cbsp.Matching.is_mappable vli.Pipeline.vli_mappable)
+          (Binary.static_marker_keys primary)
+      in
+      let collected = Cbsp_engine.Store.computes engine.Pipeline.eng_passes in
+      let pass =
+        Pipeline.collect engine program primary ~label:name ~sp_config ~input
+          (Pipeline.Recorded (target, keys))
+      in
+      Tutil.check_int (name ^ ": the pass run_vli collected") collected
+        (Cbsp_engine.Store.computes engine.Pipeline.eng_passes);
+      let cut = Marker.Set.of_list keys in
+      let ((_, _, boundaries, _, _) as reference) =
+        materialized primary ~sp_config ~observe:(fun ~cycles ~extras ->
+            Interval.vli_recorder ~n_blocks:primary.Binary.n_blocks ~target
+              ~mappable:(fun key -> Marker.Set.mem key cut)
+              ~cycles ~extras ())
+      in
+      check_pass ~where:name pass reference;
+      Tutil.check_bool (name ^ ": points boundaries") true
+        (bits boundaries = bits vli.Pipeline.vli_points.Pipeline.pt_boundaries))
+    Registry.all
 
 (* O(1 interval) memory: a streaming pass's full-width BBV buffers are
    the builder's accumulator plus the collector's chunked projection
    rows — a fixed count whatever the run length — tracked by the
-   [profile.scratch_intervals] gauge the CI validate-smoke job budgets. *)
+   [profile.scratch_intervals] gauge the CI validate-smoke job budgets.
+   The copying reference keeps every BBV, and the gauge shows it. *)
 let test_streaming_scratch_gauge () =
   Cbsp_obs.Metrics.reset ();
   let streaming_peak = Cbsp.Streamprof.chunk_size + 1 in
@@ -399,9 +459,10 @@ let test_streaming_scratch_gauge () =
     (Pipeline.run_vli (Tutil.two_phase_program ()) ~configs ~input ~target);
   Tutil.check_int "streaming VLI scratch peak" streaming_peak
     (Cbsp_obs.Metrics.gauge_value gauge);
+  let binary = Lower.compile (Tutil.two_phase_program ()) (List.hd configs) in
   ignore
-    (Pipeline.run_vli ~materialize:true (Tutil.two_phase_program ()) ~configs
-       ~input ~target);
+    (materialized binary ~sp_config:Cbsp_simpoint.Simpoint.default_config
+       ~observe:(fixed_observer binary ~target));
   Tutil.check_bool "materialized peak grows with run length" true
     (Cbsp_obs.Metrics.gauge_value gauge > streaming_peak)
 
@@ -421,8 +482,7 @@ let () =
           Tutil.quick "split inflates intervals" test_split_program_large_intervals ] );
       ( "streaming",
         [ Tutil.quick "vli registry differential"
-            test_streaming_equals_materialized_registry;
-          Tutil.quick "fli differential" test_streaming_equals_materialized_fli;
+            test_recorded_pass_equals_materialized_registry;
           Tutil.quick "fixed pass = materialized"
             test_fixed_pass_equals_materialized;
           Tutil.quick "scratch gauge" test_streaming_scratch_gauge ] );

@@ -375,7 +375,7 @@ let prop_identical_pair_exact =
 (* --- pass sharing ----------------------------------------------------- *)
 
 (* Passes shared through one engine's pass store change no bit of any
-   estimate: the five groups on one engine give the records each group
+   estimate: the five estimators on one engine give the records each
    gives on a fresh engine of its own.  The shared engine collects FLI's
    four fixed-length passes (the samplers reuse them) and one VLI
    primary + three followers per distinct cut plan: gcc's three VLI
@@ -392,12 +392,15 @@ let test_shared_passes_bit_identical () =
         Cbsp_compiler.Config.paper_four
           ~loop_splitting:entry.Cbsp_workloads.Registry.loop_splitting ()
       in
-      let groups =
-        List.map snd (Matrix.method_groups ~options:small_options program ~configs)
+      let estimators = Matrix.estimators small_options in
+      let run engine =
+        Matrix.run_estimator ~options:small_options ~engine program ~configs
       in
       let shared = Pipeline.create_engine () in
-      let together = List.map (fun g -> g shared) groups in
-      let alone = List.map (fun g -> g (Pipeline.create_engine ())) groups in
+      let together = List.map (run shared) estimators in
+      let alone =
+        List.map (fun e -> run (Pipeline.create_engine ()) e) estimators
+      in
       Tutil.check_bool (name ^ ": records bit-identical") true
         (bits together = bits alone);
       let collections =
@@ -428,10 +431,15 @@ let test_estimate_records () =
       Tutil.check_float "est cycles" br.Pipeline.br_est_cycles
         r.Pipeline.er_est_cycles)
     fli.Pipeline.fli_binaries records;
-  let vli = Pipeline.run_vli program ~configs ~input ~target in
-  (match Pipeline.estimate_records_vli ~method_:"vli-static" vli with
+  (* The record name comes from the estimator that ran, so a static run
+     cannot be labelled "vli". *)
+  let static =
+    Pipeline.Vli { matching = Static; primary = 0; match_options = None }
+  in
+  let vli = Pipeline.run static program ~configs ~input ~target in
+  (match Pipeline.records static vli with
   | r :: _ ->
-    Alcotest.(check string) "renamed method" "vli-static" r.Pipeline.er_method
+    Alcotest.(check string) "static method" "vli-static" r.Pipeline.er_method
   | [] -> Alcotest.fail "no vli records");
   let sampling =
     Pipeline.run_sampling ~seeds:[ 2007; 2008 ] program ~configs ~input
@@ -441,6 +449,14 @@ let test_estimate_records () =
   Tutil.check_int "binaries x methods"
     (List.length configs * List.length Pipeline.sampling_methods)
     (List.length srecords)
+
+(* The estimator table spells the nine names once; the leaderboard, the
+   budgets and cbsp-validate/1 all read them in this order. *)
+let test_methods_table () =
+  Alcotest.(check (list string)) "nine methods, in order"
+    [ "fli"; "vli"; "vli-static"; "vli-recovered"; "srs"; "systematic";
+      "strat-phase"; "strat-mix"; "strat-static" ]
+    Matrix.methods
 
 (* --- CI calibration ----------------------------------------------- *)
 
@@ -579,6 +595,7 @@ let () =
           Tutil.quick "json roundtrip" test_json_roundtrip;
           Tutil.quick "unknown workload" test_matrix_unknown_workload;
           Tutil.quick "estimate records" test_estimate_records;
+          Tutil.quick "methods table" test_methods_table;
           Tutil.quick "shared passes bit-identical"
             test_shared_passes_bit_identical ] );
       ( "properties",
