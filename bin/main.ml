@@ -25,9 +25,20 @@ let workloads_arg =
   let doc = "Workloads to run (default: the whole suite)." in
   Arg.(value & opt (some (list string)) None & info [ "w"; "workloads" ] ~doc)
 
+(* Interval targets and cluster caps must be positive; rejecting the
+   value here makes it a usage error before any work starts. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let target_arg =
   let doc = "Interval target size in instructions (stands for the paper's 100M)." in
-  Arg.(value & opt int Pipeline.default_target & info [ "t"; "target" ] ~doc)
+  Arg.(value & opt positive_int Pipeline.default_target
+       & info [ "t"; "target" ] ~doc)
 
 let scale_arg =
   let doc = "Input scale (sizes the runs; the reference input uses 10)." in
@@ -39,7 +50,7 @@ let seed_arg =
 
 let max_k_arg =
   let doc = "SimPoint's maximum number of clusters (paper: 10)." in
-  Arg.(value & opt int 10 & info [ "max-k" ] ~doc)
+  Arg.(value & opt positive_int 10 & info [ "max-k" ] ~doc)
 
 let primary_arg =
   let doc = "Primary binary index for mappable SimPoint (0=32u 1=32o 2=64u 3=64o)." in
@@ -985,7 +996,7 @@ let locality_cmd =
     Term.(const run $ names_arg $ scale_arg $ seed_arg $ check_arg)
 
 (* ------------------------------------------------------------------ *)
-(* dump-bbv / trace: the offline tooling                               *)
+(* dump-bbv: SimPoint .bb output                                       *)
 
 let binary_of_label entry label =
   let program = entry.Registry.build () in
@@ -1004,85 +1015,38 @@ let config_arg =
          ~doc:"Binary to use (32u/32o/64u/64o).")
 
 let dump_bbv_cmd =
-  let run name label out format target scale seed =
+  let run name label out target scale seed =
     let entry = find_workload name in
     let binary = binary_of_label entry label in
     let input = input_of ~scale ~seed in
     let n_blocks = binary.Cbsp_compiler.Binary.n_blocks in
-    match format with
-    | "bb" ->
-      let iobs, read =
-        Cbsp_profile.Interval.fli_observer ~n_blocks ~target ()
-      in
-      let (_ : Cbsp_exec.Executor.totals) =
-        Cbsp_exec.Executor.run binary input iobs
-      in
-      let intervals = read () in
-      Cbsp_profile.Bbv_file.save ~path:out intervals;
-      Fmt.pr "wrote %d frequency vectors (dim %d) to %s@."
-        (Array.length intervals) n_blocks out
-    | "ivl" ->
-      (* The streaming path end to end: each interval goes from the
-         builder straight into the binary writer, so the dump holds one
-         interval of memory whatever the run length. *)
-      let w = Cbsp_profile.Ivl_file.writer ~path:out ~n_blocks ~n_extras:0 in
-      let iobs, finish =
-        Cbsp_profile.Interval.fli_stream ~n_blocks ~target
-          ~emit:(Cbsp_profile.Ivl_file.write w) ()
-      in
-      let (_ : Cbsp_exec.Executor.totals) =
-        Cbsp_exec.Executor.run binary input iobs
-      in
-      let n = finish () in
-      Cbsp_profile.Ivl_file.close w;
-      Fmt.pr "wrote %d intervals (dim %d, %d bytes, cbsp-ivl/1) to %s@." n
-        n_blocks
-        (Cbsp_profile.Ivl_file.written_bytes w)
-        out
-    | other ->
-      Fmt.epr "unknown format %S (bb/ivl)@." other;
-      exit 2
+    (* Each interval goes from the builder straight into the file, so the
+       dump holds one interval of memory whatever the run length. *)
+    let n =
+      Cbsp_util.Io.with_out_file out (fun oc ->
+          let iobs, finish =
+            Cbsp_profile.Interval.fli_stream ~n_blocks ~target
+              ~emit:(Cbsp_profile.Bbv_file.write oc) ()
+          in
+          let (_ : Cbsp_exec.Executor.totals) =
+            Cbsp_exec.Executor.run binary input iobs
+          in
+          finish ())
+    in
+    Fmt.pr "wrote %d frequency vectors (dim %d) to %s@." n n_blocks out
   in
   let name_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
   in
   let out_arg =
-    Arg.(value & opt string "out.ivl" & info [ "o"; "output" ]
+    Arg.(value & opt string "out.bb" & info [ "o"; "output" ]
            ~doc:"Output file.")
-  in
-  let format_arg =
-    Arg.(value & opt string "ivl" & info [ "format" ]
-         ~doc:"Output format: $(b,ivl) (compact binary cbsp-ivl/1, written \
-               streaming; the default) or $(b,bb) (SimPoint text frequency \
-               vectors, for .bb interop).")
   in
   Cmd.v
     (Cmd.info "dump-bbv"
-       ~doc:"Write basic block vectors (cbsp-ivl/1 binary or SimPoint text)")
-    Term.(const run $ name_arg $ config_arg $ out_arg $ format_arg $ target_arg
+       ~doc:"Write basic block vectors as SimPoint .bb frequency vectors")
+    Term.(const run $ name_arg $ config_arg $ out_arg $ target_arg
           $ scale_arg $ seed_arg)
-
-let trace_cmd =
-  let run name label out scale seed =
-    let entry = find_workload name in
-    let binary = binary_of_label entry label in
-    let input = input_of ~scale ~seed in
-    let totals = Cbsp_exec.Trace.record ~path:out binary input in
-    Fmt.pr "traced %d instructions (%d blocks, %d accesses, %d markers) to %s@."
-      totals.Cbsp_exec.Executor.insts totals.Cbsp_exec.Executor.blocks
-      totals.Cbsp_exec.Executor.accesses totals.Cbsp_exec.Executor.markers out
-  in
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
-  in
-  let out_arg =
-    Arg.(value & opt string "out.trace" & info [ "o"; "output" ]
-           ~doc:"Output file (text; large for big inputs).")
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Record one execution as an event trace for offline analysis")
-    Term.(const run $ name_arg $ config_arg $ out_arg $ scale_arg $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1092,6 +1056,6 @@ let main_cmd =
     (Cmd.info "cbsp" ~version:"1.0.0" ~doc)
     [ list_cmd; show_cmd; profile_cmd; run_cmd; experiment_cmd;
       validate_cmd; ablation_cmd; phases_cmd; points_cmd; lint_cmd;
-      locality_cmd; dump_bbv_cmd; trace_cmd ]
+      locality_cmd; dump_bbv_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -8,9 +8,9 @@
    [Unix.rename], so readers — in this process or another — only ever
    see complete entries.
 
-   Entries carry the [ivl_file]-style checksummed framing (magic
-   version tag, varint lengths, Adler-32 over header and payload) plus
-   the full key, so a digest collision or a torn/bit-rotted file is
+   Entries are framed as [cbsp-art/1]: a magic version tag, LEB128
+   varint lengths, the full key, and Adler-32 checksums over header and
+   payload, so a digest collision or a torn/bit-rotted file is
    detected on read: the entry is renamed aside ([.quar]), counted in
    [store.quarantined], and reported as a miss — corruption can cost a
    recompute, never a crash or a wrong value.
@@ -31,7 +31,7 @@ let fail fmt = Printf.ksprintf invalid_arg ("Diskcache: " ^^ fmt)
 
 let magic = "cbsp-art/1\n"
 
-(* --- adler32 + varints (the cbsp-ivl/1 idiom) -------------------------- *)
+(* --- adler32 + varints: the cbsp-art/1 frame --------------------------- *)
 
 let adler_init = (1, 0)
 

@@ -4,7 +4,7 @@
     Entries are opaque byte payloads keyed by content digests, stored
     one file per entry under [dir/shard-NNN/], framed with the
     [cbsp-art/1] format (magic version tag, embedded key, Adler-32
-    checksums over header and payload — the [cbsp-ivl/1] idiom).
+    checksums over header and payload).
     Publication is atomic (tmp file + [rename]); lookups verify the
     checksums and the embedded key, and move any corrupt or mismatched
     file aside ([.quar]) — corruption is counted and costs a recompute,

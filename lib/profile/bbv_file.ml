@@ -1,75 +1,9 @@
-exception Parse_error of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
-
-let to_string intervals =
-  let buf = Buffer.create 65536 in
-  Array.iter
-    (fun (iv : Interval.interval) ->
-      if Array.length iv.Interval.bbv = 0 && iv.Interval.insts > 0 then
-        invalid_arg "Bbv_file.to_string: interval has no BBV";
-      Buffer.add_char buf 'T';
-      Array.iteri
-        (fun id count ->
-          if count > 0.0 then
-            Printf.ksprintf (Buffer.add_string buf) ":%d:%.0f " (id + 1) count)
-        iv.Interval.bbv;
-      Buffer.add_char buf '\n')
-    intervals;
-  Buffer.contents buf
-
-let parse_pair lineno word =
-  (* word looks like ":id:count" *)
-  match String.split_on_char ':' word with
-  | [ ""; id; count ] -> begin
-    match (int_of_string_opt id, float_of_string_opt count) with
-    | Some id, Some count when id >= 1 && count >= 0.0 -> (id, count)
-    | _ -> fail "line %d: bad pair %S" lineno word
-  end
-  | _ -> fail "line %d: bad pair %S" lineno word
-
-let of_string ?n_blocks text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.mapi (fun i l -> (i + 1, String.trim l))
-    |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
-  in
-  let parsed =
-    List.map
-      (fun (lineno, line) ->
-        if line.[0] <> 'T' then fail "line %d: expected 'T' prefix" lineno;
-        let rest = String.sub line 1 (String.length line - 1) in
-        let words =
-          String.split_on_char ' ' rest |> List.filter (fun w -> w <> "")
-        in
-        (lineno, List.map (parse_pair lineno) words))
-      lines
-  in
-  let max_id =
-    List.fold_left
-      (fun acc (_, pairs) ->
-        List.fold_left (fun acc (id, _) -> max acc id) acc pairs)
-      0 parsed
-  in
-  let dim =
-    match n_blocks with
-    | None -> max_id
-    | Some n ->
-      if max_id > n then
-        fail "block id %d exceeds declared dimensionality %d" max_id n;
-      n
-  in
-  List.map
-    (fun (_, pairs) ->
-      let v = Array.make dim 0.0 in
-      List.iter (fun (id, count) -> v.(id - 1) <- v.(id - 1) +. count) pairs;
-      v)
-    parsed
-  |> Array.of_list
-
-let save ~path intervals =
-  Cbsp_util.Io.with_out_file path (fun oc ->
-      output_string oc (to_string intervals))
-
-let load ?n_blocks ~path () =
-  of_string ?n_blocks (Cbsp_util.Io.read_file path)
+let write oc (iv : Interval.interval) =
+  if Array.length iv.Interval.bbv = 0 && iv.Interval.insts > 0 then
+    invalid_arg "Bbv_file.write: interval has no BBV";
+  output_char oc 'T';
+  Array.iteri
+    (fun id count ->
+      if count > 0.0 then Printf.fprintf oc ":%d:%.0f " (id + 1) count)
+    iv.Interval.bbv;
+  output_char oc '\n'

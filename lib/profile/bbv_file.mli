@@ -1,7 +1,6 @@
 (** Basic-block-vector files in SimPoint's frequency-vector format — the
     ".bb" files Pin's BBV tool emits and the reference SimPoint 3.0 binary
-    consumes, so intervals collected here can be fed to the original tool
-    (and vice versa).
+    consumes, so intervals collected here can be fed to the original tool.
 
     One line per interval:
 
@@ -13,19 +12,10 @@
     instruction-weighted execution count of that block in the interval.
     Blocks with zero count are omitted (the format is sparse). *)
 
-exception Parse_error of string
-
-val to_string : Interval.interval array -> string
-(** Serialize the BBVs of the given intervals (their [bbv] fields must be
-    non-empty).  Counts are written as integers — BBV entries are integral
-    by construction (sums of block instruction counts).
-    @raise Invalid_argument if an interval has no BBV. *)
-
-val of_string : ?n_blocks:int -> string -> float array array
-(** Parse frequency vectors.  The dimensionality is [n_blocks] when given,
-    otherwise the largest block id seen.  @raise Parse_error on malformed
-    input or an id exceeding [n_blocks]. *)
-
-val save : path:string -> Interval.interval array -> unit
-
-val load : ?n_blocks:int -> path:string -> unit -> float array array
+val write : out_channel -> Interval.emit
+(** [write oc] appends one interval's line to [oc].  It is a valid
+    streaming consumer: it reads the interval's BBV during the call and
+    keeps nothing, so a dump driven by {!Interval.fli_stream} holds one
+    interval of memory.  Counts are written as integers — BBV entries are
+    integral by construction (sums of block instruction counts).
+    @raise Invalid_argument if a non-empty interval has no BBV. *)

@@ -337,57 +337,6 @@ let run_once_pruned ~jobs rng ~max_iters ~k ~weights ~points =
   Metrics.incr ~by:!iterations m_iterations;
   { k; assignments; centroids; distortion; iterations = !iterations }
 
-(* --- mini-batch (Sculley) ----------------------------------------------- *)
-
-(* Web-scale k-means (Sculley, WWW 2010), weighted: centroids are seeded
-   with k-means++ exactly like the batch modes, then updated online from
-   fixed-size contiguous batches — for each batch member, the nearest
-   centroid [c] takes a step of [w / W_c] toward the point, where [W_c]
-   is the total weight ever assigned to [c].  Contiguous batches cycled
-   in order (not sampled) keep the procedure deterministic for a given
-   seed.  This trades the batch modes' exact Lloyd fixpoint for
-   per-batch O(batch · k) work and O(k · dim) state, which is what lets
-   clustering keep up with a streamed profile; it is NOT bit-identical
-   to [run] — the full-batch mode remains the reference the qcheck
-   properties compare against. *)
-let run_once_minibatch rng ~batch_size ~max_iters ~k ~weights ~points =
-  let n = Array.length points in
-  let dim = Array.length points.(0) in
-  let centroids = seed_plus_plus rng ~k ~weights ~points in
-  (* seed_plus_plus aliases chosen points; updates below mutate. *)
-  for c = 0 to k - 1 do
-    centroids.(c) <- Array.copy centroids.(c)
-  done;
-  let opened_mass = Array.make k 0.0 in
-  let n_batches = (n + batch_size - 1) / batch_size in
-  let evals = ref 0 in
-  for step = 0 to max_iters - 1 do
-    let b = step mod n_batches in
-    let lo = b * batch_size and hi = min n ((b + 1) * batch_size) in
-    for i = lo to hi - 1 do
-      let p = points.(i) in
-      let best, _, _ = nearest_two ~centroids ~k p in
-      evals := !evals + k;
-      let w = weights.(i) in
-      let mass = opened_mass.(best) +. w in
-      opened_mass.(best) <- mass;
-      let eta = w /. mass in
-      let ctr = centroids.(best) in
-      for j = 0 to dim - 1 do
-        ctr.(j) <- ctr.(j) +. (eta *. (p.(j) -. ctr.(j)))
-      done
-    done
-  done;
-  Metrics.incr ~by:!evals m_distance_evals;
-  let assignments = Array.make n (-1) in
-  let (_ : bool) = assign_all ~centroids ~points ~assignments in
-  let distortion =
-    total_distortion ~jobs:1 ~weights ~points ~assignments ~centroids
-  in
-  Metrics.incr m_runs;
-  Metrics.incr ~by:max_iters m_iterations;
-  { k; assignments; centroids; distortion; iterations = max_iters }
-
 (* --- drivers ------------------------------------------------------------ *)
 
 let run_restarts ~run_once ~seed ~restarts ~max_iters ~k ~weights ~points =
@@ -410,13 +359,6 @@ let run_reference ?(seed = 493) ?(restarts = 5) ?(max_iters = 100) ~k ~weights
     ~points () =
   run_restarts ~run_once:run_once_reference ~seed ~restarts ~max_iters ~k
     ~weights ~points
-
-let run_minibatch ?(seed = 493) ?(restarts = 5) ?(batch_size = 256)
-    ?(max_iters = 100) ~k ~weights ~points () =
-  if batch_size < 1 then invalid_arg "Kmeans.run_minibatch: batch_size must be >= 1";
-  run_restarts
-    ~run_once:(run_once_minibatch ~batch_size)
-    ~seed ~restarts ~max_iters ~k ~weights ~points
 
 let cluster_weights result ~weights =
   let totals = Array.make result.k 0.0 in

@@ -47,28 +47,6 @@ val run :
     All weights must be > 0 and [1 <= k <= Array.length points].
     @raise Invalid_argument on bad arguments. *)
 
-val run_minibatch :
-  ?seed:int ->
-  ?restarts:int ->
-  ?batch_size:int ->
-  ?max_iters:int ->
-  k:int ->
-  weights:float array ->
-  points:float array array ->
-  unit ->
-  result
-(** Mini-batch k-means (Sculley): k-means++ seeding as in {!run}, then
-    [max_iters] (default 100) online updates from contiguous batches of
-    [batch_size] (default 256) points cycled in order — each batch
-    member pulls its nearest centroid by [w / W_c], the learning rate
-    that makes the centroid the running weighted mean of everything ever
-    assigned to it.  O(batch · k) per step and O(k · dim) state, for
-    clustering profiles too long for full Lloyd sweeps.  Deterministic
-    for a given seed, but NOT bit-identical to {!run}; [iterations]
-    reports batch steps.  Final assignments and distortion come from one
-    exact full pass over the points.
-    @raise Invalid_argument on bad arguments or [batch_size < 1]. *)
-
 val run_reference :
   ?seed:int ->
   ?restarts:int ->

@@ -1,165 +1,106 @@
-(* Tests for the offline-tooling I/O: SimPoint-format BBV files and
-   executor event traces. *)
+(* Tests for the offline-tooling I/O: SimPoint-format BBV files, written
+   streaming by the same per-interval writer the dump-bbv verb uses. *)
 
 module Config = Cbsp_compiler.Config
 module Isa = Cbsp_compiler.Isa
 module Lower = Cbsp_compiler.Lower
 module Binary = Cbsp_compiler.Binary
 module Executor = Cbsp_exec.Executor
-module Trace = Cbsp_exec.Trace
 module Interval = Cbsp_profile.Interval
 module Bbv_file = Cbsp_profile.Bbv_file
-module Structprof = Cbsp_profile.Structprof
+module Io = Cbsp_util.Io
 
 let input = Tutil.test_input
+let target = 20_000
 
-let with_temp f =
-  let path = Filename.temp_file "cbsp_io" ".txt" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+(* Run [write] against a fresh temp file and return what it wrote. *)
+let written write =
+  let path = Filename.temp_file "cbsp_io" ".bb" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Io.with_out_file path write;
+      Io.read_file path)
 
-let intervals_of binary =
+let materialized binary =
   let obs, read =
-    Interval.fli_observer ~n_blocks:binary.Binary.n_blocks ~target:20_000 ()
+    Interval.fli_observer ~n_blocks:binary.Binary.n_blocks ~target ()
   in
   let (_ : Executor.totals) = Executor.run binary input obs in
   read ()
 
-(* --- BBV files -------------------------------------------------------- *)
+let streamed binary oc =
+  let obs, finish =
+    Interval.fli_stream ~n_blocks:binary.Binary.n_blocks ~target
+      ~emit:(Bbv_file.write oc) ()
+  in
+  let (_ : Executor.totals) = Executor.run binary input obs in
+  let (_ : int) = finish () in
+  ()
+
+(* Parse one "T:id:count :id:count ..." line into its pairs. *)
+let pairs_of_line line =
+  Tutil.check_bool "line starts with T" true
+    (String.length line > 0 && line.[0] = 'T');
+  String.sub line 1 (String.length line - 1)
+  |> String.split_on_char ' '
+  |> List.filter (( <> ) "")
+  |> List.map (fun word ->
+         match String.split_on_char ':' word with
+         | [ ""; id; count ] -> (int_of_string id, int_of_string count)
+         | _ -> Alcotest.failf "bad pair %S" word)
+
+(* The streamed file equals, byte for byte, the same writer applied to
+   the materializing builder's copied intervals; every line's counts sum
+   to its interval's instructions, with ids in 1..n_blocks. *)
+let check_bb binary =
+  let intervals = materialized binary in
+  let text = written (streamed binary) in
+  Alcotest.(check string) "streamed = materialized"
+    (written (fun oc -> Array.iter (Bbv_file.write oc) intervals))
+    text;
+  let lines = String.split_on_char '\n' text in
+  (* the text ends in '\n', so the split leaves one empty tail *)
+  Tutil.check_int "one line per interval" (Array.length intervals + 1)
+    (List.length lines);
+  List.iteri
+    (fun i line ->
+      if i < Array.length intervals then begin
+        let pairs = pairs_of_line line in
+        List.iter
+          (fun (id, _) ->
+            Tutil.check_bool "id in 1..n_blocks" true
+              (id >= 1 && id <= binary.Binary.n_blocks))
+          pairs;
+        Tutil.check_int
+          (Printf.sprintf "interval %d counts sum to insts" i)
+          intervals.(i).Interval.insts
+          (List.fold_left (fun acc (_, c) -> acc + c) 0 pairs)
+      end)
+    lines
 
 let test_bbv_roundtrip () =
-  let binary =
-    Lower.compile (Tutil.two_phase_program ()) (Config.v Isa.X86_32 Config.O0)
-  in
-  let intervals = intervals_of binary in
-  let text = Bbv_file.to_string intervals in
-  let bbvs = Bbv_file.of_string ~n_blocks:binary.Binary.n_blocks text in
-  Tutil.check_int "same interval count" (Array.length intervals) (Array.length bbvs);
-  Array.iteri
-    (fun i iv ->
-      Alcotest.(check (array (float 0.5)))
-        (Printf.sprintf "interval %d vector" i)
-        iv.Interval.bbv bbvs.(i))
-    intervals
+  check_bb
+    (Lower.compile (Tutil.two_phase_program ()) (Config.v Isa.X86_32 Config.O0))
 
 let test_bbv_file_roundtrip () =
-  let binary =
-    Lower.compile (Tutil.single_loop_program ~trips:100 ()) (Config.v Isa.X86_32 Config.O2)
-  in
-  let intervals = intervals_of binary in
-  with_temp (fun path ->
-      Bbv_file.save ~path intervals;
-      let bbvs = Bbv_file.load ~n_blocks:binary.Binary.n_blocks ~path () in
-      Tutil.check_int "count preserved" (Array.length intervals) (Array.length bbvs))
+  check_bb
+    (Lower.compile
+       (Tutil.single_loop_program ~trips:100 ())
+       (Config.v Isa.X86_32 Config.O2))
 
 let test_bbv_format_shape () =
   let text =
-    Bbv_file.to_string
-      [| { Interval.insts = 5; cycles = 0.0; extras = [||];
-           bbv = [| 3.0; 0.0; 2.0 |] } |]
+    written (fun oc ->
+        Bbv_file.write oc
+          { Interval.insts = 5; cycles = 0.0; extras = [||];
+            bbv = [| 3.0; 0.0; 2.0 |] })
   in
   Alcotest.(check string) "sparse, 1-based ids" "T:1:3 :3:2 \n" text
-
-let test_bbv_parse_errors () =
-  let bad text =
-    match Bbv_file.of_string text with
-    | (_ : float array array) -> Alcotest.fail "expected Parse_error"
-    | exception Bbv_file.Parse_error _ -> ()
-  in
-  bad "X:1:3";
-  bad "T:0:3 ";
-  bad "T:1:abc ";
-  bad "Tgarbage";
-  (* id above declared dimensionality *)
-  match Bbv_file.of_string ~n_blocks:2 "T:5:1 \n" with
-  | (_ : float array array) -> Alcotest.fail "expected Parse_error"
-  | exception Bbv_file.Parse_error _ -> ()
-
-let test_bbv_dim_inference () =
-  let bbvs = Bbv_file.of_string "T:2:7 \nT:4:1 \n" in
-  Tutil.check_int "dim = max id" 4 (Array.length bbvs.(0));
-  Tutil.check_float "entry placed" 7.0 bbvs.(0).(1)
-
-(* --- traces ----------------------------------------------------------- *)
-
-let test_trace_roundtrip_totals () =
-  let binary =
-    Lower.compile (Tutil.two_phase_program ()) (Config.v Isa.X86_64 Config.O2)
-  in
-  with_temp (fun path ->
-      let events = Cbsp_obs.Metrics.counter "trace.replay.events" in
-      let events0 = Cbsp_obs.Metrics.value events in
-      let live = Trace.record ~path binary input in
-      let replayed = Trace.replay ~path Executor.null_observer in
-      Tutil.check_bool "totals identical" true (live = replayed);
-      (* One replay event per trace line: every block, access and marker
-         the recorder wrote was observed by the obs counter. *)
-      Tutil.check_int "trace.replay.events counted every line"
-        (live.Executor.blocks + live.Executor.accesses + live.Executor.markers)
-        (Cbsp_obs.Metrics.value events - events0))
-
-let test_trace_drives_profilers () =
-  (* a structure profile computed from the trace equals the live one *)
-  let binary =
-    Lower.compile (Tutil.two_phase_program ()) (Config.v Isa.X86_32 Config.O0)
-  in
-  let live = Structprof.profile binary input in
-  with_temp (fun path ->
-      let (_ : Executor.totals) = Trace.record ~path binary input in
-      let obs, read = Structprof.observer () in
-      let (_ : Executor.totals) = Trace.replay ~path obs in
-      let replayed = read () in
-      Tutil.check_bool "profiles equal" true
-        (Cbsp_compiler.Marker.Map.equal ( = ) live replayed))
-
-let test_trace_drives_cache_model () =
-  (* cycle counts from trace replay equal the live simulation *)
-  let binary =
-    Lower.compile (Tutil.two_phase_program ()) (Config.v Isa.X86_32 Config.O2)
-  in
-  let live_cpu = Cbsp_cache.Cpu.create () in
-  let (_ : Executor.totals) =
-    Executor.run binary input (Cbsp_cache.Cpu.observer live_cpu)
-  in
-  with_temp (fun path ->
-      let (_ : Executor.totals) = Trace.record ~path binary input in
-      let cpu = Cbsp_cache.Cpu.create () in
-      let (_ : Executor.totals) = Trace.replay ~path (Cbsp_cache.Cpu.observer cpu) in
-      Tutil.check_close ~eps:1e-9 "same cycles" (Cbsp_cache.Cpu.cycles live_cpu)
-        (Cbsp_cache.Cpu.cycles cpu))
-
-let test_trace_parse_errors () =
-  let parse_errors = Cbsp_obs.Metrics.counter "trace.replay.parse_errors" in
-  let errors0 = Cbsp_obs.Metrics.value parse_errors in
-  let bad text =
-    let path = Filename.temp_file "cbsp_bad" ".txt" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        let oc = open_out path in
-        output_string oc text;
-        close_out oc;
-        match Trace.replay ~path Executor.null_observer with
-        | (_ : Executor.totals) -> Alcotest.fail "expected Parse_error"
-        | exception Trace.Parse_error _ -> ())
-  in
-  bad "B 1\n";
-  bad "A xyz r\n";
-  bad "A 12 q\n";
-  bad "M nonsense\n";
-  bad "Z 1 2\n";
-  Tutil.check_int "every malformed line counted" 5
-    (Cbsp_obs.Metrics.value parse_errors - errors0)
 
 let () =
   Alcotest.run "io"
     [ ( "bbv files",
         [ Tutil.quick "roundtrip" test_bbv_roundtrip;
           Tutil.quick "file roundtrip" test_bbv_file_roundtrip;
-          Tutil.quick "format shape" test_bbv_format_shape;
-          Tutil.quick "parse errors" test_bbv_parse_errors;
-          Tutil.quick "dim inference" test_bbv_dim_inference ] );
-      ( "traces",
-        [ Tutil.quick "roundtrip totals" test_trace_roundtrip_totals;
-          Tutil.quick "drives profilers" test_trace_drives_profilers;
-          Tutil.quick "drives cache model" test_trace_drives_cache_model;
-          Tutil.quick "parse errors" test_trace_parse_errors ] ) ]
+          Tutil.quick "format shape" test_bbv_format_shape ] ) ]

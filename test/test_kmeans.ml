@@ -154,70 +154,6 @@ let prop_weighted_centroid_invariant =
       done;
       !ok)
 
-(* Mini-batch k-means (the streaming pipeline's clustering option):
-   deterministic, correct on separable data, comparable distortion to
-   full-batch Lloyd — but NOT bit-identical to it, which is why [run]
-   stays the qcheck reference. *)
-let test_minibatch_recovers_blobs () =
-  let points = blobs () in
-  let r =
-    Kmeans.run_minibatch ~k:3 ~weights:(uniform 60) ~points ~batch_size:16 ()
-  in
-  Tutil.check_int "k" 3 r.Kmeans.k;
-  let label_of_blob b = r.Kmeans.assignments.(b * 20) in
-  for b = 0 to 2 do
-    for i = 0 to 19 do
-      Tutil.check_int "blob is one cluster" (label_of_blob b)
-        r.Kmeans.assignments.((b * 20) + i)
-    done
-  done;
-  let labels =
-    List.sort_uniq compare
-      [ label_of_blob 0; label_of_blob 1; label_of_blob 2 ]
-  in
-  Tutil.check_int "three distinct labels" 3 (List.length labels)
-
-let test_minibatch_deterministic () =
-  let points = blobs ~seed:17 () in
-  let weights = Array.init 60 (fun i -> 1.0 +. (0.01 *. float_of_int i)) in
-  let a = Kmeans.run_minibatch ~k:4 ~weights ~points () in
-  let b = Kmeans.run_minibatch ~k:4 ~weights ~points () in
-  Tutil.check_bool "identical across runs" true (a = b)
-
-let test_minibatch_comparable_distortion () =
-  let points = blobs ~per:40 ~seed:23 () in
-  let weights = uniform 120 in
-  let full = Kmeans.run ~k:3 ~weights ~points () in
-  let mini =
-    Kmeans.run_minibatch ~k:3 ~weights ~points ~batch_size:32 ()
-  in
-  (* same separable structure: mini-batch may land slightly higher, but
-     within a small factor of Lloyd's converged distortion *)
-  Tutil.check_bool "distortion within 1.5x of full-batch" true
-    (mini.Kmeans.distortion <= (1.5 *. full.Kmeans.distortion) +. 1e-9)
-
-let test_minibatch_batch_larger_than_n () =
-  let points = blobs () in
-  let r =
-    Kmeans.run_minibatch ~k:3 ~weights:(uniform 60) ~points ~batch_size:10_000
-      ()
-  in
-  Tutil.check_int "assignments cover points" 60
-    (Array.length r.Kmeans.assignments);
-  Array.iter
-    (fun c -> Tutil.check_bool "assignment in range" true (c >= 0 && c < 3))
-    r.Kmeans.assignments
-
-let test_minibatch_invalid_batch_size () =
-  Alcotest.check_raises "batch_size 0"
-    (Invalid_argument "Kmeans.run_minibatch: batch_size must be >= 1")
-    (fun () ->
-      ignore
-        (Kmeans.run_minibatch ~k:2 ~weights:(uniform 4)
-           ~points:
-             [| [| 0.0 |]; [| 1.0 |]; [| 2.0 |]; [| 3.0 |] |]
-           ~batch_size:0 ()))
-
 let prop_pruned_parallel_matches_reference =
   (* The tentpole bit-identity claim: the Hamerly-pruned, domain-parallel
      clustering returns EXACTLY the plain-Lloyd reference result —
@@ -260,12 +196,6 @@ let () =
       ( "selection",
         [ Tutil.quick "cluster weights" test_cluster_weights;
           Tutil.quick "closest to centroid" test_closest_to_centroid ] );
-      ( "minibatch",
-        [ Tutil.quick "recovers blobs" test_minibatch_recovers_blobs;
-          Tutil.quick "deterministic" test_minibatch_deterministic;
-          Tutil.quick "comparable distortion" test_minibatch_comparable_distortion;
-          Tutil.quick "batch > n" test_minibatch_batch_larger_than_n;
-          Tutil.quick "invalid batch size" test_minibatch_invalid_batch_size ] );
       ( "properties",
         [ Tutil.qcheck_case prop_weighted_centroid_invariant;
           Tutil.qcheck_case prop_pruned_parallel_matches_reference ] ) ]

@@ -116,6 +116,54 @@ let test_marker_string_roundtrip () =
   Tutil.check_bool "bad line rejected" true (Marker.of_string "loop-back:xyz" = None);
   Tutil.check_bool "empty proc rejected" true (Marker.of_string "proc:" = None)
 
+(* The decoder's total contract: any input either parses or raises
+   [Parse_error] — never another exception. *)
+let parses_or_rejects text =
+  match Points_file.of_string text with
+  | (_ : Points_file.header * Pipeline.points) -> true
+  | exception Points_file.Parse_error _ -> true
+
+(* Random bytes rarely get past the header, so half the strings are drawn
+   from the format's own alphabet to reach the later parse stages. *)
+let prop_random_strings =
+  let alphabet = "# cbsp-points1\nprogaminutlbdeyf:0123456789.-" in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [ string_size (int_range 0 200);
+          string_size
+            ~gen:(map (String.get alphabet) (int_bound (String.length alphabet - 1)))
+            (int_range 0 200) ])
+  in
+  QCheck.Test.make ~name:"of_string total on random strings" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    parses_or_rejects
+
+let gcc_points_text =
+  lazy
+    (let entry = Cbsp_workloads.Registry.find "gcc" in
+     let input = Cbsp_source.Input.make ~name:"scale2" ~seed:42 ~scale:2 () in
+     let vli =
+       Pipeline.run_vli (entry.Cbsp_workloads.Registry.build ())
+         ~configs:
+           (Cbsp_compiler.Config.paper_four
+              ~loop_splitting:entry.Cbsp_workloads.Registry.loop_splitting ())
+         ~input ~target:20_000
+     in
+     Points_file.to_string ~program:"gcc" ~input vli.Pipeline.vli_points)
+
+let prop_mutated_gcc_file =
+  let gen =
+    QCheck.Gen.(list_size (int_range 1 3) (pair (int_bound max_int) char))
+  in
+  QCheck.Test.make ~name:"of_string total on 1-3 byte mutations of gcc" ~count:2000
+    (QCheck.make gen) (fun edits ->
+      let bytes = Bytes.of_string (Lazy.force gcc_points_text) in
+      List.iter
+        (fun (pos, c) -> Bytes.set bytes (pos mod Bytes.length bytes) c)
+        edits;
+      parses_or_rejects (Bytes.to_string bytes))
+
 let () =
   Alcotest.run "points_file"
     [ ( "serialization",
@@ -125,4 +173,7 @@ let () =
           Tutil.quick "parse minimal" test_parse_minimal;
           Tutil.quick "parse errors" test_parse_errors;
           Tutil.quick "rep/label consistency" test_rep_label_consistency_checked;
-          Tutil.quick "marker roundtrip" test_marker_string_roundtrip ] ) ]
+          Tutil.quick "marker roundtrip" test_marker_string_roundtrip ] );
+      ( "robustness",
+        [ Tutil.qcheck_case prop_random_strings;
+          Tutil.qcheck_case prop_mutated_gcc_file ] ) ]
