@@ -17,7 +17,7 @@ type t = {
   set_shift : int;   (* log2 line *)
   set_mask : int;    (* n_sets - 1 *)
   tags : int array;       (* n_sets * assoc; -1 = invalid *)
-  dirty : bool array;
+  dirty : Bytes.t;        (* one byte per slot: '\001' = dirty *)
   last_use : int array;   (* LRU stamps (fill stamps under FIFO) *)
   mutable clock : int;
   mutable s_accesses : int;
@@ -45,75 +45,75 @@ let create ?(replacement = Lru) ~capacity_bytes ~associativity ~line_bytes () =
   { replacement; rng = Cbsp_util.Rng.create ~seed;
     n_sets; assoc = associativity; line = line_bytes;
     set_shift = log2 line_bytes; set_mask = n_sets - 1;
-    tags = Array.make slots (-1); dirty = Array.make slots false;
+    tags = Array.make slots (-1); dirty = Bytes.make slots '\000';
     last_use = Array.make slots 0; clock = 0; s_accesses = 0; s_hits = 0;
     s_evictions = 0; s_writebacks = 0 }
 
-let locate t ~addr =
-  let block = addr lsr t.set_shift in
-  let set = block land t.set_mask in
-  (block, set * t.assoc)
-
-let find_way t ~base ~tag =
-  let rec scan i =
-    if i >= t.assoc then -1
-    else if t.tags.(base + i) = tag then i
-    else scan (i + 1)
-  in
-  scan 0
-
-(* Victim selection.  An invalid way is always preferred; otherwise LRU
-   picks the oldest use-stamp, FIFO the oldest fill-stamp (use-stamps are
-   simply not refreshed on hits under FIFO), and Random draws from the
-   cache's own deterministic stream. *)
-let victim_way t ~base =
-  let invalid = ref (-1) in
-  for i = t.assoc - 1 downto 0 do
-    if t.tags.(base + i) = -1 then invalid := i
-  done;
-  if !invalid >= 0 then !invalid
-  else
-    match t.replacement with
-    | Lru | Fifo ->
-      let best = ref 0 and best_stamp = ref max_int in
-      for i = 0 to t.assoc - 1 do
-        if t.last_use.(base + i) < !best_stamp then begin
-          best := i;
-          best_stamp := t.last_use.(base + i)
-        end
-      done;
-      !best
-    | Random _ -> Cbsp_util.Rng.int t.rng ~bound:t.assoc
-
+(* The hot path of every collection pass: one call per simulated data
+   access, so it allocates nothing and scans the set once.  On a miss
+   the same scan has found the victim.  Under LRU and FIFO that is the
+   oldest stamp (first such way on ties): invalid ways carry stamp 0
+   and every valid stamp is >= 1, so an invalid way is always preferred
+   and the lowest-index one wins.  Random also prefers the lowest-index
+   invalid way (the oldest stamp when it is 0) and otherwise draws from
+   the cache's own deterministic stream. *)
 let access t ~addr ~is_write =
   t.s_accesses <- t.s_accesses + 1;
-  t.clock <- t.clock + 1;
-  let tag, base = locate t ~addr in
-  let way = find_way t ~base ~tag in
-  if way >= 0 then begin
+  let clock = t.clock + 1 in
+  t.clock <- clock;
+  let tag = addr lsr t.set_shift in
+  let assoc = t.assoc in
+  let base = (tag land t.set_mask) * assoc in
+  let tags = t.tags and last_use = t.last_use in
+  let hit = ref (-1) and oldest = ref base and oldest_stamp = ref max_int in
+  let slot = ref base and stop = base + assoc in
+  while !slot < stop do
+    let s = !slot in
+    if Array.unsafe_get tags s = tag then begin
+      hit := s;
+      slot := stop
+    end
+    else begin
+      let stamp = Array.unsafe_get last_use s in
+      if stamp < !oldest_stamp then begin
+        oldest := s;
+        oldest_stamp := stamp
+      end;
+      slot := s + 1
+    end
+  done;
+  let hit = !hit in
+  if hit >= 0 then begin
     t.s_hits <- t.s_hits + 1;
     (match t.replacement with
-     | Lru -> t.last_use.(base + way) <- t.clock
+     | Lru -> Array.unsafe_set last_use hit clock
      | Fifo | Random _ -> ());
-    if is_write then t.dirty.(base + way) <- true;
+    if is_write then Bytes.unsafe_set t.dirty hit '\001';
     true
   end
   else begin
-    let victim = victim_way t ~base in
-    let slot = base + victim in
-    if t.tags.(slot) <> -1 then begin
+    let victim =
+      match t.replacement with
+      | Random _ when !oldest_stamp <> 0 ->
+        base + Cbsp_util.Rng.int t.rng ~bound:assoc
+      | Lru | Fifo | Random _ -> !oldest
+    in
+    if Array.unsafe_get tags victim <> -1 then begin
       t.s_evictions <- t.s_evictions + 1;
-      if t.dirty.(slot) then t.s_writebacks <- t.s_writebacks + 1
+      if Bytes.unsafe_get t.dirty victim <> '\000' then
+        t.s_writebacks <- t.s_writebacks + 1
     end;
-    t.tags.(slot) <- tag;
-    t.dirty.(slot) <- is_write;
-    t.last_use.(slot) <- t.clock;
+    Array.unsafe_set tags victim tag;
+    Bytes.unsafe_set t.dirty victim (if is_write then '\001' else '\000');
+    Array.unsafe_set last_use victim clock;
     false
   end
 
 let probe t ~addr =
-  let tag, base = locate t ~addr in
-  find_way t ~base ~tag >= 0
+  let tag = addr lsr t.set_shift in
+  let base = (tag land t.set_mask) * t.assoc in
+  let rec scan i = i < t.assoc && (t.tags.(base + i) = tag || scan (i + 1)) in
+  scan 0
 
 let stats t =
   { accesses = t.s_accesses; hits = t.s_hits; misses = t.s_accesses - t.s_hits;
@@ -127,7 +127,7 @@ let reset_stats t =
 
 let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
+  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
   Array.fill t.last_use 0 (Array.length t.last_use) 0;
   t.clock <- 0;
   reset_stats t

@@ -1,26 +1,29 @@
 module Executor = Cbsp_exec.Executor
 
+(* Cycles are an integer sum (one base cycle per instruction plus integer
+   stall latencies), kept in an immediate field so no event allocates a
+   boxed float; below 2^53 it converts to exactly the float a running
+   float sum would hold. *)
 type t = {
   hier : Hierarchy.t;
-  mutable t_cycles : float;
+  mutable t_cycles : int;
   mutable t_insts : int;
 }
 
 let create ?(config = Hierarchy.paper_table1) () =
-  { hier = Hierarchy.create config; t_cycles = 0.0; t_insts = 0 }
+  { hier = Hierarchy.create config; t_cycles = 0; t_insts = 0 }
 
 let observer t =
   { Executor.null_observer with
     Executor.on_block =
       (fun _ insts ->
         t.t_insts <- t.t_insts + insts;
-        t.t_cycles <- t.t_cycles +. float_of_int insts);
+        t.t_cycles <- t.t_cycles + insts);
     on_access =
       (fun addr is_write ->
-        let stall = Hierarchy.access t.hier ~addr ~is_write in
-        t.t_cycles <- t.t_cycles +. float_of_int stall) }
+        t.t_cycles <- t.t_cycles + Hierarchy.access t.hier ~addr ~is_write) }
 
-let cycles t = t.t_cycles
+let cycles t = float_of_int t.t_cycles
 
 let insts t = t.t_insts
 
@@ -28,7 +31,7 @@ let cpi t =
   (* Total: nan before any instruction, so callers can feed the result
      straight into Stats.relative_error / Stats.percentile, whose
      contracts are nan-propagating rather than exception-raising. *)
-  if t.t_insts = 0 then nan else t.t_cycles /. float_of_int t.t_insts
+  if t.t_insts = 0 then nan else cycles t /. float_of_int t.t_insts
 
 let hierarchy t = t.hier
 
@@ -53,5 +56,5 @@ let extra_counters t =
 
 let reset t =
   Hierarchy.flush t.hier;
-  t.t_cycles <- 0.0;
+  t.t_cycles <- 0;
   t.t_insts <- 0

@@ -29,51 +29,50 @@ let scaled_config ~factor =
 
 type t = {
   cfg : config;
-  caches : (Cache.t * int) array;  (* cache, hit latency *)
+  caches : Cache.t array;
+  latencies : int array;   (* hit latency of [caches.(i)] *)
   names : string array;
   mutable dram : int;
 }
 
 let create cfg =
-  let caches =
-    List.map
-      (fun l ->
-        ( Cache.create ~replacement:l.lv_replacement
-            ~capacity_bytes:l.lv_capacity ~associativity:l.lv_assoc
-            ~line_bytes:l.lv_line (),
-          l.lv_latency ))
-      cfg.levels
-    |> Array.of_list
+  let cache l =
+    Cache.create ~replacement:l.lv_replacement ~capacity_bytes:l.lv_capacity
+      ~associativity:l.lv_assoc ~line_bytes:l.lv_line ()
   in
-  let names = Array.of_list (List.map (fun l -> l.lv_name) cfg.levels) in
-  { cfg; caches; names; dram = 0 }
+  let levels = Array.of_list cfg.levels in
+  { cfg; caches = Array.map cache levels;
+    latencies = Array.map (fun l -> l.lv_latency) levels;
+    names = Array.map (fun l -> l.lv_name) levels; dram = 0 }
 
 let access t ~addr ~is_write =
-  let n = Array.length t.caches in
-  let rec go i =
-    if i >= n then begin
-      t.dram <- t.dram + 1;
-      t.cfg.dram_latency
-    end
-    else begin
-      let cache, latency = t.caches.(i) in
-      if Cache.access cache ~addr ~is_write then latency else go (i + 1)
-    end
-  in
-  go 0
+  let caches = t.caches in
+  let n = Array.length caches in
+  let level = ref 0 in
+  while
+    !level < n
+    && not (Cache.access (Array.unsafe_get caches !level) ~addr ~is_write)
+  do
+    incr level
+  done;
+  if !level < n then Array.unsafe_get t.latencies !level
+  else begin
+    t.dram <- t.dram + 1;
+    t.cfg.dram_latency
+  end
 
 type level_stats = { ls_name : string; ls_stats : Cache.stats }
 
 let stats t =
   Array.to_list
     (Array.mapi
-       (fun i (cache, _) -> { ls_name = t.names.(i); ls_stats = Cache.stats cache })
+       (fun i cache -> { ls_name = t.names.(i); ls_stats = Cache.stats cache })
        t.caches)
 
 let dram_accesses t = t.dram
 
 let flush t =
-  Array.iter (fun (cache, _) -> Cache.flush cache) t.caches;
+  Array.iter Cache.flush t.caches;
   t.dram <- 0
 
 let config t = t.cfg

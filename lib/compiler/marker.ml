@@ -7,11 +7,28 @@ let kind_of = function
   | Loop_entry _ -> Kloop_entry
   | Loop_back _ -> Kloop_back
 
-let compare = Stdlib.compare
+(* Monomorphic, and in [Stdlib.compare]'s order (constructor first, in
+   declaration order, then the payload), so every [Map]/[Set] iterates,
+   prints and serializes exactly as a polymorphic compare would. *)
+let rank = function Proc_entry _ -> 0 | Loop_entry _ -> 1 | Loop_back _ -> 2
 
-let equal a b = compare a b = 0
+let compare a b =
+  match (a, b) with
+  | Proc_entry x, Proc_entry y -> String.compare x y
+  | Loop_entry x, Loop_entry y | Loop_back x, Loop_back y -> Int.compare x y
+  | _ -> Int.compare (rank a) (rank b)
 
-let hash = Hashtbl.hash
+let equal a b =
+  match (a, b) with
+  | Proc_entry x, Proc_entry y -> String.equal x y
+  | Loop_entry x, Loop_entry y | Loop_back x, Loop_back y -> Int.equal x y
+  | _ -> false
+
+(* Low bits vary with the line, so loop markers reach every bucket. *)
+let hash = function
+  | Proc_entry name -> String.hash name
+  | Loop_entry line -> (line * 3) + 1
+  | Loop_back line -> (line * 3) + 2
 
 let is_mangled = function
   | Proc_entry _ -> false

@@ -20,10 +20,15 @@ type kind = Kproc | Kloop_entry | Kloop_back
 val kind_of : key -> kind
 
 val compare : key -> key -> int
+(** Constructor first ([Proc_entry] < [Loop_entry] < [Loop_back]), then
+    name or line: the order [Stdlib.compare] gives, computed without a
+    polymorphic call. *)
 
 val equal : key -> key -> bool
+(** [equal a b] exactly when [compare a b = 0]. *)
 
 val hash : key -> int
+(** Consistent with {!equal}. *)
 
 val is_mangled : key -> bool
 (** True when the key refers to a compiler-mangled line (negative), i.e.

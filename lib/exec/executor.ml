@@ -18,14 +18,23 @@ let null_observer =
     on_access = (fun _ _ -> ());
     on_marker = (fun _ -> ()) }
 
+(* Each event costs one call per live observer and no list walk: a
+   callback that is physically [null_observer]'s is dropped, so a builder
+   that ignores accesses hands them straight to the CPU. *)
+let fan1 null f g =
+  if f == null then g else if g == null then f else fun x -> f x; g x
+
+let fan2 null f g =
+  if f == null then g else if g == null then f else fun x y -> f x y; g x y
+
 let compose observers =
-  match observers with
-  | [] -> null_observer
-  | [ obs ] -> obs
-  | observers ->
-    { on_block = (fun id insts -> List.iter (fun o -> o.on_block id insts) observers);
-      on_access = (fun addr w -> List.iter (fun o -> o.on_access addr w) observers);
-      on_marker = (fun key -> List.iter (fun o -> o.on_marker key) observers) }
+  let null = null_observer in
+  List.fold_right
+    (fun o acc ->
+      { on_block = fan2 null.on_block o.on_block acc.on_block;
+        on_access = fan2 null.on_access o.on_access acc.on_access;
+        on_marker = fan1 null.on_marker o.on_marker acc.on_marker })
+    observers null
 
 let counting_observer () =
   let count = ref 0 in
@@ -201,15 +210,15 @@ let run_tree binary input obs =
    once per element), pre-allocated marker keys, inline address
    arithmetic, and a dense [int array] for the per-line dynamic counters.
 
-   When the caller passes [null_observer] (physically), the interpreter
-   takes a counting-only fast path: totals are exact, but the address
-   streams — observable only through the observer — are never generated,
-   so no cursor/RNG work is done at all. *)
+   When the observer's [on_access] is physically [null_observer]'s (a
+   structure profile, or [null_observer] itself), the address streams —
+   observable only through [on_access] — are never generated: accesses
+   are counted, but no cursor/RNG work is done at all. *)
 
 type fstate = {
   f_input : Input.t;
   f_obs : observer;
-  f_fast : bool;                      (* null observer: count, don't emit *)
+  f_no_access : bool;                 (* null on_access: count accesses only *)
   f_bodies : Binary.fstmt array array;
   f_layout : Layout.t;                (* for spill-slot addressing *)
   f_bases : int array;
@@ -229,16 +238,16 @@ type fstate = {
 let f_emit_block st id insts =
   st.f_insts <- st.f_insts + insts;
   st.f_blocks <- st.f_blocks + 1;
-  if not st.f_fast then st.f_obs.on_block id insts
+  st.f_obs.on_block id insts
 
 let f_emit_marker st key =
   st.f_markers <- st.f_markers + 1;
-  if not st.f_fast then st.f_obs.on_marker key
+  st.f_obs.on_marker key
 
 let f_access st (a : Binary.faccess) =
   let n = a.fa_count in
   st.f_accesses <- st.f_accesses + n;
-  if not st.f_fast then begin
+  if not st.f_no_access then begin
     let aid = a.fa_array in
     let base = st.f_bases.(aid) in
     let eb = st.f_ebytes.(aid) in
@@ -285,7 +294,7 @@ let f_access st (a : Binary.faccess) =
 
 let f_spills st n =
   st.f_accesses <- st.f_accesses + n;
-  if not st.f_fast then
+  if not st.f_no_access then
     for slot = 0 to n - 1 do
       let addr = Layout.stack_addr st.f_layout ~depth:st.f_depth ~slot in
       st.f_obs.on_access addr (slot land 1 = 1)
@@ -362,7 +371,8 @@ let run binary input obs =
   let layout = binary.Binary.layout in
   let n_arrays = Layout.n_arrays layout in
   let st =
-    { f_input = input; f_obs = obs; f_fast = obs == null_observer;
+    { f_input = input; f_obs = obs;
+      f_no_access = obs.on_access == null_observer.on_access;
       f_bodies = flat.Binary.fp_bodies; f_layout = layout;
       f_bases = Array.init n_arrays (fun i -> Layout.array_base layout ~array_id:i);
       f_ebytes =

@@ -36,7 +36,9 @@ val null_observer : observer
 (** Ignores everything (for pure instruction counting via totals). *)
 
 val compose : observer list -> observer
-(** Fans every event out to each observer, in list order. *)
+(** Fans every event out to each observer, in list order.  A callback
+    that is physically {!null_observer}'s is dropped rather than called,
+    so the other observers receive that event directly. *)
 
 val counting_observer : unit -> observer * (unit -> int)
 (** An observer that only counts instructions, and its reader. *)
@@ -48,10 +50,10 @@ val run : Cbsp_compiler.Binary.t -> Cbsp_source.Input.t -> observer -> totals
     closure dispatch, pre-allocated marker keys, and dense line-counter
     slots in place of the reference interpreter's hashtable.
 
-    Passing {!null_observer} itself (physical identity) selects a
-    counting-only fast path: the returned totals are identical, but the
-    address streams — observable only through the observer — are never
-    generated. *)
+    An observer whose [on_access] is physically {!null_observer}'s (a
+    structure profile, or {!null_observer} itself) gets identical totals
+    and identical block and marker events, but the address streams —
+    observable only through [on_access] — are never generated. *)
 
 val run_tree : Cbsp_compiler.Binary.t -> Cbsp_source.Input.t -> observer -> totals
 (** The tree-walking reference interpreter (the executor as originally

@@ -96,7 +96,7 @@ let acc_finish acc =
 (* --- streaming builders ------------------------------------------------ *)
 
 let fli_stream ~n_blocks ~target ?cycles ?extras ~emit () =
-  if target <= 0 then invalid_arg "Interval.fli_observer: target must be positive";
+  if target <= 0 then invalid_arg "Interval.fli_stream: target must be positive";
   let acc = make_acc ?cycles ?extras ~collect_bbv:true ~n_blocks ~emit () in
   let obs =
     { Executor.null_observer with
@@ -109,13 +109,14 @@ let fli_stream ~n_blocks ~target ?cycles ?extras ~emit () =
   (obs, fun () -> acc_finish acc)
 
 let vli_recorder_stream ~n_blocks ~target ~mappable ?cycles ?extras ~emit () =
-  if target <= 0 then invalid_arg "Interval.vli_recorder: target must be positive";
+  if target <= 0 then
+    invalid_arg "Interval.vli_recorder_stream: target must be positive";
   let acc = make_acc ?cycles ?extras ~collect_bbv:true ~n_blocks ~emit () in
   let key_counts = Marker.Table.create 256 in
   let boundaries_rev = ref [] in
   let obs =
     { Executor.on_block = (fun id insts -> acc_block acc id insts);
-      on_access = (fun _ _ -> ());
+      on_access = Executor.null_observer.on_access;
       on_marker =
         (fun key ->
           if mappable key then begin
@@ -150,7 +151,7 @@ let vli_follower_stream ?n_blocks ~boundaries ?cycles ?extras ~emit () =
   let total = Array.length boundaries in
   let obs =
     { Executor.on_block = (fun id insts -> acc_block acc id insts);
-      on_access = (fun _ _ -> ());
+      on_access = Executor.null_observer.on_access;
       on_marker =
         (fun key ->
           if !next < total then begin
@@ -174,7 +175,7 @@ let vli_follower_stream ?n_blocks ~boundaries ?cycles ?extras ~emit () =
     if !next < total then
       invalid_arg
         (Printf.sprintf
-           "Interval.vli_follower: only %d of %d boundaries reached — \
+           "Interval.vli_follower_stream: only %d of %d boundaries reached — \
             boundaries do not belong to this (program, input)"
            !next total);
     acc_finish acc

@@ -239,6 +239,75 @@ let prop_second_access_hits =
       ignore (Cache.access c ~addr ~is_write:false);
       Cache.access c ~addr ~is_write:false)
 
+(* Differential oracle: the production cache model against the
+   reference in [Cache_ref], on the same random stream.  Every hit/miss
+   (every latency, for a hierarchy) and the final counters must agree. *)
+let single_configs =
+  [ (Cache.Lru, 2048, 4); (Cache.Fifo, 2048, 4); (Cache.Random 7, 2048, 4);
+    (Cache.Lru, 1024, 1); (Cache.Lru, 512, 8); (Cache.Fifo, 512, 8);
+    (Cache.Random 3, 512, 8) ]
+
+let prop_cache_matches_reference =
+  QCheck.Test.make ~name:"cache matches the reference model" ~count:100
+    (Cache_ref.stream ~span:65_535)
+    (fun events ->
+      List.for_all
+        (fun (replacement, capacity_bytes, associativity) ->
+          let c =
+            Cache.create ~replacement ~capacity_bytes ~associativity
+              ~line_bytes:64 ()
+          and r =
+            Cache_ref.create_cache ~replacement ~capacity_bytes ~associativity
+              ~line_bytes:64 ()
+          in
+          List.for_all
+            (function
+              | Cache_ref.Access { addr; is_write; _ } ->
+                Cache.access c ~addr ~is_write
+                = Cache_ref.cache_access r ~addr ~is_write
+              | Cache_ref.Flush ->
+                Cache.flush c;
+                Cache_ref.cache_flush r;
+                true)
+            events
+          && Cache.stats c = Cache_ref.cache_stats r)
+        single_configs)
+
+let hierarchy_configs =
+  let scaled = Hierarchy.scaled_config ~factor:4 in
+  [ Hierarchy.paper_table1; scaled;
+    { scaled with
+      Hierarchy.levels =
+        List.mapi
+          (fun i l ->
+            { l with
+              Hierarchy.lv_replacement =
+                [| Cache.Fifo; Cache.Random 5; Cache.Lru |].(i mod 3) })
+          scaled.Hierarchy.levels } ]
+
+let prop_hierarchy_matches_reference =
+  QCheck.Test.make ~name:"hierarchy matches the reference model" ~count:100
+    (Cache_ref.stream ~span:4_194_303)
+    (fun events ->
+      List.for_all
+        (fun config ->
+          let h = Hierarchy.create config
+          and r = Cache_ref.create_hierarchy config in
+          List.for_all
+            (function
+              | Cache_ref.Access { addr; is_write; _ } ->
+                Hierarchy.access h ~addr ~is_write
+                = Cache_ref.hierarchy_access r ~addr ~is_write
+              | Cache_ref.Flush ->
+                Hierarchy.flush h;
+                Cache_ref.hierarchy_flush r;
+                true)
+            events
+          && Hierarchy.dram_accesses h = r.Cache_ref.dram
+          && List.map (fun ls -> ls.Hierarchy.ls_stats) (Hierarchy.stats h)
+             = Cache_ref.hierarchy_stats r)
+        hierarchy_configs)
+
 let () =
   Alcotest.run "cache"
     [ ( "single level",
@@ -266,4 +335,6 @@ let () =
           Tutil.quick "one-line cache" test_hierarchy_one_line_cache ] );
       ( "properties",
         [ Tutil.qcheck_case prop_stats_invariant;
-          Tutil.qcheck_case prop_second_access_hits ] ) ]
+          Tutil.qcheck_case prop_second_access_hits;
+          Tutil.qcheck_case prop_cache_matches_reference;
+          Tutil.qcheck_case prop_hierarchy_matches_reference ] ) ]

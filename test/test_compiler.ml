@@ -192,30 +192,51 @@ let prop_work_insts_monotone =
       let lo = min a b and hi = max a b in
       Costmodel.work_insts config lo <= Costmodel.work_insts config hi)
 
-(* Marker keys must survive a trip through their textual form — including
-   procedure names that themselves contain ':' (only the first colon
-   separates the kind tag) and the negative lines of compiler-mangled
-   loop markers. *)
-let prop_marker_roundtrip =
+(* Random marker keys, including procedure names that themselves contain
+   ':' and the negative lines of compiler-mangled loop markers.  Short
+   names and lines make equal-but-distinct pairs common. *)
+let marker_key_gen ~max_name ~max_line =
   let open QCheck in
   let name_gen =
     Gen.map
       (fun chars -> String.concat "" (List.map (String.make 1) chars))
-      (Gen.list_size (Gen.int_range 1 12)
+      (Gen.list_size (Gen.int_range 1 max_name)
          (Gen.oneofl [ 'a'; 'z'; 'A'; '0'; '9'; '_'; '.'; ':'; '$'; ' ' ]))
   in
-  let key_gen =
-    Gen.oneof
-      [ Gen.map (fun s -> Marker.Proc_entry s) name_gen;
-        Gen.map (fun l -> Marker.Loop_entry l) (Gen.int_range (-1000) 1000);
-        Gen.map (fun l -> Marker.Loop_back l) (Gen.int_range (-1000) 1000) ]
-  in
+  let line_gen = Gen.int_range (-max_line) max_line in
+  Gen.oneof
+    [ Gen.map (fun s -> Marker.Proc_entry s) name_gen;
+      Gen.map (fun l -> Marker.Loop_entry l) line_gen;
+      Gen.map (fun l -> Marker.Loop_back l) line_gen ]
+
+(* Marker keys must survive a trip through their textual form (only the
+   first colon separates the kind tag). *)
+let prop_marker_roundtrip =
+  let open QCheck in
   let print k = Marker.to_string k in
   Test.make ~name:"marker to_string/of_string round-trip" ~count:500
-    (make ~print key_gen) (fun key ->
+    (make ~print (marker_key_gen ~max_name:12 ~max_line:1000)) (fun key ->
       match Marker.of_string (Marker.to_string key) with
       | Some key' -> Marker.equal key key'
       | None -> false)
+
+(* The monomorphic compare keeps [Stdlib.compare]'s order (so every
+   Marker.Map iterates and serializes as before), [equal] agrees with
+   it, and [hash] is consistent with [equal]. *)
+let prop_marker_order_and_hash =
+  let open QCheck in
+  let key_gen =
+    Gen.oneof
+      [ marker_key_gen ~max_name:2 ~max_line:2;
+        marker_key_gen ~max_name:12 ~max_line:1000 ]
+  in
+  let print (a, b) = Marker.to_string a ^ " vs " ^ Marker.to_string b in
+  Test.make ~name:"marker compare/equal/hash agree with Stdlib" ~count:2000
+    (make ~print (Gen.pair key_gen key_gen)) (fun (a, b) ->
+      let c = Marker.compare a b in
+      Int.compare c 0 = Int.compare (Stdlib.compare a b) 0
+      && Marker.equal a b = (c = 0)
+      && ((not (Marker.equal a b)) || Marker.hash a = Marker.hash b))
 
 let () =
   Alcotest.run "compiler"
@@ -236,7 +257,8 @@ let () =
           Tutil.quick "split not at O0" test_split_not_at_o0;
           Tutil.quick "static marker keys" test_static_marker_keys;
           Tutil.quick "deterministic" test_deterministic_compile;
-          Tutil.qcheck_case prop_marker_roundtrip ] );
+          Tutil.qcheck_case prop_marker_roundtrip;
+          Tutil.qcheck_case prop_marker_order_and_hash ] );
       ( "layout",
         [ Tutil.quick "pointer width" test_layout_pointer_width;
           Tutil.quick "no overlap" test_layout_no_overlap;

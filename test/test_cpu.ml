@@ -133,6 +133,37 @@ let test_cycles_monotone () =
   in
   Tutil.check_bool "progressed" true (Cpu.cycles cpu > 0.0)
 
+(* Differential oracle: integer cycle accumulation against the
+   reference's running float sum.  Cycles must agree bit for bit after
+   every event, and the extra counters at the end. *)
+let bits = Int64.bits_of_float
+
+let prop_cpu_matches_reference =
+  QCheck.Test.make ~name:"cpu matches the float-summing reference" ~count:100
+    (Cache_ref.stream ~span:4_194_303)
+    (fun events ->
+      List.for_all
+        (fun config ->
+          let cpu = Cpu.create ~config () and r = Cache_ref.create_cpu config in
+          let obs = Cpu.observer cpu and robs = Cache_ref.cpu_observer r in
+          List.for_all
+            (fun ev ->
+              (match ev with
+               | Cache_ref.Access { addr; is_write; insts } ->
+                 obs.Executor.on_block 0 insts;
+                 robs.Executor.on_block 0 insts;
+                 obs.Executor.on_access addr is_write;
+                 robs.Executor.on_access addr is_write
+               | Cache_ref.Flush ->
+                 Cpu.reset cpu;
+                 Cache_ref.cpu_reset r);
+              bits (Cpu.cycles cpu) = bits r.Cache_ref.cycles
+              && Cpu.insts cpu = r.Cache_ref.insts)
+            events
+          && Array.map bits (Cpu.extra_counters cpu)
+             = Array.map bits (Cache_ref.cpu_extra_counters r))
+        [ Hierarchy.paper_table1; Hierarchy.scaled_config ~factor:4 ])
+
 let () =
   Alcotest.run "cpu"
     [ ( "cpi model",
@@ -144,4 +175,5 @@ let () =
           Tutil.quick "custom config" test_custom_config;
           Tutil.quick "cycles monotone" test_cycles_monotone;
           Tutil.quick "extra counters monotone" test_extra_counters_monotone;
-          Tutil.qcheck_case prop_cpi_total ] ) ]
+          Tutil.qcheck_case prop_cpi_total;
+          Tutil.qcheck_case prop_cpu_matches_reference ] ) ]

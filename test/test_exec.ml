@@ -190,41 +190,83 @@ let test_select_counts () =
   (* 100 dispatches + 100 arm bodies + 100 backedges + 1 header *)
   Tutil.check_int "block events" (100 + 100 + 100 + 1) totals.Executor.blocks
 
-let test_compose_order () =
-  let program = Tutil.single_loop_program () in
-  let binary = Lower.compile program (Config.v Isa.X86_32 Config.O0) in
-  let order = ref [] in
-  let obs1 =
-    { Executor.null_observer with
-      Executor.on_block = (fun _ _ -> order := 1 :: !order) }
-  in
-  let obs2 =
-    { Executor.null_observer with
-      Executor.on_block = (fun _ _ -> order := 2 :: !order) }
-  in
-  let (_ : Executor.totals) = run binary (Executor.compose [ obs1; obs2 ]) in
-  (match !order with
-   | 2 :: 1 :: _ -> ()
-   | _ -> Alcotest.fail "observers not called in list order");
-  Tutil.check_bool "composition saw events" true (List.length !order > 0)
-
-(* ------------------------------------------------------------------ *)
-(* Flat interpreter vs tree-walking reference.                         *)
-
 type event =
   | EBlock of int * int
   | EAccess of int * bool
   | EMarker of Marker.key
 
+(* An observer that logs every event it receives, tagged, into [log]. *)
+let logger log tag =
+  let note e = log := (tag, e) :: !log in
+  { Executor.on_block = (fun id insts -> note (EBlock (id, insts)));
+    on_access = (fun addr w -> note (EAccess (addr, w)));
+    on_marker = (fun k -> note (EMarker k)) }
+
 let event_stream run_fn binary =
-  let evs = ref [] in
-  let obs =
-    { Executor.on_block = (fun id insts -> evs := EBlock (id, insts) :: !evs);
-      on_access = (fun addr w -> evs := EAccess (addr, w) :: !evs);
-      on_marker = (fun k -> evs := EMarker k :: !evs) }
+  let log = ref [] in
+  let totals = run_fn binary input (logger log 0) in
+  (totals, List.rev_map snd !log)
+
+(* [compose] fans each event out in list order; a callback that is
+   physically null_observer's is skipped, and the other observers still
+   see that event.  [route e] lists the tags that
+   must receive event [e], in order. *)
+let test_compose_order () =
+  let program = Tutil.two_phase_program () in
+  let binary = Lower.compile program (Config.v Isa.X86_32 Config.O0) in
+  let totals, events = event_stream Executor.run binary in
+  Tutil.check_bool "the run has accesses" true (totals.Executor.accesses > 0);
+  let check name observers route =
+    let log = ref [] in
+    let composed = Executor.compose (List.map (fun mk -> mk log) observers) in
+    let t = run binary composed in
+    Tutil.check_bool (name ^ ": same totals") true (t = totals);
+    let got = List.rev !log in
+    let expected =
+      List.concat_map (fun e -> List.map (fun tag -> (tag, e)) (route e)) events
+    in
+    Tutil.check_bool (name ^ ": every event, in order") true (got = expected);
+    got
   in
-  let totals = run_fn binary input obs in
-  (totals, List.rev !evs)
+  let null = Executor.null_observer in
+  let full tag log = logger log tag in
+  let no_access tag log =
+    { (logger log tag) with Executor.on_access = null.on_access }
+  in
+  let no_marker tag log =
+    { (logger log tag) with Executor.on_marker = null.on_marker }
+  in
+  (* The collection-pass shape: a builder that ignores accesses, then a
+     CPU that ignores markers. *)
+  let got =
+    check "builder + cpu" [ no_access 1; no_marker 2 ] (function
+      | EBlock _ -> [ 1; 2 ]
+      | EAccess _ -> [ 2 ]
+      | EMarker _ -> [ 1 ])
+  in
+  let is_access = function _, EAccess _ -> true | _ -> false in
+  Tutil.check_int "cpu half saw every access" totals.Executor.accesses
+    (List.length (List.filter is_access got));
+  List.iter
+    (fun (name, observers, route) ->
+      ignore (check name observers route : (int * event) list))
+    [ ("two observers", [ full 1; full 2 ], fun _ -> [ 1; 2 ]);
+      ("three observers", [ full 1; full 2; full 3 ], fun _ -> [ 1; 2; 3 ]);
+      ( "three with null halves",
+        [ no_access 1; full 2; no_marker 3 ],
+        function
+        | EBlock _ -> [ 1; 2; 3 ]
+        | EAccess _ -> [ 2; 3 ]
+        | EMarker _ -> [ 1; 2 ] );
+      ( "cpu + builder",
+        [ no_marker 1; no_access 2 ],
+        function
+        | EBlock _ -> [ 1; 2 ]
+        | EAccess _ -> [ 1 ]
+        | EMarker _ -> [ 2 ] ) ]
+
+(* ------------------------------------------------------------------ *)
+(* Flat interpreter vs tree-walking reference.                         *)
 
 let check_flat_matches_tree program ~loop_splitting =
   List.iteri
@@ -241,16 +283,27 @@ let test_flat_matches_tree () =
   check_flat_matches_tree (Tutil.two_phase_program ()) ~loop_splitting:false;
   check_flat_matches_tree (Tutil.splittable_program ()) ~loop_splitting:true
 
-(* The no-observer fast path skips all address computation; its totals
-   must still agree with a fully observed run. *)
+(* An observer without [on_access] (null_observer included) skips all
+   address computation; its totals, and the blocks and markers it
+   receives, must agree with a fully observed run. *)
 let test_fast_path_totals () =
   List.iter
     (fun binary ->
+      let observed, events = event_stream Executor.run binary in
       let fast = Executor.run binary input Executor.null_observer in
-      let obs, _ = Executor.counting_observer () in
-      let observed = Executor.run binary input obs in
       Tutil.check_bool "fast-path totals equal observed-run totals" true
-        (fast = observed))
+        (fast = observed);
+      let log = ref [] in
+      let no_access =
+        { (logger log 0) with
+          Executor.on_access = Executor.null_observer.on_access }
+      in
+      let t = Executor.run binary input no_access in
+      Tutil.check_bool "no-access totals equal observed-run totals" true
+        (t = observed);
+      Tutil.check_bool "no-access run sees every block and marker" true
+        (List.rev_map snd !log
+        = List.filter (function EAccess _ -> false | _ -> true) events))
     (Tutil.compile_all (Tutil.two_phase_program ()))
 
 (* Regression: a Hot window wider than its array must still yield

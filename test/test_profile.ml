@@ -72,8 +72,14 @@ let test_fli_bbv_sums () =
 
 let test_fli_rejects_bad_target () =
   Alcotest.check_raises "zero target"
-    (Invalid_argument "Interval.fli_observer: target must be positive") (fun () ->
-      ignore (Interval.fli_observer ~n_blocks:1 ~target:0 ()))
+    (Invalid_argument "Interval.fli_stream: target must be positive") (fun () ->
+      ignore (Interval.fli_observer ~n_blocks:1 ~target:0 ()));
+  Alcotest.check_raises "zero recorder target"
+    (Invalid_argument "Interval.vli_recorder_stream: target must be positive")
+    (fun () ->
+      ignore
+        (Interval.vli_recorder ~n_blocks:1 ~target:0
+           ~mappable:(fun _ -> true) ()))
 
 let test_fli_cycles_sampled () =
   let program = Tutil.two_phase_program () in
@@ -203,8 +209,7 @@ let test_follower_rejects_foreign_boundaries () =
      | exception Invalid_argument msg ->
        (* The message carries the reached/expected boundary counts. *)
        Tutil.check_bool "message names the follower" true
-         (String.length msg > 0
-          && String.sub msg 0 22 = "Interval.vli_follower:");
+         (String.starts_with ~prefix:"Interval.vli_follower_stream:" msg);
        true)
 
 (* --- edge cases ------------------------------------------------------- *)
