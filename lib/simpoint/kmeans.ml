@@ -1,12 +1,12 @@
 module Rng = Cbsp_util.Rng
 module Stats = Cbsp_util.Stats
-module Scheduler = Cbsp_engine.Scheduler
 module Metrics = Cbsp_obs.Metrics
 
 (* Clustering observability: restarts executed, Lloyd iterations, and
-   exact distance evaluations the pruned assignment actually paid for
-   (the whole point of the Hamerly bounds is to keep the last one far
-   below n*k per iteration). *)
+   every exact distance the production path computes (seeding, the
+   first assignment, the pruned scans, centroid drift, empty-cluster
+   reseeds and the final distortion).  The Hamerly bounds keep the
+   per-iteration share of the last one far below n*k. *)
 let m_runs = Metrics.counter "kmeans.runs"
 let m_iterations = Metrics.counter "kmeans.iterations"
 let m_distance_evals = Metrics.counter "kmeans.distance_evals"
@@ -23,18 +23,22 @@ let check_args ~k ~weights ~points =
   let n = Array.length points in
   if n = 0 then invalid_arg "Kmeans.run: no points";
   if Array.length weights <> n then invalid_arg "Kmeans.run: weights/points length mismatch";
-  Array.iter (fun w -> if w <= 0.0 then invalid_arg "Kmeans.run: non-positive weight") weights;
+  Array.iter
+    (fun w ->
+      if not (Float.is_finite w) then invalid_arg "Kmeans.run: non-finite weight";
+      if w <= 0.0 then invalid_arg "Kmeans.run: non-positive weight")
+    weights;
   if k < 1 || k > n then invalid_arg "Kmeans.run: k out of range";
   let dim = Array.length points.(0) in
   Array.iter
     (fun p -> if Array.length p <> dim then invalid_arg "Kmeans.run: ragged points")
     points
 
-(* Points are processed in fixed chunks: the chunk grid depends only on n,
-   never on the worker count, and partial results are folded in ascending
-   chunk order.  That fixes one canonical floating-point summation order,
-   so every [jobs] value — and the sequential reference — produces
-   bit-identical centroids and distortion. *)
+(* Point-order sums run over fixed chunks: the chunk grid depends only on
+   n, and partial results are folded in ascending chunk order.  That is
+   the one canonical floating-point summation order both the production
+   path and the reference use, so their centroids and distortion are
+   bit-identical. *)
 let chunk_size = 256
 
 let chunk_bounds n =
@@ -125,18 +129,14 @@ let accumulate_chunk ~weights ~points ~assignments ~k ~dim (lo, hi) =
   done;
   (sums, mass)
 
-let accumulate ~jobs ~weights ~points ~assignments ~k =
+let accumulate ~weights ~points ~assignments ~k =
   let n = Array.length points in
   let dim = Array.length points.(0) in
-  let partials =
-    Scheduler.parallel_map ~jobs
-      (accumulate_chunk ~weights ~points ~assignments ~k ~dim)
-      (chunk_bounds n)
-  in
   let sums = Array.init k (fun _ -> Array.make dim 0.0) in
   let mass = Array.make k 0.0 in
   List.iter
-    (fun (psums, pmass) ->
+    (fun chunk ->
+      let psums, pmass = accumulate_chunk ~weights ~points ~assignments ~k ~dim chunk in
       for c = 0 to k - 1 do
         mass.(c) <- mass.(c) +. pmass.(c);
         let s = sums.(c) in
@@ -145,17 +145,18 @@ let accumulate ~jobs ~weights ~points ~assignments ~k =
           s.(j) <- s.(j) +. p.(j)
         done
       done)
-    partials;
+    (chunk_bounds n);
   (sums, mass)
 
-let recompute_centroids ~jobs ~weights ~points ~assignments ~centroids =
+(* Returns the distances its empty-cluster reseeds computed. *)
+let recompute_centroids ~weights ~points ~assignments ~centroids =
   let k = Array.length centroids in
   let dim = Array.length points.(0) in
-  let sums, mass = accumulate ~jobs ~weights ~points ~assignments ~k in
+  let sums, mass = accumulate ~weights ~points ~assignments ~k in
+  let reseed_evals = ref 0 in
   (* Reseed empty clusters on the point with the largest weighted distance
-     to its current centroid.  Sequential on purpose: the scan reads
-     centroids mid-update, so its order is part of the reference
-     semantics. *)
+     to its current centroid.  The scan reads centroids mid-update, so its
+     order is part of the reference semantics. *)
   for c = 0 to k - 1 do
     if mass.(c) = 0.0 then begin
       let worst = ref 0 and worst_d = ref neg_infinity in
@@ -167,6 +168,7 @@ let recompute_centroids ~jobs ~weights ~points ~assignments ~centroids =
             worst := i
           end)
         points;
+      reseed_evals := !reseed_evals + Array.length points;
       centroids.(c) <- Array.copy points.(!worst)
     end
     else begin
@@ -176,7 +178,8 @@ let recompute_centroids ~jobs ~weights ~points ~assignments ~centroids =
       done;
       centroids.(c) <- s
     end
-  done
+  done;
+  !reseed_evals
 
 let distortion_chunk ~weights ~points ~assignments ~centroids (lo, hi) =
   let acc = ref 0.0 in
@@ -186,13 +189,12 @@ let distortion_chunk ~weights ~points ~assignments ~centroids (lo, hi) =
   done;
   !acc
 
-let total_distortion ~jobs ~weights ~points ~assignments ~centroids =
-  let parts =
-    Scheduler.parallel_map ~jobs
-      (distortion_chunk ~weights ~points ~assignments ~centroids)
-      (chunk_bounds (Array.length points))
-  in
-  List.fold_left ( +. ) 0.0 parts
+let total_distortion ~weights ~points ~assignments ~centroids =
+  List.fold_left
+    (fun acc chunk ->
+      acc +. distortion_chunk ~weights ~points ~assignments ~centroids chunk)
+    0.0
+    (chunk_bounds (Array.length points))
 
 (* --- reference Lloyd ---------------------------------------------------- *)
 
@@ -205,17 +207,114 @@ let run_once_reference rng ~max_iters ~k ~weights ~points =
   while !continue && !iterations < max_iters do
     let changed = assign_all ~centroids ~points ~assignments in
     if changed then begin
-      recompute_centroids ~jobs:1 ~weights ~points ~assignments ~centroids;
+      let (_ : int) = recompute_centroids ~weights ~points ~assignments ~centroids in
       incr iterations
     end
     else continue := false
   done;
   (* Ensure assignments reflect the final centroids. *)
   let (_ : bool) = assign_all ~centroids ~points ~assignments in
-  let distortion = total_distortion ~jobs:1 ~weights ~points ~assignments ~centroids in
+  let distortion = total_distortion ~weights ~points ~assignments ~centroids in
   { k; assignments; centroids; distortion; iterations = !iterations }
 
-(* --- pruned (Hamerly) Lloyd -------------------------------------------- *)
+(* --- production: fused seeding, blocked distances, Hamerly pruning ------ *)
+
+(* [out.(i) <- Stats.sq_distance points.(i) c] for every point, four
+   points per sweep of [c] with one accumulator each: the four add chains
+   are independent, so their latencies overlap.  Each sum still starts at
+   0.0 and runs in ascending dimension order, so it is bit-identical to
+   [Stats.sq_distance]. *)
+let distances_to ~points c out =
+  let n = Array.length points and dim = Array.length c in
+  let i = ref 0 in
+  while !i + 4 <= n do
+    let b = !i in
+    let p0 = points.(b) and p1 = points.(b + 1) in
+    let p2 = points.(b + 2) and p3 = points.(b + 3) in
+    if
+      Array.length p0 <> dim || Array.length p1 <> dim
+      || Array.length p2 <> dim || Array.length p3 <> dim
+    then invalid_arg "Kmeans.distances_to: length mismatch";
+    let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
+    for j = 0 to dim - 1 do
+      let cj = Array.unsafe_get c j in
+      let d0 = Array.unsafe_get p0 j -. cj and d1 = Array.unsafe_get p1 j -. cj in
+      let d2 = Array.unsafe_get p2 j -. cj and d3 = Array.unsafe_get p3 j -. cj in
+      a0 := !a0 +. (d0 *. d0);
+      a1 := !a1 +. (d1 *. d1);
+      a2 := !a2 +. (d2 *. d2);
+      a3 := !a3 +. (d3 *. d3)
+    done;
+    out.(b) <- !a0;
+    out.(b + 1) <- !a1;
+    out.(b + 2) <- !a2;
+    out.(b + 3) <- !a3;
+    i := b + 4
+  done;
+  for t = !i to n - 1 do
+    out.(t) <- Stats.sq_distance points.(t) c
+  done
+
+(* [seed_plus_plus]'s weighted pick with the running sum in a loop: its
+   recursive [scan] boxes the float accumulator on every step. *)
+let pick_weighted rng masses =
+  let n = Array.length masses in
+  let total = Stats.sum masses in
+  if total <= 0.0 then Rng.int rng ~bound:n
+  else begin
+    let target = Rng.float rng *. total in
+    let acc = ref 0.0 and i = ref 0 and found = ref false in
+    while (not !found) && !i < n - 1 do
+      acc := !acc +. masses.(!i);
+      if !acc > target then found := true else incr i
+    done;
+    !i
+  end
+
+(* Weighted k-means++ seeding fused with the first full assignment.
+   Seeding measures every point against centroids 0..k-2 in the
+   reference's order; each point keeps its nearest and second-nearest of
+   them with [nearest_two]'s strict comparisons, so the first assignment
+   only measures centroid k-1.  While seeding, [upper] holds the
+   squared distance to the nearest centroid so far, which is
+   [seed_plus_plus]'s D² (finite points give no nan distance, the one
+   case where the two comparisons differ).  On return [assignments]
+   holds each point's nearest centroid and [upper]/[lower] the exact
+   distances to its nearest and second-nearest, as a full [nearest_two]
+   scan leaves them. *)
+let seed_and_assign rng ~k ~weights ~points ~assignments ~upper ~lower =
+  let n = Array.length points in
+  let dist = Array.make n 0.0 and masses = Array.make n 0.0 in
+  let centroids = Array.make k [||] in
+  centroids.(0) <- Array.copy points.(pick_weighted rng weights);
+  for c = 0 to k - 1 do
+    distances_to ~points centroids.(c) dist;
+    if c = 0 then begin
+      Array.blit dist 0 upper 0 n;
+      Array.fill lower 0 n infinity
+    end
+    else
+      for i = 0 to n - 1 do
+        let d = dist.(i) in
+        if d < upper.(i) then begin
+          lower.(i) <- upper.(i);
+          upper.(i) <- d;
+          assignments.(i) <- c
+        end
+        else if d < lower.(i) then lower.(i) <- d
+      done;
+    if c < k - 1 then begin
+      for i = 0 to n - 1 do
+        masses.(i) <- weights.(i) *. upper.(i)
+      done;
+      centroids.(c + 1) <- Array.copy points.(pick_weighted rng masses)
+    end
+  done;
+  for i = 0 to n - 1 do
+    upper.(i) <- sqrt upper.(i);
+    lower.(i) <- sqrt lower.(i)
+  done;
+  centroids
 
 (* Per-point bounds in Euclidean (not squared) distance:
 
@@ -229,12 +328,10 @@ let run_once_reference rng ~max_iters ~k ~weights ~points =
    — ties and all — would reproduce the current assignment.  That strict
    comparison is what makes pruned assignments bit-identical to the
    reference, not merely approximately equal. *)
-
-let assign_chunk_pruned ~centroids ~points ~assignments ~upper ~lower (lo, hi) =
+let assign_pruned ~centroids ~points ~assignments ~upper ~lower ~evals =
   let k = Array.length centroids in
   let changed = ref false in
-  let evals = ref 0 in
-  for i = lo to hi - 1 do
+  for i = 0 to Array.length points - 1 do
     if not (upper.(i) < lower.(i)) then begin
       let p = points.(i) in
       let a = assignments.(i) in
@@ -255,46 +352,23 @@ let assign_chunk_pruned ~centroids ~points ~assignments ~upper ~lower (lo, hi) =
       end
     end
   done;
-  (!changed, !evals)
+  !changed
 
-let assign_chunk_full ~centroids ~points ~assignments ~upper ~lower (lo, hi) =
-  let k = Array.length centroids in
-  let changed = ref false in
-  for i = lo to hi - 1 do
-    let best, best_d, second_d = nearest_two ~centroids ~k points.(i) in
-    upper.(i) <- sqrt best_d;
-    lower.(i) <- sqrt second_d;
-    if assignments.(i) <> best then begin
-      assignments.(i) <- best;
-      changed := true
-    end
-  done;
-  (!changed, (hi - lo) * k)
-
-let run_once_pruned ~jobs rng ~max_iters ~k ~weights ~points =
+let run_once_pruned rng ~max_iters ~k ~weights ~points =
   let n = Array.length points in
-  let centroids = seed_plus_plus rng ~k ~weights ~points in
-  let assignments = Array.make n (-1) in
-  let upper = Array.make n infinity in
-  let lower = Array.make n 0.0 in
-  let chunks = chunk_bounds n in
-  let assign chunk_fn =
-    let flags =
-      Scheduler.parallel_map ~jobs
-        (chunk_fn ~centroids ~points ~assignments ~upper ~lower)
-        chunks
-    in
-    let evals = List.fold_left (fun acc (_, e) -> acc + e) 0 flags in
-    Metrics.incr ~by:evals m_distance_evals;
-    List.exists (fun (changed, _) -> changed) flags
+  let assignments = Array.make n 0 in
+  let upper = Array.make n 0.0 and lower = Array.make n 0.0 in
+  let centroids =
+    seed_and_assign rng ~k ~weights ~points ~assignments ~upper ~lower
   in
-  let old = Array.init k (fun _ -> [||]) in
+  let evals = ref (k * n) in
+  let assign () = assign_pruned ~centroids ~points ~assignments ~upper ~lower ~evals in
+  let old = Array.make k [||] in
   let drift = Array.make k 0.0 in
   let recompute_and_loosen () =
-    for c = 0 to k - 1 do
-      old.(c) <- centroids.(c)
-    done;
-    recompute_centroids ~jobs ~weights ~points ~assignments ~centroids;
+    Array.blit centroids 0 old 0 k;
+    let reseeds = recompute_centroids ~weights ~points ~assignments ~centroids in
+    evals := !evals + reseeds + k;
     let max_drift = ref 0.0 in
     for c = 0 to k - 1 do
       let d = sqrt (Stats.sq_distance old.(c) centroids.(c)) in
@@ -309,32 +383,25 @@ let run_once_pruned ~jobs rng ~max_iters ~k ~weights ~points =
       done
   in
   let iterations = ref 0 in
-  let continue = ref true in
-  let first = ref true in
-  while !continue && !iterations < max_iters do
-    let changed =
-      if !first then begin
-        first := false;
-        let (_ : bool) = assign assign_chunk_full in
-        (* From the -1 state every point changes, like the reference. *)
-        true
-      end
-      else assign assign_chunk_pruned
-    in
-    if changed then begin
+  if max_iters > 0 then begin
+    (* The first assignment moved every point off the reference's -1
+       start, so it counts as a change. *)
+    recompute_and_loosen ();
+    iterations := 1;
+    while !iterations < max_iters && assign () do
       recompute_and_loosen ();
       incr iterations
-    end
-    else continue := false
-  done;
-  (* Ensure assignments reflect the final centroids (the bounds were
-     loosened after the last recompute, so the pruned pass is exact). *)
-  let (_ : bool) =
-    if !first then assign assign_chunk_full else assign assign_chunk_pruned
-  in
-  let distortion = total_distortion ~jobs ~weights ~points ~assignments ~centroids in
+    done;
+    (* Stopped by the cap, the last recompute moved the centroids:
+       reassign to match them (the bounds were loosened after it, so the
+       pruned pass is exact).  Stopped by an unchanged pass, the
+       assignments already match. *)
+    if !iterations >= max_iters then ignore (assign () : bool)
+  end;
+  let distortion = total_distortion ~weights ~points ~assignments ~centroids in
   Metrics.incr m_runs;
   Metrics.incr ~by:!iterations m_iterations;
+  Metrics.incr ~by:(!evals + n) m_distance_evals;
   { k; assignments; centroids; distortion; iterations = !iterations }
 
 (* --- drivers ------------------------------------------------------------ *)
@@ -350,10 +417,9 @@ let run_restarts ~run_once ~seed ~restarts ~max_iters ~k ~weights ~points =
   done;
   !best
 
-let run ?(seed = 493) ?(restarts = 5) ?(max_iters = 100) ?(jobs = 1) ~k ~weights
-    ~points () =
-  run_restarts ~run_once:(run_once_pruned ~jobs) ~seed ~restarts ~max_iters ~k
-    ~weights ~points
+let run ?(seed = 493) ?(restarts = 5) ?(max_iters = 100) ~k ~weights ~points () =
+  run_restarts ~run_once:run_once_pruned ~seed ~restarts ~max_iters ~k ~weights
+    ~points
 
 let run_reference ?(seed = 493) ?(restarts = 5) ?(max_iters = 100) ~k ~weights
     ~points () =

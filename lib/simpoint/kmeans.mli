@@ -13,14 +13,16 @@
     distinct points than k, in which case duplicate centroids are
     harmless.
 
-    {!run} prunes the assignment step with Hamerly-style triangle-
-    inequality bounds (per-point upper/lower distance bounds, invalidated
-    by centroid drift) and can run assignment, accumulation, and
-    distortion domain-parallel.  Point-order floating-point reductions
-    follow one canonical fixed-chunk order regardless of [jobs], so the
-    result is bit-identical to {!run_reference} — the plain Lloyd
-    implementation kept as the semantic reference — for every [jobs]
-    (the test suite proves this on random weighted point sets). *)
+    {!run} fuses seeding with the first assignment (seeding already
+    measures every point against all but the last centroid), computes
+    those distances four points at a time, and prunes later assignment
+    steps with Hamerly-style triangle-inequality bounds (per-point
+    upper/lower distance bounds, invalidated by centroid drift).  Every
+    distance sums in ascending dimension order and point-order
+    reductions follow one canonical fixed-chunk order, so the result is
+    bit-identical to {!run_reference} — the plain Lloyd implementation
+    kept as the semantic reference (the test suite proves this on random
+    weighted point sets). *)
 
 type result = {
   k : int;
@@ -35,16 +37,14 @@ val run :
   ?seed:int ->
   ?restarts:int ->
   ?max_iters:int ->
-  ?jobs:int ->
   k:int ->
   weights:float array ->
   points:float array array ->
   unit ->
   result
-(** Best-of-[restarts] (default 5) by distortion, with Hamerly-pruned
-    assignment.  [jobs] (default 1) is the worker-domain cap for the
-    per-chunk parallel phases; any value returns bit-identical results.
-    All weights must be > 0 and [1 <= k <= Array.length points].
+(** Best-of-[restarts] (default 5) by distortion, with fused seeding and
+    Hamerly-pruned assignment.  All weights must be finite and > 0 and
+    [1 <= k <= Array.length points].
     @raise Invalid_argument on bad arguments. *)
 
 val run_reference :
@@ -58,7 +58,14 @@ val run_reference :
   result
 (** Plain sequential Lloyd over full distance scans — the reference
     {!run} is tested against.  Same seeding, same canonical reduction
-    order, no pruning, no parallelism. *)
+    order, no fusion, no blocking, no pruning. *)
+
+val distances_to : points:float array array -> float array -> float array -> unit
+(** [distances_to ~points c out] sets [out.(i)] to
+    [Stats.sq_distance points.(i) c] for every point, bit for bit: the
+    seeding kernel of {!run}, four points per sweep of [c].  [out] must
+    be at least as long as [points].
+    @raise Invalid_argument if a point is not as long as [c]. *)
 
 val cluster_weights : result -> weights:float array -> float array
 (** Total weight per cluster; sums to the total input weight. *)

@@ -1,5 +1,4 @@
 module Rng = Cbsp_util.Rng
-module Scheduler = Cbsp_engine.Scheduler
 
 type matrix =
   (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -148,36 +147,15 @@ let apply t v =
   apply_to_zeroed t v out;
   out
 
-(* Rows are independent, so worker count cannot affect the result; the
-   output matrix is allocated up front and rows are filled in place, in
-   fixed chunks. *)
-let rows_per_chunk = 32
-
-let apply_all ?(jobs = 1) t vs =
-  let n = Array.length vs in
+let apply_all t vs =
   Array.iter
     (fun v ->
       if Array.length v <> t.in_dim then
         invalid_arg "Projection.apply: dimension mismatch")
     vs;
-  let out = Array.init n (fun _ -> Array.make t.out_dim 0.0) in
-  if jobs <= 1 then
-    for r = 0 to n - 1 do
-      apply_to_zeroed t vs.(r) out.(r)
-    done
-  else begin
-    let chunks =
-      List.init ((n + rows_per_chunk - 1) / rows_per_chunk) (fun c ->
-          (c * rows_per_chunk, min n ((c + 1) * rows_per_chunk)))
-    in
-    let (_ : unit list) =
-      Scheduler.parallel_map ~jobs
-        (fun (lo, hi) ->
-          for r = lo to hi - 1 do
-            apply_to_zeroed t vs.(r) out.(r)
-          done)
-        chunks
-    in
-    ()
-  end;
-  out
+  Array.map
+    (fun v ->
+      let out = Array.make t.out_dim 0.0 in
+      apply_to_zeroed t v out;
+      out)
+    vs

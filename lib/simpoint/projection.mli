@@ -34,7 +34,6 @@ val project_into : t -> float array -> float array -> unit
 val apply_into : t -> float array -> float array -> unit
 (** Alias of {!project_into} (historical name). *)
 
-val apply_all : ?jobs:int -> t -> float array array -> float array array
-(** Project every row, filling a pre-allocated output matrix in place.
-    [jobs] (default 1) caps the worker domains; rows are independent, so
-    the result is identical for any value. *)
+val apply_all : t -> float array array -> float array array
+(** Project every row into a freshly allocated output matrix.
+    @raise Invalid_argument if a row is not [in_dim] long. *)

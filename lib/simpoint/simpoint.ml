@@ -13,12 +13,11 @@ type config = {
   seed : int;
   rep_policy : rep_policy;
   k_search : k_search;
-  jobs : int;
 }
 
 let default_config =
   { max_k = 10; dims = 15; bic_fraction = 0.9; restarts = 5; max_iters = 100;
-    seed = 2007; rep_policy = Centroid; k_search = All_k; jobs = 1 }
+    seed = 2007; rep_policy = Centroid; k_search = All_k }
 
 type sim_point = { phase : int; rep : int; weight : float }
 
@@ -59,7 +58,9 @@ let pick_projected ?(config = default_config) ~weights ~points () =
   if n = 0 then invalid_arg "Simpoint.pick: no intervals";
   if Array.length weights <> n then invalid_arg "Simpoint.pick: weights mismatch";
   Array.iter
-    (fun w -> if w <= 0.0 then invalid_arg "Simpoint.pick: non-positive weight")
+    (fun w ->
+      if not (Float.is_finite w) then invalid_arg "Simpoint.pick: non-finite weight";
+      if w <= 0.0 then invalid_arg "Simpoint.pick: non-positive weight")
     weights;
   let max_k = min config.max_k n in
   (* Memoized clustering per k, so the two search strategies share code. *)
@@ -70,7 +71,7 @@ let pick_projected ?(config = default_config) ~weights ~points () =
     | None ->
       let result =
         Kmeans.run ~seed:(config.seed + k) ~restarts:config.restarts
-          ~max_iters:config.max_iters ~jobs:config.jobs ~k ~weights ~points ()
+          ~max_iters:config.max_iters ~k ~weights ~points ()
       in
       let score = Bic.score ~weights ~points result in
       Hashtbl.add cache k (result, score);
@@ -145,7 +146,7 @@ let pick ?(config = default_config) ~weights ~bbvs () =
   if Array.length weights <> n then invalid_arg "Simpoint.pick: weights mismatch";
   let normalized = Array.map Stats.normalize bbvs in
   let projection = projection_for ~config ~in_dim:(Array.length bbvs.(0)) () in
-  let points = Projection.apply_all ~jobs:config.jobs projection normalized in
+  let points = Projection.apply_all projection normalized in
   pick_projected ~config ~weights ~points ()
 
 let estimate t ~metric_of_rep =

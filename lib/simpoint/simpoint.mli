@@ -33,14 +33,11 @@ type config = {
   seed : int;         (** Master seed for projection and seeding. *)
   rep_policy : rep_policy;
   k_search : k_search;
-  jobs : int;  (** Worker-domain cap for projection and clustering; any
-                   value gives bit-identical results (nested under an
-                   already-parallel pipeline it degrades to sequential). *)
 }
 
 val default_config : config
 (** max_k 10, dims 15, bic_fraction 0.9, restarts 5, max_iters 100,
-    seed 2007, Centroid representatives, All_k search, jobs 1. *)
+    seed 2007, Centroid representatives, All_k search. *)
 
 type sim_point = {
   phase : int;     (** Cluster id in [0, k). *)
@@ -61,7 +58,8 @@ type t = {
 val pick :
   ?config:config -> weights:float array -> bbvs:float array array -> unit -> t
 (** [weights.(i)] is interval [i]'s instruction count (uniform for FLI);
-    [bbvs.(i)] its basic block vector.  All weights must be > 0 and every
+    [bbvs.(i)] its basic block vector.  All weights must be finite and
+    > 0 and every
     BBV must have a positive sum (callers exclude empty intervals).
     @raise Invalid_argument otherwise. *)
 

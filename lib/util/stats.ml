@@ -2,13 +2,12 @@ let sum xs =
   (* Kahan summation: experiment aggregates add millions of small interval
      contributions, where naive summation visibly drifts. *)
   let total = ref 0.0 and comp = ref 0.0 in
-  Array.iter
-    (fun x ->
-      let y = x -. !comp in
-      let t = !total +. y in
-      comp := t -. !total -. y;
-      total := t)
-    xs;
+  for i = 0 to Array.length xs - 1 do
+    let y = Array.unsafe_get xs i -. !comp in
+    let t = !total +. y in
+    comp := t -. !total -. y;
+    total := t
+  done;
   !total
 
 let mean xs =

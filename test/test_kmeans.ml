@@ -90,6 +90,19 @@ let test_invalid_args () =
   Alcotest.check_raises "zero weight"
     (Invalid_argument "Kmeans.run: non-positive weight") (fun () ->
       ignore (Kmeans.run ~k:1 ~weights:[| 0.0 |] ~points ()));
+  (* A nan weight passes [w <= 0.0]; it must not reach the seeding, whose
+     nan total would silently pick the last point. *)
+  List.iter
+    (fun w ->
+      Alcotest.check_raises
+        (Printf.sprintf "weight %h" w)
+        (Invalid_argument "Kmeans.run: non-finite weight")
+        (fun () ->
+          ignore
+            (Kmeans.run ~k:1 ~weights:[| 1.0; w |]
+               ~points:[| [| 0.0 |]; [| 1.0 |] |]
+               ())))
+    [ nan; infinity; neg_infinity ];
   Alcotest.check_raises "no points" (Invalid_argument "Kmeans.run: no points")
     (fun () -> ignore (Kmeans.run ~k:1 ~weights:[||] ~points:[||] ()));
   Alcotest.check_raises "ragged" (Invalid_argument "Kmeans.run: ragged points")
@@ -97,7 +110,12 @@ let test_invalid_args () =
       ignore
         (Kmeans.run ~k:1 ~weights:(uniform 2)
            ~points:[| [| 0.0 |]; [| 0.0; 1.0 |] |]
-           ()))
+           ()));
+  Alcotest.check_raises "distances_to ragged"
+    (Invalid_argument "Kmeans.distances_to: length mismatch") (fun () ->
+      Kmeans.distances_to
+        ~points:(Array.init 4 (fun i -> Array.make (if i = 2 then 1 else 2) 0.0))
+        [| 0.0; 0.0 |] (Array.make 4 0.0))
 
 let test_cluster_weights () =
   let points = blobs () in
@@ -154,33 +172,102 @@ let prop_weighted_centroid_invariant =
       done;
       !ok)
 
-let prop_pruned_parallel_matches_reference =
-  (* The tentpole bit-identity claim: the Hamerly-pruned, domain-parallel
-     clustering returns EXACTLY the plain-Lloyd reference result —
-     assignments, centroids, distortion and iteration count — for any
-     worker count. *)
-  QCheck.Test.make ~name:"pruned/parallel k-means = reference Lloyd" ~count:20
-    QCheck.(pair (int_range 0 1000) (int_range 2 6))
-    (fun (seed, k) ->
+(* Four points per sweep, each with its own accumulator, must still give
+   Stats.sq_distance's sum bit for bit, tail (n mod 4) included. *)
+let prop_distances_to_bit_identical =
+  QCheck.Test.make ~name:"distances_to = Stats.sq_distance, bit for bit"
+    ~count:300
+    QCheck.(triple (int_range 0 13) (int_range 0 17) (int_range 0 100_000))
+    (fun (n, dims, seed) ->
+      let rng = Rng.create ~seed in
+      let coord () =
+        (Rng.float rng -. 0.5) *. (10.0 ** float_of_int (Rng.int rng ~bound:12))
+      in
+      let points = Array.init n (fun _ -> Array.init dims (fun _ -> coord ())) in
+      let c = Array.init dims (fun _ -> coord ()) in
+      let out = Array.make n nan in
+      Kmeans.distances_to ~points c out;
+      Array.for_all2
+        (fun p d ->
+          Int64.equal (Int64.bits_of_float d)
+            (Int64.bits_of_float (Stats.sq_distance p c)))
+        points out)
+
+(* The production path must return EXACTLY the plain-Lloyd reference
+   result: assignments, centroids, distortion and iteration count. *)
+let matches_reference ~seed ~max_iters ~k ~weights ~points =
+  let reference =
+    Kmeans.run_reference ~seed ~k ~weights ~points ~restarts:2 ~max_iters ()
+  in
+  let r = Kmeans.run ~seed ~k ~weights ~points ~restarts:2 ~max_iters () in
+  r.Kmeans.assignments = reference.Kmeans.assignments
+  && r.Kmeans.centroids = reference.Kmeans.centroids
+  && Int64.equal
+       (Int64.bits_of_float r.Kmeans.distortion)
+       (Int64.bits_of_float reference.Kmeans.distortion)
+  && r.Kmeans.iterations = reference.Kmeans.iterations
+
+(* [n] points of [dims] dimensions drawn from [distinct] distinct ones, so
+   [distinct < n] exercises the lowest-index tie-break. *)
+let random_points rng ~n ~dims ~distinct =
+  let base =
+    Array.init distinct (fun _ ->
+        Array.init dims (fun _ -> 20.0 *. (Rng.float rng -. 0.5)))
+  in
+  Array.init n (fun i ->
+      Array.copy base.(if i < distinct then i else Rng.int rng ~bound:distinct))
+
+(* The shapes the fused seeding and the four-point distance kernel branch
+   on: k = 1 and k = 10, one and fifteen dimensions, n below four and not
+   a multiple of four (the kernel's tail), all-duplicate points, and the
+   iteration caps 0 and 1; n = 258 spans two 256-point chunks. *)
+let test_edge_shapes_match_reference () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun k ->
+          List.iter
+            (fun dims ->
+              List.iter
+                (fun distinct ->
+                  List.iter
+                    (fun max_iters ->
+                      let rng = Rng.create ~seed:(n + (100 * k) + (1000 * dims)) in
+                      let points = random_points rng ~n ~dims ~distinct in
+                      let weights =
+                        Array.init n (fun _ -> 0.5 +. Rng.float rng)
+                      in
+                      Tutil.check_bool
+                        (Printf.sprintf
+                           "n=%d k=%d dims=%d distinct=%d max_iters=%d" n k
+                           dims distinct max_iters)
+                        true
+                        (matches_reference ~seed:n ~max_iters ~k ~weights
+                           ~points))
+                    [ 0; 1; 100 ])
+                (List.sort_uniq compare [ 1; n ]))
+            [ 1; 15 ])
+        (List.sort_uniq compare [ 1; min n 10 ]))
+    [ 1; 2; 3; 4; 5; 7; 13; 258 ]
+
+let prop_pruned_matches_reference =
+  QCheck.Test.make ~name:"pruned k-means = reference Lloyd" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
       let rng = Rng.create ~seed:(seed + 7_000) in
-      let n = 40 + Rng.int rng ~bound:80 in
-      let dims = 2 + Rng.int rng ~bound:6 in
-      let points =
-        Array.init n (fun _ ->
-            Array.init dims (fun _ -> 20.0 *. (Rng.float rng -. 0.5)))
+      let n =
+        if Rng.int rng ~bound:4 = 0 then 1 + Rng.int rng ~bound:7
+        else 8 + Rng.int rng ~bound:113
       in
+      let k = 1 + Rng.int rng ~bound:(min 10 n) in
+      let dims = 1 + Rng.int rng ~bound:15 in
+      let distinct = if Rng.bool rng then n else 1 + Rng.int rng ~bound:n in
+      let max_iters =
+        match Rng.int rng ~bound:4 with 0 -> 0 | 1 -> 1 | _ -> 100
+      in
+      let points = random_points rng ~n ~dims ~distinct in
       let weights = Array.init n (fun _ -> 0.5 +. Rng.float rng) in
-      let reference =
-        Kmeans.run_reference ~seed ~k ~weights ~points ~restarts:2 ()
-      in
-      List.for_all
-        (fun jobs ->
-          let r = Kmeans.run ~seed ~k ~weights ~points ~restarts:2 ~jobs () in
-          r.Kmeans.assignments = reference.Kmeans.assignments
-          && r.Kmeans.centroids = reference.Kmeans.centroids
-          && r.Kmeans.distortion = reference.Kmeans.distortion
-          && r.Kmeans.iterations = reference.Kmeans.iterations)
-        [ 1; 2; 4 ])
+      matches_reference ~seed ~max_iters ~k ~weights ~points)
 
 let () =
   Alcotest.run "kmeans"
@@ -192,10 +279,12 @@ let () =
           Tutil.quick "deterministic" test_deterministic_given_seed;
           Tutil.quick "k = n" test_k_equals_n;
           Tutil.quick "duplicate points" test_duplicate_points;
-          Tutil.quick "invalid args" test_invalid_args ] );
+          Tutil.quick "invalid args" test_invalid_args;
+          Tutil.quick "edge shapes = reference" test_edge_shapes_match_reference ] );
       ( "selection",
         [ Tutil.quick "cluster weights" test_cluster_weights;
           Tutil.quick "closest to centroid" test_closest_to_centroid ] );
       ( "properties",
         [ Tutil.qcheck_case prop_weighted_centroid_invariant;
-          Tutil.qcheck_case prop_pruned_parallel_matches_reference ] ) ]
+          Tutil.qcheck_case prop_pruned_matches_reference;
+          Tutil.qcheck_case prop_distances_to_bit_identical ] ) ]

@@ -90,7 +90,18 @@ let test_invalid_inputs () =
       ignore (Simpoint.pick ~weights:[||] ~bbvs:[||] ()));
   Alcotest.check_raises "zero weight"
     (Invalid_argument "Simpoint.pick: non-positive weight") (fun () ->
-      ignore (Simpoint.pick ~weights:[| 0.0 |] ~bbvs:[| [| 1.0 |] |] ()))
+      ignore (Simpoint.pick ~weights:[| 0.0 |] ~bbvs:[| [| 1.0 |] |] ()));
+  List.iter
+    (fun w ->
+      Alcotest.check_raises
+        (Printf.sprintf "weight %h" w)
+        (Invalid_argument "Simpoint.pick: non-finite weight")
+        (fun () ->
+          ignore
+            (Simpoint.pick_projected ~weights:[| 1.0; w |]
+               ~points:[| [| 0.0 |]; [| 1.0 |] |]
+               ())))
+    [ nan; infinity; neg_infinity ]
 
 let test_deterministic () =
   let _, weights, bbvs = signature_data () in

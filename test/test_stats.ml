@@ -147,6 +147,47 @@ let test_sum_kahan () =
   let total = Stats.sum xs in
   Tutil.check_close ~eps:1e-4 "kahan keeps small terms" (1e10 +. 1e-6) total
 
+(* The Kahan sum as it was written before [Stats.sum] became a plain
+   loop: the oracle for the rewrite's bit-identity. *)
+let kahan_closure xs =
+  let total = ref 0.0 and comp = ref 0.0 in
+  Array.iter
+    (fun x ->
+      let y = x -. !comp in
+      let t = !total +. y in
+      comp := t -. !total -. y;
+      total := t)
+    xs;
+  !total
+
+(* Bit-identical, except that any nan equals any nan: IEEE leaves a nan
+   result's sign and payload open, and x86 takes them from whichever
+   operand the compiler placed first in a commutative add. *)
+let same_bits a b =
+  (Float.is_nan a && Float.is_nan b)
+  || Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let test_sum_degenerate () =
+  List.iter
+    (fun xs ->
+      Tutil.check_bool "sum = closure Kahan on degenerate input" true
+        (same_bits (Stats.sum xs) (kahan_closure xs)))
+    [ [||]; [| nan |]; [| infinity; neg_infinity |]; [| 1.0; infinity; 2.0 |];
+      [| -0.0 |]; [| 1e308; 1e308 |] ]
+
+let prop_sum_matches_closure_kahan =
+  QCheck.Test.make ~name:"sum = closure Kahan, bit for bit" ~count:500
+    QCheck.(
+      array_of_size (Gen.int_range 0 60)
+        (make ~print:(Printf.sprintf "%h")
+           Gen.(
+             frequency
+               [ (8, float_range (-1000.0) 1000.0);
+                 (4, map (fun e -> 10.0 ** float_of_int e) (int_range (-20) 20));
+                 (2, float);
+                 (1, oneofl [ nan; infinity; neg_infinity; 0.0; -0.0 ]) ])))
+    (fun xs -> same_bits (Stats.sum xs) (kahan_closure xs))
+
 let test_normalize () =
   let n = Stats.normalize [| 1.0; 3.0 |] in
   Tutil.check_float "normalize first" 0.25 n.(0);
@@ -237,6 +278,7 @@ let () =
           Tutil.quick "percentile contract" test_percentile_contract;
           Tutil.quick "error metrics" test_errors;
           Tutil.quick "kahan sum" test_sum_kahan;
+          Tutil.quick "kahan sum degenerate" test_sum_degenerate;
           Tutil.quick "normalize" test_normalize;
           Tutil.quick "sq_distance" test_sq_distance ] );
       ( "properties",
@@ -245,4 +287,5 @@ let () =
           Tutil.qcheck_case prop_percentile_total;
           Tutil.qcheck_case prop_mean_between_extremes;
           Tutil.qcheck_case prop_relative_error_total;
-          Tutil.qcheck_case prop_sq_distance_symmetric ] ) ]
+          Tutil.qcheck_case prop_sq_distance_symmetric;
+          Tutil.qcheck_case prop_sum_matches_closure_kahan ] ) ]
