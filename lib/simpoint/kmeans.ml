@@ -3,10 +3,12 @@ module Stats = Cbsp_util.Stats
 module Metrics = Cbsp_obs.Metrics
 
 (* Clustering observability: restarts executed, Lloyd iterations, and
-   every exact distance the production path computes (seeding, the
-   first assignment, the pruned scans, centroid drift, empty-cluster
-   reseeds and the final distortion).  The Hamerly bounds keep the
-   per-iteration share of the last one far below n*k. *)
+   every exact distance the production path computes.  {!run} measures
+   each distinct point value (group) once, so the count is per group:
+   m per centroid for seeding and the first assignment, one per group
+   the Hamerly bounds fail to skip plus k more for a full scan, k per
+   recompute for centroid drift, m per empty-cluster reseed and m for
+   the final distortion. *)
 let m_runs = Metrics.counter "kmeans.runs"
 let m_iterations = Metrics.counter "kmeans.iterations"
 let m_distance_evals = Metrics.counter "kmeans.distance_evals"
@@ -19,20 +21,24 @@ type result = {
   iterations : int;
 }
 
-let check_args ~k ~weights ~points =
+let check_points ~fn ~weights ~points =
   let n = Array.length points in
-  if n = 0 then invalid_arg "Kmeans.run: no points";
-  if Array.length weights <> n then invalid_arg "Kmeans.run: weights/points length mismatch";
+  if n = 0 then invalid_arg (fn ^ ": no points");
+  if Array.length weights <> n then
+    invalid_arg (fn ^ ": weights/points length mismatch");
   Array.iter
     (fun w ->
-      if not (Float.is_finite w) then invalid_arg "Kmeans.run: non-finite weight";
-      if w <= 0.0 then invalid_arg "Kmeans.run: non-positive weight")
+      if not (Float.is_finite w) then invalid_arg (fn ^ ": non-finite weight");
+      if w <= 0.0 then invalid_arg (fn ^ ": non-positive weight"))
     weights;
-  if k < 1 || k > n then invalid_arg "Kmeans.run: k out of range";
   let dim = Array.length points.(0) in
   Array.iter
-    (fun p -> if Array.length p <> dim then invalid_arg "Kmeans.run: ragged points")
+    (fun p ->
+      if Array.length p <> dim then invalid_arg (fn ^ ": ragged points"))
     points
+
+let check_k ~fn ~k ~n =
+  if k < 1 || k > n then invalid_arg (fn ^ ": k out of range")
 
 (* Point-order sums run over fixed chunks: the chunk grid depends only on
    n, and partial results are folded in ascending chunk order.  That is
@@ -41,9 +47,19 @@ let check_args ~k ~weights ~points =
    bit-identical. *)
 let chunk_size = 256
 
-let chunk_bounds n =
-  List.init ((n + chunk_size - 1) / chunk_size) (fun c ->
-      (c * chunk_size, min n ((c + 1) * chunk_size)))
+let iter_chunks n f =
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + chunk_size) in
+    f !lo hi;
+    lo := hi
+  done
+
+(* [f lo hi] is one chunk's partial sum; partials fold in chunk order. *)
+let sum_chunks n f =
+  let total = ref 0.0 in
+  iter_chunks n (fun lo hi -> total := !total +. f lo hi);
+  !total
 
 (* Weighted k-means++: first centre weight-proportional, subsequent centres
    proportional to weight * D²(point, nearest chosen centre).  One scratch
@@ -112,102 +128,98 @@ let assign_all ~centroids ~points ~assignments =
     points;
   !changed
 
-(* --- centroid accumulation (canonical chunked order) ------------------- *)
+(* --- centroid update (canonical chunked order) -------------------------- *)
 
-let accumulate_chunk ~weights ~points ~assignments ~k ~dim (lo, hi) =
-  let sums = Array.init k (fun _ -> Array.make dim 0.0) in
-  let mass = Array.make k 0.0 in
-  for i = lo to hi - 1 do
-    let c = assignments.(i) in
-    let w = weights.(i) in
-    mass.(c) <- mass.(c) +. w;
-    let p = points.(i) in
-    let s = sums.(c) in
-    for j = 0 to dim - 1 do
-      s.(j) <- s.(j) +. (w *. p.(j))
-    done
-  done;
-  (sums, mass)
-
-let accumulate ~weights ~points ~assignments ~k =
-  let n = Array.length points in
+(* Per-cluster weighted coordinate sums and masses.  [psums] (k rows of
+   dim, flat) and [pmass] are the caller's per-chunk scratch, zeroed here
+   at every chunk. *)
+let accumulate ~weights ~points ~assignments ~psums ~pmass =
+  let k = Array.length pmass in
   let dim = Array.length points.(0) in
   let sums = Array.init k (fun _ -> Array.make dim 0.0) in
   let mass = Array.make k 0.0 in
-  List.iter
-    (fun chunk ->
-      let psums, pmass = accumulate_chunk ~weights ~points ~assignments ~k ~dim chunk in
+  iter_chunks (Array.length points) (fun lo hi ->
+      Array.fill pmass 0 k 0.0;
+      Array.fill psums 0 (k * dim) 0.0;
+      for i = lo to hi - 1 do
+        let c = assignments.(i) in
+        let w = weights.(i) in
+        pmass.(c) <- pmass.(c) +. w;
+        (* [c < k] passed [pmass]'s bounds check, and every point is
+           [dim] long. *)
+        let s = c * dim and p = points.(i) in
+        for j = 0 to dim - 1 do
+          Array.unsafe_set psums (s + j)
+            (Array.unsafe_get psums (s + j) +. (w *. Array.unsafe_get p j))
+        done
+      done;
       for c = 0 to k - 1 do
         mass.(c) <- mass.(c) +. pmass.(c);
         let s = sums.(c) in
-        let p = psums.(c) in
         for j = 0 to dim - 1 do
-          s.(j) <- s.(j) +. p.(j)
+          s.(j) <- s.(j) +. psums.((c * dim) + j)
         done
-      done)
-    (chunk_bounds n);
+      done);
   (sums, mass)
 
-(* Returns the distances its empty-cluster reseeds computed. *)
-let recompute_centroids ~weights ~points ~assignments ~centroids =
+let accumulate_scratch ~k ~points =
+  (Array.make (k * Array.length points.(0)) 0.0, Array.make k 0.0)
+
+(* Empty clusters are reseeded on [reseed ()], the point with the
+   largest weighted distance to its current centroid.  It reads the
+   centroids mid-update, so the [for c] order is part of the reference
+   semantics. *)
+let recompute_centroids ~weights ~points ~assignments ~centroids ~psums ~pmass
+    ~reseed =
   let k = Array.length centroids in
-  let dim = Array.length points.(0) in
-  let sums, mass = accumulate ~weights ~points ~assignments ~k in
-  let reseed_evals = ref 0 in
-  (* Reseed empty clusters on the point with the largest weighted distance
-     to its current centroid.  The scan reads centroids mid-update, so its
-     order is part of the reference semantics. *)
+  let sums, mass = accumulate ~weights ~points ~assignments ~psums ~pmass in
   for c = 0 to k - 1 do
-    if mass.(c) = 0.0 then begin
-      let worst = ref 0 and worst_d = ref neg_infinity in
-      Array.iteri
-        (fun i p ->
-          let d = weights.(i) *. Stats.sq_distance p centroids.(assignments.(i)) in
-          if d > !worst_d then begin
-            worst_d := d;
-            worst := i
-          end)
-        points;
-      reseed_evals := !reseed_evals + Array.length points;
-      centroids.(c) <- Array.copy points.(!worst)
-    end
+    if mass.(c) = 0.0 then centroids.(c) <- Array.copy points.(reseed ())
     else begin
       let s = sums.(c) in
-      for j = 0 to dim - 1 do
+      for j = 0 to Array.length s - 1 do
         s.(j) <- s.(j) /. mass.(c)
       done;
       centroids.(c) <- s
     end
-  done;
-  !reseed_evals
-
-let distortion_chunk ~weights ~points ~assignments ~centroids (lo, hi) =
-  let acc = ref 0.0 in
-  for i = lo to hi - 1 do
-    acc :=
-      !acc +. (weights.(i) *. Stats.sq_distance points.(i) centroids.(assignments.(i)))
-  done;
-  !acc
-
-let total_distortion ~weights ~points ~assignments ~centroids =
-  List.fold_left
-    (fun acc chunk ->
-      acc +. distortion_chunk ~weights ~points ~assignments ~centroids chunk)
-    0.0
-    (chunk_bounds (Array.length points))
+  done
 
 (* --- reference Lloyd ---------------------------------------------------- *)
+
+let farthest_reference ~weights ~points ~assignments ~centroids () =
+  let worst = ref 0 and worst_d = ref neg_infinity in
+  Array.iteri
+    (fun i p ->
+      let d = weights.(i) *. Stats.sq_distance p centroids.(assignments.(i)) in
+      if d > !worst_d then begin
+        worst_d := d;
+        worst := i
+      end)
+    points;
+  !worst
+
+let total_distortion ~weights ~points ~assignments ~centroids =
+  sum_chunks (Array.length points) (fun lo hi ->
+      let acc = ref 0.0 in
+      for i = lo to hi - 1 do
+        let c = centroids.(assignments.(i)) in
+        acc := !acc +. (weights.(i) *. Stats.sq_distance points.(i) c)
+      done;
+      !acc)
 
 let run_once_reference rng ~max_iters ~k ~weights ~points =
   let n = Array.length points in
   let centroids = seed_plus_plus rng ~k ~weights ~points in
   let assignments = Array.make n (-1) in
+  let psums, pmass = accumulate_scratch ~k ~points in
+  let reseed = farthest_reference ~weights ~points ~assignments ~centroids in
   let iterations = ref 0 in
   let continue = ref true in
   while !continue && !iterations < max_iters do
     let changed = assign_all ~centroids ~points ~assignments in
     if changed then begin
-      let (_ : int) = recompute_centroids ~weights ~points ~assignments ~centroids in
+      recompute_centroids ~weights ~points ~assignments ~centroids ~psums ~pmass
+        ~reseed;
       incr iterations
     end
     else continue := false
@@ -217,7 +229,88 @@ let run_once_reference rng ~max_iters ~k ~weights ~points =
   let distortion = total_distortion ~weights ~points ~assignments ~centroids in
   { k; assignments; centroids; distortion; iterations = !iterations }
 
-(* --- production: fused seeding, blocked distances, Hamerly pruning ------ *)
+(* --- production: grouped, fused seeding, blocked, Hamerly-pruned ------- *)
+
+(* Points grouped by bit pattern: bit-equal points are at bit-equal
+   distances from any centroid, so every distance is computed once per
+   group.  [running]/[total] are the weights' plain running sums and
+   [Stats.sum], the first seeding pick's, which every restart shares. *)
+type prepared = {
+  weights : float array;
+  points : float array array;
+  gid : int array;  (* point -> group *)
+  reps : float array array;  (* group -> its first point *)
+  running : float array;
+  total : float;
+}
+
+(* Two points share a group iff every coordinate has the same bit
+   pattern (so 0.0 and -0.0 differ, and a nan equals a nan of the same
+   bits). *)
+let same_bits a b =
+  let rec from j =
+    j = Array.length a
+    || Int64.equal (Int64.bits_of_float a.(j)) (Int64.bits_of_float b.(j))
+       && from (j + 1)
+  in
+  from 0
+
+(* Each coordinate's bits folded in with a xor-shift-multiply mix, so
+   that points differing only in exponent bits still differ in the low
+   bits, which pick the slot.  [Int64.to_int] drops the sign bit: points
+   differing only in signs collide, and probing tells them apart. *)
+let hash_bits p =
+  let h = ref 0 in
+  for j = 0 to Array.length p - 1 do
+    let x = !h lxor Int64.to_int (Int64.bits_of_float p.(j)) in
+    let x = (x lxor (x lsr 32)) * 0x2545F4914F6CDD1D in
+    h := x lxor (x lsr 29)
+  done;
+  !h
+
+(* [gid] and one representative per group, in first-seen order, through
+   an open-addressing table of group ids at most half full. *)
+let group_points points =
+  let n = Array.length points in
+  let size = ref 1 in
+  while !size < 2 * n do
+    size := 2 * !size
+  done;
+  let mask = !size - 1 in
+  let slots = Array.make !size (-1) in
+  let reps = Array.make n [||] and m = ref 0 in
+  let gid =
+    Array.map
+      (fun p ->
+        let rec probe s =
+          let g = slots.(s) in
+          if g < 0 then begin
+            slots.(s) <- !m;
+            reps.(!m) <- p;
+            incr m;
+            !m - 1
+          end
+          else if same_bits p reps.(g) then g
+          else probe ((s + 1) land mask)
+        in
+        probe (hash_bits p land mask))
+      points
+  in
+  (gid, Array.sub reps 0 !m)
+
+let prepare ~weights ~points =
+  check_points ~fn:"Kmeans.prepare" ~weights ~points;
+  let n = Array.length points in
+  let gid, reps = group_points points in
+  let running = Array.make n 0.0 in
+  let acc = ref 0.0 in
+  for i = 0 to n - 1 do
+    acc := !acc +. weights.(i);
+    running.(i) <- !acc
+  done;
+  { weights; points; gid; reps; running; total = Stats.sum weights }
+
+let distinct prep = Array.length prep.reps
 
 (* [out.(i) <- Stats.sq_distance points.(i) c] for every point, four
    points per sweep of [c] with one accumulator each: the four add chains
@@ -255,68 +348,87 @@ let distances_to ~points c out =
     out.(t) <- Stats.sq_distance points.(t) c
   done
 
-(* [seed_plus_plus]'s weighted pick with the running sum in a loop: its
-   recursive [scan] boxes the float accumulator on every step. *)
-let pick_weighted rng masses =
-  let n = Array.length masses in
-  let total = Stats.sum masses in
+(* [seed_plus_plus]'s weighted pick, given the masses' plain running
+   sums and their [Stats.sum]: the scan stops at the first index
+   <= n-2 whose running sum exceeds the target.  Masses are >= 0, so
+   the running sums never decrease and a binary search finds that
+   index. *)
+let pick_running rng ~running ~total =
+  let n = Array.length running in
   if total <= 0.0 then Rng.int rng ~bound:n
   else begin
     let target = Rng.float rng *. total in
-    let acc = ref 0.0 and i = ref 0 and found = ref false in
-    while (not !found) && !i < n - 1 do
-      acc := !acc +. masses.(!i);
-      if !acc > target then found := true else incr i
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if running.(mid) > target then hi := mid else lo := mid + 1
     done;
-    !i
+    !lo
   end
 
-(* Weighted k-means++ seeding fused with the first full assignment.
-   Seeding measures every point against centroids 0..k-2 in the
-   reference's order; each point keeps its nearest and second-nearest of
+(* The seeding masses [weights.(i) *. d2.(gid.(i))] in one pass: their
+   plain running sums into [running], and their [Stats.sum] (the same
+   Kahan steps) returned. *)
+let seeding_masses ~weights ~gid ~d2 ~running =
+  let total = ref 0.0 and comp = ref 0.0 and acc = ref 0.0 in
+  for i = 0 to Array.length gid - 1 do
+    let x = weights.(i) *. d2.(gid.(i)) in
+    let y = x -. !comp in
+    let t = !total +. y in
+    comp := t -. !total -. y;
+    total := t;
+    acc := !acc +. x;
+    running.(i) <- !acc
+  done;
+  !total
+
+(* Weighted k-means++ seeding fused with the first full assignment, per
+   group.  Seeding measures every group against centroids 0..k-2 in the
+   reference's order; each group keeps its nearest and second-nearest of
    them with [nearest_two]'s strict comparisons, so the first assignment
    only measures centroid k-1.  While seeding, [upper] holds the
    squared distance to the nearest centroid so far, which is
    [seed_plus_plus]'s D² (finite points give no nan distance, the one
-   case where the two comparisons differ).  On return [assignments]
-   holds each point's nearest centroid and [upper]/[lower] the exact
+   case where the two comparisons differ).  On return [assign] holds
+   each group's nearest centroid and [upper]/[lower] the exact
    distances to its nearest and second-nearest, as a full [nearest_two]
    scan leaves them. *)
-let seed_and_assign rng ~k ~weights ~points ~assignments ~upper ~lower =
-  let n = Array.length points in
-  let dist = Array.make n 0.0 and masses = Array.make n 0.0 in
+let seed_and_assign rng prep ~k ~dist ~assign ~upper ~lower =
+  let { weights; points; _ } = prep in
+  let n = Array.length points and m = Array.length prep.reps in
+  let running = Array.make n 0.0 in
   let centroids = Array.make k [||] in
-  centroids.(0) <- Array.copy points.(pick_weighted rng weights);
+  let first = pick_running rng ~running:prep.running ~total:prep.total in
+  centroids.(0) <- Array.copy points.(first);
   for c = 0 to k - 1 do
-    distances_to ~points centroids.(c) dist;
+    distances_to ~points:prep.reps centroids.(c) dist;
     if c = 0 then begin
-      Array.blit dist 0 upper 0 n;
-      Array.fill lower 0 n infinity
+      Array.blit dist 0 upper 0 m;
+      Array.fill lower 0 m infinity
     end
     else
-      for i = 0 to n - 1 do
-        let d = dist.(i) in
-        if d < upper.(i) then begin
-          lower.(i) <- upper.(i);
-          upper.(i) <- d;
-          assignments.(i) <- c
+      for g = 0 to m - 1 do
+        let d = dist.(g) in
+        if d < upper.(g) then begin
+          lower.(g) <- upper.(g);
+          upper.(g) <- d;
+          assign.(g) <- c
         end
-        else if d < lower.(i) then lower.(i) <- d
+        else if d < lower.(g) then lower.(g) <- d
       done;
     if c < k - 1 then begin
-      for i = 0 to n - 1 do
-        masses.(i) <- weights.(i) *. upper.(i)
-      done;
-      centroids.(c + 1) <- Array.copy points.(pick_weighted rng masses)
+      let total = seeding_masses ~weights ~gid:prep.gid ~d2:upper ~running in
+      centroids.(c + 1) <- Array.copy points.(pick_running rng ~running ~total)
     end
   done;
-  for i = 0 to n - 1 do
-    upper.(i) <- sqrt upper.(i);
-    lower.(i) <- sqrt lower.(i)
+  for g = 0 to m - 1 do
+    upper.(g) <- sqrt upper.(g);
+    lower.(g) <- sqrt lower.(g)
   done;
   centroids
 
-(* Per-point bounds in Euclidean (not squared) distance:
+(* Per-point bounds in Euclidean (not squared) distance, where the
+   points are the group representatives:
 
      upper.(i) >= d(points.(i), centroids.(assignments.(i)))
      lower.(i) <= d(points.(i), c)   for every c <> assignments.(i)
@@ -354,21 +466,49 @@ let assign_pruned ~centroids ~points ~assignments ~upper ~lower ~evals =
   done;
   !changed
 
-let run_once_pruned rng ~max_iters ~k ~weights ~points =
-  let n = Array.length points in
-  let assignments = Array.make n 0 in
-  let upper = Array.make n 0.0 and lower = Array.make n 0.0 in
-  let centroids =
-    seed_and_assign rng ~k ~weights ~points ~assignments ~upper ~lower
+let run_once_pruned rng ~max_iters ~k prep =
+  let { weights; points; gid; reps; _ } = prep in
+  let n = Array.length points and m = Array.length reps in
+  (* Per group: assignment, bounds, and one distance of scratch. *)
+  let assign = Array.make m 0 in
+  let upper = Array.make m 0.0 and lower = Array.make m 0.0 in
+  let dist = Array.make m 0.0 in
+  let centroids = seed_and_assign rng prep ~k ~dist ~assign ~upper ~lower in
+  let evals = ref (k * m) in
+  (* Each group's distance to its centroid, into [dist]. *)
+  let own_distances () =
+    for g = 0 to m - 1 do
+      dist.(g) <- Stats.sq_distance reps.(g) centroids.(assign.(g))
+    done;
+    evals := !evals + m
   in
-  let evals = ref (k * n) in
-  let assign () = assign_pruned ~centroids ~points ~assignments ~upper ~lower ~evals in
+  let assignments = Array.make n 0 in
+  let expand () =
+    for i = 0 to n - 1 do
+      assignments.(i) <- assign.(gid.(i))
+    done
+  in
+  let psums, pmass = accumulate_scratch ~k ~points in
+  let reseed () =
+    own_distances ();
+    let worst = ref 0 and worst_d = ref neg_infinity in
+    for i = 0 to n - 1 do
+      let d = weights.(i) *. dist.(gid.(i)) in
+      if d > !worst_d then begin
+        worst_d := d;
+        worst := i
+      end
+    done;
+    !worst
+  in
   let old = Array.make k [||] in
   let drift = Array.make k 0.0 in
   let recompute_and_loosen () =
     Array.blit centroids 0 old 0 k;
-    let reseeds = recompute_centroids ~weights ~points ~assignments ~centroids in
-    evals := !evals + reseeds + k;
+    expand ();
+    recompute_centroids ~weights ~points ~assignments ~centroids ~psums ~pmass
+      ~reseed;
+    evals := !evals + k;
     let max_drift = ref 0.0 in
     for c = 0 to k - 1 do
       let d = sqrt (Stats.sq_distance old.(c) centroids.(c)) in
@@ -377,10 +517,14 @@ let run_once_pruned rng ~max_iters ~k ~weights ~points =
     done;
     let md = !max_drift in
     if md > 0.0 then
-      for i = 0 to n - 1 do
-        upper.(i) <- upper.(i) +. drift.(assignments.(i));
-        lower.(i) <- lower.(i) -. md
+      for g = 0 to m - 1 do
+        upper.(g) <- upper.(g) +. drift.(assign.(g));
+        lower.(g) <- lower.(g) -. md
       done
+  in
+  let assign_step () =
+    assign_pruned ~centroids ~points:reps ~assignments:assign ~upper ~lower
+      ~evals
   in
   let iterations = ref 0 in
   if max_iters > 0 then begin
@@ -388,7 +532,7 @@ let run_once_pruned rng ~max_iters ~k ~weights ~points =
        start, so it counts as a change. *)
     recompute_and_loosen ();
     iterations := 1;
-    while !iterations < max_iters && assign () do
+    while !iterations < max_iters && assign_step () do
       recompute_and_loosen ();
       incr iterations
     done;
@@ -396,35 +540,45 @@ let run_once_pruned rng ~max_iters ~k ~weights ~points =
        reassign to match them (the bounds were loosened after it, so the
        pruned pass is exact).  Stopped by an unchanged pass, the
        assignments already match. *)
-    if !iterations >= max_iters then ignore (assign () : bool)
+    if !iterations >= max_iters then ignore (assign_step () : bool)
   end;
-  let distortion = total_distortion ~weights ~points ~assignments ~centroids in
+  expand ();
+  own_distances ();
+  let distortion =
+    sum_chunks n (fun lo hi ->
+        let acc = ref 0.0 in
+        for i = lo to hi - 1 do
+          acc := !acc +. (weights.(i) *. dist.(gid.(i)))
+        done;
+        !acc)
+  in
   Metrics.incr m_runs;
   Metrics.incr ~by:!iterations m_iterations;
-  Metrics.incr ~by:(!evals + n) m_distance_evals;
+  Metrics.incr ~by:!evals m_distance_evals;
   { k; assignments; centroids; distortion; iterations = !iterations }
 
 (* --- drivers ------------------------------------------------------------ *)
 
-let run_restarts ~run_once ~seed ~restarts ~max_iters ~k ~weights ~points =
-  check_args ~k ~weights ~points;
+let best_of ~seed ~restarts run_once =
   if restarts < 1 then invalid_arg "Kmeans.run: restarts must be >= 1";
   let rng = Rng.create ~seed in
-  let best = ref (run_once rng ~max_iters ~k ~weights ~points) in
+  let best = ref (run_once rng) in
   for _ = 2 to restarts do
-    let candidate = run_once rng ~max_iters ~k ~weights ~points in
+    let candidate = run_once rng in
     if candidate.distortion < !best.distortion then best := candidate
   done;
   !best
 
-let run ?(seed = 493) ?(restarts = 5) ?(max_iters = 100) ~k ~weights ~points () =
-  run_restarts ~run_once:run_once_pruned ~seed ~restarts ~max_iters ~k ~weights
-    ~points
+let run ?(seed = 493) ?(restarts = 5) ?(max_iters = 100) ~k prep =
+  check_k ~fn:"Kmeans.run" ~k ~n:(Array.length prep.gid);
+  best_of ~seed ~restarts (fun rng -> run_once_pruned rng ~max_iters ~k prep)
 
 let run_reference ?(seed = 493) ?(restarts = 5) ?(max_iters = 100) ~k ~weights
     ~points () =
-  run_restarts ~run_once:run_once_reference ~seed ~restarts ~max_iters ~k
-    ~weights ~points
+  check_points ~fn:"Kmeans.run_reference" ~weights ~points;
+  check_k ~fn:"Kmeans.run_reference" ~k ~n:(Array.length points);
+  best_of ~seed ~restarts (fun rng ->
+      run_once_reference rng ~max_iters ~k ~weights ~points)
 
 let cluster_weights result ~weights =
   let totals = Array.make result.k 0.0 in

@@ -13,16 +13,24 @@
     distinct points than k, in which case duplicate centroids are
     harmless.
 
-    {!run} fuses seeding with the first assignment (seeding already
-    measures every point against all but the last centroid), computes
-    those distances four points at a time, and prunes later assignment
-    steps with Hamerly-style triangle-inequality bounds (per-point
-    upper/lower distance bounds, invalidated by centroid drift).  Every
-    distance sums in ascending dimension order and point-order
-    reductions follow one canonical fixed-chunk order, so the result is
-    bit-identical to {!run_reference} — the plain Lloyd implementation
-    kept as the semantic reference (the test suite proves this on random
-    weighted point sets). *)
+    {!run} works on a {!prepared} point set: the points grouped by bit
+    pattern once per point set, so every k and restart measures each
+    distinct value once.  A program's loops repeat the exact same
+    interval vector, so a pass of thousands of intervals often holds a
+    few dozen distinct points.  Bit-equal points are at bit-equal
+    distances from any centroid, so seeding, assignment, reseeding and
+    distortion all measure distances per group.  Over the groups, {!run}
+    fuses seeding with the first assignment (seeding already measures
+    every group against all but the last centroid), computes those
+    distances four at a time, and prunes later assignment steps with
+    Hamerly-style triangle-inequality bounds (per-group upper/lower
+    distance bounds, invalidated by centroid drift).  Every distance sums
+    in ascending dimension order, and every reduction over points (seeding
+    masses, centroid accumulation, the reseed's argmax, distortion) still
+    runs over all n points in one canonical fixed-chunk order, so the
+    result is bit-identical to {!run_reference} — the plain Lloyd
+    implementation kept as the semantic reference (the test suite proves
+    this on random weighted point sets). *)
 
 type result = {
   k : int;
@@ -33,19 +41,27 @@ type result = {
   iterations : int;               (** Lloyd iterations of the best run. *)
 }
 
-val run :
-  ?seed:int ->
-  ?restarts:int ->
-  ?max_iters:int ->
-  k:int ->
-  weights:float array ->
-  points:float array array ->
-  unit ->
-  result
-(** Best-of-[restarts] (default 5) by distortion, with fused seeding and
-    Hamerly-pruned assignment.  All weights must be finite and > 0 and
-    [1 <= k <= Array.length points].
+type prepared
+(** Points and weights validated and grouped by value, ready for {!run}
+    at any k.  Prepare once per point set and share it across every k
+    and restart. *)
+
+val prepare : weights:float array -> points:float array array -> prepared
+(** Validates and groups the points.  All weights must be finite and
+    > 0, and all points as long as the first.  The arrays are kept, not
+    copied: do not mutate them while the value is in use.
     @raise Invalid_argument on bad arguments. *)
+
+val distinct : prepared -> int
+(** The number of distinct point values (bit patterns) — the m every
+    distance pass of {!run} scans. *)
+
+val run :
+  ?seed:int -> ?restarts:int -> ?max_iters:int -> k:int -> prepared -> result
+(** Best-of-[restarts] (default 5) by distortion, with fused seeding and
+    Hamerly-pruned assignment over distinct points.
+    @raise Invalid_argument if [k] is outside [\[1, n\]] for [n] points or
+    [restarts < 1]. *)
 
 val run_reference :
   ?seed:int ->
@@ -58,7 +74,8 @@ val run_reference :
   result
 (** Plain sequential Lloyd over full distance scans — the reference
     {!run} is tested against.  Same seeding, same canonical reduction
-    order, no fusion, no blocking, no pruning. *)
+    order, no grouping, no fusion, no blocking, no pruning.  Validates
+    like {!prepare}. *)
 
 val distances_to : points:float array array -> float array -> float array -> unit
 (** [distances_to ~points c out] sets [out.(i)] to

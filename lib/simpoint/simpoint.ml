@@ -63,6 +63,7 @@ let pick_projected ?(config = default_config) ~weights ~points () =
       if w <= 0.0 then invalid_arg "Simpoint.pick: non-positive weight")
     weights;
   let max_k = min config.max_k n in
+  let prepared = Kmeans.prepare ~weights ~points in
   (* Memoized clustering per k, so the two search strategies share code. *)
   let cache = Hashtbl.create 16 in
   let cluster_at k =
@@ -71,7 +72,7 @@ let pick_projected ?(config = default_config) ~weights ~points () =
     | None ->
       let result =
         Kmeans.run ~seed:(config.seed + k) ~restarts:config.restarts
-          ~max_iters:config.max_iters ~k ~weights ~points ()
+          ~max_iters:config.max_iters ~k prepared
       in
       let score = Bic.score ~weights ~points result in
       Hashtbl.add cache k (result, score);

@@ -16,7 +16,7 @@ let test_bic_prefers_true_k () =
   let points = blobs ~k:3 ~per:30 ~seed:3 in
   let weights = uniform 90 in
   let score k =
-    let r = Kmeans.run ~k ~weights ~points ~restarts:8 () in
+    let r = Kmeans.run ~k ~restarts:8 (Kmeans.prepare ~weights ~points) in
     Bic.score ~weights ~points r
   in
   let scores = List.map (fun k -> (k, score k)) [ 1; 2; 3; 4; 5; 6 ] in
@@ -48,7 +48,7 @@ let test_score_handles_degenerate () =
   (* identical points: zero distortion must not produce NaN/inf *)
   let points = Array.make 10 [| 1.0; 1.0 |] in
   let weights = uniform 10 in
-  let r = Kmeans.run ~k:2 ~weights ~points () in
+  let r = Kmeans.run ~k:2 (Kmeans.prepare ~weights ~points) in
   let s = Bic.score ~weights ~points r in
   Tutil.check_bool "finite score" true (Float.is_finite s)
 
@@ -61,7 +61,7 @@ let test_weighted_scores_scale () =
     let scores =
       List.map
         (fun k ->
-          let r = Kmeans.run ~k ~weights:ws ~points ~restarts:8 () in
+          let r = Kmeans.run ~k ~restarts:8 (Kmeans.prepare ~weights:ws ~points) in
           (k, Bic.score ~weights:ws ~points r))
         [ 1; 2; 3; 4 ]
     in

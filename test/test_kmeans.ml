@@ -18,13 +18,13 @@ let blobs ?(per = 20) ?(seed = 5) () =
 let test_k1_centroid_is_weighted_mean () =
   let points = [| [| 0.0; 0.0 |]; [| 4.0; 0.0 |] |] in
   let weights = [| 1.0; 3.0 |] in
-  let r = Kmeans.run ~k:1 ~weights ~points () in
+  let r = Kmeans.run ~k:1 (Kmeans.prepare ~weights ~points) in
   Tutil.check_close ~eps:1e-9 "weighted centroid x" 3.0 r.Kmeans.centroids.(0).(0);
   Tutil.check_close ~eps:1e-9 "weighted centroid y" 0.0 r.Kmeans.centroids.(0).(1)
 
 let test_recovers_blobs () =
   let points = blobs () in
-  let r = Kmeans.run ~k:3 ~weights:(uniform 60) ~points () in
+  let r = Kmeans.run ~k:3 (Kmeans.prepare ~weights:(uniform 60) ~points) in
   (* each blob's 20 points must share one label, and labels must differ *)
   let label_of_blob b = r.Kmeans.assignments.(b * 20) in
   for b = 0 to 2 do
@@ -38,7 +38,7 @@ let test_recovers_blobs () =
 
 let test_assignment_optimality () =
   let points = blobs ~seed:9 () in
-  let r = Kmeans.run ~k:3 ~weights:(uniform 60) ~points () in
+  let r = Kmeans.run ~k:3 (Kmeans.prepare ~weights:(uniform 60) ~points) in
   Array.iteri
     (fun i p ->
       let assigned = Stats.sq_distance p r.Kmeans.centroids.(r.Kmeans.assignments.(i)) in
@@ -52,7 +52,7 @@ let test_assignment_optimality () =
 let test_distortion_nonincreasing_in_k () =
   let points = blobs ~seed:13 () in
   let weights = uniform 60 in
-  let d k = (Kmeans.run ~k ~weights ~points ~restarts:8 ()).Kmeans.distortion in
+  let d k = (Kmeans.run ~k ~restarts:8 (Kmeans.prepare ~weights ~points)).Kmeans.distortion in
   let prev = ref (d 1) in
   List.iter
     (fun k ->
@@ -67,50 +67,48 @@ let test_distortion_nonincreasing_in_k () =
 let test_deterministic_given_seed () =
   let points = blobs () in
   let weights = uniform 60 in
-  let r1 = Kmeans.run ~seed:21 ~k:3 ~weights ~points () in
-  let r2 = Kmeans.run ~seed:21 ~k:3 ~weights ~points () in
+  let r1 = Kmeans.run ~seed:21 ~k:3 (Kmeans.prepare ~weights ~points) in
+  let r2 = Kmeans.run ~seed:21 ~k:3 (Kmeans.prepare ~weights ~points) in
   Alcotest.(check (array int)) "same assignments" r1.Kmeans.assignments
     r2.Kmeans.assignments
 
 let test_k_equals_n () =
   let points = [| [| 0.0 |]; [| 5.0 |]; [| 9.0 |] |] in
-  let r = Kmeans.run ~k:3 ~weights:(uniform 3) ~points () in
+  let r = Kmeans.run ~k:3 (Kmeans.prepare ~weights:(uniform 3) ~points) in
   Tutil.check_close ~eps:1e-9 "k=n distortion 0" 0.0 r.Kmeans.distortion
 
 let test_duplicate_points () =
   let points = Array.make 10 [| 1.0; 2.0 |] in
-  let r = Kmeans.run ~k:3 ~weights:(uniform 10) ~points () in
+  let r = Kmeans.run ~k:3 (Kmeans.prepare ~weights:(uniform 10) ~points) in
   Tutil.check_close ~eps:1e-9 "identical points, zero distortion" 0.0
     r.Kmeans.distortion
 
 let test_invalid_args () =
   let points = [| [| 0.0 |] |] in
   Alcotest.check_raises "k too big" (Invalid_argument "Kmeans.run: k out of range")
-    (fun () -> ignore (Kmeans.run ~k:2 ~weights:(uniform 1) ~points ()));
+    (fun () -> ignore (Kmeans.run ~k:2 (Kmeans.prepare ~weights:(uniform 1) ~points)));
   Alcotest.check_raises "zero weight"
-    (Invalid_argument "Kmeans.run: non-positive weight") (fun () ->
-      ignore (Kmeans.run ~k:1 ~weights:[| 0.0 |] ~points ()));
+    (Invalid_argument "Kmeans.prepare: non-positive weight") (fun () ->
+      ignore (Kmeans.prepare ~weights:[| 0.0 |] ~points));
   (* A nan weight passes [w <= 0.0]; it must not reach the seeding, whose
      nan total would silently pick the last point. *)
   List.iter
     (fun w ->
       Alcotest.check_raises
         (Printf.sprintf "weight %h" w)
-        (Invalid_argument "Kmeans.run: non-finite weight")
+        (Invalid_argument "Kmeans.prepare: non-finite weight")
         (fun () ->
           ignore
-            (Kmeans.run ~k:1 ~weights:[| 1.0; w |]
-               ~points:[| [| 0.0 |]; [| 1.0 |] |]
-               ())))
+            (Kmeans.prepare ~weights:[| 1.0; w |]
+               ~points:[| [| 0.0 |]; [| 1.0 |] |])))
     [ nan; infinity; neg_infinity ];
-  Alcotest.check_raises "no points" (Invalid_argument "Kmeans.run: no points")
-    (fun () -> ignore (Kmeans.run ~k:1 ~weights:[||] ~points:[||] ()));
-  Alcotest.check_raises "ragged" (Invalid_argument "Kmeans.run: ragged points")
+  Alcotest.check_raises "no points" (Invalid_argument "Kmeans.prepare: no points")
+    (fun () -> ignore (Kmeans.prepare ~weights:[||] ~points:[||]));
+  Alcotest.check_raises "ragged" (Invalid_argument "Kmeans.prepare: ragged points")
     (fun () ->
       ignore
-        (Kmeans.run ~k:1 ~weights:(uniform 2)
-           ~points:[| [| 0.0 |]; [| 0.0; 1.0 |] |]
-           ()));
+        (Kmeans.prepare ~weights:(uniform 2)
+           ~points:[| [| 0.0 |]; [| 0.0; 1.0 |] |]));
   Alcotest.check_raises "distances_to ragged"
     (Invalid_argument "Kmeans.distances_to: length mismatch") (fun () ->
       Kmeans.distances_to
@@ -120,7 +118,7 @@ let test_invalid_args () =
 let test_cluster_weights () =
   let points = blobs () in
   let weights = Array.init 60 (fun i -> 1.0 +. float_of_int (i mod 3)) in
-  let r = Kmeans.run ~k:3 ~weights ~points () in
+  let r = Kmeans.run ~k:3 (Kmeans.prepare ~weights ~points) in
   let cw = Kmeans.cluster_weights r ~weights in
   Tutil.check_close ~eps:1e-6 "cluster weights conserve mass" (Stats.sum weights)
     (Stats.sum cw)
@@ -128,7 +126,7 @@ let test_cluster_weights () =
 let test_closest_to_centroid () =
   let points = blobs () in
   let weights = uniform 60 in
-  let r = Kmeans.run ~k:3 ~weights ~points () in
+  let r = Kmeans.run ~k:3 (Kmeans.prepare ~weights ~points) in
   let reps = Kmeans.closest_to_centroid r ~points in
   Array.iteri
     (fun c rep ->
@@ -150,7 +148,7 @@ let prop_weighted_centroid_invariant =
     (fun seed ->
       let points = blobs ~seed () in
       let weights = Array.init 60 (fun i -> 1.0 +. float_of_int (i mod 5)) in
-      let r = Kmeans.run ~seed ~k:3 ~weights ~points ~max_iters:200 () in
+      let r = Kmeans.run ~seed ~k:3 ~max_iters:200 (Kmeans.prepare ~weights ~points) in
       let ok = ref true in
       for c = 0 to 2 do
         let mass = ref 0.0 and sx = ref 0.0 and sy = ref 0.0 in
@@ -194,14 +192,16 @@ let prop_distances_to_bit_identical =
         points out)
 
 (* The production path must return EXACTLY the plain-Lloyd reference
-   result: assignments, centroids, distortion and iteration count. *)
+   result: assignments, centroids and distortion bit for bit (so 0.0 and
+   -0.0 differ), and the iteration count. *)
 let matches_reference ~seed ~max_iters ~k ~weights ~points =
   let reference =
     Kmeans.run_reference ~seed ~k ~weights ~points ~restarts:2 ~max_iters ()
   in
-  let r = Kmeans.run ~seed ~k ~weights ~points ~restarts:2 ~max_iters () in
+  let r = Kmeans.run ~seed ~k ~restarts:2 ~max_iters (Kmeans.prepare ~weights ~points) in
+  let bits = Array.map (Array.map Int64.bits_of_float) in
   r.Kmeans.assignments = reference.Kmeans.assignments
-  && r.Kmeans.centroids = reference.Kmeans.centroids
+  && bits r.Kmeans.centroids = bits reference.Kmeans.centroids
   && Int64.equal
        (Int64.bits_of_float r.Kmeans.distortion)
        (Int64.bits_of_float reference.Kmeans.distortion)
@@ -217,10 +217,11 @@ let random_points rng ~n ~dims ~distinct =
   Array.init n (fun i ->
       Array.copy base.(if i < distinct then i else Rng.int rng ~bound:distinct))
 
-(* The shapes the fused seeding and the four-point distance kernel branch
-   on: k = 1 and k = 10, one and fifteen dimensions, n below four and not
-   a multiple of four (the kernel's tail), all-duplicate points, and the
-   iteration caps 0 and 1; n = 258 spans two 256-point chunks. *)
+(* The shapes the grouping, the fused seeding and the four-point distance
+   kernel branch on: k = 1 and k = 10, one and fifteen dimensions, n
+   below four and not a multiple of four (the kernel's tail),
+   all-identical points, heavy duplication (n / 20 distinct values) and
+   the iteration caps 0 and 1; n = 258 spans two 256-point chunks. *)
 let test_edge_shapes_match_reference () =
   List.iter
     (fun n ->
@@ -245,10 +246,66 @@ let test_edge_shapes_match_reference () =
                         (matches_reference ~seed:n ~max_iters ~k ~weights
                            ~points))
                     [ 0; 1; 100 ])
-                (List.sort_uniq compare [ 1; n ]))
+                (List.sort_uniq compare [ 1; max 1 (n / 20); n ]))
             [ 1; 15 ])
         (List.sort_uniq compare [ 1; min n 10 ]))
     [ 1; 2; 3; 4; 5; 7; 13; 258 ]
+
+(* The shapes only grouping creates.  0.0 and -0.0 are equal floats but
+   distinct bit patterns: two groups, at the same distance from any
+   centroid. *)
+let test_signed_zeros_match_reference () =
+  let points =
+    Array.init 40 (fun i ->
+        [| (if i mod 3 = 0 then -0.0 else 0.0); float_of_int (i mod 2) |])
+  in
+  let weights = Array.init 40 (fun i -> 1.0 +. float_of_int (i mod 7)) in
+  Tutil.check_int "zero signs group apart" 4
+    (Kmeans.distinct (Kmeans.prepare ~weights ~points));
+  List.iter
+    (fun k ->
+      List.iter
+        (fun max_iters ->
+          Tutil.check_bool
+            (Printf.sprintf "k=%d max_iters=%d" k max_iters)
+            true
+            (matches_reference ~seed:k ~max_iters ~k ~weights ~points))
+        [ 0; 1; 100 ])
+    [ 1; 2; 3; 4; 5; 8 ]
+
+(* Fewer distinct values than k: seeding repeats values, so centroids
+   duplicate and clusters empty out, and every reseed runs over groups. *)
+let test_fewer_distinct_than_k_match_reference () =
+  List.iter
+    (fun (distinct, n) ->
+      let rng = Rng.create ~seed:(distinct + n) in
+      let points = random_points rng ~n ~dims:3 ~distinct in
+      let weights = Array.init n (fun _ -> 0.5 +. Rng.float rng) in
+      Tutil.check_int "distinct values" distinct
+        (Kmeans.distinct (Kmeans.prepare ~weights ~points));
+      for k = distinct + 1 to min n 10 do
+        Tutil.check_bool
+          (Printf.sprintf "distinct=%d n=%d k=%d" distinct n k)
+          true
+          (matches_reference ~seed:k ~max_iters:100 ~k ~weights ~points)
+      done)
+    [ (1, 12); (2, 30); (3, 300); (5, 64) ]
+
+(* A real FLI pass's shape: thousands of intervals whose projected
+   points hold 1-3% distinct values. *)
+let prop_sparse_distinct_matches_reference =
+  QCheck.Test.make ~name:"grouped k-means = reference at 1-3% distinct"
+    ~count:25
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create ~seed:(seed + 9_000) in
+      let n = 200 + Rng.int rng ~bound:3_500 in
+      let distinct = max 1 (n * (1 + Rng.int rng ~bound:3) / 100) in
+      let k = 1 + Rng.int rng ~bound:10 in
+      let points = random_points rng ~n ~dims:15 ~distinct in
+      let weights = Array.init n (fun _ -> 0.5 +. Rng.float rng) in
+      Kmeans.distinct (Kmeans.prepare ~weights ~points) = distinct
+      && matches_reference ~seed ~max_iters:100 ~k ~weights ~points)
 
 let prop_pruned_matches_reference =
   QCheck.Test.make ~name:"pruned k-means = reference Lloyd" ~count:200
@@ -280,11 +337,15 @@ let () =
           Tutil.quick "k = n" test_k_equals_n;
           Tutil.quick "duplicate points" test_duplicate_points;
           Tutil.quick "invalid args" test_invalid_args;
-          Tutil.quick "edge shapes = reference" test_edge_shapes_match_reference ] );
+          Tutil.quick "edge shapes = reference" test_edge_shapes_match_reference;
+          Tutil.quick "signed zeros = reference" test_signed_zeros_match_reference;
+          Tutil.quick "fewer distinct than k = reference"
+            test_fewer_distinct_than_k_match_reference ] );
       ( "selection",
         [ Tutil.quick "cluster weights" test_cluster_weights;
           Tutil.quick "closest to centroid" test_closest_to_centroid ] );
       ( "properties",
         [ Tutil.qcheck_case prop_weighted_centroid_invariant;
           Tutil.qcheck_case prop_pruned_matches_reference;
+          Tutil.qcheck_case prop_sparse_distinct_matches_reference;
           Tutil.qcheck_case prop_distances_to_bit_identical ] ) ]

@@ -1,6 +1,8 @@
 module Simpoint = Cbsp_simpoint.Simpoint
 module Stats = Cbsp_util.Stats
 module Rng = Cbsp_util.Rng
+module Kmeans = Cbsp_simpoint.Kmeans
+module Bic = Cbsp_simpoint.Bic
 
 (* Synthetic interval population: three code signatures (disjoint block
    usage) with known proportions. *)
@@ -165,6 +167,96 @@ let test_binary_search_agrees () =
     (List.length sp.Simpoint.bic_scores
      < Simpoint.default_config.Simpoint.max_k)
 
+(* SimPoint's pipeline after projection, with every k clustered by
+   [Kmeans.run_reference] and scored by [Bic.score]: what
+   [Simpoint.pick_projected] must reproduce bit for bit under the
+   default config (All_k search, Centroid representatives). *)
+let reference_pick ~weights ~points =
+  let c = Simpoint.default_config in
+  let runs =
+    List.init (min c.Simpoint.max_k (Array.length points)) (fun i ->
+        let k = i + 1 in
+        let r =
+          Kmeans.run_reference ~seed:(c.Simpoint.seed + k)
+            ~restarts:c.Simpoint.restarts ~max_iters:c.Simpoint.max_iters ~k
+            ~weights ~points ()
+        in
+        (k, r, Bic.score ~weights ~points r))
+  in
+  let bic_scores = List.map (fun (k, _, s) -> (k, s)) runs in
+  let chosen = Bic.pick_k ~scores:bic_scores ~fraction:c.Simpoint.bic_fraction in
+  let _, r, _ = List.find (fun (k, _, _) -> k = chosen) runs in
+  let reps = Kmeans.closest_to_centroid r ~points in
+  let mass = Kmeans.cluster_weights r ~weights in
+  let total = Stats.sum weights in
+  (* Clusters without members have no representative; the rest are
+     renumbered densely. *)
+  let live = List.filter (fun cl -> reps.(cl) >= 0) (List.init chosen Fun.id) in
+  let phase = Array.make chosen (-1) in
+  List.iteri (fun i cl -> phase.(cl) <- i) live;
+  { Simpoint.k = List.length live;
+    phase_of = Array.map (fun cl -> phase.(cl)) r.Kmeans.assignments;
+    points =
+      Array.of_list
+        (List.mapi
+           (fun i cl ->
+             { Simpoint.phase = i; rep = reps.(cl); weight = mass.(cl) /. total })
+           live);
+    bic_scores }
+
+(* Every FLI pass of the fli-fine benchmark workload (six programs, four
+   binaries each, input scale 1 and seed 42, a target of 1/4000 of the
+   first binary's run): thousands of intervals with a few dozen distinct
+   projected points, the shape grouped k-means exists for. *)
+let test_fli_fine_passes_match_reference () =
+  let module Registry = Cbsp_workloads.Registry in
+  let module Config = Cbsp_compiler.Config in
+  let module Lower = Cbsp_compiler.Lower in
+  let module Binary = Cbsp_compiler.Binary in
+  let module Executor = Cbsp_exec.Executor in
+  let module Interval = Cbsp_profile.Interval in
+  let module Streamprof = Cbsp.Streamprof in
+  let input = Cbsp_source.Input.make ~name:"scale1" ~seed:42 ~scale:1 () in
+  let sp_config = Simpoint.default_config in
+  let bits v = Marshal.to_string v [ Marshal.No_sharing ] in
+  List.iter
+    (fun name ->
+      let entry = Registry.find name in
+      let program = entry.Registry.build () in
+      let binaries =
+        List.map (Lower.compile program)
+          (Config.paper_four ~loop_splitting:entry.Registry.loop_splitting ())
+      in
+      let primary_insts =
+        (Executor.run (List.hd binaries) input Executor.null_observer)
+          .Executor.insts
+      in
+      let target = max 100 (primary_insts / 4000) in
+      List.iteri
+        (fun b binary ->
+          let n_blocks = binary.Binary.n_blocks in
+          let col = Streamprof.create ~sp_config ~n_blocks () in
+          let obs, finish =
+            Interval.fli_stream ~n_blocks ~target ~emit:(Streamprof.emit col) ()
+          in
+          ignore (Executor.run binary input obs : Executor.totals);
+          ignore (finish () : int);
+          let ci = Streamprof.cluster_inputs col in
+          let weights = ci.Streamprof.ci_weights
+          and points = ci.Streamprof.ci_points in
+          let sp = Simpoint.pick_projected ~weights ~points () in
+          let reference = reference_pick ~weights ~points in
+          let check what x y =
+            Tutil.check_bool (Printf.sprintf "%s/%d: %s" name b what) true
+              (bits x = bits y)
+          in
+          check "k" sp.Simpoint.k reference.Simpoint.k;
+          check "phase_of" sp.Simpoint.phase_of reference.Simpoint.phase_of;
+          check "points" sp.Simpoint.points reference.Simpoint.points;
+          check "bic_scores" sp.Simpoint.bic_scores reference.Simpoint.bic_scores)
+        binaries)
+    [ "applu"; "apsi"; "art"; "bzip2"; "fma3d"; "gzip" ]
+
 let () =
   Alcotest.run "simpoint"
     [ ( "pick",
@@ -180,4 +272,7 @@ let () =
           Tutil.quick "bic scores exposed" test_bic_scores_exposed ] );
       ( "policies",
         [ Tutil.quick "early representatives" test_early_policy_picks_earliest;
-          Tutil.quick "binary k search" test_binary_search_agrees ] ) ]
+          Tutil.quick "binary k search" test_binary_search_agrees ] );
+      ( "registry",
+        [ Tutil.quick "fli-fine passes = reference pick"
+            test_fli_fine_passes_match_reference ] ) ]
