@@ -12,7 +12,6 @@ module Figures = Cbsp_report.Figures
 module Ablation = Cbsp_report.Ablation
 module Lint = Cbsp_analysis.Lint
 module Prover = Cbsp_analysis.Prover
-module Locality = Cbsp_analysis.Locality
 
 open Cmdliner
 
@@ -165,18 +164,13 @@ let sp_config_of ?(rep = "centroid") ?(search = "all") ~max_k () =
     Simpoint.max_k; rep_policy = rep_policy_of rep;
     k_search = k_search_of search }
 
-(* Explicit names may also pick the locality microkernels; the default
-   (everything) stays the paper's 21-program suite.  An unknown name is a
-   usage error (exit 2), checked before any work starts. *)
-let require_known =
-  let known =
-    Registry.names @ List.map (fun e -> e.Registry.name) Registry.micro
-  in
-  fun n ->
-    if not (List.mem n known) then begin
-      Fmt.epr "unknown workload %S; try `cbsp list`@." n;
-      exit 2
-    end
+(* An unknown name is a usage error (exit 2), checked before any work
+   starts. *)
+let require_known n =
+  if not (List.mem n Registry.names) then begin
+    Fmt.epr "unknown workload %S; try `cbsp list`@." n;
+    exit 2
+  end
 
 let workload_names = function
   | None -> Registry.names
@@ -784,7 +778,6 @@ let lint_cmd =
     in
     let findings = ref [] in
     let reports = ref [] in
-    let locality_stats = ref [] in
     let add fs = findings := !findings @ fs in
     List.iter
       (fun name ->
@@ -803,14 +796,7 @@ let lint_cmd =
           in
           let report = Prover.prove ~binaries ~scale in
           reports := (name, report) :: !reports;
-          add (Lint.check_binaries ~workload:name ~scale ~report binaries);
-          let locality_reports =
-            List.map (fun b -> Locality.analyze b ~scale) binaries
-          in
-          add (Lint.check_locality ~workload:name locality_reports);
-          locality_stats :=
-            Lint.locality_stat ~workload:name locality_reports
-            :: !locality_stats
+          add (Lint.check_binaries ~workload:name ~scale ~report binaries)
         end)
       names;
     (match points_path with
@@ -828,7 +814,6 @@ let lint_cmd =
         (Lint.check_points ~workload:header.Cbsp.Points_file.h_program ~markers));
     let findings = !findings in
     let reports = List.rev !reports in
-    let locality_stats = List.rev !locality_stats in
     let totals = Lint.totals_of_reports (List.map snd reports) in
     let semantic_stats =
       if semantic then
@@ -848,11 +833,6 @@ let lint_cmd =
       Fmt.pr "recovered mappability (semantic matching over split-lost \
               markers):@.";
       List.iter (fun s -> Fmt.pr "  %a@." Lint.pp_semantic_stat s) stats);
-    if locality_stats <> [] then begin
-      Fmt.pr "static locality (provable CPI brackets):@.";
-      List.iter (fun s -> Fmt.pr "  %a@." Lint.pp_locality_stat s)
-        locality_stats
-    end;
     let count sev =
       List.length (List.filter (fun f -> f.Lint.f_severity = sev) findings)
     in
@@ -877,7 +857,7 @@ let lint_cmd =
       Cbsp_util.Io.with_out_file path (fun oc ->
           output_string oc
             (Lint.to_json ~scale ~workloads:names ~totals
-               ?semantic:semantic_stats ~locality:locality_stats findings));
+               ?semantic:semantic_stats findings));
       Fmt.pr "wrote %s@." path);
     if count Lint.Error > 0 then exit 1
   in
@@ -912,88 +892,6 @@ let lint_cmd =
              diagnostics (exit 1 on error findings)")
     Term.(const run $ names_arg $ scale_arg $ json_arg $ points_arg
           $ semantic_arg)
-
-(* ------------------------------------------------------------------ *)
-(* locality: static CPI brackets, optionally checked against the model  *)
-
-let locality_cmd =
-  let run workloads scale seed check =
-    let names =
-      workload_names (match workloads with [] -> None | ws -> Some ws)
-    in
-    let input = input_of ~scale ~seed in
-    let eng = Pipeline.create_engine () in
-    let violations = ref 0 in
-    List.iter
-      (fun name ->
-        let entry = Registry.find name in
-        let program = entry.Registry.build () in
-        let configs =
-          Config.paper_four ~loop_splitting:entry.Registry.loop_splitting ()
-        in
-        let results =
-          Pipeline.run_locality ~engine:eng program ~configs ~input
-        in
-        Fmt.pr "== %s (scale %d)@." name scale;
-        List.iter
-          (fun (config, (report : Locality.report)) ->
-            Fmt.pr "-- %s@.%a" (Config.label config) Locality.pp_report
-              report;
-            if check then begin
-              (* The bracket's claim is about a cold-cache run of this
-                 very binary at this scale: measure one and hold the
-                 analyzer to it. *)
-              let binary = Cbsp_compiler.Lower.compile program config in
-              let cpu = Cbsp_cache.Cpu.create () in
-              let totals =
-                Cbsp_exec.Executor.run binary input
-                  (Cbsp_cache.Cpu.observer cpu)
-              in
-              let insts = totals.Cbsp_exec.Executor.insts in
-              let cpi =
-                if insts = 0 then nan
-                else Cbsp_cache.Cpu.cycles cpu /. float_of_int insts
-              in
-              let eps = 1e-9 in
-              if Float.is_nan cpi then
-                Fmt.pr "   measured: no instructions executed@."
-              else if
-                cpi < report.Locality.lc_cpi_lo -. eps
-                || cpi > report.Locality.lc_cpi_hi +. eps
-              then begin
-                incr violations;
-                Fmt.pr
-                  "   VIOLATION: measured CPI %.4f outside [%.4f, %.4f]@."
-                  cpi report.Locality.lc_cpi_lo report.Locality.lc_cpi_hi
-              end
-              else
-                Fmt.pr "   measured CPI %.4f within the bracket: ok@." cpi
-            end)
-          results)
-      names;
-    if check then
-      if !violations > 0 then begin
-        Fmt.pr "%d bracket violation%s@." !violations
-          (if !violations = 1 then "" else "s");
-        exit 1
-      end
-      else Fmt.pr "all brackets hold@."
-  in
-  let names_arg =
-    Arg.(value & pos_all string [] & info [] ~docv:"WORKLOAD")
-  in
-  let check_arg =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Also run each binary through the cache model and fail \
-                   (exit 1) if any measured CPI falls outside its static \
-                   bracket.")
-  in
-  Cmd.v
-    (Cmd.info "locality"
-       ~doc:"Static locality analysis: per-region classes, footprints and \
-             provable CPI brackets")
-    Term.(const run $ names_arg $ scale_arg $ seed_arg $ check_arg)
 
 (* ------------------------------------------------------------------ *)
 (* dump-bbv: SimPoint .bb output                                       *)
@@ -1056,6 +954,6 @@ let main_cmd =
     (Cmd.info "cbsp" ~version:"1.0.0" ~doc)
     [ list_cmd; show_cmd; profile_cmd; run_cmd; experiment_cmd;
       validate_cmd; ablation_cmd; phases_cmd; points_cmd; lint_cmd;
-      locality_cmd; dump_bbv_cmd ]
+      dump_bbv_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -87,7 +87,6 @@ let exec_counts ~main ~names ~calls_of =
 type binary_summary = {
   bs_counts : Sym.t Marker.Map.t;
   bs_insts : Sym.t;
-  bs_proc_execs : Sym.t SMap.t;
 }
 
 let analyze_binary (binary : Binary.t) =
@@ -112,9 +111,8 @@ let analyze_binary (binary : Binary.t) =
           psum.ba_counts counts
       in
       { bs_counts = counts;
-        bs_insts = Sym.add summary.bs_insts (Sym.mul e psum.ba_insts);
-        bs_proc_execs = SMap.add name e summary.bs_proc_execs })
-    { bs_counts = Marker.Map.empty; bs_insts = Sym.zero; bs_proc_execs = SMap.empty }
+        bs_insts = Sym.add summary.bs_insts (Sym.mul e psum.ba_insts) })
+    { bs_counts = Marker.Map.empty; bs_insts = Sym.zero }
     binary.Binary.symbols
 
 (* --- source-program analysis ------------------------------------------- *)

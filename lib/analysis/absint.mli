@@ -22,8 +22,6 @@ type binary_summary = {
       (** Symbolic execution count of every marker key the binary can
           emit, including compiler-mangled ones. *)
   bs_insts : Sym.t;  (** Total dynamic instructions. *)
-  bs_proc_execs : Sym.t SMap.t;
-      (** Execution count of every surviving procedure. *)
 }
 
 val analyze_binary : Cbsp_compiler.Binary.t -> binary_summary

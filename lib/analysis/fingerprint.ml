@@ -429,15 +429,3 @@ let translations rc =
               Marker.Map.add p.pr_locals.(j) p.pr_key to_canon ))
         (Marker.Map.empty, Marker.Map.empty)
         rc.rc_pairs)
-
-let pp ppf rc =
-  Fmt.pf ppf
-    "scale %d, threshold %.2f: %d split-lost keys, %d identified, %d order-safe, %d demoted@."
-    rc.rc_scale rc.rc_threshold (n_lost rc) (n_identified rc) (n_cuttable rc)
-    (Marker.Set.cardinal rc.rc_demoted);
-  List.iter
-    (fun p ->
-      Fmt.pf ppf "  %a = %d (score %.3f%s)@." Marker.pp p.pr_key p.pr_count
-        p.pr_score
-        (if p.pr_cuttable then "" else ", not order-safe"))
-    rc.rc_pairs

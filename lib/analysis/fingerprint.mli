@@ -60,15 +60,14 @@ type t = {
 }
 (** A loop's structural fingerprint. *)
 
-val similarity : scale:int -> t -> t -> float
-(** Similarity in [[0, 1]]: weighted over trip-count closeness (equal
+val default_threshold : float
+(** Confidence threshold a match must clear; [0.8].  A match's score is
+    a similarity in [[0, 1]]: weighted over trip-count closeness (equal
     polynomials score 1), entry-count closeness, access-mix cosine
     (magnitude-free, so a fission fragment still resembles the whole),
-    and shape (size ratio, nested-loop ratio, depth proximity).
-    Polynomial comparisons fall back to midpoint closeness at [scale]. *)
-
-val default_threshold : float
-(** Confidence threshold a match must clear; [0.8]. *)
+    and shape (size ratio, nested-loop ratio, depth proximity), with
+    polynomial comparisons falling back to midpoint closeness at the
+    recovery's scale. *)
 
 type pair = {
   pr_key : Marker.key;  (** The lost canonical (unmangled) key. *)
@@ -115,5 +114,3 @@ val translations :
     rewrites recorded boundaries canonical->local before replaying them
     on a follower (and local->canonical after recording on the
     primary). *)
-
-val pp : Format.formatter -> recovery -> unit

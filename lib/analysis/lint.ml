@@ -155,99 +155,6 @@ let check_binaries ~workload ~scale ?report binaries =
     report.Prover.pr_verdicts;
   List.rev !findings
 
-(* --- locality lints ---------------------------------------------------- *)
-
-module Hierarchy = Cbsp_cache.Hierarchy
-
-let llc_capacity (config : Hierarchy.config) =
-  match List.rev config.Hierarchy.levels with
-  | (last : Hierarchy.level_config) :: _ -> last.Hierarchy.lv_capacity
-  | [] -> 0
-
-let check_locality ~workload reports =
-  let findings = ref [] in
-  (* The standard binaries mostly produce the same regions; dedup by
-     (rule, proc, line) so a finding appears once per source location,
-     not once per configuration. *)
-  let seen = Hashtbl.create 16 in
-  let add ~rule ~proc ~line f =
-    let key = (rule, proc, line) in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      findings := f :: !findings
-    end
-  in
-  List.iter
-    (fun (r : Locality.report) ->
-      let llc = llc_capacity r.Locality.lc_config in
-      List.iter
-        (fun (rg : Locality.region) ->
-          let proc = rg.Locality.rg_proc in
-          (match (rg.Locality.rg_line, rg.Locality.rg_klass) with
-          | (Some line as l), (Locality.Random | Locality.Pointer_chase)
-            when rg.Locality.rg_hit_level = "DRAM" ->
-            add ~rule:"dram-bound-loop" ~proc ~line:l
-              (finding Warning workload "dram-bound-loop" l
-                 "loop at line %d (%s): %s traffic over a %d-byte footprint \
-                  dominantly misses every cache level"
-                 line proc
-                 (Locality.klass_name rg.Locality.rg_klass)
-                 rg.Locality.rg_footprint)
-          | _ -> ());
-          if llc > 0 && rg.Locality.rg_footprint > llc then
-            add ~rule:"footprint-exceeds-llc" ~proc ~line:rg.Locality.rg_line
-              (finding Warning workload "footprint-exceeds-llc"
-                 rg.Locality.rg_line
-                 "%s in %s touches up to %d bytes, more than the %d-byte \
-                  last-level cache: no level can retain its working set"
-                 (match rg.Locality.rg_line with
-                 | Some l -> Printf.sprintf "loop at line %d" l
-                 | None -> "straight-line code")
-                 proc rg.Locality.rg_footprint llc);
-          (match (rg.Locality.rg_line, rg.Locality.rg_klass) with
-          | (Some line as l), Locality.Pointer_chase ->
-            add ~rule:"dependent-chain-loop" ~proc ~line:l
-              (finding Info workload "dependent-chain-loop" l
-                 "loop at line %d (%s) is dominated by dependent pointer \
-                  chasing: every load serializes on the previous one, so \
-                  latency cannot be hidden"
-                 line proc)
-          | _ -> ()))
-        r.Locality.lc_regions)
-    reports;
-  List.rev !findings
-
-type locality_stat = {
-  lo_workload : string;
-  lo_regions : int;
-  lo_cpi_lo : float;
-  lo_cpi_hi : float;
-  lo_fit_level : string option;
-}
-
-let locality_stat ~workload reports =
-  List.fold_left
-    (fun acc (r : Locality.report) ->
-      let worse = r.Locality.lc_cpi_hi > acc.lo_cpi_hi || acc.lo_regions = 0 in
-      { lo_workload = workload;
-        lo_regions = max acc.lo_regions (List.length r.Locality.lc_regions);
-        lo_cpi_lo =
-          (if acc.lo_regions = 0 then r.Locality.lc_cpi_lo
-           else min acc.lo_cpi_lo r.Locality.lc_cpi_lo);
-        lo_cpi_hi = max acc.lo_cpi_hi r.Locality.lc_cpi_hi;
-        lo_fit_level =
-          (if worse then r.Locality.lc_fit_level else acc.lo_fit_level) })
-    { lo_workload = workload; lo_regions = 0; lo_cpi_lo = 0.0;
-      lo_cpi_hi = 0.0; lo_fit_level = None }
-    reports
-
-let pp_locality_stat ppf s =
-  Fmt.pf ppf "%s: %d regions, CPI in [%.3f, %s], fit level %s" s.lo_workload
-    s.lo_regions s.lo_cpi_lo
-    (if Float.is_finite s.lo_cpi_hi then Printf.sprintf "%.3f" s.lo_cpi_hi
-     else "inf")
-    (match s.lo_fit_level with Some l -> l | None -> "none")
-
 (* --- points-file lints ------------------------------------------------- *)
 
 let check_points ~workload ~markers =
@@ -333,12 +240,7 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-(* Locality upper bounds can be [infinity] (nothing provable); JSON has
-   no infinity literal, so render those as null. *)
-let json_float x =
-  if Float.is_finite x then Printf.sprintf "%.6f" x else "null"
-
-let to_json ~scale ~workloads ~totals ?semantic ?locality findings =
+let to_json ~scale ~workloads ~totals ?semantic findings =
   let buf = Buffer.create 4096 in
   let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   addf "{\n  \"schema\": \"cbsp-lint/1\",\n";
@@ -373,22 +275,6 @@ let to_json ~scale ~workloads ~totals ?semantic ?locality findings =
           (if i = 0 then "" else ",")
           (json_escape s.ss_workload) s.ss_lost s.ss_identified s.ss_cuttable
           s.ss_demoted (recovered_fraction s))
-      stats;
-    addf "%s],\n" (if stats = [] then "" else "\n  "));
-  (match locality with
-  | None -> ()
-  | Some stats ->
-    addf "  \"locality\": [";
-    List.iteri
-      (fun i s ->
-        addf
-          "%s\n    { \"workload\": \"%s\", \"regions\": %d, \"cpi_lo\": %s, \"cpi_hi\": %s, \"fit_level\": %s }"
-          (if i = 0 then "" else ",")
-          (json_escape s.lo_workload) s.lo_regions (json_float s.lo_cpi_lo)
-          (json_float s.lo_cpi_hi)
-          (match s.lo_fit_level with
-          | Some l -> Printf.sprintf "\"%s\"" (json_escape l)
-          | None -> "null"))
       stats;
     addf "%s],\n" (if stats = [] then "" else "\n  "));
   let count sev = List.length (List.filter (fun f -> f.f_severity = sev) findings) in

@@ -20,8 +20,6 @@ type finding = {
   f_message : string;
 }
 
-val severity_name : severity -> string
-
 val check_program :
   workload:string -> scale:int -> Cbsp_source.Ast.program -> finding list
 (** Source-level lints at the given input scale: validation failures
@@ -44,32 +42,6 @@ val check_binaries :
     matching — i.e. can never survive across the standard binaries
     ([backedge-survival]).  Pass [report] to reuse an existing
     {!Prover.prove} result; otherwise one is computed. *)
-
-val check_locality :
-  workload:string -> Locality.report list -> finding list
-(** Locality lints over one workload's per-binary {!Locality.analyze}
-    reports: loops whose dominant traffic is irregular over a footprint
-    no level holds ([dram-bound-loop], warning), regions touching more
-    bytes than the last-level cache ([footprint-exceeds-llc], warning),
-    and loops dominated by dependent pointer chasing
-    ([dependent-chain-loop], info).  Findings are deduplicated by
-    (rule, procedure, line) across the binaries, so each source location
-    reports once however many configurations exhibit it. *)
-
-type locality_stat = {
-  lo_workload : string;
-  lo_regions : int;          (** Max region count across binaries. *)
-  lo_cpi_lo : float;         (** Min CPI lower bound across binaries. *)
-  lo_cpi_hi : float;         (** Max CPI upper bound across binaries. *)
-  lo_fit_level : string option;
-      (** Conflict-free fit level of the loosest (largest-upper-bound)
-          binary; [None] when nothing fits. *)
-}
-(** Per-workload static CPI bracket, for the lint report. *)
-
-val locality_stat : workload:string -> Locality.report list -> locality_stat
-
-val pp_locality_stat : Format.formatter -> locality_stat -> unit
 
 val check_points :
   workload:string -> markers:Cbsp_compiler.Marker.key list -> finding list
@@ -102,9 +74,6 @@ type semantic_stat = {
 val semantic_stat : workload:string -> Prover.report -> semantic_stat
 (** Runs {!Fingerprint.recover} over the report and summarizes it. *)
 
-val recovered_fraction : semantic_stat -> float
-(** [identified / lost]; [1.0] when nothing was lost. *)
-
 val pp_semantic_stat : Format.formatter -> semantic_stat -> unit
 
 val to_json :
@@ -112,13 +81,10 @@ val to_json :
   workloads:string list ->
   totals:analysis_totals ->
   ?semantic:semantic_stat list ->
-  ?locality:locality_stat list ->
   finding list ->
   string
 (** The [cbsp-lint/1] report: schema, scale, workloads, findings (with
     severity / rule / line / message), aggregate prover totals, and a
     per-severity summary.  [semantic], when given, adds a per-workload
-    recovered-mappability array; [locality] adds a per-workload static
-    CPI-bracket array (non-finite bounds render as [null]).  Both are
-    additive fields; reports without them are byte-identical to
-    before. *)
+    recovered-mappability array; it is an additive field, and reports
+    without it are byte-identical to before. *)

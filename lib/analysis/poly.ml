@@ -55,20 +55,3 @@ let eval t ~scale = Array.fold_right (fun c acc -> (acc * scale) + c) t 0
 
 let eval_float t ~scale =
   Array.fold_right (fun c acc -> (acc *. scale) +. float_of_int c) t 0.0
-
-let pp ppf t =
-  if is_zero t then Fmt.string ppf "0"
-  else begin
-    let first = ref true in
-    Array.iteri
-      (fun i c ->
-        if c <> 0 then begin
-          if not !first then Fmt.string ppf " + ";
-          first := false;
-          match i with
-          | 0 -> Fmt.int ppf c
-          | 1 -> if c = 1 then Fmt.string ppf "s" else Fmt.pf ppf "%d*s" c
-          | _ -> if c = 1 then Fmt.pf ppf "s^%d" i else Fmt.pf ppf "%d*s^%d" c i
-        end)
-      t
-  end

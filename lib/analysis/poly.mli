@@ -43,5 +43,3 @@ val div_ceil : t -> int -> t
 val eval : t -> scale:int -> int
 val eval_float : t -> scale:float -> float
 (** Overflow-safe evaluation for very large scales. *)
-
-val pp : Format.formatter -> t -> unit

@@ -162,12 +162,3 @@ let pp_verdict ppf = function
   | Proved_mappable n -> Fmt.pf ppf "proved mappable (count %d)" n
   | Proved_unmappable r -> Fmt.pf ppf "proved unmappable: %a" pp_reason r
   | Needs_dynamic -> Fmt.string ppf "needs dynamic profiling"
-
-let pp ppf report =
-  let p, u, d = tally report in
-  Fmt.pf ppf "scale %d: %d candidates, %d proved mappable, %d proved unmappable, %d need dynamic@."
-    report.pr_scale report.pr_candidates p u d;
-  Marker.Map.iter
-    (fun key verdict ->
-      Fmt.pf ppf "  %a: %a@." Marker.pp key pp_verdict verdict)
-    report.pr_verdicts

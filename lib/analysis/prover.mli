@@ -62,4 +62,3 @@ val tally : report -> int * int * int
 
 val pp_reason : Format.formatter -> reason -> unit
 val pp_verdict : Format.formatter -> verdict -> unit
-val pp : Format.formatter -> report -> unit

@@ -58,7 +58,3 @@ let decided_at t ~scale =
   if lo = hi then Some lo else None
 
 let is_zero t = Poly.is_zero t.hi
-
-let pp ppf t =
-  if t.exact then Poly.pp ppf t.lo
-  else Fmt.pf ppf "[%a, %a]" Poly.pp t.lo Poly.pp t.hi

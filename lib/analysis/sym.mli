@@ -18,10 +18,6 @@ type t = private { lo : Poly.t; hi : Poly.t; exact : bool }
 val zero : t
 val one : t
 val const : int -> t
-val of_poly : Poly.t -> t
-val interval : Poly.t -> Poly.t -> t
-(** [interval lo hi]; flags [exact] when the bounds coincide. *)
-
 val of_trips : Cbsp_source.Ast.trips -> t
 (** Symbolic trip count, mirroring [Input.eval_trips]: [Fixed]/[Scaled]
     are exact (the validator guarantees non-negative parameters);
@@ -53,5 +49,3 @@ val decided_at : t -> scale:int -> int option
 
 val is_zero : t -> bool
 (** The count is exactly zero at every scale. *)
-
-val pp : Format.formatter -> t -> unit

@@ -19,8 +19,6 @@ module Strata = Cbsp_sampling.Strata
 module Tracer = Cbsp_obs.Tracer
 module Prover = Cbsp_analysis.Prover
 module Fingerprint = Cbsp_analysis.Fingerprint
-module Locality = Cbsp_analysis.Locality
-module Hierarchy = Cbsp_cache.Hierarchy
 
 type truth = { t_insts : int; t_cycles : float; t_cpi : float }
 
@@ -85,13 +83,13 @@ type sampling_result = {
   smp_seeds : int list;
 }
 
-type sampler = Srs | Systematic | Strat_phase | Strat_mix | Strat_static
+type sampler = Srs | Systematic | Strat_phase | Strat_mix
 
 (* In scoring order, which is part of every result: a sampler's index
    feeds its RNG stream's tag. *)
 let samplers =
   [ (Srs, "srs"); (Systematic, "systematic"); (Strat_phase, "strat-phase");
-    (Strat_mix, "strat-mix"); (Strat_static, "strat-static") ]
+    (Strat_mix, "strat-mix") ]
 
 let sampling_methods = List.map snd samplers
 
@@ -148,7 +146,6 @@ type pass = {
   ps_clustering : clustering option;        (* None for [Replayed] *)
   ps_boundaries : Interval.boundary array;  (* [Recorded]: the cuts made *)
   ps_mix : float array;       (* [Fixed]: per-interval access mix *)
-  ps_locality : int array;    (* [Fixed]: per-interval locality class *)
 }
 
 let n_intervals pass = Streamprof.(Array.length pass.ps_stats.st_insts)
@@ -362,14 +359,6 @@ let measure_truth totals cpu =
 let job_label (program : Cbsp_source.Ast.program) config ~kind =
   program.Cbsp_source.Ast.prog_name ^ "/" ^ Config.label config ^ "/" ^ kind
 
-let llc_bytes cache_config =
-  let cfg =
-    match cache_config with Some c -> c | None -> Hierarchy.paper_table1
-  in
-  match List.rev cfg.Hierarchy.levels with
-  | (last : Hierarchy.level_config) :: _ -> last.Hierarchy.lv_capacity
-  | [] -> 0
-
 (* One streaming collection pass: a full execution through the cache
    model with [plan]'s interval builder feeding a [Streamprof]
    collector.  The builder must observe each block BEFORE the CPU
@@ -387,17 +376,13 @@ let run_pass ~timing ~label ~sp_config ~cache_config (binary : Binary.t)
     | Replayed _ -> Streamprof.create_stats_only ()
     | Fixed _ | Recorded _ -> Streamprof.create ~sp_config ~n_blocks ()
   in
-  let mix_rev = ref [] and locality_rev = ref [] in
+  let mix_rev = ref [] in
   let obs, finish =
     match plan with
     | Fixed target ->
       let mix_of = Strata.access_mix_of binary in
-      let locality_of =
-        Strata.static_locality_of binary ~llc_bytes:(llc_bytes cache_config)
-      in
       let emit (iv : Interval.interval) =
         mix_rev := mix_of iv.Interval.bbv :: !mix_rev;
-        locality_rev := locality_of iv.Interval.bbv :: !locality_rev;
         Streamprof.emit col iv
       in
       let obs, finish =
@@ -442,8 +427,7 @@ let run_pass ~timing ~label ~sp_config ~cache_config (binary : Binary.t)
   { ps_truth = measure_truth totals cpu;
     ps_counter_names = Cpu.extra_counter_names cpu; ps_stats = stats;
     ps_clustering = clustering; ps_boundaries = boundaries;
-    ps_mix = Array.of_list (List.rev !mix_rev);
-    ps_locality = Array.of_list (List.rev !locality_rev) }
+    ps_mix = Array.of_list (List.rev !mix_rev) }
 
 (* Every engine-owned streaming pass goes through here.  The key is
    everything that determines a pass, so FLI and the samplers share one
@@ -739,15 +723,11 @@ let run_sampling_uncached ~sp_config ~cache_config { level; seeds; n } ~eng
             pass.ps_stats.Streamprof.st_insts
         in
         (* Phase-1 instruction-mix proxy: drives Neyman allocation and
-           provides the second (quantile) stratification.  The third,
-           static locality, is a per-interval class from the binary's
-           block-level access patterns and the LLC capacity — no
-           clustering pass and no quantile computation. *)
+           provides the second (quantile) stratification. *)
         let mix = pass.ps_mix in
         let mix_strata =
           Strata.quantile_bins ~bins:(max 2 (min 8 (n / 2))) mix
         in
-        let static_strata = pass.ps_locality in
         let run_method mi (sampler, name) seed =
           (* One independent stream per (binary, method, seed): sampling
              decisions never interact across methods or configurations. *)
@@ -764,7 +744,6 @@ let run_sampling_uncached ~sp_config ~cache_config { level; seeds; n } ~eng
             | Systematic -> Sampler.systematic ~level ~rng ~n ~insts ~cycles ()
             | Strat_phase -> stratified clustering.cl_phase_of
             | Strat_mix -> stratified mix_strata
-            | Strat_static -> stratified static_strata
           in
           { sr_seed = seed; sr_estimate = estimate }
         in
@@ -804,28 +783,6 @@ let sampling_speedup result ~a ~b ~method_ ~seed =
   let ea, ia = pick a in
   let eb, ib = pick b in
   Sampler.speedup ~a:ea ~insts_a:ia ~b:eb ~insts_b:ib
-
-let run_locality ?cache_config ?engine program ~configs ~input =
-  if configs = [] then invalid_arg "Pipeline.run_locality: no configs";
-  let eng = match engine with Some e -> e | None -> create_engine () in
-  (* Purely static: one compile (memoized) plus one abstract-interpretation
-     pass per configuration, no executor run.  Timed under its own stage so
-     the report shows how cheap the bracket is next to a profiling pass. *)
-  List.map
-    (fun (config : Config.t) ->
-      let binary = compile eng program config in
-      let report =
-        Timing.time eng.eng_timing ~stage:Stage.Locality
-          ~label:(job_label program config ~kind:"locality")
-          ~in_size:binary.Binary.n_blocks
-          ~out_size:(fun (r : Locality.report) ->
-            List.length r.Locality.lc_regions)
-          (fun () ->
-            Locality.analyze ?config:cache_config binary
-              ~scale:input.Cbsp_source.Input.scale)
-      in
-      (config, report))
-    configs
 
 let replay ?cache_config (binary : Binary.t) ~input points =
   (* A replay is a follower pass: boundaries come from the points file,
@@ -894,7 +851,10 @@ let run (type r) ?(sp_config = Simpoint.default_config) ?cache_config ?engine
   | None -> go ()
   | Some rc ->
     (* Whole-result memoization, keyed by everything that determines the
-       result; engines without a persistent cache skip this layer. *)
+       result; engines without a persistent cache skip this layer.  The
+       version tag stands for what the code decides and the key cannot
+       name, such as the sampler list: bump it whenever that changes, or
+       an on-disk cache serves results of the old code. *)
     let store : r Store.t =
       match est with
       | Fli -> rc.rc_fli
@@ -903,7 +863,7 @@ let run (type r) ?(sp_config = Simpoint.default_config) ?cache_config ?engine
     in
     let key =
       Store.digest
-        ( "result/4", est, program, configs, input, target, sp_config,
+        ( "result/5", est, program, configs, input, target, sp_config,
           cache_config )
     in
     Store.find_or_compute store ~key go

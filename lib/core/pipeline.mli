@@ -186,10 +186,6 @@ type pass = {
   ps_mix : float array;
       (** [Fixed]: per-interval {!Cbsp_sampling.Strata.access_mix_of};
           otherwise empty. *)
-  ps_locality : int array;
-      (** [Fixed]: per-interval
-          {!Cbsp_sampling.Strata.static_locality_of} under the cache
-          configuration's LLC; otherwise empty. *)
 }
 (** One streaming collection pass as its consumers read it — never BBVs
     or collector scratch, which do not outlive the pass. *)
@@ -344,13 +340,10 @@ val run_vli :
     [Dynamic] (both flags default to false). *)
 
 val sampling_methods : string list
-(** [["srs"; "systematic"; "strat-phase"; "strat-mix"; "strat-static"]] —
-    simple random, systematic, and the three stratified samplers: k-means
-    phase strata, instruction-mix quantile strata, and the profile-free
-    static-locality strata ({!Cbsp_sampling.Strata.static_locality} —
-    interval labels derived from the binary alone, no clustering or
-    quantile pass).  All stratified samplers are Neyman-allocated using
-    the access-mix proxy. *)
+(** [["srs"; "systematic"; "strat-phase"; "strat-mix"]] — simple random,
+    systematic, and the two stratified samplers: k-means phase strata and
+    instruction-mix quantile strata.  Both stratified samplers are
+    Neyman-allocated using the access-mix proxy. *)
 
 val run_sampling :
   ?sp_config:Cbsp_simpoint.Simpoint.config ->
@@ -385,20 +378,6 @@ val sampling_speedup :
     than B at 95%".  Uses each binary's own estimate from [method_] and
     [seed] and its true instruction total.
     @raise Not_found if a label, method or seed is absent. *)
-
-val run_locality :
-  ?cache_config:Cbsp_cache.Hierarchy.config ->
-  ?engine:engine ->
-  Cbsp_source.Ast.program ->
-  configs:Cbsp_compiler.Config.t list ->
-  input:Cbsp_source.Input.t ->
-  (Cbsp_compiler.Config.t * Cbsp_analysis.Locality.report) list
-(** Static locality analysis of every configuration's binary: compile
-    (memoized via the engine), then one {!Cbsp_analysis.Locality.analyze}
-    pass per binary, timed under [Stage.Locality].  No executor run — the
-    result depends only on (program, configs, input scale, cache
-    geometry).  Order follows [configs].
-    @raise Invalid_argument if [configs] is empty. *)
 
 val replay :
   ?cache_config:Cbsp_cache.Hierarchy.config ->

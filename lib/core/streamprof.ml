@@ -132,8 +132,6 @@ let emit t (iv : Interval.interval) =
 
 let stats t = columns_stats t.c_stats
 
-let n_intervals t = t.c_stats.k_insts.len
-
 type cluster_inputs = {
   ci_live_idx : int array;
   ci_weights : float array;

@@ -49,8 +49,6 @@ val emit : t -> Cbsp_profile.Interval.interval -> unit
 
 val stats : t -> stats
 
-val n_intervals : t -> int
-
 type cluster_inputs = {
   ci_live_idx : int array;     (** Live interval index per point. *)
   ci_weights : float array;    (** Instruction counts of live intervals. *)

@@ -1,7 +1,6 @@
 type t =
   | Compile
   | Analysis
-  | Locality
   | Struct_profile
   | Matching
   | Fingerprint
@@ -14,7 +13,6 @@ type t =
 let name = function
   | Compile -> "compile"
   | Analysis -> "analysis"
-  | Locality -> "locality"
   | Struct_profile -> "struct-profile"
   | Matching -> "matching"
   | Fingerprint -> "fingerprint"
@@ -25,20 +23,19 @@ let name = function
   | Validate -> "validate"
 
 let all =
-  [ Compile; Analysis; Locality; Struct_profile; Matching; Fingerprint;
+  [ Compile; Analysis; Struct_profile; Matching; Fingerprint;
     Interval_collection; Clustering; Summarize; Sampling; Validate ]
 
 let index = function
   | Compile -> 0
   | Analysis -> 1
-  | Locality -> 2
-  | Struct_profile -> 3
-  | Matching -> 4
-  | Fingerprint -> 5
-  | Interval_collection -> 6
-  | Clustering -> 7
-  | Summarize -> 8
-  | Sampling -> 9
-  | Validate -> 10
+  | Struct_profile -> 2
+  | Matching -> 3
+  | Fingerprint -> 4
+  | Interval_collection -> 5
+  | Clustering -> 6
+  | Summarize -> 7
+  | Sampling -> 8
+  | Validate -> 9
 
 let compare a b = Int.compare (index a) (index b)

@@ -11,7 +11,6 @@
 type t =
   | Compile             (** Lowering a program under one configuration. *)
   | Analysis            (** Static mappability proving (symbolic counts). *)
-  | Locality            (** Static locality analysis (CPI bracketing). *)
   | Struct_profile      (** Call-and-branch structure profile (VLI step 1). *)
   | Matching            (** Mappable-point intersection (VLI step 2). *)
   | Fingerprint         (** Semantic marker recovery over lost markers. *)

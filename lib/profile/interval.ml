@@ -19,11 +19,12 @@ let cpi interval =
 
 (* The memory-model gauge: peak number of full-width (n_blocks-wide) BBV
    buffers held by any single profiling pass — scratch plus retained
-   copies.  Streaming passes stay at a small constant; materializing
-   passes report interval-count + 1, which is exactly the regression the
-   validate-smoke CI budget catches.  The max update is racy across domains
-   (two passes may interleave reads), which can only ever under-report by
-   one concurrent pass's peak — fine for a budget gate. *)
+   copies.  Streaming passes stay at a small constant; a pass that
+   copied every interval out would report interval-count + 1, which is
+   exactly the regression the validate-smoke CI budget catches.  The max
+   update is racy across domains (two passes may interleave reads),
+   which can only ever under-report by one concurrent pass's peak —
+   fine for a budget gate. *)
 let m_scratch = Metrics.gauge "profile.scratch_intervals"
 
 let note_scratch_peak n =
@@ -33,8 +34,7 @@ let note_scratch_peak n =
    and the cycle baseline for delta sampling.  Completed intervals leave
    through [emit]; the emitted interval's [bbv] and [extras] alias
    internal scratch buffers that are overwritten at the next cut, so a
-   consumer that retains them must copy (the materializing readers
-   below do). *)
+   consumer that retains them must copy. *)
 type acc = {
   collect_bbv : bool;
   n_blocks : int;
@@ -181,70 +181,3 @@ let vli_follower_stream ?n_blocks ~boundaries ?cycles ?extras ~emit () =
     acc_finish acc
   in
   (obs, finish)
-
-(* --- materializing wrappers -------------------------------------------- *)
-
-(* Copy each emitted interval out of the scratch buffers and collect; the
-   values are bit-identical to what the pre-streaming accumulator built
-   (same fills, same increments, same delta order).  [copies] counts
-   retained full-width BBVs so a copying reader shows up honestly in
-   the scratch gauge. *)
-let collector () =
-  let done_rev = ref [] in
-  let copies = ref 0 in
-  let emit iv =
-    if Array.length iv.bbv > 0 then incr copies;
-    done_rev :=
-      { iv with bbv = Array.copy iv.bbv; extras = Array.copy iv.extras }
-      :: !done_rev
-  in
-  let collect () =
-    (* +1 for the scratch buffer that was live alongside the copies. *)
-    if !copies > 0 then note_scratch_peak (!copies + 1);
-    Array.of_list (List.rev !done_rev)
-  in
-  (emit, collect)
-
-let memoized f =
-  let cache = ref None in
-  fun () ->
-    match !cache with
-    | Some v -> v
-    | None ->
-      let v = f () in
-      cache := Some v;
-      v
-
-let fli_observer ~n_blocks ~target ?cycles ?extras () =
-  let emit, collect = collector () in
-  let obs, finish = fli_stream ~n_blocks ~target ?cycles ?extras ~emit () in
-  let read =
-    memoized (fun () ->
-        let (_ : int) = finish () in
-        collect ())
-  in
-  (obs, read)
-
-let vli_recorder ~n_blocks ~target ~mappable ?cycles ?extras () =
-  let emit, collect = collector () in
-  let obs, finish =
-    vli_recorder_stream ~n_blocks ~target ~mappable ?cycles ?extras ~emit ()
-  in
-  let read =
-    memoized (fun () ->
-        let (_ : int), boundaries = finish () in
-        (collect (), boundaries))
-  in
-  (obs, read)
-
-let vli_follower ?n_blocks ~boundaries ?cycles ?extras () =
-  let emit, collect = collector () in
-  let obs, finish =
-    vli_follower_stream ?n_blocks ~boundaries ?cycles ?extras ~emit ()
-  in
-  let read =
-    memoized (fun () ->
-        let (_ : int) = finish () in
-        collect ())
-  in
-  (obs, read)

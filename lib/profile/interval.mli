@@ -4,15 +4,16 @@
 
     Three builders:
 
-    - {!fli_observer}: fixed-length intervals — cut before the first block
+    - {!fli_stream}: fixed-length intervals — cut before the first block
       once the target instruction count is reached (SimPoint's classic
       FLI, Section 2.1);
-    - {!vli_recorder}: variable-length intervals on the *primary* binary —
-      cut at the first mappable marker after the target, and record the
-      boundary as a (marker, global execution count) pair (Section 3.2.3);
-    - {!vli_follower}: replay recorded boundaries in *another* binary —
-      cut exactly when each boundary's marker reaches its recorded count
-      (Section 3.2.5).
+    - {!vli_recorder_stream}: variable-length intervals on the *primary*
+      binary — cut at the first mappable marker after the target, and
+      record the boundary as a (marker, global execution count) pair
+      (Section 3.2.3);
+    - {!vli_follower_stream}: replay recorded boundaries in *another*
+      binary — cut exactly when each boundary's marker reaches its
+      recorded count (Section 3.2.5).
 
     Cut placement convention: a cut always falls between events, before
     the block (or at the marker) that triggers it, so a block's
@@ -25,23 +26,17 @@
     cache simulator running in the same pass) sampled at each cut, so each
     interval knows its simulated cycle count.
 
-    Each builder comes in two forms.  The {e streaming} form
-    ({!fli_stream}, {!vli_recorder_stream}, {!vli_follower_stream}) emits
-    every completed interval through an [emit] callback as soon as it is
-    cut; the emitted interval's [bbv] and [extras] arrays alias a single
-    pre-allocated scratch buffer that is zeroed and reused for the next
-    interval, so a whole run costs O(1 interval) of profile memory and a
-    consumer that retains an interval must copy those arrays.  The
-    {e materializing} form ({!fli_observer}, {!vli_recorder},
-    {!vli_follower}) is a thin wrapper that copies each emitted interval
-    and returns the full array — same floats, bit for bit, as the
-    streaming emissions (the scratch reuse performs the identical fills
-    and increments a fresh allocation would).
+    Every builder streams: it emits each completed interval through an
+    [emit] callback as soon as it is cut.  The emitted interval's [bbv]
+    and [extras] arrays alias a single pre-allocated scratch buffer that
+    is zeroed and reused for the next interval, so a whole run costs
+    O(1 interval) of profile memory and a consumer that retains an
+    interval must copy those arrays.
 
     Peak scratch usage is tracked in the [profile.scratch_intervals]
     gauge: the largest number of full-width (n_blocks-long) BBV buffers
-    any single pass held at once.  Streaming passes report 1; a
-    materializing pass over n intervals reports n + 1 — which is how the
+    any single pass held at once.  Streaming passes report 1; a pass
+    that copies out all n intervals reports n + 1 — which is how the
     validate-smoke CI budget catches accidental materialization. *)
 
 type interval = {
@@ -75,8 +70,6 @@ val note_scratch_peak : int -> unit
     for consumers (e.g. the streaming cluster collector) that hold
     full-width BBV scratch of their own beyond what the builders here
     account for. *)
-
-(** {1 Streaming builders} *)
 
 val fli_stream :
   n_blocks:int ->
@@ -113,40 +106,3 @@ val vli_follower_stream :
 (** Streaming boundary replay.  The finisher raises [Invalid_argument]
     (with the reached/expected boundary counts) if the run ended before
     every boundary was met. *)
-
-(** {1 Materializing builders} *)
-
-val fli_observer :
-  n_blocks:int ->
-  target:int ->
-  ?cycles:(unit -> float) ->
-  ?extras:(unit -> float array) ->
-  unit ->
-  Cbsp_exec.Executor.observer * (unit -> interval array)
-(** [n_blocks] sizes the BBVs; [target] is the interval length in
-    instructions.  The reader finalizes the trailing interval and may be
-    called once (subsequent calls return the same array). *)
-
-val vli_recorder :
-  n_blocks:int ->
-  target:int ->
-  mappable:(Cbsp_compiler.Marker.key -> bool) ->
-  ?cycles:(unit -> float) ->
-  ?extras:(unit -> float array) ->
-  unit ->
-  Cbsp_exec.Executor.observer * (unit -> interval array * boundary array)
-(** Cuts only at markers satisfying [mappable].  Returns exactly one more
-    interval than boundaries. *)
-
-val vli_follower :
-  ?n_blocks:int ->
-  boundaries:boundary array ->
-  ?cycles:(unit -> float) ->
-  ?extras:(unit -> float array) ->
-  unit ->
-  Cbsp_exec.Executor.observer * (unit -> interval array)
-(** Replays [boundaries] in order.  BBV collection happens only when
-    [n_blocks] is given (followers normally skip it: only the primary's
-    BBVs are clustered).  The reader raises [Invalid_argument] (with the
-    reached/expected boundary counts) if the run ended before every
-    boundary was met — boundaries from a different program or input. *)

@@ -42,14 +42,9 @@ type estimate = {
                                 estimate. *)
 }
 
-val ci_lo : estimate -> float
-(** [e_point - e_half]. *)
-
-val ci_hi : estimate -> float
-(** [e_point + e_half]. *)
-
 val covers : estimate -> truth:float -> bool
-(** Does the confidence interval contain [truth]?  The coverage metric:
+(** Does the confidence interval [[e_point - e_half, e_point + e_half]]
+    contain [truth]?  The coverage metric:
     a well-calibrated 95% estimator covers on ~95% of seeds. *)
 
 val srs :

@@ -1,6 +1,5 @@
 module Stats = Cbsp_util.Stats
 module Binary = Cbsp_compiler.Binary
-module Layout = Cbsp_compiler.Layout
 module Ast = Cbsp_source.Ast
 
 let quantile_bins ~bins feature =
@@ -34,7 +33,7 @@ let access_mix_of (binary : Binary.t) =
     binary;
   fun bbv ->
     if Array.length bbv <> n then
-      invalid_arg "Strata.access_mix: BBV dimension mismatch";
+      invalid_arg "Strata.access_mix_of: BBV dimension mismatch";
     let insts = Stats.sum bbv in
     if insts = 0.0 then 0.0
     else begin
@@ -44,71 +43,6 @@ let access_mix_of (binary : Binary.t) =
       done;
       !acc /. insts
     end
-
-let access_mix binary ~bbvs = Array.map (access_mix_of binary) bbvs
-
-(* The fixed label space of [static_locality]: class 0 is the fallback
-   for intervals with no (weighted) memory traffic at all. *)
-let n_locality_classes = 6
-
-let static_locality_of (binary : Binary.t) ~llc_bytes =
-  if llc_bytes < 0 then
-    invalid_arg "Strata.static_locality: negative LLC capacity";
-  let n = binary.Binary.n_blocks in
-  let layout = binary.Binary.layout in
-  let resident a =
-    let span =
-      Layout.array_length layout ~array_id:a
-      * Layout.array_elem_bytes layout ~array_id:a
-    in
-    span <= llc_bytes
-  in
-  (* rate.(c).(b) = class-[c] accesses per instruction of block [b]; the
-     interval's label is the class with the largest BBV-weighted mass.
-     Everything here is a pure function of the binary and the hierarchy's
-     last-level capacity — no profiling, clustering or quantile pass. *)
-  let rate = Array.init n_locality_classes (fun _ -> Array.make n 0.0) in
-  Binary.iter_blocks
-    (fun (b : Binary.mblock) ->
-      if b.Binary.mb_insts > 0 then begin
-        let insts = float_of_int b.Binary.mb_insts in
-        let add c k =
-          rate.(c).(b.Binary.mb_id) <-
-            rate.(c).(b.Binary.mb_id) +. (float_of_int k /. insts)
-        in
-        (* Spills are stack traffic: a few hot frames, always resident. *)
-        add 1 b.Binary.mb_spills;
-        List.iter
-          (fun (a : Ast.access) ->
-            let c =
-              match a.Ast.acc_pattern with
-              | Ast.Seq _ -> if resident a.Ast.acc_array then 1 else 2
-              | Ast.Rand | Ast.Hot _ ->
-                if resident a.Ast.acc_array then 3 else 4
-              | Ast.Chase -> 5
-            in
-            add c a.Ast.acc_count)
-          b.Binary.mb_accesses
-      end)
-    binary;
-  fun bbv ->
-    if Array.length bbv <> n then
-      invalid_arg "Strata.static_locality: BBV dimension mismatch";
-    let best = ref 0 and best_mass = ref 0.0 in
-    for c = 0 to n_locality_classes - 1 do
-      let mass = ref 0.0 in
-      for b = 0 to n - 1 do
-        mass := !mass +. (bbv.(b) *. rate.(c).(b))
-      done;
-      if !mass > !best_mass then begin
-        best := c;
-        best_mass := !mass
-      end
-    done;
-    !best
-
-let static_locality binary ~llc_bytes ~bbvs =
-  Array.map (static_locality_of binary ~llc_bytes) bbvs
 
 let allocate ~scores ~sizes ~total =
   let h = Array.length sizes in

@@ -8,11 +8,8 @@
     - {b k-means phases} — reuse SimPoint's clustering labels as strata
       (the pipeline passes its [cl_phase_of] array straight through);
     - {b instruction-mix quantiles} — bin intervals by their
-      memory-access mix ({!access_mix}), a static-rate-weighted BBV
-      reduction that needs no cache model;
-    - {b static locality classes} — label intervals by the dominant
-      stride/dependence class of their traffic ({!static_locality}),
-      derived from the binary's access patterns and array spans alone. *)
+      memory-access mix ({!access_mix_of}), a static-rate-weighted BBV
+      reduction that needs no cache model. *)
 
 val quantile_bins : bins:int -> float array -> int array
 (** [quantile_bins ~bins feature] labels each element with its quantile
@@ -31,37 +28,6 @@ val access_mix_of : Cbsp_compiler.Binary.t -> float array -> float
     table is built once, at partial application, so a streaming pass
     applies [access_mix_of binary] to each BBV as it is emitted.
     @raise Invalid_argument if a BBV's dimension is not [n_blocks]. *)
-
-val access_mix :
-  Cbsp_compiler.Binary.t -> bbvs:float array array -> float array
-(** [Array.map (access_mix_of binary) bbvs]. *)
-
-val n_locality_classes : int
-(** Size of {!static_locality}'s label space (6). *)
-
-val static_locality_of :
-  Cbsp_compiler.Binary.t -> llc_bytes:int -> float array -> int
-(** The dominant-locality-class label of one interval's BBV in
-    [0, n_locality_classes): 0 = no weighted traffic (compute), 1 =
-    LLC-resident regular (unit/fixed-stride [Seq] arrays fitting in
-    [llc_bytes], plus stack spills), 2 = DRAM-bound regular, 3 =
-    LLC-resident irregular ([Rand]/[Hot]), 4 = DRAM-bound irregular, 5 =
-    dependent pointer chase.  Each interval gets the class with the
-    largest BBV-weighted accesses-per-instruction mass.  Unlike
-    {!quantile_bins} over {!access_mix}, the label space is fixed by the
-    binary and the hierarchy geometry — no per-population quantile or
-    clustering pass — so it is the "profile-free" stratification of the
-    static locality analyzer.  Like {!access_mix_of}, the per-class
-    rate tables are built once, at partial application.
-    @raise Invalid_argument if a BBV's dimension is not [n_blocks] or
-    [llc_bytes < 0] (the latter at partial application). *)
-
-val static_locality :
-  Cbsp_compiler.Binary.t ->
-  llc_bytes:int ->
-  bbvs:float array array ->
-  int array
-(** [Array.map (static_locality_of binary ~llc_bytes) bbvs]. *)
 
 val allocate :
   scores:float array -> sizes:int array -> total:int -> int array

@@ -30,13 +30,11 @@ val estimators : options -> Cbsp.Pipeline.any list
     samplers at [options]' level, seeds and sample size. *)
 
 val methods : string list
-(** The nine scored methods, {!Cbsp.Pipeline.names} over {!estimators}:
+(** The eight scored methods, {!Cbsp.Pipeline.names} over {!estimators}:
     [["fli"; "vli"; "vli-static"; "vli-recovered"]] followed by
     {!Cbsp.Pipeline.sampling_methods}.  ["vli-recovered"] is the static
     VLI with {!Cbsp_analysis.Fingerprint} semantic recovery of
-    split-lost markers; ["strat-static"] is stratified sampling over the
-    locality analyzer's profile-free strata
-    ({!Cbsp_sampling.Strata.static_locality}). *)
+    split-lost markers. *)
 
 val pairs : (string * string) list
 (** The paper's four speedup pairs: same-platform (32u->32o, 64u->64o)

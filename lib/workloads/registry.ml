@@ -48,21 +48,4 @@ let all =
 
 let names = List.map (fun e -> e.name) all
 
-(* Locality-extreme microkernels: outside the paper suite (so [all],
-   [names] and everything pinned to the 21 programs are untouched) but
-   findable by name for the locality tests and tooling. *)
-let micro =
-  [ entry "stream-local"
-      "microkernel: unit-stride sweep over an L1-resident buffer"
-      Wk_micro.stream_local;
-    entry "stream-heap"
-      "microkernel: unit-stride streaming over a larger-than-LLC buffer"
-      Wk_micro.stream_heap;
-    entry "chase-local"
-      "microkernel: dependent pointer walk inside an L1-resident ring"
-      Wk_micro.chase_local;
-    entry "chase-heap"
-      "microkernel: dependent pointer walk over a larger-than-LLC ring"
-      Wk_micro.chase_heap ]
-
-let find name = List.find (fun e -> e.name = name) (all @ micro)
+let find name = List.find (fun e -> e.name = name) all

@@ -22,14 +22,6 @@ val all : entry list
 val names : string list
 (** Names of {!all} — the paper suite only. *)
 
-val micro : entry list
-(** Locality-extreme microkernels (stream-local / stream-heap /
-    chase-local / chase-heap): a unit-stride streaming sweep and a
-    dependent pointer walk, each L1-resident and larger-than-LLC.  Not
-    part of {!all} — the paper's figures and the suite-pinning tests see
-    exactly the 21 programs — but {!find} resolves them, so the locality
-    analyzer's tests and [cbsp locality] can exercise the extremes. *)
-
 val find : string -> entry
-(** Looks up {!all} then {!micro}.
+(** Looks up {!all} by name.
     @raise Not_found for unknown names. *)

@@ -24,7 +24,6 @@ module Sym = Cbsp_analysis.Sym
 module Absint = Cbsp_analysis.Absint
 module Prover = Cbsp_analysis.Prover
 module Lint = Cbsp_analysis.Lint
-module Locality = Cbsp_analysis.Locality
 module Binary = Cbsp_compiler.Binary
 module Cpu = Cbsp_cache.Cpu
 
@@ -372,125 +371,6 @@ let test_registry_lint_clean () =
       Tutil.check_int (e.Registry.name ^ " error findings") 0 (Lint.errors findings))
     Registry.all
 
-(* --- locality: the bracketing soundness gate --------------------------- *)
-
-(* The analyzer's load-bearing claim: for EVERY registry workload (the
-   paper's 21 plus the four locality-extreme microkernels), every
-   binary's measured cold-cache CPI lies inside the static bracket. *)
-let test_locality_brackets_registry () =
-  let scale = 2 in
-  let input = Input.make ~name:"lb" ~seed:5 ~scale () in
-  List.iter
-    (fun (e : Registry.entry) ->
-      let program = e.Registry.build () in
-      let binaries =
-        Tutil.compile_all ~loop_splitting:e.Registry.loop_splitting program
-      in
-      List.iter
-        (fun (b : Binary.t) ->
-          let report = Locality.analyze b ~scale in
-          let cpu = Cpu.create () in
-          let totals = Executor.run b input (Cpu.observer cpu) in
-          let insts = totals.Executor.insts in
-          if insts > 0 then begin
-            let cpi = Cpu.cycles cpu /. float_of_int insts in
-            let label =
-              Printf.sprintf "%s/%s" e.Registry.name
-                (Cbsp_compiler.Config.label b.Binary.config)
-            in
-            if cpi < report.Locality.lc_cpi_lo -. 1e-9 then
-              Alcotest.failf "%s: measured CPI %.6f below static bound %.6f"
-                label cpi report.Locality.lc_cpi_lo;
-            if cpi > report.Locality.lc_cpi_hi +. 1e-9 then
-              Alcotest.failf "%s: measured CPI %.6f above static bound %.6f"
-                label cpi report.Locality.lc_cpi_hi
-          end)
-        binaries)
-    (Registry.all @ Registry.micro)
-
-(* Resident microkernels must get a finite (fit-level) upper bound and a
-   usefully tight bracket; heap ones must be diagnosed as unfit. *)
-let test_locality_microkernel_extremes () =
-  let analyze name =
-    let e = Registry.find name in
-    let b =
-      List.hd
-        (Tutil.compile_all ~loop_splitting:e.Registry.loop_splitting
-           (e.Registry.build ()))
-    in
-    Locality.analyze b ~scale:2
-  in
-  let local = analyze "stream-local" in
-  Tutil.check_bool "stream-local fits a level" true
-    (local.Locality.lc_fit_level <> None);
-  Tutil.check_bool "stream-local bracket tight" true
-    (local.Locality.lc_cpi_hi -. local.Locality.lc_cpi_lo < 0.1);
-  let heap = analyze "chase-heap" in
-  Tutil.check_bool "chase-heap fits nowhere" true
-    (heap.Locality.lc_fit_level = None);
-  Tutil.check_bool "chase-heap floor well above 1" true
-    (heap.Locality.lc_cpi_lo > 5.0)
-
-let test_locality_lint_rules () =
-  let check name =
-    let e = Registry.find name in
-    let program = e.Registry.build () in
-    let binaries =
-      Tutil.compile_all ~loop_splitting:e.Registry.loop_splitting program
-    in
-    Lint.check_locality ~workload:name
-      (List.map (fun b -> Locality.analyze b ~scale:2) binaries)
-  in
-  let rules fs = List.map (fun f -> f.Lint.f_rule) fs in
-  (* mcf: the canonical DRAM-bound pointer chaser *)
-  let mcf = rules (check "mcf") in
-  Tutil.check_bool "mcf dram-bound-loop" true
-    (List.mem "dram-bound-loop" mcf);
-  Tutil.check_bool "mcf footprint-exceeds-llc" true
-    (List.mem "footprint-exceeds-llc" mcf);
-  Tutil.check_bool "mcf dependent-chain-loop" true
-    (List.mem "dependent-chain-loop" mcf);
-  (* everything is deduplicated across the four binaries *)
-  let all = check "mcf" in
-  let keys =
-    List.map (fun f -> (f.Lint.f_rule, f.Lint.f_line)) all
-  in
-  Tutil.check_int "no duplicate (rule, line) findings"
-    (List.length keys)
-    (List.length (List.sort_uniq compare keys));
-  (* stream-local: resident and regular — nothing to warn about *)
-  Tutil.check_int "stream-local clean" 0 (List.length (check "stream-local"))
-
-let test_locality_stat_and_json () =
-  let e = Registry.find "stream-local" in
-  let binaries =
-    Tutil.compile_all ~loop_splitting:e.Registry.loop_splitting
-      (e.Registry.build ())
-  in
-  let reports = List.map (fun b -> Locality.analyze b ~scale:2) binaries in
-  let stat = Lint.locality_stat ~workload:"stream-local" reports in
-  Tutil.check_bool "lo <= hi" true (stat.Lint.lo_cpi_lo <= stat.Lint.lo_cpi_hi);
-  Tutil.check_bool "has fit level" true (stat.Lint.lo_fit_level <> None);
-  let totals =
-    { Lint.at_candidates = 0; at_proved_mappable = 0; at_proved_unmappable = 0;
-      at_needs_dynamic = 0 }
-  in
-  let json =
-    Lint.to_json ~scale:2 ~workloads:[ "stream-local" ] ~totals
-      ~locality:[ stat ] []
-  in
-  Tutil.check_bool "locality array emitted" true (contains json "\"locality\":");
-  Tutil.check_bool "fit level emitted" true (contains json "\"fit_level\":");
-  (* an infinite upper bound must render as null, not break the JSON *)
-  let inf_stat =
-    { stat with Lint.lo_cpi_hi = infinity; lo_fit_level = None }
-  in
-  let json2 =
-    Lint.to_json ~scale:2 ~workloads:[ "w" ] ~totals ~locality:[ inf_stat ] []
-  in
-  Tutil.check_bool "infinity rendered null" true
-    (contains json2 "\"cpi_hi\": null")
-
 let test_lint_json () =
   let totals =
     { Lint.at_candidates = 3; at_proved_mappable = 2; at_proved_unmappable = 1;
@@ -531,10 +411,4 @@ let () =
           Tutil.quick "backedge survival" test_lint_backedge_survival;
           Tutil.quick "mangled points markers" test_lint_points;
           Tutil.quick "registry is error-clean" test_registry_lint_clean;
-          Tutil.quick "json report" test_lint_json ] );
-      ( "locality",
-        [ Alcotest.test_case "brackets sound on whole registry" `Slow
-            test_locality_brackets_registry;
-          Tutil.quick "microkernel extremes" test_locality_microkernel_extremes;
-          Tutil.quick "lint rules" test_locality_lint_rules;
-          Tutil.quick "stat and json" test_locality_stat_and_json ] ) ]
+          Tutil.quick "json report" test_lint_json ] ) ]

@@ -184,15 +184,14 @@ let prop_boundaries_replay =
       let mappable = Cbsp.Matching.find ~binaries ~profiles () in
       let primary = List.hd binaries in
       let robs, rread =
-        Interval.vli_recorder ~n_blocks:primary.Binary.n_blocks ~target:2_000
-          ~mappable:(Cbsp.Matching.is_mappable mappable)
-          ()
+        Interval_ref.vli_recorder ~n_blocks:primary.Binary.n_blocks
+          ~target:2_000 ~mappable:(Cbsp.Matching.is_mappable mappable) ()
       in
       let (_ : Executor.totals) = Executor.run primary input robs in
       let r_intervals, boundaries = rread () in
       List.for_all
         (fun binary ->
-          let fobs, fread = Interval.vli_follower ~boundaries () in
+          let fobs, fread = Interval_ref.vli_follower ~boundaries () in
           let totals = Executor.run binary input fobs in
           let f_intervals = fread () in
           Array.length f_intervals = Array.length r_intervals
@@ -304,37 +303,6 @@ let prop_static_prover_sound =
         dynamic.Cbsp.Matching.keys;
       report.Prover.pr_candidates >= dynamic.Cbsp.Matching.candidates)
 
-(* The locality analyzer's CPI bracket must be sound on anything the
-   language can express, not just the hand-written registry: a cold-cache
-   run of every binary of every random program lands inside
-   [lc_cpi_lo, lc_cpi_hi]. *)
-let prop_locality_bounds_sound =
-  let module Locality = Cbsp_analysis.Locality in
-  let module Cpu = Cbsp_cache.Cpu in
-  QCheck.Test.make ~name:"static locality CPI bracket sound" ~count:30
-    (QCheck.make plan_gen) (fun plan ->
-      let program = build_program plan in
-      let scale = input.Cbsp_source.Input.scale in
-      List.for_all
-        (fun binary ->
-          let report = Locality.analyze binary ~scale in
-          let cpu = Cpu.create () in
-          let totals = Executor.run binary input (Cpu.observer cpu) in
-          if totals.Executor.insts = 0 then true
-          else begin
-            let cpi = Cpu.cycles cpu /. float_of_int totals.Executor.insts in
-            if cpi < report.Locality.lc_cpi_lo -. 1e-9 then
-              QCheck.Test.fail_reportf "%s: CPI %.6f below static bound %.6f"
-                (Cbsp_compiler.Config.label binary.Binary.config)
-                cpi report.Locality.lc_cpi_lo;
-            if cpi > report.Locality.lc_cpi_hi +. 1e-9 then
-              QCheck.Test.fail_reportf "%s: CPI %.6f above static bound %.6f"
-                (Cbsp_compiler.Config.label binary.Binary.config)
-                cpi report.Locality.lc_cpi_hi;
-            true
-          end)
-        (binaries_of plan program))
-
 let () =
   Alcotest.run "genprog"
     [ ( "random programs",
@@ -345,5 +313,4 @@ let () =
           Tutil.qcheck_case prop_boundaries_replay;
           Tutil.qcheck_case prop_flat_matches_tree;
           Tutil.qcheck_case prop_data_stream_across_opt;
-          Tutil.qcheck_case prop_static_prover_sound;
-          Tutil.qcheck_case prop_locality_bounds_sound ] ) ]
+          Tutil.qcheck_case prop_static_prover_sound ] ) ]

@@ -24,7 +24,7 @@ let written write =
 
 let materialized binary =
   let obs, read =
-    Interval.fli_observer ~n_blocks:binary.Binary.n_blocks ~target ()
+    Interval_ref.fli_observer ~n_blocks:binary.Binary.n_blocks ~target ()
   in
   let (_ : Executor.totals) = Executor.run binary input obs in
   read ()

@@ -329,7 +329,7 @@ let materialized binary ~sp_config ~observe =
 
 let fixed_observer binary ~target ~cycles ~extras =
   let obs, read =
-    Interval.fli_observer ~n_blocks:binary.Binary.n_blocks ~target ~cycles
+    Interval_ref.fli_observer ~n_blocks:binary.Binary.n_blocks ~target ~cycles
       ~extras ()
   in
   (obs, fun () -> (read (), [||]))
@@ -367,11 +367,6 @@ let check_pass ~where (pass : Pipeline.pass)
    derived with the array functions of [Strata], and the clustering. *)
 let test_fixed_pass_equals_materialized () =
   let sp_config = Cbsp_simpoint.Simpoint.default_config in
-  let llc_bytes =
-    match List.rev Cbsp_cache.Hierarchy.paper_table1.Cbsp_cache.Hierarchy.levels with
-    | last :: _ -> last.Cbsp_cache.Hierarchy.lv_capacity
-    | [] -> 0
-  in
   let registry name =
     let entry = Registry.find name in
     ( name, entry.Registry.build (),
@@ -396,10 +391,8 @@ let test_fixed_pass_equals_materialized () =
           let bbvs = Array.map (fun iv -> iv.Interval.bbv) intervals in
           let module Strata = Cbsp_sampling.Strata in
           Tutil.check_bool (where ^ ": access mix") true
-            (bits (Strata.access_mix binary ~bbvs) = bits pass.Pipeline.ps_mix);
-          Tutil.check_bool (where ^ ": static strata") true
-            (bits (Strata.static_locality binary ~llc_bytes ~bbvs)
-            = bits pass.Pipeline.ps_locality))
+            (bits (Array.map (Strata.access_mix_of binary) bbvs)
+            = bits pass.Pipeline.ps_mix))
         configs)
     (("two-phase", Tutil.two_phase_program (), configs)
     :: List.map registry [ "gcc"; "mcf"; "applu"; "swim" ])
@@ -437,7 +430,7 @@ let test_recorded_pass_equals_materialized_registry () =
       let cut = Marker.Set.of_list keys in
       let ((_, _, boundaries, _, _) as reference) =
         materialized primary ~sp_config ~observe:(fun ~cycles ~extras ->
-            Interval.vli_recorder ~n_blocks:primary.Binary.n_blocks ~target
+            Interval_ref.vli_recorder ~n_blocks:primary.Binary.n_blocks ~target
               ~mappable:(fun key -> Marker.Set.mem key cut)
               ~cycles ~extras ())
       in
@@ -466,6 +459,33 @@ let test_streaming_scratch_gauge () =
   Tutil.check_bool "materialized peak grows with run length" true
     (Cbsp_obs.Metrics.gauge_value gauge > streaming_peak)
 
+(* The sampling estimator scores exactly four samplers, and a result
+   served from a disk-cached engine (cold, then warm through a second
+   engine over the same directory) names no other method. *)
+let test_sampling_methods () =
+  let est =
+    Pipeline.Sampling { Pipeline.level = 0.95; seeds = [ 2007 ]; n = 8 }
+  in
+  let four = [ "srs"; "systematic"; "strat-phase"; "strat-mix" ] in
+  Alcotest.(check (list string)) "sampling names" four
+    (Pipeline.names (Pipeline.Any est));
+  Tutil.with_temp_dir "sampling" @@ fun cache_dir ->
+  let run () =
+    let engine = Pipeline.create_engine ~cache_dir () in
+    Pipeline.records est
+      (Pipeline.run ~engine est (Tutil.two_phase_program ()) ~configs ~input
+         ~target)
+  in
+  List.iter
+    (fun (where, records) ->
+      Alcotest.(check (list string)) (where ^ " record methods")
+        (List.sort compare four)
+        (List.sort_uniq compare
+           (List.map (fun r -> r.Pipeline.er_method) records));
+      Tutil.check_int (where ^ " records") (List.length configs * 4)
+        (List.length records))
+    [ ("cold", run ()); ("warm", run ()) ]
+
 let () =
   Alcotest.run "pipeline"
     [ ( "structure",
@@ -473,7 +493,8 @@ let () =
           Tutil.quick "vli shape" test_vli_shape;
           Tutil.quick "truth shared" test_vli_truth_independent_of_method;
           Tutil.quick "find binary" test_find_binary;
-          Tutil.quick "deterministic" test_deterministic_pipelines ] );
+          Tutil.quick "deterministic" test_deterministic_pipelines;
+          Tutil.quick "sampling methods" test_sampling_methods ] );
       ( "behaviour",
         [ Tutil.quick "estimates accurate" test_estimates_accurate;
           Tutil.quick "metrics extrapolated" test_metrics_extrapolated;

@@ -39,7 +39,7 @@ let test_profile_missing_key () =
 
 let fli_pass binary ~target =
   let obs, read =
-    Interval.fli_observer ~n_blocks:binary.Binary.n_blocks ~target ()
+    Interval_ref.fli_observer ~n_blocks:binary.Binary.n_blocks ~target ()
   in
   let totals = Executor.run binary input obs in
   (read (), totals)
@@ -73,12 +73,12 @@ let test_fli_bbv_sums () =
 let test_fli_rejects_bad_target () =
   Alcotest.check_raises "zero target"
     (Invalid_argument "Interval.fli_stream: target must be positive") (fun () ->
-      ignore (Interval.fli_observer ~n_blocks:1 ~target:0 ()));
+      ignore (Interval_ref.fli_observer ~n_blocks:1 ~target:0 ()));
   Alcotest.check_raises "zero recorder target"
     (Invalid_argument "Interval.vli_recorder_stream: target must be positive")
     (fun () ->
       ignore
-        (Interval.vli_recorder ~n_blocks:1 ~target:0
+        (Interval_ref.vli_recorder ~n_blocks:1 ~target:0
            ~mappable:(fun _ -> true) ()))
 
 let test_fli_cycles_sampled () =
@@ -86,7 +86,7 @@ let test_fli_cycles_sampled () =
   let binary = compile program o0 in
   let cpu = Cbsp_cache.Cpu.create () in
   let obs, read =
-    Interval.fli_observer ~n_blocks:binary.Binary.n_blocks ~target:20_000
+    Interval_ref.fli_observer ~n_blocks:binary.Binary.n_blocks ~target:20_000
       ~cycles:(fun () -> Cbsp_cache.Cpu.cycles cpu)
       ()
   in
@@ -113,7 +113,7 @@ let test_vli_recorder_basics () =
   let binary = List.hd binaries in
   let target = 20_000 in
   let obs, read =
-    Interval.vli_recorder ~n_blocks:binary.Binary.n_blocks ~target
+    Interval_ref.vli_recorder ~n_blocks:binary.Binary.n_blocks ~target
       ~mappable:(Cbsp.Matching.is_mappable mappable)
       ()
   in
@@ -144,13 +144,13 @@ let test_vli_roundtrip_same_binary () =
   let mappable = mappable_of binaries in
   let binary = List.hd binaries in
   let robs, rread =
-    Interval.vli_recorder ~n_blocks:binary.Binary.n_blocks ~target:20_000
+    Interval_ref.vli_recorder ~n_blocks:binary.Binary.n_blocks ~target:20_000
       ~mappable:(Cbsp.Matching.is_mappable mappable)
       ()
   in
   let (_ : Executor.totals) = Executor.run binary input robs in
   let r_intervals, boundaries = rread () in
-  let fobs, fread = Interval.vli_follower ~boundaries () in
+  let fobs, fread = Interval_ref.vli_follower ~boundaries () in
   let (_ : Executor.totals) = Executor.run binary input fobs in
   let f_intervals = fread () in
   Tutil.check_int "same interval count" (Array.length r_intervals)
@@ -170,7 +170,7 @@ let test_vli_follow_other_binaries () =
   let mappable = mappable_of binaries in
   let primary = List.hd binaries in
   let robs, rread =
-    Interval.vli_recorder ~n_blocks:primary.Binary.n_blocks ~target:20_000
+    Interval_ref.vli_recorder ~n_blocks:primary.Binary.n_blocks ~target:20_000
       ~mappable:(Cbsp.Matching.is_mappable mappable)
       ()
   in
@@ -179,7 +179,7 @@ let test_vli_follow_other_binaries () =
   List.iteri
     (fun i binary ->
       if i > 0 then begin
-        let fobs, fread = Interval.vli_follower ~boundaries () in
+        let fobs, fread = Interval_ref.vli_follower ~boundaries () in
         let totals = Executor.run binary input fobs in
         let f_intervals = fread () in
         Tutil.check_int
@@ -201,7 +201,7 @@ let test_follower_rejects_foreign_boundaries () =
   let boundaries =
     [| { Interval.bd_key = Marker.Proc_entry "ghost"; bd_count = 3 } |]
   in
-  let fobs, fread = Interval.vli_follower ~boundaries () in
+  let fobs, fread = Interval_ref.vli_follower ~boundaries () in
   let (_ : Executor.totals) = Executor.run binary input fobs in
   Tutil.check_bool "unreached boundaries raise" true
     (match fread () with
@@ -228,7 +228,7 @@ let test_recorder_without_markers () =
   let program = Tutil.two_phase_program () in
   let binary = compile program o0 in
   let obs, read =
-    Interval.vli_recorder ~n_blocks:binary.Binary.n_blocks ~target:1_000
+    Interval_ref.vli_recorder ~n_blocks:binary.Binary.n_blocks ~target:1_000
       ~mappable:(fun _ -> false)
       ()
   in
@@ -242,7 +242,7 @@ let test_recorder_without_markers () =
 let test_follower_empty_boundaries () =
   let program = Tutil.single_loop_program () in
   let binary = compile program o0 in
-  let fobs, fread = Interval.vli_follower ~boundaries:[||] () in
+  let fobs, fread = Interval_ref.vli_follower ~boundaries:[||] () in
   let totals = Executor.run binary input fobs in
   let intervals = fread () in
   Tutil.check_int "one interval" 1 (Array.length intervals);

@@ -247,13 +247,13 @@ let test_access_mix () =
   let program = Tutil.two_phase_program () in
   let binary = Lower.compile program (List.hd (Tutil.paper_configs ())) in
   let iobs, read =
-    Interval.fli_observer ~n_blocks:binary.Cbsp_compiler.Binary.n_blocks
+    Interval_ref.fli_observer ~n_blocks:binary.Cbsp_compiler.Binary.n_blocks
       ~target:2_000 ()
   in
   let (_ : Executor.totals) = Executor.run binary Tutil.test_input iobs in
   let intervals = read () in
   let bbvs = Array.map (fun iv -> iv.Interval.bbv) intervals in
-  let mix = Strata.access_mix binary ~bbvs in
+  let mix = Array.map (Strata.access_mix_of binary) bbvs in
   Tutil.check_int "one mix per interval" (Array.length intervals)
     (Array.length mix);
   Array.iteri
@@ -267,8 +267,8 @@ let test_access_mix () =
   Tutil.check_bool "mix separates phases" true
     (Stats.stddev mix > 0.01);
   Tutil.check_bool "dimension mismatch raises" true
-    (match Strata.access_mix binary ~bbvs:[| [| 1.0 |] |] with
-     | (_ : float array) -> false
+    (match Strata.access_mix_of binary [| 1.0 |] with
+     | (_ : float) -> false
      | exception Invalid_argument _ -> true)
 
 (* --- speedup propagation ---------------------------------------------- *)

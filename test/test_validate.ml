@@ -450,12 +450,12 @@ let test_estimate_records () =
     (List.length configs * List.length Pipeline.sampling_methods)
     (List.length srecords)
 
-(* The estimator table spells the nine names once; the leaderboard, the
+(* The estimator table spells the eight names once; the leaderboard, the
    budgets and cbsp-validate/1 all read them in this order. *)
 let test_methods_table () =
-  Alcotest.(check (list string)) "nine methods, in order"
+  Alcotest.(check (list string)) "eight methods, in order"
     [ "fli"; "vli"; "vli-static"; "vli-recovered"; "srs"; "systematic";
-      "strat-phase"; "strat-mix"; "strat-static" ]
+      "strat-phase"; "strat-mix" ]
     Matrix.methods
 
 (* --- CI calibration ----------------------------------------------- *)

@@ -103,76 +103,12 @@ let test_find () =
      | (_ : Registry.entry) -> false
      | exception Not_found -> true)
 
-(* --- locality microkernels ------------------------------------------- *)
-
-let test_micro_names () =
-  Alcotest.(check (list string)) "the four locality extremes"
-    [ "stream-local"; "stream-heap"; "chase-local"; "chase-heap" ]
-    (List.map (fun (e : Registry.entry) -> e.Registry.name) Registry.micro);
-  (* findable by name, but NOT part of the pinned paper suite *)
-  List.iter
-    (fun (e : Registry.entry) ->
-      let found = Registry.find e.Registry.name in
-      Alcotest.(check string) "find resolves micro" e.Registry.name
-        found.Registry.name;
-      Tutil.check_bool (e.Registry.name ^ " outside the suite") false
-        (List.mem e.Registry.name Registry.names))
-    Registry.micro
-
-let test_micro_programs () =
-  List.iter
-    (fun (e : Registry.entry) ->
-      let program = e.Registry.build () in
-      Validate.check program;
-      Tutil.check_bool (e.Registry.name ^ " named correctly") true
-        (program.Ast.prog_name = e.Registry.name);
-      let (_ : Ast.proc) = Ast.find_proc program "init_data" in
-      let binaries =
-        Tutil.compile_all ~loop_splitting:e.Registry.loop_splitting program
-      in
-      Tutil.check_int (e.Registry.name ^ " four binaries") 4
-        (List.length binaries);
-      List.iter
-        (fun b ->
-          let totals = Executor.run b Tutil.test_input Executor.null_observer in
-          Tutil.check_bool (e.Registry.name ^ " executes") true
-            (totals.Executor.insts > 1_000))
-        binaries)
-    Registry.micro
-
-(* The two variants of each kernel differ exactly where intended: same
-   shape, opposite footprint side of the LLC (1 MiB). *)
-let test_micro_footprints_straddle_llc () =
-  let footprint name =
-    let e = Registry.find name in
-    let program = e.Registry.build () in
-    Array.fold_left
-      (fun acc (a : Ast.array_decl) ->
-        let eb =
-          match a.Ast.arr_kind with
-          | Ast.Data { elem_bytes } -> elem_bytes
-          | Ast.Pointer -> 8 (* widest ISA *)
-        in
-        acc + (a.Ast.arr_length * eb))
-      0 program.Ast.arrays
-  in
-  let llc = 1024 * 1024 in
-  Tutil.check_bool "stream-local resident" true (footprint "stream-local" < llc);
-  Tutil.check_bool "stream-heap over LLC" true (footprint "stream-heap" > llc);
-  Tutil.check_bool "chase-local resident" true (footprint "chase-local" < llc);
-  Tutil.check_bool "chase-heap over LLC" true (footprint "chase-heap" > llc)
-
 let () =
   Alcotest.run "workloads"
     [ ( "registry",
         [ Tutil.quick "suite complete" test_suite_complete;
           Tutil.quick "only applu splits" test_only_applu_splits;
           Tutil.quick "find" test_find ] );
-      ( "micro",
-        [ Tutil.quick "names and lookup" test_micro_names;
-          Tutil.quick "programs compile and run" test_micro_programs;
-          Tutil.quick "footprints straddle LLC"
-            test_micro_footprints_straddle_llc ] );
       ( "programs",
         [ Tutil.quick "all validate" test_all_validate;
           Tutil.quick "all have init phase" test_all_have_init;
