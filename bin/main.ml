@@ -508,7 +508,7 @@ let validate_cmd =
   let cache_dir_arg =
     Arg.(value & opt (some string) None
          & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"Persistent sharded artifact cache root: compiles, \
+             ~doc:"Persistent artifact cache root: compiles, \
                    profiles and whole pipeline results are reused across \
                    runs, so re-validating an unchanged tree is served \
                    from disk.")

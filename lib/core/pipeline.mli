@@ -206,13 +206,13 @@ val create_engine :
 (** [jobs] defaults to 1 (sequential); values below 1 are clamped to 1.
 
     With [cache_dir], every store (binaries, profiles, and the
-    whole-result caches) gets a sharded persistent
-    {!Cbsp_engine.Diskcache} under that directory ([binaries/],
-    [profiles/], [results-fli/], [results-vli/], [results-sampling/]),
-    each LRU-bounded by
-    256 MiB: a second process pointed at the same directory warm-starts
-    from disk, and concurrent processes coalesce identical computes via
-    the cache's lock files. *)
+    whole-result caches) gets a persistent {!Cbsp_engine.Diskcache}
+    under that directory ([binaries/], [profiles/], [results-fli/],
+    [results-vli/], [results-sampling/]), each LRU-bounded by 256 MiB:
+    a second process pointed at the same directory warm-starts from
+    disk.  Concurrent processes do not wait for each other: each
+    computes what it misses, and the cache's atomic rename makes the
+    last identical publication win. *)
 
 val collect :
   engine ->

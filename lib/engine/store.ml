@@ -4,13 +4,15 @@
    rest wait".
 
    With an attached {!Diskcache} the owner consults disk before
-   computing and publishes after, and coalesces across processes via
-   the cache's per-key lock files: first process computes, the others
-   poll for the published entry.  Values cross the disk boundary as
-   [Marshal] bytes under the cache's checksummed framing; a payload
-   that passes the checksums but fails to unmarshal is quarantined like
-   any other corruption.  Only successful computations are persisted —
-   exceptions are cached in memory for this process only.
+   computing and publishes after.  Other processes sharing the
+   directory are not waited for: each computes what it misses, and the
+   cache's atomic rename makes the last identical write win.  Values
+   cross the disk boundary as [Marshal] bytes under the cache's
+   digest-checked framing; a payload that passes the digest but fails
+   to unmarshal is quarantined like any other corruption.  Only
+   successful computations are persisted, and best-effort: a failed
+   write is counted by the cache, never raised.  Exceptions are cached
+   in memory for this process only.
 
    Counters live in the obs metrics registry instead of bespoke atomics:
    every store instance gets its own [store.computes]/[store.hits]
@@ -18,8 +20,8 @@
    engines in one process never share counts) plus a [store.wait_seconds]
    histogram of how long waiters blocked on in-flight computations.
    Disk-level series ([store.disk_hits]/[store.misses]/
-   [store.evictions]/[store.quarantined]/[store.bytes]) belong to the
-   attached cache. *)
+   [store.evictions]/[store.quarantined]/[store.publish_errors]/
+   [store.bytes]) belong to the attached cache. *)
 
 module Metrics = Cbsp_obs.Metrics
 
@@ -32,7 +34,6 @@ type 'v cell = {
 }
 
 type 'v t = {
-  s_name : string;
   s_mutex : Mutex.t;
   s_table : (string, 'v cell) Hashtbl.t;
   s_disk : Diskcache.t option;
@@ -48,13 +49,11 @@ let create ?(name = "store") ?disk () =
     [ ("store", name);
       ("instance", string_of_int (Atomic.fetch_and_add next_id 1)) ]
   in
-  { s_name = name; s_mutex = Mutex.create (); s_table = Hashtbl.create 64;
+  { s_mutex = Mutex.create (); s_table = Hashtbl.create 64;
     s_disk = disk;
     s_computes = Metrics.counter ~labels "store.computes";
     s_hits = Metrics.counter ~labels "store.hits";
     s_wait = Metrics.histogram ~labels "store.wait_seconds" }
-
-let disk t = t.s_disk
 
 (* [No_sharing] makes the encoding a function of the value's structure
    alone: with sharing, two equal values whose strings are aliased
@@ -63,58 +62,37 @@ let disk t = t.s_disk
    entries. *)
 let digest v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ])
 
-(* Decode a persisted payload; unmarshalable bytes are payload-level
-   corruption the framing checksums cannot see, so quarantine and treat
-   as a miss. *)
-let decode_payload disk ~key payload =
-  match Marshal.from_string payload 0 with
-  | v -> Some v
-  | exception _ ->
-    Diskcache.quarantine disk ~key;
-    None
-
-let disk_find disk ~key =
-  match Diskcache.find disk ~key with
-  | None -> None
-  | Some payload -> decode_payload disk ~key payload
-
 (* The owner's path once the in-memory cell is created: serve from
-   disk, else coalesce with other processes via the per-key lock file,
-   else compute (and publish on success). *)
-let compute_with_disk t ~key f =
-  let compute_and_publish disk =
+   disk, else compute and publish a success.  A payload that fails to
+   unmarshal is corruption the frame cannot see: quarantine it and
+   compute. *)
+let resolve t ~key f =
+  let from_disk =
+    match t.s_disk with
+    | None -> None
+    | Some d -> (
+      match Diskcache.find d ~key with
+      | None -> None
+      | Some payload -> (
+        match Marshal.from_string payload 0 with
+        | v -> Some v
+        | exception _ ->
+          Diskcache.quarantine d ~key;
+          None))
+  in
+  match from_disk with
+  | Some v ->
+    Metrics.incr t.s_hits;
+    Value v
+  | None -> (
     Metrics.incr t.s_computes;
     match f () with
     | v ->
-      (match disk with
-      | None -> ()
-      | Some d -> Diskcache.put d ~key (Marshal.to_string v []));
+      Option.iter
+        (fun d -> Diskcache.put d ~key (Marshal.to_string v []))
+        t.s_disk;
       Value v
-    | exception e -> Raised e
-  in
-  match t.s_disk with
-  | None -> compute_and_publish None
-  | Some d -> (
-    match disk_find d ~key with
-    | Some v ->
-      Metrics.incr t.s_hits;
-      Value v
-    | None ->
-      if Diskcache.try_lock d ~key then
-        Fun.protect
-          ~finally:(fun () -> Diskcache.unlock d ~key)
-          (fun () -> compute_and_publish (Some d))
-      else (
-        (* Another process owns the compute: wait for its publication,
-           falling back to computing ourselves if it dies or stalls. *)
-        match Diskcache.wait d ~key () with
-        | Some payload -> (
-          match decode_payload d ~key payload with
-          | Some v ->
-            Metrics.incr t.s_hits;
-            Value v
-          | None -> compute_and_publish (Some d))
-        | None -> compute_and_publish (Some d)))
+    | exception e -> Raised e)
 
 let find_or_compute t ~key f =
   let cell, owner =
@@ -130,7 +108,9 @@ let find_or_compute t ~key f =
           (c, true))
   in
   if owner then begin
-    let outcome = compute_with_disk t ~key f in
+    (* Whatever escapes [resolve] still fills the cell, so no waiter
+       is stranded. *)
+    let outcome = try resolve t ~key f with e -> Raised e in
     Mutex.protect cell.c_mutex (fun () ->
         cell.c_outcome <- Some outcome;
         Condition.broadcast cell.c_cond);
@@ -169,17 +149,5 @@ let computes t = Metrics.value t.s_computes
 
 let hits t = Metrics.value t.s_hits
 
-let evictions t =
-  match t.s_disk with None -> 0 | Some d -> Diskcache.evictions d
-
 let quarantined t =
   match t.s_disk with None -> 0 | Some d -> Diskcache.quarantined d
-
-let pp_stats ppf t =
-  Format.fprintf ppf "%s: %d computed, %d hits" t.s_name (computes t)
-    (hits t);
-  match t.s_disk with
-  | None -> ()
-  | Some d ->
-    Format.fprintf ppf ", %d disk hits, %d evicted, %d quarantined"
-      (Diskcache.hits d) (Diskcache.evictions d) (Diskcache.quarantined d)

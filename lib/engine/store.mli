@@ -13,18 +13,17 @@
 type 'v t
 
 val create : ?name:string -> ?disk:Diskcache.t -> unit -> 'v t
-(** [name] labels the store in {!pp_stats} output (default ["store"]).
+(** [name] labels the store's metrics series (default ["store"]).
 
     With [disk], values also persist across processes: the owner of a
-    key consults the {!Diskcache} before computing, publishes the
-    [Marshal] encoding of a successful result after, and coalesces
-    identical in-flight computes across processes via the cache's
-    per-key lock files.  Values must therefore be marshal-able (pure
-    data — true of every artifact this codebase stores); a persisted
-    payload that fails to unmarshal is quarantined and recomputed, and
-    exceptions are never persisted. *)
-
-val disk : 'v t -> Diskcache.t option
+    key consults the {!Diskcache} before computing and publishes the
+    [Marshal] encoding of a successful result after.  Processes sharing
+    the directory do not wait for each other; each computes what it
+    misses, and the last identical publication wins.  Values must
+    therefore be marshal-able (pure data — true of every artifact this
+    codebase stores); a persisted payload that fails to unmarshal is
+    quarantined and recomputed, a failed publication is counted and
+    ignored, and exceptions are never persisted. *)
 
 val digest : 'a -> string
 (** A content key: the MD5 digest of the value's [Marshal] encoding
@@ -37,7 +36,8 @@ val find_or_compute : 'v t -> key:string -> (unit -> 'v) -> 'v
 (** Return the cached value for [key], or run the computation and cache
     it.  Exactly one caller computes per key; if the computation raises,
     the exception is cached and re-raised to every (current and future)
-    caller for that key. *)
+    caller for that key.  The key's cell is filled on every path, so
+    no concurrent caller is left waiting. *)
 
 val mem : 'v t -> key:string -> bool
 
@@ -48,13 +48,6 @@ val hits : 'v t -> int
 (** Number of [find_or_compute] calls served from cache — in-memory
     hits, waits on in-flight computations, and disk hits. *)
 
-val evictions : 'v t -> int
-(** Disk-cache evictions charged to this store (0 without [disk]). *)
-
 val quarantined : 'v t -> int
 (** Corrupt disk entries quarantined for this store (0 without
     [disk]). *)
-
-val pp_stats : Format.formatter -> 'v t -> unit
-(** e.g. ["binaries: 4 computed, 4 hits"]; with a disk layer also
-    [", 3 disk hits, 1 evicted, 0 quarantined"]. *)

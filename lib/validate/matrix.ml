@@ -139,8 +139,9 @@ let run ?(options = default_options) ?names ?(jobs = 1) ?cache_dir
         progress name;
         (* One engine per workload, like Experiment.run_suite: all five
            estimators share its binary/profile stores, and a shared
-           ?cache_dir persists whole results across processes (the
-           Diskcache shards are safe under concurrent writers). *)
+           ?cache_dir persists whole results across processes (each
+           Diskcache publishes by atomic rename, so concurrent writers
+           of one key leave one intact entry). *)
         let engine = Pipeline.create_engine ~jobs ?cache_dir () in
         run_workload ~engine ~options name)
       names
