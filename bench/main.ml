@@ -11,10 +11,10 @@
      --json=PATH  write the ledger to PATH (default BENCH_kernels.json)
      --smoke      a tiny quota per kernel: checks that every kernel runs
 
-   The kmeans/* kernels are measured [repeated_runs] times (once under
-   --smoke); their row reports the fastest run and the spread over all
-   of them, because one run of these reads 0.7-1.3x of another minutes
-   apart on a shared host. *)
+   Every kernel is measured [repeated_runs] times (once under --smoke);
+   its row reports the fastest run and the spread over all of them,
+   because one run reads up to 3x of another minutes apart on a shared
+   host. *)
 
 open Bechamel
 open Toolkit
@@ -397,7 +397,7 @@ let kernel_specs =
                 w_truth = Vtruth.table records;
                 w_mismatches = Vtruth.mismatches records;
                 w_failed = [];
-                w_sampling = None;
+                w_outputs = [];
                 w_timings = [] })
             validate_fixture
         in
@@ -410,8 +410,6 @@ let kernel_specs =
         Cbsp_json.Jsonx.to_string (Leaderboard.to_json matrix board)) ]
 
 let repeated_runs = 7
-
-let repeated name = String.length name > 7 && String.sub name 0 7 = "kmeans/"
 
 (* Measure [tests]; return (name, ns/run, r2) rows sorted by name. *)
 let measure tests ~quota_s ~limit =
@@ -569,22 +567,15 @@ let () =
   Lazy.force store_warm_ready;
   let quota_s, limit = if !smoke then (0.01, 5) else (0.5, 2000) in
   Fmt.pr "=== Hot-kernel benchmarks (%s mode) ===@." mode;
-  let rows =
-    measure (List.map (fun s -> s.ks_test) kernel_specs) ~quota_s ~limit
-  in
-  let extra =
-    let tests =
-      List.filter_map
-        (fun s -> if repeated s.ks_name then Some s.ks_test else None)
-        kernel_specs
-    in
+  let tests = List.map (fun s -> s.ks_test) kernel_specs in
+  let runs =
     List.init
-      (if !smoke then 0 else repeated_runs - 1)
+      (if !smoke then 1 else repeated_runs)
       (fun _ -> measure tests ~quota_s ~limit)
   in
   (* One row per kernel: the fastest run's (name, ns/run, r2), then every
      run's ns/run. *)
-  let all = List.concat (rows :: extra) in
+  let all = List.concat runs in
   let rows =
     List.map
       (fun (name, _, _) ->
@@ -596,7 +587,7 @@ let () =
             (List.hd mine) (List.tl mine)
         in
         (name, ns, r2, List.map (fun (_, ns, _) -> ns) mine))
-      rows
+      (List.hd runs)
   in
   print_rows rows;
   write_kernels_json ~path:!path ~mode rows;

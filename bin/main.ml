@@ -7,7 +7,6 @@ module Metrics = Cbsp.Metrics
 module Registry = Cbsp_workloads.Registry
 module Config = Cbsp_compiler.Config
 module Simpoint = Cbsp_simpoint.Simpoint
-module Experiment = Cbsp_report.Experiment
 module Figures = Cbsp_report.Figures
 module Ablation = Cbsp_report.Ablation
 module Lint = Cbsp_analysis.Lint
@@ -274,9 +273,6 @@ let print_binary_result label (r : Pipeline.binary_result) =
     r.Pipeline.br_n_points r.Pipeline.br_n_intervals r.Pipeline.br_avg_interval
 
 let print_speedups fli_binaries vli_binaries =
-  let pairs =
-    Experiment.paper_pairs_same_platform @ Experiment.paper_pairs_cross_platform
-  in
   List.iter
     (fun (a, b) ->
       let ra = Pipeline.find_binary fli_binaries ~label:a in
@@ -285,7 +281,7 @@ let print_speedups fli_binaries vli_binaries =
         (Metrics.true_speedup ra rb)
         (100.0 *. Metrics.pair_error fli_binaries ~a ~b)
         (100.0 *. Metrics.pair_error vli_binaries ~a ~b))
-    pairs
+    Cbsp_validate.Matrix.pairs
 
 let print_metrics label (r : Pipeline.binary_result) =
   Array.iter
@@ -402,6 +398,7 @@ let run_cmd =
 (* experiment                                                          *)
 
 let experiment_cmd =
+  let module Matrix = Cbsp_validate.Matrix in
   let what_arg =
     let doc =
       "What to regenerate: table1, fig1, fig2, fig3, fig4, fig5, table2, \
@@ -415,8 +412,24 @@ let experiment_cmd =
   in
   let run what workloads target scale seed max_k primary csv jobs timing =
     let names = workload_names workloads in
-    if what = "table1" then Figures.table1 ppf
-    else begin
+    (* An unknown name is a usage error before any work starts. *)
+    let render =
+      match what with
+      | "table1" -> None
+      | "table2" -> Some Figures.table2
+      | "table3" -> Some Figures.table3
+      | "summary" -> Some Figures.summary
+      | "all" -> Some Figures.all
+      | _ -> (
+        match List.find_opt (fun f -> f.Figures.name = what) Figures.figures with
+        | Some f -> Some (Figures.chart f)
+        | None ->
+          Fmt.epr "unknown experiment %S@." what;
+          exit 2)
+    in
+    match render with
+    | None -> Figures.table1 ppf
+    | Some render ->
       let names =
         (* Tables 2 and 3 need their specific workloads present. *)
         match what with
@@ -424,39 +437,37 @@ let experiment_cmd =
         | "table3" when not (List.mem "apsi" names) -> "apsi" :: names
         | _ -> names
       in
-      let t =
-        Experiment.run_suite ~names ~target ~input:(input_of ~scale ~seed)
-          ~sp_config:(sp_config_of ~max_k ()) ~primary
-          ~jobs:(resolve_jobs jobs)
+      let options =
+        { Matrix.default_options with
+          Matrix.mo_target = target; mo_scale = scale; mo_seed = seed;
+          mo_max_k = max_k; mo_primary = primary }
+      in
+      let m =
+        Matrix.run ~options ~names ~jobs:(resolve_jobs jobs)
           ~progress:(fun n -> Fmt.epr "running %s...@." n)
           ()
       in
+      (match Figures.missing m with
+       | [] -> ()
+       | missing ->
+         Fmt.epr "no figures: FLI or VLI results missing for %s@."
+           (String.concat ", " missing);
+         List.iter
+           (fun (w, meth, reason) -> Fmt.epr "  %s/%s: %s@." w meth reason)
+           (Matrix.failures m);
+         exit 1);
       if timing then begin
-        Fmt.pr "Per-stage timing (suite, %d job%s):@." t.Experiment.jobs
-          (if t.Experiment.jobs = 1 then "" else "s");
-        Experiment.timing_report t ppf;
+        Fmt.pr "Per-stage timing (suite, %d job%s):@." m.Matrix.m_jobs
+          (if m.Matrix.m_jobs = 1 then "" else "s");
+        Cbsp_engine.Timing.pp_report ppf (Matrix.timings m);
         Fmt.pr "@."
       end;
-      (match what with
-       | "fig1" -> Figures.figure1 t ppf
-       | "fig2" -> Figures.figure2 t ppf
-       | "fig3" -> Figures.figure3 t ppf
-       | "fig4" -> Figures.figure4 t ppf
-       | "fig5" -> Figures.figure5 t ppf
-       | "table2" -> Figures.table2 t ppf
-       | "table3" -> Figures.table3 t ppf
-       | "metrics" -> Figures.metrics_report t ppf
-       | "summary" -> Figures.summary t ppf
-       | "all" -> Figures.all t ppf
-       | other ->
-         Fmt.epr "unknown experiment %S@." other;
-         exit 2);
+      render m ppf;
       match csv with
       | None -> ()
       | Some dir ->
-        Cbsp_report.Csv.save_all t ~dir;
+        Cbsp_report.Csv.save_all m ~dir;
         Fmt.epr "wrote CSV data to %s/@." dir
-    end
   in
   Cmd.v
     (Cmd.info "experiment"
@@ -551,7 +562,8 @@ let validate_cmd =
     in
     let mode = if smoke then "smoke" else "full" in
     let options =
-      { Matrix.mo_target = target; mo_scale = scale; mo_seed = seed;
+      { Matrix.default_options with
+        Matrix.mo_target = target; mo_scale = scale; mo_seed = seed;
         mo_max_k = max_k; mo_level = level; mo_sample_n = n;
         mo_sample_seeds = List.init seeds (fun i -> 2007 + i) }
     in

@@ -1,14 +1,12 @@
 module Stats = Cbsp_util.Stats
 
+let ratio num den = if den = 0.0 then Float.nan else num /. den
+
 let true_speedup (a : Pipeline.binary_result) (b : Pipeline.binary_result) =
-  if b.Pipeline.br_truth.Pipeline.t_cycles = 0.0 then
-    invalid_arg "Metrics.true_speedup: zero cycles";
-  a.Pipeline.br_truth.Pipeline.t_cycles /. b.Pipeline.br_truth.Pipeline.t_cycles
+  ratio a.Pipeline.br_truth.Pipeline.t_cycles b.Pipeline.br_truth.Pipeline.t_cycles
 
 let estimated_speedup (a : Pipeline.binary_result) (b : Pipeline.binary_result) =
-  if b.Pipeline.br_est_cycles = 0.0 then
-    invalid_arg "Metrics.estimated_speedup: zero estimated cycles";
-  a.Pipeline.br_est_cycles /. b.Pipeline.br_est_cycles
+  ratio a.Pipeline.br_est_cycles b.Pipeline.br_est_cycles
 
 let speedup_error a b =
   Stats.relative_error ~truth:(true_speedup a b) ~estimate:(estimated_speedup a b)

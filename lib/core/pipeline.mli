@@ -131,9 +131,8 @@ type sampling_result = {
     - content-keyed artifact stores memoizing compiled binaries by
       (program, config) and structure profiles by (program, config,
       input).  Passing one engine to several pipeline calls (as
-      {!Cbsp_report.Experiment.run_suite} does for a workload's FLI and
-      VLI runs) deduplicates that work: each binary compiles exactly
-      once;
+      {!Cbsp_validate.Matrix.run} does for a workload's estimators)
+      deduplicates that work: each binary compiles exactly once;
     - an in-memory pass store memoizing interval-collection passes by
       (binary, input, cache and SimPoint configuration, cut plan): FLI
       and the samplers cut the same fixed-length plan, and VLI runs

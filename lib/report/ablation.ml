@@ -5,6 +5,7 @@ module Registry = Cbsp_workloads.Registry
 module Config = Cbsp_compiler.Config
 module Simpoint = Cbsp_simpoint.Simpoint
 module Stats = Cbsp_util.Stats
+module Table = Cbsp_validate.Table
 
 type row = { label : string; values : (string * float) list }
 
@@ -12,15 +13,15 @@ type study = { title : string; unit_label : string; rows : row list }
 
 let default_names = [ "gcc"; "apsi"; "applu"; "mcf"; "swim"; "vortex" ]
 
-let all_pairs =
-  Experiment.paper_pairs_same_platform @ Experiment.paper_pairs_cross_platform
-
 let input = Cbsp_source.Input.ref_input
 
 let mean xs = Stats.mean (Array.of_list xs)
 
 let avg_speedup_error binaries =
-  mean (List.map (fun (a, b) -> Metrics.pair_error binaries ~a ~b) all_pairs)
+  mean
+    (List.map
+       (fun (a, b) -> Metrics.pair_error binaries ~a ~b)
+       Cbsp_validate.Matrix.pairs)
 
 (* Run VLI over [names] with per-run knobs and average the speedup error. *)
 let vli_error ?sp_config ?match_options ?primary ~target names =

@@ -1,63 +1,22 @@
-module Pipeline = Cbsp.Pipeline
-
-let series_of what =
-  let speedup pair fli r = Experiment.speedup_errors r ~pair ~fli in
-  match what with
-  | "fig1" ->
-    [ ("fli_points", Experiment.avg_n_points_fli);
-      ("vli_points", Experiment.avg_n_points_vli) ]
-  | "fig2" -> [ ("vli_avg_interval", Experiment.avg_interval_vli) ]
-  | "fig3" ->
-    [ ("fli_cpi_error", Experiment.avg_cpi_error_fli);
-      ("vli_cpi_error", Experiment.avg_cpi_error_vli) ]
-  | "fig4" ->
-    List.concat_map
-      (fun ((a, b) as pair) ->
-        [ (Printf.sprintf "fli_%s%s" a b, speedup pair true);
-          (Printf.sprintf "vli_%s%s" a b, speedup pair false) ])
-      Experiment.paper_pairs_same_platform
-  | "fig5" ->
-    List.concat_map
-      (fun ((a, b) as pair) ->
-        [ (Printf.sprintf "fli_%s%s" a b, speedup pair true);
-          (Printf.sprintf "vli_%s%s" a b, speedup pair false) ])
-      Experiment.paper_pairs_cross_platform
-  | "metrics" ->
-    let dram fli (r : Experiment.workload_result) =
-      let binaries =
-        if fli then r.Experiment.wr_fli.Pipeline.fli_binaries
-        else r.Experiment.wr_vli.Pipeline.vli_binaries
-      in
-      Cbsp_util.Stats.mean
-        (Array.of_list
-           (List.filter_map
-              (fun (b : Pipeline.binary_result) ->
-                Array.to_list b.Pipeline.br_metrics
-                |> List.find_opt (fun m -> m.Pipeline.m_name = "dram_accesses")
-                |> Option.map (fun m ->
-                       if m.Pipeline.m_true_pki < 0.5 then 0.0
-                       else
-                         Float.abs (m.Pipeline.m_est_pki -. m.Pipeline.m_true_pki)
-                         /. m.Pipeline.m_true_pki))
-              binaries))
-    in
-    [ ("fli_dram_apki_error", dram true); ("vli_dram_apki_error", dram false) ]
-  | other -> invalid_arg (Printf.sprintf "Csv.figure_rows: unknown figure %S" other)
-
-let figure_rows t ~what =
-  let series = series_of what in
-  let header = "workload" :: List.map fst series in
+let figure_rows m ~what =
+  let figure =
+    match List.find_opt (fun f -> f.Figures.name = what) Figures.figures with
+    | Some f -> f
+    | None ->
+      invalid_arg (Printf.sprintf "Csv.figure_rows: unknown figure %S" what)
+  in
+  let series = figure.Figures.series in
+  let header = "workload" :: List.map (fun s -> s.Figures.csv) series in
+  let cell fli vli s = Printf.sprintf "%.9g" (s.Figures.value fli vli) in
   let rows =
     List.map
-      (fun (r : Experiment.workload_result) ->
-        r.Experiment.wr_name
-        :: List.map (fun (_, f) -> Printf.sprintf "%.9g" (f r)) series)
-      t.Experiment.results
+      (fun (name, fli, vli) -> name :: List.map (cell fli vli) series)
+      (Figures.results m)
   in
   (header, rows)
 
-let to_string t ~what =
-  let header, rows = figure_rows t ~what in
+let to_string m ~what =
+  let header, rows = figure_rows m ~what in
   let buf = Buffer.create 4096 in
   let add_row cells =
     Buffer.add_string buf (String.concat "," cells);
@@ -67,12 +26,11 @@ let to_string t ~what =
   List.iter add_row rows;
   Buffer.contents buf
 
-let save t ~what ~path =
-  Cbsp_util.Io.with_out_file path (fun oc ->
-      output_string oc (to_string t ~what))
-
-let save_all t ~dir =
+let save_all m ~dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.iter
-    (fun what -> save t ~what ~path:(Filename.concat dir (what ^ ".csv")))
-    [ "fig1"; "fig2"; "fig3"; "fig4"; "fig5"; "metrics" ]
+    (fun f ->
+      let what = f.Figures.name in
+      Cbsp_util.Io.with_out_file (Filename.concat dir (what ^ ".csv"))
+        (fun oc -> output_string oc (to_string m ~what)))
+    Figures.figures

@@ -1,18 +1,19 @@
-(** Machine-readable export of the experiment results: one CSV per
-    figure's data series, so the plots can be regenerated in any external
-    tool without re-running the suite.
+(** Machine-readable export of the figure data: one CSV per
+    {!Figures.figures} entry, so the plots can be regenerated in any
+    external tool without re-running the matrix.
 
     Values are written in full precision; the first column is the
-    workload name, subsequent columns are the figure's series. *)
+    workload name, subsequent columns are the figure's series under
+    their CSV names. *)
 
-val figure_rows : Experiment.t -> what:string -> (string list * string list list)
-(** [(header, rows)] for ["fig1"] .. ["fig5"] and ["metrics"].
+val figure_rows :
+  Cbsp_validate.Matrix.t -> what:string -> string list * string list list
+(** [(header, rows)] for the figure named [what] (["fig1"] .. ["fig5"]
+    or ["metrics"]).
     @raise Invalid_argument for unknown names. *)
 
-val to_string : Experiment.t -> what:string -> string
+val to_string : Cbsp_validate.Matrix.t -> what:string -> string
 
-val save : Experiment.t -> what:string -> path:string -> unit
-
-val save_all : Experiment.t -> dir:string -> unit
-(** Write [fig1.csv] .. [fig5.csv] and [metrics.csv] into [dir]
-    (created if missing). *)
+val save_all : Cbsp_validate.Matrix.t -> dir:string -> unit
+(** Write [<name>.csv] for every figure into [dir] (created if
+    missing). *)

@@ -1,5 +1,7 @@
 module Pipeline = Cbsp.Pipeline
 module Metrics = Cbsp.Metrics
+module Matrix = Cbsp_validate.Matrix
+module Table = Cbsp_validate.Table
 module Hierarchy = Cbsp_cache.Hierarchy
 module Stats = Cbsp_util.Stats
 
@@ -27,111 +29,62 @@ let table1 ppf =
         { header = "Type"; align = Table.Left } ]
     ~rows ppf
 
-(* Shared shape of Figures 1-5: per-benchmark values for one or more
-   series, with the trailing Avg entry the paper plots. *)
-let per_benchmark_figure ~title ~unit_label ~series ~fmt_value (t : Experiment.t) ppf =
-  let labels = List.map (fun r -> r.Experiment.wr_name) t.Experiment.results in
-  let with_avg (name, values) = (name, values @ [ Stats.mean (Array.of_list values) ]) in
-  let series = List.map (fun (n, f) -> (n, List.map f t.Experiment.results)) series in
-  let series = List.map with_avg series in
-  let labels = labels @ [ "Avg" ] in
-  Table.bar_chart ~title ~unit_label ~series ~labels ~fmt_value ppf
+let missing (m : Matrix.t) =
+  List.filter_map
+    (fun w ->
+      match (Matrix.fli w, Matrix.vli w) with
+      | Some _, Some _ -> None
+      | _ -> Some w.Matrix.w_name)
+    m.Matrix.m_workloads
 
-let figure1 t ppf =
-  per_benchmark_figure
-    ~title:"Figure 1: Number of SimPoints (avg across the four binaries)"
-    ~unit_label:"simulation points"
-    ~series:
-      [ ("FLI", Experiment.avg_n_points_fli); ("VLI", Experiment.avg_n_points_vli) ]
-    ~fmt_value:(fun v -> Fmt.str "%.1f" v)
-    t ppf
+let results (m : Matrix.t) =
+  List.map
+    (fun w ->
+      match (Matrix.fli w, Matrix.vli w) with
+      | Some fli, Some vli -> (w.Matrix.w_name, fli, vli)
+      | _ ->
+        invalid_arg
+          (Printf.sprintf "Figures: %s lacks its FLI or VLI result"
+             w.Matrix.w_name))
+    m.Matrix.m_workloads
 
-let figure2 t ppf =
-  per_benchmark_figure
-    ~title:
-      (Fmt.str
-         "Figure 2: Average VLI interval size (target %d; FLI is fixed at the \
-          target)"
-         t.Experiment.target)
-    ~unit_label:"instructions"
-    ~series:[ ("VLI", Experiment.avg_interval_vli) ]
-    ~fmt_value:(fun v -> Fmt.str "%.0f" v)
-    t ppf
+type series = {
+  csv : string;
+  chart : string;
+  value : Pipeline.fli_result -> Pipeline.vli_result -> float;
+}
 
-let figure3 t ppf =
-  per_benchmark_figure
-    ~title:"Figure 3: CPI error (avg across the four binaries)"
-    ~unit_label:"relative error"
-    ~series:
-      [ ("FLI", Experiment.avg_cpi_error_fli); ("VLI", Experiment.avg_cpi_error_vli) ]
-    ~fmt_value:Table.pct t ppf
+type figure = {
+  name : string;
+  title : target:int -> string;
+  unit_label : string;
+  fmt_value : float -> string;
+  series : series list;
+}
 
-let speedup_figure ~title ~pairs t ppf =
-  let series =
-    List.concat_map
-      (fun ((a, b) as pair) ->
-        [ (Fmt.str "fli_%s%s" a b,
-           fun r -> Experiment.speedup_errors r ~pair ~fli:true);
-          (Fmt.str "vli_%s%s" a b,
-           fun r -> Experiment.speedup_errors r ~pair ~fli:false) ])
-      pairs
-  in
-  per_benchmark_figure ~title ~unit_label:"speedup error" ~series
-    ~fmt_value:Table.pct t ppf
+let mean_over f binaries = Stats.mean (Array.of_list (List.map f binaries))
 
-let figure4 t ppf =
-  speedup_figure
-    ~title:
-      "Figure 4: Speedup error, same platform (unoptimized vs optimized)"
-    ~pairs:Experiment.paper_pairs_same_platform t ppf
+(* The FLI and VLI series of a per-binary quantity averaged over the
+   four binaries, as Figures 1 and 3 plot it. *)
+let both ~csv f =
+  [ { csv = "fli_" ^ csv; chart = "FLI";
+      value = (fun fli _ -> f fli.Pipeline.fli_binaries) };
+    { csv = "vli_" ^ csv; chart = "VLI";
+      value = (fun _ vli -> f vli.Pipeline.vli_binaries) } ]
 
-let figure5 t ppf =
-  speedup_figure
-    ~title:"Figure 5: Speedup error, cross platform (32-bit vs 64-bit)"
-    ~pairs:Experiment.paper_pairs_cross_platform t ppf
-
-let phase_rows (r : Pipeline.binary_result) =
-  Metrics.top_phases r ~n:3
-  |> List.mapi (fun i (ph : Pipeline.phase_stat) ->
-         [ string_of_int (i + 1);
-           Fmt.str "%.2f" ph.Pipeline.ph_weight;
-           Fmt.str "%.2f" ph.Pipeline.ph_true_cpi;
-           Fmt.str "%.2f" ph.Pipeline.ph_sp_cpi;
-           Table.pct (Metrics.phase_bias ph) ])
-
-let phase_table t ~workload ~labels:(la, lb) ppf =
-  let wr = Experiment.find t workload in
-  let section method_name binaries =
-    let ra = Pipeline.find_binary binaries ~label:la in
-    let rb = Pipeline.find_binary binaries ~label:lb in
-    Fmt.pf ppf "%s / %s:@." workload method_name;
-    let columns =
-      [ { Table.header = "Phase"; align = Table.Right };
-        { header = "Weight"; align = Table.Right };
-        { header = "True CPI"; align = Table.Right };
-        { header = "SP CPI"; align = Table.Right };
-        { header = "CPI Error"; align = Table.Right } ]
-    in
-    Fmt.pf ppf "  %s:@." la;
-    Table.render ~columns ~rows:(phase_rows ra) ppf;
-    Fmt.pf ppf "  %s:@." lb;
-    Table.render ~columns ~rows:(phase_rows rb) ppf
-  in
-  section "VLI (mappable SimPoint)" wr.Experiment.wr_vli.Pipeline.vli_binaries;
-  section "FLI (per-binary SimPoint)" wr.Experiment.wr_fli.Pipeline.fli_binaries
-
-let table2 t ppf =
-  Fmt.pf ppf
-    "Table 2: gcc phase comparison, 32-bit vs 64-bit unoptimized@.";
-  phase_table t ~workload:"gcc" ~labels:("32u", "64u") ppf
-
-let table3 t ppf =
-  Fmt.pf ppf
-    "Table 3: apsi phase comparison, 32-bit vs 64-bit optimized@.";
-  phase_table t ~workload:"apsi" ~labels:("32o", "64o") ppf
+let speedup_series pairs =
+  List.concat_map
+    (fun (a, b) ->
+      let name m = Fmt.str "%s_%s%s" m a b in
+      let error bs = Metrics.pair_error bs ~a ~b in
+      [ { csv = name "fli"; chart = name "fli";
+          value = (fun fli _ -> error fli.Pipeline.fli_binaries) };
+        { csv = name "vli"; chart = name "vli";
+          value = (fun _ vli -> error vli.Pipeline.vli_binaries) } ])
+    pairs
 
 (* Relative error of one extrapolated metric, averaged over a workload's
-   four binaries; metrics with tiny true rates are skipped (relative error
+   four binaries; metrics with tiny true rates count as 0 (relative error
    on a near-zero base is noise, not signal). *)
 let metric_error ~name binaries =
   let errors =
@@ -148,62 +101,159 @@ let metric_error ~name binaries =
   in
   Stats.mean (Array.of_list errors)
 
-let metrics_report t ppf =
-  per_benchmark_figure
-    ~title:
-      "Extension: DRAM accesses/KI estimation error (avg across the four \
-       binaries)"
-    ~unit_label:"relative error"
-    ~series:
-      [ ("FLI",
-         fun r -> metric_error ~name:"dram_accesses" r.Experiment.wr_fli.Pipeline.fli_binaries);
-        ("VLI",
-         fun r -> metric_error ~name:"dram_accesses" r.Experiment.wr_vli.Pipeline.vli_binaries) ]
-    ~fmt_value:Table.pct t ppf
+let cpi_error (b : Pipeline.binary_result) = b.Pipeline.br_cpi_error
 
-let suite_mean f t =
-  Stats.mean (Array.of_list (List.map f t.Experiment.results))
+let paper_figures =
+  [ { name = "fig1";
+      title =
+        (fun ~target:_ ->
+          "Figure 1: Number of SimPoints (avg across the four binaries)");
+      unit_label = "simulation points";
+      fmt_value = Fmt.str "%.1f";
+      series =
+        both ~csv:"points"
+          (mean_over (fun b -> float_of_int b.Pipeline.br_n_points)) };
+    { name = "fig2";
+      title =
+        (fun ~target ->
+          Fmt.str
+            "Figure 2: Average VLI interval size (target %d; FLI is fixed at \
+             the target)"
+            target);
+      unit_label = "instructions";
+      fmt_value = Fmt.str "%.0f";
+      series =
+        [ { csv = "vli_avg_interval"; chart = "VLI";
+            value =
+              (fun _ vli ->
+                mean_over
+                  (fun b -> b.Pipeline.br_avg_interval)
+                  vli.Pipeline.vli_binaries) } ] };
+    { name = "fig3";
+      title =
+        (fun ~target:_ -> "Figure 3: CPI error (avg across the four binaries)");
+      unit_label = "relative error";
+      fmt_value = Table.pct;
+      series = both ~csv:"cpi_error" (mean_over cpi_error) };
+    { name = "fig4";
+      title =
+        (fun ~target:_ ->
+          "Figure 4: Speedup error, same platform (unoptimized vs optimized)");
+      unit_label = "speedup error";
+      fmt_value = Table.pct;
+      series = speedup_series Matrix.same_platform_pairs };
+    { name = "fig5";
+      title =
+        (fun ~target:_ ->
+          "Figure 5: Speedup error, cross platform (32-bit vs 64-bit)");
+      unit_label = "speedup error";
+      fmt_value = Table.pct;
+      series = speedup_series Matrix.cross_platform_pairs } ]
 
-let summary t ppf =
-  let all_pairs =
-    Experiment.paper_pairs_same_platform @ Experiment.paper_pairs_cross_platform
+let figures =
+  paper_figures
+  @ [ { name = "metrics";
+        title =
+          (fun ~target:_ ->
+            "Extension: DRAM accesses/KI estimation error (avg across the \
+             four binaries)");
+        unit_label = "relative error";
+        fmt_value = Table.pct;
+        series =
+          both ~csv:"dram_apki_error" (metric_error ~name:"dram_accesses") } ]
+
+(* Per-benchmark values for each series, with the trailing Avg entry the
+   paper plots. *)
+let chart f m ppf =
+  let results = results m in
+  let with_avg values = values @ [ Stats.mean (Array.of_list values) ] in
+  let series =
+    List.map
+      (fun s ->
+        ( s.chart,
+          with_avg (List.map (fun (_, fli, vli) -> s.value fli vli) results) ))
+      f.series
   in
-  let speedup_mean ~fli =
-    suite_mean
-      (fun r ->
-        Stats.mean
-          (Array.of_list
-             (List.map (fun pair -> Experiment.speedup_errors r ~pair ~fli) all_pairs)))
-      t
+  let labels = List.map (fun (name, _, _) -> name) results @ [ "Avg" ] in
+  Table.bar_chart
+    ~title:(f.title ~target:m.Matrix.m_options.Matrix.mo_target)
+    ~unit_label:f.unit_label ~series ~labels ~fmt_value:f.fmt_value ppf
+
+let phase_rows (r : Pipeline.binary_result) =
+  Metrics.top_phases r ~n:3
+  |> List.mapi (fun i (ph : Pipeline.phase_stat) ->
+         [ string_of_int (i + 1);
+           Fmt.str "%.2f" ph.Pipeline.ph_weight;
+           Fmt.str "%.2f" ph.Pipeline.ph_true_cpi;
+           Fmt.str "%.2f" ph.Pipeline.ph_sp_cpi;
+           Table.pct (Metrics.phase_bias ph) ])
+
+let phase_table m ~workload ~labels:(la, lb) ppf =
+  let _, fli, vli =
+    List.find (fun (name, _, _) -> name = workload) (results m)
+  in
+  let section method_name binaries =
+    let ra = Pipeline.find_binary binaries ~label:la in
+    let rb = Pipeline.find_binary binaries ~label:lb in
+    Fmt.pf ppf "%s / %s:@." workload method_name;
+    let columns =
+      [ { Table.header = "Phase"; align = Table.Right };
+        { header = "Weight"; align = Table.Right };
+        { header = "True CPI"; align = Table.Right };
+        { header = "SP CPI"; align = Table.Right };
+        { header = "CPI Error"; align = Table.Right } ]
+    in
+    Fmt.pf ppf "  %s:@." la;
+    Table.render ~columns ~rows:(phase_rows ra) ppf;
+    Fmt.pf ppf "  %s:@." lb;
+    Table.render ~columns ~rows:(phase_rows rb) ppf
+  in
+  section "VLI (mappable SimPoint)" vli.Pipeline.vli_binaries;
+  section "FLI (per-binary SimPoint)" fli.Pipeline.fli_binaries
+
+let table2 m ppf =
+  Fmt.pf ppf
+    "Table 2: gcc phase comparison, 32-bit vs 64-bit unoptimized@.";
+  phase_table m ~workload:"gcc" ~labels:("32u", "64u") ppf
+
+let table3 m ppf =
+  Fmt.pf ppf
+    "Table 3: apsi phase comparison, 32-bit vs 64-bit optimized@.";
+  phase_table m ~workload:"apsi" ~labels:("32o", "64o") ppf
+
+let summary m ppf =
+  let results = results m in
+  let suite_mean f = Stats.mean (Array.of_list (List.map f results)) in
+  let fli f = suite_mean (fun (_, r, _) -> f r.Pipeline.fli_binaries)
+  and vli f = suite_mean (fun (_, _, r) -> f r.Pipeline.vli_binaries) in
+  let speedup_error bs =
+    Stats.mean
+      (Array.of_list
+         (List.map (fun (a, b) -> Metrics.pair_error bs ~a ~b) Matrix.pairs))
   in
   Fmt.pf ppf "Suite summary (%d workloads, interval target %d):@."
-    (List.length t.Experiment.results) t.Experiment.target;
+    (List.length results) m.Matrix.m_options.Matrix.mo_target;
   Fmt.pf ppf "  avg CPI error        FLI %s   VLI %s@."
-    (Table.pct (suite_mean Experiment.avg_cpi_error_fli t))
-    (Table.pct (suite_mean Experiment.avg_cpi_error_vli t));
+    (Table.pct (fli (mean_over cpi_error)))
+    (Table.pct (vli (mean_over cpi_error)));
   Fmt.pf ppf "  avg speedup error    FLI %s   VLI %s@."
-    (Table.pct (speedup_mean ~fli:true))
-    (Table.pct (speedup_mean ~fli:false));
+    (Table.pct (fli speedup_error))
+    (Table.pct (vli speedup_error));
   Fmt.pf ppf
     "  (paper's claim: VLI keeps bias consistent across binaries, so its@.";
   Fmt.pf ppf
     "   speedup error is well below FLI's while CPI error stays comparable)@."
 
-let all t ppf =
+let all m ppf =
   table1 ppf;
+  List.iter
+    (fun f ->
+      Fmt.pf ppf "@.";
+      chart f m ppf)
+    paper_figures;
   Fmt.pf ppf "@.";
-  figure1 t ppf;
+  table2 m ppf;
   Fmt.pf ppf "@.";
-  figure2 t ppf;
+  table3 m ppf;
   Fmt.pf ppf "@.";
-  figure3 t ppf;
-  Fmt.pf ppf "@.";
-  figure4 t ppf;
-  Fmt.pf ppf "@.";
-  figure5 t ppf;
-  Fmt.pf ppf "@.";
-  table2 t ppf;
-  Fmt.pf ppf "@.";
-  table3 t ppf;
-  Fmt.pf ppf "@.";
-  summary t ppf
+  summary m ppf

@@ -132,13 +132,11 @@ let apply_to_zeroed t v out =
 
 let project_into t v out =
   if Array.length v <> t.in_dim then
-    invalid_arg "Projection.apply: dimension mismatch";
+    invalid_arg "Projection.project_into: dimension mismatch";
   if Array.length out <> t.out_dim then
-    invalid_arg "Projection.apply_into: output buffer length mismatch";
+    invalid_arg "Projection.project_into: output buffer length mismatch";
   Array.fill out 0 t.out_dim 0.0;
   apply_to_zeroed t v out
-
-let apply_into = project_into
 
 let apply t v =
   if Array.length v <> t.in_dim then

@@ -31,9 +31,6 @@ val project_into : t -> float array -> float array -> unit
     @raise Invalid_argument if [v] is not [in_dim] long or [out] is not
     [out_dim] long. *)
 
-val apply_into : t -> float array -> float array -> unit
-(** Alias of {!project_into} (historical name). *)
-
 val apply_all : t -> float array array -> float array array
 (** Project every row into a freshly allocated output matrix.
     @raise Invalid_argument if a row is not [in_dim] long. *)

@@ -1,4 +1,5 @@
 module Pipeline = Cbsp.Pipeline
+module Metrics = Cbsp.Metrics
 module Stats = Cbsp_util.Stats
 
 type kind =
@@ -30,11 +31,6 @@ let cpi_cells ~workload records =
         cl_error = Stats.relative_error ~truth ~estimate:r.Pipeline.er_est_cpi })
     records
 
-(* A ratio that never raises: degenerate denominators become nan, which
-   Stats.relative_error then turns into a skipped cell — one dead binary
-   must not abort a whole validation matrix. *)
-let ratio num den = if den = 0.0 then Float.nan else num /. den
-
 let speedup_cells ~workload ~pairs records =
   let methods =
     List.fold_left
@@ -56,11 +52,11 @@ let speedup_cells ~workload ~pairs records =
           match (find m a, find m b) with
           | Some ra, Some rb ->
             let truth =
-              ratio ra.Pipeline.er_truth.Pipeline.t_cycles
+              Metrics.ratio ra.Pipeline.er_truth.Pipeline.t_cycles
                 rb.Pipeline.er_truth.Pipeline.t_cycles
             in
             let estimate =
-              ratio ra.Pipeline.er_est_cycles rb.Pipeline.er_est_cycles
+              Metrics.ratio ra.Pipeline.er_est_cycles rb.Pipeline.er_est_cycles
             in
             Some
               { cl_workload = workload; cl_method = m;

@@ -129,7 +129,7 @@ let quantities_per_method = n_labels + List.length Matrix.pairs
 let build matrix =
   let cells = Matrix.cells matrix in
   let sampling =
-    List.filter_map (fun w -> w.Matrix.w_sampling) matrix.Matrix.m_workloads
+    List.filter_map Matrix.sampling matrix.Matrix.m_workloads
   in
   let row m =
     let mine =

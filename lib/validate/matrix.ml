@@ -6,7 +6,6 @@ module Simpoint = Cbsp_simpoint.Simpoint
 module Scheduler = Cbsp_engine.Scheduler
 module Stage = Cbsp_engine.Stage
 module Timing = Cbsp_engine.Timing
-module Experiment = Cbsp_report.Experiment
 module Metrics = Cbsp_obs.Metrics
 module Tracer = Cbsp_obs.Tracer
 
@@ -18,16 +17,18 @@ type options = {
   mo_level : float;
   mo_sample_n : int;
   mo_sample_seeds : int list;
+  mo_primary : int;
 }
 
 let default_options =
   { mo_target = Pipeline.default_target; mo_scale = 10; mo_seed = 42;
     mo_max_k = 10; mo_level = 0.95; mo_sample_n = 64;
-    mo_sample_seeds = [ 2007; 2008; 2009 ] }
+    mo_sample_seeds = [ 2007; 2008; 2009 ]; mo_primary = 0 }
 
 let estimators options =
   let vli matching =
-    Pipeline.Any (Vli { matching; primary = 0; match_options = None })
+    Pipeline.Any
+      (Vli { matching; primary = options.mo_primary; match_options = None })
   in
   [ Pipeline.Any Fli; vli Dynamic; vli Static; vli Recovered;
     Any
@@ -37,8 +38,13 @@ let estimators options =
 
 let methods = List.concat_map Pipeline.names (estimators default_options)
 
-let pairs =
-  Experiment.paper_pairs_same_platform @ Experiment.paper_pairs_cross_platform
+let same_platform_pairs = [ ("32u", "32o"); ("64u", "64o") ]
+
+let cross_platform_pairs = [ ("32u", "64u"); ("32o", "64o") ]
+
+let pairs = same_platform_pairs @ cross_platform_pairs
+
+type output = Output : 'r Pipeline.estimator * 'r -> output
 
 type workload_result = {
   w_name : string;
@@ -46,9 +52,29 @@ type workload_result = {
   w_truth : Truth.entry list;
   w_mismatches : (string * string) list;
   w_failed : (string * string) list;
-  w_sampling : Pipeline.sampling_result option;
+  w_outputs : output list;
   w_timings : Timing.record list;
 }
+
+let fli w =
+  List.find_map
+    (fun (Output (est, r)) : Pipeline.fli_result option ->
+      match est with Fli -> Some r | Vli _ | Sampling _ -> None)
+    w.w_outputs
+
+let vli w =
+  List.find_map
+    (fun (Output (est, r)) : Pipeline.vli_result option ->
+      match est with
+      | Vli { matching = Dynamic; _ } -> Some r
+      | Fli | Vli _ | Sampling _ -> None)
+    w.w_outputs
+
+let sampling w =
+  List.find_map
+    (fun (Output (est, r)) : Pipeline.sampling_result option ->
+      match est with Sampling _ -> Some r | Fli | Vli _ -> None)
+    w.w_outputs
 
 type t = {
   m_workloads : workload_result list;
@@ -65,15 +91,10 @@ let sp_config_of options =
   { Simpoint.default_config with Simpoint.max_k = options.mo_max_k }
 
 let run_estimator ~options ~engine program ~configs (Pipeline.Any est) =
-  let result =
-    Pipeline.run ~sp_config:(sp_config_of options) ~engine est program
-      ~configs ~input:(input_of options) ~target:options.mo_target
-  in
-  (* The samplers' full result is kept for the leaderboard's CI
-     calibration; the other estimators contribute records only. *)
-  ( Pipeline.records est result,
-    (match est with Sampling _ -> Some result | Fli | Vli _ -> None
-      : Pipeline.sampling_result option) )
+  Output
+    ( est,
+      Pipeline.run ~sp_config:(sp_config_of options) ~engine est program
+        ~configs ~input:(input_of options) ~target:options.mo_target )
 
 let run_workload ~engine ~options name =
   Tracer.with_span ~name:"validate.workload" ~cat:"validate"
@@ -90,17 +111,19 @@ let run_workload ~engine ~options name =
      exactly what it could not evaluate. *)
   let failed = ref [] in
   let outputs =
-    List.map
+    List.filter_map
       (fun est ->
-        try run_estimator ~options ~engine program ~configs est with
+        try Some (run_estimator ~options ~engine program ~configs est) with
         | exn ->
           let reason = Printexc.to_string exn in
           failed :=
             !failed @ List.map (fun m -> (m, reason)) (Pipeline.names est);
-          ([], None))
+          None)
       (estimators options)
   in
-  let records = List.concat_map fst outputs in
+  let records =
+    List.concat_map (fun (Output (est, r)) -> Pipeline.records est r) outputs
+  in
   (* Only the error arithmetic runs under Stage.Validate — the pipeline
      work above already timed itself under its own stages, and a
      validate job that re-covered them would double-count the run. *)
@@ -119,8 +142,7 @@ let run_workload ~engine ~options name =
   Metrics.incr (Metrics.counter "validate.workloads");
   { w_name = name; w_cells = cells; w_truth = Truth.table records;
     w_mismatches = Truth.mismatches records; w_failed = !failed;
-    w_sampling = List.find_map snd outputs;
-    w_timings = Pipeline.timings engine }
+    w_outputs = outputs; w_timings = Pipeline.timings engine }
 
 let run ?(options = default_options) ?names ?(jobs = 1) ?cache_dir
     ?(progress = fun _ -> ()) () =
@@ -137,8 +159,8 @@ let run ?(options = default_options) ?names ?(jobs = 1) ?cache_dir
     Scheduler.parallel_map ~jobs
       (fun name ->
         progress name;
-        (* One engine per workload, like Experiment.run_suite: all five
-           estimators share its binary/profile stores, and a shared
+        (* One engine per workload: all five estimators share its
+           binary/profile stores and collection passes, and a shared
            ?cache_dir persists whole results across processes (each
            Diskcache publishes by atomic rename, so concurrent writers
            of one key leave one intact entry). *)

@@ -1,14 +1,16 @@
 (** The validation matrix: every requested workload x binary pair x
     estimation method, each cell a relative error against the full-run
-    truth.
+    truth.  It is the one suite harness: the leaderboard scores its
+    cells, and the paper's figures and tables ({!Cbsp_report.Figures})
+    read the FLI and VLI results it keeps.
 
-    The matrix rides the engine like {!Cbsp_report.Experiment}: one
-    {!Cbsp.Pipeline.engine} per workload (so the {!estimators} share
-    compiled binaries, profiles and collection passes),
-    workloads fanned out over scheduler domains, results in input order
-    — bit-identical for every [jobs] value.  A [cache_dir] additionally
-    memoizes whole pipeline results on disk, so re-validating an
-    unchanged tree replays from the cache in seconds. *)
+    One {!Cbsp.Pipeline.engine} per workload (so the {!estimators} share
+    compiled binaries, profiles and collection passes; each binary
+    compiles once per workload), workloads fanned out over scheduler
+    domains, results in input order — bit-identical for every [jobs]
+    value.  A [cache_dir] additionally memoizes whole pipeline results
+    on disk, so re-validating an unchanged tree replays from the cache
+    in seconds. *)
 
 type options = {
   mo_target : int;        (** Interval target (instructions). *)
@@ -18,16 +20,21 @@ type options = {
   mo_level : float;       (** Sampling confidence level. *)
   mo_sample_n : int;      (** Per-run sample size. *)
   mo_sample_seeds : int list;  (** Sampling RNG seeds (>= 1). *)
+  mo_primary : int;
+      (** Index of the binary the three VLI estimators cut into
+          intervals.  Not part of [cbsp-validate/1]: validation always
+          runs the default. *)
 }
 
 val default_options : options
 (** Paper-faithful defaults: target 100k, scale 10, seed 42, max_k 10,
-    level 0.95, n 64, seeds [2007; 2008; 2009]. *)
+    level 0.95, n 64, seeds [2007; 2008; 2009], primary 0. *)
 
 val estimators : options -> Cbsp.Pipeline.any list
 (** The estimator table one matrix row runs, in order: FLI, VLI under
-    [Dynamic], [Static] and [Recovered] matching (primary 0), then the
-    samplers at [options]' level, seeds and sample size. *)
+    [Dynamic], [Static] and [Recovered] matching (primary
+    [mo_primary]), then the samplers at [options]' level, seeds and
+    sample size. *)
 
 val methods : string list
 (** The eight scored methods, {!Cbsp.Pipeline.names} over {!estimators}:
@@ -36,9 +43,19 @@ val methods : string list
     VLI with {!Cbsp_analysis.Fingerprint} semantic recovery of
     split-lost markers. *)
 
+val same_platform_pairs : (string * string) list
+(** Figure 4's pairs: 32u->32o and 64u->64o. *)
+
+val cross_platform_pairs : (string * string) list
+(** Figure 5's pairs: 32u->64u and 32o->64o. *)
+
 val pairs : (string * string) list
-(** The paper's four speedup pairs: same-platform (32u->32o, 64u->64o)
-    then cross-platform (32u->64u, 32o->64o). *)
+(** The paper's four speedup pairs: {!same_platform_pairs} then
+    {!cross_platform_pairs}. *)
+
+type output = Output : 'r Cbsp.Pipeline.estimator * 'r -> output
+(** One estimator's typed result, with the estimator that produced
+    it. *)
 
 type workload_result = {
   w_name : string;
@@ -50,9 +67,11 @@ type workload_result = {
       (** [(method, reason)] for every method of an estimator that
           raised; their cells are absent and counted as failed coverage,
           never silently dropped. *)
-  w_sampling : Cbsp.Pipeline.sampling_result option;
-      (** The samplers' per-seed estimates, which the leaderboard's
-          CI calibration pools; [None] when they raised. *)
+  w_outputs : output list;
+      (** Every estimator's result, in {!estimators} order, minus those
+          that raised: the figures read FLI and dynamic VLI here, the
+          leaderboard's CI calibration the samplers' per-seed
+          estimates. *)
   w_timings : Cbsp_engine.Timing.record list;
       (** Every job this workload's engine ran (including the
           [validate] error-computation stage). *)
@@ -70,10 +89,19 @@ val run_estimator :
   Cbsp_source.Ast.program ->
   configs:Cbsp_compiler.Config.t list ->
   Cbsp.Pipeline.any ->
-  Cbsp.Pipeline.estimate_record list * Cbsp.Pipeline.sampling_result option
+  output
 (** One table entry on [engine] at [options]' input, target and
-    SimPoint cap: its records and, for the samplers only, the full
-    result (for [w_sampling]). *)
+    SimPoint cap. *)
+
+val fli : workload_result -> Cbsp.Pipeline.fli_result option
+(** The workload's FLI result; [None] when FLI raised. *)
+
+val vli : workload_result -> Cbsp.Pipeline.vli_result option
+(** The workload's [Dynamic] VLI result — the paper's mappable
+    SimPoint. *)
+
+val sampling : workload_result -> Cbsp.Pipeline.sampling_result option
+(** The samplers' result. *)
 
 val run :
   ?options:options ->

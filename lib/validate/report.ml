@@ -1,5 +1,3 @@
-module Table = Cbsp_report.Table
-
 let pct_or_dash f = if Float.is_finite f then Table.pct f else "-"
 
 let ci_or_dash (a : Leaderboard.agg) =

@@ -1,6 +1,6 @@
-(** Plain-text rendering helpers for the experiment reports: aligned
-    column tables and horizontal bar charts (our stand-in for the paper's
-    figures). *)
+(** Plain-text rendering helpers for the leaderboard and the paper's
+    figures: aligned column tables and horizontal bar charts (our
+    stand-in for the paper's plots). *)
 
 type align = Left | Right
 

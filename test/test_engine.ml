@@ -3,7 +3,7 @@
    to the sequential one. *)
 
 module Pipeline = Cbsp.Pipeline
-module Experiment = Cbsp_report.Experiment
+module Matrix = Cbsp_validate.Matrix
 module Scheduler = Cbsp_engine.Scheduler
 module Store = Cbsp_engine.Store
 module Timing = Cbsp_engine.Timing
@@ -470,22 +470,16 @@ let test_result_key_is_matching () =
 let suite_names = [ "gcc"; "apsi"; "applu" ]
 
 let run_reduced_suite ~jobs =
-  Experiment.run_suite ~names:suite_names ~target:50_000
-    ~input:(Cbsp_source.Input.make ~name:"small" ~seed:42 ~scale:2 ())
-    ~jobs ()
+  let options =
+    { Matrix.default_options with
+      Matrix.mo_target = 50_000; mo_scale = 2; mo_sample_n = 8;
+      mo_sample_seeds = [ 2007 ] }
+  in
+  Matrix.run ~options ~names:suite_names ~jobs ()
 
-let same_workload_results (a : Experiment.workload_result)
-    (b : Experiment.workload_result) =
-  a.Experiment.wr_name = b.Experiment.wr_name
-  && a.Experiment.wr_fli = b.Experiment.wr_fli
-  && a.Experiment.wr_vli.Pipeline.vli_binaries
-     = b.Experiment.wr_vli.Pipeline.vli_binaries
-  && a.Experiment.wr_vli.Pipeline.vli_points
-     = b.Experiment.wr_vli.Pipeline.vli_points
-  && a.Experiment.wr_vli.Pipeline.vli_n_boundaries
-     = b.Experiment.wr_vli.Pipeline.vli_n_boundaries
-  && a.Experiment.wr_vli.Pipeline.vli_primary
-     = b.Experiment.wr_vli.Pipeline.vli_primary
+(* What the figures read: the FLI and Dynamic VLI outputs. *)
+let paper_outputs (w : Matrix.workload_result) =
+  (w.Matrix.w_name, Matrix.fli w, Matrix.vli w)
 
 let test_suite_parallel_bit_identical () =
   (* CPI estimates, phase assignments and boundaries from a 1-worker and
@@ -493,31 +487,30 @@ let test_suite_parallel_bit_identical () =
      bit-identical (floats compared exactly, via structural equality). *)
   let seq = run_reduced_suite ~jobs:1 in
   let par = run_reduced_suite ~jobs:4 in
-  Tutil.check_int "same workload count" (List.length seq.Experiment.results)
-    (List.length par.Experiment.results);
+  Tutil.check_int "same workload count" (List.length seq.Matrix.m_workloads)
+    (List.length par.Matrix.m_workloads);
   List.iter2
     (fun a b ->
-      Tutil.check_bool
-        (a.Experiment.wr_name ^ " identical under jobs=4")
-        true
-        (same_workload_results a b))
-    seq.Experiment.results par.Experiment.results
+      let ((name, fli, vli) as outputs) = paper_outputs a in
+      Tutil.check_bool (name ^ " has both outputs") true
+        (Option.is_some fli && Option.is_some vli);
+      Tutil.check_bool (name ^ " identical under jobs=4") true
+        (outputs = paper_outputs b))
+    seq.Matrix.m_workloads par.Matrix.m_workloads
 
 let test_suite_compiles_once_per_entry () =
-  let t = run_reduced_suite ~jobs:2 in
+  let m = run_reduced_suite ~jobs:2 in
   List.iter
-    (fun (r : Experiment.workload_result) ->
-      Tutil.check_int (r.Experiment.wr_name ^ ": 4 compiles") 4
-        r.Experiment.wr_compiles;
-      Tutil.check_int
-        (r.Experiment.wr_name ^ ": 8 compile requests")
-        8 r.Experiment.wr_compile_requests;
-      Tutil.check_bool
-        (r.Experiment.wr_name ^ ": timings recorded")
-        true
-        (List.length r.Experiment.wr_timings > 0))
-    t.Experiment.results;
-  let report = Format.asprintf "%t" (Experiment.timing_report t) in
+    (fun (w : Matrix.workload_result) ->
+      let compiles =
+        List.filter
+          (fun r -> r.Timing.tr_stage = Stage.Compile)
+          w.Matrix.w_timings
+      in
+      Tutil.check_int (w.Matrix.w_name ^ ": 4 compiles") 4
+        (List.length compiles))
+    m.Matrix.m_workloads;
+  let report = Format.asprintf "%a" Timing.pp_report (Matrix.timings m) in
   Tutil.check_bool "suite timing report renders" true
     (String.length report > 0)
 

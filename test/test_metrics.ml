@@ -79,9 +79,13 @@ let test_zero_cycles_rejected () =
   let a = mk ~label:"32u" ~cycles:100.0 ~insts:100 ~est_cpi:1.0 [||] in
   let b = mk ~label:"32o" ~cycles:100.0 ~insts:100 ~est_cpi:1.0 [||] in
   let broken = { b with Pipeline.br_truth = { b.Pipeline.br_truth with Pipeline.t_cycles = 0.0 } } in
-  Alcotest.check_raises "zero cycles"
-    (Invalid_argument "Metrics.true_speedup: zero cycles") (fun () ->
-      ignore (Metrics.true_speedup a broken))
+  (* Total, like every numeric function: nan, never a throw. *)
+  Tutil.check_bool "zero cycles -> nan speedup" true
+    (Float.is_nan (Metrics.true_speedup a broken));
+  Tutil.check_bool "zero cycles -> nan error" true
+    (Float.is_nan (Metrics.speedup_error a broken));
+  Tutil.check_bool "ratio nan on zero denominator" true
+    (Float.is_nan (Metrics.ratio 1.0 0.0))
 
 let () =
   Alcotest.run "metrics"

@@ -69,7 +69,7 @@ let test_apply_all () =
   Tutil.check_int "apply_all count" 5 (Array.length out);
   Array.iter (fun v -> Tutil.check_int "apply_all dims" 2 (Array.length v)) out
 
-(* apply_all and the buffer-reusing apply_into must agree exactly with
+(* apply_all and the buffer-reusing project_into must agree exactly with
    per-row apply. The batch path runs in one worker; the name is kept so
    the check stays comparable with runs that had a worker count. *)
 let test_apply_all_parallel_identical () =
@@ -84,14 +84,14 @@ let test_apply_all_parallel_identical () =
   Tutil.check_bool "apply_all bit-identical to per-row apply" true
     (Projection.apply_all p vs = expected);
   let buf = Array.make out_dim nan in
-  Projection.apply_into p vs.(0) buf;
-  Tutil.check_bool "apply_into bit-identical to apply" true (buf = expected.(0))
+  Projection.project_into p vs.(0) buf;
+  Tutil.check_bool "project_into bit-identical to apply" true (buf = expected.(0))
 
 let test_apply_into_bad_buffer () =
   let p = Projection.create ~seed:3 ~in_dim:10 ~out_dim:4 in
   Alcotest.check_raises "wrong output length"
-    (Invalid_argument "Projection.apply_into: output buffer length mismatch")
-    (fun () -> Projection.apply_into p (Array.make 10 0.0) (Array.make 3 0.0))
+    (Invalid_argument "Projection.project_into: output buffer length mismatch")
+    (fun () -> Projection.project_into p (Array.make 10 0.0) (Array.make 3 0.0))
 
 let () =
   Alcotest.run "projection"

@@ -1,5 +1,6 @@
-module Table = Cbsp_report.Table
-module Experiment = Cbsp_report.Experiment
+module Pipeline = Cbsp.Pipeline
+module Table = Cbsp_validate.Table
+module Matrix = Cbsp_validate.Matrix
 module Figures = Cbsp_report.Figures
 
 let render_to_string f =
@@ -75,37 +76,104 @@ let test_table1_static () =
     [ "FLC(L1D)"; "MLC(L2D)"; "LLC(L3D)"; "32KB"; "512KB"; "1024KB"; "2-way";
       "8-way"; "16-way"; "250 cycles"; "WriteBack" ]
 
-(* One small end-to-end experiment drives every figure renderer. *)
-let small_suite =
-  lazy
-    (Experiment.run_suite ~names:[ "gcc"; "apsi" ] ~target:50_000
-       ~input:(Cbsp_source.Input.make ~name:"small" ~seed:42 ~scale:2 ())
-       ())
+(* One small matrix drives every figure renderer. *)
+let small_options =
+  { Matrix.default_options with
+    Matrix.mo_target = 50_000; mo_scale = 2; mo_sample_n = 8;
+    mo_sample_seeds = [ 2007 ] }
 
-let test_run_suite_structure () =
-  let t = Lazy.force small_suite in
-  Tutil.check_int "two workloads" 2 (List.length t.Experiment.results);
-  let gcc = Experiment.find t "gcc" in
-  Alcotest.(check string) "find works" "gcc" gcc.Experiment.wr_name;
-  Tutil.check_bool "took some time" true (gcc.Experiment.wr_seconds >= 0.0);
+let small_matrix =
+  lazy (Matrix.run ~options:small_options ~names:[ "gcc"; "apsi" ] ())
+
+(* The value of the series [csv] of figure [fig] for [workload]. *)
+let series_value m ~fig ~csv ~workload =
+  let f = List.find (fun f -> f.Figures.name = fig) Figures.figures in
+  let s = List.find (fun s -> s.Figures.csv = csv) f.Figures.series in
+  let _, fli, vli =
+    List.find (fun (name, _, _) -> name = workload) (Figures.results m)
+  in
+  s.Figures.value fli vli
+
+let test_matrix_structure () =
+  let m = Lazy.force small_matrix in
+  Alcotest.(check (list string)) "two workloads, in order" [ "gcc"; "apsi" ]
+    (List.map (fun (name, _, _) -> name) (Figures.results m));
+  Alcotest.(check (list string)) "nothing missing" [] (Figures.missing m);
+  let v fig csv = series_value m ~fig ~csv ~workload:"gcc" in
   Tutil.check_bool "averages sane" true
-    (Experiment.avg_n_points_fli gcc >= 1.0
-     && Experiment.avg_n_points_vli gcc >= 1.0
-     && Experiment.avg_interval_vli gcc > 10_000.0
-     && Experiment.avg_cpi_error_fli gcc >= 0.0)
+    (v "fig1" "fli_points" >= 1.0
+     && v "fig1" "vli_points" >= 1.0
+     && v "fig2" "vli_avg_interval" > 10_000.0
+     && v "fig3" "fli_cpi_error" >= 0.0)
+
+(* The figures read exactly what the two paper pipelines return on their
+   own: the matrix's FLI and Dynamic VLI outputs equal fresh-engine
+   runs on the same program, binaries, input and SimPoint cap. *)
+let test_matrix_outputs_are_pipeline_results () =
+  let m = Lazy.force small_matrix in
+  let entry = Cbsp_workloads.Registry.find "gcc" in
+  let program = entry.Cbsp_workloads.Registry.build () in
+  let configs =
+    Cbsp_compiler.Config.paper_four
+      ~loop_splitting:entry.Cbsp_workloads.Registry.loop_splitting ()
+  in
+  let o = m.Matrix.m_options in
+  let input =
+    Cbsp_source.Input.make
+      ~name:(Printf.sprintf "scale%d" o.Matrix.mo_scale)
+      ~seed:o.Matrix.mo_seed ~scale:o.Matrix.mo_scale ()
+  in
+  let sp_config =
+    { Cbsp_simpoint.Simpoint.default_config with
+      Cbsp_simpoint.Simpoint.max_k = o.Matrix.mo_max_k }
+  in
+  let target = o.Matrix.mo_target in
+  let fli =
+    Pipeline.run_fli ~sp_config ~engine:(Pipeline.create_engine ()) program
+      ~configs ~input ~target
+  in
+  let vli =
+    Pipeline.run_vli ~sp_config ~engine:(Pipeline.create_engine ()) program
+      ~configs ~input ~target
+  in
+  let _, mfli, mvli = List.hd (Figures.results m) in
+  Tutil.check_bool "fli output = run_fli" true (mfli = fli);
+  Tutil.check_bool "vli output = run_vli" true (mvli = vli)
 
 let test_figures_render () =
-  let t = Lazy.force small_suite in
+  let m = Lazy.force small_matrix in
   List.iter
     (fun (name, f) ->
-      let out = render_to_string (f t) in
+      let out = render_to_string (f m) in
       Tutil.check_bool (name ^ " mentions workloads") true
         (contains out "gcc" || contains out "Phase" || contains out "Suite");
       Tutil.check_bool (name ^ " non-empty") true (String.length out > 50))
-    [ ("figure1", Figures.figure1); ("figure2", Figures.figure2);
-      ("figure3", Figures.figure3); ("figure4", Figures.figure4);
-      ("figure5", Figures.figure5); ("table2", Figures.table2);
-      ("summary", Figures.summary) ]
+    (List.map (fun f -> (f.Figures.name, Figures.chart f)) Figures.figures
+    @ [ ("table2", Figures.table2); ("summary", Figures.summary) ])
+
+(* A workload without its VLI result is never rendered. *)
+let test_figures_refuse_holes () =
+  let m = Lazy.force small_matrix in
+  let holed =
+    { m with
+      Matrix.m_workloads =
+        List.map
+          (fun w ->
+            { w with
+              Matrix.w_outputs =
+                List.filter
+                  (function
+                    | Matrix.Output (Pipeline.Vli _, _) -> false
+                    | Matrix.Output _ -> true)
+                  w.Matrix.w_outputs })
+          m.Matrix.m_workloads }
+  in
+  Alcotest.(check (list string)) "both missing" [ "gcc"; "apsi" ]
+    (Figures.missing holed);
+  Tutil.check_bool "summary refuses" true
+    (match render_to_string (Figures.summary holed) with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
 
 let test_timeline () =
   let module Timeline = Cbsp_report.Timeline in
@@ -129,24 +197,29 @@ let test_timeline () =
   Tutil.check_bool "legend has weight" true (contains legend "0.750")
 
 let test_speedup_errors_accessor () =
-  let t = Lazy.force small_suite in
-  let gcc = Experiment.find t "gcc" in
+  let m = Lazy.force small_matrix in
   List.iter
-    (fun pair ->
-      let e = Experiment.speedup_errors gcc ~pair ~fli:true in
-      Tutil.check_bool "error non-negative" true (e >= 0.0))
-    (Experiment.paper_pairs_same_platform @ Experiment.paper_pairs_cross_platform)
+    (fun fig ->
+      let f = List.find (fun f -> f.Figures.name = fig) Figures.figures in
+      Tutil.check_int (fig ^ ": fli and vli per pair") 4
+        (List.length f.Figures.series);
+      List.iter
+        (fun s ->
+          let e = series_value m ~fig ~csv:s.Figures.csv ~workload:"gcc" in
+          Tutil.check_bool (s.Figures.csv ^ " non-negative") true (e >= 0.0))
+        f.Figures.series)
+    [ "fig4"; "fig5" ]
 
 let test_csv_export () =
   let module Csv = Cbsp_report.Csv in
-  let t = Lazy.force small_suite in
+  let m = Lazy.force small_matrix in
   List.iter
     (fun what ->
-      let header, rows = Csv.figure_rows t ~what in
+      let header, rows = Csv.figure_rows m ~what in
       Tutil.check_bool (what ^ " header starts with workload") true
         (List.hd header = "workload");
       Tutil.check_int (what ^ " one row per workload")
-        (List.length t.Experiment.results)
+        (List.length m.Matrix.m_workloads)
         (List.length rows);
       List.iter
         (fun row ->
@@ -159,12 +232,12 @@ let test_csv_export () =
                 Alcotest.failf "%s: non-numeric cell %S" what cell)
             row)
         rows;
-      let text = Csv.to_string t ~what in
+      let text = Csv.to_string m ~what in
       Tutil.check_bool (what ^ " text has lines") true
         (List.length (String.split_on_char '\n' text) >= 3))
     [ "fig1"; "fig2"; "fig3"; "fig4"; "fig5"; "metrics" ];
   Tutil.check_bool "unknown figure rejected" true
-    (match Cbsp_report.Csv.figure_rows t ~what:"fig9" with
+    (match Cbsp_report.Csv.figure_rows m ~what:"fig9" with
      | (_ : string list * string list list) -> false
      | exception Invalid_argument _ -> true)
 
@@ -179,7 +252,10 @@ let () =
           Tutil.quick "table1" test_table1_static;
           Tutil.quick "timeline" test_timeline ] );
       ( "experiment",
-        [ Alcotest.test_case "run_suite structure" `Slow test_run_suite_structure;
+        [ Alcotest.test_case "matrix structure" `Slow test_matrix_structure;
+          Alcotest.test_case "outputs are pipeline results" `Slow
+            test_matrix_outputs_are_pipeline_results;
           Alcotest.test_case "figures render" `Slow test_figures_render;
+          Alcotest.test_case "figures refuse holes" `Slow test_figures_refuse_holes;
           Alcotest.test_case "speedup accessor" `Slow test_speedup_errors_accessor;
           Alcotest.test_case "csv export" `Slow test_csv_export ] ) ]

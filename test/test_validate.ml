@@ -375,7 +375,7 @@ let prop_identical_pair_exact =
 (* --- pass sharing ----------------------------------------------------- *)
 
 (* Passes shared through one engine's pass store change no bit of any
-   estimate: the five estimators on one engine give the records each
+   estimate: the five estimators on one engine give the outputs each
    gives on a fresh engine of its own.  The shared engine collects FLI's
    four fixed-length passes (the samplers reuse them) and one VLI
    primary + three followers per distinct cut plan: gcc's three VLI
@@ -401,7 +401,7 @@ let test_shared_passes_bit_identical () =
       let alone =
         List.map (fun e -> run (Pipeline.create_engine ()) e) estimators
       in
-      Tutil.check_bool (name ^ ": records bit-identical") true
+      Tutil.check_bool (name ^ ": outputs bit-identical") true
         (bits together = bits alone);
       let collections =
         List.filter
