@@ -50,9 +50,21 @@ let max_k_arg =
   let doc = "SimPoint's maximum number of clusters (paper: 10)." in
   Arg.(value & opt positive_int 10 & info [ "max-k" ] ~doc)
 
+(* The primary indexes the paper's four binaries; out of range is a
+   usage error too, not a failure after the FLI half has run. *)
+let primary_index =
+  let n = List.length (Config.paper_four ()) in
+  let parse s =
+    match int_of_string_opt s with
+    | Some i when i >= 0 && i < n -> Ok i
+    | _ ->
+      Error (`Msg (Printf.sprintf "expected an integer in 0..%d, got %S" (n - 1) s))
+  in
+  Arg.conv ~docv:"I" (parse, Format.pp_print_int)
+
 let primary_arg =
   let doc = "Primary binary index for mappable SimPoint (0=32u 1=32o 2=64u 3=64o)." in
-  Arg.(value & opt int 0 & info [ "primary" ] ~doc)
+  Arg.(value & opt primary_index 0 & info [ "primary" ] ~doc)
 
 let jobs_arg =
   let doc =

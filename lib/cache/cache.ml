@@ -6,22 +6,16 @@ type stats = {
   writebacks : int;
 }
 
-type replacement = Lru | Fifo | Random of int
-
 type t = {
-  replacement : replacement;
-  rng : Cbsp_util.Rng.t;
   n_sets : int;
   assoc : int;
   line : int;
   set_shift : int;   (* log2 line *)
   set_mask : int;    (* n_sets - 1 *)
-  tags : int array;       (* n_sets * assoc; -1 = invalid *)
-  dirty : Bytes.t;        (* one byte per slot: '\001' = dirty *)
-  last_use : int array;   (* LRU stamps (fill stamps under FIFO) *)
-  mutable clock : int;
+  tags : int array;  (* n_sets * assoc in recency order per set; -1 = invalid *)
+  dirty : Bytes.t;   (* one byte per way, moving with its tag: '\001' = dirty *)
   mutable s_accesses : int;
-  mutable s_hits : int;
+  mutable s_misses : int;
   mutable s_evictions : int;
   mutable s_writebacks : int;
 }
@@ -32,7 +26,7 @@ let log2 x =
   let rec go acc x = if x <= 1 then acc else go (acc + 1) (x lsr 1) in
   go 0 x
 
-let create ?(replacement = Lru) ~capacity_bytes ~associativity ~line_bytes () =
+let create ~capacity_bytes ~associativity ~line_bytes =
   if capacity_bytes <= 0 || associativity <= 0 || line_bytes <= 0 then
     invalid_arg "Cache.create: non-positive parameter";
   if not (is_pow2 line_bytes) then invalid_arg "Cache.create: line size not a power of two";
@@ -41,73 +35,55 @@ let create ?(replacement = Lru) ~capacity_bytes ~associativity ~line_bytes () =
   let n_sets = capacity_bytes / (associativity * line_bytes) in
   if not (is_pow2 n_sets) then invalid_arg "Cache.create: set count not a power of two";
   let slots = n_sets * associativity in
-  let seed = match replacement with Random seed -> seed | Lru | Fifo -> 0 in
-  { replacement; rng = Cbsp_util.Rng.create ~seed;
-    n_sets; assoc = associativity; line = line_bytes;
+  { n_sets; assoc = associativity; line = line_bytes;
     set_shift = log2 line_bytes; set_mask = n_sets - 1;
     tags = Array.make slots (-1); dirty = Bytes.make slots '\000';
-    last_use = Array.make slots 0; clock = 0; s_accesses = 0; s_hits = 0;
-    s_evictions = 0; s_writebacks = 0 }
+    s_accesses = 0; s_misses = 0; s_evictions = 0; s_writebacks = 0 }
 
-(* The hot path of every collection pass: one call per simulated data
-   access, so it allocates nothing and scans the set once.  On a miss
-   the same scan has found the victim.  Under LRU and FIFO that is the
-   oldest stamp (first such way on ties): invalid ways carry stamp 0
-   and every valid stamp is >= 1, so an invalid way is always preferred
-   and the lowest-index one wins.  Random also prefers the lowest-index
-   invalid way (the oldest stamp when it is 0) and otherwise draws from
-   the cache's own deterministic stream. *)
-let access t ~addr ~is_write =
-  t.s_accesses <- t.s_accesses + 1;
-  let clock = t.clock + 1 in
-  t.clock <- clock;
-  let tag = addr lsr t.set_shift in
-  let assoc = t.assoc in
-  let base = (tag land t.set_mask) * assoc in
-  let tags = t.tags and last_use = t.last_use in
-  let hit = ref (-1) and oldest = ref base and oldest_stamp = ref max_int in
-  let slot = ref base and stop = base + assoc in
-  while !slot < stop do
-    let s = !slot in
-    if Array.unsafe_get tags s = tag then begin
-      hit := s;
-      slot := stop
-    end
-    else begin
-      let stamp = Array.unsafe_get last_use s in
-      if stamp < !oldest_stamp then begin
-        oldest := s;
-        oldest_stamp := stamp
-      end;
-      slot := s + 1
-    end
+(* Everything but a hit at way 0 (the set's first slot, [mru]), in one
+   move-to-front pass: each way takes the line above it until the line
+   lifted out is the one sought (a hit at way k rotates ways 0..k) or the
+   last way's (a miss: it falls out, an eviction if valid). *)
+let promote t ~mru ~tag ~is_write =
+  let tags = t.tags and dirty = t.dirty in
+  let last = mru + t.assoc - 1 in
+  let way = ref mru in
+  let out_tag = ref (Array.unsafe_get tags mru)
+  and out_dirty = ref (Bytes.unsafe_get dirty mru) in
+  while !out_tag <> tag && !way < last do
+    let s = !way + 1 in
+    let next_tag = Array.unsafe_get tags s and next_dirty = Bytes.unsafe_get dirty s in
+    Array.unsafe_set tags s !out_tag;
+    Bytes.unsafe_set dirty s !out_dirty;
+    out_tag := next_tag;
+    out_dirty := next_dirty;
+    way := s
   done;
-  let hit = !hit in
-  if hit >= 0 then begin
-    t.s_hits <- t.s_hits + 1;
-    (match t.replacement with
-     | Lru -> Array.unsafe_set last_use hit clock
-     | Fifo | Random _ -> ());
-    if is_write then Bytes.unsafe_set t.dirty hit '\001';
+  let hit = !out_tag = tag in
+  let was_dirty = !out_dirty <> '\000' in
+  if not hit then begin
+    t.s_misses <- t.s_misses + 1;
+    if !out_tag <> -1 then begin
+      t.s_evictions <- t.s_evictions + 1;
+      if was_dirty then t.s_writebacks <- t.s_writebacks + 1
+    end
+  end;
+  Array.unsafe_set tags mru tag;
+  Bytes.unsafe_set dirty mru
+    (if is_write || (hit && was_dirty) then '\001' else '\000');
+  hit
+
+(* Inlined into every caller in this module, so a hit at way 0 (most
+   accesses) costs no call at all. *)
+let[@inline] access t ~addr ~is_write =
+  t.s_accesses <- t.s_accesses + 1;
+  let tag = addr lsr t.set_shift in
+  let mru = (tag land t.set_mask) * t.assoc in
+  if Array.unsafe_get t.tags mru = tag then begin
+    if is_write then Bytes.unsafe_set t.dirty mru '\001';
     true
   end
-  else begin
-    let victim =
-      match t.replacement with
-      | Random _ when !oldest_stamp <> 0 ->
-        base + Cbsp_util.Rng.int t.rng ~bound:assoc
-      | Lru | Fifo | Random _ -> !oldest
-    in
-    if Array.unsafe_get tags victim <> -1 then begin
-      t.s_evictions <- t.s_evictions + 1;
-      if Bytes.unsafe_get t.dirty victim <> '\000' then
-        t.s_writebacks <- t.s_writebacks + 1
-    end;
-    Array.unsafe_set tags victim tag;
-    Bytes.unsafe_set t.dirty victim (if is_write then '\001' else '\000');
-    Array.unsafe_set last_use victim clock;
-    false
-  end
+  else promote t ~mru ~tag ~is_write
 
 let probe t ~addr =
   let tag = addr lsr t.set_shift in
@@ -116,23 +92,64 @@ let probe t ~addr =
   scan 0
 
 let stats t =
-  { accesses = t.s_accesses; hits = t.s_hits; misses = t.s_accesses - t.s_hits;
-    evictions = t.s_evictions; writebacks = t.s_writebacks }
+  { accesses = t.s_accesses; hits = t.s_accesses - t.s_misses;
+    misses = t.s_misses; evictions = t.s_evictions; writebacks = t.s_writebacks }
 
 let reset_stats t =
   t.s_accesses <- 0;
-  t.s_hits <- 0;
+  t.s_misses <- 0;
   t.s_evictions <- 0;
   t.s_writebacks <- 0
 
 let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
-  Array.fill t.last_use 0 (Array.length t.last_use) 0;
-  t.clock <- 0;
   reset_stats t
 
 let sets t = t.n_sets
 let associativity t = t.assoc
 let line_bytes t = t.line
-let replacement t = t.replacement
+
+type path = {
+  levels : t array;
+  latencies : int array;
+  dram_latency : int;
+  mutable dram : int;
+  mutable stall : int;
+}
+
+let path levels ~dram_latency =
+  { levels = Array.of_list (List.map fst levels);
+    latencies = Array.of_list (List.map snd levels);
+    dram_latency; dram = 0; stall = 0 }
+
+(* The latency of the first level from [i] on that hits, DRAM's if none
+   does; each level passed on the way has allocated the line. *)
+let rec from_level p i ~addr ~is_write =
+  if i = Array.length p.levels then begin
+    p.dram <- p.dram + 1;
+    p.dram_latency
+  end
+  else if access (Array.unsafe_get p.levels i) ~addr ~is_write then
+    Array.unsafe_get p.latencies i
+  else from_level p (i + 1) ~addr ~is_write
+
+let walk p ~addr ~is_write =
+  let latency = from_level p 0 ~addr ~is_write in
+  p.stall <- p.stall + latency;
+  latency
+
+let on_access p =
+  match p.levels with
+  | [||] -> fun addr is_write -> ignore (walk p ~addr ~is_write : int)
+  | levels ->
+    let l1 = levels.(0) and l1_latency = p.latencies.(0) in
+    fun addr is_write ->
+      p.stall <- p.stall
+                 + (if access l1 ~addr ~is_write then l1_latency
+                    else from_level p 1 ~addr ~is_write)
+
+let flush_path p =
+  Array.iter flush p.levels;
+  p.dram <- 0;
+  p.stall <- 0

@@ -1,12 +1,19 @@
-(** One set-associative cache level with write-back / write-allocate
-    policy — the building block of the CMP$im-style hierarchy (paper
-    Table 1).  The paper uses LRU everywhere; FIFO and (seeded,
-    deterministic) random replacement are provided for design-space
-    studies. *)
+(** The cache model of the paper's memory system (Table 1): write-back /
+    write-allocate LRU set-associative levels, and one access's walk
+    through them to DRAM.
 
-type replacement = Lru | Fifo | Random of int  (** Random takes a seed. *)
+    Each set keeps its ways in recency order, way 0 the most recently
+    used: a hit at way [k] rotates ways [0..k]; a miss evicts the last
+    way, shifts the rest down and inserts at way 0.  Invalid ways form
+    each set's suffix, so they fill first.  The resident and evicted
+    lines are exactly those of LRU timestamps.
+
+    The lookup, the level walk and the stall sum share this module so
+    that {!on_access} makes direct calls only: under [-opaque] (the dev
+    profile) a call into another module is an indirect [caml_applyN]. *)
 
 type t
+(** One cache level. *)
 
 type stats = {
   accesses : int;
@@ -16,15 +23,8 @@ type stats = {
   writebacks : int;  (** Dirty lines evicted. *)
 }
 
-val create :
-  ?replacement:replacement ->
-  capacity_bytes:int ->
-  associativity:int ->
-  line_bytes:int ->
-  unit ->
-  t
-(** Defaults to {!Lru}.
-    @raise Invalid_argument unless capacity, associativity and line size
+val create : capacity_bytes:int -> associativity:int -> line_bytes:int -> t
+(** @raise Invalid_argument unless capacity, associativity and line size
     are positive, line size and the set count are powers of two, and
     capacity = sets * associativity * line size for an integral set
     count. *)
@@ -48,4 +48,28 @@ val flush : t -> unit
 val sets : t -> int
 val associativity : t -> int
 val line_bytes : t -> int
-val replacement : t -> replacement
+
+(** {1 Levels in front of DRAM} *)
+
+type path = private {
+  levels : t array;       (** Nearest first. *)
+  latencies : int array;  (** Hit latency of each level. *)
+  dram_latency : int;
+  mutable dram : int;     (** Accesses that missed every level. *)
+  mutable stall : int;    (** Sum of every access's latency. *)
+}
+
+val path : (t * int) list -> dram_latency:int -> path
+(** The levels, nearest first, each with its hit latency. *)
+
+val walk : path -> addr:int -> is_write:bool -> int
+(** Performs the access, adds its latency to [stall] and returns it: the
+    hit latency of the first level that hits, or [dram_latency].  Every
+    level that misses allocates the line (non-inclusive fill). *)
+
+val on_access : path -> int -> bool -> unit
+(** {!walk} as an executor callback, with the first level's way 0
+    checked inline. *)
+
+val flush_path : path -> unit
+(** Flushes every level and zeroes [dram] and [stall]. *)

@@ -29,8 +29,6 @@ val cpi : t -> float
     flows through error pipelines as "no data" instead of an
     exception. *)
 
-val hierarchy : t -> Hierarchy.t
-
 val extra_counter_names : t -> string list
 (** Labels of {!extra_counters}, in order: one ["<level>_misses"] per
     hierarchy level, then ["dram_accesses"] and ["accesses"]. *)

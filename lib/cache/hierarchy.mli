@@ -1,5 +1,5 @@
 (** The paper's memory system (Table 1): a three-level non-inclusive
-    write-back hierarchy in front of DRAM.
+    write-back hierarchy in front of DRAM, LRU at every level.
 
     {v
       Level      Capacity  Assoc  Line  Hit latency
@@ -15,7 +15,6 @@ type level_config = {
   lv_assoc : int;
   lv_line : int;
   lv_latency : int;
-  lv_replacement : Cache.replacement;
 }
 
 type config = { levels : level_config list; dram_latency : int }
@@ -33,10 +32,7 @@ type t
 val create : config -> t
 
 val access : t -> addr:int -> is_write:bool -> int
-(** Performs the access and returns its latency in cycles: the hit latency
-    of the first level that hits, or [dram_latency] after missing
-    everywhere.  Missing levels on the path allocate the line (normal
-    non-inclusive fill). *)
+(** {!Cache.walk} over the hierarchy: the access's latency in cycles. *)
 
 type level_stats = { ls_name : string; ls_stats : Cache.stats }
 
@@ -46,4 +42,5 @@ val dram_accesses : t -> int
 
 val flush : t -> unit
 
-val config : t -> config
+val path : t -> Cache.path
+(** The levels as {!access} walks them; {!Cpu}'s observer drives it. *)

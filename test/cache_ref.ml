@@ -1,24 +1,22 @@
 (* Test-only reference for the cache model: the set-associative cache,
    the hierarchy walk and the float-accumulating CPU observer exactly as
-   first written (a tuple per lookup, an invalid-first victim scan, one
-   boxed float per cycle update).  The production modules must match it
-   event for event; test_cache and test_cpu check that on random
-   streams. *)
+   first written (a tuple per lookup, LRU by per-way timestamps with an
+   invalid-first victim scan, one boxed float per cycle update).  The
+   production modules keep each set in recency order instead; they must
+   match this model event for event, and test_cache and test_cpu check
+   that on random streams. *)
 
 module Cache = Cbsp_cache.Cache
 module Hierarchy = Cbsp_cache.Hierarchy
 module Executor = Cbsp_exec.Executor
-module Rng = Cbsp_util.Rng
 
 type cache = {
-  replacement : Cache.replacement;
-  rng : Rng.t;
   assoc : int;
   set_shift : int;
   set_mask : int;
   tags : int array;       (* n_sets * assoc; -1 = invalid *)
   dirty : bool array;
-  last_use : int array;   (* LRU stamps (fill stamps under FIFO) *)
+  last_use : int array;   (* LRU stamps *)
   mutable clock : int;
   mutable s_accesses : int;
   mutable s_hits : int;
@@ -30,17 +28,10 @@ let log2 x =
   let rec go acc x = if x <= 1 then acc else go (acc + 1) (x lsr 1) in
   go 0 x
 
-let create_cache ?(replacement = Cache.Lru) ~capacity_bytes ~associativity
-    ~line_bytes () =
+let create_cache ~capacity_bytes ~associativity ~line_bytes =
   let n_sets = capacity_bytes / (associativity * line_bytes) in
   let slots = n_sets * associativity in
-  let seed =
-    match replacement with
-    | Cache.Random seed -> seed
-    | Cache.Lru | Cache.Fifo -> 0
-  in
-  { replacement; rng = Rng.create ~seed; assoc = associativity;
-    set_shift = log2 line_bytes; set_mask = n_sets - 1;
+  { assoc = associativity; set_shift = log2 line_bytes; set_mask = n_sets - 1;
     tags = Array.make slots (-1); dirty = Array.make slots false;
     last_use = Array.make slots 0; clock = 0; s_accesses = 0; s_hits = 0;
     s_evictions = 0; s_writebacks = 0 }
@@ -64,18 +55,16 @@ let victim_way t ~base =
     if t.tags.(base + i) = -1 then invalid := i
   done;
   if !invalid >= 0 then !invalid
-  else
-    match t.replacement with
-    | Cache.Lru | Cache.Fifo ->
-      let best = ref 0 and best_stamp = ref max_int in
-      for i = 0 to t.assoc - 1 do
-        if t.last_use.(base + i) < !best_stamp then begin
-          best := i;
-          best_stamp := t.last_use.(base + i)
-        end
-      done;
-      !best
-    | Cache.Random _ -> Rng.int t.rng ~bound:t.assoc
+  else begin
+    let best = ref 0 and best_stamp = ref max_int in
+    for i = 0 to t.assoc - 1 do
+      if t.last_use.(base + i) < !best_stamp then begin
+        best := i;
+        best_stamp := t.last_use.(base + i)
+      end
+    done;
+    !best
+  end
 
 let cache_access t ~addr ~is_write =
   t.s_accesses <- t.s_accesses + 1;
@@ -84,9 +73,7 @@ let cache_access t ~addr ~is_write =
   let way = find_way t ~base ~tag in
   if way >= 0 then begin
     t.s_hits <- t.s_hits + 1;
-    (match t.replacement with
-     | Cache.Lru -> t.last_use.(base + way) <- t.clock
-     | Cache.Fifo | Cache.Random _ -> ());
+    t.last_use.(base + way) <- t.clock;
     if is_write then t.dirty.(base + way) <- true;
     true
   end
@@ -128,9 +115,8 @@ let create_hierarchy (cfg : Hierarchy.config) =
       Array.of_list
         (List.map
            (fun (l : Hierarchy.level_config) ->
-             ( create_cache ~replacement:l.lv_replacement
-                 ~capacity_bytes:l.lv_capacity ~associativity:l.lv_assoc
-                 ~line_bytes:l.lv_line (),
+             ( create_cache ~capacity_bytes:l.lv_capacity
+                 ~associativity:l.lv_assoc ~line_bytes:l.lv_line,
                l.lv_latency ))
            cfg.levels);
     dram_latency = cfg.dram_latency; dram = 0 }
@@ -191,31 +177,56 @@ let cpu_reset t =
 
 (* Random event streams for the differential properties: a block of
    [insts] instructions followed by one access, with an occasional
-   flush.  Addresses mix a hot 4 KB region (hits), a wide region up to
-   [span] (capacity misses) and lines 64 KB apart, which share one set
-   at every level of the paper's hierarchy and so force evictions and
-   write-backs at each level. *)
+   flush.  The accesses are biased toward what a recency-ordered set
+   handles on separate paths:
+
+   - runs on the line of the previous access (hits at way 0);
+   - a per-stream pool of 1-20 lines 64 KB apart, which share one set
+     at every level of the paper's hierarchy and of every test geometry:
+     reuse among them hits at every way position, a pool wider than the
+     associativity evicts, and the writes among them make the evicted
+     lines dirty (write-backs);
+   - a hot 4 KB region (hits), and a wide region up to [span] (capacity
+     misses).
+
+   After a flush, and at the start, every set fills through its invalid
+   ways before the first eviction. *)
 type event = Access of { addr : int; is_write : bool; insts : int } | Flush
+
+type op = Same of int | Line of int | Flush_op
 
 let stream ~span =
   let open QCheck.Gen in
-  let addr =
+  let ops pool =
     frequency
-      [ (4, int_range 0 4095);
-        (2, int_range 0 span);
-        ( 2,
+      [ (30, map (fun off -> Same off) (int_range 0 63));
+        ( 30,
           map2
-            (fun k off -> (k * 65_536) + off)
-            (int_range 0 40) (int_range 0 255) ) ]
+            (fun k off -> Line ((k * 65_536) + off))
+            (int_range 0 (pool - 1))
+            (int_range 0 63) );
+        (10, map (fun a -> Line a) (int_range 0 4095));
+        (10, map (fun a -> Line a) (int_range 0 span));
+        (1, return Flush_op) ]
   in
-  let event =
-    frequency
-      [ ( 80,
-          map3
-            (fun addr is_write insts -> Access { addr; is_write; insts })
-            addr bool (int_range 0 50) );
-        (1, return Flush) ]
+  let events =
+    int_range 1 20 >>= fun pool ->
+    list_size (int_range 1 1_500) (triple (ops pool) bool (int_range 0 50))
+    >|= fun ops ->
+    let prev = ref 0 in
+    List.map
+      (fun (op, is_write, insts) ->
+        match op with
+        | Flush_op -> Flush
+        | Same off ->
+          let addr = (!prev land lnot 63) + off in
+          prev := addr;
+          Access { addr; is_write; insts }
+        | Line addr ->
+          prev := addr;
+          Access { addr; is_write; insts })
+      ops
   in
   QCheck.make
     ~print:(fun evs -> Printf.sprintf "<%d events>" (List.length evs))
-    (list_size (int_range 1 1_500) event)
+    events

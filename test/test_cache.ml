@@ -1,8 +1,7 @@
 module Cache = Cbsp_cache.Cache
 module Hierarchy = Cbsp_cache.Hierarchy
 
-let small ?replacement () =
-  Cache.create ?replacement ~capacity_bytes:1024 ~associativity:2 ~line_bytes:64 ()
+let small () = Cache.create ~capacity_bytes:1024 ~associativity:2 ~line_bytes:64
 (* 1024 / (2*64) = 8 sets *)
 
 let test_geometry () =
@@ -14,10 +13,10 @@ let test_geometry () =
 let test_create_validation () =
   Alcotest.check_raises "non-pow2 line"
     (Invalid_argument "Cache.create: line size not a power of two") (fun () ->
-      ignore (Cache.create ~capacity_bytes:1024 ~associativity:2 ~line_bytes:48 ()));
+      ignore (Cache.create ~capacity_bytes:1024 ~associativity:2 ~line_bytes:48));
   Alcotest.check_raises "negative capacity"
     (Invalid_argument "Cache.create: non-positive parameter") (fun () ->
-      ignore (Cache.create ~capacity_bytes:0 ~associativity:2 ~line_bytes:64 ()))
+      ignore (Cache.create ~capacity_bytes:0 ~associativity:2 ~line_bytes:64))
 
 let test_miss_then_hit () =
   let c = small () in
@@ -104,49 +103,6 @@ let test_full_capacity_resident () =
   done;
   Tutil.check_int "no evictions at capacity" 0 (Cache.stats c).Cache.evictions
 
-(* --- replacement policies -------------------------------------------- *)
-
-let test_fifo_ignores_reuse () =
-  (* Under FIFO, touching [a] again does NOT save it: the oldest FILL is
-     evicted regardless of recency — the distinguishing case vs LRU. *)
-  let c = small ~replacement:Cache.Fifo () in
-  let a = 0 and b = 8 * 64 and d = 16 * 64 in
-  ignore (Cache.access c ~addr:a ~is_write:false);
-  ignore (Cache.access c ~addr:b ~is_write:false);
-  ignore (Cache.access c ~addr:a ~is_write:false);
-  (* reuse; FIFO does not care *)
-  ignore (Cache.access c ~addr:d ~is_write:false);
-  Tutil.check_bool "a (oldest fill) evicted" false (Cache.probe c ~addr:a);
-  Tutil.check_bool "b survives" true (Cache.probe c ~addr:b)
-
-let test_random_deterministic () =
-  let run () =
-    let c = small ~replacement:(Cache.Random 7) () in
-    for i = 0 to 499 do
-      ignore (Cache.access c ~addr:(i * 517 * 8) ~is_write:false)
-    done;
-    Cache.stats c
-  in
-  Tutil.check_bool "random replacement deterministic per seed" true
-    (run () = run ())
-
-let test_policies_same_compulsory_misses () =
-  (* a pure streaming pattern misses identically under every policy *)
-  let miss_count replacement =
-    let c = small ?replacement () in
-    for line = 0 to 99 do
-      ignore (Cache.access c ~addr:(line * 64) ~is_write:false)
-    done;
-    (Cache.stats c).Cache.misses
-  in
-  let lru = miss_count None in
-  Tutil.check_int "fifo same" lru (miss_count (Some Cache.Fifo));
-  Tutil.check_int "random same" lru (miss_count (Some (Cache.Random 3)))
-
-let test_replacement_accessor () =
-  Tutil.check_bool "accessor reports policy" true
-    (Cache.replacement (small ~replacement:Cache.Fifo ()) = Cache.Fifo)
-
 (* --- hierarchy ------------------------------------------------------- *)
 
 let test_paper_table1 () =
@@ -188,7 +144,7 @@ let test_hierarchy_flush () =
 let one_level ~capacity ~assoc ~line =
   { Hierarchy.levels =
       [ { Hierarchy.lv_name = "L1"; lv_capacity = capacity; lv_assoc = assoc;
-          lv_line = line; lv_latency = 2; lv_replacement = Cache.Lru } ];
+          lv_line = line; lv_latency = 2 } ];
     dram_latency = 100 }
 
 let test_hierarchy_direct_mapped () =
@@ -243,22 +199,18 @@ let prop_second_access_hits =
    reference in [Cache_ref], on the same random stream.  Every hit/miss
    (every latency, for a hierarchy) and the final counters must agree. *)
 let single_configs =
-  [ (Cache.Lru, 2048, 4); (Cache.Fifo, 2048, 4); (Cache.Random 7, 2048, 4);
-    (Cache.Lru, 1024, 1); (Cache.Lru, 512, 8); (Cache.Fifo, 512, 8);
-    (Cache.Random 3, 512, 8) ]
+  (* (capacity, associativity) at 64 B lines: 16, 16, 4, 1 and 4 sets *)
+  [ (1024, 1); (2048, 2); (2048, 8); (1024, 16); (4096, 16) ]
 
 let prop_cache_matches_reference =
   QCheck.Test.make ~name:"cache matches the reference model" ~count:100
     (Cache_ref.stream ~span:65_535)
     (fun events ->
       List.for_all
-        (fun (replacement, capacity_bytes, associativity) ->
-          let c =
-            Cache.create ~replacement ~capacity_bytes ~associativity
-              ~line_bytes:64 ()
+        (fun (capacity_bytes, associativity) ->
+          let c = Cache.create ~capacity_bytes ~associativity ~line_bytes:64
           and r =
-            Cache_ref.create_cache ~replacement ~capacity_bytes ~associativity
-              ~line_bytes:64 ()
+            Cache_ref.create_cache ~capacity_bytes ~associativity ~line_bytes:64
           in
           List.for_all
             (function
@@ -274,16 +226,8 @@ let prop_cache_matches_reference =
         single_configs)
 
 let hierarchy_configs =
-  let scaled = Hierarchy.scaled_config ~factor:4 in
-  [ Hierarchy.paper_table1; scaled;
-    { scaled with
-      Hierarchy.levels =
-        List.mapi
-          (fun i l ->
-            { l with
-              Hierarchy.lv_replacement =
-                [| Cache.Fifo; Cache.Random 5; Cache.Lru |].(i mod 3) })
-          scaled.Hierarchy.levels } ]
+  Hierarchy.paper_table1
+  :: List.map (fun factor -> Hierarchy.scaled_config ~factor) [ 4; 16; 64 ]
 
 let prop_hierarchy_matches_reference =
   QCheck.Test.make ~name:"hierarchy matches the reference model" ~count:100
@@ -321,11 +265,6 @@ let () =
           Tutil.quick "probe side-effect free" test_probe_no_side_effect;
           Tutil.quick "flush and reset" test_flush_and_reset;
           Tutil.quick "full capacity" test_full_capacity_resident ] );
-      ( "replacement",
-        [ Tutil.quick "fifo ignores reuse" test_fifo_ignores_reuse;
-          Tutil.quick "random deterministic" test_random_deterministic;
-          Tutil.quick "compulsory misses equal" test_policies_same_compulsory_misses;
-          Tutil.quick "accessor" test_replacement_accessor ] );
       ( "hierarchy",
         [ Tutil.quick "paper table 1" test_paper_table1;
           Tutil.quick "latencies" test_hierarchy_latencies;

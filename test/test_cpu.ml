@@ -135,7 +135,8 @@ let test_cycles_monotone () =
 
 (* Differential oracle: integer cycle accumulation against the
    reference's running float sum.  Cycles must agree bit for bit after
-   every event, and the extra counters at the end. *)
+   every event, and the extra counters at the end.  The stream's
+   same-line runs drive the observer's inline L1 way-0 path. *)
 let bits = Int64.bits_of_float
 
 let prop_cpu_matches_reference =
