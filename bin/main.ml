@@ -19,9 +19,11 @@ let ppf = Format.std_formatter
 (* ------------------------------------------------------------------ *)
 (* Shared options                                                      *)
 
-let workloads_arg =
-  let doc = "Workloads to run (default: the whole suite)." in
+let workloads_arg_with ~default =
+  let doc = Printf.sprintf "Workloads to run (default: %s)." default in
   Arg.(value & opt (some (list string)) None & info [ "w"; "workloads" ] ~doc)
+
+let workloads_arg = workloads_arg_with ~default:"the whole suite"
 
 (* Interval targets and cluster caps must be positive; rejecting the
    value here makes it a usage error before any work starts. *)
@@ -183,8 +185,8 @@ let require_known n =
     exit 2
   end
 
-let workload_names = function
-  | None -> Registry.names
+let workload_names ?(default = Registry.names) = function
+  | None -> default
   | Some names ->
     List.iter require_known names;
     names
@@ -643,41 +645,32 @@ let validate_cmd =
 let ablation_cmd =
   let what_arg =
     let doc =
-      "Study: primary, markers, target, maxk, inline, rep, ksearch or all."
+      "Study: " ^ String.concat ", " Ablation.studies ^ " or all."
     in
     Arg.(value & pos 0 string "all" & info [] ~docv:"STUDY" ~doc)
   in
   let run what workloads =
-    let names =
-      match workloads with None -> Ablation.default_names | Some ns -> ns
-    in
     let studies =
-      match what with
-      | "primary" -> [ Ablation.primary_choice ~names () ]
-      | "rep" -> [ Ablation.rep_policy ~names () ]
-      | "ksearch" -> [ Ablation.k_search ~names () ]
-      | "markers" -> [ Ablation.marker_kinds ~names () ]
-      | "target" -> [ Ablation.interval_target ~names () ]
-      | "maxk" -> [ Ablation.max_k ~names () ]
-      | "inline" -> [ Ablation.inline_recovery ~names () ]
-      | "all" ->
-        [ Ablation.primary_choice ~names (); Ablation.marker_kinds ~names ();
-          Ablation.interval_target ~names (); Ablation.max_k ~names ();
-          Ablation.inline_recovery ~names (); Ablation.rep_policy ~names ();
-          Ablation.k_search ~names () ]
-      | other ->
-        Fmt.epr "unknown study %S@." other;
+      if what = "all" then Ablation.studies
+      else if List.mem what Ablation.studies then [ what ]
+      else begin
+        Fmt.epr "unknown study %S@." what;
         exit 2
+      end
     in
+    let names = workload_names ~default:Ablation.default_names workloads in
     List.iter
       (fun s ->
         Ablation.render s ppf;
         Fmt.pr "@.")
-      studies
+      (Ablation.run ~names studies)
   in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Run the design-choice ablation studies")
-    Term.(const run $ what_arg $ workloads_arg)
+    Term.(
+      const run $ what_arg
+      $ workloads_arg_with
+          ~default:(String.concat ", " Ablation.default_names))
 
 (* ------------------------------------------------------------------ *)
 (* phases                                                              *)

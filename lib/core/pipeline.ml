@@ -143,7 +143,7 @@ type pass = {
   ps_truth : truth;
   ps_counter_names : string list;
   ps_stats : Streamprof.stats;
-  ps_clustering : clustering option;        (* None for [Replayed] *)
+  ps_cluster_inputs : Streamprof.cluster_inputs;  (* empty for [Replayed] *)
   ps_boundaries : Interval.boundary array;  (* [Recorded]: the cuts made *)
   ps_mix : float array;       (* [Fixed]: per-interval access mix *)
 }
@@ -164,6 +164,7 @@ type engine = {
   eng_binaries : Binary.t Store.t;
   eng_profiles : Structprof.t Store.t;
   eng_passes : pass Store.t;
+  eng_clusterings : clustering Store.t;
   eng_results : result_caches option;
   eng_timing : Timing.sink;
 }
@@ -196,6 +197,7 @@ let create_engine ?(jobs = 1) ?cache_dir () =
     (* In memory only: a pass is cheap next to the whole results the
        disk layer keeps, and its key holds a full boundary list. *)
     eng_passes = Store.create ~name:"passes" ();
+    eng_clusterings = Store.create ~name:"clusterings" ();
     eng_results = results;
     eng_timing = Timing.create () }
 
@@ -239,11 +241,8 @@ let struct_profile eng (program : Cbsp_source.Ast.program) (binary : Binary.t)
    over the full interval numbering: empty (trailing) intervals inherit
    the previous live interval's phase, and representatives are
    translated back to interval indices. *)
-let cluster ~sp_config (col : Streamprof.t) =
-  let insts = (Streamprof.stats col).Streamprof.st_insts in
-  let { Streamprof.ci_live_idx = live_idx; ci_weights; ci_points } =
-    Streamprof.cluster_inputs col
-  in
+let cluster ~sp_config ~insts
+    { Streamprof.ci_live_idx = live_idx; ci_weights; ci_points } =
   let sp =
     Simpoint.pick_projected ~config:sp_config ~weights:ci_weights
       ~points:ci_points ()
@@ -360,22 +359,17 @@ let job_label (program : Cbsp_source.Ast.program) config ~kind =
   program.Cbsp_source.Ast.prog_name ^ "/" ^ Config.label config ^ "/" ^ kind
 
 (* One streaming collection pass: a full execution through the cache
-   model with [plan]'s interval builder feeding a [Streamprof]
-   collector.  The builder must observe each block BEFORE the CPU
-   charges it, so a cut's cycle sample excludes the block that starts
-   the next interval.  A [Fixed] pass also reduces each interval's BBV
-   to the samplers' phase-1 features at emission time, so no consumer
-   ever needs the BBVs back. *)
-let run_pass ~timing ~label ~sp_config ~cache_config (binary : Binary.t)
-    ~input plan =
+   model with [plan]'s interval builder feeding the collector [col].
+   The builder must observe each block BEFORE the CPU charges it, so a
+   cut's cycle sample excludes the block that starts the next interval.
+   A [Fixed] pass also reduces each interval's BBV to the samplers'
+   phase-1 features at emission time, so no consumer ever needs the
+   BBVs back. *)
+let run_pass ~timing ~label ~cache_config (binary : Binary.t) ~input ~col
+    plan =
   let n_blocks = binary.Binary.n_blocks in
   let cpu = Cpu.create ?config:cache_config () in
   let cycles () = Cpu.cycles cpu and extras () = Cpu.extra_counters cpu in
-  let col =
-    match plan with
-    | Replayed _ -> Streamprof.create_stats_only ()
-    | Fixed _ | Recorded _ -> Streamprof.create ~sp_config ~n_blocks ()
-  in
   let mix_rev = ref [] in
   let obs, finish =
     match plan with
@@ -413,41 +407,63 @@ let run_pass ~timing ~label ~sp_config ~cache_config (binary : Binary.t)
         in
         (totals, finish ()))
   in
-  let stats = Streamprof.stats col in
-  let clustering =
-    match plan with
-    | Replayed _ -> None
-    | Fixed _ | Recorded _ ->
-      Some
-        (Timing.time timing ~stage:Stage.Clustering ~label
-           ~in_size:(Array.length stats.Streamprof.st_insts)
-           ~out_size:(fun c -> c.cl_n_phases)
-           (fun () -> cluster ~sp_config col))
-  in
   { ps_truth = measure_truth totals cpu;
-    ps_counter_names = Cpu.extra_counter_names cpu; ps_stats = stats;
-    ps_clustering = clustering; ps_boundaries = boundaries;
+    ps_counter_names = Cpu.extra_counter_names cpu;
+    ps_stats = Streamprof.stats col;
+    ps_cluster_inputs = Streamprof.cluster_inputs col;
+    ps_boundaries = boundaries;
     ps_mix = Array.of_list (List.rev !mix_rev) }
 
 (* Every engine-owned streaming pass goes through here.  The key is
    everything that determines a pass, so FLI and the samplers share one
    [Fixed] pass per binary, and VLI methods whose cut plans agree share
-   their primary and follower passes. *)
-let collect eng program (binary : Binary.t) ~label ~sp_config ?cache_config
-    ~input plan =
+   their primary and follower passes.  Of the SimPoint settings only the
+   projection's reach a pass, so runs that differ in max-k, policy or k
+   search share every pass.  Returns the key too, for clustering. *)
+let collect_keyed eng program (binary : Binary.t) ~label
+    ~(sp_config : Simpoint.config) ?cache_config ~input plan =
+  let projection =
+    match plan with
+    | Replayed _ -> None
+    | Fixed _ | Recorded _ -> Some Simpoint.(sp_config.dims, sp_config.seed)
+  in
   let key =
     Store.digest
       ( binary_key program binary.Binary.config, input, cache_config,
-        sp_config, plan )
+        projection, plan )
   in
-  Store.find_or_compute eng.eng_passes ~key (fun () ->
-      run_pass ~timing:eng.eng_timing ~label ~sp_config ~cache_config binary
-        ~input plan)
+  ( key,
+    Store.find_or_compute eng.eng_passes ~key (fun () ->
+        let n_blocks = binary.Binary.n_blocks in
+        let col =
+          if projection = None then Streamprof.create_stats_only ()
+          else Streamprof.create ~sp_config ~n_blocks ()
+        in
+        run_pass ~timing:eng.eng_timing ~label ~cache_config binary ~input
+          ~col plan) )
 
-let clustering_of pass =
-  match pass.ps_clustering with
-  | Some c -> c
-  | None -> invalid_arg "Pipeline: a replayed pass has no clustering"
+let collect eng program binary ~label ~sp_config ?cache_config ~input plan =
+  snd
+    (collect_keyed eng program binary ~label ~sp_config ?cache_config ~input
+       plan)
+
+(* The clustering step: SimPoint over a pass's retained points, memoized
+   by (pass, SimPoint configuration). *)
+let cluster_pass eng ~label ~sp_config (key, pass) =
+  Store.find_or_compute eng.eng_clusterings
+    ~key:(Store.digest (key, sp_config))
+    (fun () ->
+      Timing.time eng.eng_timing ~stage:Stage.Clustering ~label
+        ~in_size:(n_intervals pass)
+        ~out_size:(fun c -> c.cl_n_phases)
+        (fun () ->
+          cluster ~sp_config ~insts:pass.ps_stats.Streamprof.st_insts
+            pass.ps_cluster_inputs))
+
+let clustering eng program binary ~label ~sp_config ?cache_config ~input plan =
+  cluster_pass eng ~label ~sp_config
+    (collect_keyed eng program binary ~label ~sp_config ?cache_config ~input
+       plan)
 
 (* One job per configuration over its [Fixed target] pass: compile
    (memoized), one full execution collecting fixed-length intervals,
@@ -460,18 +476,19 @@ let fixed_jobs eng program ~kind ~sp_config ~cache_config ~configs ~input
     (fun (ci, (config : Config.t)) ->
       let binary = compile eng program config in
       let label = job_label program config ~kind in
-      f ci config ~label
-        (collect eng program binary ~label ~sp_config ?cache_config ~input
-           (Fixed target)))
+      let ((_, pass) as keyed) =
+        collect_keyed eng program binary ~label ~sp_config ?cache_config
+          ~input (Fixed target)
+      in
+      f ci config ~label pass (cluster_pass eng ~label ~sp_config keyed))
     (List.mapi (fun i c -> (i, c)) configs)
 
 let run_fli_uncached ~sp_config ~cache_config ~eng program ~configs ~input
     ~target =
   let binaries =
     fixed_jobs eng program ~kind:"fli" ~sp_config ~cache_config ~configs
-      ~input ~target (fun _ config ~label pass ->
-        summarize_pass eng ~label ~config ~clustering:(clustering_of pass)
-          pass)
+      ~input ~target (fun _ config ~label pass clustering ->
+        summarize_pass eng ~label ~config ~clustering pass)
   in
   { fli_binaries = binaries; fli_target = target }
 
@@ -652,8 +669,8 @@ let run_vli_uncached ~sp_config ~cache_config
   let primary_label =
     job_label program primary_binary.Binary.config ~kind:"vli"
   in
-  let primary_pass =
-    collect eng program primary_binary ~label:primary_label ~sp_config
+  let ((_, primary_pass) as primary_keyed) =
+    collect_keyed eng program primary_binary ~label:primary_label ~sp_config
       ?cache_config ~input
       (Recorded
          (target, List.filter is_cut (Binary.static_marker_keys primary_binary)))
@@ -663,7 +680,9 @@ let run_vli_uncached ~sp_config ~cache_config
   let boundaries =
     translate_boundaries primary_to_canon primary_pass.ps_boundaries
   in
-  let clustering = clustering_of primary_pass in
+  let clustering =
+    cluster_pass eng ~label:primary_label ~sp_config primary_keyed
+  in
   let primary_result =
     summarize_pass eng ~label:primary_label
       ~config:primary_binary.Binary.config ~clustering primary_pass
@@ -709,13 +728,12 @@ let run_sampling_uncached ~sp_config ~cache_config { level; seeds; n } ~eng
     program ~configs ~input ~target =
   let binaries =
     fixed_jobs eng program ~kind:"sample" ~sp_config ~cache_config ~configs
-      ~input ~target (fun ci config ~label pass ->
+      ~input ~target (fun ci config ~label pass clustering ->
         (* FLI's pass yields the per-interval population the samplers
            draw from, the true CPI the confidence intervals are judged
            against, and the k-means phases, which serve as one of the
            stratifications. *)
         let truth = pass.ps_truth in
-        let clustering = clustering_of pass in
         let insts = Array.map float_of_int pass.ps_stats.Streamprof.st_insts in
         let cycles = pass.ps_stats.Streamprof.st_cycles in
         let n_live =
@@ -790,8 +808,9 @@ let replay ?cache_config (binary : Binary.t) ~input points =
      engine, so nothing memoizes it, and its timing goes to a throwaway
      sink. *)
   let pass =
-    run_pass ~timing:(Timing.create ()) ~label:"replay" ~sp_config:Simpoint.default_config ~cache_config
-      binary ~input (Replayed points.pt_boundaries)
+    run_pass ~timing:(Timing.create ()) ~label:"replay" ~cache_config binary
+      ~input ~col:(Streamprof.create_stats_only ())
+      (Replayed points.pt_boundaries)
   in
   if n_intervals pass <> Array.length points.pt_phase_of then
     invalid_arg

@@ -134,11 +134,13 @@ type sampling_result = {
       {!Cbsp_validate.Matrix.run} does for a workload's estimators)
       deduplicates that work: each binary compiles exactly once;
     - an in-memory pass store memoizing interval-collection passes by
-      (binary, input, cache and SimPoint configuration, cut plan): FLI
+      (binary, input, cache configuration, cut plan, and for [Fixed]
+      and [Recorded] plans the projection's [dims] and [seed]): FLI
       and the samplers cut the same fixed-length plan, and VLI runs
       whose cut plans agree (plain, static and recovered, outside
       loop-split programs) replay the same primary and followers, so
-      each distinct pass runs once per engine;
+      each distinct pass runs once per engine, and its clusterings are
+      memoized by (pass, SimPoint configuration);
     - a timing sink recording every job's wall-clock and input/output
       sizes, for the per-stage timing report.
 
@@ -179,7 +181,9 @@ type pass = {
   ps_truth : truth;
   ps_counter_names : string list;  (** Names of [st_extras]' counters. *)
   ps_stats : Streamprof.stats;
-  ps_clustering : clustering option;  (** [None] for [Replayed]. *)
+  ps_cluster_inputs : Streamprof.cluster_inputs;
+      (** The live intervals' projected points, as the collector built
+          them; empty for [Replayed]. *)
   ps_boundaries : Cbsp_profile.Interval.boundary array;
       (** [Recorded]: the boundaries cut; otherwise empty. *)
   ps_mix : float array;
@@ -187,7 +191,8 @@ type pass = {
           otherwise empty. *)
 }
 (** One streaming collection pass as its consumers read it — never BBVs
-    or collector scratch, which do not outlive the pass. *)
+    or collector scratch, which do not outlive the pass.  Clustering is
+    not part of it: see {!clustering}. *)
 
 type engine = {
   eng_jobs : int;  (** Scheduler width; 1 = sequential. *)
@@ -196,6 +201,8 @@ type engine = {
   eng_passes : pass Cbsp_engine.Store.t;
       (** Collection passes of this engine (memory only, no disk
           layer). *)
+  eng_clusterings : clustering Cbsp_engine.Store.t;
+      (** SimPoint clusterings of those passes (memory only). *)
   eng_results : result_caches option;
   eng_timing : Cbsp_engine.Timing.sink;
 }
@@ -226,11 +233,30 @@ val collect :
 (** One streaming collection pass of [binary] (compiled from [program])
     on [input], memoized in the engine's pass store under everything
     that determines it: the binary's (program, config) key, [input],
-    [cache_config], [sp_config] and [plan].  The first caller runs the
-    pass — timed under [Stage.Interval_collection] and, unless
-    [Replayed], [Stage.Clustering], with [label] — and every later
+    [cache_config] and [plan], and for a [Fixed] or [Recorded] plan the
+    [dims] and [seed] of [sp_config], which fix the projection its
+    collector applies.  No other SimPoint setting is read, and a
+    [Replayed] pass reads none.  The first caller runs the pass — timed
+    under [Stage.Interval_collection] with [label] — and every later
     caller with an equal key gets the same value.  Every {!run}
     collects through here. *)
+
+val clustering :
+  engine ->
+  Cbsp_source.Ast.program ->
+  Cbsp_compiler.Binary.t ->
+  label:string ->
+  sp_config:Cbsp_simpoint.Simpoint.config ->
+  ?cache_config:Cbsp_cache.Hierarchy.config ->
+  input:Cbsp_source.Input.t ->
+  plan ->
+  clustering
+(** SimPoint under [sp_config] over the points of the pass {!collect}
+    returns for the same arguments, memoized by (pass, [sp_config]) and
+    timed under [Stage.Clustering] by the first caller.  Every {!run}
+    clusters through here.
+    @raise Invalid_argument if the pass has no live interval (so for
+    every [Replayed] plan). *)
 
 val timings : engine -> Cbsp_engine.Timing.record list
 (** Every job record accumulated so far, in canonical (stage, label)

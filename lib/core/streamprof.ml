@@ -139,10 +139,7 @@ type cluster_inputs = {
 }
 
 let cluster_inputs t =
-  match t.projection with
-  | None -> invalid_arg "Streamprof.cluster_inputs: stats-only collector"
-  | Some _ ->
-    flush t;
-    { ci_live_idx = vec_to_array t.c_live_idx;
-      ci_weights = vec_to_array t.c_weights;
-      ci_points = vec_to_array t.c_points }
+  flush t;
+  { ci_live_idx = vec_to_array t.c_live_idx;
+    ci_weights = vec_to_array t.c_weights;
+    ci_points = vec_to_array t.c_points }

@@ -56,4 +56,4 @@ type cluster_inputs = {
 }
 
 val cluster_inputs : t -> cluster_inputs
-(** @raise Invalid_argument on a stats-only collector. *)
+(** Empty on a stats-only collector. *)

@@ -15,171 +15,140 @@ let default_names = [ "gcc"; "apsi"; "applu"; "mcf"; "swim"; "vortex" ]
 
 let input = Cbsp_source.Input.ref_input
 
-let mean xs = Stats.mean (Array.of_list xs)
-
 let avg_speedup_error binaries =
-  mean
-    (List.map
-       (fun (a, b) -> Metrics.pair_error binaries ~a ~b)
-       Cbsp_validate.Matrix.pairs)
+  Stats.mean
+    (Array.of_list
+       (List.map
+          (fun (a, b) -> Metrics.pair_error binaries ~a ~b)
+          Cbsp_validate.Matrix.pairs))
 
-(* Run VLI over [names] with per-run knobs and average the speedup error. *)
-let vli_error ?sp_config ?match_options ?primary ~target names =
-  mean
-    (List.map
-       (fun name ->
-         let entry = Registry.find name in
-         let program = entry.Registry.build () in
-         let configs =
-           Config.paper_four ~loop_splitting:entry.Registry.loop_splitting ()
-         in
-         let vli =
-           Pipeline.run_vli ?sp_config ?match_options ?primary program ~configs
-             ~input ~target
-         in
-         avg_speedup_error vli.Pipeline.vli_binaries)
-       names)
+(* A cell of a study: one pipeline run on a workload's shared engine,
+   reduced to a number. *)
+let fli ?(sp_config = Simpoint.default_config)
+    ?(target = Pipeline.default_target) () engine program configs =
+  avg_speedup_error
+    (Pipeline.run ~engine ~sp_config Pipeline.Fli program ~configs ~input
+       ~target)
+      .Pipeline.fli_binaries
 
-let fli_error ?sp_config ~target names =
-  mean
-    (List.map
-       (fun name ->
-         let entry = Registry.find name in
-         let program = entry.Registry.build () in
-         let configs =
-           Config.paper_four ~loop_splitting:entry.Registry.loop_splitting ()
-         in
-         let fli = Pipeline.run_fli ?sp_config program ~configs ~input ~target in
-         avg_speedup_error fli.Pipeline.fli_binaries)
-       names)
+let vli ?(sp_config = Simpoint.default_config)
+    ?(target = Pipeline.default_target) ?(primary = 0) ?match_options
+    ?(read = fun (r : Pipeline.vli_result) -> avg_speedup_error r.vli_binaries)
+    () engine program configs =
+  read
+    (Pipeline.run ~engine ~sp_config
+       (Pipeline.Vli { matching = Dynamic; primary; match_options })
+       program ~configs ~input ~target)
 
-let primary_choice ?(names = default_names) ?(target = Pipeline.default_target) () =
-  let labels = [ "32u"; "32o"; "64u"; "64o" ] in
-  let rows =
-    List.mapi
-      (fun primary label ->
-        { label = Fmt.str "primary=%s" label;
-          values = [ ("speedup error", vli_error ~primary ~target names) ] })
-      labels
-  in
-  { title = "Primary-binary choice (paper: arbitrary)";
-    unit_label = "avg speedup error"; rows }
+let both sp_config =
+  [ ("FLI error", fli ~sp_config ()); ("VLI error", vli ~sp_config ()) ]
 
-let marker_kinds ?(names = default_names) ?(target = Pipeline.default_target) () =
-  let variants =
-    [ ("all markers", Matching.default_options);
-      ("no proc entries", { Matching.default_options with Matching.use_proc = false });
-      ("no loop entries",
-       { Matching.default_options with Matching.use_loop_entry = false });
-      ("no loop back-edges",
-       { Matching.default_options with Matching.use_loop_back = false }) ]
-  in
-  let mappable_count options =
-    mean
-      (List.map
-         (fun name ->
-           let entry = Registry.find name in
-           let program = entry.Registry.build () in
-           let configs =
-             Config.paper_four ~loop_splitting:entry.Registry.loop_splitting ()
-           in
-           let binaries = List.map (Cbsp_compiler.Lower.compile program) configs in
-           let profiles =
-             List.map (fun b -> Cbsp_profile.Structprof.profile b input) binaries
-           in
-           float_of_int
-             (Matching.cardinal (Matching.find ~options ~binaries ~profiles ())))
-         names)
-  in
-  let rows =
+let sp = Simpoint.default_config
+
+let mo = Matching.default_options
+
+(* Every study: its command-line name, title, unit, and rows of
+   (column, cell). *)
+let table =
+  [ ( "primary", "Primary-binary choice (paper: arbitrary)",
+      "avg speedup error",
+      List.mapi
+        (fun primary label ->
+          ("primary=" ^ label, [ ("speedup error", vli ~primary ()) ]))
+        [ "32u"; "32o"; "64u"; "64o" ] );
+    ( "markers", "Marker classes", "avg over ablation workloads",
+      List.map
+        (fun (label, match_options) ->
+          ( label,
+            [ ( "mappable keys",
+                vli ~match_options
+                  ~read:(fun r ->
+                    float_of_int (Matching.cardinal r.Pipeline.vli_mappable))
+                  () );
+              ("speedup error", vli ~match_options ()) ] ))
+        [ ("all markers", mo);
+          ("no proc entries", { mo with use_proc = false });
+          ("no loop entries", { mo with use_loop_entry = false });
+          ("no loop back-edges", { mo with use_loop_back = false }) ] );
+    ( "target", "Interval target size", "avg speedup error",
+      List.map
+        (fun target ->
+          ( Fmt.str "target=%d" target,
+            [ ("FLI error", fli ~target ());
+              ("VLI error", vli ~target ()) ] ))
+        [ 25_000; 50_000; 100_000; 200_000 ] );
+    ( "maxk", "SimPoint cluster budget (paper fixes max_k=10)",
+      "avg speedup error",
+      List.map
+        (fun k -> (Fmt.str "max_k=%d" k, both { sp with max_k = k }))
+        [ 5; 10; 15; 20 ] );
+    ( "inline", "Inlined-loop recovery (Section 3.3)", "avg speedup error",
+      [ ("recovery on", [ ("speedup error", vli ()) ]);
+        ( "recovery off",
+          [ ( "speedup error",
+              vli ~match_options:{ mo with inline_recovery = false } () ) ] )
+      ] );
+    ( "rep", "Representative policy (early simulation points, PACT'03)",
+      "avg speedup error",
+      List.map
+        (fun (label, rep_policy) -> (label, both { sp with rep_policy }))
+        [ ("centroid", Simpoint.Centroid); ("early tol=0", Early 0.0);
+          ("early tol=0.05", Early 0.05); ("early tol=0.2", Early 0.2) ] );
+    ( "ksearch", "k search strategy (SimPoint 3.0 binary search)",
+      "avg speedup error",
+      List.map
+        (fun (label, k_search) -> (label, both { sp with k_search }))
+        [ ("exhaustive (all k)", Simpoint.All_k);
+          ("binary search", Binary_search) ] ) ]
+
+let studies = List.map (fun (name, _, _, _) -> name) table
+
+let run ?(names = default_names) what =
+  let specs =
     List.map
-      (fun (label, options) ->
-        { label;
-          values =
-            [ ("mappable keys", mappable_count options);
-              ("speedup error", vli_error ~match_options:options ~target names) ] })
-      variants
+      (fun name ->
+        match List.find_opt (fun (n, _, _, _) -> n = name) table with
+        | Some spec -> spec
+        | None -> invalid_arg ("Ablation.run: unknown study " ^ name))
+      what
   in
-  { title = "Marker classes"; unit_label = "avg over ablation workloads"; rows }
-
-let interval_target ?(names = default_names)
-    ?(targets = [ 25_000; 50_000; 100_000; 200_000 ]) () =
-  let rows =
+  let cells =
+    List.concat_map
+      (fun (_, _, _, rows) -> List.concat_map (fun (_, cells) -> cells) rows)
+      specs
+  in
+  (* One engine per workload, shared by every cell of every study:
+     variants that agree on a cut plan share its passes, and variants
+     that differ only in SimPoint settings share every pass. *)
+  let per_workload =
     List.map
-      (fun target ->
-        { label = Fmt.str "target=%d" target;
-          values =
-            [ ("FLI error", fli_error ~target names);
-              ("VLI error", vli_error ~target names) ] })
-      targets
-  in
-  { title = "Interval target size"; unit_label = "avg speedup error"; rows }
-
-let max_k ?(names = default_names) ?(ks = [ 5; 10; 15; 20 ])
-    ?(target = Pipeline.default_target) () =
-  let rows =
-    List.map
-      (fun k ->
-        let sp_config = { Simpoint.default_config with Simpoint.max_k = k } in
-        { label = Fmt.str "max_k=%d" k;
-          values =
-            [ ("FLI error", fli_error ~sp_config ~target names);
-              ("VLI error", vli_error ~sp_config ~target names) ] })
-      ks
-  in
-  { title = "SimPoint cluster budget (paper fixes max_k=10)";
-    unit_label = "avg speedup error"; rows }
-
-let inline_recovery ?(names = default_names) ?(target = Pipeline.default_target) () =
-  let off = { Matching.default_options with Matching.inline_recovery = false } in
-  { title = "Inlined-loop recovery (Section 3.3)";
-    unit_label = "avg speedup error";
-    rows =
-      [ { label = "recovery on";
-          values = [ ("speedup error", vli_error ~target names) ] };
-        { label = "recovery off";
-          values = [ ("speedup error", vli_error ~match_options:off ~target names) ] } ] }
-
-let rep_policy ?(names = default_names) ?(target = Pipeline.default_target) () =
-  let variants =
-    [ ("centroid", Simpoint.Centroid); ("early tol=0", Simpoint.Early 0.0);
-      ("early tol=0.05", Simpoint.Early 0.05);
-      ("early tol=0.2", Simpoint.Early 0.2) ]
-  in
-  let rows =
-    List.map
-      (fun (label, policy) ->
-        let sp_config =
-          { Simpoint.default_config with Simpoint.rep_policy = policy }
+      (fun name ->
+        let entry = Registry.find name in
+        let program = entry.Registry.build () in
+        let configs =
+          Config.paper_four ~loop_splitting:entry.Registry.loop_splitting ()
         in
-        { label;
-          values =
-            [ ("FLI error", fli_error ~sp_config ~target names);
-              ("VLI error", vli_error ~sp_config ~target names) ] })
-      variants
+        let engine = Pipeline.create_engine () in
+        Array.of_list
+          (List.map (fun (_, cell) -> cell engine program configs) cells))
+      names
   in
-  { title = "Representative policy (early simulation points, PACT'03)";
-    unit_label = "avg speedup error"; rows }
-
-let k_search ?(names = default_names) ?(target = Pipeline.default_target) () =
-  let variants =
-    [ ("exhaustive (all k)", Simpoint.All_k);
-      ("binary search", Simpoint.Binary_search) ]
+  (* Average each cell over the workloads, in [cells] order. *)
+  let next = ref (-1) in
+  let mean_next () =
+    incr next;
+    Stats.mean (Array.of_list (List.map (fun vs -> vs.(!next)) per_workload))
   in
-  let rows =
-    List.map
-      (fun (label, search) ->
-        let sp_config =
-          { Simpoint.default_config with Simpoint.k_search = search }
-        in
-        { label;
-          values =
-            [ ("FLI error", fli_error ~sp_config ~target names);
-              ("VLI error", vli_error ~sp_config ~target names) ] })
-      variants
-  in
-  { title = "k search strategy (SimPoint 3.0 binary search)";
-    unit_label = "avg speedup error"; rows }
+  List.map
+    (fun (_, title, unit_label, rows) ->
+      { title; unit_label;
+        rows =
+          List.map
+            (fun (label, cells) ->
+              { label;
+                values = List.map (fun (c, _) -> (c, mean_next ())) cells })
+            rows })
+    specs
 
 let render study ppf =
   Fmt.pf ppf "%s (%s)@." study.title study.unit_label;

@@ -15,32 +15,25 @@ type row = { label : string; values : (string * float) list }
 
 type study = { title : string; unit_label : string; rows : row list }
 
-val primary_choice :
-  ?names:string list -> ?target:int -> unit -> study
-(** Average VLI speedup error with each of the four binaries as the
-    primary. *)
+val studies : string list
+(** The studies' command-line names, in report order: [primary] (VLI
+    speedup error with each of the four binaries as the primary),
+    [markers] (mappable keys and VLI error with each marker class
+    disabled in turn), [target] (FLI and VLI error across interval
+    targets), [maxk] (across SimPoint's cluster budget), [inline] (VLI
+    with and without recovery of inlined procedures' loops), [rep]
+    (centroid vs early simulation points, PACT'03) and [ksearch]
+    (exhaustive vs SimPoint 3.0's binary k search). *)
 
-val marker_kinds : ?names:string list -> ?target:int -> unit -> study
-(** Mappable-key counts and speedup error with each marker class
-    disabled in turn. *)
-
-val interval_target : ?names:string list -> ?targets:int list -> unit -> study
-(** Error for FLI and VLI across interval target sizes. *)
-
-val max_k : ?names:string list -> ?ks:int list -> ?target:int -> unit -> study
-(** Error for FLI and VLI as SimPoint's cluster budget varies. *)
-
-val inline_recovery : ?names:string list -> ?target:int -> unit -> study
-(** VLI with and without line-based recovery of inlined procedures'
-    loops. *)
-
-val rep_policy : ?names:string list -> ?target:int -> unit -> study
-(** Centroid representatives vs early simulation points (PACT'03) at
-    several tolerances: error cost of picking earlier intervals. *)
-
-val k_search : ?names:string list -> ?target:int -> unit -> study
-(** Exhaustive k search vs SimPoint 3.0's binary search: error and the
-    number of clusterings evaluated. *)
+val run : ?names:string list -> string list -> study list
+(** The named studies, in the order given, each value averaged over
+    the workloads [names] (default {!default_names}).  Each workload
+    gets one {!Cbsp.Pipeline.engine}, shared by every variant of every
+    study, so a variant reuses the compiles, profiles, passes and
+    clusterings of those before it; results are bit-identical to
+    running each variant on a fresh engine.
+    @raise Invalid_argument on a name not in {!studies}.
+    @raise Not_found on a workload not in the registry. *)
 
 val render : study -> Format.formatter -> unit
 

@@ -337,9 +337,10 @@ let fixed_observer binary ~target ~cycles ~extras =
 let bits v = Marshal.to_string v [ Marshal.No_sharing ]
 
 (* Every field a pass's consumers read, bit for bit, against the
-   reference; the [Fixed]-only sampler features are checked by the
+   reference, with the phases and representatives of the clustering
+   step over it; the [Fixed]-only sampler features are checked by the
    caller. *)
-let check_pass ~where (pass : Pipeline.pass)
+let check_pass ~where (pass : Pipeline.pass) (cl : Pipeline.clustering)
     ((insts, cycles), intervals, boundaries, phase_of, reps) =
   let check what a b =
     Tutil.check_bool (where ^ ": " ^ what) true (bits a = bits b)
@@ -356,11 +357,8 @@ let check_pass ~where (pass : Pipeline.pass)
     (Array.concat (Array.to_list (column (fun iv -> iv.Interval.extras))))
     stats.Cbsp.Streamprof.st_extras;
   check "boundaries" boundaries pass.Pipeline.ps_boundaries;
-  match pass.Pipeline.ps_clustering with
-  | None -> Alcotest.fail (where ^ ": pass without clustering")
-  | Some cl ->
-    check "phase labels" phase_of cl.Pipeline.cl_phase_of;
-    check "representatives" reps cl.Pipeline.cl_reps
+  check "phase labels" phase_of cl.Pipeline.cl_phase_of;
+  check "representatives" reps cl.Pipeline.cl_reps
 
 (* The shared [Fixed] pass against the computation it replaced in FLI
    and [run_sampling]: the copied-out intervals, the phase-1 features
@@ -379,15 +377,19 @@ let test_fixed_pass_equals_materialized () =
         (fun config ->
           let binary = Lower.compile program config in
           let where = name ^ "/" ^ Config.label config in
+          let plan = Pipeline.Fixed 10_000 in
           let pass =
             Pipeline.collect engine program binary ~label:where ~sp_config
-              ~input (Pipeline.Fixed 10_000)
+              ~input plan
           in
           let ((_, intervals, _, _, _) as reference) =
             materialized binary ~sp_config
               ~observe:(fixed_observer binary ~target:10_000)
           in
-          check_pass ~where pass reference;
+          check_pass ~where pass
+            (Pipeline.clustering engine program binary ~label:where
+               ~sp_config ~input plan)
+            reference;
           let bbvs = Array.map (fun iv -> iv.Interval.bbv) intervals in
           let module Strata = Cbsp_sampling.Strata in
           Tutil.check_bool (where ^ ": access mix") true
@@ -421,12 +423,22 @@ let test_recorded_pass_equals_materialized_registry () =
           (Binary.static_marker_keys primary)
       in
       let collected = Cbsp_engine.Store.computes engine.Pipeline.eng_passes in
+      let clustered =
+        Cbsp_engine.Store.computes engine.Pipeline.eng_clusterings
+      in
+      let plan = Pipeline.Recorded (target, keys) in
       let pass =
         Pipeline.collect engine program primary ~label:name ~sp_config ~input
-          (Pipeline.Recorded (target, keys))
+          plan
+      in
+      let cl =
+        Pipeline.clustering engine program primary ~label:name ~sp_config
+          ~input plan
       in
       Tutil.check_int (name ^ ": the pass run_vli collected") collected
         (Cbsp_engine.Store.computes engine.Pipeline.eng_passes);
+      Tutil.check_int (name ^ ": the clustering run_vli made") clustered
+        (Cbsp_engine.Store.computes engine.Pipeline.eng_clusterings);
       let cut = Marker.Set.of_list keys in
       let ((_, _, boundaries, _, _) as reference) =
         materialized primary ~sp_config ~observe:(fun ~cycles ~extras ->
@@ -434,10 +446,43 @@ let test_recorded_pass_equals_materialized_registry () =
               ~mappable:(fun key -> Marker.Set.mem key cut)
               ~cycles ~extras ())
       in
-      check_pass ~where:name pass reference;
+      check_pass ~where:name pass cl reference;
       Tutil.check_bool (name ^ ": points boundaries") true
         (bits boundaries = bits vli.Pipeline.vli_points.Pipeline.pt_boundaries))
     Registry.all
+
+(* SimPoint settings other than the projection are not part of a pass:
+   after the default FLI and VLI runs, runs that change only max-k, the
+   representative policy or the k search recluster the same passes and
+   execute nothing.  Each is bit-identical to the same run on a fresh
+   engine, so sharing the engine cannot change a result.  A new
+   projection seed collects its own passes. *)
+let test_simpoint_settings_share_passes () =
+  let module Simpoint = Cbsp_simpoint.Simpoint in
+  let program = Tutil.two_phase_program () in
+  let engine = Pipeline.create_engine () in
+  let both ?engine sp_config =
+    ( Pipeline.run_fli ?engine ~sp_config program ~configs ~input ~target,
+      Pipeline.run_vli ?engine ~sp_config program ~configs ~input ~target )
+  in
+  ignore (both ~engine Simpoint.default_config);
+  let passes = Cbsp_engine.Store.computes engine.Pipeline.eng_passes in
+  List.iter
+    (fun (where, sp_config) ->
+      let shared = both ~engine sp_config in
+      Tutil.check_int (where ^ ": no new pass") passes
+        (Cbsp_engine.Store.computes engine.Pipeline.eng_passes);
+      Tutil.check_bool (where ^ ": equals a fresh engine") true
+        (bits shared = bits (both sp_config)))
+    Simpoint.
+      [ ("max-k 5", { default_config with max_k = 5 });
+        ("max-k 20", { default_config with max_k = 20 });
+        ("early 0.05", { default_config with rep_policy = Early 0.05 });
+        ("binary search", { default_config with k_search = Binary_search }) ];
+  (* The projection seed does shape the points: it must not share. *)
+  ignore (both ~engine { Simpoint.default_config with seed = 7 });
+  Tutil.check_bool "projection seed collects again" true
+    (Cbsp_engine.Store.computes engine.Pipeline.eng_passes > passes)
 
 (* O(1 interval) memory: a streaming pass's full-width BBV buffers are
    the builder's accumulator plus the collector's chunked projection
@@ -506,6 +551,8 @@ let () =
             test_recorded_pass_equals_materialized_registry;
           Tutil.quick "fixed pass = materialized"
             test_fixed_pass_equals_materialized;
+          Tutil.quick "simpoint settings share passes"
+            test_simpoint_settings_share_passes;
           Tutil.quick "scratch gauge" test_streaming_scratch_gauge ] );
       ( "validation",
         [ Tutil.quick "invalid primary" test_invalid_primary;

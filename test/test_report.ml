@@ -241,6 +241,81 @@ let test_csv_export () =
      | (_ : string list * string list list) -> false
      | exception Invalid_argument _ -> true)
 
+(* The ablation harness shares one engine per workload across every
+   variant.  Its [maxk] and [markers] rows must equal each variant run
+   on its own fresh engine, and its mappable-key count must equal a
+   direct match of the compiled binaries' structure profiles. *)
+let test_ablation_rows_equal_fresh_runs () =
+  let module Ablation = Cbsp_report.Ablation in
+  let module Registry = Cbsp_workloads.Registry in
+  let module Config = Cbsp_compiler.Config in
+  let module Matching = Cbsp.Matching in
+  let module Simpoint = Cbsp_simpoint.Simpoint in
+  let name = "art" in
+  let entry = Registry.find name in
+  let program = entry.Registry.build () in
+  let configs =
+    Config.paper_four ~loop_splitting:entry.Registry.loop_splitting ()
+  in
+  let input = Cbsp_source.Input.ref_input in
+  let target = Pipeline.default_target in
+  let error binaries =
+    Cbsp_util.Stats.mean
+      (Array.of_list
+         (List.map
+            (fun (a, b) -> Cbsp.Metrics.pair_error binaries ~a ~b)
+            Matrix.pairs))
+  in
+  let fli sp_config =
+    error
+      (Pipeline.run_fli ~sp_config program ~configs ~input ~target)
+        .Pipeline.fli_binaries
+  in
+  let vli ?sp_config ?match_options () =
+    Pipeline.run_vli ?sp_config ?match_options program ~configs ~input ~target
+  in
+  let check_rows what expected (study : Ablation.study) =
+    Alcotest.(check (list (pair string (list (pair string (float 0.0))))))
+      what expected
+      (List.map
+         (fun (r : Ablation.row) -> (r.Ablation.label, r.Ablation.values))
+         study.Ablation.rows)
+  in
+  match Ablation.run ~names:[ name ] [ "maxk"; "markers" ] with
+  | [ max_k; markers ] ->
+    check_rows "max_k rows"
+      (List.map
+         (fun k ->
+           let sp_config = { Simpoint.default_config with max_k = k } in
+           ( Printf.sprintf "max_k=%d" k,
+             [ ("FLI error", fli sp_config);
+               ( "VLI error",
+                 error (vli ~sp_config ()).Pipeline.vli_binaries ) ] ))
+         [ 5; 10; 15; 20 ])
+      max_k;
+    let binaries = List.map (Cbsp_compiler.Lower.compile program) configs in
+    let profiles =
+      List.map (fun b -> Cbsp_profile.Structprof.profile b input) binaries
+    in
+    let d = Matching.default_options in
+    check_rows "markers rows"
+      (List.map
+         (fun (label, options) ->
+           ( label,
+             [ ( "mappable keys",
+                 float_of_int
+                   (Matching.cardinal
+                      (Matching.find ~options ~binaries ~profiles ())) );
+               ( "speedup error",
+                 error (vli ~match_options:options ()).Pipeline.vli_binaries )
+             ] ))
+         [ ("all markers", d);
+           ("no proc entries", { d with Matching.use_proc = false });
+           ("no loop entries", { d with Matching.use_loop_entry = false });
+           ("no loop back-edges", { d with Matching.use_loop_back = false }) ])
+      markers
+  | studies -> Alcotest.failf "%d studies, want 2" (List.length studies)
+
 let () =
   Alcotest.run "report"
     [ ( "rendering",
@@ -258,4 +333,7 @@ let () =
           Alcotest.test_case "figures render" `Slow test_figures_render;
           Alcotest.test_case "figures refuse holes" `Slow test_figures_refuse_holes;
           Alcotest.test_case "speedup accessor" `Slow test_speedup_errors_accessor;
-          Alcotest.test_case "csv export" `Slow test_csv_export ] ) ]
+          Alcotest.test_case "csv export" `Slow test_csv_export ] );
+      ( "ablation",
+        [ Alcotest.test_case "rows equal fresh runs" `Slow
+            test_ablation_rows_equal_fresh_runs ] ) ]

@@ -292,6 +292,28 @@ let prop_jsonx_string_roundtrip =
       let v = Jsonx.Str s in
       Jsonx.of_string (Jsonx.to_string v) = v)
 
+(* The decoder is total: on any bytes it returns a value or raises
+   [Parse_error], never another exception.  Half the inputs are drawn
+   from JSON's own punctuation, literals and escapes, so they get past
+   the first byte and reach the nested, string and number paths. *)
+let prop_jsonx_decodes_any_bytes =
+  let json_byte =
+    QCheck.Gen.oneofl
+      [ '{'; '}'; '['; ']'; '"'; ':'; ','; '\\'; 'u'; 'n'; 't'; 'f'; 'e';
+        'E'; '.'; '-'; '+'; '0'; '1'; '9'; 'a'; ' '; '\n' ]
+  in
+  QCheck.Test.make ~name:"jsonx decodes any bytes" ~count:2000
+    QCheck.(
+      make ~print:String.escaped
+        Gen.(
+          string_size
+            ~gen:(oneof [ char; json_byte ])
+            (0 -- 40)))
+    (fun s ->
+      match Jsonx.of_string s with
+      | (_ : Jsonx.t) -> true
+      | exception Jsonx.Parse_error _ -> true)
+
 let test_jsonx_rejects_malformed () =
   List.iter
     (fun s ->
@@ -587,6 +609,7 @@ let () =
       ( "jsonx",
         [ Tutil.quick "value round-trips" test_jsonx_roundtrip_cases;
           Tutil.qcheck_case prop_jsonx_string_roundtrip;
+          Tutil.qcheck_case prop_jsonx_decodes_any_bytes;
           Tutil.quick "rejects malformed" test_jsonx_rejects_malformed ] );
       ( "matrix",
         [ Tutil.quick "coverage complete" test_matrix_coverage_complete;
