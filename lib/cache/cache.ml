@@ -149,6 +149,20 @@ let on_access p =
                  + (if access l1 ~addr ~is_write then l1_latency
                     else from_level p 1 ~addr ~is_write)
 
+(* A repeat on the line the previous access left at L1's way 0 is a
+   way-0 hit: it counts, dirties the line if it writes and costs the L1
+   latency, so n of them are three updates. *)
+let on_run p =
+  if Array.length p.levels = 0 then invalid_arg "Cache.on_run: no levels";
+  let l1 = p.levels.(0) and l1_latency = p.latencies.(0) in
+  fun addr n any_write ->
+    l1.s_accesses <- l1.s_accesses + n;
+    if any_write then begin
+      let tag = addr lsr l1.set_shift in
+      Bytes.unsafe_set l1.dirty ((tag land l1.set_mask) * l1.assoc) '\001'
+    end;
+    p.stall <- p.stall + (n * l1_latency)
+
 let flush_path p =
   Array.iter flush p.levels;
   p.dram <- 0;

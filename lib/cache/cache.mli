@@ -71,5 +71,15 @@ val on_access : path -> int -> bool -> unit
 (** {!walk} as an executor callback, with the first level's way 0
     checked inline. *)
 
+val on_run : path -> int -> int -> bool -> unit
+(** [on_run p addr n any_write] stands for [n] more calls of
+    [on_access p] on the line of [addr], right after one that accessed
+    [addr], with [any_write] true iff one of them writes: the first
+    level counts [n] accesses and [n] hits, marks the line dirty if
+    [any_write], and [stall] grows by [n] times its latency.  That is
+    exact because the preceding access left the line at the first
+    level's way 0, where every repeat hits without moving it.
+    @raise Invalid_argument if the path has no levels. *)
+
 val flush_path : path -> unit
 (** Flushes every level and zeroes [dram] and [stall]. *)

@@ -7,17 +7,27 @@ module Executor = Cbsp_exec.Executor
 type t = {
   hier : Hierarchy.t;
   path : Cache.path;
+  access : int -> bool -> unit;  (* one closure, so [runs] can name it *)
   mutable t_insts : int;
 }
 
 let create ?(config = Hierarchy.paper_table1) () =
   let hier = Hierarchy.create config in
-  { hier; path = Hierarchy.path hier; t_insts = 0 }
+  let path = Hierarchy.path hier in
+  { hier; path; access = Cache.on_access path; t_insts = 0 }
 
 let observer t =
   { Executor.null_observer with
     Executor.on_block = (fun _ insts -> t.t_insts <- t.t_insts + insts);
-    on_access = Cache.on_access t.path }
+    on_access = t.access }
+
+let runs t =
+  match t.path.Cache.levels with
+  | [||] -> None
+  | levels ->
+    Some
+      { Executor.line_bytes = Cache.line_bytes levels.(0); access = t.access;
+        on_run = Cache.on_run t.path }
 
 let cycles t = float_of_int (t.t_insts + t.path.Cache.stall)
 

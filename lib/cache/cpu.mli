@@ -14,7 +14,18 @@ val create : ?config:Hierarchy.config -> unit -> t
 
 val observer : t -> Cbsp_exec.Executor.observer
 (** Plug into an executor run: blocks advance base cycles, accesses add
-    stall cycles. *)
+    stall cycles.  Every observer of one [t] shares one [on_access]
+    closure, the one {!runs} names. *)
+
+val runs : t -> Cbsp_exec.Executor.runs option
+(** The run route into this CPU ({!Cbsp_exec.Executor.run}'s [?runs]):
+    runs grouped by the first level's line and charged through
+    {!Cache.on_run}, valid while {!observer}'s [on_access] receives the
+    accesses (alone or composed beside observers that ignore accesses).
+    Counters and cycles end bit-identical to the per-element stream's,
+    and a block or marker event never falls inside a run, so every
+    sample taken at one is identical too.  [None] for a hierarchy with
+    no levels. *)
 
 val cycles : t -> float
 (** Total simulated cycles so far — monotone during a run, suitable as

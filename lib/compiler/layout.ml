@@ -44,8 +44,10 @@ let array_base t ~array_id = t.bases.(array_id)
 
 let array_elem_bytes t ~array_id = t.elem_bytes.(array_id)
 
+let stack_slot_bytes = 8
+
 let stack_addr t ~depth ~slot =
-  let offset = slot * 8 mod Costmodel.frame_bytes in
+  let offset = slot * stack_slot_bytes mod Costmodel.frame_bytes in
   t.stack_base + (depth * Costmodel.frame_bytes) + offset
 
 let footprint_bytes t = t.footprint

@@ -26,7 +26,13 @@ val array_elem_bytes : t -> array_id:int -> int
 
 val stack_addr : t -> depth:int -> slot:int -> int
 (** Address of spill slot [slot] in the frame at call [depth].  Slots wrap
-    within {!Costmodel.frame_bytes}. *)
+    within {!Costmodel.frame_bytes}, and every frame starts at a multiple
+    of it (the stack base is page-aligned), which the executor's spill
+    runs rely on. *)
+
+val stack_slot_bytes : int
+(** Bytes per spill slot: slot [s] sits [s * stack_slot_bytes] bytes (mod
+    {!Costmodel.frame_bytes}) above slot 0. *)
 
 val footprint_bytes : t -> int
 (** Total bytes of declared arrays (excludes stack). *)

@@ -364,7 +364,8 @@ let job_label (program : Cbsp_source.Ast.program) config ~kind =
    cut's cycle sample excludes the block that starts the next interval.
    A [Fixed] pass also reduces each interval's BBV to the samplers'
    phase-1 features at emission time, so no consumer ever needs the
-   BBVs back. *)
+   BBVs back.  The builders ignore accesses, so the CPU takes them as
+   same-line runs ([Cpu.runs]). *)
 let run_pass ~timing ~label ~cache_config (binary : Binary.t) ~input ~col
     plan =
   let n_blocks = binary.Binary.n_blocks in
@@ -403,7 +404,8 @@ let run_pass ~timing ~label ~cache_config (binary : Binary.t) ~input ~col
       ~out_size:(fun (t, _) -> t.Executor.insts)
       (fun () ->
         let totals =
-          Executor.run binary input (Executor.compose [ obs; Cpu.observer cpu ])
+          Executor.run ?runs:(Cpu.runs cpu) binary input
+            (Executor.compose [ obs; Cpu.observer cpu ])
         in
         (totals, finish ()))
   in

@@ -1,6 +1,7 @@
 module Interval = Cbsp_profile.Interval
 module Simpoint = Cbsp_simpoint.Simpoint
 module Projection = Cbsp_simpoint.Projection
+module Points = Hashtbl.Make (Cbsp_simpoint.Kmeans.Bits)
 module Stats = Cbsp_util.Stats
 
 (* Minimal growable vector — amortized-O(1) push, exact-length extract.
@@ -71,11 +72,16 @@ let chunk_size = 8
 (* What the collector keeps per interval: the scalar stats every summary
    reads, and — only for live, BBV-carrying intervals — the PROJECTED
    point (out_dim floats), never the full-width BBV.  The chunk rows
-   are the collector's entire full-width footprint. *)
+   are the collector's entire full-width footprint.  A program's loops
+   repeat the same interval vector, so intervals whose points have the
+   same bits share one array: an FLI pass of thousands of intervals
+   keeps a few dozen. *)
 type t = {
   projection : Projection.t option;
   chunk_rows : float array array;  (* chunk_size full-width rows *)
   mutable chunk_fill : int;        (* rows normalized, not yet projected *)
+  point : float array;             (* projection scratch *)
+  distinct : float array Points.t; (* each distinct point, keyed on itself *)
   c_stats : columns;
   c_live_idx : int vec;
   c_weights : float vec;
@@ -86,28 +92,38 @@ let create ~sp_config ~n_blocks () =
   (* The pass's acc scratch plus this collector's chunk rows are the
      full-width buffers a streaming run ever holds. *)
   Interval.note_scratch_peak (chunk_size + 1);
-  { projection = Some (Simpoint.projection_for ~config:sp_config ~in_dim:n_blocks ());
+  let projection = Simpoint.projection_for ~config:sp_config ~in_dim:n_blocks () in
+  { projection = Some projection;
     chunk_rows = Array.init chunk_size (fun _ -> Array.make n_blocks 0.0);
-    chunk_fill = 0;
+    chunk_fill = 0; point = Array.make (Projection.out_dim projection) 0.0;
+    distinct = Points.create 64;
     c_stats = columns_create (); c_live_idx = vec_create ();
     c_weights = vec_create (); c_points = vec_create () }
 
 let create_stats_only () =
-  { projection = None; chunk_rows = [||]; chunk_fill = 0;
+  { projection = None; chunk_rows = [||]; chunk_fill = 0; point = [||];
+    distinct = Points.create 1;
     c_stats = columns_create (); c_live_idx = vec_create ();
     c_weights = vec_create (); c_points = vec_create () }
 
 (* Project the buffered rows in emission order.  Identical operations to
    projecting each at its own emission: rows are disjoint buffers and
-   [project_into] reads nothing but its row. *)
+   [project_into] reads nothing but its row.  A point with the bits of
+   one already kept is that array again. *)
 let flush t =
   match t.projection with
   | None -> ()
   | Some projection ->
-    let out_dim = Projection.out_dim projection in
     for s = 0 to t.chunk_fill - 1 do
-      let point = Array.make out_dim 0.0 in
-      Projection.project_into projection t.chunk_rows.(s) point;
+      Projection.project_into projection t.chunk_rows.(s) t.point;
+      let point =
+        match Points.find_opt t.distinct t.point with
+        | Some kept -> kept
+        | None ->
+          let kept = Array.copy t.point in
+          Points.add t.distinct kept kept;
+          kept
+      in
       vec_push t.c_points point
     done;
     t.chunk_fill <- 0

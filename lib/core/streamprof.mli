@@ -52,7 +52,10 @@ val stats : t -> stats
 type cluster_inputs = {
   ci_live_idx : int array;     (** Live interval index per point. *)
   ci_weights : float array;    (** Instruction counts of live intervals. *)
-  ci_points : float array array;  (** Projected points, emission order. *)
+  ci_points : float array array;
+      (** Projected points, emission order.  Points with the same bits
+          ({!Cbsp_simpoint.Kmeans.Bits}) are one shared array: read
+          them, never mutate them. *)
 }
 
 val cluster_inputs : t -> cluster_inputs

@@ -13,6 +13,12 @@ type observer = {
 
 and totals = { insts : int; blocks : int; accesses : int; markers : int }
 
+type runs = {
+  line_bytes : int;
+  access : int -> bool -> unit;
+  on_run : int -> int -> bool -> unit;
+}
+
 let null_observer =
   { on_block = (fun _ _ -> ());
     on_access = (fun _ _ -> ());
@@ -213,12 +219,22 @@ let run_tree binary input obs =
    When the observer's [on_access] is physically [null_observer]'s (a
    structure profile, or [null_observer] itself), the address streams —
    observable only through [on_access] — are never generated: accesses
-   are counted, but no cursor/RNG work is done at all. *)
+   are counted, but no cursor/RNG work is done at all.
+
+   With [runs] that speak for the observer's [on_access], a Seq site
+   whose step is below the run line, and a block's spill slots, go out
+   one run at a time: the accesses from element i on that stay on i's
+   line (and, for Seq, before the cursor wraps at the array's length)
+   are worked out in O(1); the first goes to [on_access] with its own
+   write bit, the rest to one [on_run].  Rand, Chase and Hot stay per
+   element. *)
 
 type fstate = {
   f_input : Input.t;
   f_obs : observer;
   f_no_access : bool;                 (* null on_access: count accesses only *)
+  f_line : int;                       (* run line size; 0 = no runs *)
+  f_on_run : int -> int -> bool -> unit;
   f_bodies : Binary.fstmt array array;
   f_layout : Layout.t;                (* for spill-slot addressing *)
   f_bases : int array;
@@ -244,6 +260,21 @@ let f_emit_marker st key =
   st.f_markers <- st.f_markers + 1;
   st.f_obs.on_marker key
 
+(* Whether any of the [m] >= 1 accesses from the [i]-th on writes, under
+   [is_write_at]'s rule (access j writes iff j mod 10 < tenths): their
+   residues climb from [i mod 10] and pass through 0 once they wrap. *)
+let any_write ~tenths i m =
+  let r = i mod 10 in
+  tenths > 0 && (r < tenths || r + m > 10)
+
+(* Elements of a run from [addr] on, the first included, at [step] bytes
+   apart within one [line]. *)
+let[@inline] on_line ~line ~step addr =
+  1 + ((line - 1 - (addr land (line - 1))) / step)
+
+(* [Stdlib.min] compares polymorphically, through a C call. *)
+let[@inline] imin (a : int) b = if a <= b then a else b
+
 let f_access st (a : Binary.faccess) =
   let n = a.fa_count in
   st.f_accesses <- st.f_accesses + n;
@@ -256,12 +287,31 @@ let f_access st (a : Binary.faccess) =
     let obs = st.f_obs in
     if a.fa_kind = Binary.pat_seq then begin
       let stride = a.fa_param in
+      let step = stride * eb and line = st.f_line in
       let c = ref st.f_cursors.(aid) in
-      for i = 0 to n - 1 do
-        let idx = !c in
-        c := (idx + stride) mod len;
-        obs.on_access (base + (idx * eb)) (i mod 10 < tenths)
-      done;
+      if step > 0 && step < line then begin
+        let on_run = st.f_on_run and i = ref 0 in
+        while !i < n do
+          let idx = !c and i0 = !i in
+          let addr = base + (idx * eb) in
+          let k = imin (n - i0) (on_line ~line ~step addr) in
+          (* the wrap at [len] rarely falls inside a line: test first *)
+          let k =
+            if idx + ((k - 1) * stride) < len then k
+            else 1 + ((len - 1 - idx) / stride)
+          in
+          obs.on_access addr (i0 mod 10 < tenths);
+          if k > 1 then on_run addr (k - 1) (any_write ~tenths (i0 + 1) (k - 1));
+          c := (idx + (k * stride)) mod len;
+          i := i0 + k
+        done
+      end
+      else
+        for i = 0 to n - 1 do
+          let idx = !c in
+          c := (idx + stride) mod len;
+          obs.on_access (base + (idx * eb)) (i mod 10 < tenths)
+        done;
       st.f_cursors.(aid) <- !c
     end
     else if a.fa_kind = Binary.pat_rand then begin
@@ -292,13 +342,32 @@ let f_access st (a : Binary.faccess) =
     end
   end
 
+(* Spill runs need no cap at the frame's wrap: frames start at multiples
+   of their (power-of-two) size, so a line below the frame size never
+   spans the wrap and a larger one holds the whole frame. *)
+let slot_bytes = Layout.stack_slot_bytes
+
 let f_spills st n =
   st.f_accesses <- st.f_accesses + n;
   if not st.f_no_access then
-    for slot = 0 to n - 1 do
-      let addr = Layout.stack_addr st.f_layout ~depth:st.f_depth ~slot in
-      st.f_obs.on_access addr (slot land 1 = 1)
-    done
+    if slot_bytes < st.f_line then begin
+      let line = st.f_line and slot = ref 0 in
+      while !slot < n do
+        let s = !slot in
+        let addr = Layout.stack_addr st.f_layout ~depth:st.f_depth ~slot:s in
+        let k = imin (n - s) (on_line ~line ~step:slot_bytes addr) in
+        st.f_obs.on_access addr (s land 1 = 1);
+        (* odd slots write: s+1 .. s+k-1 hold one unless that is s+1
+           alone, odd iff s is even *)
+        if k > 1 then st.f_on_run addr (k - 1) (k > 2 || s land 1 = 0);
+        slot := s + k
+      done
+    end
+    else
+      for slot = 0 to n - 1 do
+        let addr = Layout.stack_addr st.f_layout ~depth:st.f_depth ~slot in
+        st.f_obs.on_access addr (slot land 1 = 1)
+      done
 
 let f_exec_block st (b : Binary.fblock) =
   f_emit_block st b.fb_id b.fb_insts;
@@ -366,13 +435,24 @@ let observe_totals (t : totals) =
   Cbsp_obs.Metrics.incr ~by:t.accesses m_accesses;
   Cbsp_obs.Metrics.incr ~by:t.markers m_markers
 
-let run binary input obs =
+let no_run _ _ _ = ()
+
+let run ?runs binary input obs =
   let flat = binary.Binary.flat in
   let layout = binary.Binary.layout in
   let n_arrays = Layout.n_arrays layout in
+  let f_line, f_on_run =
+    match runs with
+    | Some r when r.access == obs.on_access ->
+      if r.line_bytes <= 0 || r.line_bytes land (r.line_bytes - 1) <> 0 then
+        invalid_arg "Executor.run: run line size not a power of two";
+      (r.line_bytes, r.on_run)
+    | _ -> (0, no_run)
+  in
   let st =
     { f_input = input; f_obs = obs;
       f_no_access = obs.on_access == null_observer.on_access;
+      f_line; f_on_run;
       f_bodies = flat.Binary.fp_bodies; f_layout = layout;
       f_bases = Array.init n_arrays (fun i -> Layout.array_base layout ~array_id:i);
       f_ebytes =

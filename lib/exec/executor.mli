@@ -11,6 +11,12 @@
       the callee body), loop entry (before the header block), loop
       back-edge (after the back-edge instructions).
 
+    A fourth event exists only where a consumer asks for it ({!runs}):
+
+    - [on_run addr n any_write]: [n] more accesses to the line of [addr],
+      all of them directly after the access to [addr] that opened the
+      run, with [any_write] true iff at least one of them writes.
+
     Determinism: for a fixed (binary, input) the event stream is
     bit-identical across runs; for two binaries of the same program on the
     same input, the subsequence of *unmangled, non-unrolled* marker events
@@ -32,6 +38,20 @@ and totals = {
 
 (* [Marker] below refers to [Cbsp_compiler.Marker]. *)
 
+type runs = {
+  line_bytes : int;  (** Run line size, a power of two. *)
+  access : int -> bool -> unit;
+      (** The [on_access] these runs stand in for. *)
+  on_run : int -> int -> bool -> unit;
+      (** [on_run addr n any_write], see the event list above. *)
+}
+(** An opt-in way for a consumer of accesses that treats repeats on one
+    line in bulk (the CPU model: {!Cbsp_cache.Cpu.runs}) to receive them
+    so.  {!run} uses it only while the observer's [on_access] is
+    physically [access]: any other consumer of accesses, such as a
+    recording observer composed beside the CPU, keeps the per-element
+    stream. *)
+
 val null_observer : observer
 (** Ignores everything (for pure instruction counting via totals). *)
 
@@ -43,12 +63,28 @@ val compose : observer list -> observer
 val counting_observer : unit -> observer * (unit -> int)
 (** An observer that only counts instructions, and its reader. *)
 
-val run : Cbsp_compiler.Binary.t -> Cbsp_source.Input.t -> observer -> totals
+val run :
+  ?runs:runs -> Cbsp_compiler.Binary.t -> Cbsp_source.Input.t -> observer ->
+  totals
 (** Execute the whole program, interpreting the flattened form
     ({!Cbsp_compiler.Binary.flat}): contiguous statement arrays, access
     patterns pre-decoded so the per-element inner loops carry no match or
     closure dispatch, pre-allocated marker keys, and dense line-counter
     slots in place of the reference interpreter's hashtable.
+
+    With [runs] whose [access] is physically the observer's [on_access],
+    a sequential site whose step (stride times element size) is below
+    [runs.line_bytes], and a block's spill slots, reach the observer as
+    runs: each run's first access goes to [on_access] with its own write
+    bit, and the rest of the run — the accesses after it that stay on
+    its line, before the cursor wraps at the array's length and within
+    the site's count — to one
+    [runs.on_run].  Random, pointer-chase and hot-window sites stay per
+    element.  Totals, block and marker events are unchanged, and no
+    block or marker event falls inside a run.  Without [runs], or when
+    [runs.access] is another closure, the stream is per element.
+    @raise Invalid_argument if [runs] applies and its line size is not a
+    positive power of two.
 
     An observer whose [on_access] is physically {!null_observer}'s (a
     structure profile, or {!null_observer} itself) gets identical totals

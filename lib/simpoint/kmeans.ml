@@ -268,6 +268,13 @@ let hash_bits p =
   done;
   !h
 
+module Bits = struct
+  type t = float array
+
+  let equal = same_bits
+  let hash = hash_bits
+end
+
 (* [gid] and one representative per group, in first-seen order, through
    an open-addressing table of group ids at most half full. *)
 let group_points points =

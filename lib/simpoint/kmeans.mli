@@ -52,6 +52,12 @@ val prepare : weights:float array -> points:float array array -> prepared
     copied: do not mutate them while the value is in use.
     @raise Invalid_argument on bad arguments. *)
 
+module Bits : Hashtbl.HashedType with type t = float array
+(** Points keyed as {!prepare} groups them: equal iff every coordinate
+    has the same bit pattern (so [0.0] and [-0.0] differ, and a nan
+    equals a nan of the same bits), never by float equality.  Both
+    points must have the same length. *)
+
 val distinct : prepared -> int
 (** The number of distinct point values (bit patterns) — the m every
     distance pass of {!run} scans. *)

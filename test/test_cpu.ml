@@ -165,6 +165,110 @@ let prop_cpu_matches_reference =
              = Array.map bits (Cache_ref.cpu_extra_counters r))
         [ Hierarchy.paper_table1; Hierarchy.scaled_config ~factor:4 ])
 
+(* Run path: a random program executed once element by element and once
+   as same-line runs ([Executor.run ?runs]) must leave every cache level,
+   the DRAM count, the stall sum, the cycles and the extra counters
+   identical.  Arrays of 1-64 B elements and 1-96 elements make the
+   sequential sites wrap at their length; strides 1-8 put the step on
+   both sides of the line; blocks of up to 300 source instructions at O0
+   spill past the 32 slots of a frame, at call depth 0 and 1; a random
+   site moves other lines through the sets.  The geometries cover L1
+   lines of 32, 64 and 128 B, with small L1s that evict (and write back)
+   often, so grouping is shown to follow the hierarchy's L1 line. *)
+module B = Cbsp_source.Builder
+module Ast = Cbsp_source.Ast
+module Cache = Cbsp_cache.Cache
+
+let level name capacity assoc line latency =
+  { Hierarchy.lv_name = name; lv_capacity = capacity; lv_assoc = assoc;
+    lv_line = line; lv_latency = latency }
+
+let run_configs =
+  [ Hierarchy.paper_table1;
+    Hierarchy.scaled_config ~factor:64;
+    { Hierarchy.levels =
+        [ level "L1-32B" 512 2 32 3; level "L2-64B" 8_192 4 64 14 ];
+      dram_latency = 250 };
+    { Hierarchy.levels =
+        [ level "L1-128B" 2_048 2 128 3; level "L2-128B" 16_384 4 128 14 ];
+      dram_latency = 250 } ]
+
+let gen_run_program =
+  let open QCheck.Gen in
+  let site n_arrays =
+    quad (int_range 0 (n_arrays - 1))
+      (frequency [ (5, int_range 1 8); (1, return 0) ])  (* 0: random site *)
+      (int_range 1 40) (int_range 0 10)
+  in
+  int_range 1 4 >>= fun n_arrays ->
+  let arrays = list_repeat n_arrays (pair (int_range 1 64) (int_range 1 96)) in
+  let work = pair (int_range 1 300) (list_size (int_range 1 3) (site n_arrays)) in
+  quad arrays (list_size (int_range 1 4) work) (int_range 1 30)
+    (pair bool (oneofl Cbsp_compiler.Isa.[ X86_32; X86_64 ]))
+
+let build_run_program (arrays, works, trips, (o0, isa)) =
+  let b = B.create ~name:"runs" in
+  let ids =
+    List.mapi
+      (fun i (elem_bytes, length) ->
+        B.data_array b ~name:(Printf.sprintf "a%d" i) ~elem_bytes ~length)
+      arrays
+    |> Array.of_list
+  in
+  let work (insts, sites) =
+    B.work b ~insts
+      ~accesses:
+        (List.map
+           (fun (a, stride, count, tenths) ->
+             let arr = ids.(a) and write_ratio = float_of_int tenths /. 10.0 in
+             if stride = 0 then B.rand ~write_ratio ~arr ~count ()
+             else B.seq ~stride ~write_ratio ~arr ~count ())
+           sites)
+      ()
+  in
+  B.proc b ~name:"f" [ work (List.hd works) ];
+  B.proc b ~name:"main"
+    [ B.loop b ~trips:(Ast.Fixed trips) (B.call b "f" :: List.map work works) ];
+  let program = B.finish b ~main:"main" in
+  Lower.compile program (Config.v isa (if o0 then Config.O0 else Config.O2))
+
+let prop_runs_match_elementwise =
+  QCheck.Test.make ~name:"runs match the per-element stream" ~count:100
+    (QCheck.make gen_run_program)
+    (fun desc ->
+      let binary = build_run_program desc in
+      List.for_all
+        (fun config ->
+          (* the cache-level entry point, over a bare hierarchy *)
+          let hier runs =
+            let h = Hierarchy.create config in
+            let p = Hierarchy.path h in
+            let access = Cache.on_access p in
+            let obs = { Executor.null_observer with Executor.on_access = access } in
+            let runs =
+              if runs then
+                Some
+                  { Executor.line_bytes =
+                      Cache.line_bytes p.Cache.levels.(0);
+                    access; on_run = Cache.on_run p }
+              else None
+            in
+            let totals = Executor.run ?runs binary Tutil.test_input obs in
+            (totals, Hierarchy.stats h, Hierarchy.dram_accesses h, p.Cache.stall)
+          in
+          (* the route Pipeline.run_pass takes *)
+          let cpu runs =
+            let cpu = Cpu.create ~config () in
+            let runs = if runs then Cpu.runs cpu else None in
+            let totals =
+              Executor.run ?runs binary Tutil.test_input (Cpu.observer cpu)
+            in
+            ( totals, bits (Cpu.cycles cpu), Cpu.insts cpu,
+              Array.map bits (Cpu.extra_counters cpu) )
+          in
+          hier false = hier true && cpu false = cpu true)
+        run_configs)
+
 let () =
   Alcotest.run "cpu"
     [ ( "cpi model",
@@ -177,4 +281,5 @@ let () =
           Tutil.quick "cycles monotone" test_cycles_monotone;
           Tutil.quick "extra counters monotone" test_extra_counters_monotone;
           Tutil.qcheck_case prop_cpi_total;
-          Tutil.qcheck_case prop_cpu_matches_reference ] ) ]
+          Tutil.qcheck_case prop_cpu_matches_reference;
+          Tutil.qcheck_case prop_runs_match_elementwise ] ) ]

@@ -352,6 +352,84 @@ let test_counting_observer () =
   let totals = run binary obs in
   Tutil.check_int "counting observer matches totals" totals.Executor.insts (read ())
 
+(* ------------------------------------------------------------------ *)
+(* Run path: [Executor.run ?runs] hands the CPU same-line repeats as one
+   call each, and nothing else may notice. *)
+
+module Cpu = Cbsp_cache.Cpu
+module Registry = Cbsp_workloads.Registry
+
+let bits = Int64.bits_of_float
+
+let cpu_counters ~runs binary observers =
+  let cpu = Cpu.create () in
+  let runs = if runs then Cpu.runs cpu else None in
+  let totals =
+    Executor.run ?runs binary input (Executor.compose (observers @ [ Cpu.observer cpu ]))
+  in
+  (totals, bits (Cpu.cycles cpu), Cpu.insts cpu, Array.map bits (Cpu.extra_counters cpu))
+
+(* Every registry workload's four binaries end with the same totals,
+   cycles (bit for bit), instructions and extra counters either way. *)
+let test_runs_registry () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      let program = e.build () in
+      List.iter
+        (fun config ->
+          let binary = Lower.compile program config in
+          if cpu_counters ~runs:false binary [] <> cpu_counters ~runs:true binary []
+          then Alcotest.failf "%s/%s: the run path changed a counter" e.name
+              (Config.label config))
+        (Config.paper_four ~loop_splitting:e.loop_splitting ()))
+    Registry.all
+
+let seq_program () =
+  let b = B.create ~name:"seqs" in
+  let a = B.data_array b ~name:"a" ~elem_bytes:8 ~length:1_000 in
+  let c = B.data_array b ~name:"c" ~elem_bytes:12 ~length:37 in
+  B.proc b ~name:"main"
+    [ B.loop b ~trips:(Ast.Fixed 50)
+        [ B.work b ~insts:120
+            ~accesses:
+              [ B.seq ~arr:a ~count:20 (); B.seq ~stride:3 ~arr:c ~count:9 ();
+                B.rand ~arr:a ~count:2 () ]
+            () ] ];
+  B.finish b ~main:"main"
+
+(* A recording observer composed beside the CPU still receives the
+   reference interpreter's per-element stream, and the CPU's counters
+   are those of a run without runs. *)
+let test_runs_guard () =
+  let binary = Lower.compile (seq_program ()) (Config.v Isa.X86_32 Config.O0) in
+  let _, expected = event_stream Executor.run_tree binary in
+  let log = ref [] in
+  let with_logger = cpu_counters ~runs:true binary [ logger log 0 ] in
+  Tutil.check_bool "per-element stream" true (List.rev_map snd !log = expected);
+  Tutil.check_bool "cpu counters" true
+    (with_logger = cpu_counters ~runs:false binary [])
+
+(* Where runs apply, same-line repeats fold: every access is either a
+   looked-up first access or counted in exactly one run, and the calls
+   are fewer than the accesses. *)
+let test_runs_fold () =
+  let binary = Lower.compile (seq_program ()) (Config.v Isa.X86_32 Config.O0) in
+  let firsts = ref 0 and repeats = ref 0 and runs_n = ref 0 in
+  let access _ _ = incr firsts in
+  let runs =
+    { Executor.line_bytes = 64; access;
+      on_run = (fun _ n _ -> incr runs_n; repeats := !repeats + n) }
+  in
+  let totals =
+    Executor.run ~runs binary input
+      { Executor.null_observer with Executor.on_access = access }
+  in
+  Tutil.check_int "every access accounted" totals.Executor.accesses
+    (!firsts + !repeats);
+  Tutil.check_bool "runs formed" true (!runs_n > 0);
+  Tutil.check_bool "fewer calls than accesses" true
+    (!firsts + !runs_n < totals.Executor.accesses / 2)
+
 let () =
   Alcotest.run "exec"
     [ ( "counting",
@@ -372,4 +450,8 @@ let () =
           Tutil.quick "hot window wraps" test_hot_window_exceeds_length ] );
       ( "observers",
         [ Tutil.quick "compose order" test_compose_order;
-          Tutil.quick "counting observer" test_counting_observer ] ) ]
+          Tutil.quick "counting observer" test_counting_observer ] );
+      ( "run path",
+        [ Tutil.quick "registry counters" test_runs_registry;
+          Tutil.quick "recording observer keeps elements" test_runs_guard;
+          Tutil.quick "repeats fold" test_runs_fold ] ) ]
