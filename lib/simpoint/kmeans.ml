@@ -13,6 +13,15 @@ let m_runs = Metrics.counter "kmeans.runs"
 let m_iterations = Metrics.counter "kmeans.iterations"
 let m_distance_evals = Metrics.counter "kmeans.distance_evals"
 
+(* The memoized sums of {!run}: chunk partials of the centroid
+   accumulation (one per chunk and cluster with members there, per
+   Lloyd iteration) and seeding picks (k-1 per restart), each with how
+   many were served from the [prepared] set's memo. *)
+let m_partials = Metrics.counter "kmeans.partials"
+let m_partials_reused = Metrics.counter "kmeans.partials_reused"
+let m_seedings = Metrics.counter "kmeans.seedings"
+let m_seedings_reused = Metrics.counter "kmeans.seedings_reused"
+
 type result = {
   k : int;
   assignments : int array;
@@ -98,14 +107,13 @@ let seed_plus_plus rng ~k ~weights ~points =
   done;
   centroids
 
-(* Nearest and second-nearest centroid of one point, with the reference
-   tie-break (strict improvement, so the lowest index wins ties). *)
-let nearest_two ~centroids ~k p =
-  let best = ref 0 in
-  let best_d = ref (Stats.sq_distance p centroids.(0)) in
-  let second_d = ref infinity in
+(* Nearest and second-nearest centroid of one point, given its squared
+   distances [ds] to the k centroids, with the reference tie-break
+   (strict improvement, so the lowest index wins ties). *)
+let nearest_two ~k ds =
+  let best = ref 0 and best_d = ref ds.(0) and second_d = ref infinity in
   for c = 1 to k - 1 do
-    let d = Stats.sq_distance p centroids.(c) in
+    let d = ds.(c) in
     if d < !best_d then begin
       second_d := !best_d;
       best_d := d;
@@ -117,10 +125,14 @@ let nearest_two ~centroids ~k p =
 
 let assign_all ~centroids ~points ~assignments =
   let k = Array.length centroids in
+  let ds = Array.make k 0.0 in
   let changed = ref false in
   Array.iteri
     (fun i p ->
-      let best, _, _ = nearest_two ~centroids ~k p in
+      for c = 0 to k - 1 do
+        ds.(c) <- Stats.sq_distance p centroids.(c)
+      done;
+      let best, _, _ = nearest_two ~k ds in
       if assignments.(i) <> best then begin
         assignments.(i) <- best;
         changed := true
@@ -169,10 +181,8 @@ let accumulate_scratch ~k ~points =
    largest weighted distance to its current centroid.  It reads the
    centroids mid-update, so the [for c] order is part of the reference
    semantics. *)
-let recompute_centroids ~weights ~points ~assignments ~centroids ~psums ~pmass
-    ~reseed =
+let update_centroids ~points ~centroids ~reseed (sums, mass) =
   let k = Array.length centroids in
-  let sums, mass = accumulate ~weights ~points ~assignments ~psums ~pmass in
   for c = 0 to k - 1 do
     if mass.(c) = 0.0 then centroids.(c) <- Array.copy points.(reseed ())
     else begin
@@ -218,8 +228,8 @@ let run_once_reference rng ~max_iters ~k ~weights ~points =
   while !continue && !iterations < max_iters do
     let changed = assign_all ~centroids ~points ~assignments in
     if changed then begin
-      recompute_centroids ~weights ~points ~assignments ~centroids ~psums ~pmass
-        ~reseed;
+      update_centroids ~points ~centroids ~reseed
+        (accumulate ~weights ~points ~assignments ~psums ~pmass);
       incr iterations
     end
     else continue := false
@@ -231,17 +241,36 @@ let run_once_reference rng ~max_iters ~k ~weights ~points =
 
 (* --- production: grouped, fused seeding, blocked, Hamerly-pruned ------- *)
 
+(* The memos' keys are bitsets over groups, as strings. *)
+module Memo = Hashtbl.Make (String)
+
+let set_bit bits i =
+  let b = Char.code (Bytes.get bits (i lsr 3)) in
+  Bytes.set bits (i lsr 3) (Char.unsafe_chr (b lor (1 lsl (i land 7))))
+
+(* One k-means++ pick's masses, summarized: their [Stats.sum] and their
+   plain running sum at the end of each chunk. *)
+type masses = { total : float; ends : float array }
+
 (* Points grouped by bit pattern: bit-equal points are at bit-equal
    distances from any centroid, so every distance is computed once per
-   group.  [running]/[total] are the weights' plain running sums and
-   [Stats.sum], the first seeding pick's, which every restart shares. *)
+   group.  Every sum over points below depends on the points only
+   through group-level state, so [prepared] memoizes two of them for
+   every k and restart run on it, each entry computed in the reference's
+   order: chunk partials of the centroid accumulation, keyed by the
+   chunk's member set of one cluster, and the seeding masses, keyed by
+   the centroids chosen so far. *)
 type prepared = {
   weights : float array;
   points : float array array;
   gid : int array;  (* point -> group *)
   reps : float array array;  (* group -> its first point *)
-  running : float array;
-  total : float;
+  first : masses;  (* the weights', for the first pick *)
+  chunk_groups : int array array;  (* chunk -> its groups, first seen first *)
+  key_bytes : int;  (* a bit for each group of the fullest chunk *)
+  partials : float array Memo.t array;
+      (* chunk -> member-set key -> [dim] sums, then the mass *)
+  seedings : masses Memo.t;  (* chosen-centroid key *)
 }
 
 (* Two points share a group iff every coordinate has the same bit
@@ -305,17 +334,58 @@ let group_points points =
   in
   (gid, Array.sub reps 0 !m)
 
+(* The masses [weights.(i) *. d2.(gid.(i))] in one pass: the same Kahan
+   steps as [Stats.sum], and the plain running sum at each chunk end.
+   No closure captures the float refs and no call sits between their
+   uses, so they stay unboxed in registers. *)
+let summarize_masses ~weights ~gid ~d2 =
+  let n = Array.length gid in
+  let ends = Array.make ((n + chunk_size - 1) / chunk_size) 0.0 in
+  let total = ref 0.0 and comp = ref 0.0 and acc = ref 0.0 in
+  for ch = 0 to Array.length ends - 1 do
+    let hi = (ch + 1) * chunk_size in
+    for i = ch * chunk_size to (if hi < n then hi else n) - 1 do
+      let x = weights.(i) *. d2.(gid.(i)) in
+      let y = x -. !comp in
+      let t = !total +. y in
+      comp := t -. !total -. y;
+      total := t;
+      acc := !acc +. x
+    done;
+    ends.(ch) <- !acc
+  done;
+  { total = !total; ends }
+
+(* Each chunk's distinct groups, in first-seen order. *)
+let groups_per_chunk ~gid ~m =
+  let n = Array.length gid in
+  let seen = Array.make m (-1) and found = Array.make chunk_size 0 in
+  Array.init ((n + chunk_size - 1) / chunk_size) (fun ch ->
+      let l = ref 0 in
+      for i = ch * chunk_size to min n ((ch + 1) * chunk_size) - 1 do
+        let g = gid.(i) in
+        if seen.(g) <> ch then begin
+          seen.(g) <- ch;
+          found.(!l) <- g;
+          incr l
+        end
+      done;
+      Array.sub found 0 !l)
+
 let prepare ~weights ~points =
   check_points ~fn:"Kmeans.prepare" ~weights ~points;
-  let n = Array.length points in
   let gid, reps = group_points points in
-  let running = Array.make n 0.0 in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. weights.(i);
-    running.(i) <- !acc
-  done;
-  { weights; points; gid; reps; running; total = Stats.sum weights }
+  let m = Array.length reps in
+  let chunk_groups = groups_per_chunk ~gid ~m in
+  { weights; points; gid; reps;
+    (* [x *. 1.0 = x], so these masses are the weights themselves. *)
+    first = summarize_masses ~weights ~gid ~d2:(Array.make m 1.0);
+    chunk_groups;
+    key_bytes =
+      (Array.fold_left (fun l g -> max l (Array.length g)) 0 chunk_groups + 7)
+      / 8;
+    partials = Array.map (fun _ -> Memo.create 16) chunk_groups;
+    seedings = Memo.create 16 }
 
 let distinct prep = Array.length prep.reps
 
@@ -355,39 +425,56 @@ let distances_to ~points c out =
     out.(t) <- Stats.sq_distance points.(t) c
   done
 
-(* [seed_plus_plus]'s weighted pick, given the masses' plain running
-   sums and their [Stats.sum]: the scan stops at the first index
-   <= n-2 whose running sum exceeds the target.  Masses are >= 0, so
-   the running sums never decrease and a binary search finds that
-   index. *)
-let pick_running rng ~running ~total =
-  let n = Array.length running in
+(* [seed_plus_plus]'s weighted pick over the masses
+   [weights.(i) *. d2.(gid.(i))], from their summary: the scan stops at
+   the first index <= n-2 whose running sum exceeds the target.  Masses
+   are >= 0, so the running sums never decrease, and that index lies in
+   the first chunk whose end sum exceeds the target.  A binary search
+   over the chunk ends finds that chunk, and re-adding its masses from
+   the previous chunk's end repeats the scan's running sums bit for bit.
+   A nan mass makes [total] nan, so no comparison holds and both return
+   n-1. *)
+let pick rng { total; ends } ~weights ~gid ~d2 =
+  let n = Array.length gid in
   if total <= 0.0 then Rng.int rng ~bound:n
   else begin
     let target = Rng.float rng *. total in
-    let lo = ref 0 and hi = ref (n - 1) in
+    let lo = ref 0 and hi = ref (Array.length ends) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if running.(mid) > target then hi := mid else lo := mid + 1
+      if ends.(mid) > target then hi := mid else lo := mid + 1
     done;
-    !lo
+    let ch = !lo in
+    let found = ref (n - 1) in
+    if ch < Array.length ends then begin
+      let last = ((ch + 1) * chunk_size) - 1 in
+      let last = if last < n - 2 then last else n - 2 in
+      let acc = ref (if ch = 0 then 0.0 else ends.(ch - 1)) in
+      let i = ref (ch * chunk_size) in
+      while !i <= last do
+        acc := !acc +. (weights.(!i) *. d2.(gid.(!i)));
+        if !acc > target then begin
+          found := !i;
+          i := n
+        end
+        else incr i
+      done
+    end;
+    !found
   end
 
-(* The seeding masses [weights.(i) *. d2.(gid.(i))] in one pass: their
-   plain running sums into [running], and their [Stats.sum] (the same
-   Kahan steps) returned. *)
-let seeding_masses ~weights ~gid ~d2 ~running =
-  let total = ref 0.0 and comp = ref 0.0 and acc = ref 0.0 in
-  for i = 0 to Array.length gid - 1 do
-    let x = weights.(i) *. d2.(gid.(i)) in
-    let y = x -. !comp in
-    let t = !total +. y in
-    comp := t -. !total -. y;
-    total := t;
-    acc := !acc +. x;
-    running.(i) <- !acc
-  done;
-  !total
+(* The seeding memo's key: the set of groups chosen as centroids so far,
+   as a bitset over groups.  With every point finite, D² is the minimum
+   distance to that set whatever the order of the choices, so the set
+   fixes the masses.  With a non-finite point the order can matter, but
+   not the pick: that point is at distance inf or nan from every
+   centroid, so its mass is inf or nan, the Kahan total is inf or nan,
+   and no running sum exceeds the target, whichever summary is used.
+   Every pick after the first is then n-1, as in the reference. *)
+let seeding_key ~m chosen =
+  let bits = Bytes.make ((m + 7) / 8) '\000' in
+  List.iter (set_bit bits) chosen;
+  Bytes.unsafe_to_string bits
 
 (* Weighted k-means++ seeding fused with the first full assignment, per
    group.  Seeding measures every group against centroids 0..k-2 in the
@@ -396,17 +483,22 @@ let seeding_masses ~weights ~gid ~d2 ~running =
    only measures centroid k-1.  While seeding, [upper] holds the
    squared distance to the nearest centroid so far, which is
    [seed_plus_plus]'s D² (finite points give no nan distance, the one
-   case where the two comparisons differ).  On return [assign] holds
+   case where the two comparisons differ).  Each pick's masses are
+   summarized once per chosen-centroid key of [prep] and [reused] counts
+   the picks whose summary was already there.  On return [assign] holds
    each group's nearest centroid and [upper]/[lower] the exact
    distances to its nearest and second-nearest, as a full [nearest_two]
    scan leaves them. *)
-let seed_and_assign rng prep ~k ~dist ~assign ~upper ~lower =
-  let { weights; points; _ } = prep in
-  let n = Array.length points and m = Array.length prep.reps in
-  let running = Array.make n 0.0 in
+let seed_and_assign rng prep ~k ~dist ~assign ~upper ~lower ~reused =
+  let { weights; points; gid; _ } = prep in
+  let m = Array.length prep.reps in
   let centroids = Array.make k [||] in
-  let first = pick_running rng ~running:prep.running ~total:prep.total in
+  (* Until it holds distances, [upper] is the first pick's d2: all 1.0,
+     so the masses are the weights. *)
+  Array.fill upper 0 m 1.0;
+  let first = pick rng prep.first ~weights ~gid ~d2:upper in
   centroids.(0) <- Array.copy points.(first);
+  let chosen = ref [ gid.(first) ] in
   for c = 0 to k - 1 do
     distances_to ~points:prep.reps centroids.(c) dist;
     if c = 0 then begin
@@ -424,8 +516,20 @@ let seed_and_assign rng prep ~k ~dist ~assign ~upper ~lower =
         else if d < lower.(g) then lower.(g) <- d
       done;
     if c < k - 1 then begin
-      let total = seeding_masses ~weights ~gid:prep.gid ~d2:upper ~running in
-      centroids.(c + 1) <- Array.copy points.(pick_running rng ~running ~total)
+      let key = seeding_key ~m !chosen in
+      let masses =
+        match Memo.find_opt prep.seedings key with
+        | Some masses ->
+          incr reused;
+          masses
+        | None ->
+          let masses = summarize_masses ~weights ~gid ~d2:upper in
+          Memo.add prep.seedings key masses;
+          masses
+      in
+      let next = pick rng masses ~weights ~gid ~d2:upper in
+      chosen := gid.(next) :: !chosen;
+      centroids.(c + 1) <- Array.copy points.(next)
     end
   done;
   for g = 0 to m - 1 do
@@ -433,6 +537,95 @@ let seed_and_assign rng prep ~k ~dist ~assign ~upper ~lower =
     lower.(g) <- sqrt lower.(g)
   done;
   centroids
+
+(* One Lloyd accumulation over the groups' assignments [assign], folded
+   as [accumulate] folds it: per chunk, per cluster, the partial sums of
+   that cluster's members in point order, then the partials in chunk
+   order.  A cluster's partial in a chunk depends only on which of the
+   chunk's groups it holds, so it is memoized per chunk under that
+   member set: a bitset over [chunk_groups], padded to [key_bytes] so
+   that one scratch key per cluster serves every chunk.  On a miss, one
+   pass over the chunk sums the members of every cluster that missed,
+   exactly as [accumulate]'s chunk loop does.  A cluster with no member
+   in the chunk folds the zero partial, as [accumulate] does.  Returns
+   the sums and masses, and adds the partials looked up and the ones
+   found to [looked]/[reused]. *)
+let accumulate_grouped prep ~assign ~psums ~pmass ~looked ~reused =
+  let { weights; points; gid; key_bytes; _ } = prep in
+  let n = Array.length gid in
+  let k = Array.length pmass and dim = Array.length points.(0) in
+  let sums = Array.init k (fun _ -> Array.make dim 0.0) in
+  let mass = Array.make k 0.0 in
+  let zero = Array.make (dim + 1) 0.0 in
+  (* Per cluster: its key in this chunk, whether it has a member there,
+     its partial, and whether that missed. *)
+  let keys = Array.init k (fun _ -> Bytes.create key_bytes) in
+  let members = Array.make k false and missing = Array.make k false in
+  let found = Array.make k zero in
+  for ch = 0 to Array.length prep.chunk_groups - 1 do
+    let groups = prep.chunk_groups.(ch) and memo = prep.partials.(ch) in
+    for c = 0 to k - 1 do
+      Bytes.fill keys.(c) 0 key_bytes '\000';
+      members.(c) <- false
+    done;
+    for t = 0 to Array.length groups - 1 do
+      let c = assign.(groups.(t)) in
+      members.(c) <- true;
+      set_bit keys.(c) t
+    done;
+    let missed = ref false in
+    for c = 0 to k - 1 do
+      missing.(c) <- false;
+      if not members.(c) then found.(c) <- zero
+      else begin
+        incr looked;
+        (* The table keeps no lookup key, so the scratch bytes can be
+           looked up in place. *)
+        match Memo.find_opt memo (Bytes.unsafe_to_string keys.(c)) with
+        | Some partial ->
+          incr reused;
+          found.(c) <- partial
+        | None ->
+          missing.(c) <- true;
+          missed := true
+      end
+    done;
+    if !missed then begin
+      Array.fill pmass 0 k 0.0;
+      Array.fill psums 0 (k * dim) 0.0;
+      let hi = (ch + 1) * chunk_size in
+      for i = ch * chunk_size to (if hi < n then hi else n) - 1 do
+        let c = assign.(gid.(i)) in
+        if missing.(c) then begin
+          let w = weights.(i) in
+          pmass.(c) <- pmass.(c) +. w;
+          (* [c < k] passed [pmass]'s bounds check, and every point is
+             [dim] long. *)
+          let s = c * dim and p = points.(i) in
+          for j = 0 to dim - 1 do
+            Array.unsafe_set psums (s + j)
+              (Array.unsafe_get psums (s + j) +. (w *. Array.unsafe_get p j))
+          done
+        end
+      done;
+      for c = 0 to k - 1 do
+        if missing.(c) then begin
+          let partial = Array.make (dim + 1) pmass.(c) in
+          Array.blit psums (c * dim) partial 0 dim;
+          Memo.add memo (Bytes.to_string keys.(c)) partial;
+          found.(c) <- partial
+        end
+      done
+    end;
+    for c = 0 to k - 1 do
+      let partial = found.(c) and s = sums.(c) in
+      mass.(c) <- mass.(c) +. partial.(dim);
+      for j = 0 to dim - 1 do
+        s.(j) <- s.(j) +. partial.(j)
+      done
+    done
+  done;
+  (sums, mass)
 
 (* Per-point bounds in Euclidean (not squared) distance, where the
    points are the group representatives:
@@ -446,8 +639,13 @@ let seed_and_assign rng prep ~k ~dist ~assign ~upper ~lower =
    is strictly farther than the assigned one, so the reference full scan
    — ties and all — would reproduce the current assignment.  That strict
    comparison is what makes pruned assignments bit-identical to the
-   reference, not merely approximately equal. *)
-let assign_pruned ~centroids ~points ~assignments ~upper ~lower ~evals =
+   reference, not merely approximately equal.  A full scan measures the
+   centroids four per sweep of the point ([distances_to], scratch [ds]).
+   It sums the squares of [c_j -. p_j] where [assign_all] has
+   [p_j -. c_j]: IEEE subtraction is exactly antisymmetric, so every
+   square, and so every distance, has the same bits (a nan's payload
+   aside, and a nan is only ever compared). *)
+let assign_pruned ~centroids ~points ~assignments ~upper ~lower ~ds ~evals =
   let k = Array.length centroids in
   let changed = ref false in
   for i = 0 to Array.length points - 1 do
@@ -460,7 +658,8 @@ let assign_pruned ~centroids ~points ~assignments ~upper ~lower ~evals =
       incr evals;
       upper.(i) <- d_a;
       if not (d_a < lower.(i)) then begin
-        let best, best_d, second_d = nearest_two ~centroids ~k p in
+        distances_to ~points:centroids p ds;
+        let best, best_d, second_d = nearest_two ~k ds in
         evals := !evals + k;
         upper.(i) <- sqrt best_d;
         lower.(i) <- sqrt second_d;
@@ -480,7 +679,11 @@ let run_once_pruned rng ~max_iters ~k prep =
   let assign = Array.make m 0 in
   let upper = Array.make m 0.0 and lower = Array.make m 0.0 in
   let dist = Array.make m 0.0 in
-  let centroids = seed_and_assign rng prep ~k ~dist ~assign ~upper ~lower in
+  let seedings_reused = ref 0 in
+  let centroids =
+    seed_and_assign rng prep ~k ~dist ~assign ~upper ~lower
+      ~reused:seedings_reused
+  in
   let evals = ref (k * m) in
   (* Each group's distance to its centroid, into [dist]. *)
   let own_distances () =
@@ -488,12 +691,6 @@ let run_once_pruned rng ~max_iters ~k prep =
       dist.(g) <- Stats.sq_distance reps.(g) centroids.(assign.(g))
     done;
     evals := !evals + m
-  in
-  let assignments = Array.make n 0 in
-  let expand () =
-    for i = 0 to n - 1 do
-      assignments.(i) <- assign.(gid.(i))
-    done
   in
   let psums, pmass = accumulate_scratch ~k ~points in
   let reseed () =
@@ -508,13 +705,15 @@ let run_once_pruned rng ~max_iters ~k prep =
     done;
     !worst
   in
+  let partials = ref 0 and partials_reused = ref 0 in
+  let ds = Array.make k 0.0 in
   let old = Array.make k [||] in
   let drift = Array.make k 0.0 in
   let recompute_and_loosen () =
     Array.blit centroids 0 old 0 k;
-    expand ();
-    recompute_centroids ~weights ~points ~assignments ~centroids ~psums ~pmass
-      ~reseed;
+    update_centroids ~points ~centroids ~reseed
+      (accumulate_grouped prep ~assign ~psums ~pmass ~looked:partials
+         ~reused:partials_reused);
     evals := !evals + k;
     let max_drift = ref 0.0 in
     for c = 0 to k - 1 do
@@ -531,7 +730,7 @@ let run_once_pruned rng ~max_iters ~k prep =
   in
   let assign_step () =
     assign_pruned ~centroids ~points:reps ~assignments:assign ~upper ~lower
-      ~evals
+      ~ds ~evals
   in
   let iterations = ref 0 in
   if max_iters > 0 then begin
@@ -549,7 +748,10 @@ let run_once_pruned rng ~max_iters ~k prep =
        assignments already match. *)
     if !iterations >= max_iters then ignore (assign_step () : bool)
   end;
-  expand ();
+  let assignments = Array.make n 0 in
+  for i = 0 to n - 1 do
+    assignments.(i) <- assign.(gid.(i))
+  done;
   own_distances ();
   let distortion =
     sum_chunks n (fun lo hi ->
@@ -562,6 +764,10 @@ let run_once_pruned rng ~max_iters ~k prep =
   Metrics.incr m_runs;
   Metrics.incr ~by:!iterations m_iterations;
   Metrics.incr ~by:!evals m_distance_evals;
+  Metrics.incr ~by:!partials m_partials;
+  Metrics.incr ~by:!partials_reused m_partials_reused;
+  Metrics.incr ~by:(k - 1) m_seedings;
+  Metrics.incr ~by:!seedings_reused m_seedings_reused;
   { k; assignments; centroids; distortion; iterations = !iterations }
 
 (* --- drivers ------------------------------------------------------------ *)

@@ -26,9 +26,14 @@
     Hamerly-style triangle-inequality bounds (per-group upper/lower
     distance bounds, invalidated by centroid drift).  Every distance sums
     in ascending dimension order, and every reduction over points (seeding
-    masses, centroid accumulation, the reseed's argmax, distortion) still
-    runs over all n points in one canonical fixed-chunk order, so the
-    result is bit-identical to {!run_reference} — the plain Lloyd
+    masses, centroid accumulation, the reseed's argmax, distortion) runs
+    in one canonical order over fixed 256-point chunks.  Two of them are memoized in the
+    {!prepared} set, because they depend on the points only through
+    group-level state: a chunk's partial of the centroid accumulation,
+    keyed by which of the chunk's groups one cluster holds, and a
+    seeding pick's masses, keyed by the groups chosen as centroids so
+    far.  Each entry is computed in the canonical order, so the result
+    is bit-identical to {!run_reference} — the plain Lloyd
     implementation kept as the semantic reference (the test suite proves
     this on random weighted point sets). *)
 
@@ -44,7 +49,11 @@ type result = {
 type prepared
 (** Points and weights validated and grouped by value, ready for {!run}
     at any k.  Prepare once per point set and share it across every k
-    and restart. *)
+    and restart: it carries the memo of sums that {!run} fills and
+    reuses, so later calls cost less; it grows with the distinct sets
+    the calls meet and goes with the value.  That memo is mutable and
+    unsynchronized, so a [prepared] value must not be shared across
+    domains. *)
 
 val prepare : weights:float array -> points:float array array -> prepared
 (** Validates and groups the points.  All weights must be finite and
@@ -65,7 +74,8 @@ val distinct : prepared -> int
 val run :
   ?seed:int -> ?restarts:int -> ?max_iters:int -> k:int -> prepared -> result
 (** Best-of-[restarts] (default 5) by distortion, with fused seeding and
-    Hamerly-pruned assignment over distinct points.
+    Hamerly-pruned assignment over distinct points, reusing and filling
+    [prep]'s memo of sums.
     @raise Invalid_argument if [k] is outside [\[1, n\]] for [n] points or
     [restarts < 1]. *)
 

@@ -326,6 +326,73 @@ let prop_pruned_matches_reference =
       let weights = Array.init n (fun _ -> 0.5 +. Rng.float rng) in
       matches_reference ~seed ~max_iters ~k ~weights ~points)
 
+(* A result as bytes, so that nan, 0.0 and -0.0 compare by bits. *)
+let bits (r : Kmeans.result) = Marshal.to_string r [ Marshal.No_sharing ]
+
+let reused name = Cbsp_obs.Metrics.(value (counter name))
+
+(* One [prepared] serves a whole sweep of k, seeds and iteration caps, so
+   its memo carries chunk partials and seedings from call to call; every
+   call must still return the reference's result bit for bit.  The 900
+   points lie in runs over four 256-point chunks, the layout in which
+   member sets and chosen sets recur, and the sweep must reuse both. *)
+let test_shared_prepared_matches_reference () =
+  let rng = Rng.create ~seed:77 in
+  let n = 900 in
+  let points = Tutil.layout_points rng ~layout:`Runs ~n ~dims:15 ~values:30 in
+  let weights = Array.init n (fun _ -> 0.5 +. Rng.float rng) in
+  let prep = Kmeans.prepare ~weights ~points in
+  let partials = reused "kmeans.partials_reused"
+  and seedings = reused "kmeans.seedings_reused" in
+  List.iter
+    (fun max_iters ->
+      List.iter
+        (fun seed ->
+          for k = 1 to 10 do
+            let reference =
+              Kmeans.run_reference ~seed ~k ~restarts:5 ~max_iters ~weights
+                ~points ()
+            in
+            Tutil.check_bool
+              (Printf.sprintf "k=%d seed=%d max_iters=%d" k seed max_iters)
+              true
+              (bits (Kmeans.run ~seed ~k ~restarts:5 ~max_iters prep)
+              = bits reference)
+          done)
+        [ 1; 2; 3 ])
+    [ 0; 1; 100 ];
+  Tutil.check_bool "partials reused" true
+    (reused "kmeans.partials_reused" > partials);
+  Tutil.check_bool "seedings reused" true
+    (reused "kmeans.seedings_reused" > seedings)
+
+(* A nan coordinate makes distances nan, and nan distances make the
+   seeding's strict comparisons depend on the order the centroids were
+   chosen in.  Whatever calls came before on the same [prepared], a call
+   returns what it returns on a fresh one. *)
+let test_nan_point_call_order () =
+  let rng = Rng.create ~seed:78 in
+  let n = 700 in
+  let points = Tutil.layout_points rng ~layout:`Runs ~n ~dims:3 ~values:12 in
+  let bad = Array.copy points.(n / 2) in
+  Array.iter
+    (fun p -> if Kmeans.Bits.equal p bad then p.(1) <- nan)
+    points;
+  let weights = Array.init n (fun _ -> 0.5 +. Rng.float rng) in
+  let calls =
+    List.concat_map
+      (fun k -> List.map (fun seed -> (k, seed)) [ 4; 5 ])
+      [ 1; 2; 3; 5; 8; 10 ]
+  in
+  let run prep (k, seed) = bits (Kmeans.run ~seed ~k prep) in
+  let fresh = List.map (fun c -> run (Kmeans.prepare ~weights ~points) c) calls in
+  let shared = Kmeans.prepare ~weights ~points in
+  let forward = List.map (run shared) calls in
+  let shared = Kmeans.prepare ~weights ~points in
+  let backward = List.rev (List.map (run shared) (List.rev calls)) in
+  Tutil.check_bool "forward = fresh" true (forward = fresh);
+  Tutil.check_bool "backward = fresh" true (backward = fresh)
+
 let () =
   Alcotest.run "kmeans"
     [ ( "clustering",
@@ -340,7 +407,10 @@ let () =
           Tutil.quick "edge shapes = reference" test_edge_shapes_match_reference;
           Tutil.quick "signed zeros = reference" test_signed_zeros_match_reference;
           Tutil.quick "fewer distinct than k = reference"
-            test_fewer_distinct_than_k_match_reference ] );
+            test_fewer_distinct_than_k_match_reference;
+          Tutil.quick "shared prepared = reference"
+            test_shared_prepared_matches_reference;
+          Tutil.quick "nan point, any call order" test_nan_point_call_order ] );
       ( "selection",
         [ Tutil.quick "cluster weights" test_cluster_weights;
           Tutil.quick "closest to centroid" test_closest_to_centroid ] );

@@ -257,6 +257,25 @@ let test_fli_fine_passes_match_reference () =
         binaries)
     [ "applu"; "apsi"; "art"; "bzip2"; "fma3d"; "gzip" ]
 
+(* The memoized clustering sweep on the three layouts a pass can have:
+   points in runs (the memo's best case), duplicates drawn i.i.d. (most
+   chunks hold most values) and all-distinct points (member sets rarely
+   recur), over two to four 256-point chunks. *)
+let prop_pick_matches_reference =
+  QCheck.Test.make ~name:"pick_projected = reference pick, any layout"
+    ~count:12
+    QCheck.(pair (int_range 0 2) (int_range 0 100_000))
+    (fun (layout, seed) ->
+      let rng = Rng.create ~seed in
+      let layout = [| `Runs; `Iid; `Distinct |].(layout) in
+      let n = 300 + Rng.int rng ~bound:700 in
+      let values = 5 + Rng.int rng ~bound:50 in
+      let points = Tutil.layout_points rng ~layout ~n ~dims:15 ~values in
+      let weights = Array.init n (fun _ -> 0.5 +. Rng.float rng) in
+      let bits v = Marshal.to_string v [ Marshal.No_sharing ] in
+      bits (Simpoint.pick_projected ~weights ~points ())
+      = bits (reference_pick ~weights ~points))
+
 let () =
   Alcotest.run "simpoint"
     [ ( "pick",
@@ -275,4 +294,5 @@ let () =
           Tutil.quick "binary k search" test_binary_search_agrees ] );
       ( "registry",
         [ Tutil.quick "fli-fine passes = reference pick"
-            test_fli_fine_passes_match_reference ] ) ]
+            test_fli_fine_passes_match_reference ] );
+      ("properties", [ Tutil.qcheck_case prop_pick_matches_reference ]) ]

@@ -26,6 +26,33 @@ let qcheck_case cell =
 
 let test_input = Input.make ~name:"t" ~seed:11 ~scale:1 ()
 
+(* [n] clustering points of [dims] coordinates in [-10, 10), laid out
+   as a pass may hold them.  [`Runs] draws one of [values] distinct
+   points per run of 1-60 points, as a program's loops repeat one
+   interval vector; [`Iid] draws each point from the [values]
+   independently; [`Distinct] gives every point its own value. *)
+let layout_points rng ~layout ~n ~dims ~values =
+  let module Rng = Cbsp_util.Rng in
+  let fresh () = Array.init dims (fun _ -> 20.0 *. (Rng.float rng -. 0.5)) in
+  match layout with
+  | `Distinct -> Array.init n (fun _ -> fresh ())
+  | `Iid ->
+    let base = Array.init values (fun _ -> fresh ()) in
+    Array.init n (fun _ -> Array.copy base.(Rng.int rng ~bound:values))
+  | `Runs ->
+    let base = Array.init values (fun _ -> fresh ()) in
+    let points = Array.make n [||] in
+    let i = ref 0 in
+    while !i < n do
+      let v = base.(Rng.int rng ~bound:values) in
+      let stop = min n (!i + 1 + Rng.int rng ~bound:60) in
+      for j = !i to stop - 1 do
+        points.(j) <- Array.copy v
+      done;
+      i := stop
+    done;
+    points
+
 (* One procedure, one fixed loop of [trips] iterations, one work statement
    of [insts] source instructions with no memory accesses. *)
 let single_loop_program ?(name = "tiny") ?(trips = 10) ?(insts = 50) () =
