@@ -155,6 +155,3 @@ let compile (program : Ast.program) (config : Config.t) =
     layout; symbols; loops = Array.of_list (List.rev st.loops_rev);
     inlined = st.inline_set;
     flat = Binary.flatten ~proc_bodies ~symbols ~main:program.Ast.main ~layout }
-
-let compile_paper_four ?loop_splitting program =
-  List.map (compile program) (Config.paper_four ?loop_splitting ())

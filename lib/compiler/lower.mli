@@ -23,7 +23,3 @@
 val compile : Cbsp_source.Ast.program -> Config.t -> Binary.t
 (** Deterministic: same (program, config) gives a structurally identical
     binary, with identical block and loop numbering. *)
-
-val compile_paper_four :
-  ?loop_splitting:bool -> Cbsp_source.Ast.program -> Binary.t list
-(** The paper's four binaries, in {!Config.paper_four} order. *)

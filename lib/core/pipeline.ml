@@ -236,8 +236,9 @@ let struct_profile eng (program : Cbsp_source.Ast.program) (binary : Binary.t)
         (fun () -> Structprof.profile binary input))
 
 (* Cluster a pass's live intervals from the points its collector
-   already normalized and projected at emission time — the floats
-   [Simpoint.pick] would compute from the BBVs — then spread the result
+   already normalized and projected at emission time — the floats the
+   test suite's materialized reference ([Cbsp_oracle.Simpoint_ref.pick])
+   computes from the BBVs — then spread the result
    over the full interval numbering: empty (trailing) intervals inherit
    the previous live interval's phase, and representatives are
    translated back to interval indices. *)

@@ -131,9 +131,9 @@ let flush t =
 (* Valid as an [Interval.emit]: everything retained is copied or derived
    before the call returns.  Normalizing at emission time and projecting
    chunk-batched performs exactly the operations (in exactly the order,
-   per interval) as [Array.map Stats.normalize] + [Projection.apply_all]
-   over the copied-out BBVs, so the collected points are bit-identical
-   to what clustering over every retained BBV would see. *)
+   per interval) as normalizing and projecting each copied-out BBV into a
+   fresh array, so the collected points are bit-identical to what
+   clustering over every retained BBV would see. *)
 let emit t (iv : Interval.interval) =
   let idx = t.c_stats.k_insts.len in
   columns_push t.c_stats iv;

@@ -13,10 +13,10 @@
 
     Bit-identity: normalization and projection are per-interval pure and
     applied in emission order, so the collected weights and points are
-    bit-identical to materializing all BBVs and running
-    [Array.map Stats.normalize] + {!Projection.apply_all} — the
-    equivalence the pipeline tests check pass by pass on the whole
-    registry. *)
+    bit-identical to materializing all BBVs, normalizing each and
+    projecting the matrix — the test suite's
+    [Cbsp_oracle.Simpoint_ref], against which the pipeline tests check
+    the equivalence pass by pass on the whole registry. *)
 
 type stats = {
   st_insts : int array;
@@ -36,8 +36,7 @@ val chunk_size : int
 
 val create : sp_config:Cbsp_simpoint.Simpoint.config -> n_blocks:int -> unit -> t
 (** A collector that also gathers clustering inputs, projecting with
-    exactly the matrix {!Cbsp_simpoint.Simpoint.pick} would build
-    ({!Cbsp_simpoint.Simpoint.projection_for}). *)
+    {!Cbsp_simpoint.Simpoint.projection_for}'s matrix. *)
 
 val create_stats_only : unit -> t
 (** For passes without BBVs (VLI followers): stats only. *)

@@ -21,7 +21,12 @@
     bit-identical across runs; for two binaries of the same program on the
     same input, the subsequence of *unmangled, non-unrolled* marker events
     is identical — the semantic-equivalence invariant the cross-binary
-    technique relies on (and which the test suite checks). *)
+    technique relies on (and which the test suite checks).
+
+    The test suite's [Cbsp_oracle.Executor_ref] keeps the tree-walking
+    interpreter this module was first written as; {!run} must emit its
+    event stream and totals bit for bit, on the registry and on random
+    programs. *)
 
 type observer = {
   on_block : int -> int -> unit;
@@ -60,9 +65,6 @@ val compose : observer list -> observer
     that is physically {!null_observer}'s is dropped rather than called,
     so the other observers receive that event directly. *)
 
-val counting_observer : unit -> observer * (unit -> int)
-(** An observer that only counts instructions, and its reader. *)
-
 val run :
   ?runs:runs -> Cbsp_compiler.Binary.t -> Cbsp_source.Input.t -> observer ->
   totals
@@ -70,7 +72,7 @@ val run :
     ({!Cbsp_compiler.Binary.flat}): contiguous statement arrays, access
     patterns pre-decoded so the per-element inner loops carry no match or
     closure dispatch, pre-allocated marker keys, and dense line-counter
-    slots in place of the reference interpreter's hashtable.
+    slots in place of a hashtable.
 
     With [runs] whose [access] is physically the observer's [on_access],
     a sequential site whose step (stride times element size) is below
@@ -91,12 +93,3 @@ val run :
     and identical block and marker events, but the address streams —
     observable only through [on_access] — are never generated. *)
 
-val run_tree : Cbsp_compiler.Binary.t -> Cbsp_source.Input.t -> observer -> totals
-(** The tree-walking reference interpreter (the executor as originally
-    written).  [run] and [run_tree] emit bit-identical event streams and
-    totals for every (binary, input, observer); the test suite checks
-    this on random programs.  Kept for equivalence testing and as
-    executable documentation of the semantics.
-    @raise Not_found if an [MCall] targets a procedure missing from the
-    binary (cannot happen for binaries built by
-    {!Cbsp_compiler.Lower.compile} on validated programs). *)

@@ -245,6 +245,3 @@ let member key = function
   | _ -> None
 
 let to_num = function Num f -> Some f | _ -> None
-
-let str_member key v ~default =
-  match member key v with Some (Str s) -> s | _ -> default

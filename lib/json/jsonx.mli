@@ -26,5 +26,3 @@ val member : string -> t -> t option
 (** Field of an [Obj]; [None] on absent field or non-object. *)
 
 val to_num : t -> float option
-
-val str_member : string -> t -> default:string -> string

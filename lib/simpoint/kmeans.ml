@@ -51,65 +51,23 @@ let check_k ~fn ~k ~n =
 
 (* Point-order sums run over fixed chunks: the chunk grid depends only on
    n, and partial results are folded in ascending chunk order.  That is
-   the one canonical floating-point summation order both the production
-   path and the reference use, so their centroids and distortion are
-   bit-identical. *)
+   the one canonical floating-point summation order, so the centroids and
+   distortion do not depend on how the points group. *)
 let chunk_size = 256
-
-let iter_chunks n f =
-  let lo = ref 0 in
-  while !lo < n do
-    let hi = min n (!lo + chunk_size) in
-    f !lo hi;
-    lo := hi
-  done
 
 (* [f lo hi] is one chunk's partial sum; partials fold in chunk order. *)
 let sum_chunks n f =
-  let total = ref 0.0 in
-  iter_chunks n (fun lo hi -> total := !total +. f lo hi);
+  let total = ref 0.0 and lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + chunk_size) in
+    total := !total +. f !lo hi;
+    lo := hi
+  done;
   !total
 
-(* Weighted k-means++: first centre weight-proportional, subsequent centres
-   proportional to weight * D²(point, nearest chosen centre).  One scratch
-   [masses] buffer is reused across centres (the per-centre [Array.init]
-   made seeding O(n·k) in allocation). *)
-let seed_plus_plus rng ~k ~weights ~points =
-  let n = Array.length points in
-  let centroids = Array.make k [||] in
-  let d2 = Array.make n infinity in
-  let masses = Array.make n 0.0 in
-  let pick_weighted masses =
-    let total = Stats.sum masses in
-    if total <= 0.0 then Rng.int rng ~bound:n
-    else begin
-      let target = Rng.float rng *. total in
-      let rec scan i acc =
-        if i >= n - 1 then n - 1
-        else begin
-          let acc = acc +. masses.(i) in
-          if acc > target then i else scan (i + 1) acc
-        end
-      in
-      scan 0 0.0
-    end
-  in
-  let first = pick_weighted weights in
-  centroids.(0) <- Array.copy points.(first);
-  for c = 1 to k - 1 do
-    for i = 0 to n - 1 do
-      let d = Stats.sq_distance points.(i) centroids.(c - 1) in
-      if d < d2.(i) then d2.(i) <- d;
-      masses.(i) <- weights.(i) *. d2.(i)
-    done;
-    let next = pick_weighted masses in
-    centroids.(c) <- Array.copy points.(next)
-  done;
-  centroids
-
 (* Nearest and second-nearest centroid of one point, given its squared
-   distances [ds] to the k centroids, with the reference tie-break
-   (strict improvement, so the lowest index wins ties). *)
+   distances [ds] to the k centroids (strict improvement, so the lowest
+   index wins ties). *)
 let nearest_two ~k ds =
   let best = ref 0 and best_d = ref ds.(0) and second_d = ref infinity in
   for c = 1 to k - 1 do
@@ -123,63 +81,11 @@ let nearest_two ~k ds =
   done;
   (!best, !best_d, !second_d)
 
-let assign_all ~centroids ~points ~assignments =
-  let k = Array.length centroids in
-  let ds = Array.make k 0.0 in
-  let changed = ref false in
-  Array.iteri
-    (fun i p ->
-      for c = 0 to k - 1 do
-        ds.(c) <- Stats.sq_distance p centroids.(c)
-      done;
-      let best, _, _ = nearest_two ~k ds in
-      if assignments.(i) <> best then begin
-        assignments.(i) <- best;
-        changed := true
-      end)
-    points;
-  !changed
-
 (* --- centroid update (canonical chunked order) -------------------------- *)
-
-(* Per-cluster weighted coordinate sums and masses.  [psums] (k rows of
-   dim, flat) and [pmass] are the caller's per-chunk scratch, zeroed here
-   at every chunk. *)
-let accumulate ~weights ~points ~assignments ~psums ~pmass =
-  let k = Array.length pmass in
-  let dim = Array.length points.(0) in
-  let sums = Array.init k (fun _ -> Array.make dim 0.0) in
-  let mass = Array.make k 0.0 in
-  iter_chunks (Array.length points) (fun lo hi ->
-      Array.fill pmass 0 k 0.0;
-      Array.fill psums 0 (k * dim) 0.0;
-      for i = lo to hi - 1 do
-        let c = assignments.(i) in
-        let w = weights.(i) in
-        pmass.(c) <- pmass.(c) +. w;
-        (* [c < k] passed [pmass]'s bounds check, and every point is
-           [dim] long. *)
-        let s = c * dim and p = points.(i) in
-        for j = 0 to dim - 1 do
-          Array.unsafe_set psums (s + j)
-            (Array.unsafe_get psums (s + j) +. (w *. Array.unsafe_get p j))
-        done
-      done;
-      for c = 0 to k - 1 do
-        mass.(c) <- mass.(c) +. pmass.(c);
-        let s = sums.(c) in
-        for j = 0 to dim - 1 do
-          s.(j) <- s.(j) +. psums.((c * dim) + j)
-        done
-      done);
-  (sums, mass)
-
-let accumulate_scratch ~k ~points =
-  (Array.make (k * Array.length points.(0)) 0.0, Array.make k 0.0)
 
 (* Empty clusters are reseeded on [reseed ()], the point with the
    largest weighted distance to its current centroid.  It reads the
-   centroids mid-update, so the [for c] order is part of the reference
+   centroids mid-update, so the ascending [for c] order is part of the
    semantics. *)
 let update_centroids ~points ~centroids ~reseed (sums, mass) =
   let k = Array.length centroids in
@@ -194,52 +100,7 @@ let update_centroids ~points ~centroids ~reseed (sums, mass) =
     end
   done
 
-(* --- reference Lloyd ---------------------------------------------------- *)
-
-let farthest_reference ~weights ~points ~assignments ~centroids () =
-  let worst = ref 0 and worst_d = ref neg_infinity in
-  Array.iteri
-    (fun i p ->
-      let d = weights.(i) *. Stats.sq_distance p centroids.(assignments.(i)) in
-      if d > !worst_d then begin
-        worst_d := d;
-        worst := i
-      end)
-    points;
-  !worst
-
-let total_distortion ~weights ~points ~assignments ~centroids =
-  sum_chunks (Array.length points) (fun lo hi ->
-      let acc = ref 0.0 in
-      for i = lo to hi - 1 do
-        let c = centroids.(assignments.(i)) in
-        acc := !acc +. (weights.(i) *. Stats.sq_distance points.(i) c)
-      done;
-      !acc)
-
-let run_once_reference rng ~max_iters ~k ~weights ~points =
-  let n = Array.length points in
-  let centroids = seed_plus_plus rng ~k ~weights ~points in
-  let assignments = Array.make n (-1) in
-  let psums, pmass = accumulate_scratch ~k ~points in
-  let reseed = farthest_reference ~weights ~points ~assignments ~centroids in
-  let iterations = ref 0 in
-  let continue = ref true in
-  while !continue && !iterations < max_iters do
-    let changed = assign_all ~centroids ~points ~assignments in
-    if changed then begin
-      update_centroids ~points ~centroids ~reseed
-        (accumulate ~weights ~points ~assignments ~psums ~pmass);
-      incr iterations
-    end
-    else continue := false
-  done;
-  (* Ensure assignments reflect the final centroids. *)
-  let (_ : bool) = assign_all ~centroids ~points ~assignments in
-  let distortion = total_distortion ~weights ~points ~assignments ~centroids in
-  { k; assignments; centroids; distortion; iterations = !iterations }
-
-(* --- production: grouped, fused seeding, blocked, Hamerly-pruned ------- *)
+(* --- grouped, fused seeding, blocked, Hamerly-pruned -------------------- *)
 
 (* The memos' keys are bitsets over groups, as strings. *)
 module Memo = Hashtbl.Make (String)
@@ -256,7 +117,7 @@ type masses = { total : float; ends : float array }
    distances from any centroid, so every distance is computed once per
    group.  Every sum over points below depends on the points only
    through group-level state, so [prepared] memoizes two of them for
-   every k and restart run on it, each entry computed in the reference's
+   every k and restart run on it, each entry computed in the canonical
    order: chunk partials of the centroid accumulation, keyed by the
    chunk's member set of one cluster, and the seeding masses, keyed by
    the centroids chosen so far. *)
@@ -425,9 +286,12 @@ let distances_to ~points c out =
     out.(t) <- Stats.sq_distance points.(t) c
   done
 
-(* [seed_plus_plus]'s weighted pick over the masses
-   [weights.(i) *. d2.(gid.(i))], from their summary: the scan stops at
-   the first index <= n-2 whose running sum exceeds the target.  Masses
+(* The weighted k-means++ pick over the masses
+   [weights.(i) *. d2.(gid.(i))], from their summary.  By definition the
+   pick draws uniformly if the Kahan total is <= 0, and otherwise scans
+   the plain running sum from index 0 and stops at the first index
+   <= n-2 whose sum exceeds the target [Rng.float rng *. total], n-1 if
+   none does.  Masses
    are >= 0, so the running sums never decrease, and that index lies in
    the first chunk whose end sum exceeds the target.  A binary search
    over the chunk ends finds that chunk, and re-adding its masses from
@@ -470,19 +334,19 @@ let pick rng { total; ends } ~weights ~gid ~d2 =
    not the pick: that point is at distance inf or nan from every
    centroid, so its mass is inf or nan, the Kahan total is inf or nan,
    and no running sum exceeds the target, whichever summary is used.
-   Every pick after the first is then n-1, as in the reference. *)
+   Every pick after the first is then n-1, as the plain scan gives. *)
 let seeding_key ~m chosen =
   let bits = Bytes.make ((m + 7) / 8) '\000' in
   List.iter (set_bit bits) chosen;
   Bytes.unsafe_to_string bits
 
 (* Weighted k-means++ seeding fused with the first full assignment, per
-   group.  Seeding measures every group against centroids 0..k-2 in the
-   reference's order; each group keeps its nearest and second-nearest of
+   group.  Seeding measures every group against centroids 0..k-2 in
+   pick order; each group keeps its nearest and second-nearest of
    them with [nearest_two]'s strict comparisons, so the first assignment
    only measures centroid k-1.  While seeding, [upper] holds the
    squared distance to the nearest centroid so far, which is
-   [seed_plus_plus]'s D² (finite points give no nan distance, the one
+   k-means++'s D² (finite points give no nan distance, the one
    case where the two comparisons differ).  Each pick's masses are
    summarized once per chosen-centroid key of [prep] and [reused] counts
    the picks whose summary was already there.  On return [assign] holds
@@ -538,16 +402,16 @@ let seed_and_assign rng prep ~k ~dist ~assign ~upper ~lower ~reused =
   done;
   centroids
 
-(* One Lloyd accumulation over the groups' assignments [assign], folded
-   as [accumulate] folds it: per chunk, per cluster, the partial sums of
+(* One Lloyd accumulation over the groups' assignments [assign], in the
+   canonical order: per chunk, per cluster, the partial sums of
    that cluster's members in point order, then the partials in chunk
    order.  A cluster's partial in a chunk depends only on which of the
    chunk's groups it holds, so it is memoized per chunk under that
    member set: a bitset over [chunk_groups], padded to [key_bytes] so
    that one scratch key per cluster serves every chunk.  On a miss, one
    pass over the chunk sums the members of every cluster that missed,
-   exactly as [accumulate]'s chunk loop does.  A cluster with no member
-   in the chunk folds the zero partial, as [accumulate] does.  Returns
+   in point order.  A cluster with no member in the chunk folds the zero
+   partial, as a plain chunked sum over all points does.  Returns
    the sums and masses, and adds the partials looked up and the ones
    found to [looked]/[reused]. *)
 let accumulate_grouped prep ~assign ~psums ~pmass ~looked ~reused =
@@ -636,13 +500,13 @@ let accumulate_grouped prep ~assign ~psums ~pmass ~looked ~reused =
    After a full scan both are exact; a centroid move of [drift.(c)]
    loosens them by at most that much (triangle inequality).  A point is
    skipped only when [upper < lower] STRICTLY: then every rival centroid
-   is strictly farther than the assigned one, so the reference full scan
-   — ties and all — would reproduce the current assignment.  That strict
-   comparison is what makes pruned assignments bit-identical to the
-   reference, not merely approximately equal.  A full scan measures the
+   is strictly farther than the assigned one, so a full [nearest_two]
+   scan — ties and all — would reproduce the current assignment.  That
+   strict comparison is what makes pruned assignments bit-identical to
+   plain Lloyd's, not merely approximately equal.  A full scan measures the
    centroids four per sweep of the point ([distances_to], scratch [ds]).
-   It sums the squares of [c_j -. p_j] where [assign_all] has
-   [p_j -. c_j]: IEEE subtraction is exactly antisymmetric, so every
+   It sums the squares of [c_j -. p_j] where [Stats.sq_distance p c]
+   has [p_j -. c_j]: IEEE subtraction is exactly antisymmetric, so every
    square, and so every distance, has the same bits (a nan's payload
    aside, and a nan is only ever compared). *)
 let assign_pruned ~centroids ~points ~assignments ~upper ~lower ~ds ~evals =
@@ -692,7 +556,10 @@ let run_once_pruned rng ~max_iters ~k prep =
     done;
     evals := !evals + m
   in
-  let psums, pmass = accumulate_scratch ~k ~points in
+  (* A Lloyd accumulation's per-chunk scratch: k rows of dim, flat, and
+     the masses. *)
+  let psums = Array.make (k * Array.length points.(0)) 0.0 in
+  let pmass = Array.make k 0.0 in
   let reseed () =
     own_distances ();
     let worst = ref 0 and worst_d = ref neg_infinity in
@@ -734,8 +601,8 @@ let run_once_pruned rng ~max_iters ~k prep =
   in
   let iterations = ref 0 in
   if max_iters > 0 then begin
-    (* The first assignment moved every point off the reference's -1
-       start, so it counts as a change. *)
+    (* The first assignment moved every point off plain Lloyd's
+       unassigned start, so it counts as a change. *)
     recompute_and_loosen ();
     iterations := 1;
     while !iterations < max_iters && assign_step () do
@@ -785,13 +652,6 @@ let best_of ~seed ~restarts run_once =
 let run ?(seed = 493) ?(restarts = 5) ?(max_iters = 100) ~k prep =
   check_k ~fn:"Kmeans.run" ~k ~n:(Array.length prep.gid);
   best_of ~seed ~restarts (fun rng -> run_once_pruned rng ~max_iters ~k prep)
-
-let run_reference ?(seed = 493) ?(restarts = 5) ?(max_iters = 100) ~k ~weights
-    ~points () =
-  check_points ~fn:"Kmeans.run_reference" ~weights ~points;
-  check_k ~fn:"Kmeans.run_reference" ~k ~n:(Array.length points);
-  best_of ~seed ~restarts (fun rng ->
-      run_once_reference rng ~max_iters ~k ~weights ~points)
 
 let cluster_weights result ~weights =
   let totals = Array.make result.k 0.0 in

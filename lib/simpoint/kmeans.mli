@@ -33,9 +33,11 @@
     keyed by which of the chunk's groups one cluster holds, and a
     seeding pick's masses, keyed by the groups chosen as centroids so
     far.  Each entry is computed in the canonical order, so the result
-    is bit-identical to {!run_reference} — the plain Lloyd
-    implementation kept as the semantic reference (the test suite proves
-    this on random weighted point sets). *)
+    is bit-identical to plain sequential Lloyd over full distance scans
+    with the same seeding.  That plain implementation is the test
+    suite's [Cbsp_oracle.Kmeans_ref], which shares none of this module's
+    helpers; the suite checks the two agree on random weighted point
+    sets. *)
 
 type result = {
   k : int;
@@ -78,20 +80,6 @@ val run :
     [prep]'s memo of sums.
     @raise Invalid_argument if [k] is outside [\[1, n\]] for [n] points or
     [restarts < 1]. *)
-
-val run_reference :
-  ?seed:int ->
-  ?restarts:int ->
-  ?max_iters:int ->
-  k:int ->
-  weights:float array ->
-  points:float array array ->
-  unit ->
-  result
-(** Plain sequential Lloyd over full distance scans — the reference
-    {!run} is tested against.  Same seeding, same canonical reduction
-    order, no grouping, no fusion, no blocking, no pruning.  Validates
-    like {!prepare}. *)
 
 val distances_to : points:float array array -> float array -> float array -> unit
 (** [distances_to ~points c out] sets [out.(i)] to

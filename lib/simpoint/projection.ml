@@ -137,23 +137,3 @@ let project_into t v out =
     invalid_arg "Projection.project_into: output buffer length mismatch";
   Array.fill out 0 t.out_dim 0.0;
   apply_to_zeroed t v out
-
-let apply t v =
-  if Array.length v <> t.in_dim then
-    invalid_arg "Projection.apply: dimension mismatch";
-  let out = Array.make t.out_dim 0.0 in
-  apply_to_zeroed t v out;
-  out
-
-let apply_all t vs =
-  Array.iter
-    (fun v ->
-      if Array.length v <> t.in_dim then
-        invalid_arg "Projection.apply: dimension mismatch")
-    vs;
-  Array.map
-    (fun v ->
-      let out = Array.make t.out_dim 0.0 in
-      apply_to_zeroed t v out;
-      out)
-    vs

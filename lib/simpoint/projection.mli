@@ -21,16 +21,10 @@ val create : seed:int -> in_dim:int -> out_dim:int -> t
 val in_dim : t -> int
 val out_dim : t -> int
 
-val apply : t -> float array -> float array
-(** @raise Invalid_argument if the vector's length is not [in_dim]. *)
-
 val project_into : t -> float array -> float array -> unit
 (** [project_into t v out] projects [v] into the caller-provided buffer
-    [out] (overwritten), avoiding the per-call allocation of {!apply} —
-    the streaming collector's hot loop.
+    [out] (overwritten): [out.(i)] sums [v.(j) *. m(j, i)] over the
+    nonzero [v.(j)] in ascending [j].  No allocation: the streaming
+    collector's hot loop.
     @raise Invalid_argument if [v] is not [in_dim] long or [out] is not
     [out_dim] long. *)
-
-val apply_all : t -> float array array -> float array array
-(** Project every row into a freshly allocated output matrix.
-    @raise Invalid_argument if a row is not [in_dim] long. *)

@@ -55,12 +55,12 @@ let early_reps (result : Kmeans.result) ~points ~tolerance =
 
 let pick_projected ?(config = default_config) ~weights ~points () =
   let n = Array.length points in
-  if n = 0 then invalid_arg "Simpoint.pick: no intervals";
-  if Array.length weights <> n then invalid_arg "Simpoint.pick: weights mismatch";
+  if n = 0 then invalid_arg "Simpoint.pick_projected: no intervals";
+  if Array.length weights <> n then invalid_arg "Simpoint.pick_projected: weights mismatch";
   Array.iter
     (fun w ->
-      if not (Float.is_finite w) then invalid_arg "Simpoint.pick: non-finite weight";
-      if w <= 0.0 then invalid_arg "Simpoint.pick: non-positive weight")
+      if not (Float.is_finite w) then invalid_arg "Simpoint.pick_projected: non-finite weight";
+      if w <= 0.0 then invalid_arg "Simpoint.pick_projected: non-positive weight")
     weights;
   let max_k = min config.max_k n in
   let prepared = Kmeans.prepare ~weights ~points in
@@ -135,22 +135,8 @@ let pick_projected ?(config = default_config) ~weights ~points () =
   in
   { k = Array.length points_arr; phase_of; points = points_arr; bic_scores }
 
-(* The projection a streaming collector must reproduce to feed
-   [pick_projected] points bit-identical to what [pick] would compute. *)
+(* The projection a streaming collector applies to each normalized BBV
+   to feed [pick_projected]. *)
 let projection_for ?(config = default_config) ~in_dim () =
   Projection.create ~seed:config.seed ~in_dim
     ~out_dim:(min config.dims in_dim)
-
-let pick ?(config = default_config) ~weights ~bbvs () =
-  let n = Array.length bbvs in
-  if n = 0 then invalid_arg "Simpoint.pick: no intervals";
-  if Array.length weights <> n then invalid_arg "Simpoint.pick: weights mismatch";
-  let normalized = Array.map Stats.normalize bbvs in
-  let projection = projection_for ~config ~in_dim:(Array.length bbvs.(0)) () in
-  let points = Projection.apply_all projection normalized in
-  pick_projected ~config ~weights ~points ()
-
-let estimate t ~metric_of_rep =
-  let acc = ref 0.0 in
-  Array.iter (fun p -> acc := !acc +. (p.weight *. metric_of_rep p.rep)) t.points;
-  !acc

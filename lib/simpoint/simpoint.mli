@@ -55,29 +55,22 @@ type t = {
                                         {!Binary_search}). *)
 }
 
-val pick :
-  ?config:config -> weights:float array -> bbvs:float array array -> unit -> t
-(** [weights.(i)] is interval [i]'s instruction count (uniform for FLI);
-    [bbvs.(i)] its basic block vector.  All weights must be finite and
-    > 0 and every
-    BBV must have a positive sum (callers exclude empty intervals).
-    @raise Invalid_argument otherwise. *)
-
 val pick_projected :
   ?config:config -> weights:float array -> points:float array array -> unit -> t
-(** Everything {!pick} does after projection: BIC-searched clustering
-    over already-projected points.  The streaming profile path projects
-    each interval as it is emitted (via {!projection_for} and
-    {!Projection.project_into}) and feeds the retained points here —
-    because normalization and projection are per-interval pure, the
-    result is bit-identical to materializing the BBVs and calling
-    {!pick}.  @raise Invalid_argument as {!pick}. *)
+(** Steps 3-5 over already-projected points: BIC-searched clustering, then
+    one representative per phase.  [weights.(i)] is interval [i]'s
+    instruction count (uniform for FLI); [points.(i)] its normalized,
+    projected BBV.  The streaming profile path
+    ([Cbsp.Streamprof]) normalizes each interval's BBV with
+    {!Cbsp_util.Stats.normalize_into}, projects it with
+    {!projection_for} and {!Projection.project_into} as it is emitted,
+    and feeds the retained points here.  Both steps are per-interval
+    pure, so the result is bit-identical to materializing every BBV
+    first; the test suite's [Cbsp_oracle.Simpoint_ref.pick] is that
+    materialized pipeline, and the suite checks the two agree.
+    @raise Invalid_argument if there are no points, the lengths differ,
+    or a weight is not finite and > 0. *)
 
 val projection_for : ?config:config -> in_dim:int -> unit -> Projection.t
-(** The exact projection {!pick} would build for [in_dim]-long BBVs
-    (seeded from [config.seed], output dimension [min config.dims
-    in_dim]) — what a streaming collector must apply to match it. *)
-
-val estimate : t -> metric_of_rep:(int -> float) -> float
-(** The SimPoint extrapolation (step 6): the weighted average of a metric
-    measured on each representative interval, e.g. CPI. *)
+(** The projection for [in_dim]-long BBVs: seeded from [config.seed],
+    output dimension [min config.dims in_dim]. *)

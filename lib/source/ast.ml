@@ -56,11 +56,6 @@ type program = {
 let find_proc program name =
   List.find (fun p -> p.proc_name = name) program.procs
 
-let find_array program id =
-  if id < 0 || id >= Array.length program.arrays then
-    invalid_arg (Printf.sprintf "Ast.find_array: bad array id %d" id);
-  program.arrays.(id)
-
 let elem_bytes decl ~pointer_bytes =
   match decl.arr_kind with
   | Data { elem_bytes } -> elem_bytes

@@ -101,9 +101,6 @@ type program = {
 val find_proc : program -> string -> proc
 (** @raise Not_found if no procedure has that name. *)
 
-val find_array : program -> int -> array_decl
-(** @raise Invalid_argument if the id is out of range. *)
-
 val elem_bytes : array_decl -> pointer_bytes:int -> int
 (** Element size given the ISA's pointer width. *)
 

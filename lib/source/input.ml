@@ -4,8 +4,6 @@ let make ?(name = "custom") ?(seed = 42) ~scale () = { name; scale; seed }
 
 let ref_input = { name = "ref"; scale = 10; seed = 42 }
 
-let test_input = { name = "test"; scale = 1; seed = 7 }
-
 let eval_trips trips input ~line ~entry_index =
   match (trips : Ast.trips) with
   | Fixed n -> max 0 n

@@ -12,9 +12,6 @@ type t = {
 val ref_input : t
 (** The default "reference" input used by the experiments. *)
 
-val test_input : t
-(** A small input for quick runs and unit tests. *)
-
 val make : ?name:string -> ?seed:int -> scale:int -> unit -> t
 
 val eval_trips : Ast.trips -> t -> line:int -> entry_index:int -> int

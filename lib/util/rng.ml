@@ -49,15 +49,6 @@ let gaussian t =
   let u2 = float t in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
-let shuffle t arr =
-  let n = Array.length arr in
-  for i = n - 1 downto 1 do
-    let j = int t ~bound:(i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
 let hash2 a b =
   let h = mix64 (Int64.logxor (mix64 (Int64.of_int a)) (Int64.of_int b)) in
   Int64.to_int (Int64.shift_right_logical h 2)

@@ -42,9 +42,6 @@ val bool : t -> bool
 val gaussian : t -> float
 (** Standard normal deviate (Box-Muller). *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
 val hash2 : int -> int -> int
 (** [hash2 a b] is a stateless 62-bit non-negative mix of two integers;
     used for per-site deterministic jitter where carrying generator state

@@ -14,17 +14,6 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then 0.0 else sum xs /. float_of_int n
 
-let weighted_mean ~weights xs =
-  let n = Array.length xs in
-  if Array.length weights <> n then invalid_arg "Stats.weighted_mean: length mismatch";
-  let wsum = sum weights in
-  if wsum = 0.0 then invalid_arg "Stats.weighted_mean: zero total weight";
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. (weights.(i) *. xs.(i))
-  done;
-  !acc /. wsum
-
 let variance xs =
   let n = Array.length xs in
   if n < 2 then 0.0
@@ -160,16 +149,6 @@ let confidence_interval ?(level = 0.95) xs =
   in
   (m -. half, m +. half)
 
-let geomean xs =
-  if Array.length xs = 0 then invalid_arg "Stats.geomean: empty";
-  let acc = ref 0.0 in
-  Array.iter
-    (fun x ->
-      if x <= 0.0 then invalid_arg "Stats.geomean: non-positive value";
-      acc := !acc +. log x)
-    xs;
-  exp (!acc /. float_of_int (Array.length xs))
-
 (* nans sort after every finite value (the polymorphic [compare] puts
    them first, silently shifting every quantile of a poisoned array), so
    low percentiles of a partially-poisoned array still read the finite
@@ -220,15 +199,8 @@ let signed_relative_error ~truth ~estimate =
   if truth = 0.0 then invalid_arg "Stats.signed_relative_error: zero truth";
   (estimate -. truth) /. truth
 
-let normalize xs =
-  let total = sum xs in
-  if total = 0.0 then invalid_arg "Stats.normalize: zero sum";
-  Array.map (fun x -> x /. total) xs
-
-(* Same per-element result in the same (ascending) order as [normalize],
-   so the filled buffer is bit-identical to a fresh [normalize] result —
-   the streaming profile path relies on that equivalence.  Zeros are
-   stored without dividing: [0.0 /. total] is exactly [+0.0] for any
+(* [out.(i) <- xs.(i) /. sum xs] in ascending order.  Zeros are stored
+   without dividing: [0.0 /. total] is exactly [+0.0] for any
    positive finite [total], and BBVs are two-thirds zeros, so skipping
    those fdivs is a real win in the per-interval hot path. *)
 let normalize_into xs out =
@@ -236,7 +208,7 @@ let normalize_into xs out =
   if Array.length out <> n then
     invalid_arg "Stats.normalize_into: length mismatch";
   let total = sum xs in
-  if total = 0.0 then invalid_arg "Stats.normalize: zero sum";
+  if total = 0.0 then invalid_arg "Stats.normalize_into: zero sum";
   for i = 0 to n - 1 do
     let x = Array.unsafe_get xs i in
     Array.unsafe_set out i (if x = 0.0 then 0.0 else x /. total)

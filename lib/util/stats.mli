@@ -5,10 +5,6 @@
 val mean : float array -> float
 (** Arithmetic mean; 0 for the empty array. *)
 
-val weighted_mean : weights:float array -> float array -> float
-(** [weighted_mean ~weights xs] is [sum w_i x_i / sum w_i].
-    @raise Invalid_argument on length mismatch or zero total weight. *)
-
 val variance : float array -> float
 (** Population variance; 0 for arrays of length < 2. *)
 
@@ -30,10 +26,6 @@ val confidence_interval : ?level:float -> float array -> float * float
 (** [(lo, hi)] of the Student-t confidence interval for the mean of the
     samples: [mean -/+ t * sqrt (sample_variance / n)].  [level] defaults
     to 0.95.  @raise Invalid_argument for fewer than two samples. *)
-
-val geomean : float array -> float
-(** Geometric mean of strictly-positive values.
-    @raise Invalid_argument if any value is <= 0. *)
 
 val median : float array -> float
 (** [percentile ~p:50.0] (does not modify the input); nan for the empty
@@ -63,13 +55,11 @@ val signed_relative_error : truth:float -> estimate:float -> float
 val sum : float array -> float
 (** Numerically-stable (Kahan) sum. *)
 
-val normalize : float array -> float array
-(** Scale so elements sum to 1.  @raise Invalid_argument if the sum is 0. *)
-
 val normalize_into : float array -> float array -> unit
 (** [normalize_into xs out] fills the caller-provided buffer [out] with
-    the normalized [xs], avoiding the per-call allocation of {!normalize};
-    the result is bit-identical to [normalize xs].
+    [xs] scaled to sum to 1: [out.(i)] is [xs.(i) /. sum xs], divided in
+    ascending order (a zero is stored as [+0.0] undivided, the same
+    bits for a positive finite sum).
     @raise Invalid_argument on length mismatch or zero sum. *)
 
 val sq_distance : float array -> float array -> float

@@ -1,5 +1,6 @@
 module Cache = Cbsp_cache.Cache
 module Hierarchy = Cbsp_cache.Hierarchy
+module Cache_ref = Cbsp_oracle.Cache_ref
 
 let small () = Cache.create ~capacity_bytes:1024 ~associativity:2 ~line_bytes:64
 (* 1024 / (2*64) = 8 sets *)

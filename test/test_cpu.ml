@@ -4,6 +4,7 @@ module Config = Cbsp_compiler.Config
 module Isa = Cbsp_compiler.Isa
 module Lower = Cbsp_compiler.Lower
 module Executor = Cbsp_exec.Executor
+module Cache_ref = Cbsp_oracle.Cache_ref
 
 let test_base_cpi_is_one () =
   (* a program with no memory accesses runs at exactly CPI 1.0 *)

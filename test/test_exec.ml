@@ -7,6 +7,7 @@ module Lower = Cbsp_compiler.Lower
 module Binary = Cbsp_compiler.Binary
 module Marker = Cbsp_compiler.Marker
 module Executor = Cbsp_exec.Executor
+module Executor_ref = Cbsp_oracle.Executor_ref
 
 let input = Tutil.test_input
 
@@ -272,7 +273,7 @@ let check_flat_matches_tree program ~loop_splitting =
   List.iteri
     (fun i binary ->
       let t_flat, e_flat = event_stream Executor.run binary in
-      let t_tree, e_tree = event_stream Executor.run_tree binary in
+      let t_tree, e_tree = event_stream Executor_ref.run_tree binary in
       let tag msg = Printf.sprintf "binary %d: %s" i msg in
       Tutil.check_bool (tag "stream nonempty") true (e_flat <> []);
       Tutil.check_bool (tag "event streams identical") true (e_flat = e_tree);
@@ -341,14 +342,14 @@ let test_hot_window_exceeds_length () =
       in
       List.iter
         (fun run_fn -> ignore (run_fn binary input obs))
-        [ Executor.run; Executor.run_tree ];
+        [ Executor.run; Executor_ref.run_tree ];
       Tutil.check_bool "hot/seq accesses observed" true (!seen > 0))
     (Tutil.compile_all program)
 
 let test_counting_observer () =
   let program = Tutil.single_loop_program () in
   let binary = Lower.compile program (Config.v Isa.X86_32 Config.O0) in
-  let obs, read = Executor.counting_observer () in
+  let obs, read = Executor_ref.counting_observer () in
   let totals = run binary obs in
   Tutil.check_int "counting observer matches totals" totals.Executor.insts (read ())
 
@@ -402,7 +403,7 @@ let seq_program () =
    are those of a run without runs. *)
 let test_runs_guard () =
   let binary = Lower.compile (seq_program ()) (Config.v Isa.X86_32 Config.O0) in
-  let _, expected = event_stream Executor.run_tree binary in
+  let _, expected = event_stream Executor_ref.run_tree binary in
   let log = ref [] in
   let with_logger = cpu_counters ~runs:true binary [ logger log 0 ] in
   Tutil.check_bool "per-element stream" true (List.rev_map snd !log = expected);

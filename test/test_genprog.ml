@@ -21,6 +21,8 @@ module Binary = Cbsp_compiler.Binary
 module Executor = Cbsp_exec.Executor
 module Interval = Cbsp_profile.Interval
 module Structprof = Cbsp_profile.Structprof
+module Executor_ref = Cbsp_oracle.Executor_ref
+module Interval_ref = Cbsp_oracle.Interval_ref
 module Gen = QCheck.Gen
 
 let input = Tutil.test_input
@@ -242,7 +244,7 @@ let prop_flat_matches_tree =
       let program = build_program plan in
       List.for_all
         (fun binary ->
-          event_hash Executor.run binary = event_hash Executor.run_tree binary)
+          event_hash Executor.run binary = event_hash Executor_ref.run_tree binary)
         (binaries_of plan program))
 
 let prop_data_stream_across_opt =

@@ -9,6 +9,7 @@ module Executor = Cbsp_exec.Executor
 module Interval = Cbsp_profile.Interval
 module Bbv_file = Cbsp_profile.Bbv_file
 module Io = Cbsp_util.Io
+module Interval_ref = Cbsp_oracle.Interval_ref
 
 let input = Tutil.test_input
 let target = 20_000

@@ -1,6 +1,7 @@
 module Kmeans = Cbsp_simpoint.Kmeans
 module Stats = Cbsp_util.Stats
 module Rng = Cbsp_util.Rng
+module Kmeans_ref = Cbsp_oracle.Kmeans_ref
 
 let uniform n = Array.make n 1.0
 
@@ -196,7 +197,7 @@ let prop_distances_to_bit_identical =
    -0.0 differ), and the iteration count. *)
 let matches_reference ~seed ~max_iters ~k ~weights ~points =
   let reference =
-    Kmeans.run_reference ~seed ~k ~weights ~points ~restarts:2 ~max_iters ()
+    Kmeans_ref.run_reference ~seed ~k ~weights ~points ~restarts:2 ~max_iters ()
   in
   let r = Kmeans.run ~seed ~k ~restarts:2 ~max_iters (Kmeans.prepare ~weights ~points) in
   let bits = Array.map (Array.map Int64.bits_of_float) in
@@ -350,7 +351,7 @@ let test_shared_prepared_matches_reference () =
         (fun seed ->
           for k = 1 to 10 do
             let reference =
-              Kmeans.run_reference ~seed ~k ~restarts:5 ~max_iters ~weights
+              Kmeans_ref.run_reference ~seed ~k ~restarts:5 ~max_iters ~weights
                 ~points ()
             in
             Tutil.check_bool

@@ -8,6 +8,8 @@ module Marker = Cbsp_compiler.Marker
 module Input = Cbsp_source.Input
 module Interval = Cbsp_profile.Interval
 module Registry = Cbsp_workloads.Registry
+module Interval_ref = Cbsp_oracle.Interval_ref
+module Simpoint_ref = Cbsp_oracle.Simpoint_ref
 
 let input = Tutil.test_input
 let target = 20_000
@@ -281,7 +283,7 @@ let test_deterministic_pipelines () =
 
 (* The reference the streaming passes replaced: [observe]'s copying
    reader keeps every interval, BBV included, and the live intervals are
-   clustered from those BBVs with [Simpoint.pick].  Returns the truth,
+   clustered from those BBVs with [Simpoint_ref.pick].  Returns the truth,
    the intervals, the boundaries cut, and the phase labels and
    representatives over the full interval numbering. *)
 let materialized binary ~sp_config ~observe =
@@ -304,7 +306,7 @@ let materialized binary ~sp_config ~observe =
       (List.init (Array.length intervals) Fun.id)
   in
   let sp =
-    Simpoint.pick ~config:sp_config
+    Simpoint_ref.pick ~config:sp_config
       ~weights:
         (Array.of_list
            (List.map (fun i -> float_of_int intervals.(i).Interval.insts) live))

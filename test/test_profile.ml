@@ -7,6 +7,7 @@ module Executor = Cbsp_exec.Executor
 module Structprof = Cbsp_profile.Structprof
 module Interval = Cbsp_profile.Interval
 module Stats = Cbsp_util.Stats
+module Interval_ref = Cbsp_oracle.Interval_ref
 
 let input = Tutil.test_input
 

@@ -90,16 +90,6 @@ let test_gaussian_moments () =
   Tutil.check_close ~eps:0.03 "gaussian mean near 0" 0.0 (!sum /. float_of_int n);
   Tutil.check_close ~eps:0.05 "gaussian variance near 1" 1.0 (!sq /. float_of_int n)
 
-let test_shuffle_permutation () =
-  let rng = Rng.create ~seed:29 in
-  let arr = Array.init 50 (fun i -> i) in
-  Rng.shuffle rng arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "shuffle is a permutation"
-    (Array.init 50 (fun i -> i))
-    sorted
-
 let test_hash2_properties () =
   for a = 0 to 50 do
     for b = 0 to 50 do
@@ -139,7 +129,6 @@ let () =
           Tutil.quick "float range" test_float_range;
           Tutil.quick "float mean" test_float_mean;
           Tutil.quick "gaussian moments" test_gaussian_moments;
-          Tutil.quick "shuffle permutation" test_shuffle_permutation;
           Tutil.quick "hash2 properties" test_hash2_properties ] );
       ( "properties",
         [ Tutil.qcheck_case prop_int_in_range;

@@ -11,6 +11,7 @@ module Config = Cbsp_compiler.Config
 module Lower = Cbsp_compiler.Lower
 module Interval = Cbsp_profile.Interval
 module Executor = Cbsp_exec.Executor
+module Interval_ref = Cbsp_oracle.Interval_ref
 
 (* A synthetic population of [n] intervals with phase-structured CPI:
    stratum s has CPI near [1 + s/2].  Returns (insts, cycles, strata,

@@ -1,8 +1,7 @@
 module Simpoint = Cbsp_simpoint.Simpoint
 module Stats = Cbsp_util.Stats
 module Rng = Cbsp_util.Rng
-module Kmeans = Cbsp_simpoint.Kmeans
-module Bic = Cbsp_simpoint.Bic
+module Simpoint_ref = Cbsp_oracle.Simpoint_ref
 
 (* Synthetic interval population: three code signatures (disjoint block
    usage) with known proportions. *)
@@ -23,7 +22,7 @@ let signature_data ?(n = 90) () =
 
 let test_recovers_phases () =
   let kinds, weights, bbvs = signature_data () in
-  let sp = Simpoint.pick ~weights ~bbvs () in
+  let sp = Simpoint_ref.pick ~weights ~bbvs () in
   Tutil.check_int "three phases" 3 sp.Simpoint.k;
   (* all intervals of one kind share a phase *)
   Array.iteri
@@ -35,7 +34,7 @@ let test_recovers_phases () =
 
 let test_weights_sum_to_one () =
   let _, weights, bbvs = signature_data () in
-  let sp = Simpoint.pick ~weights ~bbvs () in
+  let sp = Simpoint_ref.pick ~weights ~bbvs () in
   let total =
     Array.fold_left (fun acc p -> acc +. p.Simpoint.weight) 0.0 sp.Simpoint.points
   in
@@ -43,7 +42,7 @@ let test_weights_sum_to_one () =
 
 let test_rep_in_own_phase () =
   let _, weights, bbvs = signature_data () in
-  let sp = Simpoint.pick ~weights ~bbvs () in
+  let sp = Simpoint_ref.pick ~weights ~bbvs () in
   Array.iter
     (fun p ->
       Tutil.check_int "rep labelled with its phase" p.Simpoint.phase
@@ -52,7 +51,7 @@ let test_rep_in_own_phase () =
 
 let test_phase_weight_matches_population () =
   let _, weights, bbvs = signature_data ~n:90 () in
-  let sp = Simpoint.pick ~weights ~bbvs () in
+  let sp = Simpoint_ref.pick ~weights ~bbvs () in
   Array.iter
     (fun p ->
       (* kinds are equally frequent, so each phase holds 1/3 of weight *)
@@ -62,42 +61,27 @@ let test_phase_weight_matches_population () =
 let test_max_k_respected () =
   let _, weights, bbvs = signature_data () in
   let config = { Simpoint.default_config with Simpoint.max_k = 2 } in
-  let sp = Simpoint.pick ~config ~weights ~bbvs () in
+  let sp = Simpoint_ref.pick ~config ~weights ~bbvs () in
   Tutil.check_bool "k <= max_k" true (sp.Simpoint.k <= 2)
 
 let test_single_interval () =
-  let sp = Simpoint.pick ~weights:[| 5.0 |] ~bbvs:[| [| 1.0; 2.0 |] |] () in
+  let sp = Simpoint_ref.pick ~weights:[| 5.0 |] ~bbvs:[| [| 1.0; 2.0 |] |] () in
   Tutil.check_int "one phase" 1 sp.Simpoint.k;
   Tutil.check_int "rep is the interval" 0 sp.Simpoint.points.(0).Simpoint.rep;
   Tutil.check_close ~eps:1e-9 "weight 1" 1.0 sp.Simpoint.points.(0).Simpoint.weight
 
-let test_estimate () =
-  let _, weights, bbvs = signature_data () in
-  let sp = Simpoint.pick ~weights ~bbvs () in
-  (* metric = phase id of the rep; estimate = sum w_p * p *)
-  let expected =
-    Array.fold_left
-      (fun acc p -> acc +. (p.Simpoint.weight *. float_of_int p.Simpoint.phase))
-      0.0 sp.Simpoint.points
-  in
-  let est =
-    Simpoint.estimate sp ~metric_of_rep:(fun rep ->
-        float_of_int sp.Simpoint.phase_of.(rep))
-  in
-  Tutil.check_close ~eps:1e-9 "estimate is weighted avg" expected est
-
 let test_invalid_inputs () =
   Alcotest.check_raises "no intervals"
-    (Invalid_argument "Simpoint.pick: no intervals") (fun () ->
-      ignore (Simpoint.pick ~weights:[||] ~bbvs:[||] ()));
+    (Invalid_argument "Simpoint.pick_projected: no intervals") (fun () ->
+      ignore (Simpoint_ref.pick ~weights:[||] ~bbvs:[||] ()));
   Alcotest.check_raises "zero weight"
-    (Invalid_argument "Simpoint.pick: non-positive weight") (fun () ->
-      ignore (Simpoint.pick ~weights:[| 0.0 |] ~bbvs:[| [| 1.0 |] |] ()));
+    (Invalid_argument "Simpoint.pick_projected: non-positive weight") (fun () ->
+      ignore (Simpoint_ref.pick ~weights:[| 0.0 |] ~bbvs:[| [| 1.0 |] |] ()));
   List.iter
     (fun w ->
       Alcotest.check_raises
         (Printf.sprintf "weight %h" w)
-        (Invalid_argument "Simpoint.pick: non-finite weight")
+        (Invalid_argument "Simpoint.pick_projected: non-finite weight")
         (fun () ->
           ignore
             (Simpoint.pick_projected ~weights:[| 1.0; w |]
@@ -107,13 +91,13 @@ let test_invalid_inputs () =
 
 let test_deterministic () =
   let _, weights, bbvs = signature_data () in
-  let s1 = Simpoint.pick ~weights ~bbvs () in
-  let s2 = Simpoint.pick ~weights ~bbvs () in
+  let s1 = Simpoint_ref.pick ~weights ~bbvs () in
+  let s2 = Simpoint_ref.pick ~weights ~bbvs () in
   Tutil.check_bool "same result" true (s1 = s2)
 
 let test_bic_scores_exposed () =
   let _, weights, bbvs = signature_data () in
-  let sp = Simpoint.pick ~weights ~bbvs () in
+  let sp = Simpoint_ref.pick ~weights ~bbvs () in
   Tutil.check_int "one score per k"
     (min Simpoint.default_config.Simpoint.max_k 90)
     (List.length sp.Simpoint.bic_scores)
@@ -123,8 +107,8 @@ let test_early_policy_picks_earliest () =
   let config =
     { Simpoint.default_config with Simpoint.rep_policy = Simpoint.Early 0.05 }
   in
-  let sp = Simpoint.pick ~config ~weights ~bbvs () in
-  let centroid = Simpoint.pick ~weights ~bbvs () in
+  let sp = Simpoint_ref.pick ~config ~weights ~bbvs () in
+  let centroid = Simpoint_ref.pick ~weights ~bbvs () in
   (* same clustering, but representatives never later than centroid's *)
   Tutil.check_int "same k" centroid.Simpoint.k sp.Simpoint.k;
   Array.iteri
@@ -146,7 +130,7 @@ let test_early_policy_picks_earliest () =
     { Simpoint.default_config with
       Simpoint.rep_policy = Simpoint.Early 0.0; max_k = 3 }
   in
-  let sp = Simpoint.pick ~config ~weights ~bbvs () in
+  let sp = Simpoint_ref.pick ~config ~weights ~bbvs () in
   let reps =
     Array.to_list sp.Simpoint.points
     |> List.map (fun p -> p.Simpoint.rep)
@@ -159,50 +143,13 @@ let test_binary_search_agrees () =
   let config =
     { Simpoint.default_config with Simpoint.k_search = Simpoint.Binary_search }
   in
-  let sp = Simpoint.pick ~config ~weights ~bbvs () in
+  let sp = Simpoint_ref.pick ~config ~weights ~bbvs () in
   (* three clean signatures: both searches must find k = 3, and the
      binary search must have clustered strictly fewer k values *)
   Tutil.check_int "binary search finds k=3" 3 sp.Simpoint.k;
   Tutil.check_bool "fewer clusterings evaluated" true
     (List.length sp.Simpoint.bic_scores
      < Simpoint.default_config.Simpoint.max_k)
-
-(* SimPoint's pipeline after projection, with every k clustered by
-   [Kmeans.run_reference] and scored by [Bic.score]: what
-   [Simpoint.pick_projected] must reproduce bit for bit under the
-   default config (All_k search, Centroid representatives). *)
-let reference_pick ~weights ~points =
-  let c = Simpoint.default_config in
-  let runs =
-    List.init (min c.Simpoint.max_k (Array.length points)) (fun i ->
-        let k = i + 1 in
-        let r =
-          Kmeans.run_reference ~seed:(c.Simpoint.seed + k)
-            ~restarts:c.Simpoint.restarts ~max_iters:c.Simpoint.max_iters ~k
-            ~weights ~points ()
-        in
-        (k, r, Bic.score ~weights ~points r))
-  in
-  let bic_scores = List.map (fun (k, _, s) -> (k, s)) runs in
-  let chosen = Bic.pick_k ~scores:bic_scores ~fraction:c.Simpoint.bic_fraction in
-  let _, r, _ = List.find (fun (k, _, _) -> k = chosen) runs in
-  let reps = Kmeans.closest_to_centroid r ~points in
-  let mass = Kmeans.cluster_weights r ~weights in
-  let total = Stats.sum weights in
-  (* Clusters without members have no representative; the rest are
-     renumbered densely. *)
-  let live = List.filter (fun cl -> reps.(cl) >= 0) (List.init chosen Fun.id) in
-  let phase = Array.make chosen (-1) in
-  List.iteri (fun i cl -> phase.(cl) <- i) live;
-  { Simpoint.k = List.length live;
-    phase_of = Array.map (fun cl -> phase.(cl)) r.Kmeans.assignments;
-    points =
-      Array.of_list
-        (List.mapi
-           (fun i cl ->
-             { Simpoint.phase = i; rep = reps.(cl); weight = mass.(cl) /. total })
-           live);
-    bic_scores }
 
 (* Every FLI pass of the fli-fine benchmark workload (six programs, four
    binaries each, input scale 1 and seed 42, a target of 1/4000 of the
@@ -245,7 +192,7 @@ let test_fli_fine_passes_match_reference () =
           let weights = ci.Streamprof.ci_weights
           and points = ci.Streamprof.ci_points in
           let sp = Simpoint.pick_projected ~weights ~points () in
-          let reference = reference_pick ~weights ~points in
+          let reference = Simpoint_ref.pick_projected_reference ~weights ~points in
           let check what x y =
             Tutil.check_bool (Printf.sprintf "%s/%d: %s" name b what) true
               (bits x = bits y)
@@ -274,7 +221,7 @@ let prop_pick_matches_reference =
       let weights = Array.init n (fun _ -> 0.5 +. Rng.float rng) in
       let bits v = Marshal.to_string v [ Marshal.No_sharing ] in
       bits (Simpoint.pick_projected ~weights ~points ())
-      = bits (reference_pick ~weights ~points))
+      = bits (Simpoint_ref.pick_projected_reference ~weights ~points))
 
 let () =
   Alcotest.run "simpoint"
@@ -285,7 +232,6 @@ let () =
           Tutil.quick "phase weights" test_phase_weight_matches_population;
           Tutil.quick "max_k respected" test_max_k_respected;
           Tutil.quick "single interval" test_single_interval;
-          Tutil.quick "estimate" test_estimate;
           Tutil.quick "invalid inputs" test_invalid_inputs;
           Tutil.quick "deterministic" test_deterministic;
           Tutil.quick "bic scores exposed" test_bic_scores_exposed ] );

@@ -4,28 +4,10 @@ let test_mean () =
   Tutil.check_float "mean" 2.0 (Stats.mean [| 1.0; 2.0; 3.0 |]);
   Tutil.check_float "mean empty" 0.0 (Stats.mean [||])
 
-let test_weighted_mean () =
-  Tutil.check_float "uniform weights = mean" 2.0
-    (Stats.weighted_mean ~weights:[| 1.0; 1.0; 1.0 |] [| 1.0; 2.0; 3.0 |]);
-  Tutil.check_float "weights pull" 3.0
-    (Stats.weighted_mean ~weights:[| 0.0; 1.0 |] [| 1.0; 3.0 |]);
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Stats.weighted_mean: length mismatch") (fun () ->
-      ignore (Stats.weighted_mean ~weights:[| 1.0 |] [| 1.0; 2.0 |]));
-  Alcotest.check_raises "zero weight"
-    (Invalid_argument "Stats.weighted_mean: zero total weight") (fun () ->
-      ignore (Stats.weighted_mean ~weights:[| 0.0 |] [| 1.0 |]))
-
 let test_variance_stddev () =
   Tutil.check_float "variance" 2.0 (Stats.variance [| 1.0; 2.0; 3.0; 4.0; 5.0 |]);
   Tutil.check_float "stddev" (sqrt 2.0) (Stats.stddev [| 1.0; 2.0; 3.0; 4.0; 5.0 |]);
   Tutil.check_float "variance single" 0.0 (Stats.variance [| 42.0 |])
-
-let test_geomean () =
-  Tutil.check_float "geomean" 2.0 (Stats.geomean [| 1.0; 2.0; 4.0 |]);
-  Alcotest.check_raises "non-positive"
-    (Invalid_argument "Stats.geomean: non-positive value") (fun () ->
-      ignore (Stats.geomean [| 1.0; 0.0 |]))
 
 let test_median_percentile () =
   Tutil.check_float "median odd" 3.0 (Stats.median [| 5.0; 1.0; 3.0 |]);
@@ -189,12 +171,18 @@ let prop_sum_matches_closure_kahan =
     (fun xs -> same_bits (Stats.sum xs) (kahan_closure xs))
 
 let test_normalize () =
-  let n = Stats.normalize [| 1.0; 3.0 |] in
+  let n = Array.make 3 nan in
+  Stats.normalize_into [| 1.0; 0.0; 3.0 |] n;
   Tutil.check_float "normalize first" 0.25 n.(0);
-  Tutil.check_float "normalize second" 0.75 n.(1);
+  Tutil.check_bool "zero stays +0.0" true
+    (Int64.bits_of_float n.(1) = Int64.bits_of_float 0.0);
+  Tutil.check_float "normalize third" 0.75 n.(2);
   Alcotest.check_raises "zero sum"
-    (Invalid_argument "Stats.normalize: zero sum") (fun () ->
-      ignore (Stats.normalize [| 0.0; 0.0 |]))
+    (Invalid_argument "Stats.normalize_into: zero sum") (fun () ->
+      Stats.normalize_into [| 0.0; 0.0 |] (Array.make 2 0.0));
+  Alcotest.check_raises "length mismatch"
+    (Invalid_argument "Stats.normalize_into: length mismatch") (fun () ->
+      Stats.normalize_into [| 1.0; 2.0 |] (Array.make 3 0.0))
 
 let test_sq_distance () =
   Tutil.check_float "sq distance" 25.0
@@ -209,8 +197,10 @@ let prop_normalize_sums_to_one =
   QCheck.Test.make ~name:"normalize sums to 1" ~count:200
     QCheck.(array_of_size (Gen.int_range 1 50) (float_range 0.001 1000.0))
     (fun xs ->
-      let n = Stats.normalize xs in
-      Float.abs (Stats.sum n -. 1.0) < 1e-9)
+      let n = Array.make (Array.length xs) nan in
+      Stats.normalize_into xs n;
+      Float.abs (Stats.sum n -. 1.0) < 1e-9
+      && n = Cbsp_oracle.Simpoint_ref.normalize xs)
 
 let prop_percentile_bounded =
   QCheck.Test.make ~name:"percentile within min/max" ~count:200
@@ -268,12 +258,10 @@ let () =
   Alcotest.run "stats"
     [ ( "descriptive",
         [ Tutil.quick "mean" test_mean;
-          Tutil.quick "weighted mean" test_weighted_mean;
           Tutil.quick "variance/stddev" test_variance_stddev;
           Tutil.quick "sample variance" test_sample_variance;
           Tutil.quick "t quantile" test_t_quantile;
           Tutil.quick "confidence interval" test_confidence_interval;
-          Tutil.quick "geomean" test_geomean;
           Tutil.quick "median/percentile" test_median_percentile;
           Tutil.quick "percentile contract" test_percentile_contract;
           Tutil.quick "error metrics" test_errors;

@@ -353,7 +353,7 @@ let test_json_roundtrip () =
   let s = Jsonx.to_string j in
   let j' = Jsonx.of_string s in
   Alcotest.(check string) "schema survives" "cbsp-validate/1"
-    (Jsonx.str_member "schema" j' ~default:"");
+    (Tutil.str_member "schema" j' ~default:"");
   (* Reprinting the reparsed document is a fixpoint. *)
   Alcotest.(check string) "print/parse fixpoint" s (Jsonx.to_string j')
 
@@ -553,7 +553,7 @@ let test_calibrate_zero_runs () =
   | Some (Jsonx.List rows) ->
     List.iter
       (fun row ->
-        let m = Jsonx.str_member "method" row ~default:"" in
+        let m = Tutil.str_member "method" row ~default:"" in
         Tutil.check_bool (m ^ ": coverage null iff sampler") true
           (Option.bind
              (Jsonx.member "calibration" row)

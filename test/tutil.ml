@@ -123,3 +123,9 @@ let with_temp_dir tag f =
       (Printf.sprintf "cbsp-test-%d-%d-%s" (Unix.getpid ()) !temp_dirs tag)
   in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+(* A string field of a JSON object, [default] if absent or not a
+   string. *)
+let str_member key v ~default =
+  let module Jsonx = Cbsp_json.Jsonx in
+  match Jsonx.member key v with Some (Jsonx.Str s) -> s | _ -> default
