@@ -303,12 +303,12 @@ let kernel ?baseline ?stale ?reference name f =
   { ks_name = name; ks_baseline = baseline; ks_stale = stale;
     ks_reference = reference; ks_test = Test.make ~name (Staged.stage f) }
 
-(* One collection pass over [hits_binary] in the shape Pipeline.run_pass
-   gives a [Fixed] plan: the FLI builder feeding a Streamprof collector,
-   composed ahead of the CPU model, with a fresh paper Table 1 hierarchy
-   per pass.
-   With [runs] the CPU takes same-line repeats as runs, as in
-   Pipeline.run_pass; without, every access is its own call. *)
+(* One collection pass over [hits_binary] in the shape Pipeline's
+   collection runs give a [Fixed] plan: the FLI builder feeding a
+   Streamprof collector, composed ahead of the CPU model, with a fresh
+   paper Table 1 hierarchy per pass.
+   With [runs] the CPU takes same-line repeats as runs, as the pipeline
+   does; without, every access is its own call. *)
 let collect_pass ~runs () =
   let n_blocks = hits_binary.Binary.n_blocks in
   let cpu = Cpu.create () in
@@ -326,6 +326,31 @@ let collect_pass ~runs () =
   in
   ignore (finish () : int);
   Streamprof.stats col
+
+(* FLI and dynamic VLI over [tiny_program]'s four paper binaries on a
+   fresh engine (so every compile, profile and pass is computed): as one
+   [Pipeline.run_batch], which executes each binary once for both
+   estimators' plans, or as two [Pipeline.run] calls one after the
+   other, which share the compiles only. *)
+let paper_four = Config.paper_four ~loop_splitting:false ()
+
+let fli_and_vli =
+  Pipeline.
+    [ Any Fli;
+      Any (Vli { matching = Dynamic; primary = 0; match_options = None }) ]
+
+let vli_fli ~batched () =
+  let engine = Pipeline.create_engine () in
+  let configs = paper_four and input = bench_input and target = 10_000 in
+  if batched then
+    ignore
+      (Pipeline.run_batch ~engine fli_and_vli tiny_program ~configs ~input
+         ~target)
+  else
+    List.iter
+      (fun (Pipeline.Any est) ->
+        ignore (Pipeline.run ~engine est tiny_program ~configs ~input ~target))
+      fli_and_vli
 
 let kernel_specs =
   [ (* executor: flat interpreter vs tree-walking reference *)
@@ -410,9 +435,8 @@ let kernel_specs =
         Simpoint_ref.pick_projected_reference ~weights:fli_dup_shape_weights
           ~points:fli_run_shape_points);
     (* projection: [project_into], the streaming collector's kernel, and
-       the materialized reference's per-row [apply] over it; since
-       [apply_all] became that reference's plain map, its pair of rows
-       runs the same code *)
+       the materialized reference's per-row [apply] and its [apply_all]
+       over 300 rows *)
     kernel "projection/apply_400to15"
       ~baseline:(List.assoc "projection/apply_400to15" seed_baseline_ns)
       (fun () ->
@@ -424,14 +448,9 @@ let kernel_specs =
         let p, v = projection_fixture in
         Projection.project_into p v projection_out);
     kernel "projection/apply_all_300rows"
-      ~reference:"projection/apply_all_300rows_map"
       (fun () ->
         let p, _ = projection_fixture in
         Simpoint_ref.apply_all p projection_rows);
-    kernel "projection/apply_all_300rows_map"
-      (fun () ->
-        let p, _ = projection_fixture in
-        Array.map (Simpoint_ref.apply p) projection_rows);
     (* persistent artifact cache: publish + verified read-back of a
        ~100 KB entry, and the warm-start lookup alone *)
     kernel "store/persist_roundtrip"
@@ -464,6 +483,11 @@ let kernel_specs =
         let insts, cycles, strata, proxy = sampling_population in
         Sampler.stratified ~rng:(Rng.create ~seed:31) ~n:64 ~strata ~proxy
           ~insts ~cycles ());
+    (* one execution per binary: FLI + VLI batched, against the same two
+       estimators run one after the other *)
+    kernel "validate/vli_fli_batched" ~reference:"validate/vli_fli_sequential"
+      (vli_fli ~batched:true);
+    kernel "validate/vli_fli_sequential" (vli_fli ~batched:false);
     (* validation harness: one full-shape matrix (21 workloads x 8
        methods x 4 binaries + 4 pairs) scored, ranked and serialized as
        cbsp-validate/1 — the post-pipeline overhead `cbsp validate` adds *)

@@ -32,12 +32,6 @@ let build (program : Ast.program) isa =
   let footprint = !cursor - page in
   { bases; elem_bytes; lengths; stack_base = !cursor + (16 * page); footprint }
 
-let elem_addr t ~array_id ~index =
-  let len = t.lengths.(array_id) in
-  let index = index mod len in
-  let index = if index < 0 then index + len else index in
-  t.bases.(array_id) + (index * t.elem_bytes.(array_id))
-
 let array_length t ~array_id = t.lengths.(array_id)
 
 let array_base t ~array_id = t.bases.(array_id)

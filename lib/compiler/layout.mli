@@ -9,17 +9,12 @@ type t
 
 val build : Cbsp_source.Ast.program -> Isa.t -> t
 
-val elem_addr : t -> array_id:int -> index:int -> int
-(** Byte address of element [index] of array [array_id].  The index is
-    reduced modulo the array length, so callers may pass unreduced
-    cursors. *)
-
 val array_length : t -> array_id:int -> int
 (** Elements in the array (for cursor arithmetic). *)
 
 val array_base : t -> array_id:int -> int
-(** Byte address of element 0 — with {!array_elem_bytes}, lets hot loops
-    compute [elem_addr] inline for already-reduced indices. *)
+(** Byte address of element 0: element [i] of an array sits at
+    [array_base + i * array_elem_bytes]. *)
 
 val array_elem_bytes : t -> array_id:int -> int
 (** Bytes per element of the array. *)

@@ -359,96 +359,161 @@ let measure_truth totals cpu =
 let job_label (program : Cbsp_source.Ast.program) config ~kind =
   program.Cbsp_source.Ast.prog_name ^ "/" ^ Config.label config ^ "/" ^ kind
 
-(* One streaming collection pass: a full execution through the cache
-   model with [plan]'s interval builder feeding the collector [col].
-   The builder must observe each block BEFORE the CPU charges it, so a
-   cut's cycle sample excludes the block that starts the next interval.
-   A [Fixed] pass also reduces each interval's BBV to the samplers'
-   phase-1 features at emission time, so no consumer ever needs the
-   BBVs back.  The builders ignore accesses, so the CPU takes them as
-   same-line runs ([Cpu.runs]). *)
-let run_pass ~timing ~label ~cache_config (binary : Binary.t) ~input ~col
-    plan =
+(* One execution of [binary] through the cache model serving every
+   [(collector, plan)] of [plans], one interval builder per plan, and a
+   pass for each, in order.  The builders must observe each block BEFORE
+   the CPU charges it, so a cut's cycle sample excludes the block that
+   starts the next interval; they only read the CPU, so a pass does not
+   depend on which other plans share its run.  A [Fixed] plan also
+   reduces each interval's BBV to the samplers' phase-1 features at
+   emission time, so no consumer ever needs the BBVs back.  The builders
+   ignore accesses, so the CPU takes them as same-line runs
+   ([Cpu.runs]). *)
+let run_plans ~timing ~label ~cache_config (binary : Binary.t) ~input plans =
   let n_blocks = binary.Binary.n_blocks in
   let cpu = Cpu.create ?config:cache_config () in
   let cycles () = Cpu.cycles cpu and extras () = Cpu.extra_counters cpu in
-  let mix_rev = ref [] in
-  let obs, finish =
-    match plan with
-    | Fixed target ->
-      let mix_of = Strata.access_mix_of binary in
-      let emit (iv : Interval.interval) =
-        mix_rev := mix_of iv.Interval.bbv :: !mix_rev;
-        Streamprof.emit col iv
-      in
-      let obs, finish =
-        Interval.fli_stream ~n_blocks ~target ~cycles ~extras ~emit ()
-      in
-      (obs, fun () -> ignore (finish () : int); [||])
-    | Recorded (target, keys) ->
-      let cut = Marker.Set.of_list keys in
-      let obs, finish =
-        Interval.vli_recorder_stream ~n_blocks ~target
-          ~mappable:(fun key -> Marker.Set.mem key cut)
-          ~cycles ~extras ~emit:(Streamprof.emit col) ()
-      in
-      (obs, fun () -> snd (finish ()))
-    | Replayed boundaries ->
-      let obs, finish =
-        Interval.vli_follower_stream ~boundaries ~cycles ~extras
-          ~emit:(Streamprof.emit col) ()
-      in
-      (obs, fun () -> ignore (finish () : int); [||])
+  let builder (col, plan) =
+    let mix_rev = ref [] in
+    let obs, finish =
+      match plan with
+      | Fixed target ->
+        let mix_of = Strata.access_mix_of binary in
+        let emit (iv : Interval.interval) =
+          mix_rev := mix_of iv.Interval.bbv :: !mix_rev;
+          Streamprof.emit col iv
+        in
+        let obs, finish =
+          Interval.fli_stream ~n_blocks ~target ~cycles ~extras ~emit ()
+        in
+        (obs, fun () -> ignore (finish () : int); [||])
+      | Recorded (target, keys) ->
+        let cut = Marker.Set.of_list keys in
+        let obs, finish =
+          Interval.vli_recorder_stream ~n_blocks ~target
+            ~mappable:(fun key -> Marker.Set.mem key cut)
+            ~cycles ~extras ~emit:(Streamprof.emit col) ()
+        in
+        (obs, fun () -> snd (finish ()))
+      | Replayed boundaries ->
+        let obs, finish =
+          Interval.vli_follower_stream ~boundaries ~cycles ~extras
+            ~emit:(Streamprof.emit col) ()
+        in
+        (obs, fun () -> ignore (finish () : int); [||])
+    in
+    (obs, fun () -> (col, finish (), mix_rev))
   in
-  let totals, boundaries =
+  let builders = List.map builder plans in
+  let totals, finished =
     Timing.time timing ~stage:Stage.Interval_collection ~label ~in_size:n_blocks
       ~out_size:(fun (t, _) -> t.Executor.insts)
       (fun () ->
         let totals =
           Executor.run ?runs:(Cpu.runs cpu) binary input
-            (Executor.compose [ obs; Cpu.observer cpu ])
+            (Executor.compose (List.map fst builders @ [ Cpu.observer cpu ]))
         in
-        (totals, finish ()))
+        (totals, List.map (fun (_, finish) -> finish ()) builders))
   in
-  { ps_truth = measure_truth totals cpu;
-    ps_counter_names = Cpu.extra_counter_names cpu;
-    ps_stats = Streamprof.stats col;
-    ps_cluster_inputs = Streamprof.cluster_inputs col;
-    ps_boundaries = boundaries;
-    ps_mix = Array.of_list (List.rev !mix_rev) }
+  let truth = measure_truth totals cpu in
+  List.map
+    (fun (col, boundaries, mix_rev) ->
+      { ps_truth = truth;
+        ps_counter_names = Cpu.extra_counter_names cpu;
+        ps_stats = Streamprof.stats col;
+        ps_cluster_inputs = Streamprof.cluster_inputs col;
+        ps_boundaries = boundaries;
+        ps_mix = Array.of_list (List.rev !mix_rev) })
+    finished
 
-(* Every engine-owned streaming pass goes through here.  The key is
-   everything that determines a pass, so FLI and the samplers share one
-   [Fixed] pass per binary, and VLI methods whose cut plans agree share
-   their primary and follower passes.  Of the SimPoint settings only the
-   projection's reach a pass, so runs that differ in max-k, policy or k
-   search share every pass.  Returns the key too, for clustering. *)
-let collect_keyed eng program (binary : Binary.t) ~label
-    ~(sp_config : Simpoint.config) ?cache_config ~input plan =
+(* A pass's store key is everything that determines it, so FLI and the
+   samplers share one [Fixed] pass per binary, and VLI methods whose cut
+   plans agree share their primary and follower passes.  Of the SimPoint
+   settings only the projection's reach a pass, so runs that differ in
+   max-k, policy or k search share every pass. *)
+let pass_key program (binary : Binary.t) ~(sp_config : Simpoint.config)
+    ~cache_config ~input plan =
   let projection =
     match plan with
     | Replayed _ -> None
     | Fixed _ | Recorded _ -> Some Simpoint.(sp_config.dims, sp_config.seed)
   in
-  let key =
-    Store.digest
-      ( binary_key program binary.Binary.config, input, cache_config,
-        projection, plan )
-  in
+  Store.digest
+    (binary_key program binary.Binary.config, input, cache_config, projection,
+     plan)
+
+(* A [Replayed] pass keeps no points, so its collector keeps stats only. *)
+let collector ~sp_config (binary : Binary.t) = function
+  | Replayed _ -> Streamprof.create_stats_only ()
+  | Fixed _ | Recorded _ ->
+    Streamprof.create ~sp_config ~n_blocks:binary.Binary.n_blocks ()
+
+(* Every engine-owned pass is read through here: a store hit after a
+   batch's [collect_shared] ran it, otherwise one run of its own.
+   Returns the key too, for clustering. *)
+let collect_keyed eng program (binary : Binary.t) ~label ~sp_config
+    ?cache_config ~input plan =
+  let key = pass_key program binary ~sp_config ~cache_config ~input plan in
   ( key,
     Store.find_or_compute eng.eng_passes ~key (fun () ->
-        let n_blocks = binary.Binary.n_blocks in
-        let col =
-          if projection = None then Streamprof.create_stats_only ()
-          else Streamprof.create ~sp_config ~n_blocks ()
-        in
-        run_pass ~timing:eng.eng_timing ~label ~cache_config binary ~input
-          ~col plan) )
+        List.hd
+          (run_plans ~timing:eng.eng_timing ~label ~cache_config binary ~input
+             [ (collector ~sp_config binary plan, plan) ])) )
 
 let collect eng program binary ~label ~sp_config ?cache_config ~input plan =
   snd
     (collect_keyed eng program binary ~label ~sp_config ?cache_config ~input
        plan)
+
+(* Fill the pass store with every plan of [plans] it lacks, in one
+   execution of [binary]: one executor, one CPU, one builder and
+   collector per plan, and one [Stage.Interval_collection] record
+   labelled with the plans' kinds ("fli+vli").  Each plan still gets
+   the key and the value a run of its own would give it.  A lone
+   missing plan has nothing to share a run with, so it is left to its
+   reader, which runs it when it needs it: a batch of one collects,
+   clusters and summarizes in the order a single estimator always has,
+   and holds no pass before it needs it.  Should the shared run raise,
+   every plan is collected alone, so the failure is stored (and
+   re-raised to its readers) under the plan that caused it and every
+   other plan's pass is stored as usual.  Never raises. *)
+let collect_shared eng program (binary : Binary.t) ~sp_config ?cache_config
+    ~input plans =
+  let config = binary.Binary.config in
+  let keyed =
+    List.fold_left
+      (fun acc (kind, plan) ->
+        let key = pass_key program binary ~sp_config ~cache_config ~input plan in
+        if List.mem_assoc key acc || Store.mem eng.eng_passes ~key then acc
+        else (key, (kind, plan)) :: acc)
+      [] plans
+    |> List.rev
+  in
+  let alone (_, (kind, plan)) =
+    try
+      ignore
+        (collect eng program binary ~sp_config ?cache_config ~input
+           ~label:(job_label program config ~kind) plan
+          : pass)
+    with _ -> ()
+  in
+  match keyed with
+  | [] | [ _ ] -> ()
+  | _ -> (
+    let kinds = List.sort_uniq compare (List.map (fun (_, (k, _)) -> k) keyed) in
+    match
+      run_plans ~timing:eng.eng_timing ~cache_config binary ~input
+        ~label:(job_label program config ~kind:(String.concat "+" kinds))
+        (List.map
+           (fun (_, (_, plan)) -> (collector ~sp_config binary plan, plan))
+           keyed)
+    with
+    | passes ->
+      List.iter2
+        (fun (key, _) pass ->
+          ignore (Store.find_or_compute eng.eng_passes ~key (fun () -> pass) : pass))
+        keyed passes
+    | exception _ -> List.iter alone keyed)
 
 (* The clustering step: SimPoint over a pass's retained points, memoized
    by (pass, SimPoint configuration). *)
@@ -468,32 +533,68 @@ let clustering eng program binary ~label ~sp_config ?cache_config ~input plan =
     (collect_keyed eng program binary ~label ~sp_config ?cache_config ~input
        plan)
 
-(* One job per configuration over its [Fixed target] pass: compile
-   (memoized), one full execution collecting fixed-length intervals,
-   per-binary clustering — shared by FLI and the samplers through the
-   pass store.  Jobs are independent, so the scheduler may run them
-   concurrently; results keep the configs' order either way. *)
-let fixed_jobs eng program ~kind ~sp_config ~cache_config ~configs ~input
-    ~target f =
-  Scheduler.parallel_map ~jobs:eng.eng_jobs
-    (fun (ci, (config : Config.t)) ->
-      let binary = compile eng program config in
-      let label = job_label program config ~kind in
-      let ((_, pass) as keyed) =
-        collect_keyed eng program binary ~label ~sp_config ?cache_config
-          ~input (Fixed target)
-      in
-      f ci config ~label pass (cluster_pass eng ~label ~sp_config keyed))
-    (List.mapi (fun i c -> (i, c)) configs)
+(* A pass an estimator asks of one of its binaries. *)
+type request = {
+  rq_index : int;  (* of the binary, in [configs] order *)
+  rq_binary : Binary.t;
+  rq_kind : string;  (* the job label's last part *)
+  rq_plan : plan;
+}
 
-let run_fli_uncached ~sp_config ~cache_config ~eng program ~configs ~input
-    ~target =
-  let binaries =
-    fixed_jobs eng program ~kind:"fli" ~sp_config ~cache_config ~configs
+(* An estimator split around its collection passes.  Planning compiles,
+   matches and names the passes it knows up front ([Fixed target] for
+   FLI and the samplers, [Recorded] for a VLI primary); following names
+   the passes that depend on those (a VLI's [Replayed] followers, from
+   its primary's boundaries); finishing clusters, summarizes and samples.
+   Following and finishing read every pass through [collect_keyed], so
+   whatever the batch ran is a store hit, and a pass it did not run is
+   collected then. *)
+type 'r planned = {
+  pl_requests : request list;
+  pl_follow : unit -> request list;
+  pl_finish : unit -> 'r;
+}
+
+let compile_all eng program configs =
+  List.mapi
+    (fun i b -> (i, b))
+    (Scheduler.parallel_map ~jobs:eng.eng_jobs (compile eng program) configs)
+
+(* FLI and the samplers: one [Fixed target] pass per binary, then one
+   job per binary over that pass and its clustering.  Jobs are
+   independent, so the scheduler may run them concurrently; results
+   keep the configs' order either way. *)
+let plan_fixed eng program ~kind ~sp_config ~cache_config ~configs ~input
+    ~target f =
+  let binaries = compile_all eng program configs in
+  { pl_requests =
+      List.map
+        (fun (i, b) ->
+          { rq_index = i; rq_binary = b; rq_kind = kind; rq_plan = Fixed target })
+        binaries;
+    pl_follow = (fun () -> []);
+    pl_finish =
+      (fun () ->
+        Scheduler.parallel_map ~jobs:eng.eng_jobs
+          (fun (ci, (binary : Binary.t)) ->
+            let config = binary.Binary.config in
+            let label = job_label program config ~kind in
+            let ((_, pass) as keyed) =
+              collect_keyed eng program binary ~label ~sp_config ?cache_config
+                ~input (Fixed target)
+            in
+            f ci config ~label pass (cluster_pass eng ~label ~sp_config keyed))
+          binaries) }
+
+let plan_fli ~sp_config ~cache_config ~eng program ~configs ~input ~target =
+  let planned =
+    plan_fixed eng program ~kind:"fli" ~sp_config ~cache_config ~configs
       ~input ~target (fun _ config ~label pass clustering ->
         summarize_pass eng ~label ~config ~clustering pass)
   in
-  { fli_binaries = binaries; fli_target = target }
+  { planned with
+    pl_finish =
+      (fun () -> { fli_binaries = planned.pl_finish (); fli_target = target }) }
 
 let m_profile_skips = Cbsp_obs.Metrics.counter "analysis.profile_skips"
 
@@ -617,12 +718,11 @@ let translate_boundaries map boundaries =
         | None -> b)
       boundaries
 
-let run_vli_uncached ~sp_config ~cache_config
-    { matching; primary; match_options } ~eng program ~configs ~input ~target =
+let plan_vli ~sp_config ~cache_config { matching; primary; match_options }
+    ~eng program ~configs ~input ~target =
   let prog_name = program.Cbsp_source.Ast.prog_name in
-  let binaries =
-    Scheduler.parallel_map ~jobs:eng.eng_jobs (compile eng program) configs
-  in
+  let indexed = compile_all eng program configs in
+  let binaries = List.map snd indexed in
   let mappable, translations =
     match matching with
     | Recovered -> semantic_matching eng program ~match_options ~binaries ~input
@@ -672,65 +772,86 @@ let run_vli_uncached ~sp_config ~cache_config
   let primary_label =
     job_label program primary_binary.Binary.config ~kind:"vli"
   in
-  let ((_, primary_pass) as primary_keyed) =
-    collect_keyed eng program primary_binary ~label:primary_label ~sp_config
-      ?cache_config ~input
-      (Recorded
-         (target, List.filter is_cut (Binary.static_marker_keys primary_binary)))
+  let primary_plan =
+    Recorded
+      (target, List.filter is_cut (Binary.static_marker_keys primary_binary))
   in
-  (* Store the boundary list under canonical key names; each follower
-     replays it under its own local names. *)
-  let boundaries =
-    translate_boundaries primary_to_canon primary_pass.ps_boundaries
+  (* The primary's pass and its boundary list under canonical key names;
+     each follower replays it under its own local names. *)
+  let recorded () =
+    let ((_, pass) as keyed) =
+      collect_keyed eng program primary_binary ~label:primary_label ~sp_config
+        ?cache_config ~input primary_plan
+    in
+    (keyed, translate_boundaries primary_to_canon pass.ps_boundaries)
   in
-  let clustering =
-    cluster_pass eng ~label:primary_label ~sp_config primary_keyed
+  let followers = List.filter (fun (i, _) -> i <> primary) indexed in
+  let follower_plan boundaries i =
+    Replayed (translate_boundaries (to_local i) boundaries)
   in
-  let primary_result =
-    summarize_pass eng ~label:primary_label
-      ~config:primary_binary.Binary.config ~clustering primary_pass
-  in
-  (* Steps 5-6: map boundaries into every binary (free: they are
-     (marker, count) pairs) and recompute weights per binary.  Follower
-     runs are independent of each other, so they are scheduler jobs
-     too. *)
-  let results =
-    Scheduler.parallel_map ~jobs:eng.eng_jobs
-      (fun (i, (binary : Binary.t)) ->
-        if i = primary then primary_result
-        else begin
-          let label = job_label program binary.Binary.config ~kind:"vli" in
-          let plan = Replayed (translate_boundaries (to_local i) boundaries) in
-          let pass =
-            collect eng program binary ~label ~sp_config ?cache_config ~input
-              plan
-          in
-          if n_intervals pass <> n_intervals primary_pass then
-            invalid_arg
-              (Printf.sprintf
-                 "Pipeline.run_vli: interval count diverged across binaries \
-                  (%s: %d intervals vs primary's %d)"
-                 (Config.label binary.Binary.config)
-                 (n_intervals pass) (n_intervals primary_pass));
-          summarize_pass eng ~label ~config:binary.Binary.config ~clustering
-            pass
-        end)
-      (List.mapi (fun i b -> (i, b)) binaries)
-  in
-  { vli_binaries = results; vli_primary = primary; vli_mappable = mappable;
-    vli_n_boundaries = Array.length boundaries; vli_target = target;
-    vli_points =
-      { pt_target = target; pt_boundaries = boundaries;
-        pt_phase_of = clustering.cl_phase_of; pt_reps = clustering.cl_reps } }
+  { pl_requests =
+      [ { rq_index = primary; rq_binary = primary_binary; rq_kind = "vli";
+          rq_plan = primary_plan } ];
+    pl_follow =
+      (fun () ->
+        let _, boundaries = recorded () in
+        List.map
+          (fun (i, b) ->
+            { rq_index = i; rq_binary = b; rq_kind = "vli";
+              rq_plan = follower_plan boundaries i })
+          followers);
+    pl_finish =
+      (fun () ->
+        let ((_, primary_pass) as primary_keyed), boundaries = recorded () in
+        let clustering =
+          cluster_pass eng ~label:primary_label ~sp_config primary_keyed
+        in
+        let primary_result =
+          summarize_pass eng ~label:primary_label
+            ~config:primary_binary.Binary.config ~clustering primary_pass
+        in
+        (* Steps 5-6: map boundaries into every binary (free: they are
+           (marker, count) pairs) and recompute weights per binary.
+           Followers are independent of each other, so they are
+           scheduler jobs too. *)
+        let results =
+          Scheduler.parallel_map ~jobs:eng.eng_jobs
+            (fun (i, (binary : Binary.t)) ->
+              if i = primary then primary_result
+              else begin
+                let label = job_label program binary.Binary.config ~kind:"vli" in
+                let pass =
+                  collect eng program binary ~label ~sp_config ?cache_config
+                    ~input (follower_plan boundaries i)
+                in
+                if n_intervals pass <> n_intervals primary_pass then
+                  invalid_arg
+                    (Printf.sprintf
+                       "Pipeline.run_vli: interval count diverged across \
+                        binaries (%s: %d intervals vs primary's %d)"
+                       (Config.label binary.Binary.config)
+                       (n_intervals pass) (n_intervals primary_pass));
+                summarize_pass eng ~label ~config:binary.Binary.config
+                  ~clustering pass
+              end)
+            indexed
+        in
+        { vli_binaries = results; vli_primary = primary;
+          vli_mappable = mappable; vli_n_boundaries = Array.length boundaries;
+          vli_target = target;
+          vli_points =
+            { pt_target = target; pt_boundaries = boundaries;
+              pt_phase_of = clustering.cl_phase_of;
+              pt_reps = clustering.cl_reps } }) }
 
 (* ------------------------------------------------------------------ *)
 (* Statistical sampling estimators: the third estimation method next   *)
 (* to FLI and VLI SimPoint, sharing the engine's memoized artifacts.   *)
 
-let run_sampling_uncached ~sp_config ~cache_config { level; seeds; n } ~eng
-    program ~configs ~input ~target =
-  let binaries =
-    fixed_jobs eng program ~kind:"sample" ~sp_config ~cache_config ~configs
+let plan_sampling ~sp_config ~cache_config { level; seeds; n } ~eng program
+    ~configs ~input ~target =
+  let planned =
+    plan_fixed eng program ~kind:"sample" ~sp_config ~cache_config ~configs
       ~input ~target (fun ci config ~label pass clustering ->
         (* FLI's pass yields the per-interval population the samplers
            draw from, the true CPI the confidence intervals are judged
@@ -784,8 +905,11 @@ let run_sampling_uncached ~sp_config ~cache_config { level; seeds; n } ~eng
         { sb_config = config; sb_truth = truth; sb_n_live = n_live;
           sb_methods = methods })
   in
-  { smp_binaries = binaries; smp_target = target; smp_n = n;
-    smp_level = level; smp_seeds = seeds }
+  { planned with
+    pl_finish =
+      (fun () ->
+        { smp_binaries = planned.pl_finish (); smp_target = target; smp_n = n;
+          smp_level = level; smp_seeds = seeds }) }
 
 let find_sampling_binary result ~label =
   List.find
@@ -810,10 +934,12 @@ let replay ?cache_config (binary : Binary.t) ~input points =
      phases are fixed, and only scalar stats are consumed.  It has no
      engine, so nothing memoizes it, and its timing goes to a throwaway
      sink. *)
+  let plan = Replayed points.pt_boundaries in
   let pass =
-    run_pass ~timing:(Timing.create ()) ~label:"replay" ~cache_config binary
-      ~input ~col:(Streamprof.create_stats_only ())
-      (Replayed points.pt_boundaries)
+    List.hd
+      (run_plans ~timing:(Timing.create ()) ~label:"replay" ~cache_config
+         binary ~input
+         [ (Streamprof.create_stats_only (), plan) ])
   in
   if n_intervals pass <> Array.length points.pt_phase_of then
     invalid_arg
@@ -835,60 +961,164 @@ let find_binary results ~label =
 (* ------------------------------------------------------------------ *)
 (* One entry point for every estimator.                                *)
 
-let run (type r) ?(sp_config = Simpoint.default_config) ?cache_config ?engine
-    (est : r estimator) program ~configs ~input ~target : r =
-  let name =
-    match est with
-    | Fli -> "run_fli"
-    | Vli _ -> "run_vli"
-    | Sampling _ -> "run_sampling"
-  in
+type output = Output : 'r estimator * 'r -> output
+
+(* A batch member: an estimator and where its outcome goes. *)
+type 'a slot = Slot : 'r estimator * (('r, exn) result -> 'a) -> 'a slot
+
+let span_name : type r. r estimator -> string = function
+  | Fli -> "run_fli"
+  | Vli _ -> "run_vli"
+  | Sampling _ -> "run_sampling"
+
+let result_store : type r. result_caches -> r estimator -> r Store.t =
+ fun rc -> function
+  | Fli -> rc.rc_fli
+  | Vli _ -> rc.rc_vli
+  | Sampling _ -> rc.rc_sampling
+
+let plan_estimator (type r) ~sp_config ~cache_config ~eng (est : r estimator)
+    program ~configs ~input ~target : r planned =
   (* Every check runs before any work, so a bad call compiles nothing. *)
-  let reject what = invalid_arg ("Pipeline." ^ name ^ ": " ^ what) in
+  let reject what = invalid_arg ("Pipeline." ^ span_name est ^ ": " ^ what) in
   if configs = [] then reject "no configs";
   if target <= 0 then reject "target must be positive";
-  (match est with
+  match est with
+  | Fli -> plan_fli ~sp_config ~cache_config ~eng program ~configs ~input ~target
   | Vli { primary; _ } when primary < 0 || primary >= List.length configs ->
     reject "bad primary"
+  | Vli spec ->
+    plan_vli ~sp_config ~cache_config spec ~eng program ~configs ~input ~target
   | Sampling { n; _ } when n < 2 -> reject "sample size must be >= 2"
   | Sampling { seeds = []; _ } -> reject "no seeds"
-  | _ -> ());
-  let eng = match engine with Some e -> e | None -> create_engine () in
-  let go () =
-    Tracer.with_span ~name ~cat:"pipeline"
-      ~attrs:[ ("program", program.Cbsp_source.Ast.prog_name) ]
-    @@ fun () : r ->
-    match est with
-    | Fli ->
-      run_fli_uncached ~sp_config ~cache_config ~eng program ~configs ~input
-        ~target
-    | Vli spec ->
-      run_vli_uncached ~sp_config ~cache_config spec ~eng program ~configs
-        ~input ~target
-    | Sampling spec ->
-      run_sampling_uncached ~sp_config ~cache_config spec ~eng program
-        ~configs ~input ~target
+  | Sampling spec ->
+    plan_sampling ~sp_config ~cache_config spec ~eng program ~configs ~input
+      ~target
+
+(* Plan one slot, its result type hidden behind the slot's continuation:
+   the planned [follow] and [finish] never raise.  On an engine with a
+   [?cache_dir], a result the whole-result store already holds skips
+   planning, and a computed outcome is published there under a key
+   holding everything that determines the result.  Its version tag
+   stands for what the code decides and the key cannot name, such as the
+   sampler list: bump it whenever that changes, or an on-disk cache
+   serves results of the old code. *)
+let plan_slot ~sp_config ~cache_config ~eng program ~configs ~input ~target
+    (Slot (est, k)) =
+  let traced phase f =
+    Tracer.with_span ~name:(span_name est) ~cat:"pipeline"
+      ~attrs:
+        [ ("program", program.Cbsp_source.Ast.prog_name); ("phase", phase) ]
+      f
   in
-  match eng.eng_results with
-  | None -> go ()
-  | Some rc ->
-    (* Whole-result memoization, keyed by everything that determines the
-       result; engines without a persistent cache skip this layer.  The
-       version tag stands for what the code decides and the key cannot
-       name, such as the sampler list: bump it whenever that changes, or
-       an on-disk cache serves results of the old code. *)
-    let store : r Store.t =
-      match est with
-      | Fli -> rc.rc_fli
-      | Vli _ -> rc.rc_vli
-      | Sampling _ -> rc.rc_sampling
-    in
-    let key =
-      Store.digest
-        ( "result/5", est, program, configs, input, target, sp_config,
-          cache_config )
-    in
-    Store.find_or_compute store ~key go
+  let outcome f = try Ok (f ()) with e -> Error e in
+  let cache =
+    Option.map
+      (fun rc ->
+        ( result_store rc est,
+          Store.digest
+            ( "result/5", est, program, configs, input, target, sp_config,
+              cache_config ) ))
+      eng.eng_results
+  in
+  let publish result =
+    match cache with
+    | None -> result
+    | Some (store, key) ->
+      outcome (fun () ->
+          Store.find_or_compute store ~key (fun () ->
+              match result with Ok r -> r | Error e -> raise e))
+  in
+  let done_ result =
+    { pl_requests = []; pl_follow = (fun () -> []);
+      pl_finish = (fun () -> k result) }
+  in
+  match
+    Option.bind cache (fun (store, key) -> Store.find_opt store ~key)
+  with
+  | Some r -> done_ (Ok r)
+  | None -> (
+    match
+      traced "plan" (fun () ->
+          plan_estimator ~sp_config ~cache_config ~eng est program ~configs
+            ~input ~target)
+    with
+    | exception e -> done_ (publish (Error e))
+    | p ->
+      let broken = ref None in
+      { pl_requests = p.pl_requests;
+        pl_follow =
+          (fun () ->
+            try traced "follow" p.pl_follow
+            with e ->
+              broken := Some e;
+              []);
+        pl_finish =
+          (fun () ->
+            k
+              (publish
+                 (match !broken with
+                 | Some e -> Error e
+                 | None -> outcome (fun () -> traced "finish" p.pl_finish)))) })
+
+(* Fill the pass store with [requests], one [collect_shared] per binary,
+   binaries in parallel. *)
+let collect_wave eng program ~sp_config ~cache_config ~input requests =
+  let indices = List.sort_uniq compare (List.map (fun r -> r.rq_index) requests) in
+  ignore
+    (Scheduler.parallel_map ~jobs:eng.eng_jobs
+       (fun i ->
+         let mine = List.filter (fun r -> r.rq_index = i) requests in
+         collect_shared eng program (List.hd mine).rq_binary ~sp_config
+           ?cache_config ~input
+           (List.map (fun r -> (r.rq_kind, r.rq_plan)) mine))
+       indices
+      : unit list)
+
+(* The one driver: plan every slot, then run each binary once for every
+   request known for it.  A binary some plan records as its VLI primary
+   runs in the first wave; every other binary waits for the second, so
+   its [Fixed] plans share a run with the [Replayed] plans that follow
+   from the first wave's boundaries.  Then finish every slot, in
+   order. *)
+let batch ?(sp_config = Simpoint.default_config) ?cache_config ?engine program
+    ~configs ~input ~target slots =
+  let eng = match engine with Some e -> e | None -> create_engine () in
+  let planned =
+    List.map
+      (plan_slot ~sp_config ~cache_config ~eng program ~configs ~input ~target)
+      slots
+  in
+  let known = List.concat_map (fun p -> p.pl_requests) planned in
+  let primaries =
+    List.filter_map
+      (fun r ->
+        match r.rq_plan with Recorded _ -> Some r.rq_index | _ -> None)
+      known
+  in
+  let first, rest =
+    List.partition (fun r -> List.mem r.rq_index primaries) known
+  in
+  let wave = collect_wave eng program ~sp_config ~cache_config ~input in
+  wave first;
+  wave (rest @ List.concat_map (fun p -> p.pl_follow ()) planned);
+  List.map (fun p -> p.pl_finish ()) planned
+
+let run ?sp_config ?cache_config ?engine est program ~configs ~input ~target =
+  match
+    List.hd
+      (batch ?sp_config ?cache_config ?engine program ~configs ~input ~target
+         [ Slot (est, Fun.id) ])
+  with
+  | Ok r -> r
+  | Error e -> raise e
+
+let run_batch ?sp_config ?cache_config ?engine ests program ~configs ~input
+    ~target =
+  batch ?sp_config ?cache_config ?engine program ~configs ~input ~target
+    (List.map
+       (fun (Any est) -> Slot (est, Result.map (fun r -> Output (est, r))))
+       ests)
 
 let vli_name = function
   | Dynamic -> "vli"

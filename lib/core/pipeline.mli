@@ -122,9 +122,9 @@ type sampling_result = {
     structure profile, interval collection, clustering, summarize.  An
     {!engine} carries the three pieces of machinery shared by those jobs:
 
-    - a scheduler width ([jobs]): independent jobs (distinct
-      configurations in {!run_fli}, profile and follower runs in
-      {!run_vli}) run on up to [jobs] domains.  [jobs = 1] (the default)
+    - a scheduler width ([jobs]): independent jobs (compiles, profiles,
+      one collection run per binary, per-binary clustering and
+      summaries) run on up to [jobs] domains.  [jobs = 1] (the default)
       is strictly sequential; any [jobs] produces bit-identical results
       because jobs share no mutable state and results are assembled in
       input order;
@@ -139,8 +139,10 @@ type sampling_result = {
       and the samplers cut the same fixed-length plan, and VLI runs
       whose cut plans agree (plain, static and recovered, outside
       loop-split programs) replay the same primary and followers, so
-      each distinct pass runs once per engine, and its clusterings are
-      memoized by (pass, SimPoint configuration);
+      each distinct pass is collected once per engine, and its
+      clusterings are memoized by (pass, SimPoint configuration).
+      Within one {!run_batch} the distinct passes of one binary go
+      further and share a single execution ({!collect_shared});
     - a timing sink recording every job's wall-clock and input/output
       sizes, for the per-stage timing report.
 
@@ -238,8 +240,34 @@ val collect :
     collector applies.  No other SimPoint setting is read, and a
     [Replayed] pass reads none.  The first caller runs the pass — timed
     under [Stage.Interval_collection] with [label] — and every later
-    caller with an equal key gets the same value.  Every {!run}
-    collects through here. *)
+    caller with an equal key gets the same value.  Every {!run} reads
+    its passes through here, after {!collect_shared} filled them. *)
+
+val collect_shared :
+  engine ->
+  Cbsp_source.Ast.program ->
+  Cbsp_compiler.Binary.t ->
+  sp_config:Cbsp_simpoint.Simpoint.config ->
+  ?cache_config:Cbsp_cache.Hierarchy.config ->
+  input:Cbsp_source.Input.t ->
+  (string * plan) list ->
+  unit
+(** Store the pass of every [(kind, plan)] that the pass store lacks,
+    in one execution of [binary]: one executor run and one CPU model,
+    with one interval builder and collector per plan composed before
+    the CPU.  Each plan's stored pass is the very value {!collect}
+    would store for it alone (same key, bit-identical), so read them
+    back with {!collect}.  The run is timed under
+    [Stage.Interval_collection] as [<program>/<config>/<kinds>], the
+    distinct kinds sorted and joined by ["+"] (["fli+vli"]).  Plans
+    with equal keys count once, and with fewer than two plans missing
+    there is nothing to share and nothing runs: a lone plan runs when
+    {!collect} first asks for it.
+
+    Never raises.  If the shared run raises, each plan is collected
+    alone, so the exception is stored under the plan that caused it (a
+    later {!collect} of that plan re-raises it) and every other plan
+    is stored as usual. *)
 
 val clustering :
   engine ->
@@ -312,6 +340,45 @@ type _ estimator =
 
 type any = Any : _ estimator -> any
 
+type output = Output : 'r estimator * 'r -> output
+(** One estimator's typed result, with the estimator that produced
+    it. *)
+
+val run_batch :
+  ?sp_config:Cbsp_simpoint.Simpoint.config ->
+  ?cache_config:Cbsp_cache.Hierarchy.config ->
+  ?engine:engine ->
+  any list ->
+  Cbsp_source.Ast.program ->
+  configs:Cbsp_compiler.Config.t list ->
+  input:Cbsp_source.Input.t ->
+  target:int ->
+  (output, exn) result list
+(** Run several estimators over one program with one execution per
+    binary, outcomes in the given order.  Three steps:
+
+    - {e plan} each estimator: check its arguments, compile, match, and
+      name the passes it knows up front ([Fixed target] for FLI and the
+      samplers, [Recorded] for a VLI primary);
+    - run every binary some plan records as a VLI primary (wave 1),
+      then let each VLI {e follow} its primary's boundaries with
+      [Replayed] plans and run every other binary (wave 2), so that a
+      binary's [Fixed] and [Replayed] plans share one run.  Each binary
+      goes through {!collect_shared} once per wave it appears in,
+      binaries in parallel up to the engine's [jobs]; a binary asked
+      for one plan only runs it when that plan is first read;
+    - {e finish} each estimator in order: cluster, summarize and
+      sample over the stored passes.
+
+    Every pass, clustering and result is bit-identical to running the
+    estimators one by one on fresh engines.  Failures stay isolated:
+    an estimator that raises while planning, following or finishing
+    yields [Error] and no other outcome changes, and a failed shared
+    run falls back to one run per plan.  Passes already in the pass
+    store are not run again.  On a [?cache_dir] engine an estimator
+    whose whole result is cached skips planning (so it compiles and
+    runs nothing), and every computed outcome is memoized. *)
+
 val run :
   ?sp_config:Cbsp_simpoint.Simpoint.config ->
   ?cache_config:Cbsp_cache.Hierarchy.config ->
@@ -322,11 +389,13 @@ val run :
   input:Cbsp_source.Input.t ->
   target:int ->
   'r
-(** Run one estimator.  Every pass streams through {!collect}: O(1
-    interval) of profile memory (the [profile.scratch_intervals] gauge
-    reads 9 rows), shared with other estimators on the same engine.
-    Traced as a [run_fli], [run_vli] or [run_sampling] span; with a
-    [?cache_dir] engine the whole result is memoized.
+(** Run one estimator: {!run_batch} of one, its error re-raised.  Every
+    pass streams: O(1 interval) of profile memory (the
+    [profile.scratch_intervals] gauge reads 9 rows), shared with other
+    estimators on the same engine.  Each step is traced as a [run_fli],
+    [run_vli] or [run_sampling] span with a [phase] attribute ([plan],
+    [follow], [finish]); with a [?cache_dir] engine the whole result is
+    memoized.
     @raise Invalid_argument ["Pipeline.<span>: ..."] before any work if
     [configs] is empty, [target <= 0], a VLI [primary] is out of range,
     or a sampling spec has [n < 2] or no seeds. *)

@@ -62,25 +62,26 @@ let create ?(name = "store") ?disk () =
    entries. *)
 let digest v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ])
 
-(* The owner's path once the in-memory cell is created: serve from
-   disk, else compute and publish a success.  A payload that fails to
-   unmarshal is corruption the frame cannot see: quarantine it and
-   compute. *)
-let resolve t ~key f =
-  let from_disk =
-    match t.s_disk with
+(* The value persisted for [key], if any.  A payload that fails to
+   unmarshal is corruption the frame cannot see: quarantine it and read
+   it as absent. *)
+let from_disk t ~key =
+  match t.s_disk with
+  | None -> None
+  | Some d -> (
+    match Diskcache.find d ~key with
     | None -> None
-    | Some d -> (
-      match Diskcache.find d ~key with
-      | None -> None
-      | Some payload -> (
-        match Marshal.from_string payload 0 with
-        | v -> Some v
-        | exception _ ->
-          Diskcache.quarantine d ~key;
-          None))
-  in
-  match from_disk with
+    | Some payload -> (
+      match Marshal.from_string payload 0 with
+      | v -> Some v
+      | exception _ ->
+        Diskcache.quarantine d ~key;
+        None))
+
+(* The owner's path once the in-memory cell is created: serve from
+   disk, else compute and publish a success. *)
+let resolve t ~key f =
+  match from_disk t ~key with
   | Some v ->
     Metrics.incr t.s_hits;
     Value v
@@ -94,7 +95,9 @@ let resolve t ~key f =
       Value v
     | exception e -> Raised e)
 
-let find_or_compute t ~key f =
+(* Find [key]'s cell or create it; its creator resolves it with
+   [resolve] and wakes the waiters, every other caller waits. *)
+let fill t ~key resolve =
   let cell, owner =
     Mutex.protect t.s_mutex (fun () ->
         match Hashtbl.find_opt t.s_table key with
@@ -110,7 +113,7 @@ let find_or_compute t ~key f =
   if owner then begin
     (* Whatever escapes [resolve] still fills the cell, so no waiter
        is stranded. *)
-    let outcome = try resolve t ~key f with e -> Raised e in
+    let outcome = try resolve () with e -> Raised e in
     Mutex.protect cell.c_mutex (fun () ->
         cell.c_outcome <- Some outcome;
         Condition.broadcast cell.c_cond);
@@ -129,6 +132,26 @@ let find_or_compute t ~key f =
     Metrics.observe t.s_wait (Unix.gettimeofday () -. t0);
     match outcome with Value v -> v | Raised e -> raise e
   end
+
+let find_or_compute t ~key f = fill t ~key (fun () -> resolve t ~key f)
+
+(* A lookup that never computes: a value held in memory, else one on
+   disk, which then fills the key's cell as an owner's disk hit would. *)
+let find_opt t ~key =
+  match Mutex.protect t.s_mutex (fun () -> Hashtbl.find_opt t.s_table key) with
+  | Some cell -> (
+    match Mutex.protect cell.c_mutex (fun () -> cell.c_outcome) with
+    | Some (Value v) ->
+      Metrics.incr t.s_hits;
+      Some v
+    | Some (Raised _) | None -> None)
+  | None ->
+    Option.map
+      (fun v ->
+        fill t ~key (fun () ->
+            Metrics.incr t.s_hits;
+            Value v))
+      (from_disk t ~key)
 
 (* [c_outcome] is written by the owner under the CELL mutex, so reading
    it here must take the cell mutex too — holding only the table mutex

@@ -41,6 +41,11 @@ val find_or_compute : 'v t -> key:string -> (unit -> 'v) -> 'v
 
 val mem : 'v t -> key:string -> bool
 
+val find_opt : 'v t -> key:string -> 'v option
+(** The value for [key] if the store already holds it, in memory or on
+    disk, without ever computing: [None] when the key is absent, in
+    flight or raised.  A value served is counted as a hit. *)
+
 val computes : 'v t -> int
 (** Number of computations actually executed (cache misses). *)
 

@@ -21,7 +21,10 @@ let cpi interval =
    buffers held by any single profiling pass — scratch plus retained
    copies.  Streaming passes stay at a small constant; a pass that
    copied every interval out would report interval-count + 1, which is
-   exactly the regression the validate-smoke CI budget catches.  The max
+   exactly the regression the validate-smoke CI budget catches.  It
+   counts per plan: an execution shared by several plans holds one
+   builder's buffers per plan, each with O(1) scratch, and the gauge
+   keeps the largest one plan's peak rather than their sum.  The max
    update is racy across domains (two passes may interleave reads),
    which can only ever under-report by one concurrent pass's peak —
    fine for a budget gate. *)

@@ -37,7 +37,10 @@
     gauge: the largest number of full-width (n_blocks-long) BBV buffers
     any single pass held at once.  Streaming passes report 1; a pass
     that copies out all n intervals reports n + 1 — which is how the
-    validate-smoke CI budget catches accidental materialization. *)
+    validate-smoke CI budget catches accidental materialization.  The
+    gauge is per plan: one execution that serves several plans runs one
+    builder (and one consumer) per plan, holding one set of buffers
+    each, and reports the largest single plan's peak, not their sum. *)
 
 type interval = {
   insts : int;        (** Instructions in this interval. *)

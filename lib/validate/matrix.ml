@@ -44,7 +44,7 @@ let cross_platform_pairs = [ ("32u", "64u"); ("32o", "64o") ]
 
 let pairs = same_platform_pairs @ cross_platform_pairs
 
-type output = Output : 'r Pipeline.estimator * 'r -> output
+type output = Pipeline.output = Output : 'r Pipeline.estimator * 'r -> output
 
 type workload_result = {
   w_name : string;
@@ -105,21 +105,26 @@ let run_workload ~engine ~options name =
   let configs =
     Config.paper_four ~loop_splitting:entry.Registry.loop_splitting ()
   in
-  (* Run each estimator, converting a raised exception into failure
+  (* All five estimators in one batch, so each binary executes once for
+     every pass they ask of it.  An estimator that raised becomes failure
      entries for every method it scores: a matrix cell may be skipped, a
      method may fail, but the matrix itself always completes and reports
      exactly what it could not evaluate. *)
-  let failed = ref [] in
-  let outputs =
-    List.filter_map
-      (fun est ->
-        try Some (run_estimator ~options ~engine program ~configs est) with
-        | exn ->
-          let reason = Printexc.to_string exn in
-          failed :=
-            !failed @ List.map (fun m -> (m, reason)) (Pipeline.names est);
-          None)
-      (estimators options)
+  let estimators = estimators options in
+  let outcomes =
+    Pipeline.run_batch ~sp_config:(sp_config_of options) ~engine estimators
+      program ~configs ~input:(input_of options) ~target:options.mo_target
+  in
+  let outputs = List.filter_map Result.to_option outcomes in
+  let failed =
+    List.concat
+      (List.map2
+         (fun est -> function
+           | Ok _ -> []
+           | Error exn ->
+             let reason = Printexc.to_string exn in
+             List.map (fun m -> (m, reason)) (Pipeline.names est))
+         estimators outcomes)
   in
   let records =
     List.concat_map (fun (Output (est, r)) -> Pipeline.records est r) outputs
@@ -138,10 +143,10 @@ let run_workload ~engine ~options name =
   let skipped = List.length (List.filter Errors.is_skipped cells) in
   Metrics.incr ~by:(List.length cells) (Metrics.counter "validate.cells");
   Metrics.incr ~by:skipped (Metrics.counter "validate.skipped_cells");
-  Metrics.incr ~by:(List.length !failed) (Metrics.counter "validate.failures");
+  Metrics.incr ~by:(List.length failed) (Metrics.counter "validate.failures");
   Metrics.incr (Metrics.counter "validate.workloads");
   { w_name = name; w_cells = cells; w_truth = Truth.table records;
-    w_mismatches = Truth.mismatches records; w_failed = !failed;
+    w_mismatches = Truth.mismatches records; w_failed = failed;
     w_outputs = outputs; w_timings = Pipeline.timings engine }
 
 let run ?(options = default_options) ?names ?(jobs = 1) ?cache_dir
@@ -160,7 +165,7 @@ let run ?(options = default_options) ?names ?(jobs = 1) ?cache_dir
       (fun name ->
         progress name;
         (* One engine per workload: all five estimators share its
-           binary/profile stores and collection passes, and a shared
+           binary/profile stores and collection runs, and a shared
            ?cache_dir persists whole results across processes (each
            Diskcache publishes by atomic rename, so concurrent writers
            of one key leave one intact entry). *)

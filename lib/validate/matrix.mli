@@ -4,9 +4,10 @@
     cells, and the paper's figures and tables ({!Cbsp_report.Figures})
     read the FLI and VLI results it keeps.
 
-    One {!Cbsp.Pipeline.engine} per workload (so the {!estimators} share
-    compiled binaries, profiles and collection passes; each binary
-    compiles once per workload), workloads fanned out over scheduler
+    One {!Cbsp.Pipeline.engine} per workload, and one
+    {!Cbsp.Pipeline.run_batch} of the {!estimators} on it: each binary
+    compiles once and executes once per workload, every pass the
+    estimators ask of it riding that run.  Workloads fan out over scheduler
     domains, results in input order — bit-identical for every [jobs]
     value.  A [cache_dir] additionally memoizes whole pipeline results
     on disk, so re-validating an unchanged tree replays from the cache
@@ -53,7 +54,8 @@ val pairs : (string * string) list
 (** The paper's four speedup pairs: {!same_platform_pairs} then
     {!cross_platform_pairs}. *)
 
-type output = Output : 'r Cbsp.Pipeline.estimator * 'r -> output
+type output = Cbsp.Pipeline.output =
+  | Output : 'r Cbsp.Pipeline.estimator * 'r -> output
 (** One estimator's typed result, with the estimator that produced
     it. *)
 

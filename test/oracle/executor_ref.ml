@@ -30,6 +30,18 @@ let counting_observer () =
       on_block = (fun _ insts -> count := !count + insts) },
     fun () -> !count )
 
+(* Byte address of element [index] of array [array_id].  The index is
+   reduced modulo the array length, so callers may pass unreduced
+   cursors; [Executor.run] computes the address inline from
+   [Layout.array_base] and [Layout.array_elem_bytes] for indices it has
+   already reduced. *)
+let elem_addr layout ~array_id ~index =
+  let len = Layout.array_length layout ~array_id in
+  let index = index mod len in
+  let index = if index < 0 then index + len else index in
+  Layout.array_base layout ~array_id
+  + (index * Layout.array_elem_bytes layout ~array_id)
+
 type state = {
   binary : Binary.t;
   input : Input.t;
@@ -102,7 +114,7 @@ let perform_access st (acc : Ast.access) =
         (st.cursors.(array_id) + Rng.int st.rand_streams.(array_id) ~bound:w)
         mod len
     in
-    let addr = Layout.elem_addr st.layout ~array_id ~index in
+    let addr = elem_addr st.layout ~array_id ~index in
     emit_access st addr (is_write_at ~write_ratio:acc.acc_write_ratio i)
   done
 

@@ -7,6 +7,7 @@ module Layout = Cbsp_compiler.Layout
 module Lower = Cbsp_compiler.Lower
 module Binary = Cbsp_compiler.Binary
 module Marker = Cbsp_compiler.Marker
+module Executor_ref = Cbsp_oracle.Executor_ref
 
 let cfg isa opt = Config.v isa opt
 
@@ -151,8 +152,8 @@ let test_layout_pointer_width () =
   let l32 = Layout.build program Isa.X86_32 in
   let l64 = Layout.build program Isa.X86_64 in
   let span layout arr =
-    Layout.elem_addr layout ~array_id:arr ~index:99
-    - Layout.elem_addr layout ~array_id:arr ~index:0
+    Executor_ref.elem_addr layout ~array_id:arr ~index:99
+    - Executor_ref.elem_addr layout ~array_id:arr ~index:0
   in
   Tutil.check_int "data array same span" (span l32 d) (span l64 d);
   Tutil.check_int "pointer array doubles" (2 * span l32 p) (span l64 p)
@@ -160,19 +161,19 @@ let test_layout_pointer_width () =
 let test_layout_no_overlap () =
   let program, d, p = layout_program () in
   let layout = Layout.build program Isa.X86_64 in
-  let d_last = Layout.elem_addr layout ~array_id:d ~index:99 in
-  let p_first = Layout.elem_addr layout ~array_id:p ~index:0 in
+  let d_last = Executor_ref.elem_addr layout ~array_id:d ~index:99 in
+  let p_first = Executor_ref.elem_addr layout ~array_id:p ~index:0 in
   Tutil.check_bool "arrays disjoint" true (d_last < p_first);
   let s = Layout.stack_addr layout ~depth:0 ~slot:0 in
   Tutil.check_bool "stack above arrays" true
-    (s > Layout.elem_addr layout ~array_id:p ~index:99)
+    (s > Executor_ref.elem_addr layout ~array_id:p ~index:99)
 
 let test_layout_index_wraps () =
   let program, d, _ = layout_program () in
   let layout = Layout.build program Isa.X86_32 in
   Tutil.check_int "index wraps modulo length"
-    (Layout.elem_addr layout ~array_id:d ~index:0)
-    (Layout.elem_addr layout ~array_id:d ~index:100)
+    (Executor_ref.elem_addr layout ~array_id:d ~index:0)
+    (Executor_ref.elem_addr layout ~array_id:d ~index:100)
 
 let test_stack_slots_wrap () =
   let program, _, _ = layout_program () in

@@ -14,8 +14,6 @@
    6. the data-address stream is identical across optimization levels of
       the same ISA. *)
 
-module B = Cbsp_source.Builder
-module Ast = Cbsp_source.Ast
 module Validate = Cbsp_source.Validate
 module Binary = Cbsp_compiler.Binary
 module Executor = Cbsp_exec.Executor
@@ -23,121 +21,25 @@ module Interval = Cbsp_profile.Interval
 module Structprof = Cbsp_profile.Structprof
 module Executor_ref = Cbsp_oracle.Executor_ref
 module Interval_ref = Cbsp_oracle.Interval_ref
-module Gen = QCheck.Gen
 
 let input = Tutil.test_input
-
-(* --- random program generator ---------------------------------------- *)
-
-type plan = {
-  seed : int;
-  n_arrays : int;
-  n_helpers : int;
-  splitting : bool;
-}
-
-let plan_gen =
-  Gen.map
-    (fun (seed, n_arrays, n_helpers, splitting) ->
-      { seed; n_arrays; n_helpers; splitting })
-    (Gen.quad (Gen.int_bound 10_000) (Gen.int_range 1 3) (Gen.int_range 0 3)
-       Gen.bool)
-
-(* The program is derived deterministically from the plan via our own RNG
-   (QCheck shrinks the plan, not the structure). *)
-let build_program plan =
-  let rng = Cbsp_util.Rng.create ~seed:plan.seed in
-  let b = B.create ~name:(Printf.sprintf "gen%d" plan.seed) in
-  let arrays =
-    Array.init plan.n_arrays (fun i ->
-        if Cbsp_util.Rng.bool rng then
-          B.pointer_array b
-            ~name:(Printf.sprintf "parr%d" i)
-            ~length:(Cbsp_util.Rng.int_in rng ~lo:512 ~hi:20_000)
-        else
-          B.data_array b
-            ~name:(Printf.sprintf "darr%d" i)
-            ~elem_bytes:(if Cbsp_util.Rng.bool rng then 4 else 8)
-            ~length:(Cbsp_util.Rng.int_in rng ~lo:512 ~hi:20_000))
-  in
-  let random_access () =
-    let arr = arrays.(Cbsp_util.Rng.int rng ~bound:plan.n_arrays) in
-    let count = Cbsp_util.Rng.int_in rng ~lo:1 ~hi:4 in
-    match Cbsp_util.Rng.int rng ~bound:4 with
-    | 0 -> B.seq ~arr ~count ()
-    | 1 -> B.rand ~arr ~count ()
-    | 2 -> B.chase ~arr ~count ()
-    | _ -> B.hot ~arr ~count ()
-  in
-  let random_work () =
-    let accesses =
-      List.init (Cbsp_util.Rng.int rng ~bound:3) (fun _ -> random_access ())
-    in
-    B.work b ~insts:(Cbsp_util.Rng.int_in rng ~lo:5 ~hi:80) ~accesses ()
-  in
-  let random_trips () =
-    match Cbsp_util.Rng.int rng ~bound:3 with
-    | 0 -> Ast.Fixed (Cbsp_util.Rng.int_in rng ~lo:0 ~hi:20)
-    | 1 -> Ast.Scaled { base = Cbsp_util.Rng.int_in rng ~lo:1 ~hi:5; per_scale = 2 }
-    | _ ->
-      Ast.Jitter
-        { mean = Cbsp_util.Rng.int_in rng ~lo:2 ~hi:15;
-          spread = Cbsp_util.Rng.int_in rng ~lo:0 ~hi:4 }
-  in
-  (* helper procedures, callable from main (never from each other, which
-     trivially keeps the call graph acyclic) *)
-  let helper_names =
-    List.init plan.n_helpers (fun i ->
-        let name = Printf.sprintf "helper%d" i in
-        let body =
-          [ B.loop b ~trips:(random_trips ())
-              ~unrollable:(Cbsp_util.Rng.bool rng)
-              [ random_work (); random_work () ] ]
-        in
-        B.proc b ~name ~inline_hint:(Cbsp_util.Rng.bool rng) body;
-        name)
-  in
-  let rec random_stmt depth =
-    match Cbsp_util.Rng.int rng ~bound:(if depth >= 2 then 2 else 5) with
-    | 0 | 1 -> random_work ()
-    | 2 when helper_names <> [] ->
-      B.call b
-        (List.nth helper_names (Cbsp_util.Rng.int rng ~bound:(List.length helper_names)))
-    | 2 | 3 ->
-      B.loop b ~trips:(random_trips ())
-        ~splittable:(plan.splitting && Cbsp_util.Rng.bool rng)
-        (List.init
-           (Cbsp_util.Rng.int_in rng ~lo:1 ~hi:2)
-           (fun _ -> random_stmt (depth + 1)))
-    | _ ->
-      B.select b
-        (Array.init
-           (Cbsp_util.Rng.int_in rng ~lo:1 ~hi:3)
-           (fun _ -> [ random_stmt (depth + 1) ]))
-  in
-  let main_body =
-    B.loop b ~trips:(Ast.Fixed (Cbsp_util.Rng.int_in rng ~lo:5 ~hi:30))
-      (List.init (Cbsp_util.Rng.int_in rng ~lo:1 ~hi:3) (fun _ -> random_stmt 0))
-  in
-  B.proc b ~name:"main" [ main_body; random_work () ];
-  B.finish b ~main:"main"
 
 (* --- the invariants --------------------------------------------------- *)
 
 let binaries_of plan program =
-  Tutil.compile_all ~loop_splitting:plan.splitting program
+  Tutil.compile_all ~loop_splitting:plan.Genprog.splitting program
 
 let prop_builds_and_validates =
   QCheck.Test.make ~name:"generated programs validate" ~count:60
-    (QCheck.make plan_gen) (fun plan ->
-      let program = build_program plan in
+    (QCheck.make Genprog.plan_gen) (fun plan ->
+      let program = Genprog.build_program plan in
       Validate.check program;
       true)
 
 let prop_deterministic_execution =
   QCheck.Test.make ~name:"execution deterministic" ~count:30
-    (QCheck.make plan_gen) (fun plan ->
-      let program = build_program plan in
+    (QCheck.make Genprog.plan_gen) (fun plan ->
+      let program = Genprog.build_program plan in
       List.for_all
         (fun binary ->
           Executor.run binary input Executor.null_observer
@@ -146,8 +48,8 @@ let prop_deterministic_execution =
 
 let prop_opt_reduces_insts =
   QCheck.Test.make ~name:"O0 >= O2 instruction counts" ~count:30
-    (QCheck.make plan_gen) (fun plan ->
-      let program = build_program plan in
+    (QCheck.make Genprog.plan_gen) (fun plan ->
+      let program = Genprog.build_program plan in
       match
         List.map
           (fun b -> (Executor.run b input Executor.null_observer).Executor.insts)
@@ -168,8 +70,8 @@ let mappable_stream binary mappable =
 
 let prop_marker_stream_equal =
   QCheck.Test.make ~name:"mappable marker streams identical" ~count:30
-    (QCheck.make plan_gen) (fun plan ->
-      let program = build_program plan in
+    (QCheck.make Genprog.plan_gen) (fun plan ->
+      let program = Genprog.build_program plan in
       let binaries = binaries_of plan program in
       let profiles = List.map (fun b -> Structprof.profile b input) binaries in
       let mappable = Cbsp.Matching.find ~binaries ~profiles () in
@@ -179,8 +81,8 @@ let prop_marker_stream_equal =
 
 let prop_boundaries_replay =
   QCheck.Test.make ~name:"VLI boundaries replay in every binary" ~count:25
-    (QCheck.make plan_gen) (fun plan ->
-      let program = build_program plan in
+    (QCheck.make Genprog.plan_gen) (fun plan ->
+      let program = Genprog.build_program plan in
       let binaries = binaries_of plan program in
       let profiles = List.map (fun b -> Structprof.profile b input) binaries in
       let mappable = Cbsp.Matching.find ~binaries ~profiles () in
@@ -240,8 +142,8 @@ let prop_flat_matches_tree =
      tree walker's observer event stream and totals, on every binary of
      every random program *)
   QCheck.Test.make ~name:"flat interpreter = tree reference" ~count:25
-    (QCheck.make plan_gen) (fun plan ->
-      let program = build_program plan in
+    (QCheck.make Genprog.plan_gen) (fun plan ->
+      let program = Genprog.build_program plan in
       List.for_all
         (fun binary ->
           event_hash Executor.run binary = event_hash Executor_ref.run_tree binary)
@@ -251,9 +153,9 @@ let prop_data_stream_across_opt =
   (* without splitting, O0 and O2 of the same ISA touch the same data in
      the same order *)
   QCheck.Test.make ~name:"data stream invariant across opt levels" ~count:25
-    (QCheck.make plan_gen) (fun plan ->
+    (QCheck.make Genprog.plan_gen) (fun plan ->
       let plan = { plan with splitting = false } in
-      let program = build_program plan in
+      let program = Genprog.build_program plan in
       match List.map data_addrs (binaries_of plan program) with
       | [ a32u; a32o; a64u; a64o ] -> a32u = a32o && a64u = a64o
       | _ -> false)
@@ -267,8 +169,8 @@ let prop_static_prover_sound =
   let module Marker = Cbsp_compiler.Marker in
   let module Prover = Cbsp_analysis.Prover in
   QCheck.Test.make ~name:"static prover sound vs dynamic matching" ~count:30
-    (QCheck.make plan_gen) (fun plan ->
-      let program = build_program plan in
+    (QCheck.make Genprog.plan_gen) (fun plan ->
+      let program = Genprog.build_program plan in
       let binaries = binaries_of plan program in
       let profiles = List.map (fun b -> Structprof.profile b input) binaries in
       let dynamic = Cbsp.Matching.find ~binaries ~profiles () in

@@ -506,6 +506,141 @@ let test_streaming_scratch_gauge () =
   Tutil.check_bool "materialized peak grows with run length" true
     (Cbsp_obs.Metrics.gauge_value gauge > streaming_peak)
 
+(* --- one run per binary ------------------------------------------------ *)
+
+let collections engine =
+  List.filter
+    (fun (r : Cbsp_engine.Timing.record) ->
+      r.Cbsp_engine.Timing.tr_stage = Cbsp_engine.Stage.Interval_collection)
+    (Pipeline.timings engine)
+
+(* A run that serves several plans gives each the pass a run of its own
+   would: two fixed-length plans, a recording and a replay of another
+   binary's recording share one execution of a random program's binary,
+   and each stored pass is bit-identical to that plan's solo pass. *)
+let prop_shared_run_equals_solo =
+  let sp_config = Cbsp_simpoint.Simpoint.default_config in
+  QCheck.Test.make ~name:"one shared run = one run per plan" ~count:15
+    (QCheck.make Genprog.plan_gen) (fun gplan ->
+      let program = Genprog.build_program gplan in
+      let binaries =
+        Tutil.compile_all ~loop_splitting:gplan.Genprog.splitting program
+      in
+      let profiles =
+        List.map (fun b -> Cbsp_profile.Structprof.profile b input) binaries
+      in
+      let mappable = Cbsp.Matching.find ~binaries ~profiles () in
+      let keys b =
+        List.filter (Cbsp.Matching.is_mappable mappable)
+          (Binary.static_marker_keys b)
+      in
+      let solo binary plan =
+        Pipeline.collect (Pipeline.create_engine ()) program binary
+          ~label:"solo" ~sp_config ~input plan
+      in
+      let primary = List.hd binaries and binary = List.nth binaries 3 in
+      let recorded = solo primary (Pipeline.Recorded (2_000, keys primary)) in
+      let plans =
+        Pipeline.
+          [ Fixed 1_000; Fixed 3_000; Recorded (2_000, keys binary);
+            Replayed recorded.ps_boundaries ]
+      in
+      let engine = Pipeline.create_engine () in
+      Pipeline.collect_shared engine program binary ~sp_config ~input
+        (List.map (fun plan -> ("t", plan)) plans);
+      Cbsp_engine.Store.computes engine.Pipeline.eng_passes = 4
+      && List.for_all
+           (fun plan ->
+             bits
+               (Pipeline.collect engine program binary ~label:"shared"
+                  ~sp_config ~input plan)
+             = bits (solo binary plan))
+           plans
+      (* one run, and reading the passes back ran nothing *)
+      && List.length (collections engine) = 1)
+
+(* A plan that fails in a shared run fails alone: an unreachable replay
+   riding with a fixed-length plan raises the follower's own message,
+   while the fixed-length pass is stored and FLI over it equals a fresh
+   engine's FLI. *)
+let test_shared_run_failure_isolated () =
+  let sp_config = Cbsp_simpoint.Simpoint.default_config in
+  let program = Tutil.two_phase_program () in
+  let binary = Lower.compile program (List.hd configs) in
+  let unreachable =
+    Pipeline.Replayed
+      [| { Interval.bd_key = List.hd (Binary.static_marker_keys binary);
+           bd_count = max_int } |]
+  in
+  let engine = Pipeline.create_engine () in
+  Pipeline.collect_shared engine program binary ~sp_config ~input
+    [ ("fli", Pipeline.Fixed target); ("vli", unreachable) ];
+  let stored = Cbsp_engine.Store.computes engine.Pipeline.eng_passes in
+  (match
+     Pipeline.collect engine program binary ~label:"t" ~sp_config ~input
+       unreachable
+   with
+  | _ -> Alcotest.fail "an unreachable replay succeeded"
+  | exception Invalid_argument msg ->
+    Tutil.check_bool ("follower's message: " ^ msg) true
+      (String.starts_with ~prefix:"Interval.vli_follower_stream:" msg));
+  ignore
+    (Pipeline.collect engine program binary ~label:"t" ~sp_config ~input
+       (Pipeline.Fixed target)
+      : Pipeline.pass);
+  Tutil.check_int "fixed pass stored, failure not rerun" stored
+    (Cbsp_engine.Store.computes engine.Pipeline.eng_passes);
+  Tutil.check_bool "fli equals a solo run" true
+    (bits (Pipeline.run_fli ~engine program ~configs ~input ~target)
+    = bits (Pipeline.run_fli program ~configs ~input ~target))
+
+(* An estimator that fails in a batch fails alone, and a batch on a
+   cache-dir engine is served warm: no compile, no collection, the
+   same outputs. *)
+let test_batch_isolation_and_warm_cache () =
+  let program = Tutil.two_phase_program () in
+  let est =
+    Pipeline.
+      [ Any Fli;
+        Any (Vli { matching = Dynamic; primary = 7; match_options = None });
+        Any (Vli { matching = Dynamic; primary = 0; match_options = None });
+        Any (Sampling { level = 0.95; seeds = [ 2007 ]; n = 8 }) ]
+  in
+  let outputs outcomes =
+    List.map
+      (function
+        | Ok (Pipeline.Output (e, r)) -> Ok (bits (Pipeline.records e r))
+        | Error exn -> Error (Printexc.to_string exn))
+      outcomes
+  in
+  let alone =
+    outputs
+      (List.concat_map
+         (fun e -> Pipeline.run_batch [ e ] program ~configs ~input ~target)
+         est)
+  in
+  (match alone with
+  | [ Ok _; Error bad; Ok _; Ok _ ] ->
+    Alcotest.(check string) "bad primary" 
+      (Printexc.to_string (Invalid_argument "Pipeline.run_vli: bad primary"))
+      bad
+  | _ -> Alcotest.fail "want exactly the bad primary to fail");
+  Tutil.with_temp_dir "batch" @@ fun cache_dir ->
+  let batch () =
+    let engine = Pipeline.create_engine ~cache_dir () in
+    let outcomes = Pipeline.run_batch ~engine est program ~configs ~input ~target in
+    (outputs outcomes, engine)
+  in
+  let cold, cold_engine = batch () in
+  Tutil.check_bool "cold batch = one batch per estimator" true (cold = alone);
+  Tutil.check_int "cold: one run per binary" (List.length configs)
+    (List.length (collections cold_engine));
+  let warm, warm_engine = batch () in
+  Tutil.check_bool "warm batch = cold batch" true (warm = cold);
+  Tutil.check_int "warm: no run" 0 (List.length (collections warm_engine));
+  Tutil.check_bool "warm: no compile" true
+    (Pipeline.compile_stats warm_engine = (0, 0))
+
 (* The sampling estimator scores exactly four samplers, and a result
    served from a disk-cached engine (cold, then warm through a second
    engine over the same directory) names no other method. *)
@@ -556,6 +691,12 @@ let () =
           Tutil.quick "simpoint settings share passes"
             test_simpoint_settings_share_passes;
           Tutil.quick "scratch gauge" test_streaming_scratch_gauge ] );
+      ( "batch",
+        [ Tutil.qcheck_case prop_shared_run_equals_solo;
+          Tutil.quick "shared run failure isolated"
+            test_shared_run_failure_isolated;
+          Tutil.quick "estimator failure isolated, warm cache"
+            test_batch_isolation_and_warm_cache ] );
       ( "validation",
         [ Tutil.quick "invalid primary" test_invalid_primary;
           Tutil.quick "empty configs" test_empty_configs;

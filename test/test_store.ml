@@ -359,12 +359,32 @@ let test_store_quarantines_unmarshalable_payload () =
     (Store.find_or_compute store2 ~key:"k" (fun () -> 7));
   Tutil.check_int "served without computing" 0 (Store.computes store2)
 
+(* [find_opt] serves what a store holds, in memory or on disk, and never
+   computes: an absent key, a raised one and a fresh directory all give
+   [None] and leave the compute count alone. *)
+let test_find_opt_never_computes () =
+  with_dir "find" @@ fun dir ->
+  let store = Store.create ~disk:(Diskcache.create ~dir ()) () in
+  Tutil.check_bool "absent" true (Store.find_opt store ~key:"k" = None);
+  Tutil.check_int "a miss computes nothing" 0 (Store.computes store);
+  ignore (Store.find_or_compute store ~key:"k" (fun () -> 42) : int);
+  Tutil.check_bool "held in memory" true (Store.find_opt store ~key:"k" = Some 42);
+  (try ignore (Store.find_or_compute store ~key:"bad" (fun () -> failwith "x") : int)
+   with Failure _ -> ());
+  Tutil.check_bool "raised" true (Store.find_opt store ~key:"bad" = None);
+  let warm = Store.create ~disk:(Diskcache.create ~dir ()) () in
+  Tutil.check_bool "on disk" true (Store.find_opt warm ~key:"k" = Some 42);
+  Tutil.check_int "a disk hit computes nothing" 0 (Store.computes warm);
+  Tutil.check_int "then it is in memory" 42
+    (Store.find_or_compute warm ~key:"k" (fun () -> 0))
+
 let () =
   Alcotest.run "store"
     [ ( "roundtrip",
         [ Tutil.quick "put/find + warm start" test_roundtrip_basic;
           Tutil.qcheck_case prop_roundtrip;
-          Tutil.quick "last writer wins" test_last_writer_wins ] );
+          Tutil.quick "last writer wins" test_last_writer_wins;
+          Tutil.quick "find_opt never computes" test_find_opt_never_computes ] );
       ( "corruption",
         [ Tutil.quick "every single-byte flip quarantined"
             test_single_byte_corruption_exhaustive;

@@ -435,6 +435,47 @@ let test_shared_passes_bit_identical () =
         (List.length collections))
     [ ("gcc", 8); ("applu", 12) ]
 
+(* The matrix hands a workload's five estimators to one batch, which
+   executes each of the four binaries once: the primary with FLI's
+   fixed-length plan and every VLI recording, each other binary with
+   its fixed-length plan and every VLI replay.  No output may change a
+   bit against each estimator run alone on a fresh engine. *)
+let test_batched_matrix_equals_alone () =
+  let bits v = Marshal.to_string v [ Marshal.No_sharing ] in
+  List.iter
+    (fun name ->
+      let entry = Cbsp_workloads.Registry.find name in
+      let program = entry.Cbsp_workloads.Registry.build () in
+      let configs =
+        Cbsp_compiler.Config.paper_four
+          ~loop_splitting:entry.Cbsp_workloads.Registry.loop_splitting ()
+      in
+      let w =
+        match
+          (Matrix.run ~options:small_options ~names:[ name ] ()).Matrix.m_workloads
+        with
+        | [ w ] -> w
+        | ws -> Alcotest.failf "%d workload results" (List.length ws)
+      in
+      Tutil.check_bool (name ^ ": no failure") true (w.Matrix.w_failed = []);
+      let alone =
+        List.map
+          (Matrix.run_estimator ~options:small_options
+             ~engine:(Pipeline.create_engine ()) program ~configs)
+          (Matrix.estimators small_options)
+      in
+      Tutil.check_bool (name ^ ": outputs bit-identical") true
+        (bits w.Matrix.w_outputs = bits alone);
+      let collections =
+        List.filter
+          (fun (r : Cbsp_engine.Timing.record) ->
+            r.Cbsp_engine.Timing.tr_stage = Cbsp_engine.Stage.Interval_collection)
+          w.Matrix.w_timings
+      in
+      Tutil.check_int (name ^ ": one interval-collection job per binary") 4
+        (List.length collections))
+    [ "gcc"; "applu" ]
+
 (* --- estimate records ----------------------------------------------- *)
 
 let test_estimate_records () =
@@ -620,6 +661,8 @@ let () =
           Tutil.quick "estimate records" test_estimate_records;
           Tutil.quick "methods table" test_methods_table;
           Tutil.quick "shared passes bit-identical"
-            test_shared_passes_bit_identical ] );
+            test_shared_passes_bit_identical;
+          Tutil.quick "batched matrix = per-estimator runs"
+            test_batched_matrix_equals_alone ] );
       ( "properties",
         [ Tutil.qcheck_case prop_identical_pair_exact ] ) ]
