@@ -9,8 +9,6 @@ module Config = Cbsp_compiler.Config
 module Simpoint = Cbsp_simpoint.Simpoint
 module Figures = Cbsp_report.Figures
 module Ablation = Cbsp_report.Ablation
-module Lint = Cbsp_analysis.Lint
-module Prover = Cbsp_analysis.Prover
 
 open Cmdliner
 
@@ -342,13 +340,18 @@ let run_cmd =
       ~trace ~manifest
       ~timings:(fun () -> Pipeline.timings engine)
     @@ fun () ->
-    let fli =
-      Pipeline.run_fli ~sp_config ~engine program ~configs ~input ~target
-    in
-    let vli =
-      Pipeline.run ~sp_config ~engine
-        (Vli { matching; primary; match_options = None })
-        program ~configs ~input ~target
+    (* One batch: each binary runs once for both estimators' plans.
+       Outcomes come back in the given order; the first error is
+       re-raised. *)
+    let (fli, vli) : Pipeline.fli_result * Pipeline.vli_result =
+      match
+        Pipeline.run_batch ~sp_config ~engine
+          [ Any Fli; Any (Vli { matching; primary; match_options = None }) ]
+          program ~configs ~input ~target
+        |> List.map (function Ok output -> output | Error e -> raise e)
+      with
+      | [ Output (Fli, fli); Output (Vli _, vli) ] -> (fli, vli)
+      | _ -> assert false
     in
     Fmt.pr "== %s (target=%d, scale=%d)@." name target scale;
     Fmt.pr "mappable keys: %d of %d candidates; %d VLI boundaries@."
@@ -786,131 +789,6 @@ let points_cmd =
     [ points_save_cmd; points_replay_cmd ]
 
 (* ------------------------------------------------------------------ *)
-(* lint: static analysis over workloads and points files               *)
-
-let lint_cmd =
-  let run workloads scale json points_path semantic =
-    let names =
-      workload_names (match workloads with [] -> None | ws -> Some ws)
-    in
-    let findings = ref [] in
-    let reports = ref [] in
-    let add fs = findings := !findings @ fs in
-    List.iter
-      (fun name ->
-        let entry = Registry.find name in
-        let program = entry.Registry.build () in
-        let program_findings = Lint.check_program ~workload:name ~scale program in
-        add program_findings;
-        (* Binary-level lints assume a program the validator accepts. *)
-        if not (List.exists (fun f -> f.Lint.f_severity = Lint.Error) program_findings)
-        then begin
-          let configs =
-            Config.paper_four ~loop_splitting:entry.Registry.loop_splitting ()
-          in
-          let binaries =
-            List.map (Cbsp_compiler.Lower.compile program) configs
-          in
-          let report = Prover.prove ~binaries ~scale in
-          reports := (name, report) :: !reports;
-          add (Lint.check_binaries ~workload:name ~scale ~report binaries)
-        end)
-      names;
-    (match points_path with
-    | None -> ()
-    | Some path ->
-      let header, points = load_points path in
-      let markers =
-        Array.to_list
-          (Array.map
-             (fun (b : Cbsp_profile.Interval.boundary) ->
-               b.Cbsp_profile.Interval.bd_key)
-             points.Pipeline.pt_boundaries)
-      in
-      add
-        (Lint.check_points ~workload:header.Cbsp.Points_file.h_program ~markers));
-    let findings = !findings in
-    let reports = List.rev !reports in
-    let totals = Lint.totals_of_reports (List.map snd reports) in
-    let semantic_stats =
-      if semantic then
-        Some
-          (List.map
-             (fun (name, report) -> Lint.semantic_stat ~workload:name report)
-             reports)
-      else None
-    in
-    Fmt.pr "== lint: %d workload%s, scale %d@." (List.length names)
-      (if List.length names = 1 then "" else "s")
-      scale;
-    List.iter (fun f -> Fmt.pr "%a@." Lint.pp_finding f) findings;
-    (match semantic_stats with
-    | None -> ()
-    | Some stats ->
-      Fmt.pr "recovered mappability (semantic matching over split-lost \
-              markers):@.";
-      List.iter (fun s -> Fmt.pr "  %a@." Lint.pp_semantic_stat s) stats);
-    let count sev =
-      List.length (List.filter (fun f -> f.Lint.f_severity = sev) findings)
-    in
-    let decided =
-      totals.Lint.at_proved_mappable + totals.Lint.at_proved_unmappable
-    in
-    Fmt.pr "analysis: %d candidate markers, %d proved mappable, %d proved \
-            unmappable, %d need dynamic profiling (%.1f%% decided)@."
-      totals.Lint.at_candidates totals.Lint.at_proved_mappable
-      totals.Lint.at_proved_unmappable totals.Lint.at_needs_dynamic
-      (if totals.Lint.at_candidates = 0 then 100.0
-       else 100.0 *. float_of_int decided /. float_of_int totals.Lint.at_candidates);
-    Fmt.pr "summary: %d error%s, %d warning%s, %d info@."
-      (count Lint.Error)
-      (if count Lint.Error = 1 then "" else "s")
-      (count Lint.Warning)
-      (if count Lint.Warning = 1 then "" else "s")
-      (count Lint.Info);
-    (match json with
-    | None -> ()
-    | Some path ->
-      Cbsp_util.Io.with_out_file path (fun oc ->
-          output_string oc
-            (Lint.to_json ~scale ~workloads:names ~totals
-               ?semantic:semantic_stats findings));
-      Fmt.pr "wrote %s@." path);
-    if count Lint.Error > 0 then exit 1
-  in
-  let names_arg =
-    Arg.(value & pos_all string [] & info [] ~docv:"WORKLOAD")
-  in
-  let json_arg =
-    let doc =
-      "Also write the findings as a cbsp-lint/1 JSON report to PATH \
-       (default LINT.json when the flag is given without a value)."
-    in
-    Arg.(value & opt ~vopt:(Some "LINT.json") (some string) None
-         & info [ "json" ] ~docv:"PATH" ~doc)
-  in
-  let points_arg =
-    Arg.(value & opt (some string) None
-         & info [ "points" ] ~docv:"FILE"
-             ~doc:"Also lint a simulation-points file for mangled-marker \
-                   leakage.")
-  in
-  let semantic_arg =
-    Arg.(value & flag
-         & info [ "semantic" ]
-             ~doc:"Also run the semantic (fingerprint) matching pass over \
-                   the markers the prover lost to loop splitting and \
-                   report per-workload recovered mappability: lost / \
-                   identified / order-safe / demoted.")
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:"Statically analyze workloads: mappability proofs and program \
-             diagnostics (exit 1 on error findings)")
-    Term.(const run $ names_arg $ scale_arg $ json_arg $ points_arg
-          $ semantic_arg)
-
-(* ------------------------------------------------------------------ *)
 (* dump-bbv: SimPoint .bb output                                       *)
 
 let binary_of_label entry label =
@@ -970,7 +848,6 @@ let main_cmd =
   Cmd.group
     (Cmd.info "cbsp" ~version:"1.0.0" ~doc)
     [ list_cmd; show_cmd; profile_cmd; run_cmd; experiment_cmd;
-      validate_cmd; ablation_cmd; phases_cmd; points_cmd; lint_cmd;
-      dump_bbv_cmd ]
+      validate_cmd; ablation_cmd; phases_cmd; points_cmd; dump_bbv_cmd ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -290,7 +290,7 @@ let recover ?(threshold = default_threshold) (report : Prover.report) =
     let bins = Array.of_list report.Prover.pr_summaries in
     let n = Array.length bins in
     let walks =
-      Array.map (fun (b, s) -> sites_of ~counts:s.Absint.bs_counts b) bins
+      Array.map (fun (b, counts) -> sites_of ~counts b) bins
     in
     let demoted =
       Array.fold_left
@@ -307,7 +307,7 @@ let recover ?(threshold = default_threshold) (report : Prover.report) =
       |> List.sort compare
     in
     let decided_count j key =
-      match Marker.Map.find_opt key (snd bins.(j)).Absint.bs_counts with
+      match Marker.Map.find_opt key (snd bins.(j)) with
       | None -> None
       | Some v -> Sym.decided_at v ~scale
     in

@@ -52,6 +52,3 @@ let div_ceil t u =
   trim (Array.map (fun c -> (c + u - 1) / u) t)
 
 let eval t ~scale = Array.fold_right (fun c acc -> (acc * scale) + c) t 0
-
-let eval_float t ~scale =
-  Array.fold_right (fun c acc -> (acc *. scale) +. float_of_int c) t 0.0

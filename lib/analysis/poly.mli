@@ -41,5 +41,3 @@ val div_ceil : t -> int -> t
     [ceil (p s / u)] at any integer scale [s >= 0]. *)
 
 val eval : t -> scale:int -> int
-val eval_float : t -> scale:float -> float
-(** Overflow-safe evaluation for very large scales. *)

@@ -21,7 +21,7 @@ type report = {
   pr_verdicts : verdict Marker.Map.t;
   pr_proved : int Marker.Map.t;
   pr_candidates : int;
-  pr_summaries : (Binary.t * Absint.binary_summary) list;
+  pr_summaries : (Binary.t * Sym.t Marker.Map.t) list;
 }
 
 let m_runs = Metrics.counter "analysis.runs"
@@ -88,7 +88,7 @@ let prove ~binaries ~scale =
         Marker.Map.fold
           (fun key _ keys ->
             if Marker.is_mangled key then keys else Marker.Set.add key keys)
-          s.Absint.bs_counts keys)
+          s keys)
       Marker.Set.empty summaries
   in
   let verdicts = ref Marker.Map.empty in
@@ -99,7 +99,7 @@ let prove ~binaries ~scale =
       let bounds =
         List.map
           (fun (_, s) ->
-            match Marker.Map.find_opt key s.Absint.bs_counts with
+            match Marker.Map.find_opt key s with
             | Some v -> Sym.eval v ~scale
             | None -> (0, 0))
           summaries

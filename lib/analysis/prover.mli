@@ -44,8 +44,9 @@ type report = {
   pr_proved : int Cbsp_compiler.Marker.Map.t;
       (** The [Proved_mappable] subset with its agreed counts. *)
   pr_candidates : int;
-  pr_summaries : (Cbsp_compiler.Binary.t * Absint.binary_summary) list;
-      (** Per-binary symbolic summaries, reusable by lint passes. *)
+  pr_summaries : (Cbsp_compiler.Binary.t * Sym.t Cbsp_compiler.Marker.Map.t) list;
+      (** Per-binary symbolic marker counts ({!Absint.analyze_binary}),
+          reused by {!Fingerprint.recover}. *)
 }
 
 val prove : binaries:Cbsp_compiler.Binary.t list -> scale:int -> report

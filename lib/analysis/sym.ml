@@ -34,9 +34,6 @@ let add a b =
 let mul a b =
   { lo = Poly.mul a.lo b.lo; hi = Poly.mul a.hi b.hi; exact = a.exact && b.exact }
 
-let cmul k t =
-  { lo = Poly.cmul k t.lo; hi = Poly.cmul k t.hi; exact = t.exact }
-
 let ceil_div t u =
   if u <= 1 then t
   else if t.exact && Poly.is_const t.lo then

@@ -26,7 +26,6 @@ val of_trips : Cbsp_source.Ast.trips -> t
 
 val add : t -> t -> t
 val mul : t -> t -> t
-val cmul : int -> t -> t
 
 val ceil_div : t -> int -> t
 (** [ceil_div t u] bounds [ceil (t / u)] — the per-entry back-edge count

@@ -66,6 +66,9 @@ let of_string text =
         end
         | [ "boundary"; key; count ] -> begin
           match (Marker.of_string key, int_of_string_opt count) with
+          | Some key, _ when Marker.is_mangled key ->
+            fail lineno "compiler-mangled marker %s: no other binary can name it"
+              (Marker.to_string key)
           | Some key, Some count when count > 0 ->
             boundaries := { Interval.bd_key = key; bd_count = count } :: !boundaries
           | _ -> fail lineno "bad boundary %S" line

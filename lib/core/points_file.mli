@@ -35,7 +35,9 @@ val to_string :
   program:string -> input:Cbsp_source.Input.t -> Pipeline.points -> string
 
 val of_string : string -> header * Pipeline.points
-(** @raise Parse_error on malformed input. *)
+(** @raise Parse_error on malformed input, including a boundary that
+    names a compiler-mangled marker ({!Cbsp_compiler.Marker.is_mangled}):
+    no other binary can name it, so it cannot be replayed. *)
 
 val save :
   path:string ->

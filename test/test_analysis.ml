@@ -1,8 +1,7 @@
 (* Tests for the static mappability analyzer (lib/analysis): the
    Poly/Sym count domain, the abstract interpreter's exactness against
    real profiles, the prover's soundness against dynamic matching over
-   the whole workload registry, the pipeline's static path, and the lint
-   engine.
+   the whole workload registry, and the pipeline's static path.
 
    The soundness contract under test is the load-bearing one: a
    [Proved_mappable] verdict must be confirmed by dynamic matching with
@@ -15,7 +14,6 @@ module Ast = Cbsp_source.Ast
 module Input = Cbsp_source.Input
 module Marker = Cbsp_compiler.Marker
 module Structprof = Cbsp_profile.Structprof
-module Executor = Cbsp_exec.Executor
 module Registry = Cbsp_workloads.Registry
 module Matching = Cbsp.Matching
 module Pipeline = Cbsp.Pipeline
@@ -23,9 +21,6 @@ module Poly = Cbsp_analysis.Poly
 module Sym = Cbsp_analysis.Sym
 module Absint = Cbsp_analysis.Absint
 module Prover = Cbsp_analysis.Prover
-module Lint = Cbsp_analysis.Lint
-module Binary = Cbsp_compiler.Binary
-module Cpu = Cbsp_cache.Cpu
 
 (* --- fixtures --------------------------------------------------------- *)
 
@@ -57,14 +52,6 @@ let loop_line_of program name =
     | [] -> Alcotest.failf "no loop in %s" name
   in
   find p.Ast.proc_body
-
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
-let find_rule rule findings =
-  List.filter (fun f -> f.Lint.f_rule = rule) findings
 
 (* --- the Poly domain -------------------------------------------------- *)
 
@@ -138,30 +125,26 @@ let test_sym_select () =
 
 (* On a Fixed/Scaled-only program every symbolic count is exact, so the
    abstract interpreter must agree with a structure profile key-for-key
-   and with the executor on total instructions, in every binary. *)
+   in every binary. *)
 let test_absint_matches_profile () =
   let program = fixed_scaled_program () in
   let input = Input.make ~name:"fixsc" ~seed:11 ~scale:3 () in
   List.iter
     (fun binary ->
-      let summary = Absint.analyze_binary binary in
+      let counts = Absint.analyze_binary binary in
       let profile = Structprof.profile binary input in
       Marker.Map.iter
         (fun key sym ->
           match Sym.decided_at sym ~scale:3 with
           | Some n -> Tutil.check_int (Marker.to_string key) n (Structprof.count profile key)
           | None -> Alcotest.failf "undecided count for %s" (Marker.to_string key))
-        summary.Absint.bs_counts;
+        counts;
       Marker.Map.iter
         (fun key n ->
-          if not (Marker.Map.mem key summary.Absint.bs_counts) then
+          if not (Marker.Map.mem key counts) then
             Alcotest.failf "profiled %s (count %d) not predicted"
               (Marker.to_string key) n)
-        profile;
-      let totals = Executor.run binary input Executor.null_observer in
-      match Sym.decided_at summary.Absint.bs_insts ~scale:3 with
-      | Some n -> Tutil.check_int "total insts" totals.Executor.insts n
-      | None -> Alcotest.fail "total insts undecided")
+        profile)
     (Tutil.compile_all program)
 
 (* --- the prover ------------------------------------------------------- *)
@@ -245,6 +228,28 @@ let test_registry_sound_large_scale () =
         ~scale:10 (e.Registry.build ()))
     [ "swim"; "applu"; "gcc" ]
 
+(* The prover's verdict totals over the whole registry at the reference
+   scale: a change to the analysis that decides fewer markers, or flips a
+   verdict, shows here. *)
+let test_registry_totals () =
+  let candidates, mappable, unmappable, needs_dynamic =
+    List.fold_left
+      (fun (c, p, u, d) (e : Registry.entry) ->
+        let binaries =
+          Tutil.compile_all ~loop_splitting:e.Registry.loop_splitting
+            (e.Registry.build ())
+        in
+        let report = Prover.prove ~binaries ~scale:10 in
+        let p', u', d' = Prover.tally report in
+        (c + report.Prover.pr_candidates, p + p', u + u', d + d'))
+      (0, 0, 0, 0) Registry.all
+  in
+  Tutil.check_int "workloads" 21 (List.length Registry.all);
+  Tutil.check_int "candidates" 476 candidates;
+  Tutil.check_int "proved mappable" 312 mappable;
+  Tutil.check_int "proved unmappable" 50 unmappable;
+  Tutil.check_int "need dynamic profiling" 114 needs_dynamic
+
 (* --- the pipeline's static path --------------------------------------- *)
 
 let test_pipeline_static_skips_profiling () =
@@ -283,110 +288,6 @@ let test_pipeline_static_fallback () =
     (Marker.Map.equal ( = ) st.Pipeline.vli_mappable.Matching.counts
        dyn.Pipeline.vli_mappable.Matching.counts)
 
-(* --- lints ------------------------------------------------------------ *)
-
-let test_lint_program_rules () =
-  let b = B.create ~name:"lints" in
-  let used = B.data_array b ~name:"used" ~elem_bytes:8 ~length:64 in
-  let unused = B.data_array b ~name:"unused" ~elem_bytes:8 ~length:64 in
-  ignore unused;
-  B.proc b ~name:"main"
-    [ B.loop b ~trips:(Ast.Fixed 0) [ B.work b ~insts:10 () ];
-      B.select b
-        [| [ B.work b ~insts:5 ~accesses:[ B.seq ~arr:used ~count:1 () ] () ];
-           [ B.work b ~insts:5 () ];
-           [ B.work b ~insts:5 () ] |];
-      B.work b ~insts:9 () ];
-  let program = B.finish b ~main:"main" in
-  let findings = Lint.check_program ~workload:"lints" ~scale:1 program in
-  Tutil.check_bool "zero-trip-loop fires" true (find_rule "zero-trip-loop" findings <> []);
-  Tutil.check_bool "select-arms fires" true (find_rule "select-arms" findings <> []);
-  Tutil.check_bool "unused-array fires" true (find_rule "unused-array" findings <> []);
-  Tutil.check_int "well-formed program: no errors" 0 (Lint.errors findings)
-
-let test_lint_invalid_program () =
-  (* Bypass the builder: a raw program Validate rejects must produce one
-     validate error and suppress the deeper lints. *)
-  let program =
-    { Ast.prog_name = "bad"; arrays = [||];
-      procs =
-        [ { Ast.proc_name = "main"; proc_line = 1;
-            proc_body = [ Ast.Work { work_line = 2; insts = -5; accesses = [] } ];
-            inline_hint = false } ];
-      main = "main" }
-  in
-  let findings = Lint.check_program ~workload:"bad" ~scale:1 program in
-  match findings with
-  | [ f ] ->
-    Alcotest.(check string) "rule" "validate" f.Lint.f_rule;
-    Tutil.check_int "is an error" 1 (Lint.errors findings)
-  | _ -> Alcotest.failf "expected exactly one finding, got %d" (List.length findings)
-
-let test_lint_inst_overflow () =
-  let b = B.create ~name:"huge" in
-  let l1 =
-    B.loop b ~trips:(Ast.Scaled { base = 0; per_scale = 1000 })
-      [ B.work b ~insts:1000 () ]
-  in
-  let l2 = B.loop b ~trips:(Ast.Scaled { base = 0; per_scale = 1000 }) [ l1 ] in
-  let l3 = B.loop b ~trips:(Ast.Scaled { base = 0; per_scale = 1000 }) [ l2 ] in
-  B.proc b ~name:"main" [ l3 ];
-  let program = B.finish b ~main:"main" in
-  let binaries = Tutil.compile_all program in
-  let findings = Lint.check_binaries ~workload:"huge" ~scale:1 binaries in
-  Tutil.check_bool "inst-overflow fires" true (find_rule "inst-overflow" findings <> [])
-
-let test_lint_backedge_survival () =
-  let program = fixed_scaled_program () in
-  let binaries = Tutil.compile_all program in
-  let report = Prover.prove ~binaries ~scale:10 in
-  let findings = Lint.check_binaries ~workload:"fixsc" ~scale:10 ~report binaries in
-  match find_rule "backedge-survival" findings with
-  | f :: _ ->
-    Tutil.check_bool "info severity" true (f.Lint.f_severity = Lint.Info);
-    Alcotest.(check (option int)) "names the kernel loop line"
-      (Some (loop_line_of program "kernel")) f.Lint.f_line
-  | [] -> Alcotest.fail "expected a backedge-survival finding for the unrolled kernel"
-
-let test_lint_points () =
-  let findings =
-    Lint.check_points ~workload:"w"
-      ~markers:[ Marker.Loop_entry (-3); Marker.Proc_entry "main" ]
-  in
-  Tutil.check_int "one error" 1 (Lint.errors findings);
-  match findings with
-  | [ f ] ->
-    Alcotest.(check string) "rule" "mangled-marker" f.Lint.f_rule;
-    Tutil.check_bool "error severity" true (f.Lint.f_severity = Lint.Error)
-  | _ -> Alcotest.failf "expected one finding, got %d" (List.length findings)
-
-(* The registry must be lint-clean at the error level — this is what the
-   CI lint-smoke job gates on. *)
-let test_registry_lint_clean () =
-  List.iter
-    (fun (e : Registry.entry) ->
-      let findings =
-        Lint.check_program ~workload:e.Registry.name ~scale:2 (e.Registry.build ())
-      in
-      Tutil.check_int (e.Registry.name ^ " error findings") 0 (Lint.errors findings))
-    Registry.all
-
-let test_lint_json () =
-  let totals =
-    { Lint.at_candidates = 3; at_proved_mappable = 2; at_proved_unmappable = 1;
-      at_needs_dynamic = 0 }
-  in
-  let f =
-    { Lint.f_severity = Lint.Warning; f_workload = "w"; f_rule = "demo";
-      f_line = Some 4; f_message = "say \"hi\"\nbye" }
-  in
-  let json = Lint.to_json ~scale:2 ~workloads:[ "w" ] ~totals [ f ] in
-  Tutil.check_bool "schema tag" true (contains json "\"schema\": \"cbsp-lint/1\"");
-  Tutil.check_bool "quotes escaped" true (contains json "\\\"hi\\\"");
-  Tutil.check_bool "newline escaped" true (contains json "\\n");
-  Tutil.check_bool "line emitted" true (contains json "\"line\": 4");
-  Tutil.check_bool "totals emitted" true (contains json "\"proved_mappable\": 2")
-
 let () =
   Alcotest.run "analysis"
     [ ( "domain",
@@ -400,15 +301,8 @@ let () =
       ( "prover",
         [ Tutil.quick "verdicts on fixed/scaled program" test_prover_verdicts;
           Tutil.quick "sound on whole registry" test_registry_sound;
-          Tutil.quick "sound at large scale" test_registry_sound_large_scale ] );
+          Tutil.quick "sound at large scale" test_registry_sound_large_scale;
+          Tutil.quick "registry totals at scale 10" test_registry_totals ] );
       ( "pipeline",
         [ Tutil.quick "static path skips profiling" test_pipeline_static_skips_profiling;
-          Tutil.quick "static path falls back on residue" test_pipeline_static_fallback ] );
-      ( "lint",
-        [ Tutil.quick "program rules" test_lint_program_rules;
-          Tutil.quick "invalid program" test_lint_invalid_program;
-          Tutil.quick "instruction overflow" test_lint_inst_overflow;
-          Tutil.quick "backedge survival" test_lint_backedge_survival;
-          Tutil.quick "mangled points markers" test_lint_points;
-          Tutil.quick "registry is error-clean" test_registry_lint_clean;
-          Tutil.quick "json report" test_lint_json ] ) ]
+          Tutil.quick "static path falls back on residue" test_pipeline_static_fallback ] ) ]

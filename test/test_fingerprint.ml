@@ -16,7 +16,7 @@ module B = Cbsp_source.Builder
 let input = Tutil.test_input
 let scale = 1 (* matches [input] *)
 
-let report_of ?(loop_splitting = true) program =
+let report_of ?(loop_splitting = true) ?(scale = scale) program =
   Prover.prove ~binaries:(Tutil.compile_all ~loop_splitting program) ~scale
 
 let loop_line_of program proc_name =
@@ -184,27 +184,33 @@ let test_applu_recovery () =
           (Printf.sprintf "%s does not split" e.Registry.name)
           false e.Registry.loop_splitting)
     Registry.all;
-  let report = report_of (entry.Registry.build ()) in
-  let rc = Fingerprint.recover report in
-  (* 12 loop keys lost (the split driver loop + five inlined solver
-     loops, entry and back each).  Recovery re-identifies 7: the driver
-     pair and each solver's entry (solver back edges have Jitter trip
-     counts the count gate cannot verify).  3 are order-safe: the driver
-     pair plus the first fragment's solver entry. *)
-  Tutil.check_int "lost" 12 (Fingerprint.n_lost rc);
-  Tutil.check_int "identified" 7 (Fingerprint.n_identified rc);
-  Tutil.check_int "cuttable" 3 (Fingerprint.n_cuttable rc);
-  (* recovered mappability must be a meaningful fraction of the loss *)
-  Tutil.check_bool "recovers at least half the lost markers" true
-    (2 * Fingerprint.n_identified rc >= Fingerprint.n_lost rc);
-  (* and every exact-matcher loss really was a loss *)
-  Marker.Set.iter
-    (fun key ->
-      match Marker.Map.find_opt key report.Prover.pr_proved with
-      | Some _ ->
-        Alcotest.failf "%s both lost and proved" (Marker.to_string key)
-      | None -> ())
-    rc.Fingerprint.rc_lost
+  (* At the test input's scale and at the reference scale. *)
+  List.iter
+    (fun scale ->
+      let report = report_of ~scale (entry.Registry.build ()) in
+      let rc = Fingerprint.recover report in
+      let label what = Printf.sprintf "scale %d: %s" scale what in
+      (* 12 loop keys lost (the split driver loop + five inlined solver
+         loops, entry and back each).  Recovery re-identifies 7: the
+         driver pair and each solver's entry (solver back edges have
+         Jitter trip counts the count gate cannot verify).  3 are
+         order-safe: the driver pair plus the first fragment's solver
+         entry. *)
+      Tutil.check_int (label "lost") 12 (Fingerprint.n_lost rc);
+      Tutil.check_int (label "identified") 7 (Fingerprint.n_identified rc);
+      Tutil.check_int (label "cuttable") 3 (Fingerprint.n_cuttable rc);
+      (* recovered mappability must be a meaningful fraction of the loss *)
+      Tutil.check_bool (label "recovers at least half the lost markers") true
+        (2 * Fingerprint.n_identified rc >= Fingerprint.n_lost rc);
+      (* and every exact-matcher loss really was a loss *)
+      Marker.Set.iter
+        (fun key ->
+          match Marker.Map.find_opt key report.Prover.pr_proved with
+          | Some _ ->
+            Alcotest.failf "%s both lost and proved" (Marker.to_string key)
+          | None -> ())
+        rc.Fingerprint.rc_lost)
+    [ scale; 10 ]
 
 (* --- recovered VLI end to end ------------------------------------------ *)
 

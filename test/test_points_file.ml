@@ -96,6 +96,7 @@ let test_parse_errors () =
   expect_parse_error (swap valid_text ~from:"point 1 1" ~into:"point 3 1");
   expect_parse_error (swap valid_text ~from:"boundary proc:f 3" ~into:"boundary junk 3");
   expect_parse_error (swap valid_text ~from:"boundary proc:f 3" ~into:"boundary proc:f 0");
+  expect_parse_error (swap valid_text ~from:"boundary proc:f 3" ~into:"boundary loop-back:-3 4");
   expect_parse_error (swap valid_text ~from:"point 0 0" ~into:"gibberish here now")
 
 let test_rep_label_consistency_checked () =
