@@ -764,7 +764,13 @@ let points_replay_cmd =
         exit 2
     in
     let binary = Cbsp_compiler.Lower.compile program config in
-    let r = Pipeline.replay binary ~input points in
+    let r =
+      try Pipeline.replay binary ~input points
+      with Invalid_argument msg ->
+        Fmt.epr "%s: points do not match %s/%s: %s@." file
+          header.Cbsp.Points_file.h_program label msg;
+        exit 1
+    in
     Fmt.pr "replayed %s points on %s/%s:@." file
       header.Cbsp.Points_file.h_program label;
     print_binary_result "   " r;

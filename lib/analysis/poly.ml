@@ -20,8 +20,6 @@ let is_const t = Array.length t <= 1
 
 let equal (a : t) (b : t) = a = b
 
-let degree t = Array.length t - 1
-
 let add a b =
   let n = max (Array.length a) (Array.length b) in
   trim
@@ -38,8 +36,6 @@ let mul a b =
       a;
     trim r
   end
-
-let cmul k t = if k <= 0 then zero else trim (Array.map (fun c -> c * k) t)
 
 let divisible_by t u = u <> 0 && Array.for_all (fun c -> c mod u = 0) t
 

@@ -22,12 +22,9 @@ val is_const : t -> bool
 (** True for degree [<= 0] (including {!zero}). *)
 
 val equal : t -> t -> bool
-val degree : t -> int
-(** [-1] for {!zero}. *)
 
 val add : t -> t -> t
 val mul : t -> t -> t
-val cmul : int -> t -> t
 
 val divisible_by : t -> int -> bool
 (** Every coefficient divisible by the divisor. *)

@@ -481,8 +481,10 @@ val replay :
   binary_result
 (** Measure one binary against an existing set of simulation points (e.g.
     loaded from a points file): replay the boundaries, recompute weights,
-    extrapolate CPI and the extra metrics.  The points must come from the
-    same (program, input) — boundary replay fails otherwise. *)
+    extrapolate CPI and the extra metrics.
+    @raise Invalid_argument if the points do not come from the binary's
+    (program, input): a boundary is never reached, or the interval count
+    differs from the file's phase labels. *)
 
 val find_binary : binary_result list -> label:string -> binary_result
 (** Look up by {!Cbsp_compiler.Config.label} (["32u"], ["64o"], ...).

@@ -70,7 +70,7 @@ type fstate = {
   f_line : int;                       (* run line size; 0 = no runs *)
   f_on_run : int -> int -> bool -> unit;
   f_bodies : Binary.fstmt array array;
-  f_layout : Layout.t;                (* for spill-slot addressing *)
+  f_stack : int;                      (* spill slot 0 of the depth-0 frame *)
   f_bases : int array;
   f_ebytes : int array;
   f_lengths : int array;
@@ -101,10 +101,21 @@ let any_write ~tenths i m =
   let r = i mod 10 in
   tenths > 0 && (r < tenths || r + m > 10)
 
+(* [log2 p] if [p] is a power of two, else -1. *)
+let pow2_shift p =
+  if p land (p - 1) <> 0 then -1
+  else begin
+    let s = ref 0 in
+    while 1 lsl !s < p do incr s done;
+    !s
+  end
+
 (* Elements of a run from [addr] on, the first included, at [step] bytes
-   apart within one [line]. *)
-let[@inline] on_line ~line ~step addr =
-  1 + ((line - 1 - (addr land (line - 1))) / step)
+   apart within one [line]; [shift] is [pow2_shift step], which turns the
+   division into a shift. *)
+let[@inline] on_line ~line ~step ~shift addr =
+  let room = line - 1 - (addr land (line - 1)) in
+  1 + (if shift >= 0 then room lsr shift else room / step)
 
 (* [Stdlib.min] compares polymorphically, through a C call. *)
 let[@inline] imin (a : int) b = if a <= b then a else b
@@ -121,29 +132,38 @@ let f_access st (a : Binary.faccess) =
     let obs = st.f_obs in
     if a.fa_kind = Binary.pat_seq then begin
       let stride = a.fa_param in
+      (* The cursor stays below [len] and advances by the stride reduced
+         below [len], so each advance wraps with a compare and a subtract;
+         only a stride of [len] or more pays a division, once per site. *)
+      let adv = if stride < len then stride else stride mod len in
       let step = stride * eb and line = st.f_line in
       let c = ref st.f_cursors.(aid) in
       if step > 0 && step < line then begin
         let on_run = st.f_on_run and i = ref 0 in
+        let shift = pow2_shift step in
         while !i < n do
           let idx = !c and i0 = !i in
           let addr = base + (idx * eb) in
-          let k = imin (n - i0) (on_line ~line ~step addr) in
-          (* the wrap at [len] rarely falls inside a line: test first *)
+          let k = imin (n - i0) (on_line ~line ~step ~shift addr) in
+          (* the wrap at [len] rarely falls inside a line: test first.  The
+             cap is on the full stride: a run of k > 1 means stride < len. *)
           let k =
             if idx + ((k - 1) * stride) < len then k
             else 1 + ((len - 1 - idx) / stride)
           in
           obs.on_access addr (i0 mod 10 < tenths);
           if k > 1 then on_run addr (k - 1) (any_write ~tenths (i0 + 1) (k - 1));
-          c := (idx + (k * stride)) mod len;
+          (* below [len + stride], and [adv = stride] whenever k > 1 *)
+          let next = idx + (k * adv) in
+          c := if next >= len then next - len else next;
           i := i0 + k
         done
       end
       else
         for i = 0 to n - 1 do
           let idx = !c in
-          c := (idx + stride) mod len;
+          let next = idx + adv in
+          c := if next >= len then next - len else next;
           obs.on_access (base + (idx * eb)) (i mod 10 < tenths)
         done;
       st.f_cursors.(aid) <- !c
@@ -170,26 +190,41 @@ let f_access st (a : Binary.faccess) =
       let cur = st.f_cursors.(aid) in
       let rng = st.f_rand.(aid) in
       for i = 0 to n - 1 do
-        let idx = (cur + Rng.int rng ~bound:w) mod len in
+        (* [cur < len] and the draw is below [w <= len] *)
+        let idx = cur + Rng.int rng ~bound:w in
+        let idx = if idx >= len then idx - len else idx in
         obs.on_access (base + (idx * eb)) (i mod 10 < tenths)
       done
     end
   end
 
-(* Spill runs need no cap at the frame's wrap: frames start at multiples
-   of their (power-of-two) size, so a line below the frame size never
-   spans the wrap and a larger one holds the whole frame. *)
+(* [Layout.stack_addr] inline, its modulo a mask: the frame at [depth]
+   starts [depth * frame_bytes] above [f_stack], and slot [s] sits
+   [(s * slot_bytes) land frame_mask] into it.  Spill runs need no cap at
+   the frame's wrap: frames start at multiples of their (power-of-two)
+   size, so a line below the frame size never spans the wrap and a larger
+   one holds the whole frame. *)
 let slot_bytes = Layout.stack_slot_bytes
+let slot_shift = pow2_shift slot_bytes
+let frame_bytes = Cbsp_compiler.Costmodel.frame_bytes
+let frame_mask = frame_bytes - 1
+
+let () =
+  assert (slot_shift >= 0);
+  assert (pow2_shift frame_bytes >= 0)
 
 let f_spills st n =
   st.f_accesses <- st.f_accesses + n;
-  if not st.f_no_access then
+  if not st.f_no_access then begin
+    let frame = st.f_stack + (st.f_depth * frame_bytes) in
     if slot_bytes < st.f_line then begin
       let line = st.f_line and slot = ref 0 in
       while !slot < n do
         let s = !slot in
-        let addr = Layout.stack_addr st.f_layout ~depth:st.f_depth ~slot:s in
-        let k = imin (n - s) (on_line ~line ~step:slot_bytes addr) in
+        let addr = frame + ((s * slot_bytes) land frame_mask) in
+        let k =
+          imin (n - s) (on_line ~line ~step:slot_bytes ~shift:slot_shift addr)
+        in
         st.f_obs.on_access addr (s land 1 = 1);
         (* odd slots write: s+1 .. s+k-1 hold one unless that is s+1
            alone, odd iff s is even *)
@@ -199,9 +234,11 @@ let f_spills st n =
     end
     else
       for slot = 0 to n - 1 do
-        let addr = Layout.stack_addr st.f_layout ~depth:st.f_depth ~slot in
-        st.f_obs.on_access addr (slot land 1 = 1)
+        st.f_obs.on_access
+          (frame + ((slot * slot_bytes) land frame_mask))
+          (slot land 1 = 1)
       done
+  end
 
 let f_exec_block st (b : Binary.fblock) =
   f_emit_block st b.fb_id b.fb_insts;
@@ -287,7 +324,8 @@ let run ?runs binary input obs =
     { f_input = input; f_obs = obs;
       f_no_access = obs.on_access == null_observer.on_access;
       f_line; f_on_run;
-      f_bodies = flat.Binary.fp_bodies; f_layout = layout;
+      f_bodies = flat.Binary.fp_bodies;
+      f_stack = Layout.stack_addr layout ~depth:0 ~slot:0;
       f_bases = Array.init n_arrays (fun i -> Layout.array_base layout ~array_id:i);
       f_ebytes =
         Array.init n_arrays (fun i -> Layout.array_elem_bytes layout ~array_id:i);

@@ -23,10 +23,17 @@
     is identical — the semantic-equivalence invariant the cross-binary
     technique relies on (and which the test suite checks).
 
+    Cost: per element, address generation neither allocates nor divides,
+    except for the remainders that define the streams — the random
+    draw's [mod] of a random or hot-window site and the pointer chase's
+    hash [mod] the array's length.  Cursors wrap by compare and
+    subtract, spill slots by a mask, and run lengths on a power-of-two
+    step by a shift.
+
     The test suite's [Cbsp_oracle.Executor_ref] keeps the tree-walking
     interpreter this module was first written as; {!run} must emit its
     event stream and totals bit for bit, on the registry and on random
-    programs. *)
+    programs, per element and on the run route. *)
 
 type observer = {
   on_block : int -> int -> unit;

@@ -1,27 +1,40 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: a [mutable int64]
+   field would box a fresh Int64 on every draw.  Only this module reads
+   and writes the bytes, so their endianness never shows. *)
+type t = Bytes.t
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] state t = get64u t 0
+
+let[@inline] of_state s =
+  let t = Bytes.create 8 in
+  set64u t 0 s;
+  t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* SplitMix64 finalizer: Stafford's Mix13 variant. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = mix64 (Int64.of_int seed) }
+let create ~seed = of_state (mix64 (Int64.of_int seed))
 
-let copy t = { state = t.state }
+let copy t = Bytes.copy t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next_int64 t =
+  let s = Int64.add (state t) golden_gamma in
+  set64u t 0 s;
+  mix64 s
 
 let split t ~tag =
   (* Derive a child stream from the parent's *current* seed and the tag,
      without advancing the parent: children are a pure function of
      (parent state, tag). *)
-  let h = mix64 (Int64.logxor t.state (mix64 (Int64.of_int tag))) in
-  { state = h }
+  of_state (mix64 (Int64.logxor (state t) (mix64 (Int64.of_int tag))))
 
 let int t ~bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

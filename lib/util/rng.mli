@@ -6,7 +6,13 @@
     full 2^64 period, passes BigCrush, and — crucially for us — supports
     cheap, collision-resistant stream splitting so that independent
     subsystems (workload trip counts, k-means seeding, random projection)
-    can derive independent streams from one master seed. *)
+    can derive independent streams from one master seed.
+
+    The state is 8 unboxed bytes, so a draw allocates nothing beyond its
+    own result: [int], [bool] and [hash2] allocate nothing at all, [float]
+    only its boxed float, [next_int64] only its boxed [int64].  Every
+    output is pinned by literal values in the test suite: a change to
+    any stream is a change to every experiment. *)
 
 type t
 (** Mutable generator state. *)

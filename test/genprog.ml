@@ -2,7 +2,15 @@
    QCheck generates and shrinks, and the program derived from it.  A
    program has 1-3 data or pointer arrays, 0-3 helper procedures and a
    main loop of random work, calls, nested loops (splittable when the
-   plan asks for loop splitting) and selects. *)
+   plan asks for loop splitting) and selects.
+
+   The accesses reach every branch of the executor's address arithmetic:
+   arrays of 512-20,000 elements and arrays shorter than a cache line
+   (1-7 elements); sequential strides of 1, 2, 3, 7 and 16, of exactly
+   the array's length and above it; hot windows of the default 64, of
+   1-16, of exactly the length and above it; 1-4 accesses per site, or
+   up to 16 so that runs reach the array's end; and work of 100-160
+   instructions, whose -O0 spills wrap their stack frame. *)
 
 module B = Cbsp_source.Builder
 module Ast = Cbsp_source.Ast
@@ -27,32 +35,70 @@ let plan_gen =
 let build_program plan =
   let rng = Cbsp_util.Rng.create ~seed:plan.seed in
   let b = B.create ~name:(Printf.sprintf "gen%d" plan.seed) in
+  let lengths =
+    Array.init plan.n_arrays (fun _ ->
+        if Cbsp_util.Rng.int rng ~bound:4 = 0 then
+          Cbsp_util.Rng.int_in rng ~lo:1 ~hi:7
+        else Cbsp_util.Rng.int_in rng ~lo:512 ~hi:20_000)
+  in
   let arrays =
-    Array.init plan.n_arrays (fun i ->
+    Array.mapi
+      (fun i length ->
         if Cbsp_util.Rng.bool rng then
-          B.pointer_array b
-            ~name:(Printf.sprintf "parr%d" i)
-            ~length:(Cbsp_util.Rng.int_in rng ~lo:512 ~hi:20_000)
+          B.pointer_array b ~name:(Printf.sprintf "parr%d" i) ~length
         else
           B.data_array b
             ~name:(Printf.sprintf "darr%d" i)
             ~elem_bytes:(if Cbsp_util.Rng.bool rng then 4 else 8)
-            ~length:(Cbsp_util.Rng.int_in rng ~lo:512 ~hi:20_000))
+            ~length)
+      lengths
+  in
+  (* at or above the array's length *)
+  let wide len =
+    if Cbsp_util.Rng.bool rng then len
+    else len + 1 + Cbsp_util.Rng.int rng ~bound:(2 * len)
   in
   let random_access () =
-    let arr = arrays.(Cbsp_util.Rng.int rng ~bound:plan.n_arrays) in
-    let count = Cbsp_util.Rng.int_in rng ~lo:1 ~hi:4 in
+    let a = Cbsp_util.Rng.int rng ~bound:plan.n_arrays in
+    let arr = arrays.(a) and len = lengths.(a) in
+    let count =
+      if Cbsp_util.Rng.int rng ~bound:4 = 0 then
+        Cbsp_util.Rng.int_in rng ~lo:5 ~hi:16
+      else Cbsp_util.Rng.int_in rng ~lo:1 ~hi:4
+    in
     match Cbsp_util.Rng.int rng ~bound:4 with
-    | 0 -> B.seq ~arr ~count ()
+    | 0 ->
+      let stride =
+        match Cbsp_util.Rng.int rng ~bound:7 with
+        | 0 -> 1
+        | 1 -> 2
+        | 2 -> 3
+        | 3 -> 7
+        | 4 -> 16
+        | _ -> wide len
+      in
+      B.seq ~stride ~arr ~count ()
     | 1 -> B.rand ~arr ~count ()
     | 2 -> B.chase ~arr ~count ()
-    | _ -> B.hot ~arr ~count ()
+    | _ ->
+      let window =
+        match Cbsp_util.Rng.int rng ~bound:3 with
+        | 0 -> 64
+        | 1 -> Cbsp_util.Rng.int_in rng ~lo:1 ~hi:16
+        | _ -> wide len
+      in
+      B.hot ~window ~arr ~count ()
   in
   let random_work () =
     let accesses =
       List.init (Cbsp_util.Rng.int rng ~bound:3) (fun _ -> random_access ())
     in
-    B.work b ~insts:(Cbsp_util.Rng.int_in rng ~lo:5 ~hi:80) ~accesses ()
+    let insts =
+      if Cbsp_util.Rng.int rng ~bound:8 = 0 then
+        Cbsp_util.Rng.int_in rng ~lo:100 ~hi:160
+      else Cbsp_util.Rng.int_in rng ~lo:5 ~hi:80
+    in
+    B.work b ~insts ~accesses ()
   in
   let random_trips () =
     match Cbsp_util.Rng.int rng ~bound:3 with

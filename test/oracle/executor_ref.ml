@@ -7,7 +7,13 @@
    test_exec and test_genprog check that on the registry and on random
    programs.  It shares only the modelled inputs with [Executor.run]:
    [Layout] addressing, [Input] trip counts and select arms, and [Rng]
-   streams. *)
+   streams.
+
+   With [?runs] it also plays the run route by the contract's letter,
+   element by element: a run goes on while the next access of the same
+   sequential site stays on the first one's line and its index is the
+   previous one's plus the stride, unwrapped; a block's spills run on
+   while they stay on the line. *)
 
 module Ast = Cbsp_source.Ast
 module Input = Cbsp_source.Input
@@ -46,6 +52,8 @@ type state = {
   binary : Binary.t;
   input : Input.t;
   obs : observer;
+  line : int;                   (* run line size; 0 = no runs *)
+  on_run : int -> int -> bool -> unit;
   layout : Layout.t;
   cursors : int array;          (* per-array Seq/Hot cursor, in elements *)
   chase_pos : int array;        (* per-array pointer-chase step counter *)
@@ -76,6 +84,27 @@ let emit_block st id insts =
 let emit_access st addr is_write =
   st.t_accesses <- st.t_accesses + 1;
   st.obs.on_access addr is_write
+
+(* A site's [n] accesses, at addresses [addr j], by the run contract:
+   each run opens with an access and takes as repeats the longest chain
+   after it that [next] accepts and that stays on its line. *)
+let emit_runs st ~n ~addr ~write ~next =
+  let i = ref 0 in
+  while !i < n do
+    let i0 = !i in
+    let a0 = addr i0 in
+    emit_access st a0 (write i0);
+    let w = ref false in
+    i := i0 + 1;
+    while !i < n && next (!i - 1) !i && addr !i / st.line = a0 / st.line do
+      w := !w || write !i;
+      incr i
+    done;
+    if !i > i0 + 1 then begin
+      st.t_accesses <- st.t_accesses + (!i - i0 - 1);
+      st.on_run a0 (!i - i0 - 1) !w
+    end
+  done
 
 let emit_marker st key =
   st.t_markers <- st.t_markers + 1;
@@ -118,15 +147,44 @@ let perform_access st (acc : Ast.access) =
     emit_access st addr (is_write_at ~write_ratio:acc.acc_write_ratio i)
   done
 
+(* On the run route, a [Seq] site whose step is below the line goes out
+   by [emit_runs]; [false] for any other access. *)
+let seq_runs st (acc : Ast.access) =
+  let array_id = acc.acc_array in
+  let len = Layout.array_length st.layout ~array_id in
+  let eb = Layout.array_elem_bytes st.layout ~array_id in
+  match acc.acc_pattern with
+  | Ast.Seq { stride } when stride * eb < st.line ->
+    let index =
+      Array.init acc.acc_count (fun _ ->
+          let c = st.cursors.(array_id) in
+          st.cursors.(array_id) <- (c + stride) mod len;
+          c)
+    in
+    emit_runs st ~n:acc.acc_count
+      ~addr:(fun j -> elem_addr st.layout ~array_id ~index:index.(j))
+      ~write:(fun j -> is_write_at ~write_ratio:acc.acc_write_ratio j)
+      ~next:(fun j j' -> index.(j') = index.(j) + stride);
+    true
+  | _ -> false
+
 let perform_spills st n =
-  for slot = 0 to n - 1 do
-    let addr = Layout.stack_addr st.layout ~depth:st.depth ~slot in
-    emit_access st addr (slot land 1 = 1)
-  done
+  if Layout.stack_slot_bytes < st.line then
+    emit_runs st ~n
+      ~addr:(fun slot -> Layout.stack_addr st.layout ~depth:st.depth ~slot)
+      ~write:(fun slot -> slot land 1 = 1)
+      ~next:(fun _ _ -> true)
+  else
+    for slot = 0 to n - 1 do
+      let addr = Layout.stack_addr st.layout ~depth:st.depth ~slot in
+      emit_access st addr (slot land 1 = 1)
+    done
 
 let exec_mblock st (b : Binary.mblock) =
   emit_block st b.mb_id b.mb_insts;
-  List.iter (perform_access st) b.mb_accesses;
+  List.iter
+    (fun acc -> if not (seq_runs st acc) then perform_access st acc)
+    b.mb_accesses;
   if b.mb_spills > 0 then perform_spills st b.mb_spills
 
 let rec exec_stmts st stmts = List.iter (exec_stmt st) stmts
@@ -177,11 +235,17 @@ and exec_loop st (l : Binary.mloop) =
     end
   done
 
-let run_tree binary input obs =
+let run_tree ?runs binary input obs =
   let program = binary.Binary.program in
   let n_arrays = Array.length program.Ast.arrays in
+  let line, on_run =
+    match runs with
+    | Some (r : Executor.runs) when r.access == obs.on_access ->
+      (r.line_bytes, r.on_run)
+    | _ -> (0, fun _ _ _ -> ())
+  in
   let st =
-    { binary; input; obs; layout = binary.Binary.layout;
+    { binary; input; obs; line; on_run; layout = binary.Binary.layout;
       cursors = Array.make n_arrays 0;
       chase_pos = Array.make n_arrays 0;
       rand_streams =

@@ -12,7 +12,9 @@
    5. recorder boundaries replay exactly in every binary (same interval
       count, runs fully partitioned);
    6. the data-address stream is identical across optimization levels of
-      the same ISA. *)
+      the same ISA;
+   7. the flat interpreter's event stream is the tree reference's, per
+      element and on the run route. *)
 
 module Validate = Cbsp_source.Validate
 module Binary = Cbsp_compiler.Binary
@@ -123,7 +125,7 @@ let data_addrs binary =
 
 (* Full-fidelity event stream (blocks, accesses, markers), folded into an
    order-sensitive hash so huge random programs stay cheap to compare. *)
-let event_hash run_fn binary =
+let event_hash ?line_bytes (run_fn : ?runs:Executor.runs -> _) binary =
   let h = ref 0 and count = ref 0 in
   let note x =
     h := Cbsp_util.Rng.hash2 !h x;
@@ -134,7 +136,14 @@ let event_hash run_fn binary =
       on_access = (fun addr w -> note 2; note addr; note (Bool.to_int w));
       on_marker = (fun key -> note 3; note (Hashtbl.hash key)) }
   in
-  let totals = run_fn binary input obs in
+  let runs =
+    Option.map
+      (fun line_bytes ->
+        { Executor.line_bytes; access = obs.on_access;
+          on_run = (fun addr n w -> note 4; note addr; note n; note (Bool.to_int w)) })
+      line_bytes
+  in
+  let totals = run_fn ?runs binary input obs in
   (totals, !h, !count)
 
 let prop_flat_matches_tree =
@@ -149,6 +158,21 @@ let prop_flat_matches_tree =
           event_hash Executor.run binary = event_hash Executor_ref.run_tree binary)
         (binaries_of plan program))
 
+let prop_runs_match_tree =
+  (* the run route: the same runs as the reference's element-by-element
+     reading of the run contract, at a line below and at the CPU's *)
+  QCheck.Test.make ~name:"run route = tree reference" ~count:25
+    (QCheck.make Genprog.plan_gen) (fun plan ->
+      let program = Genprog.build_program plan in
+      List.for_all
+        (fun binary ->
+          List.for_all
+            (fun line_bytes ->
+              event_hash ~line_bytes Executor.run binary
+              = event_hash ~line_bytes Executor_ref.run_tree binary)
+            [ 16; 64 ])
+        (binaries_of plan program))
+
 let prop_data_stream_across_opt =
   (* without splitting, O0 and O2 of the same ISA touch the same data in
      the same order *)
@@ -159,6 +183,51 @@ let prop_data_stream_across_opt =
       match List.map data_addrs (binaries_of plan program) with
       | [ a32u; a32o; a64u; a64o ] -> a32u = a32o && a64u = a64o
       | _ -> false)
+
+(* The generator keeps reaching the executor's address branches: over
+   200 plans, each kind of site below occurs in some program. *)
+let test_generator_reach () =
+  let module Ast = Cbsp_source.Ast in
+  let plans =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:200
+      Genprog.plan_gen
+  in
+  let kinds =
+    [ "array shorter than a line"; "stride 2"; "stride 3"; "stride 7";
+      "stride 16"; "stride = length"; "stride > length"; "window >= length";
+      "count > 4" ]
+  in
+  let reached = Hashtbl.create 16 in
+  List.iter
+    (fun plan ->
+      let program = Genprog.build_program plan in
+      let len a = program.Ast.arrays.(a).Ast.arr_length in
+      let note kind = Hashtbl.replace reached kind () in
+      if Array.exists (fun d -> d.Ast.arr_length * 8 < 64) program.Ast.arrays
+      then note "array shorter than a line";
+      Ast.iter_stmts
+        (function
+          | Ast.Work w ->
+            List.iter
+              (fun (a : Ast.access) ->
+                if a.acc_count > 4 then note "count > 4";
+                match a.acc_pattern with
+                | Ast.Seq { stride } ->
+                  if List.mem stride [ 2; 3; 7; 16 ] then
+                    note (Printf.sprintf "stride %d" stride);
+                  if stride = len a.acc_array then note "stride = length"
+                  else if stride > len a.acc_array then note "stride > length"
+                | Ast.Hot { window } ->
+                  if window >= len a.acc_array then note "window >= length"
+                | Ast.Rand | Ast.Chase -> ())
+              w.accesses
+          | _ -> ())
+        program)
+    plans;
+  List.iter
+    (fun kind ->
+      Tutil.check_bool (kind ^ " generated") true (Hashtbl.mem reached kind))
+    kinds
 
 (* The static prover must be sound on anything the language can express:
    a [Proved_mappable] verdict must be confirmed (with the same count) by
@@ -216,5 +285,8 @@ let () =
           Tutil.qcheck_case prop_marker_stream_equal;
           Tutil.qcheck_case prop_boundaries_replay;
           Tutil.qcheck_case prop_flat_matches_tree;
+          Tutil.qcheck_case prop_runs_match_tree;
           Tutil.qcheck_case prop_data_stream_across_opt;
-          Tutil.qcheck_case prop_static_prover_sound ] ) ]
+          Tutil.qcheck_case prop_static_prover_sound;
+          Tutil.quick "generator reaches every address branch"
+            test_generator_reach ] ) ]

@@ -100,6 +100,68 @@ let test_hash2_properties () =
   Tutil.check_bool "hash2 not symmetric in general" true
     (Rng.hash2 1 2 <> Rng.hash2 2 1)
 
+(* Pinned streams.  [Executor_ref] shares this module with the executor,
+   so a changed stream would pass every differential test and silently
+   move every address, trip count and k-means seed: these literals fix
+   the SplitMix64 outputs themselves. *)
+let draws n f = List.init n (fun _ -> f ())
+
+let test_golden_next_int64 () =
+  let check seed expected =
+    let rng = Rng.create ~seed in
+    Alcotest.(check (list int64)) (Printf.sprintf "seed %d" seed) expected
+      (draws (List.length expected) (fun () -> Rng.next_int64 rng))
+  in
+  check 1
+    [ 0xBFEF8030DDC2D772L; 0x5F552CE482F2AA47L; 0x70335FC3DAF3D8A7L;
+      0xF440FE3B62C79D2CL ];
+  check 0 [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L ];
+  check (-42) [ 0xD5A48CF7B485659BL; 0x7DB2965C555FA7FFL ];
+  Alcotest.(check int64) "copy" 0x863B891F4C0ABD4FL
+    (Rng.next_int64 (Rng.copy (Rng.create ~seed:7)))
+
+let test_golden_draws () =
+  let rng = Rng.create ~seed:9 in
+  Alcotest.(check (list int)) "int, bound 1000" [ 916; 543; 589; 688; 18 ]
+    (draws 5 (fun () -> Rng.int rng ~bound:1000));
+  let rng = Rng.create ~seed:9 in
+  Alcotest.(check (list int)) "int, bound max_int"
+    [ 949735607876857916; 2274640955332710543; 4374190475535221589 ]
+    (draws 3 (fun () -> Rng.int rng ~bound:max_int));
+  let rng = Rng.create ~seed:13 in
+  Alcotest.(check (list int)) "int_in" [ -1; -3; -2; -3 ]
+    (draws 4 (fun () -> Rng.int_in rng ~lo:(-3) ~hi:4));
+  let rng = Rng.create ~seed:17 in
+  Alcotest.(check (list (float 0.0))) "float"
+    [ 0x1.982d497b44fbp-3; 0x1.f64e739d5deecp-1; 0x1.bc0ccbcecaf4p-2 ]
+    (draws 3 (fun () -> Rng.float rng));
+  let rng = Rng.create ~seed:5 in
+  Alcotest.(check (list bool)) "bool"
+    [ true; false; false; true; true; true; true; true ]
+    (draws 8 (fun () -> Rng.bool rng))
+
+let test_golden_split () =
+  let parent = Rng.create ~seed:3 in
+  let child = Rng.split parent ~tag:5 in
+  Alcotest.(check (list int64)) "split, then draw"
+    [ 0x903B846C3B25F70BL; 0xAA21C4EB74D7D52FL ]
+    (draws 2 (fun () -> Rng.next_int64 child));
+  let (_ : int64) = Rng.next_int64 parent in
+  Alcotest.(check int64) "split of an advanced parent" 0x42EC67026D7DC85BL
+    (Rng.next_int64 (Rng.split parent ~tag:5));
+  (* the executor's per-array address stream *)
+  let rng = Rng.split (Rng.create ~seed:42) ~tag:1 in
+  Alcotest.(check (list int)) "executor stream" [ 14051; 7181; 10180 ]
+    (draws 3 (fun () -> Rng.int rng ~bound:20_000))
+
+let test_golden_hash2 () =
+  List.iter
+    (fun (a, b, h) ->
+      Tutil.check_int (Printf.sprintf "hash2 %d %d" a b) h (Rng.hash2 a b))
+    [ (0, 0, 0); (1, 2, 4308867352236993466); (2, 1, 1130602568784900891);
+      (12345, 678, 3365174346935033805); (-5, 7, 2399512356748969153);
+      (max_int, min_int, 3467569371926960507) ]
+
 let prop_int_in_range =
   QCheck.Test.make ~name:"Rng.int stays in [0,bound)" ~count:500
     QCheck.(pair small_int (int_range 1 1000))
@@ -130,6 +192,11 @@ let () =
           Tutil.quick "float mean" test_float_mean;
           Tutil.quick "gaussian moments" test_gaussian_moments;
           Tutil.quick "hash2 properties" test_hash2_properties ] );
+      ( "golden streams",
+        [ Tutil.quick "next_int64" test_golden_next_int64;
+          Tutil.quick "int, int_in, float, bool" test_golden_draws;
+          Tutil.quick "split then draw" test_golden_split;
+          Tutil.quick "hash2" test_golden_hash2 ] );
       ( "properties",
         [ Tutil.qcheck_case prop_int_in_range;
           Tutil.qcheck_case prop_hash2_deterministic ] ) ]
