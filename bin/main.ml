@@ -536,10 +536,10 @@ let validate_cmd =
   let cache_dir_arg =
     Arg.(value & opt (some string) None
          & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"Persistent artifact cache root: compiles, \
-                   profiles and whole pipeline results are reused across \
-                   runs, so re-validating an unchanged tree is served \
-                   from disk.")
+             ~doc:"Persistent cache root: each workload's estimator \
+                   outputs are stored under DIR/workloads/ and reused \
+                   across runs, so re-validating an unchanged tree runs \
+                   no pipeline work.")
   in
   let smoke_arg =
     Arg.(value & flag

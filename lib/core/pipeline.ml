@@ -10,7 +10,6 @@ module Cpu = Cbsp_cache.Cpu
 module Stats = Cbsp_util.Stats
 module Scheduler = Cbsp_engine.Scheduler
 module Store = Cbsp_engine.Store
-module Diskcache = Cbsp_engine.Diskcache
 module Timing = Cbsp_engine.Timing
 module Stage = Cbsp_engine.Stage
 module Rng = Cbsp_util.Rng
@@ -153,52 +152,21 @@ let n_intervals pass = Streamprof.(Array.length pass.ps_stats.st_insts)
 (* ------------------------------------------------------------------ *)
 (* The engine: scheduler width + artifact stores + timing sink.        *)
 
-type result_caches = {
-  rc_fli : fli_result Store.t;
-  rc_vli : vli_result Store.t;
-  rc_sampling : sampling_result Store.t;
-}
-
 type engine = {
   eng_jobs : int;
   eng_binaries : Binary.t Store.t;
   eng_profiles : Structprof.t Store.t;
   eng_passes : pass Store.t;
   eng_clusterings : clustering Store.t;
-  eng_results : result_caches option;
   eng_timing : Timing.sink;
 }
 
-(* Per-store LRU bound of the disk layer, in bytes. *)
-let disk_budget = 256 * 1024 * 1024
-
-let create_engine ?(jobs = 1) ?cache_dir () =
-  let disk sub =
-    match cache_dir with
-    | None -> None
-    | Some dir ->
-      Some
-        (Diskcache.create
-           ~dir:(Filename.concat dir sub)
-           ~byte_budget:disk_budget ~name:sub ())
-  in
-  let store name = Store.create ~name ?disk:(disk name) () in
-  let results =
-    match cache_dir with
-    | None -> None
-    | Some _ ->
-      Some
-        { rc_fli = store "results-fli"; rc_vli = store "results-vli";
-          rc_sampling = store "results-sampling" }
-  in
+let create_engine ?(jobs = 1) () =
   { eng_jobs = max 1 jobs;
-    eng_binaries = store "binaries";
-    eng_profiles = store "profiles";
-    (* In memory only: a pass is cheap next to the whole results the
-       disk layer keeps, and its key holds a full boundary list. *)
+    eng_binaries = Store.create ~name:"binaries" ();
+    eng_profiles = Store.create ~name:"profiles" ();
     eng_passes = Store.create ~name:"passes" ();
     eng_clusterings = Store.create ~name:"clusterings" ();
-    eng_results = results;
     eng_timing = Timing.create () }
 
 let timings eng = Timing.records eng.eng_timing
@@ -971,12 +939,6 @@ let span_name : type r. r estimator -> string = function
   | Vli _ -> "run_vli"
   | Sampling _ -> "run_sampling"
 
-let result_store : type r. result_caches -> r estimator -> r Store.t =
- fun rc -> function
-  | Fli -> rc.rc_fli
-  | Vli _ -> rc.rc_vli
-  | Sampling _ -> rc.rc_sampling
-
 let plan_estimator (type r) ~sp_config ~cache_config ~eng (est : r estimator)
     program ~configs ~input ~target : r planned =
   (* Every check runs before any work, so a bad call compiles nothing. *)
@@ -996,13 +958,7 @@ let plan_estimator (type r) ~sp_config ~cache_config ~eng (est : r estimator)
       ~target
 
 (* Plan one slot, its result type hidden behind the slot's continuation:
-   the planned [follow] and [finish] never raise.  On an engine with a
-   [?cache_dir], a result the whole-result store already holds skips
-   planning, and a computed outcome is published there under a key
-   holding everything that determines the result.  Its version tag
-   stands for what the code decides and the key cannot name, such as the
-   sampler list: bump it whenever that changes, or an on-disk cache
-   serves results of the old code. *)
+   the planned [follow] and [finish] never raise. *)
 let plan_slot ~sp_config ~cache_config ~eng program ~configs ~input ~target
     (Slot (est, k)) =
   let traced phase f =
@@ -1011,55 +967,30 @@ let plan_slot ~sp_config ~cache_config ~eng program ~configs ~input ~target
         [ ("program", program.Cbsp_source.Ast.prog_name); ("phase", phase) ]
       f
   in
-  let outcome f = try Ok (f ()) with e -> Error e in
-  let cache =
-    Option.map
-      (fun rc ->
-        ( result_store rc est,
-          Store.digest
-            ( "result/5", est, program, configs, input, target, sp_config,
-              cache_config ) ))
-      eng.eng_results
-  in
-  let publish result =
-    match cache with
-    | None -> result
-    | Some (store, key) ->
-      outcome (fun () ->
-          Store.find_or_compute store ~key (fun () ->
-              match result with Ok r -> r | Error e -> raise e))
-  in
-  let done_ result =
-    { pl_requests = []; pl_follow = (fun () -> []);
-      pl_finish = (fun () -> k result) }
-  in
   match
-    Option.bind cache (fun (store, key) -> Store.find_opt store ~key)
+    traced "plan" (fun () ->
+        plan_estimator ~sp_config ~cache_config ~eng est program ~configs
+          ~input ~target)
   with
-  | Some r -> done_ (Ok r)
-  | None -> (
-    match
-      traced "plan" (fun () ->
-          plan_estimator ~sp_config ~cache_config ~eng est program ~configs
-            ~input ~target)
-    with
-    | exception e -> done_ (publish (Error e))
-    | p ->
-      let broken = ref None in
-      { pl_requests = p.pl_requests;
-        pl_follow =
-          (fun () ->
-            try traced "follow" p.pl_follow
-            with e ->
-              broken := Some e;
-              []);
-        pl_finish =
-          (fun () ->
-            k
-              (publish
-                 (match !broken with
-                 | Some e -> Error e
-                 | None -> outcome (fun () -> traced "finish" p.pl_finish)))) })
+  | exception e ->
+    { pl_requests = []; pl_follow = (fun () -> []);
+      pl_finish = (fun () -> k (Error e)) }
+  | p ->
+    let broken = ref None in
+    { pl_requests = p.pl_requests;
+      pl_follow =
+        (fun () ->
+          try traced "follow" p.pl_follow
+          with e ->
+            broken := Some e;
+            []);
+      pl_finish =
+        (fun () ->
+          k
+            (match !broken with
+            | Some e -> Error e
+            | None -> (
+              try Ok (traced "finish" p.pl_finish) with e -> Error e))) }
 
 (* Fill the pass store with [requests], one [collect_shared] per binary,
    binaries in parallel. *)

@@ -149,17 +149,6 @@ type sampling_result = {
     Omitting [?engine] creates a fresh sequential engine per call —
     exactly the seed behaviour. *)
 
-type result_caches = {
-  rc_fli : fli_result Cbsp_engine.Store.t;
-  rc_vli : vli_result Cbsp_engine.Store.t;
-  rc_sampling : sampling_result Cbsp_engine.Store.t;
-}
-(** Whole-result stores, present only on engines created with
-    [?cache_dir]: {!run} through such an engine memoizes (and persists)
-    the entire result keyed by everything that determines it, so a warm
-    process answers repeat requests without touching the executor.
-    Engines without a persistent cache never use this layer. *)
-
 type clustering = {
   cl_phase_of : int array;  (** Interval index -> phase. *)
   cl_reps : int array;      (** Phase -> representative interval index. *)
@@ -201,26 +190,16 @@ type engine = {
   eng_binaries : Cbsp_compiler.Binary.t Cbsp_engine.Store.t;
   eng_profiles : Cbsp_profile.Structprof.t Cbsp_engine.Store.t;
   eng_passes : pass Cbsp_engine.Store.t;
-      (** Collection passes of this engine (memory only, no disk
-          layer). *)
+      (** Collection passes of this engine. *)
   eng_clusterings : clustering Cbsp_engine.Store.t;
-      (** SimPoint clusterings of those passes (memory only). *)
-  eng_results : result_caches option;
+      (** SimPoint clusterings of those passes. *)
   eng_timing : Cbsp_engine.Timing.sink;
 }
 
-val create_engine :
-  ?jobs:int -> ?cache_dir:string -> unit -> engine
+val create_engine : ?jobs:int -> unit -> engine
 (** [jobs] defaults to 1 (sequential); values below 1 are clamped to 1.
-
-    With [cache_dir], every store (binaries, profiles, and the
-    whole-result caches) gets a persistent {!Cbsp_engine.Diskcache}
-    under that directory ([binaries/], [profiles/], [results-fli/],
-    [results-vli/], [results-sampling/]), each LRU-bounded by 256 MiB:
-    a second process pointed at the same directory warm-starts from
-    disk.  Concurrent processes do not wait for each other: each
-    computes what it misses, and the cache's atomic rename makes the
-    last identical publication win. *)
+    Every store lives in memory and dies with the engine; persistence
+    across processes is {!Cbsp_validate.Matrix.run}'s, per workload. *)
 
 val collect :
   engine ->
@@ -375,9 +354,7 @@ val run_batch :
     an estimator that raises while planning, following or finishing
     yields [Error] and no other outcome changes, and a failed shared
     run falls back to one run per plan.  Passes already in the pass
-    store are not run again.  On a [?cache_dir] engine an estimator
-    whose whole result is cached skips planning (so it compiles and
-    runs nothing), and every computed outcome is memoized. *)
+    store are not run again. *)
 
 val run :
   ?sp_config:Cbsp_simpoint.Simpoint.config ->
@@ -394,8 +371,7 @@ val run :
     [profile.scratch_intervals] gauge reads 9 rows), shared with other
     estimators on the same engine.  Each step is traced as a [run_fli],
     [run_vli] or [run_sampling] span with a [phase] attribute ([plan],
-    [follow], [finish]); with a [?cache_dir] engine the whole result is
-    memoized.
+    [follow], [finish]).
     @raise Invalid_argument ["Pipeline.<span>: ..."] before any work if
     [configs] is empty, [target <= 0], a VLI [primary] is out of range,
     or a sampling spec has [n < 2] or no seeds. *)

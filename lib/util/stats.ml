@@ -190,14 +190,13 @@ let median xs = percentile xs ~p:50.0
    is expected to skip-and-count rather than fold into a mean.  Raising
    here (the old contract) meant one degenerate cell aborted a whole
    validation matrix. *)
-let relative_error ~truth ~estimate =
+let signed_relative_error ~truth ~estimate =
   if truth = 0.0 || not (Float.is_finite truth) || not (Float.is_finite estimate)
   then Float.nan
-  else Float.abs (truth -. estimate) /. Float.abs truth
+  else (estimate -. truth) /. truth
 
-let signed_relative_error ~truth ~estimate =
-  if truth = 0.0 then invalid_arg "Stats.signed_relative_error: zero truth";
-  (estimate -. truth) /. truth
+let relative_error ~truth ~estimate =
+  Float.abs (signed_relative_error ~truth ~estimate)
 
 (* [out.(i) <- xs.(i) /. sum xs] in ascending order.  Zeros are stored
    without dividing: [0.0 /. total] is exactly [+0.0] for any

@@ -50,7 +50,9 @@ val relative_error : truth:float -> estimate:float -> float
 
 val signed_relative_error : truth:float -> estimate:float -> float
 (** [(estimate - truth) / truth]; used for the per-phase bias columns of
-    Tables 2 and 3, where the sign of the bias matters. *)
+    Tables 2 and 3, where the sign of the bias matters.  Total, with
+    {!relative_error}'s contract: [nan] when [truth = 0] or either
+    argument is non-finite, never an exception. *)
 
 val sum : float array -> float
 (** Numerically-stable (Kahan) sum. *)

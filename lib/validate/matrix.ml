@@ -4,6 +4,8 @@ module Config = Cbsp_compiler.Config
 module Input = Cbsp_source.Input
 module Simpoint = Cbsp_simpoint.Simpoint
 module Scheduler = Cbsp_engine.Scheduler
+module Store = Cbsp_engine.Store
+module Diskcache = Cbsp_engine.Diskcache
 module Stage = Cbsp_engine.Stage
 module Timing = Cbsp_engine.Timing
 module Metrics = Cbsp_obs.Metrics
@@ -90,13 +92,16 @@ let input_of options =
 let sp_config_of options =
   { Simpoint.default_config with Simpoint.max_k = options.mo_max_k }
 
-let run_estimator ~options ~engine program ~configs (Pipeline.Any est) =
-  Output
-    ( est,
-      Pipeline.run ~sp_config:(sp_config_of options) ~engine est program
-        ~configs ~input:(input_of options) ~target:options.mo_target )
+(* A workload's outputs are persisted under everything that determines
+   them.  The version tag stands for what the code decides and the key
+   cannot name, such as the sampler list: bump it whenever that changes,
+   or a cache directory serves the outputs of the old code. *)
+let workload_key ~options program ~configs =
+  Store.digest
+    ( "workload/1", estimators options, program, configs, input_of options,
+      options.mo_target, sp_config_of options )
 
-let run_workload ~engine ~options name =
+let run_workload ~store ~engine ~options name =
   Tracer.with_span ~name:"validate.workload" ~cat:"validate"
     ~attrs:[ ("workload", name) ]
   @@ fun () ->
@@ -109,11 +114,28 @@ let run_workload ~engine ~options name =
      every pass they ask of it.  An estimator that raised becomes failure
      entries for every method it scores: a matrix cell may be skipped, a
      method may fail, but the matrix itself always completes and reports
-     exactly what it could not evaluate. *)
+     exactly what it could not evaluate.  With a [store], cached outputs
+     skip the batch, and a batch's outputs are published only when no
+     estimator raised: a failure is recomputed, never replayed. *)
   let estimators = estimators options in
+  let cache =
+    Option.map (fun s -> (s, workload_key ~options program ~configs)) store
+  in
   let outcomes =
-    Pipeline.run_batch ~sp_config:(sp_config_of options) ~engine estimators
-      program ~configs ~input:(input_of options) ~target:options.mo_target
+    match Option.bind cache (fun (s, key) -> Store.find_opt s ~key) with
+    | Some outputs -> List.map Result.ok outputs
+    | None ->
+      let outcomes =
+        Pipeline.run_batch ~sp_config:(sp_config_of options) ~engine
+          estimators program ~configs ~input:(input_of options)
+          ~target:options.mo_target
+      in
+      (match cache with
+      | Some (s, key) when List.for_all Result.is_ok outcomes ->
+        let outputs = List.filter_map Result.to_option outcomes in
+        ignore (Store.find_or_compute s ~key (fun () -> outputs) : output list)
+      | _ -> ());
+      outcomes
   in
   let outputs = List.filter_map Result.to_option outcomes in
   let failed =
@@ -149,6 +171,9 @@ let run_workload ~engine ~options name =
     w_mismatches = Truth.mismatches records; w_failed = failed;
     w_outputs = outputs; w_timings = Pipeline.timings engine }
 
+(* LRU bound of the cache directory, in bytes. *)
+let disk_budget = 256 * 1024 * 1024
+
 let run ?(options = default_options) ?names ?(jobs = 1) ?cache_dir
     ?(progress = fun _ -> ()) () =
   let names =
@@ -160,17 +185,27 @@ let run ?(options = default_options) ?names ?(jobs = 1) ?cache_dir
   Tracer.with_span ~name:"validate.matrix" ~cat:"validate"
     ~attrs:[ ("workloads", string_of_int (List.length names)) ]
   @@ fun () ->
+  (* One store for every workload domain.  Its Diskcache publishes by
+     atomic rename, so concurrent writers of one key, in this process or
+     another, leave one intact entry. *)
+  let store =
+    Option.map
+      (fun dir ->
+        let dir = Filename.concat dir "workloads" in
+        let disk =
+          Diskcache.create ~dir ~byte_budget:disk_budget ~name:"workloads" ()
+        in
+        Store.create ~name:"workloads" ~disk ())
+      cache_dir
+  in
   let workloads =
     Scheduler.parallel_map ~jobs
       (fun name ->
         progress name;
         (* One engine per workload: all five estimators share its
-           binary/profile stores and collection runs, and a shared
-           ?cache_dir persists whole results across processes (each
-           Diskcache publishes by atomic rename, so concurrent writers
-           of one key leave one intact entry). *)
-        let engine = Pipeline.create_engine ~jobs ?cache_dir () in
-        run_workload ~engine ~options name)
+           binary/profile stores and collection runs. *)
+        let engine = Pipeline.create_engine ~jobs () in
+        run_workload ~store ~engine ~options name)
       names
   in
   { m_workloads = workloads; m_options = options; m_jobs = jobs }

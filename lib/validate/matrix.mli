@@ -9,9 +9,15 @@
     compiles once and executes once per workload, every pass the
     estimators ask of it riding that run.  Workloads fan out over scheduler
     domains, results in input order — bit-identical for every [jobs]
-    value.  A [cache_dir] additionally memoizes whole pipeline results
-    on disk, so re-validating an unchanged tree replays from the cache
-    in seconds. *)
+    value.
+
+    A [cache_dir] persists each workload's [w_outputs]
+    in one {!Cbsp_engine.Store} over [<cache_dir>/workloads/], one entry
+    per workload keyed by everything that determines them (estimators,
+    program, configs, input, target, SimPoint configuration), so
+    re-validating an unchanged tree runs no batch.  Cells, truth and the
+    [validate] job are recomputed from the outputs on every run.  A
+    workload whose estimators did not all succeed is not stored. *)
 
 type options = {
   mo_target : int;        (** Interval target (instructions). *)
@@ -85,16 +91,6 @@ type t = {
   m_jobs : int;
 }
 
-val run_estimator :
-  options:options ->
-  engine:Cbsp.Pipeline.engine ->
-  Cbsp_source.Ast.program ->
-  configs:Cbsp_compiler.Config.t list ->
-  Cbsp.Pipeline.any ->
-  output
-(** One table entry on [engine] at [options]' input, target and
-    SimPoint cap. *)
-
 val fli : workload_result -> Cbsp.Pipeline.fli_result option
 (** The workload's FLI result; [None] when FLI raised. *)
 
@@ -117,7 +113,7 @@ val run :
     [jobs] (default 1) bounds worker domains; [progress] is called with
     each workload's name before it runs (from a worker domain when
     [jobs > 1]).  The result carries no wall-clock — it is a pure
-    function of [(options, names)].
+    function of [(options, names)], with or without [cache_dir].
     @raise Not_found for unknown workload names (checked before any
     pipeline work). *)
 

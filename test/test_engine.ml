@@ -418,51 +418,18 @@ let test_pipeline_parallel_deterministic () =
   Tutil.check_bool "vli points bit-identical under jobs=4" true
     (vseq.Pipeline.vli_points = vpar.Pipeline.vli_points)
 
-let test_warm_cache_restart () =
-  (* The restart scenario: a second engine over a populated artifact
-     cache answers every method from disk — no compile, no interval
-     collection — with results structurally equal to the cold run's. *)
-  Tutil.with_temp_dir "warm" @@ fun cache_dir ->
-  let program = Tutil.two_phase_program () in
-  let run () =
-    let engine = Pipeline.create_engine ~cache_dir () in
-    let fli = Pipeline.run_fli ~engine program ~configs ~input ~target in
-    let vli = Pipeline.run_vli ~engine program ~configs ~input ~target in
-    let sampling =
-      Pipeline.run_sampling ~engine program ~configs ~input ~target ~n:8
-    in
-    ((fli, vli, sampling), Pipeline.timings engine)
-  in
-  let cold, cold_timings = run () in
-  let warm, warm_timings = run () in
-  let count timings stage =
-    List.length (List.filter (fun r -> r.Timing.tr_stage = stage) timings)
-  in
-  Tutil.check_bool "cold run collected intervals" true
-    (count cold_timings Stage.Interval_collection > 0);
-  Tutil.check_bool "warm results equal cold results" true (warm = cold);
-  Tutil.check_int "warm: no compile" 0 (count warm_timings Stage.Compile);
-  Tutil.check_int "warm: no interval collection" 0
-    (count warm_timings Stage.Interval_collection)
-
 (* [~semantic:true] implies the static path, so with or without
-   [~static:true] it is one estimator — and one whole-result entry. *)
+   [~static:true] it is one estimator, with one result. *)
 let test_result_key_is_matching () =
-  Tutil.with_temp_dir "matching" @@ fun cache_dir ->
   let program = Tutil.two_phase_program () in
-  let engine = Pipeline.create_engine ~cache_dir () in
+  let engine = Pipeline.create_engine () in
   let run static =
     Pipeline.run_vli ~static ~semantic:true ~engine program ~configs ~input
       ~target
   in
   let a = run false in
   let b = run true in
-  Tutil.check_bool "same result" true (a = b);
-  match engine.Pipeline.eng_results with
-  | None -> Alcotest.fail "a cache_dir engine keeps result stores"
-  | Some rc ->
-    Tutil.check_int "vli results computed" 1 (Store.computes rc.Pipeline.rc_vli);
-    Tutil.check_int "vli results hit" 1 (Store.hits rc.Pipeline.rc_vli)
+  Tutil.check_bool "same result" true (a = b)
 
 (* ------------------------------------------------------------------ *)
 (* Suite-level determinism: the acceptance criterion.                  *)
@@ -539,7 +506,6 @@ let () =
         [ Tutil.quick "shared engine compiles once" test_shared_engine_compiles_once;
           Tutil.quick "timing covers stages" test_engine_timing_covers_stages;
           Tutil.quick "parallel deterministic" test_pipeline_parallel_deterministic;
-          Tutil.quick "warm cache restart" test_warm_cache_restart;
           Tutil.quick "one result per matching" test_result_key_is_matching ] );
       ( "suite",
         [ Alcotest.test_case "parallel suite bit-identical" `Slow

@@ -594,10 +594,10 @@ let test_shared_run_failure_isolated () =
     (bits (Pipeline.run_fli ~engine program ~configs ~input ~target)
     = bits (Pipeline.run_fli program ~configs ~input ~target))
 
-(* An estimator that fails in a batch fails alone, and a batch on a
-   cache-dir engine is served warm: no compile, no collection, the
-   same outputs. *)
-let test_batch_isolation_and_warm_cache () =
+(* An estimator that fails in a batch fails alone: every other outcome
+   is what its own batch gives, and the batch still runs each binary
+   once. *)
+let test_batch_isolation () =
   let program = Tutil.two_phase_program () in
   let est =
     Pipeline.
@@ -625,25 +625,16 @@ let test_batch_isolation_and_warm_cache () =
       (Printexc.to_string (Invalid_argument "Pipeline.run_vli: bad primary"))
       bad
   | _ -> Alcotest.fail "want exactly the bad primary to fail");
-  Tutil.with_temp_dir "batch" @@ fun cache_dir ->
-  let batch () =
-    let engine = Pipeline.create_engine ~cache_dir () in
-    let outcomes = Pipeline.run_batch ~engine est program ~configs ~input ~target in
-    (outputs outcomes, engine)
+  let engine = Pipeline.create_engine () in
+  let together =
+    outputs (Pipeline.run_batch ~engine est program ~configs ~input ~target)
   in
-  let cold, cold_engine = batch () in
-  Tutil.check_bool "cold batch = one batch per estimator" true (cold = alone);
-  Tutil.check_int "cold: one run per binary" (List.length configs)
-    (List.length (collections cold_engine));
-  let warm, warm_engine = batch () in
-  Tutil.check_bool "warm batch = cold batch" true (warm = cold);
-  Tutil.check_int "warm: no run" 0 (List.length (collections warm_engine));
-  Tutil.check_bool "warm: no compile" true
-    (Pipeline.compile_stats warm_engine = (0, 0))
+  Tutil.check_bool "batch = one batch per estimator" true (together = alone);
+  Tutil.check_int "one run per binary" (List.length configs)
+    (List.length (collections engine))
 
-(* The sampling estimator scores exactly four samplers, and a result
-   served from a disk-cached engine (cold, then warm through a second
-   engine over the same directory) names no other method. *)
+(* The sampling estimator scores exactly four samplers, and its result
+   names no other method. *)
 let test_sampling_methods () =
   let est =
     Pipeline.Sampling { Pipeline.level = 0.95; seeds = [ 2007 ]; n = 8 }
@@ -651,22 +642,13 @@ let test_sampling_methods () =
   let four = [ "srs"; "systematic"; "strat-phase"; "strat-mix" ] in
   Alcotest.(check (list string)) "sampling names" four
     (Pipeline.names (Pipeline.Any est));
-  Tutil.with_temp_dir "sampling" @@ fun cache_dir ->
-  let run () =
-    let engine = Pipeline.create_engine ~cache_dir () in
+  let records =
     Pipeline.records est
-      (Pipeline.run ~engine est (Tutil.two_phase_program ()) ~configs ~input
-         ~target)
+      (Pipeline.run est (Tutil.two_phase_program ()) ~configs ~input ~target)
   in
-  List.iter
-    (fun (where, records) ->
-      Alcotest.(check (list string)) (where ^ " record methods")
-        (List.sort compare four)
-        (List.sort_uniq compare
-           (List.map (fun r -> r.Pipeline.er_method) records));
-      Tutil.check_int (where ^ " records") (List.length configs * 4)
-        (List.length records))
-    [ ("cold", run ()); ("warm", run ()) ]
+  Alcotest.(check (list string)) "record methods" (List.sort compare four)
+    (List.sort_uniq compare (List.map (fun r -> r.Pipeline.er_method) records));
+  Tutil.check_int "records" (List.length configs * 4) (List.length records)
 
 let () =
   Alcotest.run "pipeline"
@@ -695,8 +677,7 @@ let () =
         [ Tutil.qcheck_case prop_shared_run_equals_solo;
           Tutil.quick "shared run failure isolated"
             test_shared_run_failure_isolated;
-          Tutil.quick "estimator failure isolated, warm cache"
-            test_batch_isolation_and_warm_cache ] );
+          Tutil.quick "estimator failure isolated" test_batch_isolation ] );
       ( "validation",
         [ Tutil.quick "invalid primary" test_invalid_primary;
           Tutil.quick "empty configs" test_empty_configs;

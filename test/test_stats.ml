@@ -65,10 +65,14 @@ let test_errors () =
   Tutil.check_bool "inf estimate is nan" true
     (Float.is_nan
        (Stats.relative_error ~truth:2.0 ~estimate:Float.neg_infinity));
-  (* signed_relative_error keeps the raising contract. *)
-  Alcotest.check_raises "signed zero truth"
-    (Invalid_argument "Stats.signed_relative_error: zero truth") (fun () ->
-      ignore (Stats.signed_relative_error ~truth:0.0 ~estimate:1.0))
+  (* signed_relative_error shares the nan contract. *)
+  List.iter
+    (fun (what, truth, estimate) ->
+      Tutil.check_bool ("signed: " ^ what ^ " is nan") true
+        (Float.is_nan (Stats.signed_relative_error ~truth ~estimate)))
+    [ ("zero truth", 0.0, 1.0); ("nan truth", Float.nan, 1.0);
+      ("inf truth", Float.infinity, 1.0); ("nan estimate", 2.0, Float.nan);
+      ("inf estimate", 2.0, Float.neg_infinity) ]
 
 let test_sample_variance () =
   (* Known value: var([1..5]) with the n-1 denominator is 2.5. *)
@@ -247,6 +251,19 @@ let prop_relative_error_total =
         && Float.abs (e -. (Float.abs (truth -. estimate) /. Float.abs truth))
            <= 1e-12 *. Float.max 1.0 e)
 
+let prop_signed_relative_error_total =
+  (* Same domain and nan cases as [relative_error], whose magnitude it
+     carries with the estimate's side of the truth as its sign. *)
+  QCheck.Test.make ~name:"signed_relative_error total with nan contract"
+    ~count:500
+    QCheck.(pair (float_range (-1e6) 1e6) (float_range (-1e6) 1e6))
+    (fun (truth, estimate) ->
+      let e = Stats.signed_relative_error ~truth ~estimate in
+      if truth = 0.0 then Float.is_nan e
+      else
+        Float.abs e = Stats.relative_error ~truth ~estimate
+        && e *. truth *. (estimate -. truth) >= 0.0)
+
 let prop_sq_distance_symmetric =
   QCheck.Test.make ~name:"sq_distance symmetric" ~count:200
     QCheck.(pair (array_of_size (Gen.return 8) (float_range (-10.0) 10.0))
@@ -275,5 +292,6 @@ let () =
           Tutil.qcheck_case prop_percentile_total;
           Tutil.qcheck_case prop_mean_between_extremes;
           Tutil.qcheck_case prop_relative_error_total;
+          Tutil.qcheck_case prop_signed_relative_error_total;
           Tutil.qcheck_case prop_sq_distance_symmetric;
           Tutil.qcheck_case prop_sum_matches_closure_kahan ] ) ]

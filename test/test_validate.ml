@@ -11,6 +11,8 @@ module Budgets = Cbsp_validate.Budgets
 module Jsonx = Cbsp_json.Jsonx
 module Sampler = Cbsp_sampling.Sampler
 module Config = Cbsp_compiler.Config
+module Stage = Cbsp_engine.Stage
+module Timing = Cbsp_engine.Timing
 
 (* --- synthetic estimate records ----------------------------------- *)
 
@@ -396,6 +398,26 @@ let prop_identical_pair_exact =
 
 (* --- pass sharing ----------------------------------------------------- *)
 
+(* One table entry alone on [engine], at [small_options]' input, target
+   and SimPoint cap: what the matrix's batch must reproduce. *)
+let run_estimator ~engine program ~configs (Pipeline.Any est) =
+  let o = small_options in
+  Matrix.Output
+    ( est,
+      Pipeline.run
+        ~sp_config:
+          { Cbsp_simpoint.Simpoint.default_config with
+            Cbsp_simpoint.Simpoint.max_k = o.Matrix.mo_max_k }
+        ~engine est program ~configs
+        ~input:
+          (Cbsp_source.Input.make
+             ~name:(Printf.sprintf "scale%d" o.Matrix.mo_scale)
+             ~seed:o.Matrix.mo_seed ~scale:o.Matrix.mo_scale ())
+        ~target:o.Matrix.mo_target )
+
+let stage_jobs stage timings =
+  List.length (List.filter (fun r -> r.Timing.tr_stage = stage) timings)
+
 (* Passes shared through one engine's pass store change no bit of any
    estimate: the five estimators on one engine give the outputs each
    gives on a fresh engine of its own.  The shared engine collects FLI's
@@ -415,9 +437,7 @@ let test_shared_passes_bit_identical () =
           ~loop_splitting:entry.Cbsp_workloads.Registry.loop_splitting ()
       in
       let estimators = Matrix.estimators small_options in
-      let run engine =
-        Matrix.run_estimator ~options:small_options ~engine program ~configs
-      in
+      let run engine = run_estimator ~engine program ~configs in
       let shared = Pipeline.create_engine () in
       let together = List.map (run shared) estimators in
       let alone =
@@ -425,14 +445,9 @@ let test_shared_passes_bit_identical () =
       in
       Tutil.check_bool (name ^ ": outputs bit-identical") true
         (bits together = bits alone);
-      let collections =
-        List.filter
-          (fun (r : Cbsp_engine.Timing.record) ->
-            r.Cbsp_engine.Timing.tr_stage = Cbsp_engine.Stage.Interval_collection)
-          (Pipeline.timings shared)
-      in
       Tutil.check_int (name ^ ": interval-collection jobs") passes
-        (List.length collections))
+        (stage_jobs Stage.Interval_collection
+           (Pipeline.timings shared)))
     [ ("gcc", 8); ("applu", 12) ]
 
 (* The matrix hands a workload's five estimators to one batch, which
@@ -460,21 +475,82 @@ let test_batched_matrix_equals_alone () =
       Tutil.check_bool (name ^ ": no failure") true (w.Matrix.w_failed = []);
       let alone =
         List.map
-          (Matrix.run_estimator ~options:small_options
-             ~engine:(Pipeline.create_engine ()) program ~configs)
+          (run_estimator ~engine:(Pipeline.create_engine ()) program ~configs)
           (Matrix.estimators small_options)
       in
       Tutil.check_bool (name ^ ": outputs bit-identical") true
         (bits w.Matrix.w_outputs = bits alone);
-      let collections =
-        List.filter
-          (fun (r : Cbsp_engine.Timing.record) ->
-            r.Cbsp_engine.Timing.tr_stage = Cbsp_engine.Stage.Interval_collection)
-          w.Matrix.w_timings
-      in
       Tutil.check_int (name ^ ": one interval-collection job per binary") 4
-        (List.length collections))
+        (stage_jobs Stage.Interval_collection w.Matrix.w_timings))
     [ "gcc"; "applu" ]
+
+(* --- the workload cache ---------------------------------------------- *)
+
+let art_files dir =
+  if Sys.file_exists dir then
+    List.filter (fun f -> Filename.check_suffix f ".art")
+      (Array.to_list (Sys.readdir dir))
+  else []
+
+(* A restart over a [cache_dir] serves every workload's outputs from
+   one entry each: no compile, no structure profile and no collection,
+   the same outputs bit for bit, and the cells recomputed from them. *)
+let test_matrix_warm_cache () =
+  Tutil.with_temp_dir "warm" @@ fun cache_dir ->
+  let bits v = Marshal.to_string v [ Marshal.No_sharing ] in
+  let names = [ "gcc"; "art" ] in
+  let run () = Matrix.run ~options:small_options ~names ~jobs:2 ~cache_dir () in
+  let cold = run () in
+  let warm = run () in
+  let outputs m =
+    List.map (fun w -> bits w.Matrix.w_outputs) m.Matrix.m_workloads
+  in
+  Tutil.check_bool "cold: no failure" true (Matrix.failures cold = []);
+  Tutil.check_bool "cold run collected intervals" true
+    (stage_jobs Stage.Interval_collection (Matrix.timings cold) > 0);
+  Tutil.check_bool "warm outputs = cold outputs" true
+    (outputs warm = outputs cold);
+  Tutil.check_bool "warm cells = cold cells" true
+    (bits (Matrix.cells warm) = bits (Matrix.cells cold));
+  List.iter
+    (fun (what, stage) ->
+      Tutil.check_int ("warm: no " ^ what) 0
+        (stage_jobs stage (Matrix.timings warm)))
+    Stage.
+      [ ("compile", Compile); ("struct-profile", Struct_profile);
+        ("interval collection", Interval_collection) ];
+  Tutil.check_int "warm: one validate job per workload" 2
+    (stage_jobs Stage.Validate (Matrix.timings warm));
+  Alcotest.(check (list string)) "one store directory" [ "workloads" ]
+    (Array.to_list (Sys.readdir cache_dir));
+  Tutil.check_int "one entry per workload" 2
+    (List.length (art_files (Filename.concat cache_dir "workloads")))
+
+(* A workload with a failed estimator is never stored: its warm rerun
+   collects again and reports the same outcomes. *)
+let test_matrix_failure_not_persisted () =
+  Tutil.with_temp_dir "failed" @@ fun cache_dir ->
+  let bits v = Marshal.to_string v [ Marshal.No_sharing ] in
+  let options = { small_options with Matrix.mo_primary = 7 } in
+  let run () =
+    match Matrix.run ~options ~names:[ "gcc" ] ~cache_dir () with
+    | { Matrix.m_workloads = [ w ]; _ } -> w
+    | { Matrix.m_workloads = ws; _ } ->
+      Alcotest.failf "%d workload results" (List.length ws)
+  in
+  let cold = run () in
+  Alcotest.(check (list string)) "every vli failed"
+    [ "vli"; "vli-static"; "vli-recovered" ]
+    (List.map fst cold.Matrix.w_failed);
+  Tutil.check_int "nothing stored" 0
+    (List.length (art_files (Filename.concat cache_dir "workloads")));
+  let warm = run () in
+  Tutil.check_bool "same failures" true
+    (warm.Matrix.w_failed = cold.Matrix.w_failed);
+  Tutil.check_bool "same outputs" true
+    (bits warm.Matrix.w_outputs = bits cold.Matrix.w_outputs);
+  Tutil.check_bool "warm collected again" true
+    (stage_jobs Stage.Interval_collection warm.Matrix.w_timings > 0)
 
 (* --- estimate records ----------------------------------------------- *)
 
@@ -663,6 +739,9 @@ let () =
           Tutil.quick "shared passes bit-identical"
             test_shared_passes_bit_identical;
           Tutil.quick "batched matrix = per-estimator runs"
-            test_batched_matrix_equals_alone ] );
+            test_batched_matrix_equals_alone;
+          Tutil.quick "warm cache restart" test_matrix_warm_cache;
+          Tutil.quick "failed workload not persisted"
+            test_matrix_failure_not_persisted ] );
       ( "properties",
         [ Tutil.qcheck_case prop_identical_pair_exact ] ) ]
