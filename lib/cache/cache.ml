@@ -95,6 +95,9 @@ let stats t =
   { accesses = t.s_accesses; hits = t.s_accesses - t.s_misses;
     misses = t.s_misses; evictions = t.s_evictions; writebacks = t.s_writebacks }
 
+let accesses t = t.s_accesses
+let misses t = t.s_misses
+
 let reset_stats t =
   t.s_accesses <- 0;
   t.s_misses <- 0;

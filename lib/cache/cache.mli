@@ -39,6 +39,10 @@ val probe : t -> addr:int -> bool
 
 val stats : t -> stats
 
+val accesses : t -> int
+val misses : t -> int
+(** {!stats}'s [accesses] and [misses] without building the record. *)
+
 val reset_stats : t -> unit
 (** Clears counters, keeps contents (for measure-after-warmup flows). *)
 

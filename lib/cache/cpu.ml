@@ -45,12 +45,18 @@ let extra_counter_names t =
     (Hierarchy.stats t.hier)
   @ [ "dram_accesses"; "accesses" ]
 
+(* One fresh array per call and nothing else: an interval builder
+   samples this at every cut and keeps the previous snapshot. *)
 let extra_counters t =
-  let stats = Array.map Cache.stats t.path.Cache.levels in
-  let accesses = if stats = [||] then 0.0 else float_of_int stats.(0).Cache.accesses in
-  Array.append
-    (Array.map (fun s -> float_of_int s.Cache.misses) stats)
-    [| float_of_int t.path.Cache.dram; accesses |]
+  let levels = t.path.Cache.levels in
+  let n = Array.length levels in
+  let out = Array.make (n + 2) 0.0 in
+  for i = 0 to n - 1 do
+    out.(i) <- float_of_int (Cache.misses levels.(i))
+  done;
+  out.(n) <- float_of_int t.path.Cache.dram;
+  if n > 0 then out.(n + 1) <- float_of_int (Cache.accesses levels.(0));
+  out
 
 let reset t =
   Hierarchy.flush t.hier;

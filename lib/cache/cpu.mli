@@ -46,7 +46,8 @@ val extra_counter_names : t -> string list
 
 val extra_counters : t -> float array
 (** Monotone counter snapshot (suitable as the [extras] thunk of interval
-    builders): per-level misses, DRAM accesses, total accesses. *)
+    builders): per-level misses, DRAM accesses, total accesses.  A fresh
+    array each call, the only allocation. *)
 
 val reset : t -> unit
 (** Flush caches and zero counters. *)

@@ -144,7 +144,7 @@ type pass = {
   ps_stats : Streamprof.stats;
   ps_cluster_inputs : Streamprof.cluster_inputs;  (* empty for [Replayed] *)
   ps_boundaries : Interval.boundary array;  (* [Recorded]: the cuts made *)
-  ps_mix : float array;       (* [Fixed]: per-interval access mix *)
+  ps_mix : float array;       (* [Fixed]: per-interval access mix, else [||] *)
 }
 
 let n_intervals pass = Streamprof.(Array.length pass.ps_stats.st_insts)
@@ -332,27 +332,19 @@ let job_label (program : Cbsp_source.Ast.program) config ~kind =
    pass for each, in order.  The builders must observe each block BEFORE
    the CPU charges it, so a cut's cycle sample excludes the block that
    starts the next interval; they only read the CPU, so a pass does not
-   depend on which other plans share its run.  A [Fixed] plan also
-   reduces each interval's BBV to the samplers' phase-1 features at
-   emission time, so no consumer ever needs the BBVs back.  The builders
-   ignore accesses, so the CPU takes them as same-line runs
-   ([Cpu.runs]). *)
+   depend on which other plans share its run.  The builders ignore
+   accesses, so the CPU takes them as same-line runs ([Cpu.runs]). *)
 let run_plans ~timing ~label ~cache_config (binary : Binary.t) ~input plans =
   let n_blocks = binary.Binary.n_blocks in
   let cpu = Cpu.create ?config:cache_config () in
   let cycles () = Cpu.cycles cpu and extras () = Cpu.extra_counters cpu in
   let builder (col, plan) =
-    let mix_rev = ref [] in
     let obs, finish =
       match plan with
       | Fixed target ->
-        let mix_of = Strata.access_mix_of binary in
-        let emit (iv : Interval.interval) =
-          mix_rev := mix_of iv.Interval.bbv :: !mix_rev;
-          Streamprof.emit col iv
-        in
         let obs, finish =
-          Interval.fli_stream ~n_blocks ~target ~cycles ~extras ~emit ()
+          Interval.fli_stream ~n_blocks ~target ~cycles ~extras
+            ~emit:(Streamprof.emit col) ()
         in
         (obs, fun () -> ignore (finish () : int); [||])
       | Recorded (target, keys) ->
@@ -370,7 +362,7 @@ let run_plans ~timing ~label ~cache_config (binary : Binary.t) ~input plans =
         in
         (obs, fun () -> ignore (finish () : int); [||])
     in
-    (obs, fun () -> (col, finish (), mix_rev))
+    (obs, fun () -> (col, finish ()))
   in
   let builders = List.map builder plans in
   let totals, finished =
@@ -385,13 +377,13 @@ let run_plans ~timing ~label ~cache_config (binary : Binary.t) ~input plans =
   in
   let truth = measure_truth totals cpu in
   List.map
-    (fun (col, boundaries, mix_rev) ->
+    (fun (col, boundaries) ->
       { ps_truth = truth;
         ps_counter_names = Cpu.extra_counter_names cpu;
         ps_stats = Streamprof.stats col;
         ps_cluster_inputs = Streamprof.cluster_inputs col;
         ps_boundaries = boundaries;
-        ps_mix = Array.of_list (List.rev !mix_rev) })
+        ps_mix = Streamprof.mix col })
     finished
 
 (* A pass's store key is everything that determines it, so FLI and the
@@ -410,11 +402,17 @@ let pass_key program (binary : Binary.t) ~(sp_config : Simpoint.config)
     (binary_key program binary.Binary.config, input, cache_config, projection,
      plan)
 
-(* A [Replayed] pass keeps no points, so its collector keeps stats only. *)
-let collector ~sp_config (binary : Binary.t) = function
+(* A [Replayed] pass keeps no points, so its collector keeps stats only.
+   A [Fixed] pass also reduces each interval's BBV to the samplers'
+   phase-1 feature, its access mix, once per distinct BBV, so no
+   consumer ever needs the BBVs back. *)
+let collector ~sp_config (binary : Binary.t) plan =
+  let n_blocks = binary.Binary.n_blocks in
+  match plan with
   | Replayed _ -> Streamprof.create_stats_only ()
-  | Fixed _ | Recorded _ ->
-    Streamprof.create ~sp_config ~n_blocks:binary.Binary.n_blocks ()
+  | Fixed _ ->
+    Streamprof.create ~mix:(Strata.access_mix_of binary) ~sp_config ~n_blocks ()
+  | Recorded _ -> Streamprof.create ~sp_config ~n_blocks ()
 
 (* Every engine-owned pass is read through here: a store hit after a
    batch's [collect_shared] ran it, otherwise one run of its own.

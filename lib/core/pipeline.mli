@@ -178,8 +178,10 @@ type pass = {
   ps_boundaries : Cbsp_profile.Interval.boundary array;
       (** [Recorded]: the boundaries cut; otherwise empty. *)
   ps_mix : float array;
-      (** [Fixed]: per-interval {!Cbsp_sampling.Strata.access_mix_of};
-          otherwise empty. *)
+      (** [Fixed]: per-interval {!Cbsp_sampling.Strata.access_mix_of},
+          the collector's mix column ({!Streamprof.mix}): computed once
+          per distinct BBV, 0.0 for an empty interval.  Otherwise
+          empty. *)
 }
 (** One streaming collection pass as its consumers read it — never BBVs
     or collector scratch, which do not outlive the pass.  Clustering is

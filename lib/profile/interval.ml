@@ -13,10 +13,6 @@ type boundary = { bd_key : Marker.key; bd_count : int }
 
 type emit = interval -> unit
 
-let cpi interval =
-  if interval.insts = 0 then invalid_arg "Interval.cpi: empty interval";
-  interval.cycles /. float_of_int interval.insts
-
 (* The memory-model gauge: peak number of full-width (n_blocks-wide) BBV
    buffers held by any single profiling pass — scratch plus retained
    copies.  Streaming passes stay at a small constant; a pass that

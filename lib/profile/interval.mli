@@ -60,9 +60,6 @@ type boundary = {
           (1-based, counted from the start of the run) of [bd_key]. *)
 }
 
-val cpi : interval -> float
-(** [cycles / insts].  @raise Invalid_argument on an empty interval. *)
-
 type emit = interval -> unit
 (** Streaming consumer.  The interval argument is only valid for the
     duration of the call: its [bbv] and [extras] alias scratch buffers

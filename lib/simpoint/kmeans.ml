@@ -536,6 +536,8 @@ let assign_pruned ~centroids ~points ~assignments ~upper ~lower ~ds ~evals =
   done;
   !changed
 
+(* One restart.  Its [assignments] are per group (index [gid.(i)] for
+   point [i]), expanded by [run] for the winning restart only. *)
 let run_once_pruned rng ~max_iters ~k prep =
   let { weights; points; gid; reps; _ } = prep in
   let n = Array.length points and m = Array.length reps in
@@ -615,10 +617,6 @@ let run_once_pruned rng ~max_iters ~k prep =
        assignments already match. *)
     if !iterations >= max_iters then ignore (assign_step () : bool)
   end;
-  let assignments = Array.make n 0 in
-  for i = 0 to n - 1 do
-    assignments.(i) <- assign.(gid.(i))
-  done;
   own_distances ();
   let distortion =
     sum_chunks n (fun lo hi ->
@@ -635,7 +633,7 @@ let run_once_pruned rng ~max_iters ~k prep =
   Metrics.incr ~by:!partials_reused m_partials_reused;
   Metrics.incr ~by:(k - 1) m_seedings;
   Metrics.incr ~by:!seedings_reused m_seedings_reused;
-  { k; assignments; centroids; distortion; iterations = !iterations }
+  { k; assignments = assign; centroids; distortion; iterations = !iterations }
 
 (* --- drivers ------------------------------------------------------------ *)
 
@@ -649,9 +647,14 @@ let best_of ~seed ~restarts run_once =
   done;
   !best
 
+(* Only the winner's assignments are expanded to points, so a
+   discarded restart costs no O(n) array. *)
 let run ?(seed = 493) ?(restarts = 5) ?(max_iters = 100) ~k prep =
   check_k ~fn:"Kmeans.run" ~k ~n:(Array.length prep.gid);
-  best_of ~seed ~restarts (fun rng -> run_once_pruned rng ~max_iters ~k prep)
+  let best =
+    best_of ~seed ~restarts (fun rng -> run_once_pruned rng ~max_iters ~k prep)
+  in
+  { best with assignments = Array.map (Array.get best.assignments) prep.gid }
 
 let cluster_weights result ~weights =
   let totals = Array.make result.k 0.0 in

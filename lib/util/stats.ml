@@ -121,27 +121,31 @@ let t_cdf ~df t =
   if t >= 0.0 then 1.0 -. tail else tail
 
 let t_quantile ~df ~level =
-  if df < 1 then invalid_arg "Stats.t_quantile: df must be >= 1";
   if level <= 0.0 || level >= 1.0 then
     invalid_arg "Stats.t_quantile: level must be in (0, 1)";
-  (* Two-sided critical value c with P(|T| <= c) = level, i.e. the
-     (1+level)/2 quantile: bracket then bisect the CDF (monotone, smooth;
-     80 halvings put the error far below float noise on the answer). *)
-  let p = (1.0 +. level) /. 2.0 in
-  let hi = ref 1.0 in
-  while t_cdf ~df !hi < p && !hi < 1e12 do
-    hi := !hi *. 2.0
-  done;
-  let lo = ref 0.0 in
-  for _ = 1 to 100 do
-    let mid = 0.5 *. (!lo +. !hi) in
-    if t_cdf ~df mid < p then lo := mid else hi := mid
-  done;
-  0.5 *. (!lo +. !hi)
+  if df < 1 then nan
+  else begin
+    (* Two-sided critical value c with P(|T| <= c) = level, i.e. the
+       (1+level)/2 quantile: bracket then bisect the CDF (monotone,
+       smooth; 80 halvings put the error far below float noise on the
+       answer). *)
+    let p = (1.0 +. level) /. 2.0 in
+    let hi = ref 1.0 in
+    while t_cdf ~df !hi < p && !hi < 1e12 do
+      hi := !hi *. 2.0
+    done;
+    let lo = ref 0.0 in
+    for _ = 1 to 100 do
+      let mid = 0.5 *. (!lo +. !hi) in
+      if t_cdf ~df mid < p then lo := mid else hi := mid
+    done;
+    0.5 *. (!lo +. !hi)
+  end
 
+(* Fewer than two samples have no spread to scale: [t_quantile ~df:0]
+   is nan, and so is each end. *)
 let confidence_interval ?(level = 0.95) xs =
   let n = Array.length xs in
-  if n < 2 then invalid_arg "Stats.confidence_interval: need >= 2 samples";
   let m = mean xs in
   let half =
     t_quantile ~df:(n - 1) ~level

@@ -19,13 +19,16 @@ val t_quantile : df:int -> level:float -> float
 (** Two-sided Student-t critical value: the [c] with
     [P(|T_df| <= c) = level], e.g. [t_quantile ~df:10 ~level:0.95]
     is 2.228.  Computed from the regularized incomplete beta function;
-    accurate to well below 1e-8 over the whole table.
-    @raise Invalid_argument if [df < 1] or [level] is outside (0, 1). *)
+    accurate to well below 1e-8 over the whole table.  Total in [df]:
+    [nan] when [df < 1] (no degrees of freedom, no interval).
+    @raise Invalid_argument if [level] is outside (0, 1). *)
 
 val confidence_interval : ?level:float -> float array -> float * float
 (** [(lo, hi)] of the Student-t confidence interval for the mean of the
     samples: [mean -/+ t * sqrt (sample_variance / n)].  [level] defaults
-    to 0.95.  @raise Invalid_argument for fewer than two samples. *)
+    to 0.95.  Total in the samples: [(nan, nan)] for fewer than two,
+    which have no spread to scale.
+    @raise Invalid_argument if [level] is outside (0, 1). *)
 
 val median : float array -> float
 (** [percentile ~p:50.0] (does not modify the input); nan for the empty

@@ -54,12 +54,9 @@ let aggregate errors =
   | [] -> empty_agg ~skipped
   | _ ->
     let arr = Array.of_list finite in
-    let ci_lo, ci_hi =
-      (* Student-t needs two samples; a single-cell aggregate keeps its
-         mean but reports no interval. *)
-      if Array.length arr >= 2 then Stats.confidence_interval arr
-      else (Float.nan, Float.nan)
-    in
+    (* A single-cell aggregate keeps its mean but reports no interval:
+       Student-t over one sample is (nan, nan). *)
+    let ci_lo, ci_hi = Stats.confidence_interval arr in
     { a_mean = Stats.mean arr;
       a_max = Array.fold_left Float.max Float.neg_infinity arr;
       a_p50 = Stats.percentile arr ~p:50.0;

@@ -97,9 +97,11 @@ let test_t_quantile () =
     [ (1, 0.95, 12.706); (2, 0.95, 4.303); (5, 0.95, 2.571);
       (10, 0.95, 2.228); (30, 0.95, 2.042); (100, 0.95, 1.984);
       (10, 0.99, 3.169); (10, 0.90, 1.812); (1000, 0.95, 1.962) ];
-  Alcotest.check_raises "df must be positive"
-    (Invalid_argument "Stats.t_quantile: df must be >= 1") (fun () ->
-      ignore (Stats.t_quantile ~df:0 ~level:0.95));
+  (* Total in df: no degrees of freedom is nan, never a throw. *)
+  Tutil.check_bool "df 0 is nan" true
+    (Float.is_nan (Stats.t_quantile ~df:0 ~level:0.95));
+  Tutil.check_bool "negative df is nan" true
+    (Float.is_nan (Stats.t_quantile ~df:(-3) ~level:0.95));
   Alcotest.check_raises "level must be a probability"
     (Invalid_argument "Stats.t_quantile: level must be in (0, 1)") (fun () ->
       ignore (Stats.t_quantile ~df:3 ~level:1.0))
@@ -122,9 +124,15 @@ let test_confidence_interval () =
     Stats.confidence_interval ~level:0.99 [| 1.0; 2.0; 3.0; 4.0 |]
   in
   Tutil.check_bool "99% wider" true (hi99 -. lo99 > hi95 -. lo95);
-  Alcotest.check_raises "needs two samples"
-    (Invalid_argument "Stats.confidence_interval: need >= 2 samples")
-    (fun () -> ignore (Stats.confidence_interval [| 1.0 |]))
+  (* Fewer than two samples: no interval, never a throw. *)
+  List.iter
+    (fun xs ->
+      let lo, hi = Stats.confidence_interval xs in
+      Tutil.check_bool
+        (Printf.sprintf "%d samples: nan interval" (Array.length xs))
+        true
+        (Float.is_nan lo && Float.is_nan hi))
+    [ [||]; [| 1.0 |] ]
 
 let test_sum_kahan () =
   (* A classic case where naive summation loses the small terms. *)
@@ -264,6 +272,18 @@ let prop_signed_relative_error_total =
         Float.abs e = Stats.relative_error ~truth ~estimate
         && e *. truth *. (estimate -. truth) >= 0.0)
 
+(* Total contract: any sample count gives an interval without a throw,
+   (nan, nan) below two samples, and one bracketing the mean above. *)
+let prop_confidence_interval_total =
+  QCheck.Test.make ~name:"confidence_interval total" ~count:300
+    QCheck.(array_of_size (Gen.int_bound 6) (float_range (-100.0) 100.0))
+    (fun xs ->
+      let lo, hi = Stats.confidence_interval xs in
+      if Array.length xs < 2 then Float.is_nan lo && Float.is_nan hi
+      else
+        let m = Stats.mean xs in
+        lo <= m && m <= hi)
+
 let prop_sq_distance_symmetric =
   QCheck.Test.make ~name:"sq_distance symmetric" ~count:200
     QCheck.(pair (array_of_size (Gen.return 8) (float_range (-10.0) 10.0))
@@ -293,5 +313,6 @@ let () =
           Tutil.qcheck_case prop_mean_between_extremes;
           Tutil.qcheck_case prop_relative_error_total;
           Tutil.qcheck_case prop_signed_relative_error_total;
+          Tutil.qcheck_case prop_confidence_interval_total;
           Tutil.qcheck_case prop_sq_distance_symmetric;
           Tutil.qcheck_case prop_sum_matches_closure_kahan ] ) ]
