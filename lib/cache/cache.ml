@@ -12,13 +12,21 @@ type t = {
   line : int;
   set_shift : int;   (* log2 line *)
   set_mask : int;    (* n_sets - 1 *)
-  tags : int array;  (* n_sets * assoc in recency order per set; -1 = invalid *)
-  dirty : Bytes.t;   (* one byte per way, moving with its tag: '\001' = dirty *)
+  ways : int array;
+      (* n_sets * assoc in recency order per set, one word per way: the
+         line's tag shifted left once, its dirty bit in bit 0; [invalid]
+         for an empty way *)
   mutable s_accesses : int;
   mutable s_misses : int;
   mutable s_evictions : int;
   mutable s_writebacks : int;
 }
+
+(* No way word of a valid line is -2: that needs a tag of [max_int],
+   which a non-negative address reaches only with one-byte lines at
+   address [max_int].  A way matches a lookup's [key], its tag's word
+   with the dirty bit set, iff [w lor 1 = key]. *)
+let invalid = -2
 
 let is_pow2 x = x > 0 && x land (x - 1) = 0
 
@@ -34,43 +42,39 @@ let create ~capacity_bytes ~associativity ~line_bytes =
     invalid_arg "Cache.create: capacity not divisible by way size";
   let n_sets = capacity_bytes / (associativity * line_bytes) in
   if not (is_pow2 n_sets) then invalid_arg "Cache.create: set count not a power of two";
-  let slots = n_sets * associativity in
   { n_sets; assoc = associativity; line = line_bytes;
     set_shift = log2 line_bytes; set_mask = n_sets - 1;
-    tags = Array.make slots (-1); dirty = Bytes.make slots '\000';
+    ways = Array.make (n_sets * associativity) invalid;
     s_accesses = 0; s_misses = 0; s_evictions = 0; s_writebacks = 0 }
 
 (* Everything but a hit at way 0 (the set's first slot, [mru]), in one
-   move-to-front pass: each way takes the line above it until the line
-   lifted out is the one sought (a hit at way k rotates ways 0..k) or the
-   last way's (a miss: it falls out, an eviction if valid). *)
-let promote t ~mru ~tag ~is_write =
-  let tags = t.tags and dirty = t.dirty in
+   move-to-front pass: each way takes the word above it until the word
+   lifted out is the line sought (a hit at way k rotates ways 0..k) or
+   the last way's (a miss: it falls out, an eviction if valid).  A hit
+   keeps its dirty bit unless it writes; a miss enters clean unless it
+   writes. *)
+let promote t ~mru ~key ~is_write =
+  let ways = t.ways in
   let last = mru + t.assoc - 1 in
   let way = ref mru in
-  let out_tag = ref (Array.unsafe_get tags mru)
-  and out_dirty = ref (Bytes.unsafe_get dirty mru) in
-  while !out_tag <> tag && !way < last do
+  let out = ref (Array.unsafe_get ways mru) in
+  while !out lor 1 <> key && !way < last do
     let s = !way + 1 in
-    let next_tag = Array.unsafe_get tags s and next_dirty = Bytes.unsafe_get dirty s in
-    Array.unsafe_set tags s !out_tag;
-    Bytes.unsafe_set dirty s !out_dirty;
-    out_tag := next_tag;
-    out_dirty := next_dirty;
+    let next = Array.unsafe_get ways s in
+    Array.unsafe_set ways s !out;
+    out := next;
     way := s
   done;
-  let hit = !out_tag = tag in
-  let was_dirty = !out_dirty <> '\000' in
+  let hit = !out lor 1 = key in
   if not hit then begin
     t.s_misses <- t.s_misses + 1;
-    if !out_tag <> -1 then begin
+    if !out <> invalid then begin
       t.s_evictions <- t.s_evictions + 1;
-      if was_dirty then t.s_writebacks <- t.s_writebacks + 1
+      t.s_writebacks <- t.s_writebacks + (!out land 1)
     end
   end;
-  Array.unsafe_set tags mru tag;
-  Bytes.unsafe_set dirty mru
-    (if is_write || (hit && was_dirty) then '\001' else '\000');
+  Array.unsafe_set ways mru
+    (if is_write then key else if hit then !out else key - 1);
   hit
 
 (* Inlined into every caller in this module, so a hit at way 0 (most
@@ -78,17 +82,20 @@ let promote t ~mru ~tag ~is_write =
 let[@inline] access t ~addr ~is_write =
   t.s_accesses <- t.s_accesses + 1;
   let tag = addr lsr t.set_shift in
+  let key = (tag lsl 1) lor 1 in
   let mru = (tag land t.set_mask) * t.assoc in
-  if Array.unsafe_get t.tags mru = tag then begin
-    if is_write then Bytes.unsafe_set t.dirty mru '\001';
+  let w = Array.unsafe_get t.ways mru in
+  if w lor 1 = key then begin
+    if is_write then Array.unsafe_set t.ways mru key;
     true
   end
-  else promote t ~mru ~tag ~is_write
+  else promote t ~mru ~key ~is_write
 
 let probe t ~addr =
   let tag = addr lsr t.set_shift in
+  let key = (tag lsl 1) lor 1 in
   let base = (tag land t.set_mask) * t.assoc in
-  let rec scan i = i < t.assoc && (t.tags.(base + i) = tag || scan (i + 1)) in
+  let rec scan i = i < t.assoc && (t.ways.(base + i) lor 1 = key || scan (i + 1)) in
   scan 0
 
 let stats t =
@@ -105,8 +112,7 @@ let reset_stats t =
   t.s_writebacks <- 0
 
 let flush t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
+  Array.fill t.ways 0 (Array.length t.ways) invalid;
   reset_stats t
 
 let sets t = t.n_sets
@@ -162,7 +168,8 @@ let on_run p =
     l1.s_accesses <- l1.s_accesses + n;
     if any_write then begin
       let tag = addr lsr l1.set_shift in
-      Bytes.unsafe_set l1.dirty ((tag land l1.set_mask) * l1.assoc) '\001'
+      let mru = (tag land l1.set_mask) * l1.assoc in
+      Array.unsafe_set l1.ways mru (Array.unsafe_get l1.ways mru lor 1)
     end;
     p.stall <- p.stall + (n * l1_latency)
 

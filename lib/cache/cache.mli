@@ -8,6 +8,14 @@
     each set's suffix, so they fill first.  The resident and evicted
     lines are exactly those of LRU timestamps.
 
+    A level is one [int] array of [sets * associativity] words, one per
+    way: the line's tag ([addr lsr log2 line_bytes]) shifted left once,
+    with the dirty bit in bit 0, and [-2] for an invalid way.  A
+    move-to-front step moves one word, and a way hits iff
+    [w lor 1 = (tag lsl 1) lor 1].  Addresses must be >= 0 (and below
+    [max_int] at one-byte lines), so that every tag fits a way word and
+    none reads as invalid.
+
     The lookup, the level walk and the stall sum share this module so
     that {!on_access} makes direct calls only: under [-opaque] (the dev
     profile) a call into another module is an indirect [caml_applyN]. *)
@@ -30,9 +38,9 @@ val create : capacity_bytes:int -> associativity:int -> line_bytes:int -> t
     count. *)
 
 val access : t -> addr:int -> is_write:bool -> bool
-(** Look up the line containing [addr]; on a miss, allocate it (evicting
-    LRU).  Returns whether it hit.  Write hits and allocated writes mark
-    the line dirty. *)
+(** Look up the line containing [addr] ([>= 0]); on a miss, allocate it
+    (evicting LRU).  Returns whether it hit.  Write hits and allocated
+    writes mark the line dirty. *)
 
 val probe : t -> addr:int -> bool
 (** Non-modifying lookup (no allocation, no LRU update). *)

@@ -5,6 +5,7 @@ module Executor = Cbsp_exec.Executor
    float; below 2^53 it converts to exactly the float a running float
    sum would hold. *)
 type t = {
+  config : Hierarchy.config;
   hier : Hierarchy.t;
   path : Cache.path;
   access : int -> bool -> unit;  (* one closure, so [runs] can name it *)
@@ -14,7 +15,7 @@ type t = {
 let create ?(config = Hierarchy.paper_table1) () =
   let hier = Hierarchy.create config in
   let path = Hierarchy.path hier in
-  { hier; path; access = Cache.on_access path; t_insts = 0 }
+  { config; hier; path; access = Cache.on_access path; t_insts = 0 }
 
 let observer t =
   { Executor.null_observer with
@@ -28,6 +29,8 @@ let runs t =
     Some
       { Executor.line_bytes = Cache.line_bytes levels.(0); access = t.access;
         on_run = Cache.on_run t.path }
+
+let hierarchy t = t.hier
 
 let cycles t = float_of_int (t.t_insts + t.path.Cache.stall)
 
@@ -61,3 +64,19 @@ let extra_counters t =
 let reset t =
   Hierarchy.flush t.hier;
   t.t_insts <- 0
+
+(* This domain's idle CPU, if it has one.  A borrow takes it out of the
+   slot, so a nested borrow finds the slot empty (or holding another
+   config's) and builds its own; whichever is given back last stays. *)
+let idle : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let borrow ?(config = Hierarchy.paper_table1) f =
+  let cpu =
+    match Domain.DLS.get idle with
+    | Some cpu when cpu.config = config ->
+      Domain.DLS.set idle None;
+      reset cpu;
+      cpu
+    | Some _ | None -> create ~config ()
+  in
+  Fun.protect ~finally:(fun () -> Domain.DLS.set idle (Some cpu)) (fun () -> f cpu)

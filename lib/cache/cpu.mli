@@ -5,7 +5,12 @@
     the level it hits.  CPI is therefore
     [1.0 + stall_cycles / instructions], which reproduces the paper's
     per-phase CPI range (roughly 2.5-7.6 in Tables 2-3) for workloads
-    whose footprints straddle the hierarchy. *)
+    whose footprints straddle the hierarchy.
+
+    A collection pass {!borrow}s its CPU: each domain keeps at most one
+    idle CPU, whose paper Table 1 hierarchy is 25,088 way words,
+    and a pass that finds one with its config resets and reuses it
+    instead of allocating another. *)
 
 type t
 
@@ -26,6 +31,9 @@ val runs : t -> Cbsp_exec.Executor.runs option
     and a block or marker event never falls inside a run, so every
     sample taken at one is identical too.  [None] for a hierarchy with
     no levels. *)
+
+val hierarchy : t -> Hierarchy.t
+(** The cache levels the observer drives, for their stats. *)
 
 val cycles : t -> float
 (** Total simulated cycles so far — monotone during a run, suitable as
@@ -50,4 +58,16 @@ val extra_counters : t -> float array
     array each call, the only allocation. *)
 
 val reset : t -> unit
-(** Flush caches and zero counters. *)
+(** Empties every level (tags, dirty bits and stats) and zeroes the DRAM
+    count, the stall sum and the instruction count: the CPU then reads
+    exactly as a fresh one of its config. *)
+
+val borrow : ?config:Hierarchy.config -> (t -> 'a) -> 'a
+(** [borrow ?config f] applies [f] to this domain's idle CPU if it has
+    one of [config] (default {!Hierarchy.paper_table1}, compared
+    structurally), {!reset} first, and otherwise to a fresh one; when
+    [f] returns or raises, that CPU becomes the domain's idle one,
+    replacing any other.  So [f] sees a CPU indistinguishable from
+    [create ?config ()], and one borrowed inside [f] on the same domain
+    is a different CPU.  The CPU must not be used after [f] returns:
+    read every counter, cycle and name inside [f]. *)

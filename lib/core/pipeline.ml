@@ -333,10 +333,12 @@ let job_label (program : Cbsp_source.Ast.program) config ~kind =
    the CPU charges it, so a cut's cycle sample excludes the block that
    starts the next interval; they only read the CPU, so a pass does not
    depend on which other plans share its run.  The builders ignore
-   accesses, so the CPU takes them as same-line runs ([Cpu.runs]). *)
+   accesses, so the CPU takes them as same-line runs ([Cpu.runs]).  The
+   CPU is this domain's borrowed one: the truth, the counter names and
+   the builders' last samples are read before [Cpu.borrow] returns. *)
 let run_plans ~timing ~label ~cache_config (binary : Binary.t) ~input plans =
   let n_blocks = binary.Binary.n_blocks in
-  let cpu = Cpu.create ?config:cache_config () in
+  Cpu.borrow ?config:cache_config @@ fun cpu ->
   let cycles () = Cpu.cycles cpu and extras () = Cpu.extra_counters cpu in
   let builder (col, plan) =
     let obs, finish =

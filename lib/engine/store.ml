@@ -14,11 +14,12 @@
    write is counted by the cache, never raised.  Exceptions are cached
    in memory for this process only.
 
-   Counters live in the obs metrics registry instead of bespoke atomics:
-   every store instance gets its own [store.computes]/[store.hits]
-   series (labeled by store name plus a unique instance id, so several
-   engines in one process never share counts) plus a [store.wait_seconds]
-   histogram of how long waiters blocked on in-flight computations.
+   Each store counts its own computes and hits, and adds each to the
+   obs metrics registry's [store.computes]/[store.hits] series of its
+   name, with a [store.wait_seconds] histogram of how long waiters
+   blocked on in-flight computations.  The series are per name, not per
+   instance: a process that makes an engine per program per operation
+   would otherwise register three series per store forever.
    Disk-level series ([store.disk_hits]/[store.misses]/
    [store.evictions]/[store.quarantined]/[store.publish_errors]/
    [store.bytes]) belong to the attached cache. *)
@@ -37,22 +38,27 @@ type 'v t = {
   s_mutex : Mutex.t;
   s_table : (string, 'v cell) Hashtbl.t;
   s_disk : Diskcache.t option;
-  s_computes : Metrics.counter;
-  s_hits : Metrics.counter;
+  s_computes : tally;
+  s_hits : tally;
   s_wait : Metrics.histogram;
 }
 
-let next_id = Atomic.make 0
+(* One store's count, and the series of its name that it adds to. *)
+and tally = { own : int Atomic.t; series : Metrics.counter }
+
+let tally ~labels name =
+  { own = Atomic.make 0; series = Metrics.counter ~labels name }
+
+let bump c =
+  Atomic.incr c.own;
+  Metrics.incr c.series
 
 let create ?(name = "store") ?disk () =
-  let labels =
-    [ ("store", name);
-      ("instance", string_of_int (Atomic.fetch_and_add next_id 1)) ]
-  in
+  let labels = [ ("store", name) ] in
   { s_mutex = Mutex.create (); s_table = Hashtbl.create 64;
     s_disk = disk;
-    s_computes = Metrics.counter ~labels "store.computes";
-    s_hits = Metrics.counter ~labels "store.hits";
+    s_computes = tally ~labels "store.computes";
+    s_hits = tally ~labels "store.hits";
     s_wait = Metrics.histogram ~labels "store.wait_seconds" }
 
 (* [No_sharing] makes the encoding a function of the value's structure
@@ -83,10 +89,10 @@ let from_disk t ~key =
 let resolve t ~key f =
   match from_disk t ~key with
   | Some v ->
-    Metrics.incr t.s_hits;
+    bump t.s_hits;
     Value v
   | None -> (
-    Metrics.incr t.s_computes;
+    bump t.s_computes;
     match f () with
     | v ->
       Option.iter
@@ -120,7 +126,7 @@ let fill t ~key resolve =
     match outcome with Value v -> v | Raised e -> raise e
   end
   else begin
-    Metrics.incr t.s_hits;
+    bump t.s_hits;
     let t0 = Unix.gettimeofday () in
     let outcome =
       Mutex.protect cell.c_mutex (fun () ->
@@ -142,14 +148,14 @@ let find_opt t ~key =
   | Some cell -> (
     match Mutex.protect cell.c_mutex (fun () -> cell.c_outcome) with
     | Some (Value v) ->
-      Metrics.incr t.s_hits;
+      bump t.s_hits;
       Some v
     | Some (Raised _) | None -> None)
   | None ->
     Option.map
       (fun v ->
         fill t ~key (fun () ->
-            Metrics.incr t.s_hits;
+            bump t.s_hits;
             Value v))
       (from_disk t ~key)
 
@@ -168,9 +174,9 @@ let mem t ~key =
         | Some (Value _) -> true
         | Some (Raised _) | None -> false)
 
-let computes t = Metrics.value t.s_computes
+let computes t = Atomic.get t.s_computes.own
 
-let hits t = Metrics.value t.s_hits
+let hits t = Atomic.get t.s_hits.own
 
 let quarantined t =
   match t.s_disk with None -> 0 | Some d -> Diskcache.quarantined d

@@ -6,9 +6,10 @@
 
    Handles are deduplicated by (name, sorted labels): asking for the same
    series twice returns the same handle, so independent modules can share
-   a series without coordinating.  Instance-scoped series (e.g. one store
-   of one engine) get an instance label and stay distinguishable in the
-   snapshot while remaining aggregatable by name. *)
+   a series without coordinating.  Instance-scoped series (e.g. one disk
+   cache) get an instance label and stay distinguishable in the
+   snapshot while remaining aggregatable by name; a series is never
+   unregistered, so an object made per operation must not get one. *)
 
 type counter = { c_name : string; c_labels : (string * string) list; c_v : int Atomic.t }
 

@@ -11,6 +11,12 @@ val score :
   weights:float array -> points:float array array -> Kmeans.result -> float
 (** @raise Invalid_argument on length mismatch. *)
 
+val score_grouped :
+  weights:float array -> points:float array array -> Kmeans.grouped -> float
+(** [score ~weights ~points (Kmeans.expand g)], bit for bit, without the
+    expansion ([weights] and [points] those [g] was prepared from).
+    @raise Invalid_argument on length mismatch. *)
+
 val pick_k :
   scores:(int * float) list -> fraction:float -> int
 (** SimPoint's k-selection rule: among clusterings scored for several k,

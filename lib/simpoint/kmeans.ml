@@ -647,14 +647,36 @@ let best_of ~seed ~restarts run_once =
   done;
   !best
 
+(* A restart's best, its assignments per group, with the grouping that
+   expands them. *)
+type grouped = { prep : prepared; best : result }
+
+let run_grouped ?(seed = 493) ?(restarts = 5) ?(max_iters = 100) ~k prep =
+  check_k ~fn:"Kmeans.run" ~k ~n:(Array.length prep.gid);
+  { prep;
+    best =
+      best_of ~seed ~restarts (fun rng -> run_once_pruned rng ~max_iters ~k prep) }
+
+let expand { prep; best } =
+  { best with assignments = Array.map (Array.get best.assignments) prep.gid }
+
 (* Only the winner's assignments are expanded to points, so a
    discarded restart costs no O(n) array. *)
-let run ?(seed = 493) ?(restarts = 5) ?(max_iters = 100) ~k prep =
-  check_k ~fn:"Kmeans.run" ~k ~n:(Array.length prep.gid);
-  let best =
-    best_of ~seed ~restarts (fun rng -> run_once_pruned rng ~max_iters ~k prep)
-  in
-  { best with assignments = Array.map (Array.get best.assignments) prep.gid }
+let run ?seed ?restarts ?max_iters ~k prep =
+  expand (run_grouped ?seed ?restarts ?max_iters ~k prep)
+
+let grouped_distortion g = g.best.distortion
+
+(* [cluster_weights]'s sums in its order (point order), each point's
+   cluster read through its group. *)
+let grouped_weights { prep; best } =
+  let totals = Array.make best.k 0.0 in
+  Array.iteri
+    (fun i g ->
+      let c = best.assignments.(g) in
+      totals.(c) <- totals.(c) +. prep.weights.(i))
+    prep.gid;
+  totals
 
 let cluster_weights result ~weights =
   let totals = Array.make result.k 0.0 in

@@ -37,7 +37,13 @@
     with the same seeding.  That plain implementation is the test
     suite's [Cbsp_oracle.Kmeans_ref], which shares none of this module's
     helpers; the suite checks the two agree on random weighted point
-    sets. *)
+    sets.
+
+    Restarts keep their assignments per group, and only the winner's
+    are expanded to one per point.  A k sweep can go further with
+    {!run_grouped}: it scores every k from the grouped results
+    ({!grouped_weights}, {!grouped_distortion}) and {!expand}s only the
+    k it chooses, as [Simpoint.pick_projected] does. *)
 
 type result = {
   k : int;
@@ -80,6 +86,29 @@ val run :
     [prep]'s memo of sums.
     @raise Invalid_argument if [k] is outside [\[1, n\]] for [n] points or
     [restarts < 1]. *)
+
+type grouped
+(** A {!run} result before its assignments are expanded to points: one
+    per distinct point value.  A k sweep keeps one per k and expands only
+    the k it chooses. *)
+
+val run_grouped :
+  ?seed:int -> ?restarts:int -> ?max_iters:int -> k:int -> prepared -> grouped
+(** {!run} without the expansion: [run ~k prep] is
+    [expand (run_grouped ~k prep)], with the same defaults.  The value
+    keeps [prep].
+    @raise Invalid_argument as {!run}. *)
+
+val expand : grouped -> result
+(** The per-point result, as {!run} returns it. *)
+
+val grouped_distortion : grouped -> float
+(** [(expand g).distortion]. *)
+
+val grouped_weights : grouped -> float array
+(** [cluster_weights (expand g) ~weights], bit for bit ([weights] those
+    [g] was prepared with): the same sums in point order, without the
+    expansion. *)
 
 val distances_to : points:float array array -> float array -> float array -> unit
 (** [distances_to ~points c out] sets [out.(i)] to

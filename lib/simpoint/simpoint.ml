@@ -64,19 +64,21 @@ let pick_projected ?(config = default_config) ~weights ~points () =
     weights;
   let max_k = min config.max_k n in
   let prepared = Kmeans.prepare ~weights ~points in
-  (* Memoized clustering per k, so the two search strategies share code. *)
+  (* Memoized clustering per k, so the two search strategies share code.
+     Each k keeps its assignments per distinct point; only the chosen k
+     is expanded to one per point. *)
   let cache = Hashtbl.create 16 in
   let cluster_at k =
     match Hashtbl.find_opt cache k with
     | Some entry -> entry
     | None ->
-      let result =
-        Kmeans.run ~seed:(config.seed + k) ~restarts:config.restarts
+      let grouped =
+        Kmeans.run_grouped ~seed:(config.seed + k) ~restarts:config.restarts
           ~max_iters:config.max_iters ~k prepared
       in
-      let score = Bic.score ~weights ~points result in
-      Hashtbl.add cache k (result, score);
-      (result, score)
+      let score = Bic.score_grouped ~weights ~points grouped in
+      Hashtbl.add cache k (grouped, score);
+      (grouped, score)
   in
   let chosen_k =
     match config.k_search with
@@ -106,7 +108,7 @@ let pick_projected ?(config = default_config) ~weights ~points () =
       in
       search 1 max_k
   in
-  let result, _ = cluster_at chosen_k in
+  let result = Kmeans.expand (fst (cluster_at chosen_k)) in
   let reps =
     match config.rep_policy with
     | Centroid -> Kmeans.closest_to_centroid result ~points

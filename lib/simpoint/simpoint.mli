@@ -67,7 +67,10 @@ val pick_projected :
     and feeds the retained points here.  Both steps are per-interval
     pure, so the result is bit-identical to materializing every BBV
     first; the test suite's [Cbsp_oracle.Simpoint_ref.pick] is that
-    materialized pipeline, and the suite checks the two agree.
+    materialized pipeline, and the suite checks the two agree.  The k
+    sweep keeps each k's clustering per distinct point
+    ({!Kmeans.run_grouped}) and expands only the chosen k's to one
+    phase per interval.
     @raise Invalid_argument if there are no points, the lengths differ,
     or a weight is not finite and > 0. *)
 

@@ -270,6 +270,109 @@ let prop_runs_match_elementwise =
           hier false = hier true && cpu false = cpu true)
         run_configs)
 
+(* Borrowing.  A pass borrows its domain's idle CPU, reset, instead of
+   a fresh one; it must read exactly as a fresh CPU of its config.  A
+   snapshot holds every level's stats, the DRAM count, the stall sum,
+   the cycles' bits, the instruction count and the extra counters. *)
+let snapshot cpu =
+  let h = Cpu.hierarchy cpu in
+  ( List.map (fun ls -> ls.Hierarchy.ls_stats) (Hierarchy.stats h),
+    Hierarchy.dram_accesses h,
+    (Hierarchy.path h).Cache.stall,
+    bits (Cpu.cycles cpu),
+    Cpu.insts cpu,
+    Array.map bits (Cpu.extra_counters cpu) )
+
+let play cpu events =
+  let obs = Cpu.observer cpu in
+  List.iter
+    (function
+      | Cache_ref.Access { addr; is_write; insts } ->
+        obs.Executor.on_block 0 insts;
+        obs.Executor.on_access addr is_write
+      | Cache_ref.Flush -> Cpu.reset cpu)
+    events
+
+let fresh_snapshot config events =
+  let cpu = Cpu.create ~config () in
+  play cpu events;
+  snapshot cpu
+
+let borrow_configs =
+  [ Hierarchy.paper_table1;
+    Hierarchy.scaled_config ~factor:4;
+    { Hierarchy.levels = [ level "L1" 4_096 4 64 3 ]; dram_latency = 250 } ]
+
+(* Stream A leaves the hierarchy warm, with dirty lines in the sets the
+   streams' pools share; stream B on the borrowed CPU must then read as
+   on a fresh one. *)
+let prop_borrow_matches_fresh =
+  QCheck.Test.make ~name:"borrowed cpu = fresh cpu" ~count:100
+    (QCheck.pair (Cache_ref.stream ~span:4_194_303)
+       (Cache_ref.stream ~span:4_194_303))
+    (fun (a, b) ->
+      List.for_all
+        (fun config ->
+          Cpu.borrow ~config (fun cpu -> play cpu a);
+          Cpu.borrow ~config (fun cpu ->
+              play cpu b;
+              snapshot cpu)
+          = fresh_snapshot config b)
+        borrow_configs)
+
+let test_borrow_reuses () =
+  let first = Cpu.borrow Fun.id in
+  Tutil.check_bool "the next borrow reuses the idle cpu" true
+    (Cpu.borrow Fun.id == first);
+  let other = Cpu.borrow ~config:(Hierarchy.scaled_config ~factor:4) Fun.id in
+  Tutil.check_bool "another config gets its own" true (other != first);
+  Tutil.check_bool "and replaces the idle one" true (Cpu.borrow Fun.id != first)
+
+(* The idle CPU is taken out while in use: a nested borrow on the same
+   domain gets another, and using it leaves the outer one untouched. *)
+let test_nested_borrow () =
+  let stream =
+    List.init 2_000 (fun i ->
+        Cache_ref.Access
+          { addr = i * 4_160; is_write = i mod 3 = 0; insts = 1 + (i mod 7) })
+  in
+  Cpu.borrow ignore;
+  Cpu.borrow (fun outer ->
+      play outer stream;
+      let before = snapshot outer in
+      Cpu.borrow (fun inner ->
+          Tutil.check_bool "a distinct cpu" true (inner != outer);
+          play inner stream;
+          Tutil.check_bool "the inner one starts fresh" true
+            (snapshot inner = before));
+      Tutil.check_bool "the outer one is untouched" true
+        (snapshot outer = before))
+
+(* Two domains borrowing at the same time: each holds its own domain's
+   CPU (both are inside [borrow] before either plays its stream) and
+   each ends as a fresh CPU on its stream. *)
+let test_two_domains () =
+  let stream seed =
+    QCheck.Gen.generate1 ~rand:(Random.State.make [| seed |])
+      (QCheck.gen (Cache_ref.stream ~span:4_194_303))
+  in
+  let inside = Atomic.make 0 in
+  let work seed () =
+    let warm = stream seed and events = stream (seed + 1) in
+    Cpu.borrow (fun cpu -> play cpu warm);
+    Cpu.borrow (fun cpu ->
+        Atomic.incr inside;
+        while Atomic.get inside < 2 do
+          Domain.cpu_relax ()
+        done;
+        play cpu events;
+        snapshot cpu = fresh_snapshot Hierarchy.paper_table1 events)
+  in
+  let d1 = Domain.spawn (work 1) and d2 = Domain.spawn (work 3) in
+  let ok1 = Domain.join d1 and ok2 = Domain.join d2 in
+  Tutil.check_bool "domain 1 matches a fresh cpu" true ok1;
+  Tutil.check_bool "domain 2 matches a fresh cpu" true ok2
+
 let () =
   Alcotest.run "cpu"
     [ ( "cpi model",
@@ -283,4 +386,9 @@ let () =
           Tutil.quick "extra counters monotone" test_extra_counters_monotone;
           Tutil.qcheck_case prop_cpi_total;
           Tutil.qcheck_case prop_cpu_matches_reference;
-          Tutil.qcheck_case prop_runs_match_elementwise ] ) ]
+          Tutil.qcheck_case prop_runs_match_elementwise ] );
+      ( "borrow",
+        [ Tutil.quick "reuses the idle cpu" test_borrow_reuses;
+          Tutil.quick "nested borrow" test_nested_borrow;
+          Tutil.quick "two domains" test_two_domains;
+          Tutil.qcheck_case prop_borrow_matches_fresh ] ) ]

@@ -394,6 +394,33 @@ let test_nan_point_call_order () =
   Tutil.check_bool "forward = fresh" true (forward = fresh);
   Tutil.check_bool "backward = fresh" true (backward = fresh)
 
+(* A k sweep scores every k from its grouped result: the cluster masses
+   summed through the group map, and the distortion, must be the
+   expanded result's bit for bit, and [run] is [expand] of it. *)
+let prop_grouped_matches_expanded =
+  QCheck.Test.make ~name:"grouped masses = cluster_weights of expand"
+    ~count:100
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create ~seed:(seed + 11_000) in
+      let n = 1 + Rng.int rng ~bound:600 in
+      let k = 1 + Rng.int rng ~bound:(min 10 n) in
+      let layout = match Rng.int rng ~bound:3 with
+        | 0 -> `Runs | 1 -> `Iid | _ -> `Distinct in
+      let points =
+        Tutil.layout_points rng ~layout ~n ~dims:(1 + Rng.int rng ~bound:15)
+          ~values:(1 + Rng.int rng ~bound:40)
+      in
+      let weights = Array.init n (fun _ -> 0.5 +. Rng.float rng) in
+      let prep = Kmeans.prepare ~weights ~points in
+      let g = Kmeans.run_grouped ~seed ~k prep in
+      let r = Kmeans.expand g in
+      let fbits a = Array.map Int64.bits_of_float a in
+      fbits (Kmeans.grouped_weights g) = fbits (Kmeans.cluster_weights r ~weights)
+      && Int64.bits_of_float (Kmeans.grouped_distortion g)
+         = Int64.bits_of_float r.Kmeans.distortion
+      && bits r = bits (Kmeans.run ~seed ~k (Kmeans.prepare ~weights ~points)))
+
 let () =
   Alcotest.run "kmeans"
     [ ( "clustering",
@@ -419,4 +446,5 @@ let () =
         [ Tutil.qcheck_case prop_weighted_centroid_invariant;
           Tutil.qcheck_case prop_pruned_matches_reference;
           Tutil.qcheck_case prop_sparse_distinct_matches_reference;
+          Tutil.qcheck_case prop_grouped_matches_expanded;
           Tutil.qcheck_case prop_distances_to_bit_identical ] ) ]

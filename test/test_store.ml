@@ -378,6 +378,26 @@ let test_find_opt_never_computes () =
   Tutil.check_int "then it is in memory" 42
     (Store.find_or_compute warm ~key:"k" (fun () -> 0))
 
+(* Stores count per instance, but share their name's metric series: a
+   process that makes engines per operation must not grow the registry,
+   and the series still sum every instance's counts. *)
+let test_series_per_name () =
+  let module Metrics = Cbsp_obs.Metrics in
+  let series () = List.length (Metrics.snapshot ()) in
+  let a = Store.create ~name:"per-name" () in
+  let before = series () in
+  let b = Store.create ~name:"per-name" () in
+  ignore (Store.find_or_compute a ~key:"k" (fun () -> 1) : int);
+  ignore (Store.find_or_compute b ~key:"k" (fun () -> 2) : int);
+  ignore (Store.find_or_compute b ~key:"k" (fun () -> 3) : int);
+  Tutil.check_int "no series for a second store" before (series ());
+  Tutil.check_int "a's computes" 1 (Store.computes a);
+  Tutil.check_int "a's hits" 0 (Store.hits a);
+  Tutil.check_int "b's hits" 1 (Store.hits b);
+  let labels = [ ("store", "per-name") ] in
+  Tutil.check_int "the series sums both" 2
+    (Metrics.value (Metrics.counter ~labels "store.computes"))
+
 let () =
   Alcotest.run "store"
     [ ( "roundtrip",
@@ -400,4 +420,5 @@ let () =
           Tutil.quick "publish error fills the cell"
             test_publish_error_fills_cell;
           Tutil.quick "unmarshalable payload recomputed"
-            test_store_quarantines_unmarshalable_payload ] ) ]
+            test_store_quarantines_unmarshalable_payload;
+          Tutil.quick "series per name" test_series_per_name ] ) ]

@@ -83,35 +83,39 @@ let shared_when_equal points =
 (* One execution drives the copying reference builder and the streaming
    builder + collector side by side, both sampling the same CPU, so the
    collector sees the builder's reused scratch exactly as a pass does. *)
+let fine_pass (plan, target) =
+  let program = Genprog.build_program plan in
+  let binary =
+    List.hd (Tutil.compile_all ~loop_splitting:plan.Genprog.splitting program)
+  in
+  let n_blocks = binary.Binary.n_blocks in
+  let cpu = Cbsp_cache.Cpu.create () in
+  let cycles () = Cbsp_cache.Cpu.cycles cpu
+  and extras () = Cbsp_cache.Cpu.extra_counters cpu in
+  let mix = Strata.access_mix_of binary in
+  let counted, calls = counting mix in
+  let col = Streamprof.create ~mix:counted ~sp_config ~n_blocks () in
+  let ref_obs, read =
+    Interval_ref.fli_observer ~n_blocks ~target ~cycles ~extras ()
+  in
+  let obs, finish =
+    Interval.fli_stream ~n_blocks ~target ~cycles ~extras
+      ~emit:(Streamprof.emit col) ()
+  in
+  ignore
+    (Executor.run binary Tutil.test_input
+       (Executor.compose [ ref_obs; obs; Cbsp_cache.Cpu.observer cpu ])
+      : Executor.totals);
+  ignore (finish () : int);
+  (n_blocks, mix, col, read (), !calls)
+
+let fine_pass_arb = QCheck.(pair (make Genprog.plan_gen) (int_range 40 400))
+
 let prop_memo_matches_reference =
   QCheck.Test.make ~name:"collector = materialized reference, fine FLI"
-    ~count:20
-    QCheck.(pair (make Genprog.plan_gen) (int_range 40 400))
-    (fun (plan, target) ->
-      let program = Genprog.build_program plan in
-      let binary =
-        List.hd (Tutil.compile_all ~loop_splitting:plan.Genprog.splitting program)
-      in
-      let n_blocks = binary.Binary.n_blocks in
-      let cpu = Cbsp_cache.Cpu.create () in
-      let cycles () = Cbsp_cache.Cpu.cycles cpu
-      and extras () = Cbsp_cache.Cpu.extra_counters cpu in
-      let mix = Strata.access_mix_of binary in
-      let counted, calls = counting mix in
-      let col = Streamprof.create ~mix:counted ~sp_config ~n_blocks () in
-      let ref_obs, read =
-        Interval_ref.fli_observer ~n_blocks ~target ~cycles ~extras ()
-      in
-      let obs, finish =
-        Interval.fli_stream ~n_blocks ~target ~cycles ~extras
-          ~emit:(Streamprof.emit col) ()
-      in
-      ignore
-        (Executor.run binary Tutil.test_input
-           (Executor.compose [ ref_obs; obs; Cbsp_cache.Cpu.observer cpu ])
-          : Executor.totals);
-      ignore (finish () : int);
-      let intervals = read () in
+    ~count:20 fine_pass_arb
+    (fun desc ->
+      let n_blocks, mix, col, intervals, calls = fine_pass desc in
       let n_live =
         Array.fold_left
           (fun n iv -> if iv.Interval.insts > 0 then n + 1 else n)
@@ -120,8 +124,23 @@ let prop_memo_matches_reference =
       match differs ~n_blocks ~mix col intervals with
       | Some what -> QCheck.Test.fail_reportf "%s differs" what
       | None ->
-        !calls <= n_live
+        calls <= n_live
         && shared_when_equal (Streamprof.cluster_inputs col).Streamprof.ci_points)
+
+(* SimPoint's pick on a fine pass's points: the k sweep keeps grouped
+   results and expands only the chosen k, and must return what
+   clustering every k with plain Lloyd and scoring the expanded results
+   returns, bit for bit. *)
+let prop_pick_matches_reference =
+  QCheck.Test.make ~name:"pick_projected = reference, fine FLI" ~count:10
+    fine_pass_arb
+    (fun desc ->
+      let _, _, col, _, _ = fine_pass desc in
+      let ci = Streamprof.cluster_inputs col in
+      let weights = ci.Streamprof.ci_weights and points = ci.Streamprof.ci_points in
+      QCheck.assume (Array.length points > 0);
+      bits (Simpoint.pick_projected ~weights ~points ())
+      = bits (Simpoint_ref.pick_projected_reference ~weights ~points))
 
 (* --- fixtures ---------------------------------------------------------- *)
 
@@ -219,4 +238,6 @@ let () =
           Tutil.quick "repeat hits" test_repeat_hits;
           Tutil.quick "double shares point" test_double_shares_point;
           Tutil.quick "without mix" test_without_mix ] );
-      ("properties", [ Tutil.qcheck_case prop_memo_matches_reference ]) ]
+      ( "properties",
+        [ Tutil.qcheck_case prop_memo_matches_reference;
+          Tutil.qcheck_case prop_pick_matches_reference ] ) ]
