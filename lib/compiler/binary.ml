@@ -73,6 +73,10 @@ and floop = {
   fo_body : fstmt array;
   fo_entry_marker : Marker.key;
   fo_back_marker : Marker.key;
+  fo_blocks_only : bool;
+  fo_body_insts : int;
+  fo_body_blocks : int;
+  fo_body_accesses : int;
 }
 
 and fselect = {
@@ -111,7 +115,10 @@ let find_proc_body t name = Hashtbl.find t.proc_bodies name
    interpreter never allocates per event, and the per-source-line dynamic
    counters (loop entries, select executions) get dense slots so the
    executor can use a plain [int array] instead of a hashtable.  Slots are
-   shared by line value, exactly like the hashtable they replace. *)
+   shared by line value, exactly like the hashtable they replace.  A loop
+   also carries its body's per-iteration totals and whether the body is
+   blocks only, so a run that observes no block or access can sum such a
+   loop without walking it. *)
 let flatten ~proc_bodies ~symbols ~main ~layout =
   let proc_slot = Hashtbl.create 16 in
   List.iteri (fun i name -> Hashtbl.replace proc_slot name i) symbols;
@@ -158,14 +165,29 @@ let flatten ~proc_bodies ~symbols ~main ~layout =
           fs_dispatch = flat_block ms_dispatch;
           fs_arms = Array.map flat_stmts ms_arms }
     | MLoop l ->
+      let body = flat_stmts l.ml_body in
+      let sum f =
+        Array.fold_left
+          (fun acc -> function FBlock b -> acc + f b | _ -> acc)
+          0 body
+      in
       FLoop
         { fo_slot = slot_of l.ml_src_line; fo_src_line = l.ml_src_line;
           fo_trips = l.ml_trips; fo_split_arity = l.ml_split_arity;
           fo_unroll = l.ml_unroll; fo_header = flat_block l.ml_header;
           fo_backedge_insts = l.ml_backedge_insts;
-          fo_body = flat_stmts l.ml_body;
+          fo_body = body;
           fo_entry_marker = Marker.Loop_entry l.ml_line;
-          fo_back_marker = Marker.Loop_back l.ml_line }
+          fo_back_marker = Marker.Loop_back l.ml_line;
+          fo_blocks_only =
+            Array.for_all (function FBlock _ -> true | _ -> false) body;
+          fo_body_insts = sum (fun b -> b.fb_insts);
+          fo_body_blocks = sum (fun _ -> 1);
+          fo_body_accesses =
+            sum (fun b ->
+                Array.fold_left
+                  (fun acc a -> acc + a.fa_count)
+                  b.fb_spills b.fb_accesses) }
   in
   let bodies =
     Array.of_list

@@ -101,6 +101,14 @@ and floop = {
   fo_body : fstmt array;
   fo_entry_marker : Marker.key;  (** Pre-allocated [Loop_entry] key. *)
   fo_back_marker : Marker.key;   (** Pre-allocated [Loop_back] key. *)
+  fo_blocks_only : bool;
+      (** [fo_body] holds only {!FBlock}s: an innermost loop, whose
+          iterations emit no marker. *)
+  fo_body_insts : int;     (** Per iteration: [fb_insts] summed over
+                               the body's blocks. *)
+  fo_body_blocks : int;    (** Per iteration: the body's blocks. *)
+  fo_body_accesses : int;  (** Per iteration: the body's accesses,
+                               [fa_count]s and [fb_spills] summed. *)
 }
 
 and fselect = {

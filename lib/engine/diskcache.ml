@@ -17,7 +17,14 @@
    Eviction is strict LRU over the one table under a byte budget; the
    most recently touched entry is never evicted.  The table is rebuilt
    from the directory at [create] and extended on first sight of an
-   entry another instance or process published since. *)
+   entry another instance or process published since.
+
+   Each instance counts its own hits, evictions, quarantines and publish
+   errors, and adds each to its store name's series, with that name's
+   [store.misses] series and a [store.bytes] gauge (the resident bytes
+   of the instance that last changed them).  The series are per name,
+   not per instance: a series is never unregistered, so one per
+   [create] would grow the registry with every cache opened. *)
 
 module Metrics = Cbsp_obs.Metrics
 
@@ -95,15 +102,13 @@ type t = {
   d_budget : int;  (* bytes; <= 0 means unlimited *)
   mutable d_seq : int;
   mutable d_total : int;  (* resident bytes *)
-  d_hits : Metrics.counter;
+  d_hits : Metrics.tally;
   d_misses : Metrics.counter;
-  d_evictions : Metrics.counter;
-  d_quarantined : Metrics.counter;
-  d_publish_errors : Metrics.counter;
+  d_evictions : Metrics.tally;
+  d_quarantined : Metrics.tally;
+  d_publish_errors : Metrics.tally;
   d_bytes : Metrics.gauge;
 }
-
-let next_id = Atomic.make 0
 
 let entry_name key = Digest.to_hex (Digest.string key) ^ art_suffix
 
@@ -131,7 +136,7 @@ let quarantine_locked t name =
   drop_locked t name;
   let path = entry_path t name in
   match Unix.rename path (path ^ ".quar") with
-  | () -> Metrics.incr t.d_quarantined
+  | () -> Metrics.bump t.d_quarantined
   | exception Unix.Unix_error _ -> ()
 
 (* Evict least-recently-used entries while the byte total exceeds the
@@ -153,7 +158,7 @@ let evict_locked t ~keep =
       | Some (name, _) ->
         unlink_quiet (entry_path t name);
         drop_locked t name;
-        Metrics.incr t.d_evictions;
+        Metrics.bump t.d_evictions;
         loop ()
   in
   loop ()
@@ -196,10 +201,7 @@ let warm_load t =
 
 let create ~dir ?(byte_budget = 0) ?(name = "disk") () =
   mkdir_p dir;
-  let labels =
-    [ ("store", name);
-      ("instance", string_of_int (Atomic.fetch_and_add next_id 1)) ]
-  in
+  let labels = [ ("store", name) ] in
   let t =
     { d_dir = dir;
       d_mutex = Mutex.create ();
@@ -207,11 +209,11 @@ let create ~dir ?(byte_budget = 0) ?(name = "disk") () =
       d_budget = byte_budget;
       d_seq = 0;
       d_total = 0;
-      d_hits = Metrics.counter ~labels "store.disk_hits";
+      d_hits = Metrics.tally ~labels "store.disk_hits";
       d_misses = Metrics.counter ~labels "store.misses";
-      d_evictions = Metrics.counter ~labels "store.evictions";
-      d_quarantined = Metrics.counter ~labels "store.quarantined";
-      d_publish_errors = Metrics.counter ~labels "store.publish_errors";
+      d_evictions = Metrics.tally ~labels "store.evictions";
+      d_quarantined = Metrics.tally ~labels "store.quarantined";
+      d_publish_errors = Metrics.tally ~labels "store.publish_errors";
       d_bytes = Metrics.gauge ~labels "store.bytes" }
   in
   warm_load t;
@@ -237,7 +239,7 @@ let find t ~key =
             quarantine_locked t name;
             None)
       in
-      Metrics.incr (if found = None then t.d_misses else t.d_hits);
+      if found = None then Metrics.incr t.d_misses else Metrics.bump t.d_hits;
       found)
 
 let tmp_counter = Atomic.make 0
@@ -257,16 +259,16 @@ let put t ~key payload =
         admit_locked t name (String.length data))
   with Sys_error _ | Unix.Unix_error _ ->
     unlink_quiet tmp;
-    Metrics.incr t.d_publish_errors
+    Metrics.bump t.d_publish_errors
 
 let quarantine t ~key =
   Mutex.protect t.d_mutex (fun () -> quarantine_locked t (entry_name key))
 
 (* --- stats ------------------------------------------------------------- *)
 
-let hits t = Metrics.value t.d_hits
-let evictions t = Metrics.value t.d_evictions
-let quarantined t = Metrics.value t.d_quarantined
-let publish_errors t = Metrics.value t.d_publish_errors
+let hits t = Metrics.own t.d_hits
+let evictions t = Metrics.own t.d_evictions
+let quarantined t = Metrics.own t.d_quarantined
+let publish_errors t = Metrics.own t.d_publish_errors
 let bytes t = Mutex.protect t.d_mutex (fun () -> t.d_total)
 let entry_count t = Mutex.protect t.d_mutex (fun () -> Hashtbl.length t.d_table)

@@ -15,10 +15,12 @@
     an entry another instance publishes later is adopted on first
     sight.  One mutex guards the instance.
 
-    Metrics (labeled by store name + instance):
+    Metrics, one series per store name however many instances open it:
     [store.disk_hits], [store.misses], [store.evictions],
-    [store.quarantined], [store.publish_errors] (counters),
-    [store.bytes] (gauge). *)
+    [store.quarantined], [store.publish_errors] (counters, summed over
+    the name's instances), [store.bytes] (gauge: the resident bytes of
+    the instance that last changed them).  {!hits}, {!evictions},
+    {!quarantined} and {!publish_errors} are this instance's own. *)
 
 type t
 

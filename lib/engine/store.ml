@@ -38,27 +38,17 @@ type 'v t = {
   s_mutex : Mutex.t;
   s_table : (string, 'v cell) Hashtbl.t;
   s_disk : Diskcache.t option;
-  s_computes : tally;
-  s_hits : tally;
+  s_computes : Metrics.tally;
+  s_hits : Metrics.tally;
   s_wait : Metrics.histogram;
 }
-
-(* One store's count, and the series of its name that it adds to. *)
-and tally = { own : int Atomic.t; series : Metrics.counter }
-
-let tally ~labels name =
-  { own = Atomic.make 0; series = Metrics.counter ~labels name }
-
-let bump c =
-  Atomic.incr c.own;
-  Metrics.incr c.series
 
 let create ?(name = "store") ?disk () =
   let labels = [ ("store", name) ] in
   { s_mutex = Mutex.create (); s_table = Hashtbl.create 64;
     s_disk = disk;
-    s_computes = tally ~labels "store.computes";
-    s_hits = tally ~labels "store.hits";
+    s_computes = Metrics.tally ~labels "store.computes";
+    s_hits = Metrics.tally ~labels "store.hits";
     s_wait = Metrics.histogram ~labels "store.wait_seconds" }
 
 (* [No_sharing] makes the encoding a function of the value's structure
@@ -89,10 +79,10 @@ let from_disk t ~key =
 let resolve t ~key f =
   match from_disk t ~key with
   | Some v ->
-    bump t.s_hits;
+    Metrics.bump t.s_hits;
     Value v
   | None -> (
-    bump t.s_computes;
+    Metrics.bump t.s_computes;
     match f () with
     | v ->
       Option.iter
@@ -126,7 +116,7 @@ let fill t ~key resolve =
     match outcome with Value v -> v | Raised e -> raise e
   end
   else begin
-    bump t.s_hits;
+    Metrics.bump t.s_hits;
     let t0 = Unix.gettimeofday () in
     let outcome =
       Mutex.protect cell.c_mutex (fun () ->
@@ -148,14 +138,14 @@ let find_opt t ~key =
   | Some cell -> (
     match Mutex.protect cell.c_mutex (fun () -> cell.c_outcome) with
     | Some (Value v) ->
-      bump t.s_hits;
+      Metrics.bump t.s_hits;
       Some v
     | Some (Raised _) | None -> None)
   | None ->
     Option.map
       (fun v ->
         fill t ~key (fun () ->
-            bump t.s_hits;
+            Metrics.bump t.s_hits;
             Value v))
       (from_disk t ~key)
 
@@ -174,9 +164,9 @@ let mem t ~key =
         | Some (Value _) -> true
         | Some (Raised _) | None -> false)
 
-let computes t = Atomic.get t.s_computes.own
+let computes t = Metrics.own t.s_computes
 
-let hits t = Atomic.get t.s_hits.own
+let hits t = Metrics.own t.s_hits
 
 let quarantined t =
   match t.s_disk with None -> 0 | Some d -> Diskcache.quarantined d

@@ -55,6 +55,15 @@ let compose observers =
    observable only through [on_access] — are never generated: accesses
    are counted, but no cursor/RNG work is done at all.
 
+   A run whose [on_block] and [on_access] are both [null_observer]'s
+   (marker-only: a structure profile, or a plain count) sums a loop whose
+   body holds only blocks in O(1): nothing inside such a body but the
+   back-edge marker is observable, so the totals add [trips] times the
+   body's per-iteration counts (precomputed by [Binary.flatten]), and the
+   header block and back-edge marker go [ceil (trips / unroll)] times —
+   as often as the walk's back-edge test holds.  The marker sequence is
+   the walk's.
+
    With [runs] that speak for the observer's [on_access], a Seq site
    whose step is below the run line, and a block's spill slots, go out
    one run at a time: the accesses from element i on that stay on i's
@@ -67,6 +76,7 @@ type fstate = {
   f_input : Input.t;
   f_obs : observer;
   f_no_access : bool;                 (* null on_access: count accesses only *)
+  f_markers_only : bool;              (* null on_block too: sum inner loops *)
   f_line : int;                       (* run line size; 0 = no runs *)
   f_on_run : int -> int -> bool -> unit;
   f_bodies : Binary.fstmt array array;
@@ -282,13 +292,27 @@ and f_exec_loop st (l : Binary.floop) =
   let unroll = l.fo_unroll in
   let header_id = l.fo_header.Binary.fb_id in
   let back_insts = l.fo_backedge_insts in
-  for i = 0 to trips - 1 do
-    f_exec_stmts st l.fo_body;
-    if i mod unroll = unroll - 1 || i = trips - 1 then begin
-      f_emit_block st header_id back_insts;
-      f_emit_marker st l.fo_back_marker
+  if st.f_markers_only && l.fo_blocks_only then begin
+    if trips > 0 then begin
+      (* [i mod unroll = unroll - 1 || i = trips - 1] holds this often *)
+      let backs = (trips + unroll - 1) / unroll in
+      st.f_insts <-
+        st.f_insts + (trips * l.fo_body_insts) + (backs * back_insts);
+      st.f_blocks <- st.f_blocks + (trips * l.fo_body_blocks) + backs;
+      st.f_accesses <- st.f_accesses + (trips * l.fo_body_accesses);
+      for _ = 1 to backs do
+        f_emit_marker st l.fo_back_marker
+      done
     end
-  done
+  end
+  else
+    for i = 0 to trips - 1 do
+      f_exec_stmts st l.fo_body;
+      if i mod unroll = unroll - 1 || i = trips - 1 then begin
+        f_emit_block st header_id back_insts;
+        f_emit_marker st l.fo_back_marker
+      end
+    done
 
 (* Executor totals feed the obs registry once per run (never per event:
    the hot loops stay untouched, so the counters are free at the block
@@ -320,9 +344,11 @@ let run ?runs binary input obs =
       (r.line_bytes, r.on_run)
     | _ -> (0, no_run)
   in
+  let no_access = obs.on_access == null_observer.on_access in
   let st =
     { f_input = input; f_obs = obs;
-      f_no_access = obs.on_access == null_observer.on_access;
+      f_no_access = no_access;
+      f_markers_only = no_access && obs.on_block == null_observer.on_block;
       f_line; f_on_run;
       f_bodies = flat.Binary.fp_bodies;
       f_stack = Layout.stack_addr layout ~depth:0 ~slot:0;

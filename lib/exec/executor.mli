@@ -98,5 +98,10 @@ val run :
     An observer whose [on_access] is physically {!null_observer}'s (a
     structure profile, or {!null_observer} itself) gets identical totals
     and identical block and marker events, but the address streams —
-    observable only through [on_access] — are never generated. *)
+    observable only through [on_access] — are never generated.  When
+    its [on_block] is physically {!null_observer}'s too (a marker-only
+    run: a structure profile, or a plain count), a loop whose body holds
+    only blocks is not walked: its totals are summed in O(1) and its
+    back-edge marker is emitted as often as the walk would, so the
+    totals and the marker sequence are unchanged. *)
 

@@ -6,10 +6,9 @@
 
    Handles are deduplicated by (name, sorted labels): asking for the same
    series twice returns the same handle, so independent modules can share
-   a series without coordinating.  Instance-scoped series (e.g. one disk
-   cache) get an instance label and stay distinguishable in the
-   snapshot while remaining aggregatable by name; a series is never
-   unregistered, so an object made per operation must not get one. *)
+   a series without coordinating.  A series is never unregistered, so an
+   object made per operation (a store, a disk cache) must not get one of
+   its own: it counts in its own atomics and adds to its name's. *)
 
 type counter = { c_name : string; c_labels : (string * string) list; c_v : int Atomic.t }
 
@@ -83,6 +82,16 @@ let histogram ?(labels = []) name =
 let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.c_v by : int)
 
 let value c = Atomic.get c.c_v
+
+type tally = { t_own : int Atomic.t; t_series : counter }
+
+let tally ?labels name = { t_own = Atomic.make 0; t_series = counter ?labels name }
+
+let bump t =
+  Atomic.incr t.t_own;
+  incr t.t_series
+
+let own t = Atomic.get t.t_own
 
 let set g v = Atomic.set g.g_v v
 

@@ -28,6 +28,20 @@ val incr : ?by:int -> counter -> unit
 
 val value : counter -> int
 
+type tally
+(** One object's own count, which also adds to a shared counter series:
+    for objects made per operation (stores, disk caches), which must not
+    register a series each, since a series is never unregistered. *)
+
+val tally : ?labels:(string * string) list -> string -> tally
+(** A fresh count of 0 that adds to the counter series [name]/[labels]. *)
+
+val bump : tally -> unit
+(** Add 1 to the count and to its series. *)
+
+val own : tally -> int
+(** The count: this tally's bumps only. *)
+
 val set : gauge -> int -> unit
 
 val gauge_value : gauge -> int

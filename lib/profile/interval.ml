@@ -111,23 +111,23 @@ let vli_recorder_stream ~n_blocks ~target ~mappable ?cycles ?extras ~emit () =
   if target <= 0 then
     invalid_arg "Interval.vli_recorder_stream: target must be positive";
   let acc = make_acc ?cycles ?extras ~collect_bbv:true ~n_blocks ~emit () in
-  let key_counts = Marker.Table.create 256 in
+  let key_counts = Structprof.counts () in
   let boundaries_rev = ref [] in
+  (* [mappable]'s answer for the last key asked, reused while the same
+     physical key repeats (as [Structprof.bump] reuses its counter). *)
+  let last_key = ref (Marker.Loop_back (Sys.opaque_identity 0))
+  and last_mappable = ref false in
   let obs =
     { Executor.on_block = (fun id insts -> acc_block acc id insts);
       on_access = Executor.null_observer.on_access;
       on_marker =
         (fun key ->
-          if mappable key then begin
-            let count =
-              match Marker.Table.find_opt key_counts key with
-              | Some r ->
-                incr r;
-                !r
-              | None ->
-                Marker.Table.add key_counts key (ref 1);
-                1
-            in
+          if key != !last_key then begin
+            last_key := key;
+            last_mappable := mappable key
+          end;
+          if !last_mappable then begin
+            let count = Structprof.bump key_counts key in
             if acc.cur_insts >= target then begin
               boundaries_rev := { bd_key = key; bd_count = count } :: !boundaries_rev;
               acc_cut acc
@@ -145,7 +145,7 @@ let vli_follower_stream ?n_blocks ~boundaries ?cycles ?extras ~emit () =
     match n_blocks with Some n -> (true, n) | None -> (false, 0)
   in
   let acc = make_acc ?cycles ?extras ~collect_bbv ~n_blocks ~emit () in
-  let key_counts = Marker.Table.create 256 in
+  let key_counts = Structprof.counts () in
   let next = ref 0 in
   let total = Array.length boundaries in
   let obs =
@@ -154,17 +154,9 @@ let vli_follower_stream ?n_blocks ~boundaries ?cycles ?extras ~emit () =
       on_marker =
         (fun key ->
           if !next < total then begin
-            let count =
-              match Marker.Table.find_opt key_counts key with
-              | Some r ->
-                incr r;
-                !r
-              | None ->
-                Marker.Table.add key_counts key (ref 1);
-                1
-            in
+            let count = Structprof.bump key_counts key in
             let b = boundaries.(!next) in
-            if Marker.equal b.bd_key key && b.bd_count = count then begin
+            if b.bd_count = count && Marker.equal b.bd_key key then begin
               incr next;
               acc_cut acc
             end

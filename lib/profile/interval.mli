@@ -93,7 +93,9 @@ val vli_recorder_stream :
   unit ->
   Cbsp_exec.Executor.observer * (unit -> int * boundary array)
 (** Streaming VLI recorder.  The finisher returns (interval count,
-    boundaries); the count is always [Array.length boundaries + 1]. *)
+    boundaries); the count is always [Array.length boundaries + 1].
+    [mappable] must be a function of the key alone: while one physical
+    key repeats, its first answer is reused. *)
 
 val vli_follower_stream :
   ?n_blocks:int ->

@@ -92,14 +92,24 @@ let input_of options =
 let sp_config_of options =
   { Simpoint.default_config with Simpoint.max_k = options.mo_max_k }
 
+(* The running build: a digest of its executable, read once per
+   process.  An executable that cannot be read gets an identity of its
+   own, so its lookups miss rather than trust another build's bytes. *)
+let build_id =
+  lazy
+    (try Digest.to_hex (Digest.file Sys.executable_name)
+     with Sys_error _ ->
+       Printf.sprintf "unread-%d"
+         (Random.State.bits (Random.State.make_self_init ())))
+
 (* A workload's outputs are persisted under everything that determines
-   them.  The version tag stands for what the code decides and the key
-   cannot name, such as the sampler list: bump it whenever that changes,
-   or a cache directory serves the outputs of the old code. *)
-let workload_key ~options program ~configs =
+   them.  The build stands for what the code decides and the key cannot
+   name: the sampler list, and the layout of the [Marshal]ed result
+   types, which no decoder checks.  Another build's entry is a miss. *)
+let workload_key ~build ~options program ~configs =
   Store.digest
-    ( "workload/1", estimators options, program, configs, input_of options,
-      options.mo_target, sp_config_of options )
+    ( "workload/2", build, estimators options, program, configs,
+      input_of options, options.mo_target, sp_config_of options )
 
 let run_workload ~store ~engine ~options name =
   Tracer.with_span ~name:"validate.workload" ~cat:"validate"
@@ -119,7 +129,9 @@ let run_workload ~store ~engine ~options name =
      estimator raised: a failure is recomputed, never replayed. *)
   let estimators = estimators options in
   let cache =
-    Option.map (fun s -> (s, workload_key ~options program ~configs)) store
+    Option.map
+      (fun (s, build) -> (s, workload_key ~build ~options program ~configs))
+      store
   in
   let outcomes =
     match Option.bind cache (fun (s, key) -> Store.find_opt s ~key) with
@@ -187,7 +199,9 @@ let run ?(options = default_options) ?names ?(jobs = 1) ?cache_dir
   @@ fun () ->
   (* One store for every workload domain.  Its Diskcache publishes by
      atomic rename, so concurrent writers of one key, in this process or
-     another, leave one intact entry. *)
+     another, leave one intact entry.  The build identity is read here,
+     before the domains start: two domains forcing one lazy value at
+     once would raise. *)
   let store =
     Option.map
       (fun dir ->
@@ -195,7 +209,7 @@ let run ?(options = default_options) ?names ?(jobs = 1) ?cache_dir
         let disk =
           Diskcache.create ~dir ~byte_budget:disk_budget ~name:"workloads" ()
         in
-        Store.create ~name:"workloads" ~disk ())
+        (Store.create ~name:"workloads" ~disk (), Lazy.force build_id))
       cache_dir
   in
   let workloads =

@@ -13,11 +13,11 @@
 
     A [cache_dir] persists each workload's [w_outputs]
     in one {!Cbsp_engine.Store} over [<cache_dir>/workloads/], one entry
-    per workload keyed by everything that determines them (estimators,
-    program, configs, input, target, SimPoint configuration), so
-    re-validating an unchanged tree runs no batch.  Cells, truth and the
-    [validate] job are recomputed from the outputs on every run.  A
-    workload whose estimators did not all succeed is not stored. *)
+    per workload keyed by everything that determines them
+    ({!workload_key}), so re-validating an unchanged tree with the same
+    build runs no batch.  Cells, truth and the [validate] job are
+    recomputed from the outputs on every run.  A workload whose
+    estimators did not all succeed is not stored. *)
 
 type options = {
   mo_target : int;        (** Interval target (instructions). *)
@@ -42,6 +42,20 @@ val estimators : options -> Cbsp.Pipeline.any list
     [Dynamic], [Static] and [Recovered] matching (primary
     [mo_primary]), then the samplers at [options]' level, seeds and
     sample size. *)
+
+val build_id : string Lazy.t
+(** The running build's identity: the hex digest of its executable,
+    read once per process.  A build whose executable cannot be read
+    gets a random identity, so it serves no stored entry. *)
+
+val workload_key :
+  build:string -> options:options -> Cbsp_source.Ast.program ->
+  configs:Cbsp_compiler.Config.t list -> string
+(** The [cache_dir] key of one workload's outputs: a digest of [build]
+    (the runs use {!build_id}), the {!estimators}, the program, configs,
+    input, target and SimPoint configuration.  [Marshal] payloads are
+    not type-checked, so an entry another build stored must miss: a
+    rebuild starts from a cold cache. *)
 
 val methods : string list
 (** The eight scored methods, {!Cbsp.Pipeline.names} over {!estimators}:

@@ -14,7 +14,9 @@
    6. the data-address stream is identical across optimization levels of
       the same ISA;
    7. the flat interpreter's event stream is the tree reference's, per
-      element and on the run route. *)
+      element and on the run route;
+   8. a marker-only run, which sums blocks-only loops, emits the walk's
+      marker sequence and totals. *)
 
 module Validate = Cbsp_source.Validate
 module Binary = Cbsp_compiler.Binary
@@ -173,6 +175,37 @@ let prop_runs_match_tree =
             [ 16; 64 ])
         (binaries_of plan program))
 
+(* The marker sequence, folded like [event_hash]: of a marker-only run
+   (null [on_block] and [on_access], which sums blocks-only loops), or
+   of a run with a block callback, which walks every iteration. *)
+let marker_hash ~walk (run_fn : ?runs:Executor.runs -> _) binary =
+  let h = ref 0 and count = ref 0 in
+  let obs =
+    { Executor.null_observer with
+      Executor.on_marker =
+        (fun key ->
+          h := Cbsp_util.Rng.hash2 !h (Hashtbl.hash key);
+          incr count) }
+  in
+  let obs =
+    if walk then { obs with Executor.on_block = (fun _ _ -> ()) } else obs
+  in
+  let totals = run_fn ?runs:None binary input obs in
+  (totals, !h, !count)
+
+let prop_marker_only_matches_walk =
+  QCheck.Test.make ~name:"marker-only run = walked run = tree reference"
+    ~count:40 (QCheck.make Genprog.plan_gen) (fun plan ->
+      let program = Genprog.build_program plan in
+      List.for_all
+        (fun binary ->
+          let fast = marker_hash ~walk:false Executor.run binary in
+          fast = marker_hash ~walk:true Executor.run binary
+          && fast = marker_hash ~walk:false Executor_ref.run_tree binary
+          && (let t, _, _ = fast in
+              t = Executor.run binary input Executor.null_observer))
+        (binaries_of plan program))
+
 let prop_data_stream_across_opt =
   (* without splitting, O0 and O2 of the same ISA touch the same data in
      the same order *)
@@ -286,6 +319,7 @@ let () =
           Tutil.qcheck_case prop_boundaries_replay;
           Tutil.qcheck_case prop_flat_matches_tree;
           Tutil.qcheck_case prop_runs_match_tree;
+          Tutil.qcheck_case prop_marker_only_matches_walk;
           Tutil.qcheck_case prop_data_stream_across_opt;
           Tutil.qcheck_case prop_static_prover_sound;
           Tutil.quick "generator reaches every address branch"

@@ -36,6 +36,114 @@ let test_profile_missing_key () =
   Tutil.check_int "missing key counts 0" 0
     (Structprof.count profile (Marker.Proc_entry "ghost"))
 
+(* A structure profile is a marker-only run: the executor sums every
+   blocks-only loop instead of walking it.  On every registry binary it
+   must count what the walk counts, and end with the walk's totals. *)
+let test_profile_registry_summed () =
+  List.iter
+    (fun (e : Cbsp_workloads.Registry.entry) ->
+      let program = e.build () in
+      List.iter
+        (fun config ->
+          let binary = compile program config in
+          let what = e.name ^ "/" ^ Config.label config in
+          let obs, read = Structprof.observer () in
+          (* a block callback of its own: the run walks every iteration *)
+          let walked = { obs with Executor.on_block = (fun _ _ -> ()) } in
+          let walked_totals = Executor.run binary input walked in
+          Tutil.check_bool (what ^ ": profile = per-iteration count") true
+            (Marker.Map.equal ( = ) (Structprof.profile binary input) (read ()));
+          Tutil.check_bool (what ^ ": totals = per-iteration totals") true
+            (Executor.run binary input Executor.null_observer = walked_totals))
+        (Config.paper_four ~loop_splitting:e.loop_splitting ()))
+    Cbsp_workloads.Registry.all
+
+(* Equal keys allocated apart share a count, whichever the memo holds. *)
+let test_bump_memo () =
+  let a = Marker.Loop_back 1 and b = Marker.Proc_entry "f" in
+  let a' = Marker.Loop_back (int_of_string "1") in
+  let c = Structprof.counts () in
+  let got = List.map (Structprof.bump c) [ a; a; b; a; a'; a'; b; a ] in
+  Alcotest.(check (list int)) "counts per equal key" [ 1; 2; 1; 3; 4; 5; 2; 6 ]
+    got
+
+(* Synthetic marker streams of one instruction between events, over two
+   keys of one kind and an equal copy of the first, so the follower's
+   and the recorder's memo switch keys and meet the copy. *)
+let alt_keys = [| Marker.Loop_back 7; Marker.Loop_back 9;
+                  Marker.Loop_back (int_of_string "7") |]
+
+let alt_stream =
+  let rng = Cbsp_util.Rng.create ~seed:5 in
+  List.init 300 (fun i ->
+      (* runs of repeats, and strict alternation at the start *)
+      if i < 20 then alt_keys.(i mod 2)
+      else alt_keys.(Cbsp_util.Rng.int rng ~bound:3))
+
+let drive (obs : Executor.observer) =
+  List.iter
+    (fun key ->
+      obs.Executor.on_block 0 1;
+      obs.Executor.on_marker key)
+    alt_stream;
+  obs.Executor.on_block 0 1
+
+(* Counts by a plain association list: the table path, without a memo. *)
+let numbered stream =
+  let seen = ref [] in
+  List.map
+    (fun key ->
+      let n =
+        1 + (try List.assoc (Marker.to_string key) !seen with Not_found -> 0)
+      in
+      seen := (Marker.to_string key, n) :: List.remove_assoc (Marker.to_string key) !seen;
+      (key, n))
+    stream
+
+let test_follower_alternating_keys () =
+  let events = Array.of_list (numbered alt_stream) in
+  (* every 7th event a boundary: both keys and the copy's counts *)
+  let cut_at = List.filter (fun i -> i mod 7 = 3) (List.init 300 Fun.id) in
+  let boundaries =
+    Array.of_list
+      (List.map
+         (fun i ->
+           let key, n = events.(i) in
+           { Interval.bd_key = key; bd_count = n })
+         cut_at)
+  in
+  let fobs, fread = Interval_ref.vli_follower ~boundaries () in
+  drive fobs;
+  (* event i closes an interval of the blocks since the last cut *)
+  let expected =
+    let last, sizes =
+      List.fold_left
+        (fun (prev, acc) i -> (i + 1, (i + 1 - prev) :: acc))
+        (0, []) cut_at
+    in
+    List.rev ((301 - last) :: sizes)
+  in
+  Alcotest.(check (list int)) "cuts where the counts put them" expected
+    (Array.to_list (Array.map (fun iv -> iv.Interval.insts) (fread ())))
+
+let test_recorder_alternating_mappable () =
+  let mappable key = Marker.equal key alt_keys.(0) in
+  let robs, rread =
+    Interval_ref.vli_recorder ~n_blocks:1 ~target:1 ~mappable ()
+  in
+  drive robs;
+  let _, boundaries = rread () in
+  let expected =
+    List.filter (fun (key, _) -> mappable key) (numbered alt_stream)
+    |> List.map (fun (key, n) -> (Marker.to_string key, n))
+  in
+  Alcotest.(check (list (pair string int))) "a boundary at every mappable event"
+    expected
+    (Array.to_list
+       (Array.map
+          (fun b -> (Marker.to_string b.Interval.bd_key, b.Interval.bd_count))
+          boundaries))
+
 (* --- FLI ------------------------------------------------------------- *)
 
 let fli_pass binary ~target =
@@ -255,7 +363,9 @@ let () =
   Alcotest.run "profile"
     [ ( "structprof",
         [ Tutil.quick "totals" test_profile_totals;
-          Tutil.quick "missing key" test_profile_missing_key ] );
+          Tutil.quick "missing key" test_profile_missing_key;
+          Tutil.quick "registry: summed = walked" test_profile_registry_summed;
+          Tutil.quick "key memo" test_bump_memo ] );
       ( "fli",
         [ Tutil.quick "sizes" test_fli_sizes;
           Tutil.quick "bbv sums" test_fli_bbv_sums;
@@ -265,7 +375,10 @@ let () =
         [ Tutil.quick "recorder basics" test_vli_recorder_basics;
           Tutil.quick "roundtrip same binary" test_vli_roundtrip_same_binary;
           Tutil.quick "follow other binaries" test_vli_follow_other_binaries;
-          Tutil.quick "foreign boundaries" test_follower_rejects_foreign_boundaries ] );
+          Tutil.quick "foreign boundaries" test_follower_rejects_foreign_boundaries;
+          Tutil.quick "follower alternating keys" test_follower_alternating_keys;
+          Tutil.quick "recorder alternating mappable"
+            test_recorder_alternating_mappable ] );
       ( "edge cases",
         [ Tutil.quick "target > run" test_target_larger_than_run;
           Tutil.quick "no mappable markers" test_recorder_without_markers;

@@ -398,6 +398,28 @@ let test_series_per_name () =
   Tutil.check_int "the series sums both" 2
     (Metrics.value (Metrics.counter ~labels "store.computes"))
 
+(* Disk caches count per instance too: reopening one directory adds no
+   series after the first, each instance keeps its own hits, and the
+   name's series sums them. *)
+let test_disk_series_per_name () =
+  let module Metrics = Cbsp_obs.Metrics in
+  Tutil.with_temp_dir "disk-series" @@ fun dir ->
+  let series () = List.length (Metrics.snapshot ()) in
+  let first = Diskcache.create ~dir ~name:"disk-series" () in
+  Diskcache.put first ~key:"k" "v";
+  let before = series () in
+  let again = List.init 10 (fun _ -> Diskcache.create ~dir ~name:"disk-series" ()) in
+  List.iter
+    (fun c ->
+      Tutil.check_bool "served" true (Diskcache.find c ~key:"k" = Some "v"))
+    again;
+  Tutil.check_int "no series after the first create" before (series ());
+  Tutil.check_int "first's own hits" 0 (Diskcache.hits first);
+  List.iter (fun c -> Tutil.check_int "one hit each" 1 (Diskcache.hits c)) again;
+  let labels = [ ("store", "disk-series") ] in
+  Tutil.check_int "the series sums every instance" 10
+    (Metrics.value (Metrics.counter ~labels "store.disk_hits"))
+
 let () =
   Alcotest.run "store"
     [ ( "roundtrip",
@@ -421,4 +443,5 @@ let () =
             test_publish_error_fills_cell;
           Tutil.quick "unmarshalable payload recomputed"
             test_store_quarantines_unmarshalable_payload;
-          Tutil.quick "series per name" test_series_per_name ] ) ]
+          Tutil.quick "series per name" test_series_per_name;
+          Tutil.quick "disk series per name" test_disk_series_per_name ] ) ]

@@ -526,6 +526,67 @@ let test_matrix_warm_cache () =
   Tutil.check_int "one entry per workload" 2
     (List.length (art_files (Filename.concat cache_dir "workloads")))
 
+(* [Marshal] does not check types, so an entry another build stored
+   could crash the reader or replay outputs the running code would not
+   compute: it must be a miss.  Two well-framed but wrong entries (no
+   outputs at all) sit in the cache directory, under another build
+   identity's key and under the key builds used before keys named the
+   build.  The run misses both, collects, equals a cold run, and its own
+   entry serves the next run. *)
+let test_matrix_stale_build_misses () =
+  let module Store = Cbsp_engine.Store in
+  let module Diskcache = Cbsp_engine.Diskcache in
+  let module Input = Cbsp_source.Input in
+  let module Simpoint = Cbsp_simpoint.Simpoint in
+  Tutil.with_temp_dir "stale" @@ fun cache_dir ->
+  let bits v = Marshal.to_string v [ Marshal.No_sharing ] in
+  let o = small_options in
+  let entry = Cbsp_workloads.Registry.find "gcc" in
+  let program = entry.build () in
+  let configs = Config.paper_four ~loop_splitting:entry.loop_splitting () in
+  let pre_build_key =
+    Store.digest
+      ( "workload/1", Matrix.estimators o, program, configs,
+        Input.make
+          ~name:(Printf.sprintf "scale%d" o.Matrix.mo_scale)
+          ~seed:o.mo_seed ~scale:o.mo_scale (),
+        o.mo_target, { Simpoint.default_config with max_k = o.mo_max_k } )
+  in
+  let store =
+    Store.create ~name:"workloads"
+      ~disk:
+        (Diskcache.create ~dir:(Filename.concat cache_dir "workloads")
+           ~name:"workloads" ())
+      ()
+  in
+  List.iter
+    (fun key ->
+      ignore
+        (Store.find_or_compute store ~key (fun () -> ([] : Matrix.output list))
+          : Matrix.output list))
+    [ Matrix.workload_key ~build:"another build" ~options:o program ~configs;
+      pre_build_key ];
+  let run ?cache_dir () =
+    match Matrix.run ~options:o ~names:[ "gcc" ] ?cache_dir () with
+    | { Matrix.m_workloads = [ w ]; _ } -> w
+    | { Matrix.m_workloads = ws; _ } ->
+      Alcotest.failf "%d workload results" (List.length ws)
+  in
+  let cold = run () in
+  let warm = run ~cache_dir () in
+  Tutil.check_bool "cold has outputs" true (cold.Matrix.w_outputs <> []);
+  Tutil.check_bool "stale entries missed: warm outputs = cold outputs" true
+    (bits warm.Matrix.w_outputs = bits cold.Matrix.w_outputs);
+  Tutil.check_bool "warm collected" true
+    (stage_jobs Stage.Interval_collection warm.Matrix.w_timings > 0);
+  Tutil.check_int "its own entry beside the stale two" 3
+    (List.length (art_files (Filename.concat cache_dir "workloads")));
+  let again = run ~cache_dir () in
+  Tutil.check_bool "then served: outputs = cold outputs" true
+    (bits again.Matrix.w_outputs = bits cold.Matrix.w_outputs);
+  Tutil.check_int "then served: no collection" 0
+    (stage_jobs Stage.Interval_collection again.Matrix.w_timings)
+
 (* A workload with a failed estimator is never stored: its warm rerun
    collects again and reports the same outcomes. *)
 let test_matrix_failure_not_persisted () =
@@ -741,6 +802,8 @@ let () =
           Tutil.quick "batched matrix = per-estimator runs"
             test_batched_matrix_equals_alone;
           Tutil.quick "warm cache restart" test_matrix_warm_cache;
+          Tutil.quick "another build's entry misses"
+            test_matrix_stale_build_misses;
           Tutil.quick "failed workload not persisted"
             test_matrix_failure_not_persisted ] );
       ( "properties",
